@@ -7,9 +7,9 @@
 // Keys are opaque byte strings assembled by the matcher submodule of a TSP
 // from the header/metadata fields named in the table definition. Every
 // engine satisfies the Engine interface so the data plane can treat tables
-// uniformly, and every engine is safe for concurrent lookups with
-// single-writer updates, matching the control/data plane split of a
-// switch. The exact-match engine publishes copy-on-write snapshots so the
-// per-packet lookup takes no lock at all (the software analogue of a
-// shadow-bank swap); the trie/TCAM models keep a sync.RWMutex.
+// uniformly, and every engine is safe for lookups concurrent with
+// updates, matching the control/data plane split of a switch. The
+// exact-match engine is one slot array written in place beside wait-free
+// readers, the way a stage's SRAM is (see exactEngine); the LPM engines
+// publish copy-on-write nodes; the TCAM models keep a sync.RWMutex.
 package match

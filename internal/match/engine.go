@@ -61,8 +61,11 @@ type Result struct {
 	EntryHandle int
 }
 
-// Engine is a table lookup engine. Implementations are safe for concurrent
-// Lookup with exclusive Insert/Delete.
+// Engine is a table lookup engine. Every method is safe to call from any
+// goroutine at any time: Insert and Delete serialise among themselves
+// inside the engine and run beside Lookup, which on the exact and LPM
+// engines takes no lock. A Lookup concurrent with a write sees the entry
+// as it was before or after it, never a mix.
 type Engine interface {
 	// Kind reports the engine's match kind.
 	Kind() Kind
@@ -78,8 +81,7 @@ type Engine interface {
 	Delete(handle int) error
 	// Len reports the number of installed entries.
 	Len() int
-	// Entries returns a snapshot of installed entries (for migration and
-	// table dumps).
+	// Entries returns a copy of the installed entries (for table dumps).
 	Entries() []Entry
 }
 

@@ -1,107 +1,149 @@
 package match
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // exactEngine is a hash-table exact-match engine, the software model of an
-// SRAM exact-match table. Lookups are lock-free: readers follow an atomic
-// pointer to an immutable open-addressing snapshot (the software analogue
-// of a shadow bank swap), while writers serialise on mu and publish a
-// fresh copy. The snapshot is a flat power-of-two slot array with linear
-// probing rather than a Go map so that the bucket a key hashes to is an
-// addressable cache line: Prefetch can touch it one packet ahead of the
-// real lookup, which a map's opaque internals cannot offer.
+// SRAM exact-match table that is written in place: one flat power-of-two
+// slot array with linear probing rather than a Go map, so that the bucket
+// a key hashes to is an addressable cache line Prefetch can touch one
+// packet ahead of the lookup.
+//
+// Lookups are wait-free and take no lock; writers serialise on mu and
+// touch only the slots of the key they write. Why that is safe
+// (docs/ARCHITECTURE.md has the long form): an entry is immutable once a
+// slot points at it and carries its own key, so a reader checks whatever
+// pointer it loads against the key it asked for; insert stores the entry
+// then the tag, replace swaps the pointer, delete stores the tombstone
+// tag then clears the pointer, so a reader sees the state before or after
+// the write; no slot goes back to empty in place, so the probe chain to a
+// key that is not being written never breaks; and a rebuild fills a fresh
+// array and publishes it with one pointer store, leaving the old one,
+// which late readers may still be probing, to Go's GC.
 type exactEngine struct {
 	mu       sync.Mutex // serialises writers; readers never take it
 	kind     Kind
 	width    int
 	capacity int
-	snap     atomic.Pointer[exactSnap]
-	byKey    map[string]*Entry // writer-side index, guarded by mu
-	byHandle map[int]*Entry    // writer-side index, guarded by mu
+	tab      atomic.Pointer[exactTab]
+	live     atomic.Int64      // installed entries; written under mu
+	byHandle map[int]*exactEnt // Delete's index, guarded by mu
+	tombs    int               // tombstones in tab, guarded by mu
 	next     int
+	rebuilds int // slot arrays built after the first, guarded by mu
 }
 
-// exactSlot is one open-addressing bucket: the key's full hash (checked
-// before the key bytes so a probe over a miss run costs one word per
-// slot), the interned key and the immutable entry. ent == nil marks an
-// empty slot and terminates probe chains.
+// Slot tags: empty terminates a probe chain, a tombstone does not; any
+// other value is the key's hash with bit 1 forced, which the probe checks
+// before it follows the entry pointer, so a miss run costs one word a slot.
+const (
+	tagEmpty = 0
+	tagTomb  = 1
+)
+
+// exactSlot is one open-addressing bucket, 16 bytes: four to a cache line.
 type exactSlot struct {
-	hash uint64
-	key  string
-	ent  *Entry
+	tag atomic.Uint64
+	ent atomic.Pointer[exactEnt]
 }
 
-// exactSnap is an immutable published generation of the table.
-type exactSnap struct {
+// exactTab is one slot array. At most half of it is ever in use
+// (entries plus tombstones), so probes stay short.
+type exactTab struct {
 	slots []exactSlot
 	mask  uint64
-	n     int
+}
+
+func (t *exactTab) home(tag uint64) uint64 { return tag >> 2 & t.mask }
+
+// exactEnt is what a slot points at: one 64-byte line holding the key and
+// the lookup result, never written after publication.
+type exactEnt struct {
+	word uint64 // exactWord's word: the key itself when it fits
+	key  string // keys wider than 8 bytes only
+	res  Result
+}
+
+// is reports whether x holds key, which the caller has checked to be of
+// the engine's key length: equal words are equal keys unless x is wide.
+func (x *exactEnt) is(word uint64, key []byte) bool {
+	return x.word == word && (x.key == "" || x.key == string(key))
 }
 
 func newExact(kind Kind, widthBits, capacity int) *exactEngine {
-	e := &exactEngine{
-		kind:     kind,
-		width:    widthBits,
-		capacity: capacity,
-		byKey:    make(map[string]*Entry),
-		byHandle: make(map[int]*Entry),
-	}
-	e.snap.Store(buildExactSnap(e.byKey))
+	e := &exactEngine{kind: kind, width: widthBits, capacity: capacity, byHandle: make(map[int]*exactEnt)}
+	e.tab.Store(newExactTab(0))
 	return e
+}
+
+// newExactTab sizes an array for n entries at no more than a third full,
+// 8 slots at least. It grows with the entries, not to the declared
+// capacity: most tables hold far fewer than they are declared deep. A
+// third, not the half that triggers a rebuild, so that every rebuild buys
+// at least size/6 further writes.
+func newExactTab(n int) *exactTab {
+	size := 8
+	for size < 3*n {
+		size <<= 1
+	}
+	return &exactTab{slots: make([]exactSlot, size), mask: uint64(size - 1)}
 }
 
 func (e *exactEngine) Kind() Kind    { return e.kind }
 func (e *exactEngine) KeyWidth() int { return e.width }
 
-// exactHash is FNV-1a 64 over the key bytes. Cheap, stateless and good
-// enough for exact-match keys, which the control plane chooses, not an
-// adversary on the wire (header bits only select among installed keys).
-func exactHash(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+// mix64 is a two-round multiply-xorshift finaliser: every input bit
+// reaches the low bits that pick the bucket. Cheap and stateless; the
+// control plane chooses exact-match keys, not an adversary on the wire
+// (header bits only select among installed keys).
+func mix64(x uint64) uint64 {
+	x *= 0x9E3779B97F4A7C15
+	x ^= x >> 32
+	x *= 0xD6E8FEB86659FD93
+	return x ^ x>>32
 }
 
-// buildExactSnap lays the writer-side index out as a fresh probe array at
-// ≤50% load (minimum 8 slots, so probes stay short even when full to the
-// logical capacity).
-func buildExactSnap(byKey map[string]*Entry) *exactSnap {
-	n := len(byKey)
-	want := 2 * n
-	if want < 8 {
-		want = 8
+// exactWord returns the word an entry is hashed and compared by. A key
+// of up to 8 bytes (every exact key the shipped designs use) is that
+// word, big-endian, so equal words are equal keys; a wider key folds its
+// leading 8-byte chunks into the word as a hash and is then compared
+// bytewise as well.
+func exactWord(key []byte) (word uint64) {
+	var h uint64
+	for ; len(key) > 8; key = key[8:] {
+		h = mix64(h ^ binary.BigEndian.Uint64(key))
 	}
-	size := 1 << bits.Len(uint(want-1))
-	s := &exactSnap{slots: make([]exactSlot, size), mask: uint64(size - 1), n: n}
-	for k, ent := range byKey {
-		h := exactHash([]byte(k))
-		i := h & s.mask
-		for s.slots[i].ent != nil {
-			i = (i + 1) & s.mask
-		}
-		s.slots[i] = exactSlot{hash: h, key: k, ent: ent}
+	for _, b := range key {
+		word = word<<8 | uint64(b)
 	}
-	return s
+	return word ^ h
 }
+
+// slotTag is the hash of an entry's word with bit 1 forced, so that it is
+// neither tagEmpty nor tagTomb.
+func slotTag(word uint64) uint64 { return mix64(word) | 2 }
 
 func (e *exactEngine) Lookup(key []byte) (Result, bool) {
-	s := e.snap.Load()
-	h := exactHash(key)
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		sl := &s.slots[i]
-		if sl.ent == nil {
+	if len(key) != (e.width+7)/8 {
+		return Result{}, false // no entry has a key of another length
+	}
+	t := e.tab.Load()
+	word := exactWord(key)
+	tag := slotTag(word)
+	for i := t.home(tag); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		switch s.tag.Load() {
+		case tag:
+			if x := s.ent.Load(); x != nil && x.is(word, key) {
+				return x.res, true
+			}
+		case tagEmpty:
 			return Result{}, false
-		}
-		if sl.hash == h && sl.key == string(key) {
-			return Result{ActionID: sl.ent.ActionID, Params: sl.ent.Params, EntryHandle: sl.ent.Handle}, true
 		}
 	}
 }
@@ -111,27 +153,67 @@ func (e *exactEngine) Lookup(key []byte) (Result, bool) {
 // touched slot; callers sink it to keep the load from being optimised
 // away. Never faults, never allocates.
 func (e *exactEngine) Prefetch(key []byte) uint64 {
-	s := e.snap.Load()
-	return s.slots[exactHash(key)&s.mask].hash
+	t := e.tab.Load()
+	return t.slots[t.home(slotTag(exactWord(key)))].tag.Load()
 }
 
-// prefetchMinSlots is the probe-array size below which a one-ahead
-// prefetch is pure overhead: 4096 slots is ~160KB of slot array — past
-// L1 and a meaningful slice of L2 — so smaller snapshots are presumed
-// cache-resident and PrefetchUseful declines the speculative key builds.
-const prefetchMinSlots = 4096
+// prefetchMinSlots is the slot-array size below which a one-ahead
+// prefetch is pure overhead: 8192 slots is 128KB of slot array (2731
+// entries or more) — past L1 and a meaningful slice of L2 — so smaller
+// arrays are presumed cache-resident and PrefetchUseful declines the
+// speculative key builds.
+const prefetchMinSlots = 8192
 
-// PrefetchUseful reports whether the current snapshot is large enough
-// that touching a bucket one packet ahead actually hides a miss.
+// PrefetchUseful reports whether the slot array is large enough that
+// touching a bucket one packet ahead actually hides a miss.
 func (e *exactEngine) PrefetchUseful() bool {
-	return len(e.snap.Load().slots) >= prefetchMinSlots
+	return len(e.tab.Load().slots) >= prefetchMinSlots
 }
 
-// publish rebuilds and installs a snapshot from the writer-side index.
-// Callers hold mu. Entries in a published snapshot are immutable;
-// replacement clones.
-func (e *exactEngine) publish() {
-	e.snap.Store(buildExactSnap(e.byKey))
+// find probes for key on the writer's side (callers hold mu): the slot
+// holding it and its entry, or else the slot an insert should take — the
+// first tombstone on the chain if there is one, the empty slot ending it
+// otherwise — and nil.
+func (t *exactTab) find(word, tag uint64, key []byte) (*exactSlot, *exactEnt) {
+	var free *exactSlot
+	for i := t.home(tag); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		switch g := s.tag.Load(); {
+		case g == tag:
+			if x := s.ent.Load(); x.is(word, key) {
+				return s, x
+			}
+		case g <= tagTomb:
+			if free == nil {
+				free = s
+			}
+			if g == tagEmpty {
+				return free, nil
+			}
+		}
+	}
+}
+
+// rebuild moves the live entries to a fresh array sized for n, leaving the
+// tombstones behind, and publishes it. Callers hold mu.
+func (e *exactEngine) rebuild(n int) *exactTab {
+	old, t := e.tab.Load(), newExactTab(n)
+	for i := range old.slots {
+		tag := old.slots[i].tag.Load()
+		if tag <= tagTomb {
+			continue
+		}
+		j := t.home(tag)
+		for t.slots[j].tag.Load() != tagEmpty {
+			j = (j + 1) & t.mask
+		}
+		t.slots[j].ent.Store(old.slots[i].ent.Load())
+		t.slots[j].tag.Store(tag)
+	}
+	e.tombs = 0
+	e.rebuilds++
+	e.tab.Store(t)
+	return t
 }
 
 func (e *exactEngine) Insert(ent Entry) (int, error) {
@@ -140,60 +222,81 @@ func (e *exactEngine) Insert(ent Entry) (int, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	k := string(ent.Key)
-	if prev, ok := e.byKey[k]; ok {
-		// Replace, keeping the handle.
-		cp := *prev
-		cp.ActionID = ent.ActionID
-		cp.Params = append([]uint64(nil), ent.Params...)
-		e.byKey[k] = &cp
-		e.byHandle[cp.Handle] = &cp
-		e.publish()
-		return cp.Handle, nil
-	}
-	if e.capacity > 0 && len(e.byKey) >= e.capacity {
+	word := exactWord(ent.Key)
+	tag := slotTag(word)
+	t := e.tab.Load()
+	s, prev := t.find(word, tag, ent.Key)
+	n := int(e.live.Load())
+	if prev == nil && e.capacity > 0 && n >= e.capacity {
 		return 0, fmt.Errorf("%w: %d entries", ErrFull, e.capacity)
 	}
-	cp := ent
-	cp.Key = append([]byte(nil), ent.Key...)
-	cp.Params = append([]uint64(nil), ent.Params...)
-	cp.Handle = e.next
+	x := &exactEnt{word: word, res: Result{ActionID: ent.ActionID, Params: append([]uint64(nil), ent.Params...)}}
+	if len(ent.Key) > 8 {
+		x.key = string(ent.Key)
+	}
+	switch {
+	case prev != nil:
+		// Replace, keeping the handle: one pointer swap.
+		x.res.EntryHandle = prev.res.EntryHandle
+		s.ent.Store(x)
+		e.byHandle[x.res.EntryHandle] = x
+		return x.res.EntryHandle, nil
+	case s.tag.Load() == tagTomb:
+		e.tombs--
+	case 2*(n+e.tombs+1) > len(t.slots):
+		s, _ = e.rebuild(n+1).find(word, tag, ent.Key)
+	}
+	x.res.EntryHandle = e.next
 	e.next++
-	e.byKey[k] = &cp
-	e.byHandle[cp.Handle] = &cp
-	e.publish()
-	return cp.Handle, nil
+	s.ent.Store(x)
+	s.tag.Store(tag)
+	e.byHandle[x.res.EntryHandle] = x
+	e.live.Add(1)
+	return x.res.EntryHandle, nil
 }
 
 func (e *exactEngine) Delete(handle int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent, ok := e.byHandle[handle]
+	x, ok := e.byHandle[handle]
 	if !ok {
 		return fmt.Errorf("%w: handle %d", ErrNoEntry, handle)
 	}
 	delete(e.byHandle, handle)
-	delete(e.byKey, string(ent.Key))
-	e.publish()
+	t := e.tab.Load()
+	i := t.home(slotTag(x.word))
+	for t.slots[i].ent.Load() != x {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i].tag.Store(tagTomb)
+	t.slots[i].ent.Store(nil)
+	e.tombs++
+	e.live.Add(-1)
 	return nil
 }
 
-func (e *exactEngine) Len() int {
-	return e.snap.Load().n
+// keyOf returns x's key bytes (a fresh slice for a word key).
+func (e *exactEngine) keyOf(x *exactEnt) []byte {
+	if e.width > 64 {
+		return []byte(x.key)
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], x.word)
+	return append([]byte(nil), b[8-(e.width+7)/8:]...)
 }
 
+func (e *exactEngine) Len() int { return int(e.live.Load()) }
+
+// Entries returns the installed entries sorted by handle, so dumps are
+// stable.
 func (e *exactEngine) Entries() []Entry {
-	s := e.snap.Load()
-	out := make([]Entry, 0, s.n)
-	for i := range s.slots {
-		ent := s.slots[i].ent
-		if ent == nil {
-			continue
-		}
-		cp := *ent
-		cp.Key = append([]byte(nil), ent.Key...)
-		cp.Params = append([]uint64(nil), ent.Params...)
-		out = append(out, cp)
+	e.mu.Lock()
+	out := make([]Entry, 0, len(e.byHandle))
+	for h, x := range e.byHandle {
+		out = append(out, Entry{Key: e.keyOf(x), ActionID: x.res.ActionID,
+			Params: append([]uint64(nil), x.res.Params...), Handle: h})
 	}
+	e.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Handle < out[j].Handle })
 	return out
 }

@@ -1,0 +1,150 @@
+package match
+
+import (
+	"math/rand"
+	"sync/atomic"
+	"testing"
+)
+
+// benchSizes are the table sizes the exact-match benchmarks sweep: cache
+// resident, past L2, and far past prefetchMinSlots.
+var benchSizes = []struct {
+	name string
+	n    int
+}{{"1k", 1 << 10}, {"64k", 1 << 16}, {"1M", 1 << 20}}
+
+// hostKey is a 40-bit ipv4_host-shaped key: the low 32 bits walk a
+// permutation of the address space so neighbours do not share a bucket by
+// construction.
+func hostKey(i int) []byte {
+	v := uint32(i) * 2654435761
+	return []byte{byte(i >> 20), byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+}
+
+func loadExact(tb testing.TB, n int) Engine {
+	e, err := New(Exact, 40, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := e.Insert(Entry{Key: hostKey(i), ActionID: 1, Params: []uint64{uint64(i)}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e
+}
+
+var benchSink uint64
+
+// BenchmarkExactInsert is the mean cost of one insert while a table is
+// loaded from empty to n entries, the shape of a bulk load.
+func BenchmarkExactInsert(b *testing.B) {
+	for _, sz := range benchSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			keys := make([][]byte, sz.n)
+			for i := range keys {
+				keys[i] = hostKey(i)
+			}
+			params := []uint64{7}
+			var e Engine
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%sz.n == 0 {
+					b.StopTimer()
+					e, _ = New(Exact, 40, 0)
+					b.StartTimer()
+				}
+				if _, err := e.Insert(Entry{Key: keys[i%sz.n], ActionID: 1, Params: params}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExactLookup probes installed (hit) and absent (miss) keys in
+// random order. hit_pf is the batch executor's pattern, the next key's
+// bucket touched one lookup ahead, on tables large enough for
+// PrefetchUseful to ask for it.
+func BenchmarkExactLookup(b *testing.B) {
+	const probes = 1 << 16
+	for _, sz := range benchSizes {
+		e := loadExact(b, sz.n)
+		rng := rand.New(rand.NewSource(5))
+		hit, miss := make([][]byte, probes), make([][]byte, probes)
+		for i := range hit {
+			hit[i] = hostKey(rng.Intn(sz.n))
+			miss[i] = hostKey(sz.n + rng.Intn(sz.n))
+		}
+		run := func(name string, keys [][]byte, want bool, prefetch bool) {
+			b.Run(name+"/"+sz.name, func(b *testing.B) {
+				pf := e.(*exactEngine)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if prefetch {
+						benchSink += pf.Prefetch(keys[(i+1)%probes])
+					}
+					r, ok := e.Lookup(keys[i%probes])
+					if ok != want {
+						b.Fatalf("lookup %x: hit=%v", keys[i%probes], ok)
+					}
+					benchSink += uint64(r.ActionID)
+				}
+			})
+		}
+		run("hit", hit, true, false)
+		run("miss", miss, false, false)
+		if e.(*exactEngine).PrefetchUseful() {
+			run("hit_pf", hit, true, true)
+		}
+	}
+}
+
+// BenchmarkExactChurn times lookups of a stable key set on one goroutine
+// while another inserts and deletes as fast as the engine lets it, at
+// 4096 live entries (the reconfig_storm shape). Allocations under
+// -benchmem are the writer's: it shares the process.
+func BenchmarkExactChurn(b *testing.B) {
+	const live = 4096
+	e := loadExact(b, live)
+	var stop atomic.Bool
+	var writes atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		params := []uint64{7}
+		var handles [32]int
+		for i := live; !stop.Load(); i += len(handles) {
+			for j := range handles {
+				h, err := e.Insert(Entry{Key: hostKey(i + j), ActionID: 1, Params: params})
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				handles[j] = h
+			}
+			for _, h := range handles {
+				if err := e.Delete(h); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+			writes.Add(2 * uint64(len(handles)))
+		}
+	}()
+	keys := make([][]byte, live)
+	for i := range keys {
+		keys[i] = hostKey(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := e.Lookup(keys[i%live]); !ok {
+			b.Fatalf("stable key %x missed", keys[i%live])
+		}
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+	b.ReportMetric(float64(writes.Load())/b.Elapsed().Seconds(), "writes/s")
+}

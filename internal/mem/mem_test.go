@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -307,5 +308,105 @@ func TestManagerPoolExhaustion(t *testing.T) {
 	}
 	if len(m.Tables()) != 0 {
 		t.Error("failed table left registered")
+	}
+}
+
+// TestMigrateKeepsHandlesAndEngine: a cross-cluster migration must not
+// renumber entry handles (a controller deletes by the handle it was given
+// at insert) nor swap the engine under lock-free readers (run under
+// -race: the reader goroutine looks up throughout the migrations).
+func TestMigrateKeepsHandlesAndEngine(t *testing.T) {
+	m, err := NewManager(Config{Blocks: 8, BlockWidth: 64, BlockDepth: 1024, Clusters: 2}, ClusteredCrossbar, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := m.CreateTable("host", match.Exact, 32, 1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	key := func(i int) []byte { return []byte{10, 0, byte(i >> 8), byte(i)} }
+	handles := make([]int, n)
+	for i := range handles {
+		if handles[i], err = tbl.Engine().Insert(match.Entry{Key: key(i), ActionID: i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i = (i + 1) % (n / 2) { // the half that is never deleted
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r, ok := tbl.Lookup(key(i)); !ok || r.ActionID != i+1 {
+				t.Errorf("key %d during migration: %+v, %v", i, r, ok)
+				return
+			}
+		}
+	}()
+	for round, tsp := range []int{3, 0, 2} { // cluster 1, back to 0, to 1 again
+		moved, err := m.Migrate("host", tsp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tbl.Engine().Len(); moved != want {
+			t.Errorf("round %d: moved = %d, want %d", round, moved, want)
+		}
+		// Delete through pre-migration handles: exactly that key goes.
+		for i := n/2 + round*10; i < n/2+round*10+10; i++ {
+			if err := tbl.Engine().Delete(handles[i]); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := tbl.Lookup(key(i)); ok {
+				t.Errorf("round %d: key %d survived Delete(handle %d)", round, i, handles[i])
+			}
+		}
+		if got, want := tbl.Engine().Len(), n-10*(round+1); got != want {
+			t.Errorf("round %d: Len = %d, want %d", round, got, want)
+		}
+	}
+	close(stop)
+	<-done
+	for i := 0; i < n/2; i++ {
+		if r, ok := tbl.Lookup(key(i)); !ok || r.EntryHandle != handles[i] {
+			t.Errorf("key %d after migrations: %+v, %v, want handle %d", i, r, ok, handles[i])
+		}
+	}
+}
+
+// TestMigrateFailureLeavesTableRouted: when the crossbar refuses the new
+// wiring (here: a TSP it does not know), the table stays on its old
+// blocks, the destination blocks go back to the pool and the migration
+// counter does not advance.
+func TestMigrateFailureLeavesTableRouted(t *testing.T) {
+	m, err := NewManager(Config{Blocks: 8, BlockWidth: 64, BlockDepth: 1024, Clusters: 2}, ClusteredCrossbar, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := m.CreateTable("host", match.Exact, 32, 1024, 3) // cluster 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Engine().Insert(match.Entry{Key: []byte{10, 0, 0, 1}, ActionID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	blocks, free := tbl.Blocks(), m.Pool().FreeBlocks()
+	if moved, err := m.Migrate("host", 99); err == nil || moved != 0 {
+		t.Fatalf("Migrate to unknown TSP: moved %d, err %v", moved, err)
+	}
+	if got := tbl.Blocks(); !reflect.DeepEqual(got, blocks) {
+		t.Errorf("blocks after failed migration = %v, want %v", got, blocks)
+	}
+	if got := m.Pool().FreeBlocks(); got != free {
+		t.Errorf("free blocks after failed migration = %d, want %d", got, free)
+	}
+	if got := m.MigratedEntries(); got != 0 {
+		t.Errorf("MigratedEntries after failed migration = %d", got)
+	}
+	if moved, err := m.Migrate("host", 0); err != nil || moved != 1 {
+		t.Errorf("Migrate after a failed one: moved %d, err %v", moved, err)
 	}
 }

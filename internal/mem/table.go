@@ -72,8 +72,8 @@ type enginePrefetcher interface {
 }
 
 // CanPrefetch reports whether the table's engine supports bucket
-// prefetch. Stable for the table's lifetime: Migrate replaces the engine
-// but never its match kind.
+// prefetch. Stable for the table's lifetime: the engine is set once, at
+// CreateTable.
 func (t *Table) CanPrefetch() bool {
 	_, ok := t.engine.(enginePrefetcher)
 	return ok
@@ -200,11 +200,14 @@ func (m *Manager) DropTable(name string) error {
 	return nil
 }
 
-// Migrate moves a table to the cluster reachable from newTSP, re-allocating
-// blocks and copying entries — the expensive operation a clustered crossbar
-// forces when a logical stage moves clusters (paper Sec. 2.4). It returns
-// the number of entries moved. With a full crossbar no data motion is
-// needed and Migrate only rewires.
+// Migrate moves a table to the cluster reachable from newTSP — the
+// expensive operation a clustered crossbar forces when a logical stage
+// moves clusters (paper Sec. 2.4): destination blocks are allocated, the
+// old ones released, and every entry counts as moved. In this software
+// model the entries themselves stay in the table's engine, so lock-free
+// lookups run through a migration and controller-held entry handles stay
+// valid. With a full crossbar, or when the blocks already sit in the
+// right cluster, Migrate only rewires and reports 0.
 func (m *Manager) Migrate(name string, newTSP int) (moved int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -213,56 +216,36 @@ func (m *Manager) Migrate(name string, newTSP int) (moved int, err error) {
 		return 0, fmt.Errorf("mem: table %q does not exist", name)
 	}
 	cluster := m.xbar.ClusterOfTSP(newTSP)
-	if cluster < 0 {
-		// Full crossbar: reachable from anywhere; just rewire.
-		routes := append(m.xbar.Routes(newTSP), t.blocks...)
-		return 0, m.xbar.Configure(newTSP, routes)
-	}
-	// Already in the right cluster?
-	inPlace := true
+	inPlace := true // a full crossbar (cluster < 0) reaches every block
 	for _, b := range t.blocks {
 		c, err := m.pool.ClusterOf(b)
 		if err != nil {
 			return 0, err
 		}
-		if c != cluster {
+		if cluster >= 0 && c != cluster {
 			inPlace = false
 			break
 		}
 	}
+	routes := m.xbar.Routes(newTSP)
 	if inPlace {
-		routes := append(m.xbar.Routes(newTSP), t.blocks...)
-		return 0, m.xbar.Configure(newTSP, routes)
+		return 0, m.xbar.Configure(newTSP, append(routes, t.blocks...))
 	}
-	// Allocate destination blocks, copy entries, release the old blocks.
 	newIDs, err := m.pool.Allocate(name, len(t.blocks), cluster)
 	if err != nil {
 		return 0, fmt.Errorf("mem: migrating table %q: %w", name, err)
 	}
-	newEng, err := match.New(t.engine.Kind(), t.KeyWidth, t.Depth)
-	if err != nil {
+	// Wire first: a Configure error must leave the table on its old,
+	// still-routed blocks and the migration counter untouched.
+	if err := m.xbar.Configure(newTSP, append(routes, newIDs...)); err != nil {
 		_ = m.pool.Release(newIDs)
 		return 0, err
 	}
-	for _, e := range t.engine.Entries() {
-		if _, err := newEng.Insert(e); err != nil {
-			_ = m.pool.Release(newIDs)
-			return moved, fmt.Errorf("mem: migrating table %q entry: %w", name, err)
-		}
-		moved++
-	}
 	old := t.blocks
-	t.engine = newEng
 	t.blocks = newIDs
-	if err := m.pool.Release(old); err != nil {
-		return moved, err
-	}
-	routes := append(m.xbar.Routes(newTSP), newIDs...)
-	if err := m.xbar.Configure(newTSP, routes); err != nil {
-		return moved, err
-	}
+	moved = t.engine.Len()
 	m.migratedEntries += moved
-	return moved, nil
+	return moved, m.pool.Release(old)
 }
 
 // MigratedEntries reports the cumulative number of entries moved by
