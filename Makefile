@@ -23,9 +23,10 @@ race:
 	$(GO) test -race ./...
 
 # Focused race run over the packet path: shared dataplane consumers and the
-# traffic manager, where the lock-free lookup snapshot and pools live.
+# traffic manager, where the lock-free lookup snapshot and pools live, and
+# the ring ports, where the port-to-shard hand-off lives.
 race-dataplane:
-	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/
+	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -338,8 +338,8 @@ func (s *Switch) Run() {
 
 // Shutdown stops the forwarding goroutines and closes the ports. Egress
 // workers parked on the TM notification are woken so they can observe
-// the stop flag; sharded workers stop when the port readers exit and
-// their input queues drain and close.
+// the stop flag; sharded workers are woken by the closing ports, empty
+// their rx rings and exit.
 func (s *Switch) Shutdown() {
 	if s.stopped.CompareAndSwap(false, true) {
 		s.health.Stop()

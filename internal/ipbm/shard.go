@@ -1,12 +1,13 @@
 package ipbm
 
-// shard.go is the flow-affine sharded forwarding mode: an RSS-style hash
-// over raw frame bytes steers every packet to one of N shard workers,
-// each running ingress→TM→egress to completion against its own TM queues
-// and packet freelist. Same-flow packets always land on the same shard
-// and the shard processes its input in FIFO order, so per-flow ordering
-// holds by construction while independent flows scale across cores — the
-// software analogue of replicating an RMT pipeline per hardware lane.
+// shard.go is the flow-affine sharded forwarding mode: every port hashes
+// an arriving frame (RSS over raw frame bytes) into one of N rx rings,
+// and shard worker i polls ring i of every port, running ingress→TM→
+// egress to completion against its own TM queues and packet freelist. A
+// flow maps to one ring of one port, the ring is FIFO and has one
+// consumer, so per-flow ordering holds by construction while independent
+// flows scale across cores — the software analogue of replicating an RMT
+// pipeline per hardware lane behind a multi-queue NIC.
 // In-situ reconfiguration is hitless here by batch-granular epoch
 // pinning: each worker wakeup pins the current program version once,
 // processes its whole batch (including the TM drain) under it, and
@@ -18,7 +19,6 @@ package ipbm
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"ipsa/internal/dataplane"
@@ -40,8 +40,8 @@ const MaxShards = 63
 // small enough to keep worst-case added latency at microseconds.
 const DefaultBatch = 32
 
-// shardFrame is one steered frame en route to its shard worker. hash is
-// the RSS flow hash the reader already computed for steering, carried
+// shardFrame is one frame a shard worker took off an rx ring. hash is
+// the RSS flow hash the port already computed for steering, carried
 // along so flow accounting never hashes a frame twice.
 type shardFrame struct {
 	data []byte
@@ -51,28 +51,36 @@ type shardFrame struct {
 
 // shardRunner is one execution lane of the sharded mode. Everything here
 // is either owned by the single worker goroutine (dsh, txq) or safe for
-// the port readers feeding it (in) and scrape-time aggregation (tm
-// depths, counters).
+// the ports feeding it (rings, wake) and scrape-time aggregation (ring
+// and tm depths, counters).
 type shardRunner struct {
 	idx int
-	in  chan shardFrame
 	tm  *pipeline.TrafficManager
 	dsh *dataplane.Shard
+
+	// rings[p] is this shard's rx ring of port p; every one of them puts
+	// its wake token on wake, where the worker parks when all are empty.
+	// next is the port the next collection starts from.
+	rings []*netio.RxQueue
+	wake  chan struct{}
+	next  int
 
 	// txq accumulates egress frames per output port within one TM drain
 	// so transmission uses the port's batched path; storage is retained
 	// across drains.
 	txq [][][]byte
 
-	// frames/ps/eps are the worker's batch scratch: the frames of one
-	// wakeup, the packets built from them for the stage-major ingress
-	// sweep, and the TM drain collected for the egress sweep. Owned by
-	// the worker goroutine, retained across wakeups.
+	// rxbuf/frames/ps/eps are the worker's batch scratch: one ring's
+	// burst, the frames of one wakeup, the packets built from them for
+	// the stage-major ingress sweep, and the TM drain collected for the
+	// egress sweep. Owned by the worker goroutine, retained across
+	// wakeups.
+	rxbuf  []netio.Frame
 	frames []shardFrame
 	ps     []*pkt.Packet
 	eps    []*pkt.Packet
 
-	rx      *telemetry.Counter // frames steered to this shard
+	rx      *telemetry.Counter // frames taken off this shard's rings
 	batches *telemetry.Counter // worker wakeups (rx/batches = mean batch)
 
 	// fl is this shard's flow table (nil with accounting disabled). The
@@ -97,12 +105,12 @@ type shardSet struct {
 	batch  int
 }
 
-// RunSharded starts the sharded forwarding mode: one batched reader per
-// port steers frames by flow hash into shards worker lanes, each running
-// the full ingress→TM→egress lifecycle against per-shard queues and
-// freelists. batch bounds the frames one reader wakeup or one worker
-// wakeup handles (0 = DefaultBatch). Stop with Shutdown; mutually
-// exclusive with Run/RunPipelined on the same switch.
+// RunSharded starts the sharded forwarding mode: every port splits its
+// ingress into shards RSS rings, and worker i polls ring i of every port,
+// running the full ingress→TM→egress lifecycle against per-shard queues
+// and freelists. batch bounds the frames one worker wakeup handles (0 =
+// DefaultBatch). Stop with Shutdown; mutually exclusive with
+// Run/RunPipelined on the same switch.
 func (s *Switch) RunSharded(shards, batch int) error {
 	if shards < 1 || shards > MaxShards {
 		return fmt.Errorf("ipbm: shard count %d outside [1,%d]", shards, MaxShards)
@@ -117,65 +125,48 @@ func (s *Switch) RunSharded(shards, batch int) error {
 		return fmt.Errorf("ipbm: sharded mode already running")
 	}
 	set := &shardSet{batch: batch}
-	inDepth := s.opts.QueueDepth
-	if inDepth < batch {
-		inDepth = batch
-	}
+	wake := make([]chan struct{}, shards)
 	for i := 0; i < shards; i++ {
+		wake[i] = make(chan struct{}, 1)
 		l := telemetry.L("shard", strconv.Itoa(i))
 		set.shards = append(set.shards, &shardRunner{
-			idx: i,
-			in:  make(chan shardFrame, inDepth),
-			tm:  pipeline.NewTrafficManager(s.ports.Len(), s.opts.QueueDepth),
-			dsh: s.dp.NewShard(i+1, 2*batch),
-			txq: make([][][]byte, s.ports.Len()),
+			idx:  i,
+			wake: wake[i],
+			tm:   pipeline.NewTrafficManager(s.ports.Len(), s.opts.QueueDepth),
+			dsh:  s.dp.NewShard(i+1, 2*batch),
+			txq:  make([][][]byte, s.ports.Len()),
 
 			rx:      s.tel.Reg.Counter("ipsa_shard_rx_frames_total", l),
 			batches: s.tel.Reg.Counter("ipsa_shard_batches_total", l),
 
 			fl: s.flows.Lane(i),
 
+			rxbuf:  make([]netio.Frame, batch),
 			frames: make([]shardFrame, 0, batch),
 			ps:     make([]*pkt.Packet, 0, batch),
 			eps:    make([]*pkt.Packet, 0, batch),
 		})
 	}
-	s.shardsP.Store(set)
-
-	// Port readers pull frame batches and steer by flow hash. A blocking
-	// send into a full shard queue is the backpressure path: the reader
-	// stalls, the port's rx ring fills, and new arrivals tail-drop at the
-	// port — drop policy stays at the edge, not mid-pipeline.
-	var rxWG sync.WaitGroup
+	// A ring holds at least one batch, so a stalled worker's backlog can
+	// fill a whole wakeup. A full ring tail-drops at the port (rx_drops) —
+	// drop policy stays at the edge, and only that shard's flows pay.
 	for i := 0; i < s.ports.Len(); i++ {
 		port, _ := s.ports.Port(i)
-		rxWG.Add(1)
-		s.runWG.Add(1)
-		go s.shardReader(i, netio.Batched(port), set, &rxWG)
-	}
-	// Close the shard queues only after every reader has exited, so
-	// workers drain all steered frames and then stop.
-	s.runWG.Add(1)
-	go func() {
-		defer s.runWG.Done()
-		rxWG.Wait()
-		for _, sh := range set.shards {
-			close(sh.in)
+		for j, q := range port.SplitRx(wake, max(s.opts.QueueDepth, batch)) {
+			set.shards[j].rings = append(set.shards[j].rings, q)
 		}
-	}()
+	}
+	s.shardsP.Store(set)
 	for _, sh := range set.shards {
 		s.runWG.Add(1)
 		go s.shardWorker(sh, batch)
-	}
-	// Watchdog lanes: a shard is stalled when its wakeup counter freezes
-	// while frames sit in its input queue or TM — the TM-empty guard
-	// keeps an idle shard from ever being flagged.
-	for _, sh := range set.shards {
-		sh := sh
+		// Watchdog lane: a shard is stalled when its wakeup counter freezes
+		// while frames sit in its rx rings or TM — the TM-empty guard keeps
+		// an idle shard from ever being flagged.
 		s.health.AddLane(health.Lane{
 			Name:     "shard-" + strconv.Itoa(sh.idx),
 			Progress: sh.batches.Value,
-			Pending:  func() int { return len(sh.in) + sh.tm.DepthSum() },
+			Pending:  sh.queueDepth,
 			Series:   "ipsa_shard_rx_frames_total",
 			SeriesLabels: []telemetry.Label{
 				telemetry.L("shard", strconv.Itoa(sh.idx)),
@@ -202,67 +193,79 @@ func (s *Switch) blockShard(i int) (release func(), err error) {
 	}, nil
 }
 
-// shardReader moves frames from one port into the shard queues. It exits
-// when the port closes (Shutdown); frames already read are still steered.
-func (s *Switch) shardReader(portIdx int, port netio.BatchPort, set *shardSet, rxWG *sync.WaitGroup) {
-	defer s.runWG.Done()
-	defer rxWG.Done()
-	bufs := make([][]byte, set.batch)
-	n := uint64(len(set.shards))
-	for {
-		k, ok := port.RecvBatch(bufs)
-		for j := 0; j < k; j++ {
-			h := pkt.RSSHash(bufs[j])
-			sh := set.shards[h%n]
-			sh.in <- shardFrame{data: bufs[j], hash: h, port: int32(portIdx)}
-			bufs[j] = nil
-		}
-		if !ok {
-			return
-		}
+// queueDepth is the shard's backlog: frames waiting in its rx rings plus
+// packets in its TM.
+func (sh *shardRunner) queueDepth() int {
+	n := sh.tm.DepthSum()
+	for _, q := range sh.rings {
+		n += q.Len()
 	}
+	return n
 }
 
-// shardWorker is one shard's event loop: park on the input queue (the
-// channel recv is the wakeup — an idle shard costs nothing), collect up
-// to batch frames without blocking again, run the whole collection
-// through the ingress half batch-at-a-time, then drain the shard TM
-// through egress and flush the per-port transmit batches.
+// portsClosed reports whether every port has closed (Shutdown): none
+// accepts another frame, so one more empty collection is final.
+func (sh *shardRunner) portsClosed() bool {
+	for _, q := range sh.rings {
+		if !q.Closed() {
+			return false
+		}
+	}
+	return true
+}
+
+// collect takes up to batch frames off the shard's rings, one lock per
+// non-empty ring, starting after the port the previous collection ended
+// on so a saturated port cannot starve the others.
+func (sh *shardRunner) collect(batch int) []shardFrame {
+	frames := sh.frames[:0]
+	pi := sh.next
+	for range sh.rings {
+		if pi >= len(sh.rings) {
+			pi = 0
+		}
+		n := sh.rings[pi].Recv(sh.rxbuf[:batch-len(frames)])
+		for j, f := range sh.rxbuf[:n] {
+			frames = append(frames, shardFrame{data: f.Data, hash: f.Hash, port: int32(pi)})
+			sh.rxbuf[j] = netio.Frame{}
+		}
+		pi++
+		if n > 0 {
+			sh.next = pi
+		}
+		if len(frames) == batch {
+			break
+		}
+	}
+	return frames
+}
+
+// shardWorker is one shard's event loop: collect up to batch frames from
+// its rings, run the whole collection through the ingress half
+// batch-at-a-time, then drain the shard TM through egress and flush the
+// per-port transmit batches; park on the wake channel only when every
+// ring is empty (an idle shard costs nothing).
 // Every frame of one wakeup — and the TM drain that follows — executes
 // one pinned program version: shardDrain always empties the shard TM
 // before the worker parks again, so no packet outlives its batch's pin.
 func (s *Switch) shardWorker(sh *shardRunner, batch int) {
 	defer s.runWG.Done()
+	closed := false
 	for {
-		f, ok := <-sh.in
-		if !ok {
-			sh.now = flowstat.Now()
-			v := s.epochs.pin()
-			s.shardDrain(sh, v)
-			if v != nil {
-				v.unpin()
-			}
-			return
-		}
 		if g := sh.gate.Load(); g != nil {
 			<-*g
 		}
-		sh.now = flowstat.Now()
-		frames := append(sh.frames[:0], f)
-		closed := false
-	fill:
-		for len(frames) < batch {
-			select {
-			case f2, ok2 := <-sh.in:
-				if !ok2 {
-					closed = true
-					break fill
-				}
-				frames = append(frames, f2)
-			default:
-				break fill
+		frames := sh.collect(batch)
+		if len(frames) == 0 {
+			if closed {
+				return
 			}
+			if closed = sh.portsClosed(); !closed {
+				<-sh.wake
+			}
+			continue
 		}
+		sh.now = flowstat.Now()
 		v := s.epochs.pin()
 		s.shardProcess(sh, frames, v)
 		sh.rx.Add(uint64(len(frames)))
@@ -270,10 +273,6 @@ func (s *Switch) shardWorker(sh *shardRunner, batch int) {
 		s.shardDrain(sh, v)
 		if v != nil {
 			v.unpin()
-		}
-		sh.frames = frames[:0]
-		if closed {
-			return
 		}
 	}
 }

@@ -296,7 +296,7 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 			l := telemetry.L("shard", strconv.Itoa(sh.idx))
 			ctr("ipsa_shard_packets_total", pkts, l)
 			ctr("ipsa_shard_drops_total", drops, l)
-			gauge("ipsa_shard_queue_depth", float64(sh.tm.DepthSum()+len(sh.in)), l)
+			gauge("ipsa_shard_queue_depth", float64(sh.queueDepth()), l)
 		}
 	}
 

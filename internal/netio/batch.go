@@ -1,142 +1,86 @@
 package netio
 
-// BatchPort is the batched extension of Port: one wakeup moves up to
-// len(buf) frames, so the caller amortizes per-frame costs (pool gets,
-// telemetry increments, TM admissions) across the batch. Ports that can
-// batch natively (ChanPort drains its channel, UDPPort loops its socket)
-// implement it directly; Batched adapts any other Port with one-frame
-// semantics so callers can always program against BatchPort.
-type BatchPort interface {
-	Port
-	// RecvBatch blocks until at least one frame arrives, then fills buf
-	// with as many frames as are immediately available without blocking
-	// again. ok=false means the port closed; n frames may still be valid.
-	RecvBatch(buf [][]byte) (n int, ok bool)
-	// XmitBatch transmits the frames in order, reporting how many were
-	// accepted; the rest are tail drops (counted by the port).
-	XmitBatch(frames [][]byte) (sent int)
-}
+// Batch I/O on a single-queue ChanPort: one wakeup moves up to len(buf)
+// frames under one lock, so the caller amortizes per-frame costs (pool
+// gets, telemetry increments, TM admissions) across the batch.
 
-// Batched returns p as a BatchPort: natively when the implementation
-// supports batching, otherwise wrapped in a one-frame-at-a-time adapter.
-func Batched(p Port) BatchPort {
-	if bp, ok := p.(BatchPort); ok {
-		return bp
-	}
-	return &batchAdapter{Port: p}
-}
-
-// batchAdapter lifts a plain Port to BatchPort. RecvBatch degenerates to
-// one frame per call (a plain Port has no non-blocking probe), XmitBatch
-// to a Send loop — correct, just without the amortization.
-type batchAdapter struct {
-	Port
-}
-
-func (a *batchAdapter) RecvBatch(buf [][]byte) (int, bool) {
-	if len(buf) == 0 {
-		return 0, true
-	}
-	d, ok := a.Recv()
-	if !ok {
-		return 0, false
-	}
-	buf[0] = d
-	return 1, true
-}
-
-func (a *batchAdapter) XmitBatch(frames [][]byte) int {
-	sent := 0
-	for _, f := range frames {
-		if a.Send(f) {
-			sent++
-		}
-	}
-	return sent
-}
-
-// RecvBatch blocks for the first ingress frame, then drains whatever else
-// is already queued, up to len(buf) frames total. One counter add covers
-// the whole batch.
+// RecvBatch blocks until at least one ingress frame is queued, then
+// takes whatever is there, up to len(buf) frames, under one lock and
+// one counter add. Frames queued before Close are still delivered; then
+// ok=false.
 func (p *ChanPort) RecvBatch(buf [][]byte) (int, bool) {
 	if len(buf) == 0 {
 		return 0, true
 	}
-	d, ok := <-p.rx
-	if !ok {
-		return 0, false
-	}
-	buf[0] = d
-	n := 1
-	for n < len(buf) {
-		select {
-		case d, ok := <-p.rx:
-			if !ok {
-				p.received.Add(uint64(n))
-				return n, false
-			}
-			buf[n] = d
-			n++
-		default:
-			p.received.Add(uint64(n))
+	for {
+		// Read closed before the scan: a closed port accepts nothing, so
+		// an empty scan after it is final.
+		closed := p.closed.Load()
+		n, q := p.tryRecvBatch(buf)
+		if n > 0 {
 			return n, true
 		}
+		if closed {
+			return 0, false
+		}
+		select {
+		case <-q.wake:
+		case <-p.done:
+		}
 	}
-	p.received.Add(uint64(n))
-	return n, true
 }
 
-// XmitBatch transmits frames in order under one closed-check lock,
-// counting accepted frames and tail drops once per batch.
+// tryRecvBatch is RecvBatch without the wait; it also returns the queue
+// it read (ingress queue 0), whose wake channel the caller parks on.
+func (p *ChanPort) tryRecvBatch(buf [][]byte) (int, *RxQueue) {
+	p.rxMu.Lock()
+	q := p.rx[0]
+	n := 0
+	for n < len(buf) {
+		f, ok := q.ring.pop()
+		if !ok {
+			break
+		}
+		buf[n] = f.Data
+		n++
+	}
+	more := q.len.Add(int32(-n)) > 0
+	p.rxMu.Unlock()
+	if n > 0 {
+		p.received.Add(uint64(n))
+		if more {
+			signal(q.wake) // pass the token to another parked receiver
+		}
+	}
+	return n, q
+}
+
+// XmitBatch transmits frames in order under one lock, counting accepted
+// frames and tail drops once per batch. The ring is FIFO and nobody can
+// drain it meanwhile, so once one frame is refused the rest are too.
 func (p *ChanPort) XmitBatch(frames [][]byte) int {
 	if len(frames) == 0 {
 		return 0
 	}
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
+	p.txMu.Lock()
 	if p.closed.Load() {
+		p.txMu.Unlock()
 		return 0
 	}
 	sent := 0
-	for _, f := range frames {
-		select {
-		case p.tx <- f:
-			sent++
-		default:
-			// The tx ring is full; everything behind this frame would
-			// tail-drop the same way, but try each so drop accounting
-			// matches the unbatched path frame for frame.
-			p.txDrops.Add(1)
-		}
+	for sent < len(frames) && p.tx.ring.push(frames[sent]) {
+		sent++
+	}
+	wake := sent > 0 && p.tx.len.Add(int32(sent)) == int32(sent)
+	p.txMu.Unlock()
+	if wake {
+		signal(p.tx.wake)
 	}
 	if sent > 0 {
 		p.sent.Add(uint64(sent))
 	}
-	return sent
-}
-
-// RecvBatch on a UDP port reads one datagram per call: the blocking socket
-// read has no portable non-blocking probe, so batching degenerates to
-// frame-at-a-time (the adapter semantics) while still satisfying BatchPort.
-func (p *UDPPort) RecvBatch(buf [][]byte) (int, bool) {
-	if len(buf) == 0 {
-		return 0, true
-	}
-	d, ok := p.Recv()
-	if !ok {
-		return 0, false
-	}
-	buf[0] = d
-	return 1, true
-}
-
-// XmitBatch sends each frame as one datagram.
-func (p *UDPPort) XmitBatch(frames [][]byte) int {
-	sent := 0
-	for _, f := range frames {
-		if p.Send(f) {
-			sent++
-		}
+	if sent < len(frames) {
+		p.txDrops.Add(uint64(len(frames) - sent))
 	}
 	return sent
 }

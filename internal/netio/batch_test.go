@@ -127,60 +127,6 @@ func TestChanPortXmitBatchClosed(t *testing.T) {
 	}
 }
 
-// plainPort is a minimal Port that does NOT implement BatchPort, to
-// exercise the adapter path of Batched.
-type plainPort struct {
-	rx     chan []byte
-	sent   [][]byte
-	refuse bool
-}
-
-func (p *plainPort) Recv() ([]byte, bool) { d, ok := <-p.rx; return d, ok }
-func (p *plainPort) Send(data []byte) bool {
-	if p.refuse {
-		return false
-	}
-	p.sent = append(p.sent, data)
-	return true
-}
-func (p *plainPort) Close() { close(p.rx) }
-
-// TestBatchedAdapter: Batched wraps a plain Port with one-frame RecvBatch
-// semantics and a Send-loop XmitBatch, and passes a native BatchPort
-// through unwrapped.
-func TestBatchedAdapter(t *testing.T) {
-	cp := NewChanPort(4)
-	if _, native := Batched(cp).(*ChanPort); !native {
-		t.Fatal("Batched(ChanPort) did not pass through the native implementation")
-	}
-
-	pp := &plainPort{rx: make(chan []byte, 4)}
-	bp := Batched(pp)
-	if _, wrapped := bp.(*batchAdapter); !wrapped {
-		t.Fatal("Batched(plain Port) did not wrap")
-	}
-	pp.rx <- []byte{1}
-	pp.rx <- []byte{2}
-	buf := make([][]byte, 4)
-	if n, ok := bp.RecvBatch(buf); !ok || n != 1 {
-		t.Fatalf("adapter RecvBatch = %d,%v want 1,true (one frame per call)", n, ok)
-	}
-	if sent := bp.XmitBatch([][]byte{{3}, {4}}); sent != 2 || len(pp.sent) != 2 {
-		t.Fatalf("adapter XmitBatch sent=%d forwarded=%d", sent, len(pp.sent))
-	}
-	pp.refuse = true
-	if sent := bp.XmitBatch([][]byte{{5}}); sent != 0 {
-		t.Fatalf("adapter XmitBatch on refusing port = %d want 0", sent)
-	}
-	if n, ok := bp.RecvBatch(buf); !ok || n != 1 {
-		t.Fatalf("adapter RecvBatch (second frame) = %d,%v", n, ok)
-	}
-	pp.Close()
-	if n, ok := bp.RecvBatch(buf); ok {
-		t.Fatalf("adapter RecvBatch after close = %d,%v", n, ok)
-	}
-}
-
 // TestRecvBatchZeroBuf: a zero-length buffer is a no-op, not a block.
 func TestRecvBatchZeroBuf(t *testing.T) {
 	p := NewChanPort(4)

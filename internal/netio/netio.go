@@ -1,14 +1,18 @@
 // Package netio is the Communication Module (CM) substrate: packet I/O
 // decoupled from the OS protocol stack (paper Sec. 4.1). The reproduction
-// provides in-memory channel ports (wired back to back for switch-to-switch
-// topologies and tests), pcap file sources/sinks for replaying captures,
-// and UDP-encapsulated ports for crossing real sockets.
+// provides in-memory multi-queue ring ports modelled on a DPDK-style NIC
+// (bounded rx/tx rings polled in bursts, RSS steering into per-core rx
+// queues; wired back to back for switch-to-switch topologies and tests),
+// pcap file sources/sinks for replaying captures, and UDP-encapsulated
+// ports for crossing real sockets.
 package netio
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"ipsa/internal/pkt"
 )
 
 // Port moves raw frames in and out of a switch port.
@@ -22,25 +26,37 @@ type Port interface {
 	Close()
 }
 
-// ChanPort is an in-memory port over buffered channels.
+// ChanPort is an in-memory port: one bounded ring per direction, each
+// under its own mutex, taken once per frame by Inject/Send/Drain and once
+// per batch by RecvBatch/XmitBatch. The ingress side starts as a single
+// queue that Recv/RecvBatch/TryRecv serve; SplitRx turns it into RSS
+// queues, after which Inject hashes every frame and steers it to queue
+// hash % n, as a multi-queue NIC does.
 type ChanPort struct {
-	rx, tx chan []byte
-	done   chan struct{}
+	// rxMu guards rx, the set of ingress queues, and every ring in it.
+	// rss says the set came from SplitRx, so Inject must hash; it is
+	// written under rxMu and read before taking it.
+	rxMu sync.Mutex
+	rx   []*RxQueue
+	rss  atomic.Bool
+
+	txMu sync.Mutex
+	tx   queue[[]byte]
+
+	// closed is set with both mutexes held and checked by producers under
+	// theirs, so once a consumer has seen it no further frame can enter
+	// the ring it is about to scan. done unblocks the port's own blocking
+	// calls.
 	closed atomic.Bool
-	// closeMu serializes Inject/Send against Close: Close closes rx while
-	// holding the write lock, so no sender can be past its closed check
-	// with a send still pending (a bare closed.Load() left a window where
-	// a concurrent Close panicked the sender with "send on closed
-	// channel").
-	closeMu sync.RWMutex
+	done   chan struct{}
 
 	sent, received   atomic.Uint64
 	rxDrops, txDrops atomic.Uint64
 }
 
 // PortStats is one port's counter snapshot with drops split by direction:
-// RxDrops are ingress tail drops (Inject into a full or closed queue),
-// TxDrops egress tail drops (Send into a full queue).
+// RxDrops are ingress tail drops (Inject into a full queue), TxDrops
+// egress tail drops (Send into a full queue).
 type PortStats struct {
 	Sent     uint64 `json:"sent"`
 	Received uint64 `json:"received"`
@@ -48,108 +64,203 @@ type PortStats struct {
 	TxDrops  uint64 `json:"tx_drops"`
 }
 
+// Frame is a received frame with the RSS hash the port steered it by (0
+// on a port that was never split: single-queue ports do not hash).
+type Frame struct {
+	Data []byte
+	Hash uint64
+}
+
+// RxQueue is one ingress queue of a port. Its consumer (whoever called
+// SplitRx) polls it with Recv and parks on the wake channel it supplied.
+type RxQueue struct {
+	port *ChanPort
+	queue[Frame]
+}
+
 // NewChanPort builds a port with the given queue depth per direction.
 func NewChanPort(depth int) *ChanPort {
 	if depth <= 0 {
 		depth = 64
 	}
-	return &ChanPort{
-		rx:   make(chan []byte, depth),
-		tx:   make(chan []byte, depth),
-		done: make(chan struct{}),
-	}
+	p := &ChanPort{done: make(chan struct{})}
+	p.tx = queue[[]byte]{ring: ring[[]byte]{max: depth}, wake: make(chan struct{}, 1)}
+	p.rx = []*RxQueue{p.newRxQueue(depth, make(chan struct{}, 1))}
+	return p
 }
 
-// Recv blocks for the next ingress frame.
-func (p *ChanPort) Recv() ([]byte, bool) {
-	d, ok := <-p.rx
-	if ok {
-		p.received.Add(1)
+func (p *ChanPort) newRxQueue(depth int, wake chan struct{}) *RxQueue {
+	return &RxQueue{port: p, queue: queue[Frame]{ring: ring[Frame]{max: depth}, wake: wake}}
+}
+
+// SplitRx replaces the ingress side with len(wake) RSS queues of depth
+// slots each and returns them; queue i signals wake[i] (cap 1, shared by
+// whatever else its consumer polls). Frames already queued are hashed and
+// re-steered in arrival order under the port lock, so nothing is lost or
+// reordered at the switch-over.
+func (p *ChanPort) SplitRx(wake []chan struct{}, depth int) []*RxQueue {
+	qs := make([]*RxQueue, len(wake))
+	for i := range qs {
+		qs[i] = p.newRxQueue(depth, wake[i])
 	}
-	return d, ok
+	p.rxMu.Lock()
+	for _, old := range p.rx {
+		for {
+			f, ok := old.ring.pop()
+			if !ok {
+				break
+			}
+			f.Hash = pkt.RSSHash(f.Data)
+			if q := qs[f.Hash%uint64(len(qs))]; q.ring.push(f) {
+				q.len.Add(1)
+			} else {
+				p.rxDrops.Add(1)
+			}
+		}
+		old.len.Store(0)
+	}
+	p.rx = qs
+	p.rss.Store(true)
+	p.rxMu.Unlock()
+	for _, q := range qs {
+		if q.len.Load() > 0 {
+			signal(q.wake)
+		}
+	}
+	return qs
+}
+
+// Recv moves up to len(buf) queued frames into buf without blocking: one
+// lock and one counter add per batch, none when the queue is empty.
+func (q *RxQueue) Recv(buf []Frame) int {
+	if q.len.Load() == 0 {
+		return 0
+	}
+	p := q.port
+	p.rxMu.Lock()
+	n := 0
+	for n < len(buf) {
+		f, ok := q.ring.pop()
+		if !ok {
+			break
+		}
+		buf[n] = f
+		n++
+	}
+	q.len.Add(int32(-n))
+	p.rxMu.Unlock()
+	p.received.Add(uint64(n))
+	return n
+}
+
+// Len reports the queue's occupancy.
+func (q *RxQueue) Len() int { return int(q.len.Load()) }
+
+// Closed reports whether the port is closed: it accepts no more frames,
+// so a Recv after Closed returned true sees the last of them.
+func (q *RxQueue) Closed() bool { return q.port.closed.Load() }
+
+// Recv blocks for the next ingress frame. Frames queued before Close are
+// still delivered; then ok=false.
+func (p *ChanPort) Recv() ([]byte, bool) {
+	var one [1][]byte
+	_, ok := p.RecvBatch(one[:])
+	return one[0], ok
 }
 
 // TryRecv returns immediately; ok=false when no frame is waiting.
 func (p *ChanPort) TryRecv() ([]byte, bool) {
-	select {
-	case d, ok := <-p.rx:
-		if ok {
-			p.received.Add(1)
-		}
-		return d, ok
-	default:
-		return nil, false
-	}
+	var one [1][]byte
+	n, _ := p.tryRecvBatch(one[:])
+	return one[0], n == 1
 }
 
 // Send transmits on the egress side; false on tail drop or closed port.
 func (p *ChanPort) Send(data []byte) bool {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
-	if p.closed.Load() {
-		return false
-	}
-	select {
-	case p.tx <- data:
-		p.sent.Add(1)
-		return true
-	default:
-		p.txDrops.Add(1)
-		return false
-	}
+	one := [1][]byte{data}
+	return p.XmitBatch(one[:]) == 1
 }
 
-// Inject places a frame on the ingress side, as a peer or test would.
+// Inject places a frame on the ingress side, as a peer or test would. On
+// a split port it computes the RSS hash and steers by it, which is what
+// RSS hardware does on arrival.
 func (p *ChanPort) Inject(data []byte) bool {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
+	rss := p.rss.Load()
+	var h uint64
+	if rss {
+		h = pkt.RSSHash(data)
+	}
+	p.rxMu.Lock()
 	if p.closed.Load() {
+		p.rxMu.Unlock()
 		return false
 	}
-	select {
-	case p.rx <- data:
-		return true
-	default:
+	if !rss && p.rss.Load() {
+		h = pkt.RSSHash(data) // SplitRx ran between the peek and the lock
+	}
+	q := p.rx[h%uint64(len(p.rx))]
+	ok := q.ring.push(Frame{Data: data, Hash: h})
+	wake := ok && q.len.Add(1) == 1
+	p.rxMu.Unlock()
+	if wake {
+		signal(q.wake)
+	} else if !ok {
 		p.rxDrops.Add(1)
-		return false
 	}
+	return ok
 }
 
-// Drain removes one transmitted frame (what the peer receives).
+// Drain removes one transmitted frame (what the peer receives). An empty
+// ring costs one atomic load, so a peer may poll.
 func (p *ChanPort) Drain() ([]byte, bool) {
-	select {
-	case d := <-p.tx:
-		return d, true
-	default:
+	if p.tx.len.Load() == 0 {
 		return nil, false
 	}
+	p.txMu.Lock()
+	d, ok := p.tx.ring.pop()
+	if ok {
+		p.tx.len.Add(-1)
+	}
+	p.txMu.Unlock()
+	return d, ok
 }
 
 // DrainBlocking removes one transmitted frame, waiting until one arrives
-// or the port closes.
+// or the port closes (frames queued before Close are still delivered).
 func (p *ChanPort) DrainBlocking() ([]byte, bool) {
-	select {
-	case d := <-p.tx:
-		return d, true
-	case <-p.done:
-		// Drain anything already queued before reporting closed.
-		select {
-		case d := <-p.tx:
+	for {
+		closed := p.closed.Load()
+		if d, ok := p.Drain(); ok {
+			if p.tx.len.Load() > 0 {
+				signal(p.tx.wake) // more queued: pass the token to another waiter
+			}
 			return d, true
-		default:
+		}
+		if closed {
 			return nil, false
+		}
+		select {
+		case <-p.tx.wake:
+		case <-p.done:
 		}
 	}
 }
 
-// Close shuts the port; Recv and DrainBlocking unblock. Safe against
+// Close shuts the port; Recv, RecvBatch and DrainBlocking unblock, and
+// the consumers of split rx queues are woken to see Closed. Safe against
 // concurrent Inject/Send.
 func (p *ChanPort) Close() {
-	p.closeMu.Lock()
-	defer p.closeMu.Unlock()
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.rx)
+	p.rxMu.Lock()
+	p.txMu.Lock()
+	first := p.closed.CompareAndSwap(false, true)
+	qs := p.rx
+	p.txMu.Unlock()
+	p.rxMu.Unlock()
+	if first {
 		close(p.done)
+		for _, q := range qs {
+			signal(q.wake)
+		}
 	}
 }
 
