@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-dataplane bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline flow-soak drop-soak fuzz-diff fuzz-fused profile-hotpath cover experiments examples health-smoke fmt vet lint clean
+.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-fused profile-hotpath cover experiments examples health-smoke fmt vet lint clean
 
 # Benchmarks gated against BENCH_hotpath.json: the per-packet hot path
 # (strict 0 allocs/op) plus the whole-switch sharded/pipelined burst.
@@ -22,11 +22,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race run over the packet path: shared dataplane consumers and the
-# traffic manager, where the lock-free lookup snapshot and pools live, and
-# the ring ports, where the port-to-shard hand-off lives.
-race-dataplane:
-	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/
+# Race soak over the packet path, every test of every package on it, twice:
+# the lane lifecycle and its three drivers (driver parity, conservation
+# across Shutdown), the lock-free lookup snapshot and pools, the traffic
+# manager, the ring ports' port-to-lane hand-off, the single-writer flow
+# lanes with racing readers and clash evictions, and the loss-forensics
+# ledger with every drop reason firing at once under a hitless edit storm.
+soak:
+	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/ ./internal/flowstat/ ./internal/telemetry/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -83,9 +86,7 @@ bench-reconfig:
 	$(GO) test ./internal/ipbm/ -run xxx -bench BenchmarkReconfigStormHitless -benchmem -benchtime=50000x -count=3 \
 		| bin/benchgate -check BENCH_reconfig.json -tol $(BENCH_TOL)
 
-# Record the reconfig-storm baseline. The drain-mode comparison run
-# (BenchmarkReconfigStormDrain) is reported but deliberately not gated:
-# its stall time is real and nonzero, so pinning it would flake.
+# Record the reconfig-storm baseline.
 bench-reconfig-baseline:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
 	$(GO) test ./internal/ipbm/ -run xxx -bench BenchmarkReconfigStormHitless -benchmem -benchtime=50000x -count=5 \
@@ -109,12 +110,6 @@ bench-flow-baseline:
 	$(GO) test -run xxx -bench '$(GATED_FLOW_BENCH)' -benchmem -count=5 . | bin/benchgate -write BENCH_flow.json \
 		-note "min of 5 runs; Touch/Finish must stay allocation-free or the always-on default is not viable"
 
-# Race soak over the flow-accounting paths: single-writer lanes with
-# racing readers, clash evictions under storm, flow state across
-# reconfig commits, and the sharded conservation invariant.
-flow-soak:
-	$(GO) test -race -count=2 -run 'Flow|Sketch|Concurrent|Sweep|Eviction' ./internal/flowstat/ ./internal/ipbm/
-
 # Drop-attribution benchmarks gated against BENCH_drop.json: the
 # always-on loss-forensics path (verdict classification, striped
 # ipsa_drop_total cells, capture-ring admission) on a program drop and a
@@ -132,12 +127,6 @@ bench-drop-baseline:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
 	$(GO) test -run xxx -bench '$(GATED_DROP_BENCH)' -benchmem -count=5 . | bin/benchgate -write BENCH_drop.json \
 		-note "min of 5 runs; attribution is always on, so the drop path must stay allocation-free"
-
-# Race soak over the loss-forensics path: every drop reason firing at
-# once under a hitless edit storm, with the conservation invariant
-# (per-reason drop counters == loss-verdict counters) checked at the end.
-drop-soak:
-	$(GO) test -race -count=2 -run 'DropConservation|DropRing|DropAttribution' ./internal/ipbm/ ./internal/telemetry/
 
 # Differential fuzz: compiled executor vs interpreter on the full switch.
 fuzz-diff:

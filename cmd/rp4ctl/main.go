@@ -488,8 +488,8 @@ func main() {
 	}
 }
 
-// printApply renders apply/commit stats: epoch bookkeeping on the
-// hitless path, load (drain) time on the legacy path.
+// printApply renders apply/commit stats: epoch bookkeeping from ipbm,
+// load (drain and rebuild) time from a device that drains (pisabm).
 func printApply(st *ctrlplane.ApplyStats) {
 	line := fmt.Sprintf("applied: full=%v tsps_written=%d tables +%d -%d",
 		st.Full, st.TSPsWritten, st.TablesCreated, st.TablesDropped)

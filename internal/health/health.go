@@ -50,8 +50,9 @@ type Options struct {
 	// StallRounds is how many consecutive no-progress-while-pending
 	// checks flag a lane stalled (default 3).
 	StallRounds int
-	// ReconfigDeadline bounds a drain-and-swap critical section before
-	// it is reported wedged (default 2s).
+	// ReconfigDeadline bounds a tracked reconfiguration (a retired
+	// program version still holding packets) before it is reported
+	// wedged (default 2s).
 	ReconfigDeadline time.Duration
 	// DropSpikeFraction and DropSpikeFactor parameterize the post-apply
 	// anomaly check: the windowed drop fraction must exceed both the

@@ -83,9 +83,6 @@ func (h *Health) Status(window time.Duration) *Status {
 		}
 	}
 	for _, o := range h.ops {
-		if o.done.Load() {
-			continue
-		}
 		age := now - o.start
 		st.Ops = append(st.Ops, OpStatus{
 			Kind: o.kind, ConfigHash: o.configHash, AgeNanos: age,

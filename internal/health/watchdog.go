@@ -1,7 +1,6 @@
 package health
 
 import (
-	"sync/atomic"
 	"time"
 
 	"ipsa/internal/telemetry"
@@ -38,21 +37,18 @@ type LaneStatus struct {
 	RatePPS   float64 `json:"rate_pps,omitempty"`
 }
 
-// op is one tracked reconfiguration critical section — the drain-and-swap
-// inside a legacy ApplyConfig/applyPatch/SetInt, or the retirement of a
-// superseded program version on the hitless path. If done isn't called
-// (or check doesn't report completion) before the deadline, the monitor
-// reports the reconfiguration as wedged — turning a silent hang into a
-// degraded event with the op's age attached.
+// op is one tracked reconfiguration: the retirement of a superseded
+// program version. If check doesn't report completion before the
+// deadline, the monitor reports the reconfiguration as wedged — turning a
+// silent hang into a degraded event with the op's age attached.
 type op struct {
 	kind       string
 	configHash string
 	start      int64
 	deadline   int64 // nanos allowed before the op counts as wedged
-	done       atomic.Bool
-	// check, when set, is polled each health tick; returning true
-	// completes the op without an explicit done call. The epoch store
-	// uses it to watch a retired version's in-flight count drain to zero.
+	// check is polled each health tick; returning true completes the op.
+	// The epoch store uses it to watch a retired version's in-flight
+	// count drain to zero.
 	check   func() bool
 	flagged bool // wedged event already emitted
 }
@@ -65,26 +61,11 @@ type OpStatus struct {
 	Wedged     bool   `json:"wedged"`
 }
 
-// BeginOp records the start of a reconfiguration critical section and
-// returns its completion callback. The caller invokes the callback when
-// the drain-and-swap finishes (normally microseconds later); a nil
-// *Health is safe and returns a no-op.
-func (h *Health) BeginOp(kind, configHash string) func() {
-	if h == nil {
-		return func() {}
-	}
-	o := &op{kind: kind, configHash: configHash, start: h.now(), deadline: h.o.ReconfigDeadline.Nanoseconds()}
-	h.mu.Lock()
-	h.ops = append(h.ops, o)
-	h.mu.Unlock()
-	return func() { o.done.Store(true) }
-}
-
-// BeginOpWatch is BeginOp for operations whose completion is observed
-// rather than signalled: check is polled each health tick and the op
-// completes once it returns true. The hitless reconfiguration path uses
-// it to track a retired program version until its in-flight packet count
-// drains to zero — the epoch-store replacement for the drain deadline.
+// BeginOpWatch records the start of a reconfiguration whose completion
+// is observed rather than signalled: check is polled each health tick and
+// the op completes once it returns true. The program store uses it to
+// track a retired program version until its in-flight packet count drains
+// to zero. A nil *Health is safe.
 func (h *Health) BeginOpWatch(kind, configHash string, check func() bool) {
 	if h == nil {
 		return
@@ -152,7 +133,7 @@ func (h *Health) checkLanesLocked() (stalled int) {
 func (h *Health) checkOpsLocked(now int64) (wedged int) {
 	kept := h.ops[:0]
 	for _, o := range h.ops {
-		if o.done.Load() || (o.check != nil && o.check()) {
+		if o.check() {
 			continue
 		}
 		kept = append(kept, o)

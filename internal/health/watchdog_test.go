@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,12 +149,14 @@ func TestWatchdogAllLanesStalled(t *testing.T) {
 	}
 }
 
-// TestReconfigDeadline starts a drain-and-swap that never finishes: the
-// monitor must report it wedged (degraded + event) instead of hanging,
-// and clear once the op completes.
+// TestReconfigDeadline starts a reconfiguration whose retired version
+// never quiesces: the monitor must report it wedged (degraded + event)
+// instead of hanging, and clear once the op completes.
 func TestReconfigDeadline(t *testing.T) {
 	hn := newHarness(t, nil)
-	done := hn.h.BeginOp("apply_patch", "cafebabe")
+	var quiesced atomic.Bool
+	done := func() { quiesced.Store(true) }
+	hn.h.BeginOpWatch("apply_patch", "cafebabe", quiesced.Load)
 
 	// Within the 2s default deadline: still healthy.
 	hn.check(t, 1)

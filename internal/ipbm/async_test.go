@@ -86,17 +86,30 @@ func TestTMTailDropUnderBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	populateBase(t, sw)
-	// Burst 10 packets through ingress only.
+	// Burst 10 packets through a lane's admit and ingress steps only,
+	// parking the survivors in the shared TM as a pipelined ingress lane
+	// does.
+	in := sw.newLane(0, sw.Pipeline().TM(), crossShared, 16)
 	for i := 0; i < 10; i++ {
-		sw.ingestOne(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+		in.frames = append(in.frames, laneFrame{data: v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), port: inPort})
+	}
+	if sent, err := in.turn(); err != nil || sent != 0 {
+		t.Fatalf("ingress turn: sent=%d err=%v", sent, err)
 	}
 	enq, drops := sw.Pipeline().TM().Stats()
 	if enq != 4 || drops != 6 {
 		t.Fatalf("tm stats: enq=%d drops=%d, want 4/6", enq, drops)
 	}
-	// Drain: exactly the buffered 4 emerge.
+	// Drain through an egress lane's steps: exactly the buffered 4 emerge.
 	out, _ := sw.Ports().Port(outPort)
-	for sw.egestOne() {
+	eg := sw.newLane(0, sw.Pipeline().TM(), crossShared, 16)
+	for eg.drain(0) > 0 {
+		eg.egress(eg.ps[0].Ver.(*progVersion), eg.ps)
+		eg.ps = eg.ps[:0]
+		eg.flushTx()
+	}
+	if _, retired, _ := sw.EpochStats(); retired != 0 || sw.epochs.current().inFlight.Load() != 0 {
+		t.Fatalf("pins left after the drain: retired=%d in_flight=%d", retired, sw.epochs.current().inFlight.Load())
 	}
 	gotten := 0
 	for {

@@ -15,7 +15,7 @@ import (
 func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	cfg := s.Config()
 	if cfg == nil {
-		return 0, fmt.Errorf("ipbm: no configuration installed")
+		return 0, errNoConfig
 	}
 	t, ok := cfg.Tables[req.Table]
 	if !ok {
@@ -51,7 +51,7 @@ func (s *Switch) AddMember(req ctrlplane.MemberReq) error {
 	sel := s.selectors[req.Table]
 	s.mu.RUnlock()
 	if cfg == nil {
-		return fmt.Errorf("ipbm: no configuration installed")
+		return errNoConfig
 	}
 	t, ok := cfg.Tables[req.Table]
 	if !ok {

@@ -4,10 +4,10 @@ package ipbm
 // of shipping a whole configuration, the controller opens a transaction
 // (EditBegin), applies per-stage and per-table mutations against a
 // private clone of the running config, and commits — publishing the
-// accumulated script as one reconfiguration. On the hitless path a
-// commit is an epoch publish where structural hashing reuses every
-// compiled stage the script didn't touch, so a one-table patch
-// recompiles one stage, not the pipeline.
+// accumulated script as one reconfiguration. A commit is an epoch
+// publish where structural hashing reuses every compiled stage the
+// script didn't touch, so a one-table patch recompiles one stage, not
+// the pipeline.
 
 import (
 	"encoding/json"
@@ -126,9 +126,8 @@ func (s *Switch) EditApply(op ctrlplane.EditOp) error {
 }
 
 // EditCommit validates the pending configuration and publishes it as
-// one reconfiguration (hitless epoch publish unless the switch runs in
-// DrainReconfig mode). On failure the transaction stays open so the
-// caller can add corrective ops or abort.
+// one reconfiguration (one epoch of the program store). On failure the
+// transaction stays open so the caller can add corrective ops or abort.
 func (s *Switch) EditCommit() (*ctrlplane.EditStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,7 +138,7 @@ func (s *Switch) EditCommit() (*ctrlplane.EditStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ipbm: edit script does not validate: %w", err)
 	}
-	stats, err := s.applyLocked(cfg, time.Now())
+	stats, err := s.applyHitless(cfg, time.Now())
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,8 @@ import (
 	"ipsa/internal/tsp"
 )
 
-// This file implements the epoch-versioned program store, the hitless
-// replacement for drain-and-swap reconfiguration. Every reconfiguration
+// This file implements the epoch-versioned program store, the switch's
+// one reconfiguration mechanism. Every reconfiguration
 // (apply, patch, INT toggle, edit commit) assembles an immutable
 // progVersion — the compiled stage programs, the resolved table/selector
 // snapshot and the INT sink that belong together — and publishes it with
@@ -31,7 +31,7 @@ import (
 //
 // Table *contents* are intentionally not versioned: entry inserts and
 // member adds mutate the shared engines in place (control-plane writes
-// were always visible mid-flight, same as the legacy path). What the
+// are visible mid-flight). What the
 // version freezes is the program and the name→handle view, so a stage
 // compiled against epoch N can never observe a table dropped in N+1.
 
@@ -101,35 +101,6 @@ func (v *progVersion) LookupSelector(table string, groupKey []byte, h uint64) (m
 	return st.lookup(groupKey, h)
 }
 
-// runIngress executes the version's ingress slots on a packet, counting
-// drops against the shared pipeline stats. Reports survival to the TM.
-func (v *progVersion) runIngress(pl *pipeline.Pipeline, p *pkt.Packet, env *tsp.Env) bool {
-	for i := range v.ingress {
-		sl := &v.ingress[i]
-		sl.t.ProcessWith(sl.stages, p, v.design.Parser, v, env)
-		if p.Drop {
-			pl.CountDropped(int(env.Lane))
-			return false
-		}
-	}
-	return true
-}
-
-// runEgress executes the version's egress slots; a survivor counts as
-// processed.
-func (v *progVersion) runEgress(pl *pipeline.Pipeline, p *pkt.Packet, env *tsp.Env) bool {
-	for i := range v.egress {
-		sl := &v.egress[i]
-		sl.t.ProcessWith(sl.stages, p, v.design.Parser, v, env)
-		if p.Drop {
-			pl.CountDropped(int(env.Lane))
-			return false
-		}
-	}
-	pl.CountProcessed(int(env.Lane))
-	return true
-}
-
 // runIngressBatch executes the version's ingress slots over a whole
 // batch, stage-major (every live packet passes through one TSP's stages
 // before any packet advances to the next TSP). Dropped packets stay in
@@ -151,7 +122,7 @@ func (v *progVersion) runIngressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, e
 // runEgressBatch is the egress half of the batch traversal. Callers pass
 // only packets that survived ingress and TM admission (nil slots are
 // skipped); each survivor counts as processed, each egress drop as
-// dropped — the batch analogue of runEgress's accounting.
+// dropped.
 func (v *progVersion) runEgressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, env *tsp.Env) {
 	for i := range v.egress {
 		sl := &v.egress[i]
@@ -169,23 +140,9 @@ func (v *progVersion) runEgressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, en
 	}
 }
 
-// process is the synchronous full traversal: ingress, TM pass-through,
-// egress — the epoch-pinned analogue of pipeline.Process.
-func (v *progVersion) process(pl *pipeline.Pipeline, p *pkt.Packet, env *tsp.Env) bool {
-	if !v.runIngress(pl, p, env) {
-		return false
-	}
-	if !pl.TM().PassThrough(p) {
-		pl.CountDropped(int(env.Lane))
-		return false
-	}
-	return v.runEgress(pl, p, env)
-}
-
 // epochStore is the versioned program store: the current version behind
-// one atomic pointer plus the retired list awaiting quiescence. cur stays
-// nil on switches built with DrainReconfig, which is how the hot paths
-// select the legacy drain path with a single atomic load.
+// one atomic pointer plus the retired list awaiting quiescence. cur is
+// nil only until the first configuration is applied.
 type epochStore struct {
 	cur atomic.Pointer[progVersion]
 
@@ -196,7 +153,7 @@ type epochStore struct {
 }
 
 // pin returns the current version with one in-flight reference taken, or
-// nil when the store is inactive (drain mode, or nothing published yet).
+// nil when no configuration has been installed yet.
 // The load→add window is benign: a concurrently retired version stays
 // valid Go memory, executes correctly, and is reclaimed on a later reap
 // once this pin unwinds.
@@ -257,7 +214,6 @@ func (st *epochStore) stats() (epoch uint64, retired int, reclaimed uint64) {
 
 // EpochStats reports the program store's epoch counter, the retired
 // versions still awaiting quiescent packets, and the total reclaimed.
-// All zero on drain-mode switches.
 func (s *Switch) EpochStats() (epoch uint64, retired int, reclaimed uint64) {
 	return s.epochs.stats()
 }
@@ -302,11 +258,12 @@ func stageUsesTables(cfg *template.Config, sn string, names map[string]bool) boo
 	return false
 }
 
-// applyHitless is the epoch-versioned apply: it performs the same
-// register/table reconciliation as the legacy path, compiles only the
-// stages whose structural hash changed, and publishes the result as a
-// new program version — without ever excluding packet readers. Called
-// with s.mu held.
+// applyHitless installs or patches an already-validated configuration:
+// it reconciles registers and tables with what is installed, compiles
+// only the stages whose structural hash changed, and publishes the result
+// as a new program version — without ever excluding packet readers.
+// Called with s.mu held (ApplyConfig, and the edit layer's commit under
+// its own lock hold).
 func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane.ApplyStats, error) {
 	var old *template.Config
 	if d := s.dp.Design(); d != nil {
@@ -400,9 +357,9 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 		}
 	}
 
-	// 3. TSPsWritten keeps its legacy meaning — how many TSP programs the
-	// new configuration changes — so the Table 1 update-cost comparison
-	// and the patch manifest check stay valid across both modes.
+	// 3. TSPsWritten is how many TSP programs the new configuration
+	// changes, the quantity the Table 1 update-cost comparison and the
+	// patch manifest check are stated in.
 	if patchDirected {
 		stats.TSPsWritten = len(cfg.Patch.RewrittenTSPs)
 	} else {
@@ -452,7 +409,6 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 		TSPsWritten:      stats.TSPsWritten,
 		TablesCreated:    stats.TablesCreated,
 		TablesDropped:    stats.TablesDropped,
-		DrainNanos:       0, // hitless: no packet was ever blocked
 		Hitless:          true,
 		Epoch:            stats.Epoch,
 		StagesRecompiled: stats.StagesRecompiled,
@@ -518,10 +474,10 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 		pub.recompiled++
 	}
 
-	// Refresh the pipeline's TSP bookkeeping and selector. On the hitless
-	// path no packet holds the pipeline's read lock, so Commit is
-	// uncontended metadata maintenance (scrape-time stats, ActiveTSPs),
-	// not a drain — nothing is charged to StallTime.
+	// Refresh the pipeline's TSP bookkeeping and selector. Packets execute
+	// the version they pinned, never the TSPs' loaded stages, so Commit is
+	// metadata maintenance (scrape-time stats, ActiveTSPs) that no packet
+	// waits for.
 	n := s.pl.NumTSPs()
 	perTSP := make([][]*tsp.StageRuntime, n)
 	tmIn, tmOut := -1, n
@@ -563,7 +519,7 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 
 	// Assemble and publish the version; its predecessor is retired and
 	// reclaimed once its last pinned packet finishes. The health monitor
-	// watches that retirement the way it used to watch the drain deadline.
+	// watches that retirement against the reconfiguration deadline.
 	v := &progVersion{
 		design:  s.dp.Design(),
 		lookups: s.lookups.Load(),
@@ -588,28 +544,4 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 		s.health.BeginOpWatch(kind, hash, prev.quiesced)
 	}
 	return pub, nil
-}
-
-// runEpoch is the synchronous per-packet lifecycle against a pinned
-// version: telemetry begin, version-consistent pipeline, punt, out-port
-// surfacing, telemetry finish — the epoch analogue of run().
-func (s *Switch) runEpoch(v *progVersion, p *pkt.Packet, env *tsp.Env) bool {
-	s.dp.BeginPacket(p)
-	if p.Trace != nil {
-		p.Trace.Epoch = v.epoch
-	}
-	env.Trace = p.Trace
-	env.Timed = p.Timed
-	ok := v.process(s.pl, p, env)
-	if p.ToCPU {
-		s.punt(p)
-	}
-	if ok {
-		dataplane.SurfaceOutPort(p)
-		if v.sink != nil && !p.Drop {
-			v.sink.process(p)
-		}
-	}
-	s.dp.FinishPacket(p, dataplane.Verdict(p, ok, s.ports.Len()))
-	return ok
 }

@@ -3,10 +3,9 @@ package ipbm
 // health.go wires the switch into the self-diagnosis layer: the
 // time-series ring samples the registry plus a few explicitly wired
 // collector-backed series, the watchdog lanes are registered by the
-// forwarding modes (one per shard worker, one per pipelined egress
-// worker), and the reconfiguration paths bracket their drain-and-swap
-// critical sections with BeginOp so a wedged drain is reported instead
-// of hanging silently.
+// forwarding modes (one per shard lane, one per pipelined egress lane),
+// and every reconfiguration hands the version it retired to BeginOpWatch
+// so one that never quiesces is reported instead of lingering silently.
 
 import (
 	"time"

@@ -111,45 +111,6 @@ func TestInsituECMP(t *testing.T) {
 	}
 }
 
-// TestInsituECMPDrainMode keeps the legacy drain-and-swap fallback
-// covered: the same C1 update on a DrainReconfig switch records a
-// pipeline stall and a non-zero drain time in its audit event.
-func TestInsituECMPDrainMode(t *testing.T) {
-	sw, w := newBaseSwitchOpts(t, func(o *Options) { o.DrainReconfig = true })
-	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sw.ApplyConfig(rep.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hitless {
-		t.Error("drain-mode apply reported hitless")
-	}
-	if st.TSPsWritten != len(rep.RewrittenTSPs) {
-		t.Errorf("device wrote %d TSPs, compiler predicted %v", st.TSPsWritten, rep.RewrittenTSPs)
-	}
-	if sw.Pipeline().StallTime() <= 0 {
-		t.Error("no stall recorded for drain-mode update")
-	}
-	for _, ev := range sw.EventsDump(0) {
-		if ev.Kind == "apply_patch" && (ev.Hitless || ev.DrainNanos <= 0) {
-			t.Errorf("drain-mode patch event: %+v", ev)
-		}
-	}
-	if err := sw.AddMember(ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-		Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
-	if err != nil || p.Drop {
-		t.Fatalf("forwarding broken after drain-mode update: err=%v drop=%v", err, p.Drop)
-	}
-}
-
 // TestInsituFlowProbe exercises use case C3: a probe counts a flow's
 // packets and punts to the CPU once the threshold is exceeded.
 func TestInsituFlowProbe(t *testing.T) {

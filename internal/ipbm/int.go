@@ -1,20 +1,18 @@
 package ipbm
 
 // int.go is the switch-level face of in-band telemetry: enabling INT is
-// an in-situ reconfiguration (every loaded TSP's stage programs are
-// rebuilt with the IntStamp epilogue and swapped under a pipeline drain,
-// exactly like a template patch), and the sink strips + decodes trailers
-// at the egress boundary, feeding per-stage histograms, flow-path
-// counters and a ring of decoded reports.
+// an in-situ reconfiguration (every stage program is rebuilt with the
+// IntStamp epilogue and published as a new program version, exactly like
+// a template patch), and the sink strips + decodes trailers at the egress
+// boundary, feeding per-stage histograms, flow-path counters and a ring
+// of decoded reports.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"time"
 
 	"ipsa/internal/intmd"
-	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
@@ -109,11 +107,13 @@ func (s *Switch) IntEnabled() bool {
 }
 
 // SetInt enables or disables INT stamping. This is a true in-situ
-// update: the stage programs of every loaded TSP are rebuilt (with or
-// without the compiled IntStamp epilogue), the pipeline drains, and the
-// new programs are swapped in — table contents, registers and counters
-// are untouched. The resulting audit event carries the drain time and
-// verdict-counter deltas like any other apply.
+// update, published as a new program-store epoch: every stage recompiles
+// (the stamping epilogue changes its structural hash, so reuse naturally
+// yields nothing) while table contents, registers and counters are
+// untouched, and packets pinned to the previous version finish under the
+// previous INT state — stamping and sinking stay consistent per packet.
+// The audit event carries the verdict-counter deltas like any other
+// apply.
 func (s *Switch) SetInt(enabled bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -134,69 +134,6 @@ func (s *Switch) SetInt(enabled bool) error {
 		return nil
 	}
 	cfg := d.Cfg
-	if !s.opts.DrainReconfig {
-		return s.setIntHitless(enabled, kind, cfg)
-	}
-	runtimes, err := tsp.BuildStageRuntimesOpts(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: enabled})
-	if err != nil {
-		s.intOn = !enabled
-		return err
-	}
-	for _, sr := range runtimes {
-		sr.Bind(s)
-	}
-	hash := configHash(cfg)
-	inFlight := s.tmDepthSum()
-	before := s.tel.verdictSnapshot()
-	rewrote := 0
-	opDone := s.health.BeginOp(kind, hash)
-	t0 := time.Now()
-	err = s.pl.Update(func(sel *pipeline.Selector, tsps []*tsp.TSP) error {
-		for i := range tsps {
-			var srs []*tsp.StageRuntime
-			for _, sn := range orderedStagesOf(cfg, i) {
-				srs = append(srs, runtimes[sn])
-			}
-			if len(srs) > 0 {
-				tsps[i].Load(srs)
-				rewrote++
-			}
-		}
-		return nil
-	})
-	drain := time.Since(t0)
-	opDone()
-	if err != nil {
-		s.intOn = !enabled
-		return err
-	}
-	if enabled {
-		s.publishIntState(cfg)
-	} else {
-		s.publishIntState(nil)
-	}
-	s.tel.tspsWritten.Add(uint64(rewrote))
-	s.tel.Events.Append(telemetry.Event{
-		Kind:          kind,
-		ConfigHash:    hash,
-		TSPsWritten:   rewrote,
-		DrainNanos:    int64(drain),
-		InFlight:      inFlight,
-		VerdictDeltas: s.tel.verdictDeltas(before),
-	})
-	s.log.Debug("INT state changed in situ",
-		"kind", kind, "config_hash", hash,
-		"tsps_written", rewrote, "drain", drain, "in_flight", inFlight)
-	return nil
-}
-
-// setIntHitless publishes the INT toggle as a new program-store epoch:
-// every stage recompiles (the stamping epilogue changes its structural
-// hash, so reuse naturally yields nothing) and packets pinned to the
-// previous version finish under the previous INT state — stamping and
-// sinking stay consistent per packet with no drain. Called with s.mu
-// held and s.intOn already flipped to enabled.
-func (s *Switch) setIntHitless(enabled bool, kind string, cfg *template.Config) error {
 	hash := configHash(cfg)
 	inFlight := s.tmDepthSum()
 	before := s.tel.verdictSnapshot()
@@ -215,7 +152,6 @@ func (s *Switch) setIntHitless(enabled bool, kind string, cfg *template.Config) 
 		Kind:             kind,
 		ConfigHash:       hash,
 		TSPsWritten:      pub.tspsLoaded,
-		DrainNanos:       0,
 		Hitless:          true,
 		Epoch:            pub.epoch,
 		StagesRecompiled: pub.recompiled,

@@ -76,8 +76,8 @@ func newBaseSwitch(t testing.TB) (*Switch, *backend.Workspace) {
 	return newBaseSwitchOpts(t, nil)
 }
 
-// newBaseSwitchOpts is newBaseSwitch with an options hook (e.g. forcing
-// the DrainReconfig fallback).
+// newBaseSwitchOpts is newBaseSwitch with an options hook (e.g. turning
+// flow accounting off).
 func newBaseSwitchOpts(t testing.TB, tweak func(*Options)) (*Switch, *backend.Workspace) {
 	t.Helper()
 	w := newBaseWorkspace(t)

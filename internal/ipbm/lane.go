@@ -1,0 +1,495 @@
+package ipbm
+
+// lane.go is the packet lifecycle: admit → ingress → TM → egress → finish
+// → flushTx, written once. A lane is everything one goroutine needs to
+// take frames from arrival to a verdict without sharing a hot cache line:
+// a packet freelist, an Env and a counter stripe (dataplane.Shard), the
+// TM its packets cross, a flow table it alone writes, batch scratch and
+// per-port transmit queues. The three forwarding drivers are thin loops
+// over it:
+//
+//   - Forward / ForwardBatch / ProcessPacket run a pooled lane inline on
+//     the caller's goroutine (batch of 1 or n, TM pass-through);
+//   - Run and RunSharded are lanes behind the ring ports: one per port,
+//     or one per shard holding that shard's RSS ring of every port;
+//   - RunPipelined splits the lifecycle at the shared TM: a lane per port
+//     parks ingress survivors there, a lane per egress worker drains it.
+//
+// A turn pins the current program version once and everything in it runs
+// that version; only a packet parked in the shared TM outlives its turn,
+// and it carries its own pin across in p.Ver.
+
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+
+	"ipsa/internal/dataplane"
+	"ipsa/internal/flowstat"
+	"ipsa/internal/netio"
+	"ipsa/internal/pipeline"
+	"ipsa/internal/pkt"
+	"ipsa/internal/telemetry"
+)
+
+var errNoConfig = fmt.Errorf("ipbm: no configuration installed")
+
+// tmCross is how a lane's packets cross the traffic manager.
+type tmCross uint8
+
+const (
+	// crossPass is run to completion: the TM only checks admission and
+	// the packet stays in the turn's batch (no lock, no queue churn).
+	crossPass tmCross = iota
+	// crossOwn parks packets in the lane's own TM and drains it in the
+	// same turn, under the turn's pin.
+	crossOwn
+	// crossShared parks packets in the shared TM for an egress lane; each
+	// takes a pin of its own, carried in p.Ver.
+	crossShared
+)
+
+// laneFrame is one frame of a turn: the bytes, the RSS flow hash (from
+// the port that steered it, or the inline driver) and the ingress port.
+type laneFrame struct {
+	data []byte
+	hash uint64
+	port int32
+}
+
+// laneGate is the stall-injection test hook: a worker that finds one at
+// the top of its loop closes held and waits for release.
+type laneGate struct{ held, release chan struct{} }
+
+type lane struct {
+	s     *Switch
+	idx   int
+	dsh   *dataplane.Shard
+	tm    *pipeline.TrafficManager
+	cross tmCross
+
+	// fl is the flow table this lane's admissions write: the shard's, or
+	// the ingress port's (one port, one lane, so one writer either way).
+	// now is the turn's timestamp for flow first/last/idle times.
+	fl  *flowstat.Table
+	now int64
+
+	// frames, ps and txq are the turn's scratch — the frames to admit, the
+	// packets in flight and the egress frames per output port — retained
+	// across turns.
+	frames []laneFrame
+	ps     []*pkt.Packet
+	txq    [][][]byte
+
+	// inspect makes the turn build a caller-owned packet and hand it back
+	// in kept instead of transmitting and recycling it (ProcessPacket).
+	inspect bool
+	kept    *pkt.Packet
+
+	// rings are the rx rings a served lane polls, ring i belonging to port
+	// port0+i; every ring signals wake, where the worker parks when all
+	// are empty. next is the ring the next collection starts from.
+	rings []*netio.RxQueue
+	port0 int
+	wake  chan struct{}
+	next  int
+	rxbuf []netio.Frame
+
+	// beat counts frames (packets, on an egress lane) taken through, turns
+	// the worker's wakeups; the health watchdog and the per-shard export
+	// read the registered ones.
+	beat, turns *telemetry.Counter
+
+	gate atomic.Pointer[laneGate]
+}
+
+// newLane builds a lane charging counter stripe `stripe`, crossing tm as
+// cross says, with scratch for turns of batch frames.
+func (s *Switch) newLane(stripe int, tm *pipeline.TrafficManager, cross tmCross, batch int) *lane {
+	return &lane{
+		s: s, tm: tm, cross: cross,
+		dsh:    s.dp.NewShard(stripe, 2*batch),
+		frames: make([]laneFrame, 0, batch),
+		ps:     make([]*pkt.Packet, 0, batch),
+		txq:    make([][][]byte, s.ports.Len()),
+		rxbuf:  make([]netio.Frame, batch),
+		wake:   make(chan struct{}, 1),
+		beat:   new(telemetry.Counter),
+		turns:  new(telemetry.Counter),
+	}
+}
+
+// turn takes l.frames through the whole lifecycle under one pin of the
+// current program version. It reports how many frames left the switch and
+// the first admission error; every frame has a verdict when it returns.
+func (l *lane) turn() (sent int, err error) {
+	if l.fl != nil {
+		l.now = flowstat.Now()
+	}
+	v := l.s.epochs.pin()
+	if v == nil {
+		// No configuration installed: nothing can size or parse a packet,
+		// so every frame is an admission failure.
+		for i := range l.frames {
+			l.s.admitFailed(l.dsh.Lane(), int(l.frames[i].port), l.frames[i].data)
+		}
+		err = errNoConfig
+	} else {
+		for i := range l.frames {
+			if e := l.admit(v, &l.frames[i]); e != nil && err == nil {
+				err = e
+			}
+		}
+		l.ingress(v)
+		if l.cross == crossOwn {
+			l.drain(0)
+		}
+		l.egress(v, l.ps)
+		l.ps = l.ps[:0]
+		sent = l.flushTx()
+		v.unpin()
+	}
+	clear(l.frames)
+	l.frames = l.frames[:0]
+	return sent, err
+}
+
+// admit builds the packet for one frame: sized for v's design so metadata
+// and header-vector shapes match the stages that will run, sampled for
+// tracing and latency, and accounted on the lane's flow table before any
+// stage rewrites the bytes. A frame the design cannot admit is counted as
+// an admission failure and the turn goes on.
+func (l *lane) admit(v *progVersion, f *laneFrame) error {
+	var p *pkt.Packet
+	var err error
+	if l.inspect {
+		p, err = v.design.NewPacket(f.data, int(f.port))
+	} else {
+		p, err = l.dsh.GetPacket(v.design, f.data, int(f.port))
+	}
+	if err != nil {
+		l.s.admitFailed(l.dsh.Lane(), int(f.port), f.data)
+		return err
+	}
+	l.s.dp.BeginPacket(p)
+	if p.Trace != nil {
+		p.Trace.Epoch = v.epoch
+	}
+	p.RSS = f.hash
+	if l.fl != nil {
+		l.fl.Touch(f.hash, f.data, len(f.data), l.now)
+		if p.Timed {
+			p.FlowNanos = l.now
+		}
+	}
+	l.ps = append(l.ps, p)
+	return nil
+}
+
+// ingress runs the admitted batch through v's ingress half, stage-major,
+// and takes each survivor across the TM. Afterwards l.ps holds what this
+// turn still has to egress: the pass-through survivors, or nothing.
+func (l *lane) ingress(v *progVersion) {
+	v.runIngressBatch(l.s.pl, l.ps, l.dsh.Env(v.design))
+	live := l.ps[:0]
+	for _, p := range l.ps {
+		switch {
+		case p.Drop:
+			l.finish(v, p, true)
+		case !l.park(v, p):
+			// Tail drop is the TM's policy decision; counted in its stats.
+			l.finish(v, p, false)
+		case l.cross == crossPass:
+			live = append(live, p)
+		}
+	}
+	clear(l.ps[len(live):])
+	l.ps = live
+}
+
+// park takes an ingress survivor across the TM boundary; false means the
+// TM refused it.
+func (l *lane) park(v *progVersion, p *pkt.Packet) bool {
+	switch l.cross {
+	case crossPass:
+		return l.tm.PassThrough(p)
+	case crossOwn:
+		return l.tm.Admit(p)
+	}
+	// Once admitted the packet belongs to whichever egress lane dequeues
+	// it, possibly after a reconfiguration: pin before, not after.
+	p.Ver = v
+	v.inFlight.Add(1)
+	if l.tm.Admit(p) {
+		return true
+	}
+	p.Ver = nil
+	v.unpin()
+	return false
+}
+
+// drain moves packets from the TM into l.ps until it holds max of them
+// (0 = until the TM is empty) and reports how many it holds.
+func (l *lane) drain(max int) int {
+	for max == 0 || len(l.ps) < max {
+		p, ok := l.tm.DequeueRR()
+		if !ok {
+			break
+		}
+		l.ps = append(l.ps, p)
+	}
+	return len(l.ps)
+}
+
+// egress runs packets that crossed the TM through v's egress half,
+// stage-major, and finishes each.
+func (l *lane) egress(v *progVersion, ps []*pkt.Packet) {
+	if len(ps) == 0 {
+		return
+	}
+	v.runEgressBatch(l.s.pl, ps, l.dsh.Env(v.design))
+	for i, p := range ps {
+		l.finish(v, p, true)
+		ps[i] = nil
+	}
+}
+
+// finish is the one place a packet gets its verdict: punt, out-port
+// surfacing, INT sink, the telemetry finish hook, flow accounting, then
+// the transmit queue (or no_port) and the freelist. survived is false
+// only for a TM tail drop.
+func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
+	s := l.s
+	if p.ToCPU {
+		s.punt(p)
+	}
+	fl, pinned := l.fl, p.Ver != nil
+	if pinned {
+		// Parked in the shared TM by an ingress lane: its flow entry lives
+		// in its ingress port's table, which this lane may only Finish
+		// (an update of the entry's atomics), never Touch.
+		p.Ver = nil
+		fl = s.flows.Peek(p.InPort)
+	}
+	out := survived && !p.Drop
+	if out {
+		// The executor sets istd.out_port; the sink strips and decodes the
+		// INT trailer so it never leaves the switch — under the version
+		// that stamped it.
+		dataplane.SurfaceOutPort(p)
+		if v.sink != nil {
+			v.sink.process(p)
+		}
+	}
+	verdict := dataplane.Verdict(p, survived, len(l.txq))
+	s.dp.FinishPacket(p, verdict)
+	if fl != nil {
+		fl.Finish(p.RSS, flowstat.VerdictOf(verdict), flowLat(p), l.now)
+	}
+	if pinned {
+		v.unpin()
+	}
+	if l.inspect {
+		l.kept = p
+		return
+	}
+	if out {
+		if p.OutPort >= 0 && p.OutPort < len(l.txq) {
+			l.txq[p.OutPort] = append(l.txq[p.OutPort], p.Data)
+		} else {
+			s.tel.noPortDrops.Inc()
+		}
+	}
+	l.dsh.PutPacket(p)
+}
+
+// flowLat is the sampled per-flow latency: the time since the packet's
+// admission stamp, taken only for latency-sampled packets (-1 = none).
+func flowLat(p *pkt.Packet) int64 {
+	if p.Timed && p.FlowNanos > 0 {
+		return flowstat.Now() - p.FlowNanos
+	}
+	return -1
+}
+
+// flushTx transmits each port's queued frames in one batched call and
+// reports how many the ports accepted. XmitBatch refuses a tail (the ring
+// is FIFO), which is accounted as tx_fail after the packets' "forwarded"
+// verdicts. Queue storage is retained for the next turn.
+func (l *lane) flushTx() (sent int) {
+	for i, frames := range l.txq {
+		if len(frames) == 0 {
+			continue
+		}
+		port, _ := l.s.ports.Port(i)
+		n := port.XmitBatch(frames)
+		sent += n
+		if n < len(frames) {
+			l.s.txFailed(l.dsh.Lane(), i, frames[n:])
+		}
+		clear(frames)
+		l.txq[i] = frames[:0]
+	}
+	return sent
+}
+
+// collect takes up to batch frames off the lane's rings into l.frames,
+// one lock per non-empty ring, starting after the ring the previous
+// collection ended on so a saturated port cannot starve the others.
+func (l *lane) collect(batch int) int {
+	ri := l.next
+	for range l.rings {
+		if ri >= len(l.rings) {
+			ri = 0
+		}
+		n := l.rings[ri].Recv(l.rxbuf[:batch-len(l.frames)])
+		for j, f := range l.rxbuf[:n] {
+			l.frames = append(l.frames, laneFrame{data: f.Data, hash: f.Hash, port: int32(l.port0 + ri)})
+			l.rxbuf[j] = netio.Frame{}
+		}
+		ri++
+		if n > 0 {
+			l.next = ri
+		}
+		if len(l.frames) == batch {
+			break
+		}
+	}
+	return len(l.frames)
+}
+
+// portsClosed reports whether every port feeding the lane has closed
+// (Shutdown): none accepts another frame, so one more empty collection
+// is final.
+func (l *lane) portsClosed() bool {
+	for _, q := range l.rings {
+		if !q.Closed() {
+			return false
+		}
+	}
+	return true
+}
+
+// queueDepth is the backlog of a lane that owns its TM: frames waiting in
+// its rx rings plus packets in the TM.
+func (l *lane) queueDepth() int {
+	n := l.tm.DepthSum()
+	for _, q := range l.rings {
+		n += q.Len()
+	}
+	return n
+}
+
+// serve is a ring-fed lane's event loop: collect up to batch frames, take
+// them through a turn, park on the wake channel only when every ring is
+// empty (an idle lane costs nothing). It returns once every port is
+// closed and its rings are empty, so a frame a port accepted always
+// reaches a verdict.
+func (l *lane) serve(batch int) {
+	closed := false
+	for {
+		l.checkGate()
+		n := l.collect(batch)
+		if n == 0 {
+			if closed {
+				return
+			}
+			if closed = l.portsClosed(); !closed {
+				<-l.wake
+			}
+			continue
+		}
+		// A turn's only error is a frame refused at admission, which the
+		// turn has already counted.
+		_, _ = l.turn()
+		l.beat.Add(uint64(n))
+		l.turns.Inc()
+	}
+}
+
+// egressSpins is how many yield-and-retry rounds an idle egress lane
+// makes before parking on the TM's wakeup notification: enough that a
+// back-to-back burst never pays a futex round trip, few enough that a
+// genuinely idle worker parks within microseconds and costs nothing.
+const egressSpins = 4
+
+// egressBatch caps how many packets an egress lane drains from the shared
+// TM per round. Under load the whole round usually carries one program
+// version, so it executes stage-major with one Env bind.
+const egressBatch = 32
+
+// serveTM is an egress lane's event loop over the shared TM: drain a
+// round, run each run of same-version packets through egress, transmit;
+// spin briefly when the TM momentarily empties, then park on its admit
+// notification. ingressDone turns true once no lane admits any more; the
+// loop returns when the TM is empty after that, so no parked packet (and
+// no pin) is left behind.
+func (l *lane) serveTM(ingressDone func() bool) {
+	stop := func() bool { return ingressDone() || l.gate.Load() != nil }
+	for {
+		l.checkGate()
+		// Read before the drain: nothing is admitted once it is true, so
+		// an empty drain after it is final.
+		done := ingressDone()
+		for i := 0; l.drain(egressBatch) == 0 && i < egressSpins; i++ {
+			runtime.Gosched()
+		}
+		n := len(l.ps)
+		if n == 0 {
+			if done {
+				return
+			}
+			if p, ok := l.tm.DequeueWait(stop); ok {
+				l.ps = append(l.ps, p)
+			}
+			continue
+		}
+		if l.s.flows != nil {
+			l.now = flowstat.Now()
+		}
+		for i := 0; i < n; {
+			v := l.ps[i].Ver.(*progVersion)
+			j := i + 1
+			for j < n && l.ps[j].Ver == l.ps[i].Ver {
+				j++
+			}
+			l.egress(v, l.ps[i:j])
+			i = j
+		}
+		l.ps = l.ps[:0]
+		l.flushTx()
+		l.beat.Add(uint64(n))
+	}
+}
+
+// checkGate blocks the worker while a test holds its gate. One atomic
+// load per loop iteration.
+func (l *lane) checkGate() {
+	if g := l.gate.Load(); g != nil {
+		close(g.held)
+		<-g.release
+	}
+}
+
+// block is the deliberate-stall test hook: it returns once the lane's
+// worker is held at the top of its loop — having taken nothing more from
+// its rings or the TM — and the worker stays there until release is
+// called.
+func (l *lane) block() (release func()) {
+	g := &laneGate{held: make(chan struct{}), release: make(chan struct{})}
+	l.gate.Store(g)
+	// Kick a parked worker so it reaches the gate.
+	if l.rings != nil {
+		select {
+		case l.wake <- struct{}{}:
+		default:
+		}
+	} else {
+		l.tm.WakeAll()
+	}
+	<-g.held
+	return func() {
+		l.gate.Store(nil)
+		close(g.release)
+	}
+}

@@ -1,15 +1,15 @@
 package ipbm
 
 // reconfig_bench_test.go measures forwarding behaviour *during* a
-// reconfiguration storm — the experiment behind the hitless-vs-drain
-// comparison in EXPERIMENTS.md. A closed-loop injector pushes flow
+// reconfiguration storm — the experiment behind the hitless
+// reconfiguration table in EXPERIMENTS.md. A closed-loop injector pushes flow
 // traffic through the sharded runner while a storm goroutine commits
 // one edit script every editEvery frames (pacing by frames makes the
 // applies-per-run count host-speed independent); every frame carries
 // its identity in the TCP sequence field, so egress observation yields
 // true per-packet forwarding latency and an exact drop count.
 //
-// `make bench-reconfig` gates the hitless variant against
+// `make bench-reconfig` gates it against
 // BENCH_reconfig.json: drops and pipeline stall must stay exactly zero.
 
 import (
@@ -149,10 +149,11 @@ func latP99(lats []int64) float64 {
 	return float64(s[len(s)*99/100])
 }
 
-// benchmarkReconfigStorm is the shared storm harness; drain selects the
-// legacy drain-and-swap fallback for the comparison row.
-func benchmarkReconfigStorm(b *testing.B, drain bool) {
-	sw, _ := newBaseSwitchOpts(b, func(o *Options) { o.DrainReconfig = drain })
+// BenchmarkReconfigStormHitless is the gated experiment: a sharded
+// switch forwarding through a continuous edit-script storm on the
+// epoch-versioned store. Gate contract: drops == 0 and stall_us == 0.
+func BenchmarkReconfigStormHitless(b *testing.B) {
+	sw, _ := newBaseSwitch(b)
 	if err := sw.RunSharded(2, DefaultBatch); err != nil {
 		b.Fatal(err)
 	}
@@ -265,13 +266,3 @@ func benchmarkReconfigStorm(b *testing.B, drain bool) {
 	b.ReportMetric(float64(sw.Pipeline().StallTime()-stallBefore)/1e3, "stall_us")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
 }
-
-// BenchmarkReconfigStormHitless is the gated experiment: a sharded
-// switch forwarding through a continuous edit-script storm on the
-// epoch-versioned store. Gate contract: drops == 0 and stall_us == 0.
-func BenchmarkReconfigStormHitless(b *testing.B) { benchmarkReconfigStorm(b, false) }
-
-// BenchmarkReconfigStormDrain is the comparison row: the same storm on
-// the legacy drain-and-swap fallback. Expect nonzero pipeline stall and
-// a storm p99 above steady state.
-func BenchmarkReconfigStormDrain(b *testing.B) { benchmarkReconfigStorm(b, true) }

@@ -214,7 +214,7 @@ func TestRunShardedKeepsQueuedFrames(t *testing.T) {
 func TestCollectRotatesPorts(t *testing.T) {
 	const batch, ports = 4, 3
 	wake := []chan struct{}{make(chan struct{}, 1)}
-	sh := &shardRunner{rxbuf: make([]netio.Frame, batch), frames: make([]shardFrame, 0, batch)}
+	sh := &lane{rxbuf: make([]netio.Frame, batch), frames: make([]laneFrame, 0, batch)}
 	var set []*netio.ChanPort
 	for i := 0; i < ports; i++ {
 		p := netio.NewChanPort(64)
@@ -227,14 +227,14 @@ func TestCollectRotatesPorts(t *testing.T) {
 	}
 	var taken [ports]int
 	for i := 0; i < 10; i++ {
-		frames := sh.collect(batch)
-		if len(frames) != batch {
-			t.Fatalf("collection %d took %d frames from saturated ports", i, len(frames))
+		if n := sh.collect(batch); n != batch {
+			t.Fatalf("collection %d took %d frames from saturated ports", i, n)
 		}
-		for _, f := range frames {
+		for _, f := range sh.frames {
 			taken[f.port]++
 			set[f.port].Inject(f.data) // keep the port saturated
 		}
+		sh.frames = sh.frames[:0]
 	}
 	if taken[0] != 5*batch || taken[1] != 5*batch {
 		t.Fatalf("frames taken per port = %v, want both saturated ports served equally", taken)

@@ -305,31 +305,25 @@ func TestShardedReconfigConservation(t *testing.T) {
 }
 
 // TestShardedSteadyStateAllocs pins the sharded hot path's allocation
-// contract: one packet through ingest → shard TM → egest → batched
-// transmit performs zero heap allocations once the shard's freelist and
-// transmit queues are warm. Measured on a directly-driven shardRunner so
-// the number is deterministic (no goroutine scheduling in the loop).
+// contract: one frame through a shard lane's turn — admit → ingress →
+// shard TM → egress → batched transmit — performs zero heap allocations
+// once the lane's freelist and transmit queues are warm. Measured on a
+// directly-driven lane so the number is deterministic (no goroutine
+// scheduling in the loop).
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
 	sw, _ := newBaseSwitch(t)
-	sh := &shardRunner{
-		idx: 0,
-		tm:  pipeline.NewTrafficManager(sw.Ports().Len(), 64),
-		dsh: sw.dp.NewShard(1, 64),
-		txq: make([][][]byte, sw.Ports().Len()),
-	}
+	sh := sw.newLane(1, pipeline.NewTrafficManager(sw.Ports().Len(), 64), crossOwn, 32)
 	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
 	data := make([]byte, len(raw))
 	out, _ := sw.Ports().Port(outPort)
 	fwd := func() {
 		copy(data, raw) // egress rewrites headers in place; reset each run
-		v := sw.epochs.pin()
-		sw.shardIngest(sh, shardFrame{data: data, port: inPort}, v)
-		sw.shardDrain(sh, v)
-		if v != nil {
-			v.unpin()
+		sh.frames = append(sh.frames, laneFrame{data: data, port: inPort})
+		if sent, err := sh.turn(); sent != 1 || err != nil {
+			t.Fatalf("turn: sent=%d err=%v", sent, err)
 		}
 		out.Drain() // keep the tx ring empty so XmitBatch never tail-drops
 	}

@@ -3,13 +3,15 @@
 // the Communication Module (netio ports), the Pipeline Module (elastic
 // pipeline of TSPs), the Control Channel Module (ctrlplane server) and the
 // Storage Module (disaggregated memory pool). Its defining property is
-// that ApplyConfig patches only what changed: TSP templates are rewritten
-// individually, existing tables and registers keep their contents, and the
-// pipeline stalls only for the duration of the patch.
+// that ApplyConfig patches only what changed, in place, on a live switch:
+// only the stages whose content changed are recompiled, existing tables
+// and registers keep their contents, and the result is published as a new
+// epoch of the versioned program store (epoch.go) that packets in flight
+// never wait for. Every packet takes one lifecycle (lane.go), whichever
+// forwarding driver carries it.
 package ipbm
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -27,7 +29,6 @@ import (
 	"ipsa/internal/netio"
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
-	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 	"ipsa/internal/tsp"
 )
@@ -52,8 +53,10 @@ type Options struct {
 	// a histogram update per active TSP; at the ipbm daemon's 1-in-128
 	// default that amortizes to well under a percent of a ~2µs forward.
 	LatencyEvery uint64
-	// Exec selects the stage executor: the compiled flat-program runner
-	// (default) or the tree-walking reference interpreter.
+	// Exec selects the stage executor tier: fused closures (the zero
+	// value, tsp.ExecFused), the flat-program VM they are lowered from, or
+	// the tree-walking reference interpreter the other two are tested
+	// against.
 	Exec tsp.ExecMode
 
 	// IntSwitchID identifies this switch in INT hop records.
@@ -86,9 +89,9 @@ type Options struct {
 	HealthWindow time.Duration
 	// HealthRing is the number of retained rate samples (0 = 120).
 	HealthRing int
-	// ReconfigDeadline bounds a drain-and-swap (or, in hitless mode, a
-	// retired program version's quiescence) before the health monitor
-	// reports the reconfiguration wedged (0 = 2s).
+	// ReconfigDeadline bounds how long a retired program version may keep
+	// packets pinned before the health monitor reports the
+	// reconfiguration wedged (0 = 2s).
 	ReconfigDeadline time.Duration
 
 	// FlowTableBits sizes each flow-accounting lane table to 2^bits slots
@@ -111,15 +114,6 @@ type Options struct {
 	// FlowDisable turns flow accounting off entirely (it is on by
 	// default; the overhead benchmarks use this for the comparison).
 	FlowDisable bool
-
-	// DrainReconfig selects the legacy drain-and-swap reconfiguration
-	// path: ApplyConfig/SetInt exclude packet readers while templates are
-	// rewritten in place. The default (false) is the hitless
-	// epoch-versioned program store, where packets pin the version they
-	// entered under and updates never block traffic. The drain path is
-	// kept for the PISA-style comparison (pisa itself always drains) and
-	// as a measurable baseline for the reconfig-storm benchmark.
-	DrainReconfig bool
 }
 
 // DefaultOptions returns a software-scale switch: more TSPs than the
@@ -165,17 +159,19 @@ type Switch struct {
 	mu        sync.RWMutex
 	selectors map[string]*selectorTable
 
-	// lookups is the hot path's view of the table store: resolved
-	// handles keyed by name, swapped atomically whenever a config apply
-	// or patch creates, drops or migrates tables. Per-packet lookups
-	// never touch the memory manager's mutex.
+	// lookups is the name→handle view of the table store, swapped
+	// atomically whenever a config apply creates, drops or migrates
+	// tables; each program version captures the one it was bound against.
+	// Lookups by name never touch the memory manager's mutex.
 	lookups atomic.Pointer[lookupSnapshot]
 
-	// epochs is the versioned program store (hitless mode). Its current
-	// pointer stays nil on DrainReconfig switches, which is how every hot
-	// path selects between the epoch-pinned and legacy execution with a
-	// single atomic load.
+	// epochs is the versioned program store: what every turn of every
+	// lane pins, and the only thing a reconfiguration publishes to.
 	epochs epochStore
+
+	// lanes recycles the lanes Forward, ForwardBatch and ProcessPacket
+	// run inline, so those stay allocation-free from any goroutine.
+	lanes sync.Pool
 
 	// edit is the open edit-script session, if any (guarded by s.mu).
 	edit *editSession
@@ -188,8 +184,9 @@ type Switch struct {
 	health *health.Health
 
 	// intOn is the configured INT state (guarded by s.mu); the hot path
-	// reads the derived atomic state instead: the stamping context lives
-	// in the dataplane core, the sink behind intSinkP.
+	// reads the derived state instead: the stamping context lives in the
+	// dataplane core, the sink in the program version published with it
+	// (intSinkP is the sink the next version will capture).
 	intOn    bool
 	intSinkP atomic.Pointer[intSink]
 	// intNow/intDepth override the stamper's clock and queue-depth
@@ -198,16 +195,19 @@ type Switch struct {
 	intDepth func(port int) int
 
 	// flows is the always-on flow accounting engine (nil only with
-	// Options.FlowDisable): per-lane flow tables riding the shard workers
-	// in sharded mode and the per-port runners in synchronous mode, plus
-	// the shared flow-record ring. Orthogonal to the program store, so
-	// flow state survives hitless edit commits and config applies.
+	// Options.FlowDisable): one single-writer flow table per lane — per
+	// shard in sharded mode, per ingress port otherwise — plus the shared
+	// flow-record ring. Orthogonal to the program store, so flow state
+	// survives edit commits and config applies.
 	flows *flowstat.Set
 
 	// shardsP is the sharded mode's published state (nil unless
 	// RunSharded is active): scrape-time aggregation, the INT queue-depth
 	// source and the in-flight audit all read it lock-free.
 	shardsP atomic.Pointer[shardSet]
+	// egress holds RunPipelined's egress lanes (written before they
+	// start; the stall-injection tests reach their gates through it).
+	egress []*lane
 
 	runWG   sync.WaitGroup
 	stopped atomic.Bool
@@ -264,6 +264,7 @@ func New(opts Options) (*Switch, error) {
 			RingSize:    opts.FlowRecordRing,
 		})
 	}
+	s.lanes.New = func() any { return s.newLane(0, s.pl.TM(), crossPass, DefaultBatch) }
 	s.newTelemetry(opts)
 	s.dp.SetHooks(telemetryHooks{s})
 	s.initHealth(opts)
@@ -341,44 +342,18 @@ func (st *selectorTable) memberCount() int {
 	return n
 }
 
-// tspSignature canonically describes a TSP's required content under cfg.
+// tspSignature canonically describes a TSP's required content under cfg:
+// the signatures of the stages it hosts, in execution order.
 func tspSignature(cfg *template.Config, tspIdx int) string {
-	var stages []string
-	for sn, idx := range cfg.TSPAssignment {
-		if idx == tspIdx {
-			stages = append(stages, sn)
-		}
-	}
-	// Execution order within a TSP follows the chain order.
-	rank := make(map[string]int)
-	for i, n := range cfg.IngressChain {
-		rank[n] = i
-	}
-	for i, n := range cfg.EgressChain {
-		rank[n] = len(cfg.IngressChain) + i
-	}
-	sort.Slice(stages, func(i, j int) bool { return rank[stages[i]] < rank[stages[j]] })
 	var parts []string
-	for _, sn := range stages {
-		st := cfg.Stages[sn]
-		sub := template.Config{
-			Stages:  map[string]*template.Stage{sn: st},
-			Actions: map[string]*template.Action{},
-			Tables:  map[string]*template.Table{},
-		}
-		for _, arm := range st.Arms {
-			sub.Actions[arm.Action] = cfg.Actions[arm.Action]
-		}
-		for _, tn := range st.Tables {
-			sub.Tables[tn] = cfg.Tables[tn]
-		}
-		b, _ := json.Marshal(&sub)
-		parts = append(parts, string(b))
+	for _, sn := range orderedStagesOf(cfg, tspIdx) {
+		parts = append(parts, stageSignature(cfg, sn, false))
 	}
 	return strings.Join(parts, "\x00")
 }
 
-// orderedStagesOf returns the stage names hosted by tspIdx in chain order.
+// orderedStagesOf returns the stage names hosted by tspIdx in chain order
+// (execution order within a TSP follows the chain order).
 func orderedStagesOf(cfg *template.Config, tspIdx int) []string {
 	var stages []string
 	for sn, idx := range cfg.TSPAssignment {
@@ -398,12 +373,11 @@ func orderedStagesOf(cfg *template.Config, tspIdx int) []string {
 }
 
 // ApplyConfig installs or patches a device configuration. On a patch, only
-// TSPs whose template content changed are rewritten, new tables are
-// created, vanished tables are recycled, existing table entries and
-// register contents are preserved, and tables whose TSP moved across
-// crossbar clusters are migrated. By default the change is published as a
-// new epoch of the versioned program store (hitless — see epoch.go); with
-// Options.DrainReconfig the legacy drain-and-swap below runs instead.
+// stages whose content changed are recompiled, new tables are created,
+// vanished tables are recycled, existing table entries and register
+// contents are preserved, and tables whose TSP moved across crossbar
+// clusters are migrated. The change is published as a new epoch of the
+// versioned program store (see epoch.go): traffic is never excluded.
 func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -411,200 +385,7 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked(cfg, start)
-}
-
-// applyLocked dispatches an already-validated configuration to the
-// hitless or drain-and-swap implementation. Callers hold s.mu (the edit
-// layer's commit reuses this entry point under its own lock hold).
-func (s *Switch) applyLocked(cfg *template.Config, start time.Time) (*ctrlplane.ApplyStats, error) {
-	if !s.opts.DrainReconfig {
-		return s.applyHitless(cfg, start)
-	}
-	var old *template.Config
-	if d := s.dp.Design(); d != nil {
-		old = d.Cfg
-	}
-	if old != nil && cfg.Patch != nil && s.opts.Crossbar == mem.FullCrossbar {
-		// rp4bc told us exactly what changed: write only that. (Clustered
-		// crossbars take the diffing path because a layout change may
-		// force cross-cluster table migrations the manifest doesn't
-		// describe.)
-		return s.applyPatch(cfg, start)
-	}
-	stats := &ctrlplane.ApplyStats{Full: old == nil}
-
-	// 1. Registers: additive, contents preserved.
-	if err := s.regs.Update(cfg.Registers); err != nil {
-		return nil, err
-	}
-
-	// 2. Tables: create new, drop removed, migrate moved.
-	tspOfTable := func(c *template.Config, name string) int {
-		for sn, st := range c.Stages {
-			for _, tn := range st.Tables {
-				if tn == name {
-					return c.TSPAssignment[sn]
-				}
-			}
-		}
-		return 0
-	}
-	for name, t := range cfg.Tables {
-		if _, ok := s.mm.Table(name); ok {
-			if old != nil {
-				oldTSP, newTSP := tspOfTable(old, name), tspOfTable(cfg, name)
-				if oldTSP != newTSP {
-					moved, err := s.mm.Migrate(name, newTSP)
-					if err != nil {
-						return nil, err
-					}
-					stats.EntriesMigrated += moved
-				}
-			}
-			continue
-		}
-		kind, err := match.ParseKind(t.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.mm.CreateTable(name, kind, t.KeyWidth, t.Size, tspOfTable(cfg, name)); err != nil {
-			return nil, err
-		}
-		stats.TablesCreated++
-		if t.IsSelector {
-			s.selectors[name] = newSelectorTable()
-		}
-	}
-	if old != nil {
-		for name := range old.Tables {
-			if _, stays := cfg.Tables[name]; !stays {
-				if err := s.mm.DropTable(name); err != nil {
-					return nil, err
-				}
-				delete(s.selectors, name)
-				stats.TablesDropped++
-			}
-		}
-	}
-
-	// 3. Build stage runtimes for the new config, lowering each stage
-	// template to its flat program (unless the interpreter was selected),
-	// with the INT stamping epilogue when INT is enabled on this switch.
-	runtimes, err := tsp.BuildStageRuntimesOpts(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
-	if err != nil {
-		return nil, err
-	}
-	for _, sr := range runtimes {
-		sr.Bind(s)
-	}
-
-	// 4. Drain the pipeline and patch TSP templates + selector. The audit
-	// event measures this critical section: TM occupancy going in, the
-	// exclusive-hold duration, and what the verdict counters did across it.
-	// BeginOp arms the health monitor's reconfiguration deadline: if the
-	// drain wedges (a reader stuck inside the pipeline), the switch is
-	// reported degraded instead of hanging silently.
-	kind := "apply_diff"
-	if stats.Full {
-		kind = "apply_full"
-	}
-	hash := configHash(cfg)
-	inFlight := s.tmDepthSum()
-	verdictsBefore := s.tel.verdictSnapshot()
-	opDone := s.health.BeginOp(kind, hash)
-	drainStart := time.Now()
-	err = s.pl.Update(func(sel *pipeline.Selector, tsps []*tsp.TSP) error {
-		tmIn, tmOut := -1, len(tsps)
-		for i := range tsps {
-			newSig := tspSignature(cfg, i)
-			oldSig := ""
-			if old != nil {
-				oldSig = tspSignature(old, i)
-			}
-			if newSig != oldSig {
-				var srs []*tsp.StageRuntime
-				for _, sn := range orderedStagesOf(cfg, i) {
-					srs = append(srs, runtimes[sn])
-				}
-				if len(srs) == 0 {
-					tsps[i].Unload()
-				} else {
-					tsps[i].Load(srs)
-				}
-				stats.TSPsWritten++
-			} else if old != nil {
-				// Unchanged content must still point at the new runtime
-				// objects (the old ones referenced the previous config).
-				var srs []*tsp.StageRuntime
-				for _, sn := range orderedStagesOf(cfg, i) {
-					srs = append(srs, runtimes[sn])
-				}
-				if len(srs) > 0 {
-					// Refresh without counting as a template write: the
-					// bits are identical, only our interpreter state moves.
-					tsps[i].Load(srs)
-				}
-			}
-			for _, sn := range orderedStagesOf(cfg, i) {
-				switch cfg.Stages[sn].Pipe {
-				case "ingress":
-					if i > tmIn {
-						tmIn = i
-					}
-				case "egress":
-					if i < tmOut {
-						tmOut = i
-					}
-				}
-			}
-		}
-		if sel.TMIn != tmIn || sel.TMOut != tmOut {
-			stats.SelectorMoved = true
-		}
-		sel.TMIn, sel.TMOut = tmIn, tmOut
-		return nil
-	})
-	drain := time.Since(drainStart)
-	opDone()
-	if err != nil {
-		return nil, err
-	}
-
-	// 5. Publish the new design snapshot (parser, SRv6 IDs, config) and
-	// the refreshed table-handle view; re-derive the INT sink's stage map
-	// for the new stage set.
-	s.rebuildLookups()
-	s.dp.Install(cfg, s.regs)
-	if s.intOn {
-		s.publishIntState(cfg)
-	}
-	stats.LoadNanos = int64(time.Since(start))
-	if stats.Full {
-		s.tel.appliesFull.Inc()
-	} else {
-		s.tel.appliesDiff.Inc()
-	}
-	s.tel.tspsWritten.Add(uint64(stats.TSPsWritten))
-	s.tel.migrated.Add(uint64(stats.EntriesMigrated))
-	s.tel.Events.Append(telemetry.Event{
-		Kind:          kind,
-		ConfigHash:    hash,
-		TSPsWritten:   stats.TSPsWritten,
-		TablesCreated: stats.TablesCreated,
-		TablesDropped: stats.TablesDropped,
-		DrainNanos:    int64(drain),
-		InFlight:      inFlight,
-		VerdictDeltas: s.tel.verdictDeltas(verdictsBefore),
-	})
-	s.log.Debug("configuration applied",
-		"kind", kind, "config_hash", hash,
-		"tsps_written", stats.TSPsWritten,
-		"tables_created", stats.TablesCreated,
-		"tables_dropped", stats.TablesDropped,
-		"entries_migrated", stats.EntriesMigrated,
-		"drain", drain, "in_flight", inFlight)
-	return stats, nil
+	return s.applyHitless(cfg, start)
 }
 
 // lookupSnapshot is an immutable name→handle view of the table store.

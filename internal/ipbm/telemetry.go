@@ -127,14 +127,6 @@ func (t *Telemetry) countDrop(lane int, v string, stage int32) (verdict.DropReas
 	return verdict.ReasonNone, -1
 }
 
-// countTxFail accounts n frames an egress port refused after their
-// "forwarded" verdict (corroborated by the port's own tx_drops counter).
-func (t *Telemetry) countTxFail(lane int, n uint64) {
-	if n > 0 {
-		t.dropTxFail.Cell(lane).Add(n)
-	}
-}
-
 // verdictSnapshot captures the per-verdict totals (audit-event baseline).
 func (t *Telemetry) verdictSnapshot() [verdict.NumVerdicts]uint64 {
 	var out [verdict.NumVerdicts]uint64
@@ -301,7 +293,7 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	}
 
 	// Program store: current epoch, versions awaiting quiescence and
-	// versions reclaimed. All zero in DrainReconfig mode (no store).
+	// versions reclaimed.
 	epoch, retired, reclaimed := s.EpochStats()
 	gauge("ipsa_epoch", float64(epoch))
 	gauge("ipsa_epoch_retired_versions", float64(retired))
@@ -353,17 +345,21 @@ func (s *Switch) admitFailed(lane, inPort int, data []byte) {
 	}
 }
 
-// txFailed accounts one frame the egress port refused after its
-// "forwarded" verdict, offering it to the capture ring. Call before the
-// packet is recycled.
-func (s *Switch) txFailed(p *pkt.Packet) {
-	s.tel.countTxFail(int(p.Lane), 1)
-	if s.tel.Drops.Offer() {
-		s.tel.Drops.Capture(verdict.ReasonTxFail, -1, p.InPort, p.OutPort, s.currentEpoch(), p.Data)
+// txFailed accounts frames the egress port outPort refused after their
+// "forwarded" verdict (corroborated by the port's own tx_drops counter),
+// on counter stripe lane, and offers each to the capture ring. The
+// packets are already recycled, so the records carry no ingress port.
+func (s *Switch) txFailed(lane, outPort int, frames [][]byte) {
+	s.tel.dropTxFail.Cell(lane).Add(uint64(len(frames)))
+	for _, data := range frames {
+		if s.tel.Drops.Offer() {
+			s.tel.Drops.Capture(verdict.ReasonTxFail, -1, -1, outPort, s.currentEpoch(), data)
+		}
 	}
 }
 
-// currentEpoch is the published program-store epoch (0 in drain mode).
+// currentEpoch is the published program-store epoch (0 before the first
+// configuration).
 func (s *Switch) currentEpoch() uint64 {
 	if v := s.epochs.current(); v != nil {
 		return v.epoch

@@ -1,8 +1,10 @@
 // Package pipeline implements IPSA's elastic pipeline (paper Sec. 2.3):
 // a chain of TSPs with a selector that picks which TSP feeds the traffic
 // manager (TM) and which resumes after it. Middle TSPs can belong to
-// ingress, egress, or be bypassed in low-power state. Updates drain the
-// pipeline through backpressure before templates are rewritten.
+// ingress, egress, or be bypassed in low-power state. The pipeline holds
+// the chain's bookkeeping — loaded templates, the selector, the packet
+// counters — and the TM; packets execute the program version they pinned
+// (internal/ipbm's epoch store), so a template rewrite never drains them.
 package pipeline
 
 import (
@@ -51,15 +53,11 @@ type Pipeline struct {
 	tsps []*tsp.TSP
 	tm   *TrafficManager
 
-	mu  sync.RWMutex // drain lock: packets share, updates exclude
+	mu  sync.Mutex // serialises Commit against Selector readers
 	sel Selector
 
 	processed [statLanes]statCell
 	dropped   [statLanes]statCell
-
-	// stallNanos accumulates time spent with the pipeline drained for
-	// updates — the data the near-zero-interruption claim is made of.
-	stallNanos atomic.Int64
 }
 
 // New builds a pipeline of n TSPs and a TM with the given port count and
@@ -91,8 +89,8 @@ func (p *Pipeline) TM() *TrafficManager { return p.tm }
 
 // Selector returns the current split.
 func (p *Pipeline) Selector() Selector {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.sel
 }
 
@@ -114,36 +112,14 @@ func (p *Pipeline) Stats() (processed, dropped uint64) {
 }
 
 // StallTime reports cumulative time the pipeline spent drained for
-// updates.
-func (p *Pipeline) StallTime() time.Duration {
-	return time.Duration(p.stallNanos.Load())
-}
+// updates. Nothing drains it any more — reconfiguration publishes a new
+// program version beside the running one — so this is structurally zero;
+// it stays because the device stats, the stall gauge and the benchmark
+// harness assert on exactly that.
+func (p *Pipeline) StallTime() time.Duration { return 0 }
 
-// Update drains the pipeline (exclusive lock = backpressure), then runs fn
-// to rewrite templates and the selector. The stall is timed.
-func (p *Pipeline) Update(fn func(sel *Selector, tsps []*tsp.TSP) error) error {
-	start := time.Now()
-	p.mu.Lock()
-	defer func() {
-		p.mu.Unlock()
-		p.stallNanos.Add(int64(time.Since(start)))
-	}()
-	sel := p.sel
-	if err := fn(&sel, p.tsps); err != nil {
-		return err
-	}
-	if sel.TMIn >= len(p.tsps) || sel.TMOut < 0 || sel.TMOut > len(p.tsps) || (sel.TMIn >= sel.TMOut) {
-		return fmt.Errorf("pipeline: selector %+v invalid for %d TSPs", sel, len(p.tsps))
-	}
-	p.sel = sel
-	return nil
-}
-
-// Commit runs fn to rewrite templates and the selector under the write
-// lock WITHOUT charging the held time to the stall counter. The hitless
-// (epoch-versioned) reconfiguration path uses it: packets on that path
-// never take the read side of the drain lock, so the write lock is
-// uncontended bookkeeping, not a drain.
+// Commit runs fn to rewrite templates and the selector under the lock and
+// validates the resulting split. No packet takes this lock.
 func (p *Pipeline) Commit(fn func(sel *Selector, tsps []*tsp.TSP) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -158,10 +134,9 @@ func (p *Pipeline) Commit(fn func(sel *Selector, tsps []*tsp.TSP) error) error {
 	return nil
 }
 
-// CountDropped charges one dropped packet to the given counter lane.
-// Executors that bypass RunIngress/RunEgress (the epoch-pinned paths)
-// still account through the pipeline so Stats stays the one source of
-// truth.
+// CountDropped charges one stage-dropped packet to the given counter
+// lane: the executors account through the pipeline so Stats stays the
+// one source of truth.
 func (p *Pipeline) CountDropped(lane int) {
 	p.dropped[lane&(statLanes-1)].n.Add(1)
 }
@@ -169,54 +144,6 @@ func (p *Pipeline) CountDropped(lane int) {
 // CountProcessed charges one processed packet to the given counter lane.
 func (p *Pipeline) CountProcessed(lane int) {
 	p.processed[lane&(statLanes-1)].n.Add(1)
-}
-
-// RunIngress pushes a packet through the ingress TSPs and into the TM. It
-// reports whether the packet survived to the TM.
-func (p *Pipeline) RunIngress(pk *pkt.Packet, parser *tsp.OnDemandParser, backend tsp.TableBackend, env *tsp.Env) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for i := 0; i <= p.sel.TMIn; i++ {
-		p.tsps[i].Process(pk, parser, backend, env)
-		if pk.Drop {
-			p.dropped[env.Lane&(statLanes-1)].n.Add(1)
-			return false
-		}
-	}
-	return true
-}
-
-// RunEgress pushes a packet through the egress TSPs. It reports whether
-// the packet survived.
-func (p *Pipeline) RunEgress(pk *pkt.Packet, parser *tsp.OnDemandParser, backend tsp.TableBackend, env *tsp.Env) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for i := p.sel.TMOut; i < len(p.tsps); i++ {
-		p.tsps[i].Process(pk, parser, backend, env)
-		if pk.Drop {
-			p.dropped[env.Lane&(statLanes-1)].n.Add(1)
-			return false
-		}
-	}
-	p.processed[env.Lane&(statLanes-1)].n.Add(1)
-	return true
-}
-
-// Process runs a packet through ingress, the TM (enqueue on the chosen
-// output port, immediate dequeue in this synchronous path), and egress.
-// It reports whether the packet survived to the output.
-func (p *Pipeline) Process(pk *pkt.Packet, parser *tsp.OnDemandParser, backend tsp.TableBackend, env *tsp.Env) bool {
-	if !p.RunIngress(pk, parser, backend, env) {
-		return false
-	}
-	// TM: a real chip buffers and schedules here; the synchronous path
-	// models an uncongested TM pass-through while still exercising the
-	// queue accounting.
-	if !p.tm.PassThrough(pk) {
-		p.dropped[env.Lane&(statLanes-1)].n.Add(1)
-		return false
-	}
-	return p.RunEgress(pk, parser, backend, env)
 }
 
 // pktRing is a growable circular packet queue: O(1) push/popHead with no

@@ -1,26 +1,11 @@
 package pipeline
 
 import (
-	"sync"
 	"testing"
-	"time"
 
-	"ipsa/internal/match"
 	"ipsa/internal/pkt"
 	"ipsa/internal/tsp"
 )
-
-type nopBackend struct{}
-
-func (nopBackend) Lookup(string, []byte) (match.Result, bool) { return match.Result{}, false }
-func (nopBackend) LookupSelector(string, []byte, uint64) (match.Result, bool) {
-	return match.Result{}, false
-}
-
-func env() *tsp.Env {
-	return &tsp.Env{Regs: tsp.NewRegisterFile(nil), Faults: &tsp.Faults{},
-		SRHID: pkt.InvalidHeader, IPv6ID: pkt.InvalidHeader}
-}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, 2, 8); err == nil {
@@ -43,14 +28,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestSelectorValidation(t *testing.T) {
 	p, _ := New(4, 2, 8)
-	err := p.Update(func(sel *Selector, _ []*tsp.TSP) error {
+	err := p.Commit(func(sel *Selector, _ []*tsp.TSP) error {
 		sel.TMIn, sel.TMOut = 2, 2 // overlap
 		return nil
 	})
 	if err == nil {
 		t.Error("overlapping selector accepted")
 	}
-	err = p.Update(func(sel *Selector, _ []*tsp.TSP) error {
+	err = p.Commit(func(sel *Selector, _ []*tsp.TSP) error {
 		sel.TMIn, sel.TMOut = 1, 3
 		return nil
 	})
@@ -60,28 +45,8 @@ func TestSelectorValidation(t *testing.T) {
 	if s := p.Selector(); s.TMIn != 1 || s.TMOut != 3 {
 		t.Errorf("selector: %+v", s)
 	}
-	if p.StallTime() <= 0 {
-		t.Error("update stall not recorded")
-	}
-}
-
-func TestProcessPassThrough(t *testing.T) {
-	p, _ := New(4, 2, 8)
-	_ = p.Update(func(sel *Selector, _ []*tsp.TSP) error {
-		sel.TMIn, sel.TMOut = 1, 2
-		return nil
-	})
-	pk := pkt.NewPacket([]byte{1, 2, 3}, 8)
-	ok := p.Process(pk, nil, nopBackend{}, env())
-	if !ok || pk.Drop {
-		t.Fatal("pass-through dropped")
-	}
-	processed, dropped := p.Stats()
-	if processed != 1 || dropped != 0 {
-		t.Errorf("stats: %d/%d", processed, dropped)
-	}
-	if p.ActiveTSPs() != 0 {
-		t.Errorf("active = %d", p.ActiveTSPs())
+	if p.StallTime() != 0 {
+		t.Error("a commit charged stall time")
 	}
 }
 
@@ -120,48 +85,4 @@ func TestTrafficManagerTailDrop(t *testing.T) {
 	if tm.Depth(99) != 0 {
 		t.Error("out-of-range depth nonzero")
 	}
-}
-
-func TestUpdateExcludesTraffic(t *testing.T) {
-	p, _ := New(2, 1, 8)
-	_ = p.Update(func(sel *Selector, _ []*tsp.TSP) error {
-		sel.TMIn, sel.TMOut = 0, 1
-		return nil
-	})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				pk := pkt.NewPacket([]byte{1}, 8)
-				p.Process(pk, nil, nopBackend{}, env())
-			}
-		}()
-	}
-	for i := 0; i < 50; i++ {
-		if err := p.Update(func(sel *Selector, _ []*tsp.TSP) error { return nil }); err != nil {
-			t.Error(err)
-		}
-	}
-	// Traffic keeps flowing between and after updates.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		processed, _ := p.Stats()
-		if processed > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Error("no packets processed around updates")
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -27,8 +27,8 @@ type DropRecord struct {
 	TSP     int `json:"tsp"`
 	InPort  int `json:"in_port"`
 	OutPort int `json:"out_port"`
-	// Epoch is the program-store epoch current at the drop (0 on
-	// drain-mode switches), tying the loss to the program version that
+	// Epoch is the program-store epoch current at the drop (0 on a
+	// device without one, pisa), tying the loss to the program version that
 	// caused it across hitless reconfigurations.
 	Epoch uint64 `json:"epoch,omitempty"`
 	Bytes int    `json:"bytes"`         // original frame length

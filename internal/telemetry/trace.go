@@ -30,7 +30,7 @@ type TraceRecord struct {
 	Bytes   int    `json:"bytes"`
 	Verdict string `json:"verdict"` // one of verdict.Strings
 	// Epoch is the program-store epoch the packet executed under (0 on
-	// drain-mode switches, which have no published store) — it ties a
+	// pisa, which has no program store) — it ties a
 	// sampled packet to the exact program version that handled it across
 	// hitless reconfigurations.
 	Epoch   uint64        `json:"epoch,omitempty"`

@@ -283,9 +283,12 @@ func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, b
 	n := len(ps)
 	// One-ahead prefetch, re-advised once per batch: a table whose probe
 	// array is currently cache-resident declines, and the batch skips the
-	// speculative key builds entirely.
+	// speculative key builds entirely. A batch of one (Forward) has no
+	// packet ahead, so it does not ask.
 	pf := sr.pfTable
-	if pf != nil {
+	if n < 2 {
+		pf = nil
+	} else if pf != nil {
 		if adv, ok := pf.(PrefetchAdvisor); ok && !adv.PrefetchUseful() {
 			pf = nil
 		}

@@ -76,44 +76,13 @@ func (t *TSP) StageNames() []string {
 	return out
 }
 
-// Process runs the hosted stages on a packet. Bypassed TSPs pass packets
-// through untouched.
-func (t *TSP) Process(p *pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
-	t.ProcessWith(*t.stages.Load(), p, parser, backend, env)
-}
-
-// ProcessWith runs an explicit stage list on a packet instead of the
-// currently loaded one. The epoch-versioned program store uses it to
-// execute the stage set a packet was pinned to at ingress, regardless of
-// what has been downloaded into the TSP since; latency sampling still
-// lands on this TSP's histogram.
-func (t *TSP) ProcessWith(stages []*StageRuntime, p *pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
-	if len(stages) == 0 {
-		return
-	}
-	env.TSPIndex = t.index
-	var t0 time.Time
-	timed := env.Timed && t.lat != nil
-	if timed {
-		t0 = time.Now()
-	}
-	for _, s := range stages {
-		if p.Drop {
-			break
-		}
-		s.Execute(p, parser, backend, env)
-	}
-	if timed {
-		t.lat.ObserveNanos(int64(time.Since(t0)))
-	}
-}
-
-// ProcessBatchWith runs an explicit stage list over a whole batch,
-// stage-major: every live packet passes through one stage before any
-// packet advances to the next, so per-stage closures, key plans and match
-// tables stay cache-hot across the batch. Per-packet semantics (including
-// drop short-circuiting — a packet dropped by stage k is skipped by stage
-// k+1) match a ProcessWith per packet. Latency sampling is per batch: the
+// ProcessBatchWith runs an explicit stage list over a whole batch — the
+// stage set of the program version the batch pinned, regardless of what
+// has been downloaded into the TSP since — stage-major: every live packet
+// passes through one stage before any packet advances to the next, so
+// per-stage closures, key plans and match tables stay cache-hot across
+// the batch. A packet dropped by stage k is skipped by stage k+1.
+// Latency sampling lands on this TSP's histogram and is per batch: the
 // whole stage sweep is timed once and the mean per live packet is
 // observed for each Timed packet, since per-packet boundaries do not
 // exist in stage-major order.

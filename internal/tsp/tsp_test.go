@@ -233,7 +233,7 @@ func TestTSPLoadUnload(t *testing.T) {
 	op := NewOnDemandParser(cfg)
 	env := &Env{Regs: NewRegisterFile(nil), Faults: &Faults{}, SRHID: pkt.InvalidHeader, IPv6ID: pkt.InvalidHeader}
 	p := pkt.NewPacket([]byte{0xBB, 0x00}, cfg.MetaBytes)
-	tp.Process(p, op, be, env)
+	tp.ProcessBatchWith(tp.Stages(), []*pkt.Packet{p}, op, be, env)
 	pkts, _, _ := sr.Stats()
 	if pkts != 1 {
 		t.Errorf("second stage ran on dropped packet: %d executions", pkts)
