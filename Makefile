@@ -25,9 +25,10 @@ race:
 # Race soak over the packet path, every test of every package on it, twice:
 # the lane lifecycle and its three drivers (driver parity, conservation
 # across Shutdown), the lock-free lookup snapshot and pools, the traffic
-# manager, the ring ports' port-to-lane hand-off, the single-writer flow
-# lanes with racing readers and clash evictions, and the loss-forensics
-# ledger with every drop reason firing at once under a hitless edit storm.
+# manager, the ring ports' port-to-lane hand-off, the flow tables' hold
+# with two writers on one lane, racing readers and clash evictions, and
+# the loss-forensics ledger with every drop reason firing at once under a
+# hitless edit storm.
 soak:
 	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/ ./internal/flowstat/ ./internal/telemetry/
 

@@ -1,33 +1,35 @@
 // Package flowstat is the switch's always-on flow accounting engine:
 // fixed-size, power-of-two open-addressing flow tables keyed by the RSS
 // flow hash, one table per lane (a shard worker in sharded mode, an
-// ingress port in the synchronous runners), accumulating per-flow
+// ingress port in the other runners), accumulating per-flow
 // packets/bytes/last-verdict and sampled per-flow latency.
 //
-// The concurrency discipline mirrors the striped verdict counters: every
-// lane has exactly one writer on the supported hot paths, so per-packet
-// updates are plain atomic load/store/add with no locks and no shared
-// cache lines between lanes. All entry fields are individually atomic so
-// concurrent readers (dumps, scrapes) and the rare multi-writer lane
-// (the pipelined runner funnels everything through lane 0) stay
-// race-free; under multi-writer contention the cost is a bounded
-// miscount on an evicting slot, never corruption. Eviction itself is
-// made exclusive by parking the slot key on a busy sentinel with a CAS.
+// The concurrency discipline is owner-plain slots under a per-table hold:
+// every field of a Table — slots, counters, sketch, top-k, pending
+// records — is plain memory guarded by the one mutex Hold takes. A lane
+// holds its table once around a turn's touches and once around its
+// finishes, never across stage execution, so a batch pays two lock
+// round trips and the per-packet path executes no atomic operation: a
+// resident packet is a probe and five plain stores, an eviction a struct
+// copy. Readers (dumps, scrapes) take the same hold, a bounded chunk of
+// slots at a time, so any number of writers and readers on one table
+// count exactly. Touch and Finish may also be called bare by a caller
+// that is the table's only user. Lock order is table, then the set's
+// ring; two table holds are never nested.
 //
-// Evicted and flushed flows are emitted as compact flow records into the
-// set's shared ring, and — the part that makes heavy hitters survive
-// table evictions — their exact counts are folded into a per-lane
-// count-min sketch and a space-saving top-k at eviction time. The hot
-// path never touches the sketch: its cost is one probe sequence and a
-// handful of atomic stores per packet.
+// Evicted and flushed flows are emitted as compact flow records: into
+// the table's pending array first, moved to the set's shared ring under
+// one ring lock when the hold is released or the array fills. What makes
+// heavy hitters survive table evictions is that their exact counts are
+// folded into a per-lane count-min sketch and a space-saving top-k at
+// eviction time.
 //
 // Flow state lives beside the program store, not inside it, so it
 // survives hitless edit commits and config applies by construction.
 package flowstat
 
 import (
-	"encoding/binary"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"ipsa/internal/pkt"
@@ -89,58 +91,53 @@ const probeWindow = 8
 // per packet).
 const sweepEvery = 256
 
-// busyKey parks a slot while an evictor snapshots and clears it; probes
-// treat it as occupied-non-matching.
-const busyKey = ^uint64(0)
+// pendMax is how many evicted records a table buffers before it must
+// take the ring lock mid-hold: a 64-frame turn of clash evictions fits.
+const pendMax = 64
 
-// entry is one flow slot. Every field is individually atomic: the lane
-// owner is the only writer on supported paths (so stores are cheap), and
-// readers — dumps, scrapes, the sweeper — take torn-free snapshots
-// without locks. 13 words per slot.
-type entry struct {
-	key     atomic.Uint64 // RSS flow hash; 0 = free, busyKey = mid-evict
-	pkts    atomic.Uint64
-	bytes   atomic.Uint64
-	first   atomic.Int64 // package-clock nanos at claim
-	last    atomic.Int64 // package-clock nanos at last touch
-	latSum  atomic.Int64 // sum of sampled pipeline latencies
-	latN    atomic.Uint64
-	verdict atomic.Uint32 // last Verdict observed at finish
-	// Five-tuple, extracted once at claim time from the pristine frame:
-	// src/dst as 16-byte (v4-mapped) words plus a packed meta word.
-	src0, src1 atomic.Uint64
-	dst0, dst1 atomic.Uint64
-	tup        atomic.Uint64 // tupValid | proto<<32 | sport<<16 | dport
-}
+// scanChunk bounds the slots a reader examines per hold.
+const scanChunk = 1024
 
-const tupValid = uint64(1) << 63
-
-func packTuple(f pkt.FiveTuple) (tup, s0, s1, d0, d1 uint64) {
-	sa, da := f.Src.As16(), f.Dst.As16()
-	s0 = binary.BigEndian.Uint64(sa[0:8])
-	s1 = binary.BigEndian.Uint64(sa[8:16])
-	d0 = binary.BigEndian.Uint64(da[0:8])
-	d1 = binary.BigEndian.Uint64(da[8:16])
-	tup = tupValid | uint64(f.Proto)<<32 | uint64(f.SrcPort)<<16 | uint64(f.DstPort)
-	return
-}
-
-// Table is one lane's flow table. All per-packet methods are zero-alloc.
+// Table is one lane's flow table. Every field is guarded by the hold.
+// All per-packet methods are zero-alloc.
 type Table struct {
-	set     *Set
-	lane    int
-	mask    uint64
-	entries []entry
+	mu    sync.Mutex // the hold
+	set   *Set
+	lane  int32
+	mask  uint64
+	slots []rawRec
 
-	live       atomic.Int64
-	created    atomic.Uint64
-	evictIdle  atomic.Uint64
-	evictClash atomic.Uint64
-	touches    atomic.Uint64 // sweep trigger
-	hand       atomic.Uint64 // incremental sweep clock hand
+	live       int64
+	created    uint64
+	evictIdle  uint64
+	evictClash uint64
+	touches    uint64 // sweep trigger
+	hand       uint64 // incremental sweep clock hand
 
 	sketch *CountMin
 	topk   *TopK
+
+	// pend holds the records evicted since the last drain, in order.
+	pend  [pendMax]rawRec
+	npend int
+}
+
+// Hold takes the table for a run of Touch or Finish calls (or a read).
+// Do no other work under it, and hold no second table.
+func (t *Table) Hold() { t.mu.Lock() }
+
+// Release moves the records evicted under the hold to the ring, then
+// gives the table up.
+func (t *Table) Release() {
+	t.drain()
+	t.mu.Unlock()
+}
+
+func (t *Table) drain() {
+	if t.npend > 0 {
+		t.set.push(t.pend[:t.npend])
+		t.npend = 0
+	}
 }
 
 // Touch accounts one received packet against the flow identified by
@@ -152,183 +149,141 @@ func (t *Table) Touch(hash uint64, data []byte, size int, now int64) {
 		hash = 1 // 0 means "free slot"
 	}
 	e := t.slot(hash, data, now)
-	e.pkts.Add(1)
-	e.bytes.Add(uint64(size))
-	e.last.Store(now)
-	if t.touches.Add(1)&(sweepEvery-1) == 0 {
+	e.pkts++
+	e.bytes += uint64(size)
+	e.last = now
+	if t.touches++; t.touches&(sweepEvery-1) == 0 {
 		t.sweep(now)
 	}
 }
 
 // Finish records the final verdict (and, when sampled, the pipeline
 // latency) on the flow's entry. A miss — the entry was evicted while the
-// packet sat in the traffic manager — is a silent no-op: the packet was
-// already counted at Touch, so conservation holds regardless.
+// packet was in flight — is a silent no-op: the packet was already
+// counted at Touch, so conservation holds regardless.
 func (t *Table) Finish(hash uint64, v Verdict, latNanos int64, now int64) {
 	if hash == 0 {
 		hash = 1
 	}
 	for i := uint64(0); i < probeWindow; i++ {
-		e := &t.entries[(hash+i)&t.mask]
-		if e.key.Load() != hash {
+		e := &t.slots[(hash+i)&t.mask]
+		if e.hash != hash {
 			continue
 		}
-		e.verdict.Store(uint32(v))
+		e.verdict = uint8(v)
 		if latNanos >= 0 {
-			e.latSum.Add(latNanos)
-			e.latN.Add(1)
+			e.latSum += latNanos
+			e.latN++
 		}
-		e.last.Store(now)
+		e.last = now
 		return
 	}
 }
 
 // slot finds or claims the entry for hash within the probe window,
-// displacing the window's smallest flow when it is full.
-func (t *Table) slot(hash uint64, data []byte, now int64) *entry {
-	for i := uint64(0); i < probeWindow; i++ {
-		e := &t.entries[(hash+i)&t.mask]
-		k := e.key.Load()
-		if k == hash {
-			return e
-		}
-		if k == 0 {
-			if e.key.CompareAndSwap(0, hash) {
-				t.fill(e, data, now)
-				return e
-			}
-			if e.key.Load() == hash { // lost the race to ourselves-by-hash
-				return e
-			}
-		}
-	}
-	// Window full: evict the smallest flow in the window and take its
-	// slot. Emitting feeds the sketch and top-k, so the displaced flow's
-	// mass is not lost.
-	var victim *entry
+// displacing the window's smallest flow when it is full. Emitting feeds
+// the sketch and top-k, so the displaced flow's mass is not lost.
+func (t *Table) slot(hash uint64, data []byte, now int64) *rawRec {
+	var victim *rawRec
 	vmin := ^uint64(0)
 	for i := uint64(0); i < probeWindow; i++ {
-		e := &t.entries[(hash+i)&t.mask]
-		if e.key.Load() == hash { // appeared meanwhile (multi-writer lane)
+		e := &t.slots[(hash+i)&t.mask]
+		switch {
+		case e.hash == hash:
 			return e
-		}
-		if p := e.pkts.Load(); p < vmin {
-			vmin, victim = p, e
+		case e.hash == 0:
+			t.fill(e, hash, data, now)
+			return e
+		case e.pkts < vmin:
+			vmin, victim = e.pkts, e
 		}
 	}
-	t.emit(victim, EvictClash, now)
-	if victim.key.CompareAndSwap(0, hash) {
-		t.fill(victim, data, now)
-		return victim
-	}
-	// A concurrent writer re-claimed the slot first (pipelined lane
-	// only): account against whatever lives there rather than spinning —
-	// a bounded miscount, and impossible on single-writer lanes.
+	t.emit(victim, EvictClash)
+	t.fill(victim, hash, data, now)
 	return victim
 }
 
-// fill initializes a freshly claimed slot (key already set by the CAS).
-func (t *Table) fill(e *entry, data []byte, now int64) {
-	e.pkts.Store(0)
-	e.bytes.Store(0)
-	e.latSum.Store(0)
-	e.latN.Store(0)
-	e.verdict.Store(uint32(VerdictNone))
-	e.first.Store(now)
-	e.last.Store(now)
-	var tup, s0, s1, d0, d1 uint64
+// fill initializes a free slot for a newly seen flow.
+func (t *Table) fill(e *rawRec, hash uint64, data []byte, now int64) {
+	*e = rawRec{hash: hash, first: now, last: now, lane: t.lane}
 	if f, ok := pkt.ExtractFiveTuple(data); ok {
-		tup, s0, s1, d0, d1 = packTuple(f)
+		e.tuple = tuple{f.Src.As16(), f.Dst.As16(), f.SrcPort, f.DstPort, f.Proto, true}
 	}
-	e.src0.Store(s0)
-	e.src1.Store(s1)
-	e.dst0.Store(d0)
-	e.dst1.Store(d1)
-	e.tup.Store(tup)
-	t.created.Add(1)
-	t.live.Add(1)
+	t.created++
+	t.live++
 }
 
-// emit retires an entry: snapshot, free the slot, push a flow record and
-// fold the exact count into the sketch and top-k. The CAS to busyKey
-// makes retirement exclusive even on a multi-writer lane.
-func (t *Table) emit(e *entry, reason uint8, now int64) {
-	k := e.key.Load()
-	if k == 0 || k == busyKey {
-		return
+// emit retires a live entry: copy it to the pending array as a flow
+// record, free the slot, and fold the exact count into the sketch and
+// top-k.
+func (t *Table) emit(e *rawRec, reason uint8) {
+	if t.npend == pendMax {
+		t.drain()
 	}
-	if !e.key.CompareAndSwap(k, busyKey) {
-		return // another evictor won
-	}
-	var r rawRec
-	r.hash = k
-	r.pkts = e.pkts.Load()
-	r.bytes = e.bytes.Load()
-	r.first = e.first.Load()
-	r.last = e.last.Load()
-	r.latSum = e.latSum.Load()
-	r.latN = e.latN.Load()
-	r.verdict = uint8(e.verdict.Load())
-	tup := e.tup.Load()
-	if tup&tupValid != 0 {
-		r.tupOK = true
-		binary.BigEndian.PutUint64(r.src[0:8], e.src0.Load())
-		binary.BigEndian.PutUint64(r.src[8:16], e.src1.Load())
-		binary.BigEndian.PutUint64(r.dst[0:8], e.dst0.Load())
-		binary.BigEndian.PutUint64(r.dst[8:16], e.dst1.Load())
-		r.proto = uint8(tup >> 32)
-		r.sport = uint16(tup >> 16)
-		r.dport = uint16(tup)
-	}
-	r.lane = int32(t.lane)
+	r := &t.pend[t.npend]
+	t.npend++
+	*r = *e
 	r.reason = reason
-	e.pkts.Store(0)
-	e.key.Store(0) // slot free again
-	t.live.Add(-1)
-	if r.pkts == 0 {
-		return // claimed but never counted; nothing to record
-	}
+	e.hash = 0 // slot free again
+	t.live--
 	switch reason {
 	case EvictIdle:
-		t.evictIdle.Add(1)
+		t.evictIdle++
 	case EvictClash:
-		t.evictClash.Add(1)
+		t.evictClash++
 	}
-	t.set.push(&r)
-	t.sketch.Add(k, r.pkts)
-	t.topk.Offer(&r)
+	t.sketch.Add(r.hash, r.pkts)
+	t.topk.Offer(r)
 }
 
 // sweep advances the clock hand over SweepChunk slots, retiring entries
-// idle past the configured bound. Runs inline on the lane owner, so it
-// never races the writer it is sweeping for.
+// idle past the configured bound. Runs inline in Touch, under its hold.
 func (t *Table) sweep(now int64) {
 	idle := t.set.cfg.IdleNanos
 	n := uint64(t.set.cfg.SweepChunk)
-	h := t.hand.Load()
 	for i := uint64(0); i < n; i++ {
-		e := &t.entries[(h+i)&t.mask]
-		if e.key.Load() == 0 {
-			continue
-		}
-		if now-e.last.Load() >= idle {
-			t.emit(e, EvictIdle, now)
+		e := &t.slots[(t.hand+i)&t.mask]
+		if e.hash != 0 && now-e.last >= idle {
+			t.emit(e, EvictIdle)
 		}
 	}
-	t.hand.Store(h + n)
+	t.hand += n
 }
 
-// Flush retires every live entry (reason "flush"). Called at shutdown
-// after the lane's worker has exited, it makes flow accounting exactly
-// conserving: every packet the lane counted is now in an emitted record.
-func (t *Table) Flush(now int64) {
-	for i := range t.entries {
-		t.emit(&t.entries[i], EvictFlush, now)
+// Flush retires every live entry (reason "flush"), taking the hold
+// itself. Once the lane's writers have stopped, it makes flow accounting
+// exactly conserving: every packet the lane counted is in an emitted
+// record. A record keeps its flow's own last-seen time, not the flush's.
+func (t *Table) Flush(int64) {
+	t.scan(func(e *rawRec) { t.emit(e, EvictFlush) })
+}
+
+// scan calls visit for every live slot, under the hold, scanChunk slots
+// per hold so that reading a big table never stalls its lane for longer
+// than one chunk. visit must be cheap; if it panics the hold is still
+// given up, so a recovered reader cannot wedge the lane.
+func (t *Table) scan(visit func(e *rawRec)) {
+	for lo := 0; lo < len(t.slots); lo += scanChunk {
+		t.scanFrom(lo, visit)
+	}
+}
+
+func (t *Table) scanFrom(lo int, visit func(e *rawRec)) {
+	t.Hold()
+	defer t.Release()
+	for i := lo; i < min(lo+scanChunk, len(t.slots)); i++ {
+		if e := &t.slots[i]; e.hash != 0 {
+			visit(e)
+		}
 	}
 }
 
 // Live returns the lane's live flow count.
-func (t *Table) Live() int64 { return t.live.Load() }
+func (t *Table) Live() int64 {
+	t.Hold()
+	defer t.Release()
+	return t.live
+}
 
 // EstimateEvicted returns the count-min estimate of the packet mass this
 // lane has evicted for hash (an overestimate: ≤ true + εN with
@@ -337,5 +292,7 @@ func (t *Table) EstimateEvicted(hash uint64) uint64 {
 	if hash == 0 {
 		hash = 1
 	}
+	t.Hold()
+	defer t.Release()
 	return t.sketch.Estimate(hash)
 }

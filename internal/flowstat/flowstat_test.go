@@ -3,12 +3,18 @@ package flowstat
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"ipsa/internal/pkt"
+	"ipsa/internal/telemetry"
 )
 
 func v4Frame(t testing.TB, srcPort uint16) []byte {
@@ -244,6 +250,28 @@ func TestZeroAllocHotPath(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("hot path allocates: %.2f allocs/op", avg)
 	}
+
+	// The evicting path: 8 slots and 200 flows cycled bare, so every packet
+	// displaces a flow and, with no hold ever released, the pending array
+	// fills and drains to the ring mid-run — three times a run.
+	ev := NewSet(1, Config{TableBits: 3})
+	etab := ev.Lane(0)
+	const flows = 200
+	round := func() {
+		for f := uint64(1); f <= flows; f++ {
+			etab.Touch(f*0x9e3779b97f4a7c15, data, len(data), 1)
+			etab.Finish(f*0x9e3779b97f4a7c15, VerdictForwarded, 100, 1)
+		}
+	}
+	round()
+	before := ev.RecordCount()
+	if avg := testing.AllocsPerRun(10, round); avg != 0 {
+		t.Errorf("evicting path allocates: %.2f allocs per %d packets", avg, flows)
+	}
+	// AllocsPerRun makes runs+1 calls.
+	if n := ev.RecordCount() - before; n < 11*2*pendMax {
+		t.Errorf("%d records over 11 rounds: fewer than two pending flushes a round", n)
+	}
 }
 
 // TestNilSafety: a disabled Set (nil) is inert everywhere callers touch
@@ -318,9 +346,10 @@ func TestVerdictRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersRace exercises the lock-free discipline under the
-// race detector: one writer per lane (the supported discipline), with
-// dumps, heavy-hitter merges and record reads racing them.
+// TestConcurrentReadersRace exercises the hold discipline under the race
+// detector: one writer per lane, holding its table a batch at a time as
+// the switch's lanes do, with dumps, heavy-hitter merges and record
+// reads racing them.
 func TestConcurrentReadersRace(t *testing.T) {
 	s := NewSet(2, Config{TableBits: 3, IdleNanos: 10, TopK: 4})
 	frames := make([][]byte, 97)
@@ -335,10 +364,14 @@ func TestConcurrentReadersRace(t *testing.T) {
 		go func(lane int) {
 			defer writers.Done()
 			tab := s.Lane(lane)
-			for i := 0; i < 5000; i++ {
-				f := i % len(frames)
-				tab.Touch(hashes[f], frames[f], len(frames[f]), int64(i))
-				tab.Finish(hashes[f], VerdictForwarded, int64(i%50), int64(i))
+			for b := 0; b < 5000; b += 16 {
+				tab.Hold()
+				for i := b; i < min(b+16, 5000); i++ {
+					f := i % len(frames)
+					tab.Touch(hashes[f], frames[f], len(frames[f]), int64(i))
+					tab.Finish(hashes[f], VerdictForwarded, int64(i%50), int64(i))
+				}
+				tab.Release()
 			}
 		}(lane)
 	}
@@ -368,4 +401,201 @@ func TestConcurrentReadersRace(t *testing.T) {
 	if got := s.RecordPackets(); got != 2*5000 {
 		t.Fatalf("record packets = %d, want %d", got, 2*5000)
 	}
+}
+
+// TestSharedLaneConservation: two writers on one lane — what an inline
+// Forward on a port a shard also serves amounts to — each holding the
+// table a batch at a time, with every reader racing them. On a table this
+// small almost every packet evicts, and the count must still be exact.
+func TestSharedLaneConservation(t *testing.T) {
+	s := NewSet(1, Config{TableBits: 3, IdleNanos: 10, TopK: 4})
+	frames := make([][]byte, 97)
+	hashes := make([]uint64, 97)
+	for i := range frames {
+		frames[i] = v4Frame(t, uint16(i))
+		hashes[i] = pkt.RSSHash(frames[i])
+	}
+	const batches, batch = 400, 16
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			tab := s.Lane(0)
+			for b := 0; b < batches; b++ {
+				tab.Hold()
+				for i := 0; i < batch; i++ {
+					f := (w*31 + b*batch + i) % len(frames)
+					tab.Touch(hashes[f], frames[f], len(frames[f]), int64(b))
+					tab.Finish(hashes[f], VerdictForwarded, int64(i), int64(b))
+				}
+				tab.Release()
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Dump(10)
+			s.HeavyHitters(5)
+			s.Records(10)
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	s.FlushAll()
+	if got := s.RecordPackets(); got != 2*batches*batch {
+		t.Fatalf("record packets = %d, want %d", got, 2*batches*batch)
+	}
+}
+
+// TestDumpMaxBounded: Dump(max) selects the top max slots before it
+// renders anything, so its cost in memory is max records however many
+// flows are live — and they are the records the unbounded path ranks
+// first.
+func TestDumpMaxBounded(t *testing.T) {
+	s := NewSet(1, Config{TableBits: 16})
+	tab := s.Lane(0)
+	data := v4Frame(t, 1)
+	rng := rand.New(rand.NewSource(1))
+	for f := 0; f < 40000; f++ {
+		h := rng.Uint64() | 1
+		for i := rng.Intn(3) + 1; i > 0; i-- {
+			tab.Touch(h, data, len(data), 7)
+		}
+	}
+	strip := func(recs []Record) []Record {
+		for i := range recs {
+			recs[i].AgeNanos = 0 // relative to each dump's own clock read
+		}
+		return recs
+	}
+	all := strip(s.Dump(0))
+	if len(all) < 30000 {
+		t.Fatalf("only %d live flows", len(all))
+	}
+	// A negative max is "all", as it always was: /flows?max=-1 reaches here.
+	if neg := strip(s.Dump(-1)); !reflect.DeepEqual(neg, all) {
+		t.Errorf("Dump(-1) returned %d records, want all %d", len(neg), len(all))
+	}
+	if got := strip(s.Dump(5)); !reflect.DeepEqual(got, all[:5]) {
+		t.Errorf("Dump(5) = %+v\nwant the head of Dump(0) = %+v", got, all[:5])
+	}
+	var m0, m1 runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, func() { s.Dump(5) })
+	runtime.ReadMemStats(&m1)
+	// AllocsPerRun makes runs+1 calls.
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1); per >= 64<<10 || allocs > 100 {
+		t.Errorf("Dump(5) over %d live flows allocates %d bytes in %.0f allocations, want < 64 KB", len(all), per, allocs)
+	}
+}
+
+// TestScanPanicReleasesHold: a reader that panics mid-scan (net/http
+// recovers handlers) must not leave the table held against its lane.
+func TestScanPanicReleasesHold(t *testing.T) {
+	s := NewSet(1, Config{TableBits: 4})
+	tab := s.Lane(0)
+	tab.Touch(42, nil, 64, 0)
+	func() {
+		defer func() { _ = recover() }()
+		tab.scan(func(*rawRec) { panic("reader bug") })
+	}()
+	done := make(chan int64, 1)
+	go func() { done <- tab.Live() }()
+	select {
+	case n := <-done:
+		if n != 1 {
+			t.Errorf("live = %d, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("table still held after a recovered scan panic")
+	}
+}
+
+// TestModelDifferential drives one table with a seeded skewed trace and
+// holds it, every 10 000 packets, to a map-based model: nothing is lost
+// or invented whichever of clash, idle sweep or flush retires a flow.
+func TestModelDifferential(t *testing.T) {
+	const flows, packets, check = 4096, 200_000, 10_000
+	s := NewSet(1, Config{TableBits: 8, IdleNanos: 3000, RingSize: 2 * check})
+	tab := s.Lane(0)
+	data := v4Frame(t, 1)
+	rng := rand.New(rand.NewSource(42))
+	zipf := rand.NewZipf(rng, 1.1, 8, flows-1)
+	metric := func(reason string) (v uint64) {
+		s.Collect(func(p telemetry.MetricPoint) {
+			if p.Name == "ipsa_flow_evictions_total" && p.Labels[0].Value == reason {
+				v = uint64(p.Value)
+			}
+		})
+		return v
+	}
+	// model counts every packet per flow; evicted, recPkts, byReason and seq
+	// accumulate the record stream, read a checkpoint at a time (the ring
+	// holds more than one checkpoint can emit).
+	model, evicted := map[uint64]uint64{}, map[uint64]uint64{}
+	byReason := map[string]uint64{}
+	var recPkts, seq uint64
+	for n := 1; n <= packets; n++ {
+		h := splitmix64(zipf.Uint64()) | 1
+		model[h]++
+		tab.Touch(h, data, len(data), int64(n))
+		tab.Finish(h, VerdictForwarded, -1, int64(n))
+		if n%check != 0 {
+			continue
+		}
+		for _, r := range s.Records(0) {
+			if r.Seq <= seq {
+				continue // read at an earlier checkpoint
+			}
+			if r.Seq != seq+1 {
+				t.Fatalf("at %d: seq %d follows %d", n, r.Seq, seq)
+			}
+			seq = r.Seq
+			recPkts += r.Packets
+			byReason[r.Reason]++
+			evicted[hashOf(t, r.Hash)] += r.Packets
+		}
+		got := map[uint64]uint64{}
+		for h, c := range evicted {
+			got[h] = c
+		}
+		var livePkts uint64
+		for _, r := range s.Dump(0) {
+			livePkts += r.Packets
+			got[hashOf(t, r.Hash)] += r.Packets
+		}
+		if livePkts+recPkts != uint64(n) || recPkts != s.RecordPackets() || seq != s.RecordCount() {
+			t.Fatalf("at %d: live %d + records %d (counters: %d packets, %d records, last seq %d) != touched",
+				n, livePkts, recPkts, s.RecordPackets(), s.RecordCount(), seq)
+		}
+		if !reflect.DeepEqual(got, model) {
+			t.Fatalf("at %d: per-flow live+evicted counts diverge from the model", n)
+		}
+		for _, reason := range []string{"clash", "idle"} {
+			if m := metric(reason); m != byReason[reason] || m == 0 {
+				t.Fatalf("at %d: evictions_total{%s} = %d, records of that reason = %d (want equal, non-zero)", n, reason, m, byReason[reason])
+			}
+		}
+	}
+}
+
+func hashOf(t *testing.T, s string) uint64 {
+	t.Helper()
+	h, err := strconv.ParseUint(s, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

@@ -4,26 +4,35 @@ package flowstat
 // in the ring; the ring only sees real evictions and flushes).
 const reasonActive uint8 = 0xff
 
-// rawRec is the fixed-size internal flow record: what the eviction path
-// writes into the ring without allocating. Exported Records are rendered
-// from it at dump time, where allocation is fine.
-type rawRec struct {
-	seq      uint64
-	hash     uint64
-	pkts     uint64
-	bytes    uint64
-	first    int64
-	last     int64
-	latSum   int64
-	latN     uint64
+// tuple is a flow's five-tuple as extracted once at claim time from the
+// pristine frame: addresses as 16-byte (v4-mapped) words.
+type tuple struct {
 	src, dst [16]byte
 	sport    uint16
 	dport    uint16
-	lane     int32
 	proto    uint8
-	verdict  uint8
-	reason   uint8
 	tupOK    bool
+}
+
+// rawRec is the fixed-size internal flow record, and the flow table's
+// slot: a live flow already has its record's shape, so eviction is a
+// struct copy into the pending array and again into the ring, with
+// nothing allocated. Exported Records are rendered from it at dump time,
+// where allocation is fine. The fields a resident packet writes lead, on
+// one cache line. 112 bytes.
+type rawRec struct {
+	hash   uint64 // RSS flow hash; 0 = free slot
+	pkts   uint64
+	bytes  uint64
+	last   int64 // package-clock nanos at last touch or finish
+	first  int64 // package-clock nanos at claim
+	latSum int64 // sum of sampled pipeline latencies
+	latN   uint64
+	seq    uint64 // assigned when the record enters the ring
+	tuple
+	lane    int32
+	verdict uint8 // last Verdict observed at finish
+	reason  uint8
 }
 
 // Record is the exported flow record (IPFIX-lite): one completed — or,

@@ -67,15 +67,16 @@ type Set struct {
 	cfg   Config
 	lanes []atomic.Pointer[Table]
 
-	mu   sync.Mutex
-	recs []rawRec
-	pos  int
-	full bool
-	seq  uint64
-
-	records  atomic.Uint64
-	recPkts  atomic.Uint64
-	recBytes atomic.Uint64
+	// mu guards the ring and the conservation counters. It is taken last:
+	// under a table's hold or alone, never around one.
+	mu       sync.Mutex
+	recs     []rawRec
+	pos      int
+	full     bool
+	seq      uint64
+	records  uint64
+	recPkts  uint64
+	recBytes uint64
 }
 
 // NewSet builds a set with the given lane count (shard or port count,
@@ -103,12 +104,12 @@ func (s *Set) Lane(i int) *Table {
 	}
 	slots := uint64(1) << s.cfg.TableBits
 	t := &Table{
-		set:     s,
-		lane:    i,
-		mask:    slots - 1,
-		entries: make([]entry, slots),
-		sketch:  NewCountMin(s.cfg.SketchWidth, s.cfg.SketchDepth),
-		topk:    NewTopK(s.cfg.TopK),
+		set:    s,
+		lane:   int32(i),
+		mask:   slots - 1,
+		slots:  make([]rawRec, slots),
+		sketch: NewCountMin(s.cfg.SketchWidth, s.cfg.SketchDepth),
+		topk:   NewTopK(s.cfg.TopK),
 	}
 	if s.lanes[i].CompareAndSwap(nil, t) {
 		return t
@@ -124,68 +125,95 @@ func (s *Set) Peek(i int) *Table {
 	return s.lanes[i].Load()
 }
 
-// push appends a raw record to the shared ring and rolls the
-// conservation counters. Copies by value; zero allocations.
-func (s *Set) push(r *rawRec) {
-	s.records.Add(1)
-	s.recPkts.Add(r.pkts)
-	s.recBytes.Add(r.bytes)
-	s.mu.Lock()
-	s.seq++
-	r.seq = s.seq
-	s.recs[s.pos] = *r
-	s.pos++
-	if s.pos == len(s.recs) {
-		s.pos, s.full = 0, true
+// tables returns the lanes allocated so far.
+func (s *Set) tables() []*Table {
+	var ts []*Table
+	for i := range s.lanes {
+		if t := s.lanes[i].Load(); t != nil {
+			ts = append(ts, t)
+		}
 	}
+	return ts
+}
+
+// push appends a table's pending records to the shared ring, in order,
+// and rolls the conservation counters: one lock however many records.
+// Copies by value; zero allocations.
+func (s *Set) push(recs []rawRec) {
+	s.mu.Lock()
+	for i := range recs {
+		r := &recs[i]
+		s.seq++
+		r.seq = s.seq
+		s.recPkts += r.pkts
+		s.recBytes += r.bytes
+		s.recs[s.pos] = *r
+		if s.pos++; s.pos == len(s.recs) {
+			s.pos, s.full = 0, true
+		}
+	}
+	s.records += uint64(len(recs))
 	s.mu.Unlock()
 }
 
-// FlushAll retires every live flow on every lane (reason "flush"). Call
-// only after the lane writers have stopped; after it returns, the
-// conservation invariant is exact: RecordPackets() equals every packet
-// the lanes ever counted.
+// FlushAll retires every live flow on every lane (reason "flush"). Once
+// the lane writers have stopped, the conservation invariant is exact
+// after it returns: RecordPackets() equals every packet the lanes ever
+// counted.
 func (s *Set) FlushAll() {
 	if s == nil {
 		return
 	}
 	now := Now()
-	for i := range s.lanes {
-		if t := s.lanes[i].Load(); t != nil {
-			t.Flush(now)
-		}
+	for _, t := range s.tables() {
+		t.Flush(now)
 	}
 }
 
+// ring drains every table's pending records — a bare Touch or Flush
+// leaves them there — then runs read under the ring lock.
+func (s *Set) ring(read func()) {
+	for _, t := range s.tables() {
+		t.Hold()
+		t.Release()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	read()
+}
+
 // ActiveFlows sums live flows across lanes.
-func (s *Set) ActiveFlows() int64 {
-	var n int64
-	for i := range s.lanes {
-		if t := s.lanes[i].Load(); t != nil {
-			n += t.live.Load()
-		}
+func (s *Set) ActiveFlows() (n int64) {
+	for _, t := range s.tables() {
+		n += t.Live()
 	}
 	return n
 }
 
 // RecordPackets returns the total packet count carried by emitted flow
 // records — the conservation test's left-hand side.
-func (s *Set) RecordPackets() uint64 { return s.recPkts.Load() }
+func (s *Set) RecordPackets() (n uint64) {
+	s.ring(func() { n = s.recPkts })
+	return n
+}
 
 // RecordCount returns how many flow records have been emitted.
-func (s *Set) RecordCount() uint64 { return s.records.Load() }
+func (s *Set) RecordCount() (n uint64) {
+	s.ring(func() { n = s.records })
+	return n
+}
 
 // Records dumps up to max records from the ring, oldest first.
 func (s *Set) Records(max int) []Record {
-	s.mu.Lock()
 	var raw []rawRec
-	if s.full {
-		raw = append(raw, s.recs[s.pos:]...)
-		raw = append(raw, s.recs[:s.pos]...)
-	} else {
-		raw = append(raw, s.recs[:s.pos]...)
-	}
-	s.mu.Unlock()
+	s.ring(func() {
+		if s.full {
+			raw = append(raw, s.recs[s.pos:]...)
+			raw = append(raw, s.recs[:s.pos]...)
+		} else {
+			raw = append(raw, s.recs[:s.pos]...)
+		}
+	})
 	if max > 0 && len(raw) > max {
 		raw = raw[len(raw)-max:]
 	}
@@ -197,55 +225,69 @@ func (s *Set) Records(max int) []Record {
 	return out
 }
 
-// Dump snapshots the active flows across all lanes, largest first,
-// truncated to max (0 = all).
-func (s *Set) Dump(max int) []Record {
-	now := Now()
-	var out []Record
-	for li := range s.lanes {
-		t := s.lanes[li].Load()
-		if t == nil {
-			continue
-		}
-		for i := range t.entries {
-			e := &t.entries[i]
-			k := e.key.Load()
-			if k == 0 || k == busyKey {
-				continue
-			}
-			var r rawRec
-			r.hash = k
-			r.pkts = e.pkts.Load()
-			if r.pkts == 0 {
-				continue
-			}
-			r.bytes = e.bytes.Load()
-			r.first = e.first.Load()
-			r.last = e.last.Load()
-			r.latSum = e.latSum.Load()
-			r.latN = e.latN.Load()
-			r.verdict = uint8(e.verdict.Load())
-			if tup := e.tup.Load(); tup&tupValid != 0 {
-				r.tupOK = true
-				putBE(r.src[:], e.src0.Load(), e.src1.Load())
-				putBE(r.dst[:], e.dst0.Load(), e.dst1.Load())
-				r.proto = uint8(tup >> 32)
-				r.sport = uint16(tup >> 16)
-				r.dport = uint16(tup)
-			}
-			r.lane = int32(li)
-			r.reason = reasonActive
-			out = append(out, r.export(now))
-		}
+// topRecs keeps the max largest-first records of those offered, all of
+// them when max is <= 0: a min-heap on dump order once it is full, so
+// selecting from n live slots costs max records, not n.
+type topRecs struct {
+	max  int
+	recs []rawRec
+}
+
+// before reports whether a precedes b in a dump: more packets first,
+// the lower hash on a tie.
+func before(a, b *rawRec) bool {
+	if a.pkts != b.pkts {
+		return a.pkts > b.pkts
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Packets != out[j].Packets {
-			return out[i].Packets > out[j].Packets
+	return a.hash < b.hash
+}
+
+func (s *topRecs) offer(e *rawRec) {
+	switch {
+	case s.max <= 0 || len(s.recs) < s.max:
+		s.recs = append(s.recs, *e)
+		if len(s.recs) == s.max {
+			for i := s.max/2 - 1; i >= 0; i-- {
+				s.down(i)
+			}
 		}
-		return out[i].Hash < out[j].Hash
-	})
-	if max > 0 && len(out) > max {
-		out = out[:max]
+	case before(e, &s.recs[0]):
+		s.recs[0] = *e
+		s.down(0)
+	}
+}
+
+// down restores the heap (root = last in dump order) below index i.
+func (s *topRecs) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(s.recs) {
+			return
+		}
+		if c+1 < len(s.recs) && before(&s.recs[c], &s.recs[c+1]) {
+			c++
+		}
+		if !before(&s.recs[i], &s.recs[c]) {
+			return
+		}
+		s.recs[i], s.recs[c] = s.recs[c], s.recs[i]
+		i = c
+	}
+}
+
+// Dump snapshots the active flows across all lanes, largest first,
+// truncated to max (<= 0 = all). Only the survivors are rendered.
+func (s *Set) Dump(max int) []Record {
+	sel := topRecs{max: max}
+	for _, t := range s.tables() {
+		t.scan(sel.offer)
+	}
+	sort.Slice(sel.recs, func(i, j int) bool { return before(&sel.recs[i], &sel.recs[j]) })
+	now := Now()
+	out := make([]Record, len(sel.recs))
+	for i := range sel.recs {
+		sel.recs[i].reason = reasonActive
+		out[i] = sel.recs[i].export(now)
 	}
 	return out
 }
@@ -267,6 +309,14 @@ type HeavyHitter struct {
 	Live     bool   `json:"live"`
 }
 
+// hhCand is one lane's contribution to a heavy hitter, unrendered.
+type hhCand struct {
+	hash, pkts, errb uint64
+	lane             int32
+	live             bool
+	tuple
+}
+
 // HeavyHitters merges the per-lane space-saving summaries with the live
 // tables into one ranked list (largest estimated total first). max 0
 // defaults to 20.
@@ -274,73 +324,60 @@ func (s *Set) HeavyHitters(max int) []HeavyHitter {
 	if max <= 0 {
 		max = 20
 	}
-	cands := make(map[uint64]*HeavyHitter)
-	for li := range s.lanes {
-		t := s.lanes[li].Load()
-		if t == nil {
-			continue
+	var cands []hhCand
+	for _, t := range s.tables() {
+		t.Hold()
+		for i, h := range t.topk.hashes {
+			cands = append(cands, hhCand{hash: h, pkts: t.topk.counts[i], errb: t.topk.errs[i], lane: t.lane, tuple: t.topk.tups[i]})
 		}
-		for _, it := range t.topk.Snapshot() {
-			hh := cands[it.hash]
-			if hh == nil {
-				hh = &HeavyHitter{Hash: hashString(it.hash), Lane: li}
-				cands[it.hash] = hh
-			}
-			hh.Packets += it.count
-			hh.ErrBound += it.err
-			if hh.Src == "" && it.tupOK {
-				hh.Src, hh.Dst = addrString(it.src), addrString(it.dst)
-				hh.Proto, hh.SrcPort, hh.DstPort = it.proto, it.sport, it.dport
-			}
-		}
-		for i := range t.entries {
-			e := &t.entries[i]
-			k := e.key.Load()
-			if k == 0 || k == busyKey {
-				continue
-			}
-			pkts := e.pkts.Load()
-			if pkts == 0 {
-				continue
-			}
-			hh := cands[k]
-			if hh == nil {
-				hh = &HeavyHitter{Hash: hashString(k), Lane: li}
+		t.Release()
+		t.scan(func(e *rawRec) {
+			c := hhCand{hash: e.hash, pkts: e.pkts, lane: t.lane, live: true, tuple: e.tuple}
+			if t.topk.find(e.hash) < 0 {
 				// Not in the summary: its evicted history (if any) is
 				// only visible through the sketch — an overestimate, so
 				// it doubles as the error bound.
-				if est := t.sketch.Estimate(k); est > 0 {
-					hh.Packets += est
-					hh.ErrBound += est
-				}
-				cands[k] = hh
+				c.errb = t.sketch.Estimate(e.hash)
+				c.pkts += c.errb
 			}
-			hh.Packets += pkts
-			hh.Live = true
-			if hh.Src == "" {
-				if tup := e.tup.Load(); tup&tupValid != 0 {
-					var src, dst [16]byte
-					putBE(src[:], e.src0.Load(), e.src1.Load())
-					putBE(dst[:], e.dst0.Load(), e.dst1.Load())
-					hh.Src, hh.Dst = addrString(src), addrString(dst)
-					hh.Proto = uint8(tup >> 32)
-					hh.SrcPort, hh.DstPort = uint16(tup>>16), uint16(tup)
-				}
-			}
-		}
+			cands = append(cands, c)
+		})
 	}
-	out := make([]HeavyHitter, 0, len(cands))
-	for _, hh := range cands {
-		out = append(out, *hh)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Packets != out[j].Packets {
-			return out[i].Packets > out[j].Packets
+	// Fold the contributions of one hash together, the lowest lane naming it.
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].hash != cands[j].hash {
+			return cands[i].hash < cands[j].hash
 		}
-		return out[i].Hash < out[j].Hash
+		return cands[i].lane < cands[j].lane
 	})
-	if len(out) > max {
-		out = out[:max]
+	n := 0
+	for _, c := range cands {
+		if n > 0 && cands[n-1].hash == c.hash {
+			m := &cands[n-1]
+			m.pkts, m.errb, m.live = m.pkts+c.pkts, m.errb+c.errb, m.live || c.live
+			if !m.tupOK {
+				m.tuple = c.tuple
+			}
+			continue
+		}
+		cands[n] = c
+		n++
+	}
+	cands = cands[:n]
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].pkts != cands[j].pkts {
+			return cands[i].pkts > cands[j].pkts
+		}
+		return cands[i].hash < cands[j].hash
+	})
+	out := make([]HeavyHitter, min(n, max))
+	for i := range out {
+		c := &cands[i]
+		out[i] = HeavyHitter{Hash: hashString(c.hash), Lane: int(c.lane), Packets: c.pkts, ErrBound: c.errb, Live: c.live}
+		if c.tupOK {
+			out[i].Src, out[i].Dst = addrString(c.src), addrString(c.dst)
+			out[i].Proto, out[i].SrcPort, out[i].DstPort = c.proto, c.sport, c.dport
+		}
 	}
 	return out
 }
@@ -350,20 +387,18 @@ func (s *Set) HeavyHitters(max int) []HeavyHitter {
 func (s *Set) Collect(emit func(telemetry.MetricPoint)) {
 	var live int64
 	var created, evIdle, evClash uint64
-	lanes := 0
-	for i := range s.lanes {
-		t := s.lanes[i].Load()
-		if t == nil {
-			continue
-		}
-		lanes++
-		live += t.live.Load()
-		created += t.created.Load()
-		evIdle += t.evictIdle.Load()
-		evClash += t.evictClash.Load()
+	ts := s.tables()
+	for _, t := range ts {
+		t.Hold()
+		n := t.live
+		created += t.created
+		evIdle += t.evictIdle
+		evClash += t.evictClash
+		t.Release()
+		live += n
 		emit(telemetry.MetricPoint{
-			Name: "ipsa_flow_active", Kind: "gauge", Value: float64(t.live.Load()),
-			Labels: []telemetry.Label{telemetry.L("lane", strconv.Itoa(i))},
+			Name: "ipsa_flow_active", Kind: "gauge", Value: float64(n),
+			Labels: []telemetry.Label{telemetry.L("lane", strconv.Itoa(int(t.lane)))},
 		})
 	}
 	gauge := func(name string, v float64) {
@@ -373,7 +408,7 @@ func (s *Set) Collect(emit func(telemetry.MetricPoint)) {
 		emit(telemetry.MetricPoint{Name: name, Kind: "counter", Value: v, Labels: labels})
 	}
 	gauge("ipsa_flow_active_total", float64(live))
-	gauge("ipsa_flow_lanes", float64(lanes))
+	gauge("ipsa_flow_lanes", float64(len(ts)))
 	gauge("ipsa_flow_table_slots", float64(uint64(1)<<s.cfg.TableBits))
 	gauge("ipsa_flow_sketch_width", float64(s.cfg.SketchWidth))
 	gauge("ipsa_flow_sketch_depth", float64(s.cfg.SketchDepth))
@@ -382,18 +417,13 @@ func (s *Set) Collect(emit func(telemetry.MetricPoint)) {
 	ctr("ipsa_flow_created_total", float64(created))
 	ctr("ipsa_flow_evictions_total", float64(evIdle), telemetry.L("reason", "idle"))
 	ctr("ipsa_flow_evictions_total", float64(evClash), telemetry.L("reason", "clash"))
-	ctr("ipsa_flow_records_total", float64(s.records.Load()))
-	ctr("ipsa_flow_record_packets_total", float64(s.recPkts.Load()))
-	ctr("ipsa_flow_record_bytes_total", float64(s.recBytes.Load()))
-}
-
-func putBE(dst []byte, hi, lo uint64) {
-	for i := 7; i >= 0; i-- {
-		dst[i] = byte(hi)
-		dst[8+i] = byte(lo)
-		hi >>= 8
-		lo >>= 8
-	}
+	// The holds above drained every pending record into these.
+	s.mu.Lock()
+	records, recPkts, recBytes := s.records, s.recPkts, s.recBytes
+	s.mu.Unlock()
+	ctr("ipsa_flow_records_total", float64(records))
+	ctr("ipsa_flow_record_packets_total", float64(recPkts))
+	ctr("ipsa_flow_record_bytes_total", float64(recBytes))
 }
 
 func hashString(h uint64) string { return fmt.Sprintf("%016x", h) }

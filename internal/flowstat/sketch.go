@@ -1,10 +1,5 @@
 package flowstat
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // splitmix64 is the finalizer used to derive the per-row sketch indexes
 // from one flow hash (same mixer family the RSS steering uses).
 func splitmix64(x uint64) uint64 {
@@ -15,15 +10,15 @@ func splitmix64(x uint64) uint64 {
 }
 
 // CountMin is a count-min sketch over evicted flow mass: depth rows of a
-// power-of-two width, atomic cells so eviction-time adds and dump-time
-// estimates need no locks. Point estimates overestimate by at most εN
+// power-of-two width. Cells are plain: a table's sketch is only touched
+// under the table's hold. Point estimates overestimate by at most εN
 // with probability 1-(1/2)^depth, where ε = e/width and N is the total
 // mass added.
 type CountMin struct {
 	width uint64 // power of two
 	depth int
-	cells []atomic.Uint64 // depth rows of width cells
-	added atomic.Uint64   // total mass, for the εN error bound
+	cells []uint64 // depth rows of width cells
+	added uint64   // total mass, for the εN error bound
 }
 
 // NewCountMin builds a sketch; width is rounded up to a power of two.
@@ -35,7 +30,7 @@ func NewCountMin(width, depth int) *CountMin {
 	if depth < 1 {
 		depth = 1
 	}
-	return &CountMin{width: w, depth: depth, cells: make([]atomic.Uint64, w*uint64(depth))}
+	return &CountMin{width: w, depth: depth, cells: make([]uint64, w*uint64(depth))}
 }
 
 // Add folds n into every row's cell for hash.
@@ -43,9 +38,9 @@ func (c *CountMin) Add(hash, n uint64) {
 	h := hash
 	for d := 0; d < c.depth; d++ {
 		h = splitmix64(h)
-		c.cells[uint64(d)*c.width+(h&(c.width-1))].Add(n)
+		c.cells[uint64(d)*c.width+(h&(c.width-1))] += n
 	}
-	c.added.Add(n)
+	c.added += n
 }
 
 // Estimate returns the minimum over rows — the classic point estimate.
@@ -54,7 +49,7 @@ func (c *CountMin) Estimate(hash uint64) uint64 {
 	h := hash
 	for d := 0; d < c.depth; d++ {
 		h = splitmix64(h)
-		if v := c.cells[uint64(d)*c.width+(h&(c.width-1))].Load(); v < est {
+		if v := c.cells[uint64(d)*c.width+(h&(c.width-1))]; v < est {
 			est = v
 		}
 	}
@@ -68,28 +63,17 @@ func (c *CountMin) Width() int { return int(c.width) }
 func (c *CountMin) Depth() int { return c.depth }
 
 // Added returns the total mass folded in.
-func (c *CountMin) Added() uint64 { return c.added.Load() }
+func (c *CountMin) Added() uint64 { return c.added }
 
-// topEntry is one space-saving slot: a flow's accumulated evicted count
-// and the overestimation bound inherited from the entry it displaced.
-type topEntry struct {
-	hash     uint64
-	count    uint64
-	err      uint64
-	src, dst [16]byte
-	sport    uint16
-	dport    uint16
-	proto    uint8
-	tupOK    bool
-}
-
-// TopK is a space-saving top-k summary of evicted flow mass. It is only
-// touched at eviction time and by dumps, so a plain mutex is fine — the
-// per-packet path never sees it.
+// TopK is a space-saving top-k summary of evicted flow mass, touched
+// only under its table's hold. It is four parallel arrays so that Offer,
+// which runs on every eviction and usually misses, scans k compact
+// hashes and k compact counts rather than striding whole entries.
 type TopK struct {
-	mu    sync.Mutex
-	k     int
-	items []topEntry
+	hashes []uint64
+	counts []uint64 // accumulated evicted count
+	errs   []uint64 // overestimation bound inherited from the entry displaced
+	tups   []tuple
 }
 
 // NewTopK builds a summary keeping k flows.
@@ -97,7 +81,20 @@ func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, items: make([]topEntry, 0, k)}
+	return &TopK{
+		hashes: make([]uint64, 0, k), counts: make([]uint64, 0, k),
+		errs: make([]uint64, 0, k), tups: make([]tuple, 0, k),
+	}
+}
+
+// find returns hash's index in the summary, or -1.
+func (t *TopK) find(hash uint64) int {
+	for i, h := range t.hashes {
+		if h == hash {
+			return i
+		}
+	}
+	return -1
 }
 
 // Offer folds an evicted flow record into the summary: increment if
@@ -105,44 +102,26 @@ func NewTopK(k int) *TopK {
 // minimum (space-saving: the newcomer inherits min.count as its error
 // bound, keeping the invariant true_count ≤ count ≤ true_count + err).
 func (t *TopK) Offer(r *rawRec) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	minIdx := -1
-	var minCount uint64 = ^uint64(0)
-	for i := range t.items {
-		it := &t.items[i]
-		if it.hash == r.hash {
-			it.count += r.pkts
-			if !it.tupOK && r.tupOK {
-				it.src, it.dst = r.src, r.dst
-				it.sport, it.dport, it.proto = r.sport, r.dport, r.proto
-				it.tupOK = true
-			}
-			return
+	if i := t.find(r.hash); i >= 0 {
+		t.counts[i] += r.pkts
+		if !t.tups[i].tupOK {
+			t.tups[i] = r.tuple
 		}
-		if it.count < minCount {
-			minCount, minIdx = it.count, i
-		}
-	}
-	ne := topEntry{
-		hash: r.hash, count: r.pkts,
-		src: r.src, dst: r.dst,
-		sport: r.sport, dport: r.dport, proto: r.proto, tupOK: r.tupOK,
-	}
-	if len(t.items) < t.k {
-		t.items = append(t.items, ne)
 		return
 	}
-	ne.count += minCount
-	ne.err = minCount
-	t.items[minIdx] = ne
-}
-
-// Snapshot copies the current summary (unordered).
-func (t *TopK) Snapshot() []topEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]topEntry, len(t.items))
-	copy(out, t.items)
-	return out
+	if len(t.hashes) < cap(t.hashes) {
+		t.hashes = append(t.hashes, r.hash)
+		t.counts = append(t.counts, r.pkts)
+		t.errs = append(t.errs, 0)
+		t.tups = append(t.tups, r.tuple)
+		return
+	}
+	m := 0
+	for i, c := range t.counts {
+		if c < t.counts[m] {
+			m = i
+		}
+	}
+	t.hashes[m], t.errs[m], t.tups[m] = r.hash, t.counts[m], r.tuple
+	t.counts[m] += r.pkts
 }

@@ -18,9 +18,9 @@ func (s *Switch) NewPacket(data []byte, inPort int) (*pkt.Packet, error) {
 // inline runs frames from one ingress port to completion on the caller's
 // goroutine, on a pooled lane: lanes come from a sync.Pool so the path is
 // allocation-free at steady state whichever goroutine drives it, and the
-// flow table is the ingress port's, which callers keep single-writer by
-// driving a port from one goroutine at a time. Each frame must be a
-// distinct buffer (packets alias their frames while in flight).
+// flow table is the ingress port's, shared under its hold with whoever
+// else drives or serves that port. Each frame must be a distinct buffer
+// (packets alias their frames while in flight).
 func (s *Switch) inline(frames [][]byte, inPort int, inspect bool) (sent int, kept *pkt.Packet, err error) {
 	l := s.lanes.Get().(*lane)
 	l.inspect = inspect

@@ -4,9 +4,9 @@ package ipbm
 // → flushTx, written once. A lane is everything one goroutine needs to
 // take frames from arrival to a verdict without sharing a hot cache line:
 // a packet freelist, an Env and a counter stripe (dataplane.Shard), the
-// TM its packets cross, a flow table it alone writes, batch scratch and
-// per-port transmit queues. The three forwarding drivers are thin loops
-// over it:
+// TM its packets cross, the flow table its admissions are accounted on,
+// batch scratch and per-port transmit queues. The three forwarding
+// drivers are thin loops over it:
 //
 //   - Forward / ForwardBatch / ProcessPacket run a pooled lane inline on
 //     the caller's goroutine (batch of 1 or n, TM pass-through);
@@ -57,6 +57,15 @@ type laneFrame struct {
 	port int32
 }
 
+// flowFin is one finished packet's flow-accounting outcome, queued by
+// finish and applied by settle.
+type flowFin struct {
+	fl      *flowstat.Table
+	hash    uint64
+	lat     int64
+	verdict flowstat.Verdict
+}
+
 // laneGate is the stall-injection test hook: a worker that finds one at
 // the top of its loop closes held and waits for release.
 type laneGate struct{ held, release chan struct{} }
@@ -68,11 +77,16 @@ type lane struct {
 	tm    *pipeline.TrafficManager
 	cross tmCross
 
-	// fl is the flow table this lane's admissions write: the shard's, or
-	// the ingress port's (one port, one lane, so one writer either way).
-	// now is the turn's timestamp for flow first/last/idle times.
-	fl  *flowstat.Table
-	now int64
+	// fl is the flow table this lane's admissions are accounted on: the
+	// shard's, or the ingress port's. Other lanes may share it (an inline
+	// Forward on a served port, an egress lane finishing this port's
+	// flows), so it is only touched under its hold, which a turn takes
+	// twice: around touch and around settle, never across a stage. now is
+	// the turn's timestamp for flow first/last/idle times; fins are the
+	// turn's verdicts waiting for settle.
+	fl   *flowstat.Table
+	now  int64
+	fins []flowFin
 
 	// frames, ps and txq are the turn's scratch — the frames to admit, the
 	// packets in flight and the egress frames per output port — retained
@@ -111,6 +125,7 @@ func (s *Switch) newLane(stripe int, tm *pipeline.TrafficManager, cross tmCross,
 		dsh:    s.dp.NewShard(stripe, 2*batch),
 		frames: make([]laneFrame, 0, batch),
 		ps:     make([]*pkt.Packet, 0, batch),
+		fins:   make([]flowFin, 0, batch),
 		txq:    make([][][]byte, s.ports.Len()),
 		rxbuf:  make([]netio.Frame, batch),
 		wake:   make(chan struct{}, 1),
@@ -140,12 +155,14 @@ func (l *lane) turn() (sent int, err error) {
 				err = e
 			}
 		}
+		l.touch()
 		l.ingress(v)
 		if l.cross == crossOwn {
 			l.drain(0)
 		}
 		l.egress(v, l.ps)
 		l.ps = l.ps[:0]
+		l.settle()
 		sent = l.flushTx()
 		v.unpin()
 	}
@@ -155,10 +172,9 @@ func (l *lane) turn() (sent int, err error) {
 }
 
 // admit builds the packet for one frame: sized for v's design so metadata
-// and header-vector shapes match the stages that will run, sampled for
-// tracing and latency, and accounted on the lane's flow table before any
-// stage rewrites the bytes. A frame the design cannot admit is counted as
-// an admission failure and the turn goes on.
+// and header-vector shapes match the stages that will run, and sampled for
+// tracing and latency. A frame the design cannot admit is counted as an
+// admission failure and the turn goes on.
 func (l *lane) admit(v *progVersion, f *laneFrame) error {
 	var p *pkt.Packet
 	var err error
@@ -176,14 +192,40 @@ func (l *lane) admit(v *progVersion, f *laneFrame) error {
 		p.Trace.Epoch = v.epoch
 	}
 	p.RSS = f.hash
-	if l.fl != nil {
-		l.fl.Touch(f.hash, f.data, len(f.data), l.now)
+	l.ps = append(l.ps, p)
+	return nil
+}
+
+// touch accounts the admitted batch on the lane's flow table under one
+// hold, before any stage rewrites the bytes.
+func (l *lane) touch() {
+	if l.fl == nil {
+		return
+	}
+	l.fl.Hold()
+	for _, p := range l.ps {
+		l.fl.Touch(p.RSS, p.Data, len(p.Data), l.now)
 		if p.Timed {
 			p.FlowNanos = l.now
 		}
 	}
-	l.ps = append(l.ps, p)
-	return nil
+	l.fl.Release()
+}
+
+// settle applies the queued flow verdicts, one hold per run of packets
+// of the same table: the lane's own in a turn, the ingress ports' on an
+// egress lane.
+func (l *lane) settle() {
+	for i := 0; i < len(l.fins); {
+		fl := l.fins[i].fl
+		fl.Hold()
+		for ; i < len(l.fins) && l.fins[i].fl == fl; i++ {
+			f := &l.fins[i]
+			fl.Finish(f.hash, f.verdict, f.lat, l.now)
+		}
+		fl.Release()
+	}
+	l.fins = l.fins[:0]
 }
 
 // ingress runs the admitted batch through v's ingress half, stage-major,
@@ -255,9 +297,9 @@ func (l *lane) egress(v *progVersion, ps []*pkt.Packet) {
 }
 
 // finish is the one place a packet gets its verdict: punt, out-port
-// surfacing, INT sink, the telemetry finish hook, flow accounting, then
-// the transmit queue (or no_port) and the freelist. survived is false
-// only for a TM tail drop.
+// surfacing, INT sink, the telemetry finish hook, the flow verdict queued
+// for settle, then the transmit queue (or no_port) and the freelist.
+// survived is false only for a TM tail drop.
 func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 	s := l.s
 	if p.ToCPU {
@@ -266,8 +308,7 @@ func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 	fl, pinned := l.fl, p.Ver != nil
 	if pinned {
 		// Parked in the shared TM by an ingress lane: its flow entry lives
-		// in its ingress port's table, which this lane may only Finish
-		// (an update of the entry's atomics), never Touch.
+		// in its ingress port's table.
 		p.Ver = nil
 		fl = s.flows.Peek(p.InPort)
 	}
@@ -284,7 +325,7 @@ func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 	verdict := dataplane.Verdict(p, survived, len(l.txq))
 	s.dp.FinishPacket(p, verdict)
 	if fl != nil {
-		fl.Finish(p.RSS, flowstat.VerdictOf(verdict), flowLat(p), l.now)
+		l.fins = append(l.fins, flowFin{fl, p.RSS, flowLat(p), flowstat.VerdictOf(verdict)})
 	}
 	if pinned {
 		v.unpin()
@@ -457,6 +498,7 @@ func (l *lane) serveTM(ingressDone func() bool) {
 			i = j
 		}
 		l.ps = l.ps[:0]
+		l.settle()
 		l.flushTx()
 		l.beat.Add(uint64(n))
 	}

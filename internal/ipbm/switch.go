@@ -195,9 +195,9 @@ type Switch struct {
 	intDepth func(port int) int
 
 	// flows is the always-on flow accounting engine (nil only with
-	// Options.FlowDisable): one single-writer flow table per lane — per
-	// shard in sharded mode, per ingress port otherwise — plus the shared
-	// flow-record ring. Orthogonal to the program store, so flow state
+	// Options.FlowDisable): one flow table per lane — per shard in sharded
+	// mode, per ingress port otherwise — written under its hold, plus the
+	// shared flow-record ring. Orthogonal to the program store, so flow state
 	// survives edit commits and config applies.
 	flows *flowstat.Set
 
