@@ -62,20 +62,24 @@ bench-gate:
 # Second-stage-compiler gate: runs the three executor tiers in ONE
 # `go test` invocation and asserts the within-run ordering, which is
 # machine-independent (the host's absolute speed cancels out of the
-# ratios): the fused tier must not lose to the flat-program VM (0.95
-# floor absorbs minute-scale host drift between the two benchmark
-# blocks) and must beat the tree interpreter by >= 1.25x on every use
-# case, at strictly zero allocations. Thresholds carry margin under the
-# measured ratios (fused/compiled ~1.1-1.15x, fused/interp ~1.5-1.6x;
-# see EXPERIMENTS.md) so gate failures mean a real tier regression, not
-# benchmark noise. The usual baseline comparison also runs, so the
-# committed allocs=0 / ns bounds still apply to the fused keys.
+# ratios). Since ISSUE 20 it is also the within-run control for the word
+# keys: the fused tier carries a key of <= 64 bits in a register from
+# field load to engine probe, the VM and the interpreter keep byte keys,
+# so the fused tier must beat the flat-program VM by >= 1.12x and the
+# tree interpreter by >= 1.50x on every use case, at strictly zero
+# allocations. Each floor is the lowest of the thirty ratios of ten runs
+# of this target (fused/compiled 1.22-2.45x, median 1.53x; fused/interp
+# 1.60-3.14x, median 2.06x; see EXPERIMENTS.md "Keys in registers") less
+# a tenth, so a failure means a table fell off the word path or a tier
+# regressed, not benchmark noise. The usual baseline comparison also
+# runs, so the committed allocs=0 / ns bounds still apply to the fused
+# keys.
 bench-fused:
 	$(GO) build -o bin/benchgate ./cmd/benchgate
 	$(GO) test -run xxx -bench '$(GATED_BENCH)' -benchmem -count=3 . \
 		| bin/benchgate -check BENCH_hotpath.json -tol $(BENCH_TOL) \
-		-speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Compiled:0.95' \
-		-speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Interp:1.25'
+		-speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Compiled:1.12' \
+		-speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Interp:1.50'
 
 # Reconfiguration-storm gate: a sharded switch forwards through ~170
 # edit commits/s on the epoch-versioned store; BENCH_reconfig.json pins
@@ -134,9 +138,11 @@ fuzz-diff:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzCompiledVsInterp -fuzztime 30s
 
 # Differential fuzz for the second-stage compiler: fused closures vs the
-# flat-program VM they were lowered from.
+# flat-program VM they were lowered from, then the fused tier's word keys
+# vs the byte keys the VM still builds, on random key plans.
 fuzz-fused:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz FuzzFusedVsCompiled -fuzztime 30s
+	$(GO) test ./internal/tsp/ -run xxx -fuzz FuzzWordKeyVsPlanned -fuzztime 30s
 
 # Capture CPU and heap profiles of the fused hot path. The equivalent
 # for a live switch is `ipbm -cpuprofile cpu.out -memprofile mem.out`;

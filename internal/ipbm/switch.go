@@ -293,17 +293,32 @@ func (s *Switch) Config() *template.Config {
 }
 
 // selectorTable backs an ECMP-style selector: groups of members resolved
-// by hash. Like the exact-match engine, the per-packet lookup is
-// lock-free over an immutable copy-on-write snapshot; member adds (a
-// control-plane operation) clone and republish.
+// by hash. Groups are indexed by match.KeyWord of the group key, the word
+// the fused tier carries a group as; a group key wider than 8 bytes folds
+// into its word and is then verified bytewise, as in the exact engine. The
+// per-packet lookup is lock-free over an immutable copy-on-write snapshot;
+// member adds (a control-plane operation) clone and republish.
 type selectorTable struct {
 	mu     sync.Mutex // serialises writers; readers never take it
-	groups atomic.Pointer[map[string][]match.Result]
+	groups atomic.Pointer[map[uint64][]selGroup]
+}
+
+// selGroup is one group's members; never written after publication. The
+// groups of one map slot share a word: keys of different lengths, or wide
+// keys whose folds collide.
+type selGroup struct {
+	keyLen  int
+	key     string // wide group keys (more than 8 bytes) only
+	members []match.Result
+}
+
+func (g *selGroup) is(keyLen int, key []byte) bool {
+	return g.keyLen == keyLen && (g.key == "" || g.key == string(key))
 }
 
 func newSelectorTable() *selectorTable {
 	st := &selectorTable{}
-	m := make(map[string][]match.Result)
+	m := make(map[uint64][]selGroup)
 	st.groups.Store(&m)
 	return st
 }
@@ -312,21 +327,47 @@ func (st *selectorTable) addMember(group []byte, r match.Result) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	old := *st.groups.Load()
-	m := make(map[string][]match.Result, len(old)+1)
+	m := make(map[uint64][]selGroup, len(old)+1)
 	for k, v := range old {
 		m[k] = v
 	}
-	k := string(group)
-	m[k] = append(append([]match.Result(nil), old[k]...), r)
+	word := match.KeyWord(group)
+	gs := append([]selGroup(nil), old[word]...)
+	i := 0
+	for i < len(gs) && !gs[i].is(len(group), group) {
+		i++
+	}
+	if i == len(gs) {
+		g := selGroup{keyLen: len(group)}
+		if len(group) > 8 {
+			g.key = string(group)
+		}
+		gs = append(gs, g)
+	}
+	gs[i].members = append(append([]match.Result(nil), gs[i].members...), r)
+	m[word] = gs
 	st.groups.Store(&m)
 }
 
-func (st *selectorTable) lookup(group []byte, h uint64) (match.Result, bool) {
-	members := (*st.groups.Load())[string(group)]
-	if len(members) == 0 {
-		return match.Result{}, false
+// pick is the one member lookup: the group by its word and length (key is
+// nil on the word path, where the word is the whole key), the member by
+// hash. The Result belongs to the published snapshot: read-only, and valid
+// forever, because a member add copies the group it extends.
+func (st *selectorTable) pick(word uint64, keyLen int, key []byte, h uint64) *match.Result {
+	gs := (*st.groups.Load())[word]
+	for i := range gs {
+		if g := &gs[i]; g.is(keyLen, key) {
+			return &g.members[h%uint64(len(g.members))]
+		}
 	}
-	return members[h%uint64(len(members))], true
+	return nil
+}
+
+func (st *selectorTable) lookup(group []byte, h uint64) (match.Result, bool) {
+	if r := st.pick(match.KeyWord(group), len(group), group, h); r != nil {
+		return *r, true
+	}
+	return match.Result{}, false
 }
 
 // LookupMember implements tsp.ResolvedSelector for bound handles.
@@ -334,10 +375,20 @@ func (st *selectorTable) LookupMember(group []byte, h uint64) (match.Result, boo
 	return st.lookup(group, h)
 }
 
+// WordMember implements tsp.WordSelector.
+func (st *selectorTable) WordMember(groupBytes int) func(group, h uint64) *match.Result {
+	if groupBytes > 8 {
+		return nil
+	}
+	return func(group, h uint64) *match.Result { return st.pick(group, groupBytes, nil, h) }
+}
+
 func (st *selectorTable) memberCount() int {
 	n := 0
-	for _, m := range *st.groups.Load() {
-		n += len(m)
+	for _, gs := range *st.groups.Load() {
+		for _, g := range gs {
+			n += len(g.members)
+		}
 	}
 	return n
 }

@@ -39,12 +39,11 @@ type dirMaps struct {
 	l3 map[uint32]*dirBlock // key: top 24 bits
 }
 
-// dirSlot is immutable once published.
+// dirSlot is immutable once published, which is what lets LookupWord hand
+// out a pointer to its Result.
 type dirSlot struct {
-	plen   int8
-	action int
-	params []uint64
-	handle int
+	Result
+	plen int8
 }
 
 type dirBlock struct {
@@ -65,25 +64,36 @@ func (d *dir168) Kind() Kind    { return LPM }
 func (d *dir168) KeyWidth() int { return 32 }
 
 func (d *dir168) Lookup(key []byte) (Result, bool) {
-	if len(key) < 4 {
+	if !keyLenOK(key, 32) {
 		return Result{}, false
 	}
-	k := binary.BigEndian.Uint32(key)
+	if r := d.LookupWord(uint64(binary.BigEndian.Uint32(key))); r != nil {
+		return *r, true
+	}
+	return Result{}, false
+}
+
+// LookupWord is Lookup with the address as a word (its low 32 bits; the
+// key's four big-endian bytes). nil is a miss. The Result belongs to the
+// published slot: read-only, and valid forever, because a slot is never
+// written after a directory entry points at it (writers publish new ones).
+func (d *dir168) LookupWord(word uint64) *Result {
+	k := uint32(word)
 	m := d.maps.Load()
 	if b, ok := m.l3[k>>8]; ok {
 		if s := b.slots[k&0xff].Load(); s != nil {
-			return Result{ActionID: s.action, Params: s.params, EntryHandle: s.handle}, true
+			return &s.Result
 		}
 	}
 	if b, ok := m.l2[k>>16]; ok {
 		if s := b.slots[(k>>8)&0xff].Load(); s != nil {
-			return Result{ActionID: s.action, Params: s.params, EntryHandle: s.handle}, true
+			return &s.Result
 		}
 	}
 	if s := d.l1[k>>16].Load(); s != nil {
-		return Result{ActionID: s.action, Params: s.params, EntryHandle: s.handle}, true
+		return &s.Result
 	}
-	return Result{}, false
+	return nil
 }
 
 // level buckets a prefix length: 1 for /0–/16, 2 for /17–/24, 3 else.
@@ -164,9 +174,8 @@ func (d *dir168) Insert(e Entry) (int, error) {
 	}
 	k := binary.BigEndian.Uint32(e.Key)
 	slot := &dirSlot{
+		Result: Result{ActionID: e.ActionID, Params: append([]uint64(nil), e.Params...), EntryHandle: handle},
 		plen:   int8(e.PrefixLen),
-		action: e.ActionID, params: append([]uint64(nil), e.Params...),
-		handle: handle,
 	}
 	// An insert can only improve covered slots at its own level: replace
 	// when the new prefix is at least as long as the incumbent.
@@ -278,8 +287,8 @@ func (d *dir168) recompute(addr uint32, loPlen, hiPlen int, memo map[int]*dirSlo
 		return s
 	}
 	s := &dirSlot{
+		Result: Result{ActionID: e.ActionID, Params: e.Params, EntryHandle: e.Handle},
 		plen:   int8(e.PrefixLen),
-		action: e.ActionID, params: e.Params, handle: e.Handle,
 	}
 	memo[e.Handle] = s
 	return s

@@ -71,7 +71,8 @@ type Engine interface {
 	Kind() Kind
 	// KeyWidth reports the key width in bits.
 	KeyWidth() int
-	// Lookup finds the entry matching key, or ok=false for a miss.
+	// Lookup finds the entry matching key, or ok=false for a miss. A key
+	// that is not (KeyWidth+7)/8 bytes long always misses.
 	Lookup(key []byte) (Result, bool)
 	// Insert adds or replaces an entry. The meaning of aux depends on the
 	// kind: prefix length for LPM, mask bytes for Ternary, upper bound for
@@ -97,10 +98,14 @@ type Entry struct {
 	Handle    int // assigned by Insert; round-tripped by Entries
 }
 
+// keyLenOK reports whether key is as long as a widthBits-bit key. Every
+// engine's Lookup asks it first: a key of another length is a miss, never
+// a match on a prefix of it or a compare against shorter bounds.
+func keyLenOK(key []byte, widthBits int) bool { return len(key) == (widthBits+7)/8 }
+
 func checkKeyLen(key []byte, widthBits int) error {
-	want := (widthBits + 7) / 8
-	if len(key) != want {
-		return fmt.Errorf("match: key of %d bytes, want %d for %d-bit key", len(key), want, widthBits)
+	if !keyLenOK(key, widthBits) {
+		return fmt.Errorf("match: key of %d bytes, want %d for %d-bit key", len(key), (widthBits+7)/8, widthBits)
 	}
 	return nil
 }

@@ -64,7 +64,7 @@ func (t *exactTab) home(tag uint64) uint64 { return tag >> 2 & t.mask }
 // exactEnt is what a slot points at: one 64-byte line holding the key and
 // the lookup result, never written after publication.
 type exactEnt struct {
-	word uint64 // exactWord's word: the key itself when it fits
+	word uint64 // KeyWord's word: the key itself when it fits
 	key  string // keys wider than 8 bytes only
 	res  Result
 }
@@ -108,12 +108,12 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>32
 }
 
-// exactWord returns the word an entry is hashed and compared by. A key
-// of up to 8 bytes (every exact key the shipped designs use) is that
-// word, big-endian, so equal words are equal keys; a wider key folds its
-// leading 8-byte chunks into the word as a hash and is then compared
-// bytewise as well.
-func exactWord(key []byte) (word uint64) {
+// KeyWord returns the word a key is hashed and compared by, and the form
+// in which LookupWord takes it. A key of up to 8 bytes (every exact key the
+// shipped designs use) is that word, big-endian, so equal words are equal
+// keys of one length; a wider key folds its leading 8-byte chunks into the
+// word as a hash and is then compared bytewise as well.
+func KeyWord(key []byte) (word uint64) {
 	var h uint64
 	for ; len(key) > 8; key = key[8:] {
 		h = mix64(h ^ binary.BigEndian.Uint64(key))
@@ -129,32 +129,47 @@ func exactWord(key []byte) (word uint64) {
 func slotTag(word uint64) uint64 { return mix64(word) | 2 }
 
 func (e *exactEngine) Lookup(key []byte) (Result, bool) {
-	if len(key) != (e.width+7)/8 {
-		return Result{}, false // no entry has a key of another length
+	if !keyLenOK(key, e.width) {
+		return Result{}, false
 	}
+	if r := e.probe(KeyWord(key), key); r != nil {
+		return *r, true
+	}
+	return Result{}, false
+}
+
+// LookupWord is Lookup for a key that fits a register: word is the key's
+// (width+7)/8 big-endian bytes, tail padding zero (KeyWord of the byte
+// key). nil is a miss — always, on an engine whose keys are wider than 64
+// bits. The Result is the published entry's own: read-only, and valid
+// forever, because an entry is never written after a slot points at it (a
+// replace installs a new one).
+func (e *exactEngine) LookupWord(word uint64) *Result { return e.probe(word, nil) }
+
+// probe is the one reader-side probe loop; key is nil on the word path.
+func (e *exactEngine) probe(word uint64, key []byte) *Result {
 	t := e.tab.Load()
-	word := exactWord(key)
 	tag := slotTag(word)
 	for i := t.home(tag); ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		switch s.tag.Load() {
 		case tag:
 			if x := s.ent.Load(); x != nil && x.is(word, key) {
-				return x.res, true
+				return &x.res
 			}
 		case tagEmpty:
-			return Result{}, false
+			return nil
 		}
 	}
 }
 
-// Prefetch touches the bucket cache line key hashes to, so the lookup a
-// packet later finds it warm. The returned word is derived from the
-// touched slot; callers sink it to keep the load from being optimised
-// away. Never faults, never allocates.
-func (e *exactEngine) Prefetch(key []byte) uint64 {
+// Prefetch touches the bucket cache line word (a key as LookupWord takes
+// it) hashes to, so the lookup a packet later finds it warm. The returned
+// word is derived from the touched slot; callers sink it to keep the load
+// from being optimised away. Never faults, never allocates.
+func (e *exactEngine) Prefetch(word uint64) uint64 {
 	t := e.tab.Load()
-	return t.slots[t.home(slotTag(exactWord(key)))].tag.Load()
+	return t.slots[t.home(slotTag(word))].tag.Load()
 }
 
 // prefetchMinSlots is the slot-array size below which a one-ahead
@@ -222,7 +237,7 @@ func (e *exactEngine) Insert(ent Entry) (int, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	word := exactWord(ent.Key)
+	word := KeyWord(ent.Key)
 	tag := slotTag(word)
 	t := e.tab.Load()
 	s, prev := t.find(word, tag, ent.Key)

@@ -83,7 +83,7 @@ func BenchmarkExactLookup(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if prefetch {
-						benchSink += pf.Prefetch(keys[(i+1)%probes])
+						benchSink += pf.Prefetch(KeyWord(keys[(i+1)%probes]))
 					}
 					r, ok := e.Lookup(keys[i%probes])
 					if ok != want {

@@ -57,7 +57,7 @@ func bitAt(key []byte, i int) int {
 }
 
 func (t *lpmTrie) Lookup(key []byte) (Result, bool) {
-	if len(key)*8 < t.width {
+	if !keyLenOK(key, t.width) {
 		return Result{}, false
 	}
 	var best *trieNode

@@ -370,10 +370,29 @@ func TestConcurrentLookupInsert(t *testing.T) {
 
 // TestDIR168MatchesTrie differentially validates the DIR-16-8-8 fast path
 // against the binary trie under random insert/delete/lookup interleavings.
+// Every lookup is also made by word and must agree; a second goroutine
+// probes by word throughout (run it under -race) and reads through the
+// *Result it gets while the slots it points into are being replaced.
 func TestDIR168MatchesTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	fast := newDIR168(0)
 	slow := newLPMTrie(32, 0)
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }()
+	go func() {
+		defer close(done)
+		for rr := rand.New(rand.NewSource(7)); ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r := fast.LookupWord(uint64(rr.Uint32())); r != nil && (len(r.Params) != 1 || r.Params[0] != uint64(r.ActionID)) {
+				t.Errorf("word probe beside writers: torn result %+v", *r)
+				return
+			}
+		}
+	}()
 	type live struct{ fastH, slowH int }
 	var handles []live
 	for step := 0; step < 4000; step++ {
@@ -388,7 +407,7 @@ func TestDIR168MatchesTrie(t *testing.T) {
 			if plen == 0 {
 				addr = 0
 			}
-			e := Entry{Key: key32(addr), PrefixLen: plen, ActionID: step + 1}
+			e := Entry{Key: key32(addr), PrefixLen: plen, ActionID: step + 1, Params: []uint64{uint64(step + 1)}}
 			fh, err1 := fast.Insert(e)
 			sh, err2 := slow.Insert(e)
 			if (err1 == nil) != (err2 == nil) {
@@ -414,6 +433,10 @@ func TestDIR168MatchesTrie(t *testing.T) {
 				if okF != okS || (okF && rf.ActionID != rs.ActionID) {
 					t.Fatalf("lookup divergence on %x: fast=%v/%v slow=%v/%v",
 						probe, rf.ActionID, okF, rs.ActionID, okS)
+				}
+				rw := fast.LookupWord(uint64(binary.BigEndian.Uint32(probe)))
+				if (rw != nil) != okF || okF && (rw.ActionID != rf.ActionID || rw.EntryHandle != rf.EntryHandle || rw.Params[0] != uint64(rf.ActionID)) {
+					t.Fatalf("word probe on %x: %+v, byte probe %+v/%v", probe, rw, rf, okF)
 				}
 			}
 		}
@@ -455,5 +478,49 @@ func TestDIR168Basics(t *testing.T) {
 	// Entries snapshot via the trie.
 	if got := len(e.Entries()); got != 4 {
 		t.Errorf("entries = %d", got)
+	}
+}
+
+// TestLookupWrongKeyLength pins the one rule every engine shares: a lookup
+// key that is not exactly (width+7)/8 bytes long is a miss — not a match on
+// its prefix (ternary, dir168, trie) and not a compare against shorter
+// bounds (range).
+func TestLookupWrongKeyLength(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kind  Kind
+		width int
+		ent   Entry
+	}{
+		{"exact", Exact, 32, Entry{Key: key32(0x0a000001)}},
+		{"dir168", LPM, 32, Entry{Key: key32(0x0a000000), PrefixLen: 8}},
+		{"trie", LPM, 48, Entry{Key: []byte{0x0a, 0, 0, 0, 0, 0}, PrefixLen: 8}},
+		{"ternary", Ternary, 32, Entry{Key: key32(0x0a000001), Mask: key32(0xffffffff)}},
+		{"range", Range, 32, Entry{Key: key32(0x0a000000), High: key32(0x0affffff)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(tc.kind, tc.width, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.ent.ActionID = 7
+			if _, err := e.Insert(tc.ent); err != nil {
+				t.Fatal(err)
+			}
+			good := append([]byte{0x0a, 0, 0, 1}, make([]byte, tc.width/8-4)...)
+			if r, ok := e.Lookup(good); !ok || r.ActionID != 7 {
+				t.Fatalf("lookup %x: %+v,%v, want the entry", good, r, ok)
+			}
+			for name, key := range map[string][]byte{
+				"short": good[:len(good)-1],
+				"long":  append(append([]byte(nil), good...), 0),
+				"empty": {},
+				"nil":   nil,
+			} {
+				if r, ok := e.Lookup(key); ok {
+					t.Errorf("%s key %x hit %+v", name, key, r)
+				}
+			}
+		})
 	}
 }

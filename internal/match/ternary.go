@@ -27,6 +27,9 @@ func (t *ternaryEngine) Kind() Kind    { return Ternary }
 func (t *ternaryEngine) KeyWidth() int { return t.width }
 
 func (t *ternaryEngine) Lookup(key []byte) (Result, bool) {
+	if !keyLenOK(key, t.width) {
+		return Result{}, false
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, e := range t.entries {
@@ -37,10 +40,8 @@ func (t *ternaryEngine) Lookup(key []byte) (Result, bool) {
 	return Result{}, false
 }
 
+// ternaryMatches compares under mask; key, value and mask are of one length.
 func ternaryMatches(key, value, mask []byte) bool {
-	if len(key) < len(value) {
-		return false
-	}
 	for i := range value {
 		if (key[i]^value[i])&mask[i] != 0 {
 			return false
@@ -135,6 +136,9 @@ func (r *rangeEngine) Kind() Kind    { return Range }
 func (r *rangeEngine) KeyWidth() int { return r.width }
 
 func (r *rangeEngine) Lookup(key []byte) (Result, bool) {
+	if !keyLenOK(key, r.width) {
+		return Result{}, false
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, e := range r.entries {

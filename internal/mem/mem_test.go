@@ -410,3 +410,68 @@ func TestMigrateFailureLeavesTableRouted(t *testing.T) {
 		t.Errorf("Migrate after a failed one: moved %d, err %v", moved, err)
 	}
 }
+
+// TestWordLookupBinding: a table hands out its engine's word probe only
+// where a word can name a key — exact/hash keys of at most 64 bits and the
+// 32-bit LPM directory, asked for at the table's own key length — and the
+// probe neither counts nor disagrees with the counted byte lookup.
+func TestWordLookupBinding(t *testing.T) {
+	m, err := NewManager(Config{Blocks: 64, BlockWidth: 128, BlockDepth: 1024, Clusters: 1}, FullCrossbar, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		name     string
+		kind     match.Kind
+		width    int
+		word, pf bool
+	}{
+		{"exact12", match.Exact, 12, true, true},
+		{"hash64", match.Hash, 64, true, true},
+		{"exact144", match.Exact, 144, false, false},
+		{"lpm32", match.LPM, 32, true, false},
+		{"lpm128", match.LPM, 128, false, false},
+		{"ternary32", match.Ternary, 32, false, false},
+		{"range16", match.Range, 16, false, false},
+	} {
+		tbl, err := m.CreateTable(tc.name, tc.kind, tc.width, 64, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := (tc.width + 7) / 8
+		if got := tbl.WordLookup(n) != nil; got != tc.word {
+			t.Errorf("%s: word probe %v, want %v", tc.name, got, tc.word)
+		}
+		if got := tbl.WordPrefetch() != nil; got != tc.pf {
+			t.Errorf("%s: word prefetch %v, want %v", tc.name, got, tc.pf)
+		}
+		if tbl.WordLookup(n+1) != nil || tbl.WordLookup(n-1) != nil {
+			t.Errorf("%s: word probe handed out for another key length", tc.name)
+		}
+		if tbl.PrefetchUseful() {
+			t.Errorf("%s: prefetch useful on an empty table", tc.name)
+		}
+	}
+	tbl, _ := m.Table("exact12")
+	key := []byte{0xab, 0xc0} // 12 bits, tail padding zero
+	if _, err := tbl.Engine().Insert(match.Entry{Key: key, ActionID: 3, Params: []uint64{9}}); err != nil {
+		t.Fatal(err)
+	}
+	probe := tbl.WordLookup(2)
+	if r := probe(0xabc0); r == nil || r.ActionID != 3 || r.Params[0] != 9 {
+		t.Fatalf("word probe: %+v", r)
+	}
+	if r := probe(0xabc1); r != nil {
+		t.Fatalf("word probe hit an absent key: %+v", r)
+	}
+	if h, ms := tbl.Stats(); h != 0 || ms != 0 {
+		t.Fatalf("word probes counted: %d hits %d misses", h, ms)
+	}
+	tbl.AddLookupStats(1, 1)
+	if r, ok := tbl.Lookup(key); !ok || r.ActionID != 3 {
+		t.Fatalf("byte lookup: %+v,%v", r, ok)
+	}
+	if h, ms := tbl.Stats(); h != 2 || ms != 1 {
+		t.Fatalf("stats %d hits %d misses, want 2 and 1", h, ms)
+	}
+}

@@ -20,6 +20,11 @@ type Table struct {
 	engine match.Engine
 	blocks []BlockID
 
+	// The engine's word-keyed views (nil where a word cannot name its
+	// keys, or it has no such entry point), resolved once at CreateTable.
+	word wordEngine
+	pf   wordPrefetcher
+
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -46,16 +51,8 @@ func (t *Table) Stats() (hits, misses uint64) {
 	return t.hits.Load(), t.misses.Load()
 }
 
-// LookupNoCount is Lookup without the hit/miss accounting. Batch
-// executors probe through it and credit the counts in bulk via
-// AddLookupStats, so the per-packet cost drops from two shared atomic
-// adds to two register increments.
-func (t *Table) LookupNoCount(key []byte) (match.Result, bool) {
-	return t.engine.Lookup(key)
-}
-
 // AddLookupStats credits hit/miss counts accumulated externally (by a
-// batch of LookupNoCount probes) to the table's counters.
+// batch of probes through WordLookup) to the table's counters.
 func (t *Table) AddLookupStats(hits, misses uint64) {
 	if hits != 0 {
 		t.hits.Add(hits)
@@ -65,29 +62,50 @@ func (t *Table) AddLookupStats(hits, misses uint64) {
 	}
 }
 
-// enginePrefetcher is the optional capability some match engines (the
-// exact-match open-addressing table) expose for warming a key's bucket.
-type enginePrefetcher interface {
-	Prefetch(key []byte) uint64
+// wordEngine is what an engine whose keys fit a register exposes (the
+// exact/hash engine, the 32-bit LPM directory): the probe by word, and
+// optionally a touch of the bucket a word hashes to.
+type wordEngine interface {
+	LookupWord(word uint64) *match.Result
 }
 
-// CanPrefetch reports whether the table's engine supports bucket
-// prefetch. Stable for the table's lifetime: the engine is set once, at
-// CreateTable.
-func (t *Table) CanPrefetch() bool {
-	_, ok := t.engine.(enginePrefetcher)
-	return ok
+type wordPrefetcher interface {
+	Prefetch(word uint64) uint64
+	PrefetchUseful() bool
 }
 
-// Prefetch touches the engine bucket key hashes to — the batch executor
-// calls it one packet ahead of the real Lookup so the bucket line is warm
-// when the lookup lands. No-op (returns 0) on engines without the
-// capability; never counts as a hit or miss.
-func (t *Table) Prefetch(key []byte) uint64 {
-	if pf, ok := t.engine.(enginePrefetcher); ok {
-		return pf.Prefetch(key)
+// bindWord resolves the engine's word views, once, so that no type
+// assertion is left for the packet path to make.
+func (t *Table) bindWord() {
+	if t.KeyWidth > 64 {
+		return // a wide exact key folds into its word; only the bytes decide
 	}
-	return 0
+	t.word, _ = t.engine.(wordEngine)
+	t.pf, _ = t.engine.(wordPrefetcher)
+}
+
+// WordLookup returns the engine's probe for a key carried as one word —
+// the key's keyBytes big-endian bytes, tail padding zero — or nil when the
+// table is byte-keyed (wide, ternary, range and trie tables) or its keys
+// are not keyBytes long. The probe does no hit/miss accounting (callers
+// batch it through AddLookupStats); nil is a miss, and a returned Result is
+// the engine's own: read-only, valid forever.
+func (t *Table) WordLookup(keyBytes int) func(word uint64) *match.Result {
+	if t.word == nil || keyBytes != (t.KeyWidth+7)/8 {
+		return nil
+	}
+	return t.word.LookupWord
+}
+
+// WordPrefetch returns the engine's bucket touch for a key as WordLookup
+// takes it, or nil when the engine has none. The batch executor calls it
+// one packet ahead of the probe and sinks the returned tag so the load
+// cannot be optimised away; it never counts as a hit or miss.
+func (t *Table) WordPrefetch() func(word uint64) uint64 {
+	if t.pf == nil {
+		return nil
+	}
+	return t.pf.Prefetch
 }
 
 // PrefetchUseful reports whether a one-ahead prefetch would currently
@@ -95,12 +113,7 @@ func (t *Table) Prefetch(key []byte) uint64 {
 // array has outgrown the cache sizes where speculative touches are pure
 // overhead. Re-evaluated by batch executors per batch, so tables grow
 // into prefetching as entries are installed.
-func (t *Table) PrefetchUseful() bool {
-	if adv, ok := t.engine.(interface{ PrefetchUseful() bool }); ok {
-		return adv.PrefetchUseful()
-	}
-	return false
-}
+func (t *Table) PrefetchUseful() bool { return t.pf != nil && t.pf.PrefetchUseful() }
 
 // Manager owns the pool, the crossbar and every logical table — the
 // Storage Module (SM) of ipbm.
@@ -155,6 +168,7 @@ func (m *Manager) CreateTable(name string, kind match.Kind, keyWidthBits, depth,
 		return nil, fmt.Errorf("mem: placing table %q: %w", name, err)
 	}
 	t := &Table{Name: name, KeyWidth: keyWidthBits, Depth: depth, engine: eng, blocks: ids}
+	t.bindWord()
 	m.tables[name] = t
 	// Extend (not replace) the TSP's routes with the new table's blocks.
 	routes := append(m.xbar.Routes(tspIndex), ids...)

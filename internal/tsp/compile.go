@@ -13,6 +13,7 @@ package tsp
 import (
 	"fmt"
 
+	"ipsa/internal/match"
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
 )
@@ -166,18 +167,9 @@ type stageProg struct {
 	// build; NewStageRuntimeOpts emits the INT stamping op here, so the
 	// disabled cost is one nil check per stage per packet.
 	post []instr
-	// resolved holds bind-time table handles parallel to tables, filled
-	// by StageRuntime.Bind when the backend supports resolution. Nil
-	// slots (selectors, unresolvable names) take the name-keyed path.
-	resolved []ResolvedTable
-	// resolvedSels is the selector counterpart of resolved: direct
-	// group/member handles, parallel to tables.
-	resolvedSels []ResolvedSelector
-	// direct holds the DirectTable view of resolved handles that support
-	// it, parallel to tables; the fused tier's inline apply path reads it
-	// to run lookups engine-direct with batched accounting. Nil slots fall
-	// back to the generic applyTableWith funnel.
-	direct []DirectTable
+	// bound holds the bind-time handles parallel to tables, filled in place
+	// by StageRuntime.Bind (fused closures capture their slot's address).
+	bound []boundTable
 	// keyPlans holds pre-resolved key-construction plans parallel to
 	// tables; nil slots (selectors, inconsistent layouts) fall back to
 	// the generic BuildKey.
@@ -189,6 +181,20 @@ type stageProg struct {
 	armTags    []uint64
 	armAt      []int
 	defaultArm int
+}
+
+// boundTable is what Bind resolved one table to. Every field is nil until
+// Bind, and stays nil where the backend hands out no such handle; the
+// applies then take the backend's name-keyed lookups.
+type boundTable struct {
+	rt ResolvedTable    // plain table: direct byte-keyed handle
+	rs ResolvedSelector // selector: direct group/member handle
+	// The fused tier's word path, for keys and groups of at most 64 bits:
+	// the engine's own probe (nil = miss), the table its batched hit/miss
+	// counts go to, and the selector's member pick by group word.
+	probe  func(word uint64) *match.Result
+	stats  WordTable
+	member func(group, hash uint64) *match.Result
 }
 
 // Key-plan step kinds.
@@ -285,7 +291,7 @@ type compiler struct {
 func compileStage(sr *StageRuntime) *stageProg {
 	mc := &compiler{sr: sr, tblIdx: make(map[string]int32)}
 	mc.matchStmts(sr.tmpl.Match)
-	prog := &stageProg{match: mc.code, tables: mc.tables}
+	prog := &stageProg{match: mc.code, tables: mc.tables, bound: make([]boundTable, len(mc.tables))}
 	prog.keyPlans = make([]*keyPlan, len(mc.tables))
 	for i, t := range mc.tables {
 		prog.keyPlans[i] = compileKeyPlan(t)

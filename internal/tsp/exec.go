@@ -211,15 +211,8 @@ func (e *Env) exec(code []instr, prog *stageProg, backend TableBackend, out *mat
 				e.Faults.BadTemplate.Add(1)
 				break
 			}
-			var rt ResolvedTable
-			if prog.resolved != nil {
-				rt = prog.resolved[in.a]
-			}
-			var rs ResolvedSelector
-			if prog.resolvedSels != nil {
-				rs = prog.resolvedSels[in.a]
-			}
-			e.applyTableWith(prog.tables[in.a], rt, rs, prog.keyPlans[in.a], backend, out)
+			bt := &prog.bound[in.a]
+			e.applyTableWith(prog.tables[in.a], bt.rt, bt.rs, prog.keyPlans[in.a], backend, out)
 		case opAssignTree:
 			e.execAssign(in.tree)
 		case opIntStamp:

@@ -6,16 +6,16 @@ package tsp
 // template *node*, built once at bind time: constant subtrees are folded,
 // field offsets are burned into the closure, byte-aligned loads/stores
 // skip the generic bit helpers, and table applies capture their slot in
-// the compiled program's handle arrays (filled by Bind) so per-packet
-// applies are a direct call through the same applyTableWith funnel as the
-// VM. Fault-counter side effects and evaluation order mirror exec.go and
+// the compiled program's handle array (filled by Bind): a key of at most
+// 64 bits is assembled in a register and handed to the engine's own probe,
+// a wider one goes through the same applyTableWith funnel as the VM.
+// Fault-counter side effects and evaluation order mirror exec.go and
 // interp.go exactly; the differential fuzz (internal/ipbm) guards drift
 // across all three tiers.
 
 import (
 	"encoding/binary"
 
-	"ipsa/internal/match"
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
 )
@@ -36,9 +36,16 @@ type fusedProg struct {
 	match fusedMatch
 	arms  []fusedStmt
 	post  fusedStmt
+	// keys and groups, parallel to prog.tables, are what makes an apply
+	// word-keyed: a plain table's key builder, a selector's group reader.
+	// Both are nil for a table whose key or group is wider than 64 bits,
+	// which stays bytes.
+	keys   []*fusedWordKey
+	groups []*fusedWordKey
 }
 
 type fuser struct {
+	*fusedProg
 	sr     *StageRuntime
 	prog   *stageProg
 	tblIdx map[string]int
@@ -49,11 +56,18 @@ type fuser struct {
 // bind-time handle arrays (closures capture the prog pointer, so handles
 // resolved by Bind after fusing are visible without a rebuild).
 func fuseStage(sr *StageRuntime) *fusedProg {
-	f := &fuser{sr: sr, prog: sr.prog, tblIdx: make(map[string]int, len(sr.prog.tables))}
+	n := len(sr.prog.tables)
+	fp := &fusedProg{keys: make([]*fusedWordKey, n), groups: make([]*fusedWordKey, n)}
+	f := &fuser{fusedProg: fp, sr: sr, prog: sr.prog, tblIdx: make(map[string]int, n)}
 	for i, t := range sr.prog.tables {
 		f.tblIdx[t.Name] = i
+		if !t.IsSelector {
+			fp.keys[i] = fuseWordKey(sr.prog.keyPlans[i])
+		} else if len(t.Keys) > 0 {
+			fp.groups[i] = fuseFieldWord(&t.Keys[0].Operand)
+		}
 	}
-	fp := &fusedProg{match: f.fuseMatchStmts(sr.tmpl.Match)}
+	fp.match = f.fuseMatchStmts(sr.tmpl.Match)
 	bodies := make(map[string]fusedStmt, len(sr.actions))
 	done := make(map[string]bool, len(sr.actions))
 	fp.arms = make([]fusedStmt, len(sr.tmpl.Arms))
@@ -696,386 +710,224 @@ func (f *fuser) fuseInstr(in *template.Instr) fusedStmt {
 	return func(e *Env) { e.Faults.BadTemplate.Add(1) }
 }
 
-// fusedKey builds a plain table's lookup key into the Env's key buffer.
-// The returned slice aliases the buffer, like buildKeyPlanned; false
-// means a source field was unreadable and the apply records a no-lookup
-// outcome (applied, no hit) — the same abort the generic builder takes.
-type fusedKey func(*Env) ([]byte, bool)
-
-// keyStepFn is one fused key field: read the source, splice into key.
-type keyStepFn func(e *Env, key []byte) bool
-
-// fuseKeySplice lowers the destination half of a key step: a constant
-// (dstOff, width) splice into the zeroed key buffer. The plan guarantees
-// the destination range fits the key, so no bounds check is needed; the
-// rare 9-byte span stages through SetBits (which cannot fail for the
-// same reason). exclusive marks a field whose bytes no other step of the
-// plan touches: since the key buffer starts zeroed, such a field can
-// store its bytes outright instead of read-modify-writing them — and a
-// whole-byte exclusive field is a bare store. Single-field keys (the
-// common table shape) always qualify.
-func fuseKeySplice(off, w int, exclusive bool) func(key []byte, v uint64) {
-	sp, ok := bitSpanOf(off, w)
-	if !ok {
-		return func(key []byte, v uint64) { _ = pkt.SetBits(key, off, w, v) }
-	}
-	byteOff, nb, slack, mask := sp.firstByte, sp.nb, sp.slack, sp.mask
-	store := beStoreFn(nb)
-	if exclusive {
-		if slack == 0 && w == nb*8 {
-			return func(key []byte, v uint64) {
-				store(key[byteOff:byteOff+nb], v)
-			}
-		}
-		return func(key []byte, v uint64) {
-			store(key[byteOff:byteOff+nb], (v&mask)<<slack)
-		}
-	}
-	load := beLoadFn(nb)
-	clr := ^(mask << slack)
-	return func(key []byte, v uint64) {
-		b := key[byteOff : byteOff+nb]
-		store(b, load(b)&clr|(v&mask)<<slack)
-	}
+// wordStep is one field of at most 64 bits on its way into a register:
+// where its bytes are (kind, hdr, off), how to cut the field out of them
+// (nb, slack, mask) and where it lands in the word being assembled (shl).
+// Offsets and masks are fuse-time constants.
+type wordStep struct {
+	kind  uint8 // keyMeta, keyHdr or keyValue
+	nb    uint8 // source bytes the field spans, 1..9
+	slack uint8 // bits right of the field in its last source byte
+	shl   uint8
+	hdr   pkt.HeaderID      // keyHdr only
+	off   int               // first source byte: in Meta, or past the header's start
+	mask  uint64            // the low width bits
+	op    *template.Operand // keyValue only, read via ReadOperand
 }
 
-// keyStepExclusive reports whether step i's destination bytes are
-// untouched by every other step of the plan.
-func keyStepExclusive(kp *keyPlan, i int) bool {
-	lo, hi := kp.steps[i].dstOff/8, (kp.steps[i].dstOff+kp.steps[i].width-1)/8
-	for j := range kp.steps {
-		if j == i {
-			continue
-		}
-		jlo, jhi := kp.steps[j].dstOff/8, (kp.steps[j].dstOff+kp.steps[j].width-1)/8
-		if lo <= jhi && jlo <= hi {
-			return false
-		}
+// newWordStep lowers a plan step (1 <= width <= 64, bitOff >= 0 — what
+// compileKeyPlan admits) that lands shl bits above the word's bit 0.
+func newWordStep(s *keyStep, shl int) wordStep {
+	ws := wordStep{kind: s.kind, hdr: s.hdr, op: s.op, shl: uint8(shl), mask: ^uint64(0) >> uint(64-s.width)}
+	if s.kind != keyValue {
+		sub := s.bitOff % 8
+		ws.off = s.bitOff / 8
+		ws.nb = uint8((sub + s.width + 7) / 8)
+		ws.slack = uint8(int(ws.nb)*8 - sub - s.width)
 	}
-	return true
+	return ws
 }
 
-// fuseKeyPlan lowers a compiled plain-table key plan to a closure chain:
-// per-field source offsets, spans and key positions are burned in, so the
-// per-packet build is constant loads and splices. Key bytes and the
-// fault/abort sequence mirror buildKeyPlanned exactly (the differential
-// fuzz holds them together). Selector plans keep the generic hash path.
-func fuseKeyPlan(kp *keyPlan) fusedKey {
-	if kp == nil || kp.sel {
-		return nil
+// beLoad reads b[:nb] big-endian, nb in 1..8; callers guarantee len(b) >= nb.
+func beLoad(b []byte, nb uint8) uint64 {
+	switch nb {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b))
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
+	case 6:
+		return uint64(binary.BigEndian.Uint32(b))<<16 | uint64(binary.BigEndian.Uint16(b[4:]))
+	case 8:
+		return binary.BigEndian.Uint64(b)
 	}
-	steps := make([]keyStepFn, len(kp.steps))
-	for i := range kp.steps {
-		steps[i] = fuseKeyStep(&kp.steps[i], keyStepExclusive(kp, i))
+	var v uint64
+	for _, x := range b[:nb] {
+		v = v<<8 | uint64(x)
 	}
-	nBytes := kp.nBytes
-	if len(steps) == 1 {
-		st := steps[0]
-		return func(e *Env) ([]byte, bool) {
-			key := e.keySlot(nBytes)
-			if !st(e, key) {
-				return nil, false
-			}
-			return key, true
-		}
-	}
-	return func(e *Env) ([]byte, bool) {
-		key := e.keySlot(nBytes)
-		for _, st := range steps {
-			if !st(e, key) {
-				return nil, false
-			}
-		}
-		return key, true
-	}
+	return v
 }
 
-func fuseKeyStep(s *keyStep, exclusive bool) keyStepFn {
-	switch s.kind {
-	case keyMeta:
-		return fuseKeyMeta(s, exclusive)
-	case keyHdr:
-		return fuseKeyHdr(s, exclusive)
-	}
-	return fuseKeyValue(s, exclusive)
+// fusedWordKey is a lookup key of at most 64 bits lowered to a register:
+// a start value (the plan's constant fields, which cannot fault) and the
+// steps that OR the packet's fields into it. It is what a plain table's
+// key, a selector's group and each of a selector's hashed fields are
+// built with.
+type fusedWordKey struct {
+	base  uint64
+	steps []wordStep
 }
 
-func fuseKeyMeta(s *keyStep, exclusive bool) keyStepFn {
-	if s.width > 64 {
-		if s.aligned {
-			so, nb, dst := s.bitOff/8, s.width/8, s.dstOff/8
-			return func(e *Env, key []byte) bool {
-				m := e.Pkt.Meta
-				if so+nb > len(m) {
-					e.Faults.BadTemplate.Add(1)
-					return false
-				}
-				copy(key[dst:], m[so:so+nb])
-				return true
-			}
-		}
-		sref := s
-		return func(e *Env, key []byte) bool {
-			return e.keyCopyBits(key, sref, e.Pkt.Meta, sref.bitOff)
-		}
-	}
-	sp, ok := bitSpanOf(s.bitOff, s.width)
-	if !ok {
-		sref := s
-		return func(e *Env, key []byte) bool {
-			return e.keyCopyBits(key, sref, e.Pkt.Meta, sref.bitOff)
-		}
-	}
-	byteOff, nb, slack, mask := sp.firstByte, sp.nb, sp.slack, sp.mask
-	load := beLoadFn(nb)
-	splice := fuseKeySplice(s.dstOff, s.width, exclusive)
-	return func(e *Env, key []byte) bool {
-		m := e.Pkt.Meta
-		if uint(byteOff)+uint(nb) > uint(len(m)) {
-			e.Faults.BadTemplate.Add(1)
-			return false
-		}
-		splice(key, load(m[byteOff:])>>slack&mask)
-		return true
-	}
-}
-
-func fuseKeyHdr(s *keyStep, exclusive bool) keyStepFn {
-	id := s.hdr
-	if s.width <= 64 && s.bitOff >= 0 {
-		if sp, ok := bitSpanOf(s.bitOff%8, s.width); ok {
-			relByte := s.bitOff / 8
-			nb, slack, mask := sp.nb, sp.slack, sp.mask
-			load := beLoadFn(nb)
-			splice := fuseKeySplice(s.dstOff, s.width, exclusive)
-			return func(e *Env, key []byte) bool {
-				loc, hok := e.Pkt.HV.Loc(id)
-				if !hok {
-					e.Faults.InvalidHeaderAccess.Add(1)
-					return false
-				}
-				d := e.Pkt.Data
-				o := loc.Off + relByte
-				if uint(o)+uint(nb) > uint(len(d)) {
-					e.Faults.BadTemplate.Add(1)
-					return false
-				}
-				splice(key, load(d[o:])>>slack&mask)
-				return true
-			}
-		}
-	}
-	sref := s
-	return func(e *Env, key []byte) bool {
-		loc, hok := e.Pkt.HV.Loc(id)
-		if !hok {
-			e.Faults.InvalidHeaderAccess.Add(1)
-			return false
-		}
-		src := loc.Off*8 + sref.bitOff
-		if sref.aligned {
-			so, nb := src/8, sref.width/8
-			if so+nb > len(e.Pkt.Data) {
-				e.Faults.BadTemplate.Add(1)
-				return false
-			}
-			copy(key[sref.dstOff/8:], e.Pkt.Data[so:so+nb])
-			return true
-		}
-		return e.keyCopyBits(key, sref, e.Pkt.Data, src)
-	}
-}
-
-func fuseKeyValue(s *keyStep, exclusive bool) keyStepFn {
-	op := s.op
-	off, w := s.dstOff, s.width
-	if w > 64 {
-		// Value kinds carry at most 64 significant bits; the high bits of
-		// the field stay zero (the key is zeroed) — buildKeyPlanned's clamp.
-		off += w - 64
-		w = 64
-	}
-	splice := fuseKeySplice(off, w, exclusive)
-	return func(e *Env, key []byte) bool {
-		splice(key, e.ReadOperand(op))
-		return true
-	}
-}
-
-// fusedGroup builds a selector's group-id bytes into the Env's group
-// buffer. It mirrors operandBytes on Keys[0]: same byte layout (the
-// field's value big-endian in (width+7)/8 bytes), same fault kinds, same
-// abort-the-apply on an unreadable source.
-type fusedGroup func(*Env) ([]byte, bool)
-
-// groupSlot returns the Env's n-byte group scratch slice, managed the way
-// operandBytes manages it (handed out full, retained empty). Not zeroed:
-// callers overwrite every byte.
-func (e *Env) groupSlot(n int) []byte {
-	if cap(e.groupBuf) < n {
-		e.groupBuf = make([]byte, n)
-	}
-	g := e.groupBuf[:n]
-	e.groupBuf = g[:0]
-	return g
-}
-
-// fuseGroupOperand lowers the group-id operand of a selector apply. nil
-// means the operand is not fusible (wide or irregular) and the apply keeps
-// the generic funnel.
-func (f *fuser) fuseGroupOperand(o *template.Operand) fusedGroup {
-	if o == nil || o.Width < 1 || o.Width > 64 {
-		return nil
-	}
-	n := (o.Width + 7) / 8
-	store := beStoreFn(n)
-	switch o.Kind {
-	case template.OpdMeta:
-		sp, ok := bitSpanOf(o.BitOff, o.Width)
-		if !ok {
-			return nil
-		}
-		byteOff, nb, slack, mask := sp.firstByte, sp.nb, sp.slack, sp.mask
-		load := beLoadFn(nb)
-		return func(e *Env) ([]byte, bool) {
-			m := e.Pkt.Meta
-			if uint(byteOff)+uint(nb) > uint(len(m)) {
-				e.Faults.BadTemplate.Add(1)
-				return nil, false
-			}
-			g := e.groupSlot(n)
-			store(g, load(m[byteOff:])>>slack&mask)
-			return g, true
-		}
-	case template.OpdHeader:
-		if o.BitOff < 0 {
-			return nil
-		}
-		sp, ok := bitSpanOf(o.BitOff%8, o.Width)
-		if !ok {
-			return nil
-		}
-		id, relByte := o.Header, o.BitOff/8
-		nb, slack, mask := sp.nb, sp.slack, sp.mask
-		load := beLoadFn(nb)
-		return func(e *Env) ([]byte, bool) {
-			loc, hok := e.Pkt.HV.Loc(id)
-			if !hok {
-				e.Faults.InvalidHeaderAccess.Add(1)
-				return nil, false
-			}
-			d := e.Pkt.Data
-			o := loc.Off + relByte
-			if uint(o)+uint(nb) > uint(len(d)) {
-				e.Faults.BadTemplate.Add(1)
-				return nil, false
-			}
-			g := e.groupSlot(n)
-			store(g, load(d[o:])>>slack&mask)
-			return g, true
-		}
-	default:
-		// Constants and params: operandBytes stores the low n bytes of
-		// ReadOperand's value, unmasked — beStoreFn truncates identically.
-		op := o
-		return func(e *Env) ([]byte, bool) {
-			g := e.groupSlot(n)
-			store(g, e.ReadOperand(op))
-			return g, true
-		}
-	}
-}
-
-// fusedHashStep reads one selector hash field. ok == false stops the hash
-// fold but not the lookup — hashPlanned's stop-hashing-keep-looking-up
-// rule. bits is the mix span, ((width+7)/8)*8, burned in at fuse time.
-type fusedHashStep struct {
-	bits int
-	read func(*Env) (uint64, bool)
-}
-
-// fuseHashSteps lowers a selector key plan's hashed fields (Keys[1:]) to
-// constant-offset readers. Fault kinds per step mirror hashPlanned.
-func fuseHashSteps(kp *keyPlan) []fusedHashStep {
-	steps := make([]fusedHashStep, len(kp.steps))
-	for i := range kp.steps {
-		s := &kp.steps[i]
-		hs := fusedHashStep{bits: ((s.width + 7) / 8) * 8}
+// build assembles the word from p. For a table key that is the key's
+// nBytes big-endian bytes with tail padding zero — match.KeyWord of the
+// bytes buildKeyPlanned lays down — built in the same step order, with the
+// same abort rule and the same fault counts: ok false means a field could
+// not be read, because its header is not parsed (InvalidHeaderAccess) or
+// it ends beyond the buffer (BadTemplate), and the apply then records
+// applied-no-hit and looks nothing up. A keyValue step always reads
+// (ReadOperand counts its own faults and yields 0).
+//
+// With spec set build is the batch executor's look-ahead: p need not be
+// e.Pkt, nothing is counted, and ok is false unless the word was built
+// cleanly — a keyValue step declines, since only the packet's own apply
+// may count what ReadOperand finds.
+func (k *fusedWordKey) build(e *Env, p *pkt.Packet, spec bool) (word uint64, ok bool) {
+	word = k.base
+	for i := range k.steps {
+		s := &k.steps[i]
+		var src []byte
+		off := s.off
 		switch s.kind {
 		case keyMeta:
-			off, w := s.bitOff, s.width
-			if sp, ok := bitSpanOf(off, w); ok {
-				byteOff, nb, slack, mask := sp.firstByte, sp.nb, sp.slack, sp.mask
-				load := beLoadFn(nb)
-				hs.read = func(e *Env) (uint64, bool) {
-					m := e.Pkt.Meta
-					if uint(byteOff)+uint(nb) > uint(len(m)) {
-						e.Faults.BadTemplate.Add(1)
-						return 0, false
-					}
-					return load(m[byteOff:]) >> slack & mask, true
-				}
-			} else {
-				hs.read = func(e *Env) (uint64, bool) {
-					v, err := pkt.GetBits(e.Pkt.Meta, off, w)
-					if err != nil {
-						e.Faults.BadTemplate.Add(1)
-						return 0, false
-					}
-					return v, true
-				}
-			}
+			src = p.Meta
 		case keyHdr:
-			id, off, w := s.hdr, s.bitOff, s.width
-			if off >= 0 {
-				if sp, ok := bitSpanOf(off%8, w); ok {
-					relByte := off / 8
-					nb, slack, mask := sp.nb, sp.slack, sp.mask
-					load := beLoadFn(nb)
-					hs.read = func(e *Env) (uint64, bool) {
-						loc, hok := e.Pkt.HV.Loc(id)
-						if !hok {
-							e.Faults.InvalidHeaderAccess.Add(1)
-							return 0, false
-						}
-						d := e.Pkt.Data
-						o := loc.Off + relByte
-						if uint(o)+uint(nb) > uint(len(d)) {
-							e.Faults.BadTemplate.Add(1)
-							return 0, false
-						}
-						return load(d[o:]) >> slack & mask, true
-					}
+			loc, hok := p.HV.Loc(s.hdr)
+			if !hok {
+				if !spec {
+					e.Faults.InvalidHeaderAccess.Add(1)
 				}
+				return 0, false
 			}
-			if hs.read == nil {
-				hs.read = func(e *Env) (uint64, bool) {
-					loc, hok := e.Pkt.HV.Loc(id)
-					if !hok {
-						e.Faults.InvalidHeaderAccess.Add(1)
-						return 0, false
-					}
-					v, err := pkt.GetBits(e.Pkt.Data, loc.Off*8+off, w)
-					if err != nil {
-						e.Faults.BadTemplate.Add(1)
-						return 0, false
-					}
-					return v, true
-				}
+			src, off = p.Data, off+loc.Off
+		default:
+			if spec {
+				return 0, false
 			}
-		default: // keyValue — ReadOperand faults inside, never aborts.
-			op := s.op
-			hs.read = func(e *Env) (uint64, bool) { return e.ReadOperand(op), true }
+			word |= e.ReadOperand(s.op) & s.mask << s.shl
+			continue
 		}
-		steps[i] = hs
+		if uint(off)+uint(s.nb) > uint(len(src)) {
+			if !spec {
+				e.Faults.BadTemplate.Add(1)
+			}
+			return 0, false
+		}
+		b := src[off:]
+		var v uint64
+		if s.nb == 9 {
+			// A field of 57..64 bits off a byte boundary: eight bytes and
+			// the top bits of the ninth.
+			v = binary.BigEndian.Uint64(b)<<(8-s.slack) | uint64(b[8])>>s.slack
+		} else {
+			v = beLoad(b, s.nb) >> s.slack
+		}
+		word |= v & s.mask << s.shl
+	}
+	return word, true
+}
+
+// fuseWordKey lowers a plain table's key plan; nil when the key does not
+// fit a word (the apply then shares buildKeyPlanned with the VM tier).
+func fuseWordKey(kp *keyPlan) *fusedWordKey {
+	if kp == nil || kp.sel || kp.nBytes > 8 {
+		return nil
+	}
+	k := &fusedWordKey{steps: make([]wordStep, 0, len(kp.steps))}
+	for i := range kp.steps {
+		s := &kp.steps[i]
+		ws := newWordStep(s, kp.nBytes*8-s.dstOff-s.width)
+		if s.kind == keyValue && s.op.Kind == template.OpdConst {
+			k.base |= s.op.Const & ws.mask << ws.shl
+			continue
+		}
+		k.steps = append(k.steps, ws)
+	}
+	return k
+}
+
+// fuseFieldWord lowers a selector key field — the group operand, or a
+// hashed one — to a one-step word: match.KeyWord of the (width+7)/8 bytes
+// operandBytes lays down, with operandBytes' fault kinds and abort. For a
+// constant or parameter those bytes are the low bytes of ReadOperand's
+// value, unmasked, where a table key keeps only the field's width. nil
+// means no register holds the field (wide or irregular).
+func fuseFieldWord(o *template.Operand) *fusedWordKey {
+	if o.Width < 1 || o.Width > 64 {
+		return nil
+	}
+	s := keyStep{kind: keyValue, op: o, bitOff: o.BitOff, width: (o.Width + 7) / 8 * 8}
+	switch o.Kind {
+	case template.OpdMeta:
+		s.kind, s.width = keyMeta, o.Width
+	case template.OpdHeader:
+		s.kind, s.width, s.hdr = keyHdr, o.Width, o.Header
+	}
+	if s.kind != keyValue && o.BitOff < 0 {
+		return nil
+	}
+	return &fusedWordKey{steps: []wordStep{newWordStep(&s, 0)}}
+}
+
+// fusedHashStep reads one selector hash field: as a word, of which the
+// low bits ((width+7)/8*8 of them) are mixed, or — for a field no register
+// holds — as operandBytes of the operand.
+type fusedHashStep struct {
+	word *fusedWordKey
+	bits int
+	wide *template.Operand
+}
+
+// fuseHashSteps lowers a selector's hashed fields (Keys[1:]).
+func fuseHashSteps(keys []template.KeySel) []fusedHashStep {
+	steps := make([]fusedHashStep, len(keys))
+	for i := range keys {
+		o := &keys[i].Operand
+		if w := fuseFieldWord(o); w != nil {
+			steps[i] = fusedHashStep{word: w, bits: (o.Width + 7) / 8 * 8}
+		} else {
+			steps[i].wide = o
+		}
 	}
 	return steps
 }
 
-// fuseMatchStmts lowers the matcher. Applies funnel through the same
-// applyTableWith as the VM and interpreter, reading the handle slots of
-// the captured compiled program — Bind fills those after fusing, so
-// closures see bind-time handles with no rebuild.
+// fuseHash folds the hashed fields as applyTableWith's selector arm does:
+// each field's bytes MSB-first, and a field that cannot be read stops the
+// fold but not the lookup.
+func fuseHash(e *Env, steps []fusedHashStep) uint64 {
+	h := uint64(fnvOffset64)
+	for i := range steps {
+		s := &steps[i]
+		if s.wide != nil {
+			raw, ok := e.operandBytes(s.wide, e.fieldBuf)
+			if !ok {
+				break
+			}
+			e.fieldBuf = raw[:0]
+			for _, b := range raw {
+				h ^= uint64(b)
+				h *= fnvPrime64
+			}
+			continue
+		}
+		v, ok := s.word.build(e, e.Pkt, false)
+		if !ok {
+			break
+		}
+		for sh := s.bits; sh > 0; sh -= 8 {
+			h ^= uint64(byte(v >> uint(sh-8)))
+			h *= fnvPrime64
+		}
+	}
+	return finalizeHash(h)
+}
+
+// fuseMatchStmts lowers the matcher. An apply captures its table's slot in
+// the compiled program's bound array — Bind fills it after fusing, so
+// closures see bind-time handles with no rebuild — and runs the word path
+// when Bind found a word handle there, else the applyTableWith funnel of
+// the VM and interpreter.
 func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 	if len(stmts) == 0 {
 		return nil
@@ -1122,99 +974,73 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 				})
 				continue
 			}
-			prog, ti := f.prog, idx
-			t := prog.tables[ti]
-			if kp := prog.keyPlans[ti]; t.IsSelector && kp != nil && kp.sel && len(t.Keys) > 0 {
-				if fg := f.fuseGroupOperand(&t.Keys[0].Operand); fg != nil {
-					// Selector with a fusible group operand: group build and
-					// hash fold run over fuse-time constant offsets; the member
-					// lookup goes through the bind-time selector handle exactly
-					// as the generic funnel would. Group bytes, hash sequence,
-					// fault ordering and outcome recording are byte-identical
-					// to applyTableWith's selector arm.
-					hsteps := fuseHashSteps(kp)
-					tname := t.Name
-					parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
-						if out.applied {
-							e.Faults.BadTemplate.Add(1)
-							return
-						}
-						out.applied = true
-						out.table = tname
-						group, gok := fg(e)
-						if !gok {
-							return
-						}
-						h := uint64(fnvOffset64)
-						for i := range hsteps {
-							v, vok := hsteps[i].read(e)
-							if !vok {
-								break
-							}
-							for sh := hsteps[i].bits; sh > 0; sh -= 8 {
-								h ^= uint64(byte(v >> uint(sh-8)))
-								h *= fnvPrime64
-							}
-						}
-						var res match.Result
-						var ok bool
-						var rs ResolvedSelector
-						if prog.resolvedSels != nil {
-							rs = prog.resolvedSels[ti]
-						}
-						if rs != nil {
-							res, ok = rs.LookupMember(group, finalizeHash(h))
-						} else {
-							res, ok = backend.LookupSelector(tname, group, finalizeHash(h))
-						}
-						if ok {
-							out.hit = true
-							out.tag = uint64(res.ActionID)
-							out.params = res.Params
-						}
-					})
-					continue
+			ti := idx
+			t, kp, bt := f.prog.tables[ti], f.prog.keyPlans[ti], &f.prog.bound[ti]
+			tname := t.Name
+			// generic is the funnel shared with the VM: byte keys end to end.
+			// Wide keys and groups take it, and so does any apply Bind could
+			// not resolve to a word handle.
+			generic := func(e *Env, backend TableBackend, out *matchOutcome) {
+				if out.applied {
+					// One table application per stage per packet; extra
+					// applies are template bugs.
+					e.Faults.BadTemplate.Add(1)
+					return
 				}
+				e.applyTableWith(t, bt.rt, bt.rs, kp, backend, out)
 			}
-			if fk := fuseKeyPlan(prog.keyPlans[ti]); fk != nil && !t.IsSelector {
-				// Plain table with a fused key builder: when Bind resolved a
-				// direct handle that splits lookup from accounting, run the
-				// engine probe inline — fused key splices, no name funnel, and
-				// hit/miss counts batched on the Env instead of two shared
-				// atomics per packet. Outcome recording is byte-identical to
-				// applyTableWith; anything less than a full direct handle
-				// falls through to the generic funnel.
-				tname, kp := t.Name, prog.keyPlans[ti]
+			if gs := f.groups[ti]; gs != nil {
+				// Selector whose group fits a word: group, hash fold and the
+				// member pick run over fuse-time constant offsets with no byte
+				// key in between. Fault ordering and outcome recording are
+				// applyTableWith's selector arm's.
+				hsteps := fuseHashSteps(t.Keys[1:])
 				parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
-					if out.applied {
-						// One table application per stage per packet; extra
-						// applies are template bugs.
-						e.Faults.BadTemplate.Add(1)
-						return
-					}
-					var dt DirectTable
-					if prog.direct != nil {
-						dt = prog.direct[ti]
-					}
-					if dt == nil {
-						var rt ResolvedTable
-						if prog.resolved != nil {
-							rt = prog.resolved[ti]
-						}
-						e.applyTableWith(t, rt, nil, kp, backend, out)
+					member := bt.member
+					if out.applied || member == nil {
+						generic(e, backend, out)
 						return
 					}
 					out.applied = true
 					out.table = tname
-					key, kok := fk(e)
-					if !kok {
+					group, ok := gs.build(e, e.Pkt, false)
+					if !ok {
 						return
 					}
-					if e.statTbl != dt {
-						e.flushTableStats()
-						e.statTbl = dt
+					if res := member(group, fuseHash(e, hsteps)); res != nil {
+						out.hit = true
+						out.tag = uint64(res.ActionID)
+						out.params = res.Params
 					}
-					if res, ok := dt.LookupNoCount(key); ok {
+				})
+				continue
+			}
+			if wk := f.keys[ti]; wk != nil {
+				// Plain table whose key fits a word: field loads OR into a
+				// register, the register goes straight to the engine's probe,
+				// and the hit/miss counts batch on the Env instead of two
+				// shared atomics per packet. A word the batch executor parked
+				// for this packet one turn ago is taken, not rebuilt.
+				parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
+					probe := bt.probe
+					if out.applied || probe == nil {
+						generic(e, backend, out)
+						return
+					}
+					out.applied = true
+					out.table = tname
+					word := e.keyWord
+					if e.keyPkt != e.Pkt {
+						var ok bool
+						if word, ok = wk.build(e, e.Pkt, false); !ok {
+							return
+						}
+					}
+					if e.statTbl != bt {
+						e.flushTableStats()
+						e.statTbl = bt
+					}
+					if res := probe(word); res != nil {
 						e.statHits++
 						out.hit = true
 						out.tag = uint64(res.ActionID)
@@ -1225,23 +1051,7 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 				})
 				continue
 			}
-			parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
-				if out.applied {
-					// One table application per stage per packet; extra
-					// applies are template bugs.
-					e.Faults.BadTemplate.Add(1)
-					return
-				}
-				var rt ResolvedTable
-				if prog.resolved != nil {
-					rt = prog.resolved[ti]
-				}
-				var rs ResolvedSelector
-				if prog.resolvedSels != nil {
-					rs = prog.resolvedSels[ti]
-				}
-				e.applyTableWith(prog.tables[ti], rt, rs, prog.keyPlans[ti], backend, out)
-			})
+			parts = append(parts, generic)
 		}
 	}
 	switch len(parts) {

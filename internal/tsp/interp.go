@@ -54,22 +54,26 @@ type Env struct {
 	// Scratch buffers reused across lookups on the hot path. keyBuf backs
 	// BuildKey results (valid until the next BuildKey on this Env);
 	// groupBuf and fieldBuf back selector group keys and field reads.
-	// specBuf backs the batch executor's speculative one-ahead prefetch
-	// keys, kept separate so a prefetch never clobbers an in-flight key.
 	keyBuf   []byte
 	groupBuf []byte
 	fieldBuf []byte
-	specBuf  []byte
+
+	// keyPkt/keyWord are the batch executor's look-ahead: the word key of
+	// keyPkt for the stage now running, built one packet early for the
+	// prefetch and taken by that packet's apply. keyPkt is nil outside a
+	// prefetching batch.
+	keyPkt  *pkt.Packet
+	keyWord uint64
 
 	// prefetched sinks the tag returned by table prefetches so the bucket
 	// load has a data dependency the compiler cannot eliminate.
 	prefetched uint64
 
 	// statTbl/statHits/statMisses batch table hit/miss accounting for the
-	// fused inline-apply path: counts accumulate here in plain registers
-	// and flushTableStats credits them to the table's shared atomics at
-	// packet (scalar) or batch boundaries.
-	statTbl    DirectTable
+	// fused word path: counts for the table last probed accumulate here in
+	// plain registers and flushTableStats credits them to the table's
+	// shared atomics at packet (scalar) or batch boundaries.
+	statTbl    *boundTable
 	statHits   uint64
 	statMisses uint64
 
@@ -100,6 +104,7 @@ func (e *Env) Rebind(regs *RegisterFile, faults *Faults, srh, ipv6 pkt.HeaderID)
 	e.Lane = 0
 	e.statTbl = nil
 	e.statHits, e.statMisses = 0, 0
+	e.keyPkt = nil
 }
 
 func (e *Env) ensureStack(n int) {

@@ -47,36 +47,37 @@ type SelectorResolver interface {
 	ResolveSelector(name string) (ResolvedSelector, bool)
 }
 
-// Prefetcher is optionally implemented by resolved tables whose engine
-// can touch the bucket a key would probe (software prefetch). The return
-// value is an arbitrary tag of the touched slot; callers sink it into the
-// Env so the load cannot be dead-code-eliminated. CanPrefetch reports
-// whether the underlying engine actually supports it — a handle whose
-// engine cannot (LPM, ternary) returns false and the stage runs without
-// speculative key builds rather than paying them for nothing.
-type Prefetcher interface {
-	CanPrefetch() bool
-	Prefetch(key []byte) uint64
-}
-
-// PrefetchAdvisor is optionally implemented by prefetchable handles that
-// can also tell whether prefetching is worthwhile *right now*: a table
-// whose resident probe array fits in cache gains nothing from a one-ahead
-// touch but still pays the speculative key build. The batch executor asks
-// once per stage per batch, so the table can grow into (or shrink out of)
-// prefetching as entries change without a rebind.
-type PrefetchAdvisor interface {
+// WordTable is an optional extension of ResolvedTable: a handle whose
+// engine can be probed by a key carried as one word. The fused tier asks
+// once, at Bind, and from then on calls the engine's probe directly; the
+// probe does no hit/miss accounting, which the executor batches on the Env
+// and credits through AddLookupStats (see Env.flushTableStats).
+type WordTable interface {
+	// WordLookup returns the engine's probe for keys of keyBytes bytes
+	// carried big-endian in one word with tail padding zero, or nil when
+	// the table is byte-keyed (wide, ternary, range, trie) or its keys have
+	// another length. A nil Result is a miss; a non-nil one is the engine's
+	// own, read-only and valid forever.
+	WordLookup(keyBytes int) func(word uint64) *match.Result
+	// WordPrefetch returns the engine's touch of the bucket a word would
+	// probe, or nil when it has none (LPM). The returned tag is arbitrary;
+	// callers sink it into the Env so the load cannot be dead-code-eliminated.
+	WordPrefetch() func(word uint64) uint64
+	// PrefetchUseful tells whether prefetching is worthwhile right now: a
+	// table whose resident probe array fits in cache gains nothing from a
+	// one-ahead touch. The batch executor asks once per stage per batch, so
+	// the table can grow into (or shrink out of) prefetching as entries
+	// change without a rebind.
 	PrefetchUseful() bool
+	AddLookupStats(hits, misses uint64)
 }
 
-// DirectTable is an optional extension of ResolvedTable: a handle that
-// can split the engine probe from hit/miss accounting. The fused tier's
-// inline apply path uses it to run lookups engine-direct and batch the
-// counter updates on the Env (two register increments per packet, flushed
-// to the shared atomics once per batch) — see Env.flushTableStats.
-type DirectTable interface {
-	LookupNoCount(key []byte) (match.Result, bool)
-	AddLookupStats(hits, misses uint64)
+// WordSelector is the selector counterpart of WordTable.
+type WordSelector interface {
+	// WordMember returns the member pick for groups of groupBytes bytes
+	// carried big-endian in one word, or nil when the selector's groups are
+	// wider than a word or of another length. Results as for WordLookup.
+	WordMember(groupBytes int) func(group, hash uint64) *match.Result
 }
 
 // StageRuntime executes one logical stage template.
@@ -95,11 +96,10 @@ type StageRuntime struct {
 	// key plans and bind-time handles.
 	fused *fusedProg
 
-	// pfTable/pfPlan drive the batch executor's one-packet-ahead software
-	// prefetch: set by Bind when the stage applies exactly one plain
-	// exact-match table whose resolved handle supports it.
-	pfTable Prefetcher
-	pfPlan  *keyPlan
+	// pfTouch drives the batch executor's one-packet-ahead software
+	// prefetch: set by Bind when the stage applies exactly one word-keyed
+	// table (fused.keys[0], prog.bound[0]) whose engine can touch a bucket.
+	pfTouch func(word uint64) uint64
 
 	// intStamp/intStageID are the interpreter's INT epilogue (compiled
 	// stages carry it as prog.post instead); set by NewStageRuntimeOpts.
@@ -188,45 +188,57 @@ func (sr *StageRuntime) Bind(backend TableBackend) {
 	if sr.prog == nil {
 		return
 	}
-	res, rok := backend.(TableResolver)
-	sel, sok := backend.(SelectorResolver)
-	if rok {
-		sr.prog.resolved = make([]ResolvedTable, len(sr.prog.tables))
-		sr.prog.direct = make([]DirectTable, len(sr.prog.tables))
-	}
-	if sok {
-		sr.prog.resolvedSels = make([]ResolvedSelector, len(sr.prog.tables))
-	}
+	res, _ := backend.(TableResolver)
+	sel, _ := backend.(SelectorResolver)
 	for i, t := range sr.prog.tables {
-		if t.IsSelector {
-			if sok {
-				if rs, found := sel.ResolveSelector(t.Name); found {
-					sr.prog.resolvedSels[i] = rs
-				}
+		bt := &sr.prog.bound[i]
+		*bt = boundTable{}
+		switch {
+		case t.IsSelector && sel != nil:
+			rs, found := sel.ResolveSelector(t.Name)
+			if !found {
+				continue
 			}
-			continue
-		}
-		if rok {
-			if rt, found := res.ResolveTable(t.Name); found {
-				sr.prog.resolved[i] = rt
-				if dt, ok := rt.(DirectTable); ok {
-					sr.prog.direct[i] = dt
+			bt.rs = rs
+			if ws, ok := rs.(WordSelector); ok && sr.fused != nil && sr.fused.groups[i] != nil {
+				bt.member = ws.WordMember((t.Keys[0].Operand.Width + 7) / 8)
+			}
+		case !t.IsSelector && res != nil:
+			rt, found := res.ResolveTable(t.Name)
+			if !found {
+				continue
+			}
+			bt.rt = rt
+			if wt, ok := rt.(WordTable); ok && sr.fused != nil && sr.fused.keys[i] != nil {
+				if probe := wt.WordLookup(sr.prog.keyPlans[i].nBytes); probe != nil {
+					bt.probe, bt.stats = probe, wt
 				}
 			}
 		}
 	}
 	// Arm the batch executor's one-ahead prefetch for the common stage
-	// shape: exactly one plain table with a compiled key plan, resolved to
-	// a handle that can touch its bucket. Advisory only — batches run
-	// identically without it.
-	sr.pfTable, sr.pfPlan = nil, nil
-	if sr.fused != nil && len(sr.prog.tables) == 1 && !sr.prog.tables[0].IsSelector &&
-		sr.prog.keyPlans[0] != nil && sr.prog.resolved != nil {
-		if pf, ok := sr.prog.resolved[0].(Prefetcher); ok && pf.CanPrefetch() {
-			sr.pfTable = pf
-			sr.pfPlan = sr.prog.keyPlans[0]
+	// shape: exactly one table, word-keyed, on an engine that can touch a
+	// bucket. Advisory only — batches run identically without it.
+	sr.pfTouch = nil
+	if len(sr.prog.bound) == 1 && sr.prog.bound[0].probe != nil {
+		sr.pfTouch = sr.prog.bound[0].stats.WordPrefetch()
+	}
+}
+
+// WordKeyed reports whether the stage's applies of table run the word
+// path — key or group in a register, the engine's own probe — rather than
+// byte keys through the shared funnel. False before Bind, for the VM and
+// interpreter tiers, and for a table the stage does not apply.
+func (sr *StageRuntime) WordKeyed(table string) bool {
+	if sr.prog == nil {
+		return false
+	}
+	for i, t := range sr.prog.tables {
+		if t.Name == table {
+			return sr.prog.bound[i].probe != nil || sr.prog.bound[i].member != nil
 		}
 	}
+	return false
 }
 
 // Name returns the stage name.
@@ -276,31 +288,42 @@ func (sr *StageRuntime) Execute(p *pkt.Packet, parser *OnDemandParser, backend T
 // accumulated in registers and flushed once. Packets already dropped by
 // an earlier stage are skipped, preserving the scalar path's
 // break-on-drop semantics. Trace and Timed are re-pointed per packet from
-// the packet itself. When Bind armed a prefetcher, the next live packet's
-// table bucket is touched one packet ahead.
+// the packet itself. When Bind armed a prefetch, the next live packet's
+// key is built and its table bucket touched one packet ahead.
 func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
 	var packets, hits, misses, defaults uint64
 	n := len(ps)
 	// One-ahead prefetch, re-advised once per batch: a table whose probe
 	// array is currently cache-resident declines, and the batch skips the
-	// speculative key builds entirely. A batch of one (Forward) has no
-	// packet ahead, so it does not ask.
-	pf := sr.pfTable
-	if n < 2 {
-		pf = nil
-	} else if pf != nil {
-		if adv, ok := pf.(PrefetchAdvisor); ok && !adv.PrefetchUseful() {
-			pf = nil
-		}
+	// look-ahead entirely. A batch of one (Forward) has no packet ahead,
+	// so it does not ask.
+	touch := sr.pfTouch
+	var key *fusedWordKey
+	if n < 2 || touch == nil || !sr.prog.bound[0].stats.PrefetchUseful() {
+		touch = nil
+	} else {
+		key = sr.fused.keys[0]
 	}
+	// ahead is the packet whose key the previous turn built while it
+	// prefetched, parked on the Env for that packet's apply to take: a key
+	// is built once per packet per stage. The look-ahead counts no fault
+	// and parks nothing it could not build cleanly (the header may simply
+	// not be parsed yet); the apply then builds, and faults, as usual.
+	var ahead *pkt.Packet
+	var aheadWord uint64
 	for i, p := range ps {
 		if p == nil || p.Drop {
 			continue
 		}
-		if pf != nil {
+		if touch != nil {
+			env.keyPkt, env.keyWord = ahead, aheadWord
+			ahead = nil
 			for j := i + 1; j < n; j++ {
 				if nx := ps[j]; nx != nil && !nx.Drop {
-					sr.prefetchFor(nx, env)
+					if w, ok := key.build(env, nx, true); ok {
+						ahead, aheadWord = nx, w
+						env.prefetched += touch(w)
+					}
 					break
 				}
 			}
@@ -320,6 +343,7 @@ func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, b
 			defaults++
 		}
 	}
+	env.keyPkt = nil
 	env.flushTableStats()
 	if packets != 0 {
 		sr.packets.Add(packets)
@@ -333,52 +357,6 @@ func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, b
 			sr.defaults.Add(defaults)
 		}
 	}
-}
-
-// prefetchFor speculatively builds nx's lookup key for the stage's single
-// table and touches the bucket it would probe, so the real lookup one
-// packet later finds the line resident. Strictly advisory and free of
-// side effects: no fault counters, a separate scratch buffer, and any
-// unreadable field aborts silently (the real lookup faults properly).
-func (sr *StageRuntime) prefetchFor(nx *pkt.Packet, env *Env) {
-	kp := sr.pfPlan
-	if cap(env.specBuf) < kp.nBytes {
-		env.specBuf = make([]byte, kp.nBytes)
-	}
-	key := env.specBuf[:kp.nBytes]
-	for i := range key {
-		key[i] = 0
-	}
-	for si := range kp.steps {
-		s := &kp.steps[si]
-		if s.width > 64 {
-			return
-		}
-		var v uint64
-		var err error
-		switch s.kind {
-		case keyMeta:
-			v, err = pkt.GetBits(nx.Meta, s.bitOff, s.width)
-		case keyHdr:
-			loc, ok := nx.HV.Loc(s.hdr)
-			if !ok {
-				return
-			}
-			v, err = pkt.GetBits(nx.Data, loc.Off*8+s.bitOff, s.width)
-		default: // keyValue: params are not bound during match, consts only.
-			if s.op == nil || s.op.Kind != template.OpdConst {
-				return
-			}
-			v = s.op.Const
-		}
-		if err != nil {
-			return
-		}
-		if pkt.SetBits(key, s.dstOff, s.width, v) != nil {
-			return
-		}
-	}
-	env.prefetched += sr.pfTable.Prefetch(key)
 }
 
 // executeOne is the per-packet core shared by Execute and ExecuteBatch.
@@ -597,14 +575,14 @@ func (e *Env) keySlot(n int) []byte {
 	return key
 }
 
-// flushTableStats credits the hit/miss counts the fused inline-apply path
+// flushTableStats credits the hit/miss counts the fused word path
 // accumulated on this Env to their table and clears the batch. Execute
 // flushes per packet, ExecuteBatch once per batch; either way the shared
 // table counters are exact at every public boundary.
 func (e *Env) flushTableStats() {
 	if e.statTbl != nil {
 		if e.statHits|e.statMisses != 0 {
-			e.statTbl.AddLookupStats(e.statHits, e.statMisses)
+			e.statTbl.stats.AddLookupStats(e.statHits, e.statMisses)
 			e.statHits, e.statMisses = 0, 0
 		}
 		e.statTbl = nil
