@@ -377,13 +377,13 @@ func BenchmarkAblation_Packing(b *testing.B) {
 	}
 }
 
-// --- Hot path: compiled executor vs reference interpreter -------------------
+// --- Hot path: fused executor vs reference interpreter ----------------------
 
 // benchmarkHotPath drives the steady-state forwarding path (pooled
 // packets and envs, no per-packet return value) with one executor mode.
-// The compiled/interp pair quantifies what lowering the template IR to
-// flat programs at apply time buys per packet; allocs/op must be 0 in
-// steady state.
+// The fused/interp pair quantifies what lowering the template IR to
+// closures at apply time buys per packet; allocs/op must be 0 in steady
+// state.
 func benchmarkHotPath(b *testing.B, mode tsp.ExecMode, flowOff bool) {
 	for _, uc := range experiments.UseCases {
 		b.Run(uc, func(b *testing.B) {
@@ -413,14 +413,13 @@ func benchmarkHotPath(b *testing.B, mode tsp.ExecMode, flowOff bool) {
 	}
 }
 
-func BenchmarkHotPath_Compiled(b *testing.B) { benchmarkHotPath(b, tsp.ExecCompiled, false) }
-
 func BenchmarkHotPath_Interp(b *testing.B) { benchmarkHotPath(b, tsp.ExecInterp, false) }
 
-// BenchmarkHotPath_FlowOff is the compiled hot path with flow accounting
-// disabled — the ablation quantifying what the always-on accounting
-// costs per packet (see docs/OBSERVABILITY.md and EXPERIMENTS.md).
-func BenchmarkHotPath_FlowOff(b *testing.B) { benchmarkHotPath(b, tsp.ExecCompiled, true) }
+// BenchmarkHotPath_FlowOff is BenchmarkHotPath_FusedScalar with flow
+// accounting disabled — the ablation quantifying what the always-on
+// accounting costs per packet (see docs/OBSERVABILITY.md and
+// EXPERIMENTS.md).
+func BenchmarkHotPath_FlowOff(b *testing.B) { benchmarkHotPath(b, tsp.ExecFused, true) }
 
 // benchmarkHotPathBatch drives ForwardBatch: one pinned version, one Env
 // bind and one stage-major sweep per batch of distinct frame buffers.
@@ -470,10 +469,11 @@ func benchmarkHotPathBatch(b *testing.B, mode tsp.ExecMode, batch int) {
 	}
 }
 
-// BenchmarkHotPath_Fused is the gated second-stage-compiler benchmark:
-// fused closures, batch-at-a-time execution and exact-match prefetch at
-// the default batch size. CI compares it against the committed compiled
-// baseline (make bench-fused) with a strict zero-alloc requirement.
+// BenchmarkHotPath_Fused is the gated executor benchmark: fused closures,
+// batch-at-a-time execution and exact-match prefetch at the default batch
+// size. CI holds it to the committed baseline and to a within-run speedup
+// over the interpreter (make bench-fused) with a strict zero-alloc
+// requirement.
 func BenchmarkHotPath_Fused(b *testing.B) {
 	benchmarkHotPathBatch(b, tsp.ExecFused, ipbm.DefaultBatch)
 }
@@ -697,10 +697,10 @@ func benchmarkShardedThroughput(b *testing.B, shards, batch int) {
 	runShardedBurst(b, sw, prep.Gen().FlowPackets())
 }
 
-// runShardedBurst is the shared harness for the sharded and pipelined
-// whole-switch benchmarks: inject b.N frames from a refresh ring, drain
-// every egress port in the background, and stop the clock only when the
-// switch has accounted for the entire burst.
+// runShardedBurst is the whole-switch benchmark harness: inject b.N
+// frames from a refresh ring, drain every egress port in the background,
+// and stop the clock only when the switch has accounted for the entire
+// burst.
 func runShardedBurst(b *testing.B, sw *ipbm.Switch, flows [][]byte) {
 	b.Helper()
 	// Injection ring: the data plane rewrites frames in place, so each
@@ -786,21 +786,6 @@ func BenchmarkShardedBatchSensitivity(b *testing.B) {
 			benchmarkShardedThroughput(b, 2, batch)
 		})
 	}
-}
-
-// BenchmarkPipelinedThroughput is the pre-sharding asynchronous mode on
-// the identical harness — the direct baseline for the scaling sweep.
-func BenchmarkPipelinedThroughput(b *testing.B) {
-	prep, err := experiments.PrepareUseCase(benchCfg(), "C1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sw := prep.IPSA()
-	if err := sw.RunPipelined(2); err != nil {
-		b.Fatal(err)
-	}
-	defer sw.Shutdown()
-	runShardedBurst(b, sw, prep.Gen().FlowPackets())
 }
 
 // BenchmarkAblation_CrossbarMigration measures the cross-cluster table

@@ -21,9 +21,8 @@
 //
 // A third check class, -speedup, compares two benchmark families within
 // the same run, so it is as machine-independent as allocs/op: the host's
-// absolute speed cancels out of the ratio. This is how the second-stage
-// compiler gate asserts the fused tier's ordering (fused at least as fast
-// as the flat-program VM, and decisively faster than the tree
+// absolute speed cancels out of the ratio. This is how the executor gate
+// asserts the fused tier's ordering (decisively faster than the tree
 // interpreter) without depending on which box CI happens to land on.
 //
 // Repeated runs of one benchmark (-count=N) are folded by taking the
@@ -35,7 +34,7 @@
 //
 //	go test -run xxx -bench BenchmarkHotPath -benchmem -count=5 . | benchgate -write BENCH_hotpath.json
 //	go test -run xxx -bench BenchmarkHotPath -benchmem -count=5 . | benchgate -check BENCH_hotpath.json -tol 2.0
-//	go test -run xxx -bench 'BenchmarkHotPath_(Interp|Compiled|Fused)$' -benchmem -count=3 . | \
+//	go test -run xxx -bench 'BenchmarkHotPath_(Interp|Fused)$' -benchmem -count=3 . | \
 //	  benchgate -check BENCH_hotpath.json -speedup 'BenchmarkHotPath_Fused=BenchmarkHotPath_Interp:1.25'
 package main
 

@@ -6,8 +6,14 @@
 // Usage:
 //
 //	ipbm -listen 127.0.0.1:9901 [-config config.json] [-tsps 16] [-ports 8]
+//	     [-shards N] [-batch 32] [-exec fused|interp]
 //	     [-metrics-addr 127.0.0.1:9911] [-trace-every 64]
 //	     [-log-level info] [-log-format text]
+//
+// Frames arriving on the ports are served by RunSharded: -shards lanes
+// (0 = min(GOMAXPROCS, ipbm.MaxShards)), each polling its RSS ring of
+// every port. The switch may start without -config; frames arriving
+// before the first configuration count as parse_error admission failures.
 package main
 
 import (
@@ -34,10 +40,8 @@ func main() {
 	configFile := flag.String("config", "", "initial device configuration JSON (optional)")
 	tsps := flag.Int("tsps", 16, "physical TSP count")
 	ports := flag.Int("ports", 8, "data ports")
-	pipelined := flag.Bool("pipelined", false, "asynchronous mode: TM buffers between ingress and egress workers")
-	egressWorkers := flag.Int("egress-workers", 2, "egress workers in pipelined mode")
-	shards := flag.Int("shards", 0, "sharded mode: flow-affine worker lanes (0 disables; overrides -pipelined)")
-	batch := flag.Int("batch", 0, "frames per I/O batch in sharded mode (0 = default)")
+	shards := flag.Int("shards", 0, "flow-affine forwarding lanes (0 = GOMAXPROCS, capped at ipbm.MaxShards)")
+	batch := flag.Int("batch", 0, "frames per lane turn (0 = default)")
 	pcapIn := flag.String("pcap-in", "", "replay this pcap through port 0 and exit (offline mode)")
 	pcapOut := flag.String("pcap-out", "", "with -pcap-in: capture forwarded packets here")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /traces JSON); empty disables")
@@ -45,7 +49,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 256, "flight-recorder ring size")
 	latencyEvery := flag.Uint64("latency-every", 128,
 		"sample per-TSP latency every N packets; 0 disables")
-	execFlag := flag.String("exec", "fused", "stage executor: fused (second-stage compiled closures), compiled (flat-program VM) or interp (reference tree-walker)")
+	execFlag := flag.String("exec", "fused", "stage executor: fused (compiled closures) or interp (reference tree-walker)")
 	intOn := flag.Bool("int", false, "enable in-band telemetry stamping at startup (also togglable at runtime via rp4ctl int enable/disable)")
 	intSwitchID := flag.Uint("int-switch-id", 1, "switch ID stamped into INT hop records")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -150,22 +154,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	slog.Info("ipbm up", "ccm", addr, "tsps", *tsps, "ports", *ports,
-		"pipelined", *pipelined, "shards", *shards)
-	switch {
-	case *shards > 0:
-		if err := sw.RunSharded(*shards, *batch); err != nil {
-			fatal(err)
-		}
-		nsh, nb := sw.Sharded()
-		slog.Info("sharded mode up", "shards", nsh, "batch", nb)
-	case *pipelined:
-		if err := sw.RunPipelined(*egressWorkers); err != nil {
-			fatal(err)
-		}
-	default:
-		sw.Run()
+	slog.Info("ipbm up", "ccm", addr, "tsps", *tsps, "ports", *ports)
+	if *shards == 0 {
+		*shards = min(runtime.GOMAXPROCS(0), ipbm.MaxShards)
 	}
+	if err := sw.RunSharded(*shards, *batch); err != nil {
+		fatal(err)
+	}
+	nsh, nb := sw.Sharded()
+	slog.Info("sharded mode up", "shards", nsh, "batch", nb)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -53,7 +53,7 @@ func main() {
 	ingress := flag.Int("ingress-stages", 12, "fixed ingress stage count")
 	egress := flag.Int("egress-stages", 4, "fixed egress stage count")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /health JSON); empty disables")
-	execFlag := flag.String("exec", "fused", "stage executor: fused (second-stage compiled closures), compiled (flat-program VM) or interp (reference tree-walker)")
+	execFlag := flag.String("exec", "fused", "stage executor: fused (compiled closures) or interp (reference tree-walker)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()

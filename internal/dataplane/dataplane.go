@@ -71,9 +71,7 @@ type Hooks interface {
 
 // Core is the state a switch embeds: the design snapshot, the shared
 // fault counters, and the packet/Env pools. Packet and Env are pooled
-// separately because the pipelined mode parks packets in the traffic
-// manager between the ingress and egress halves while their Envs are
-// returned for reuse.
+// separately because a batch keeps many packets in flight under one Env.
 type Core struct {
 	design atomic.Pointer[Design]
 	faults tsp.Faults
@@ -180,7 +178,6 @@ func (c *Core) GetPacket(d *Design, data []byte, inPort int) (*pkt.Packet, error
 func (c *Core) PutPacket(p *pkt.Packet) {
 	p.Data = nil
 	p.Trace = nil
-	p.Ver = nil
 	c.pktPool.Put(p)
 }
 

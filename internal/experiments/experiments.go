@@ -36,8 +36,8 @@ type Config struct {
 	Packets int
 	// Entries installed per table when measuring repopulation cost.
 	Entries int
-	// Exec selects the stage executor on both devices (compiled flat
-	// programs by default; the reference interpreter for comparison runs).
+	// Exec selects the stage executor on both devices (fused closures by
+	// default; the reference interpreter for comparison runs).
 	Exec tsp.ExecMode
 	// FlowOff disables the IPSA switch's always-on flow accounting — the
 	// ablation knob for measuring its per-packet overhead.

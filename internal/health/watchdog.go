@@ -6,10 +6,9 @@ import (
 	"ipsa/internal/telemetry"
 )
 
-// Lane is one monitored execution lane: a shard worker or a pipelined
-// egress worker. Progress is a monotonic heartbeat the lane stamps as it
-// does work; Pending is how much work is queued for it (its input channel
-// plus TM occupancy). A lane is flagged stalled when its heartbeat is
+// Lane is one monitored execution lane: a shard worker. Progress is a
+// monotonic heartbeat the lane stamps as it does work; Pending is how much
+// work is queued for it (its rx rings plus TM occupancy). A lane is flagged stalled when its heartbeat is
 // frozen across StallRounds consecutive checks while Pending stays
 // positive — the TM-empty guard, since an idle lane's frozen heartbeat
 // is just an idle lane.
@@ -78,8 +77,7 @@ func (h *Health) BeginOpWatch(kind, configHash string, check func() bool) {
 }
 
 // AddLane registers a lane with the watchdog. Called by the forwarding
-// mode at start-up (RunSharded registers one lane per shard, RunPipelined
-// one per egress worker).
+// driver at start-up (RunSharded registers one lane per shard).
 func (h *Health) AddLane(l Lane) {
 	if h == nil {
 		return

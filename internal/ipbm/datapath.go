@@ -93,34 +93,9 @@ func (s *Switch) spawn(f func()) {
 	}()
 }
 
-// portLane builds the lane that serves port i alone: the port's ingress
-// becomes a single ring the lane polls, and the port's flow table is the
-// lane's to write.
-func (s *Switch) portLane(i int, cross tmCross) *lane {
-	l := s.newLane(0, s.pl.TM(), cross, DefaultBatch)
-	port, _ := s.ports.Port(i)
-	l.rings = port.SplitRx([]chan struct{}{l.wake}, max(s.opts.QueueDepth, DefaultBatch))
-	l.port0 = i
-	l.fl = s.flows.Lane(i)
-	return l
-}
-
-// Run starts the run-to-completion forwarding mode: one lane per port,
-// each taking the port's frames through the whole lifecycle. It may start
-// before a configuration is installed (frames arriving earlier count as
-// admission failures). Stop with Shutdown.
-func (s *Switch) Run() {
-	for i := 0; i < s.ports.Len(); i++ {
-		l := s.portLane(i, crossPass)
-		s.spawn(func() { l.serve(DefaultBatch) })
-	}
-	s.health.Start()
-}
-
 // Shutdown closes the ports and waits for the forwarding goroutines.
 // Closing is what stops them: a lane exits once its ports are closed and
-// its rings are empty, an egress lane once every ingress lane has exited
-// and the TM is empty — so every frame a port accepted has a verdict, and
+// its rings are empty — so every frame a port accepted has a verdict, and
 // no program version stays pinned, when Shutdown returns.
 func (s *Switch) Shutdown() {
 	if s.stopped.CompareAndSwap(false, true) {

@@ -465,7 +465,7 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 			pub.reused++
 			continue
 		}
-		sr, err := tsp.NewStageRuntimeOpts(cfg, sn, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
+		sr, err := tsp.NewStageRuntime(cfg, sn, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
 		if err != nil {
 			return pub, err
 		}

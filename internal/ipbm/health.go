@@ -2,9 +2,8 @@ package ipbm
 
 // health.go wires the switch into the self-diagnosis layer: the
 // time-series ring samples the registry plus a few explicitly wired
-// collector-backed series, the watchdog lanes are registered by the
-// forwarding modes (one per shard lane, one per pipelined egress lane),
-// and every reconfiguration hands the version it retired to BeginOpWatch
+// collector-backed series, the watchdog lanes are registered by
+// RunSharded (one per shard lane), and every reconfiguration hands the version it retired to BeginOpWatch
 // so one that never quiesces is reported instead of lingering silently.
 
 import (
@@ -13,8 +12,8 @@ import (
 	"ipsa/internal/health"
 )
 
-// initHealth builds the monitor. Called from New after newTelemetry; the
-// forwarding modes register lanes and Start it.
+// initHealth builds the monitor. Called from New after newTelemetry;
+// RunSharded registers lanes and Starts it.
 func (s *Switch) initHealth(opts Options) {
 	s.health = health.New(health.Options{
 		Registry:         s.tel.Reg,

@@ -195,32 +195,3 @@ func TestHealthQueryRates(t *testing.T) {
 		t.Fatalf("ring samples = %d, want >= 2", st.Samples)
 	}
 }
-
-// TestHealthEgressLaneRegistration: the pipelined mode registers one
-// watchdog lane per egress worker with heartbeat counters.
-func TestHealthEgressLaneRegistration(t *testing.T) {
-	sw := newManualHealthSwitch(t)
-	defer sw.Shutdown()
-	if err := sw.RunPipelined(2); err != nil {
-		t.Fatal(err)
-	}
-	st := sw.HealthQuery(0)
-	if len(st.Lanes) != 2 {
-		t.Fatalf("lanes = %d, want 2 egress workers", len(st.Lanes))
-	}
-	for _, l := range st.Lanes {
-		if l.State != "ok" {
-			t.Fatalf("lane %s = %s at startup, want ok", l.Name, l.State)
-		}
-	}
-	// The heartbeat counters must be registered series.
-	found := 0
-	for _, p := range sw.Telemetry().Reg.Gather() {
-		if p.Name == "ipsa_egress_heartbeat_total" {
-			found++
-		}
-	}
-	if found != 2 {
-		t.Fatalf("ipsa_egress_heartbeat_total series = %d, want 2", found)
-	}
-}

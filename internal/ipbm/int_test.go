@@ -129,11 +129,11 @@ func TestIntEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIntDifferentialCompiledVsInterp: with a deterministic clock and
-// queue-depth source injected into both switches, the compiled IntStamp
-// op and the interpreter epilogue must produce byte-identical packets
-// and hop-identical sink reports.
-func TestIntDifferentialCompiledVsInterp(t *testing.T) {
+// TestIntDifferentialFusedVsInterp: with a deterministic clock and
+// queue-depth source injected into both switches, the fused and the
+// interpreted tier must produce byte-identical packets and hop-identical
+// sink reports.
+func TestIntDifferentialFusedVsInterp(t *testing.T) {
 	interpOpts := DefaultOptions()
 	interpOpts.Exec = tsp.ExecInterp
 	a := switchFromOpts(t, compilerOpts(), DefaultOptions())
@@ -145,11 +145,11 @@ func TestIntDifferentialCompiledVsInterp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runDiff(t, a, b, diffTraffic(t, 48), "INT compiled vs interp")
+	runDiff(t, a, b, diffTraffic(t, 48), "INT fused vs interp")
 
 	ra, rb := a.IntReport(0), b.IntReport(0)
 	if len(ra) == 0 || len(ra) != len(rb) {
-		t.Fatalf("report counts diverged: compiled=%d interp=%d", len(ra), len(rb))
+		t.Fatalf("report counts diverged: fused=%d interp=%d", len(ra), len(rb))
 	}
 	for i := range ra {
 		ha, hb := ra[i].Hops, rb[i].Hops
@@ -158,19 +158,19 @@ func TestIntDifferentialCompiledVsInterp(t *testing.T) {
 		}
 		for j := range ha {
 			if ha[j] != hb[j] {
-				t.Fatalf("report %d hop %d diverged:\ncompiled: %+v\ninterp:   %+v",
+				t.Fatalf("report %d hop %d diverged:\nfused:  %+v\ninterp: %+v",
 					i, j, ha[j], hb[j])
 			}
 		}
 	}
 }
 
-// TestIntSoakPipelinedConservation: INT toggled both ways under live
-// pipelined traffic must lose no packets — every injected frame ends in
+// TestIntSoakShardedConservation: INT toggled both ways under live
+// sharded traffic must lose no packets — every injected frame ends in
 // exactly one verdict counter — and must leave no executor faults.
-func TestIntSoakPipelinedConservation(t *testing.T) {
+func TestIntSoakShardedConservation(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
-	if err := sw.RunPipelined(2); err != nil {
+	if err := sw.RunSharded(2, DefaultBatch); err != nil {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
@@ -243,7 +243,7 @@ func TestIntSoakPipelinedConservation(t *testing.T) {
 	for finished() < uint64(injected) {
 		if time.Now().After(deadline) {
 			t.Fatalf("conservation: %d/%d packets reached a verdict (tm depth %d)",
-				finished(), injected, sw.Pipeline().TM().DepthSum())
+				finished(), injected, sw.tmDepthSum())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -5,23 +5,19 @@ package ipbm
 // take frames from arrival to a verdict without sharing a hot cache line:
 // a packet freelist, an Env and a counter stripe (dataplane.Shard), the
 // TM its packets cross, the flow table its admissions are accounted on,
-// batch scratch and per-port transmit queues. The three forwarding
-// drivers are thin loops over it:
+// batch scratch and per-port transmit queues. The two forwarding drivers
+// are thin loops over it:
 //
 //   - Forward / ForwardBatch / ProcessPacket run a pooled lane inline on
 //     the caller's goroutine (batch of 1 or n, TM pass-through);
-//   - Run and RunSharded are lanes behind the ring ports: one per port,
-//     or one per shard holding that shard's RSS ring of every port;
-//   - RunPipelined splits the lifecycle at the shared TM: a lane per port
-//     parks ingress survivors there, a lane per egress worker drains it.
+//   - RunSharded serves lanes behind the ring ports, one per shard holding
+//     that shard's RSS ring of every port, each draining its own TM.
 //
 // A turn pins the current program version once and everything in it runs
-// that version; only a packet parked in the shared TM outlives its turn,
-// and it carries its own pin across in p.Ver.
+// that version: no packet outlives its turn.
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"ipsa/internal/dataplane"
@@ -44,9 +40,6 @@ const (
 	// crossOwn parks packets in the lane's own TM and drains it in the
 	// same turn, under the turn's pin.
 	crossOwn
-	// crossShared parks packets in the shared TM for an egress lane; each
-	// takes a pin of its own, carried in p.Ver.
-	crossShared
 )
 
 // laneFrame is one frame of a turn: the bytes, the RSS flow hash (from
@@ -60,7 +53,6 @@ type laneFrame struct {
 // flowFin is one finished packet's flow-accounting outcome, queued by
 // finish and applied by settle.
 type flowFin struct {
-	fl      *flowstat.Table
 	hash    uint64
 	lat     int64
 	verdict flowstat.Verdict
@@ -77,13 +69,13 @@ type lane struct {
 	tm    *pipeline.TrafficManager
 	cross tmCross
 
-	// fl is the flow table this lane's admissions are accounted on: the
-	// shard's, or the ingress port's. Other lanes may share it (an inline
-	// Forward on a served port, an egress lane finishing this port's
-	// flows), so it is only touched under its hold, which a turn takes
-	// twice: around touch and around settle, never across a stage. now is
-	// the turn's timestamp for flow first/last/idle times; fins are the
-	// turn's verdicts waiting for settle.
+	// fl is the flow table this lane's packets are accounted on: the
+	// shard's, or the ingress port's. Other lanes may share it (shard i
+	// and an inline Forward on port i, or inline Forwards on one port from
+	// several goroutines), so it is only touched under its hold, which a
+	// turn takes twice: around touch and around settle, never across a
+	// stage. now is the turn's timestamp for flow first/last/idle times;
+	// fins are the turn's verdicts waiting for settle.
 	fl   *flowstat.Table
 	now  int64
 	fins []flowFin
@@ -101,17 +93,15 @@ type lane struct {
 	kept    *pkt.Packet
 
 	// rings are the rx rings a served lane polls, ring i belonging to port
-	// port0+i; every ring signals wake, where the worker parks when all
-	// are empty. next is the ring the next collection starts from.
+	// i; every ring signals wake, where the worker parks when all are
+	// empty. next is the ring the next collection starts from.
 	rings []*netio.RxQueue
-	port0 int
 	wake  chan struct{}
 	next  int
 	rxbuf []netio.Frame
 
-	// beat counts frames (packets, on an egress lane) taken through, turns
-	// the worker's wakeups; the health watchdog and the per-shard export
-	// read the registered ones.
+	// beat counts frames taken through, turns the worker's wakeups; the
+	// health watchdog and the per-shard export read the registered ones.
 	beat, turns *telemetry.Counter
 
 	gate atomic.Pointer[laneGate]
@@ -158,10 +148,9 @@ func (l *lane) turn() (sent int, err error) {
 		l.touch()
 		l.ingress(v)
 		if l.cross == crossOwn {
-			l.drain(0)
+			l.drain()
 		}
-		l.egress(v, l.ps)
-		l.ps = l.ps[:0]
+		l.egress(v)
 		l.settle()
 		sent = l.flushTx()
 		v.unpin()
@@ -212,19 +201,18 @@ func (l *lane) touch() {
 	l.fl.Release()
 }
 
-// settle applies the queued flow verdicts, one hold per run of packets
-// of the same table: the lane's own in a turn, the ingress ports' on an
-// egress lane.
+// settle applies the queued flow verdicts to the lane's flow table under
+// one hold.
 func (l *lane) settle() {
-	for i := 0; i < len(l.fins); {
-		fl := l.fins[i].fl
-		fl.Hold()
-		for ; i < len(l.fins) && l.fins[i].fl == fl; i++ {
-			f := &l.fins[i]
-			fl.Finish(f.hash, f.verdict, f.lat, l.now)
-		}
-		fl.Release()
+	if len(l.fins) == 0 {
+		return
 	}
+	l.fl.Hold()
+	for i := range l.fins {
+		f := &l.fins[i]
+		l.fl.Finish(f.hash, f.verdict, f.lat, l.now)
+	}
+	l.fl.Release()
 	l.fins = l.fins[:0]
 }
 
@@ -238,7 +226,7 @@ func (l *lane) ingress(v *progVersion) {
 		switch {
 		case p.Drop:
 			l.finish(v, p, true)
-		case !l.park(v, p):
+		case !l.park(p):
 			// Tail drop is the TM's policy decision; counted in its stats.
 			l.finish(v, p, false)
 		case l.cross == crossPass:
@@ -251,49 +239,36 @@ func (l *lane) ingress(v *progVersion) {
 
 // park takes an ingress survivor across the TM boundary; false means the
 // TM refused it.
-func (l *lane) park(v *progVersion, p *pkt.Packet) bool {
-	switch l.cross {
-	case crossPass:
-		return l.tm.PassThrough(p)
-	case crossOwn:
+func (l *lane) park(p *pkt.Packet) bool {
+	if l.cross == crossOwn {
 		return l.tm.Admit(p)
 	}
-	// Once admitted the packet belongs to whichever egress lane dequeues
-	// it, possibly after a reconfiguration: pin before, not after.
-	p.Ver = v
-	v.inFlight.Add(1)
-	if l.tm.Admit(p) {
-		return true
-	}
-	p.Ver = nil
-	v.unpin()
-	return false
+	return l.tm.PassThrough(p)
 }
 
-// drain moves packets from the TM into l.ps until it holds max of them
-// (0 = until the TM is empty) and reports how many it holds.
-func (l *lane) drain(max int) int {
-	for max == 0 || len(l.ps) < max {
+// drain moves every packet in the lane's TM into l.ps.
+func (l *lane) drain() {
+	for {
 		p, ok := l.tm.DequeueRR()
 		if !ok {
-			break
+			return
 		}
 		l.ps = append(l.ps, p)
 	}
-	return len(l.ps)
 }
 
-// egress runs packets that crossed the TM through v's egress half,
-// stage-major, and finishes each.
-func (l *lane) egress(v *progVersion, ps []*pkt.Packet) {
-	if len(ps) == 0 {
+// egress runs the packets in l.ps, which crossed the TM, through v's
+// egress half, stage-major, finishes each and empties l.ps.
+func (l *lane) egress(v *progVersion) {
+	if len(l.ps) == 0 {
 		return
 	}
-	v.runEgressBatch(l.s.pl, ps, l.dsh.Env(v.design))
-	for i, p := range ps {
+	v.runEgressBatch(l.s.pl, l.ps, l.dsh.Env(v.design))
+	for i, p := range l.ps {
 		l.finish(v, p, true)
-		ps[i] = nil
+		l.ps[i] = nil
 	}
+	l.ps = l.ps[:0]
 }
 
 // finish is the one place a packet gets its verdict: punt, out-port
@@ -304,13 +279,6 @@ func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 	s := l.s
 	if p.ToCPU {
 		s.punt(p)
-	}
-	fl, pinned := l.fl, p.Ver != nil
-	if pinned {
-		// Parked in the shared TM by an ingress lane: its flow entry lives
-		// in its ingress port's table.
-		p.Ver = nil
-		fl = s.flows.Peek(p.InPort)
 	}
 	out := survived && !p.Drop
 	if out {
@@ -324,11 +292,8 @@ func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 	}
 	verdict := dataplane.Verdict(p, survived, len(l.txq))
 	s.dp.FinishPacket(p, verdict)
-	if fl != nil {
-		l.fins = append(l.fins, flowFin{fl, p.RSS, flowLat(p), flowstat.VerdictOf(verdict)})
-	}
-	if pinned {
-		v.unpin()
+	if l.fl != nil {
+		l.fins = append(l.fins, flowFin{p.RSS, flowLat(p), flowstat.VerdictOf(verdict)})
 	}
 	if l.inspect {
 		l.kept = p
@@ -385,7 +350,7 @@ func (l *lane) collect(batch int) int {
 		}
 		n := l.rings[ri].Recv(l.rxbuf[:batch-len(l.frames)])
 		for j, f := range l.rxbuf[:n] {
-			l.frames = append(l.frames, laneFrame{data: f.Data, hash: f.Hash, port: int32(l.port0 + ri)})
+			l.frames = append(l.frames, laneFrame{data: f.Data, hash: f.Hash, port: int32(ri)})
 			l.rxbuf[j] = netio.Frame{}
 		}
 		ri++
@@ -448,62 +413,6 @@ func (l *lane) serve(batch int) {
 	}
 }
 
-// egressSpins is how many yield-and-retry rounds an idle egress lane
-// makes before parking on the TM's wakeup notification: enough that a
-// back-to-back burst never pays a futex round trip, few enough that a
-// genuinely idle worker parks within microseconds and costs nothing.
-const egressSpins = 4
-
-// egressBatch caps how many packets an egress lane drains from the shared
-// TM per round. Under load the whole round usually carries one program
-// version, so it executes stage-major with one Env bind.
-const egressBatch = 32
-
-// serveTM is an egress lane's event loop over the shared TM: drain a
-// round, run each run of same-version packets through egress, transmit;
-// spin briefly when the TM momentarily empties, then park on its admit
-// notification. ingressDone turns true once no lane admits any more; the
-// loop returns when the TM is empty after that, so no parked packet (and
-// no pin) is left behind.
-func (l *lane) serveTM(ingressDone func() bool) {
-	stop := func() bool { return ingressDone() || l.gate.Load() != nil }
-	for {
-		l.checkGate()
-		// Read before the drain: nothing is admitted once it is true, so
-		// an empty drain after it is final.
-		done := ingressDone()
-		for i := 0; l.drain(egressBatch) == 0 && i < egressSpins; i++ {
-			runtime.Gosched()
-		}
-		n := len(l.ps)
-		if n == 0 {
-			if done {
-				return
-			}
-			if p, ok := l.tm.DequeueWait(stop); ok {
-				l.ps = append(l.ps, p)
-			}
-			continue
-		}
-		if l.s.flows != nil {
-			l.now = flowstat.Now()
-		}
-		for i := 0; i < n; {
-			v := l.ps[i].Ver.(*progVersion)
-			j := i + 1
-			for j < n && l.ps[j].Ver == l.ps[i].Ver {
-				j++
-			}
-			l.egress(v, l.ps[i:j])
-			i = j
-		}
-		l.ps = l.ps[:0]
-		l.settle()
-		l.flushTx()
-		l.beat.Add(uint64(n))
-	}
-}
-
 // checkGate blocks the worker while a test holds its gate. One atomic
 // load per loop iteration.
 func (l *lane) checkGate() {
@@ -515,19 +424,14 @@ func (l *lane) checkGate() {
 
 // block is the deliberate-stall test hook: it returns once the lane's
 // worker is held at the top of its loop — having taken nothing more from
-// its rings or the TM — and the worker stays there until release is
-// called.
+// its rings — and the worker stays there until release is called.
 func (l *lane) block() (release func()) {
 	g := &laneGate{held: make(chan struct{}), release: make(chan struct{})}
 	l.gate.Store(g)
 	// Kick a parked worker so it reaches the gate.
-	if l.rings != nil {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	} else {
-		l.tm.WakeAll()
+	select {
+	case l.wake <- struct{}{}:
+	default:
 	}
 	<-g.held
 	return func() {

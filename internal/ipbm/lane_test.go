@@ -177,13 +177,35 @@ func (l ledger) String() string {
 		l.verdicts, l.drops, l.flowPackets, l.punted, l.egFrames, l.egBytes)
 }
 
-// settle waits until n frames have a verdict.
+// portsSent totals the frames every egress port took.
+func portsSent(sw *Switch) uint64 {
+	var sent uint64
+	for i := 0; i < sw.Ports().Len(); i++ {
+		p, _ := sw.Ports().Port(i)
+		sent += p.DetailedStats().Sent
+	}
+	return sent
+}
+
+// settle waits until n frames have a verdict and every transmitted one
+// has reached its egress port or been counted tx_fail: a lane counts
+// verdicts in finish, before flushTx hands the frames to the egress rings.
+// A punted frame is transmitted too, and every one the callers produce has
+// an egress port, so the frames due at the ports are the forwarded and
+// to_cpu verdicts.
 func settle(t *testing.T, sw *Switch, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for sw.packetsTotal() < uint64(n) {
+	for {
+		// Verdicts first: once all n are in, due cannot grow.
+		done := sw.packetsTotal() >= uint64(n)
+		due := sw.tel.vForwarded.Value() + sw.tel.vToCPU.Value()
+		left := portsSent(sw) + sw.tel.dropTxFail.Value()
+		if done && due == left {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d frames reached a verdict", sw.packetsTotal(), n)
+			t.Fatalf("%d of %d frames reached a verdict; %d due at the ports, %d left", sw.packetsTotal(), n, due, left)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -211,8 +233,8 @@ func injectAll(sw *Switch, frames [][]byte) error {
 	return nil
 }
 
-// congestShared is the congestion recipe for lanes that pass through the
-// shared TM: four frames cross an empty TM, then four placeholders occupy
+// congestShared is the congestion recipe for the inline lanes, which pass
+// through the shared TM: four frames cross an empty TM, then four placeholders occupy
 // its admission queue while the other six arrive.
 func congestShared(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, sentBefore int) {
 	if err := d.send(sw, frames[:4]); err != nil {
@@ -234,27 +256,19 @@ func congestShared(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, s
 	}
 }
 
-// congestBlocked is the recipe for lanes that park packets in a TM
-// another step drains: hold the draining workers, let the whole burst
-// arrive, release. ingressFree says the lanes that admit are not among
-// the held ones, so the refusals can (and must) be waited for.
-func congestBlocked(lanes func(sw *Switch) []*lane, ingressFree bool) func(*testing.T, *Switch, *parityDriver, [][]byte, int) {
-	return func(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, sentBefore int) {
-		var release []func()
-		for _, l := range lanes(sw) {
-			release = append(release, l.block())
-		}
-		if err := d.send(sw, frames); err != nil {
-			t.Fatal(err)
-		}
-		if ingressFree {
-			// Wait for the ingress lanes to meet the full TM before the
-			// egress lane is let go.
-			settle(t, sw, sentBefore+parityTMDrops)
-		}
-		for _, r := range release {
-			r()
-		}
+// congestShards is the recipe for shard lanes, which park a turn's
+// packets in their own TM before draining it: hold the workers, let the
+// whole burst reach their rings, release, so one turn takes all ten.
+func congestShards(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, sentBefore int) {
+	var release []func()
+	for _, l := range sw.shardsP.Load().shards {
+		release = append(release, l.block())
+	}
+	if err := d.send(sw, frames); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range release {
+		r()
 	}
 }
 
@@ -268,7 +282,7 @@ func parityDrivers() []parityDriver {
 				}
 			},
 			send:    injectAll,
-			congest: congestBlocked(func(sw *Switch) []*lane { return sw.shardsP.Load().shards }, false),
+			congest: congestShards,
 		}
 	}
 	return []parityDriver{
@@ -292,22 +306,6 @@ func parityDrivers() []parityDriver {
 				return err
 			},
 			congest: congestShared,
-		},
-		{
-			name:    "Run",
-			start:   func(t *testing.T, sw *Switch) { sw.Run() },
-			send:    injectAll,
-			congest: congestShared,
-		},
-		{
-			name: "RunPipelined",
-			start: func(t *testing.T, sw *Switch) {
-				if err := sw.RunPipelined(1); err != nil {
-					t.Fatal(err)
-				}
-			},
-			send:    injectAll,
-			congest: congestBlocked(func(sw *Switch) []*lane { return sw.egress }, true),
 		},
 		sharded(1),
 		sharded(2),
@@ -477,11 +475,7 @@ func TestShutdownConservation(t *testing.T) {
 			if got := sw.packetsTotal(); got != accepted {
 				t.Errorf("ports accepted %d frames, %d reached a verdict", accepted, got)
 			}
-			var sent uint64
-			for i := 0; i < sw.Ports().Len(); i++ {
-				p, _ := sw.Ports().Port(i)
-				sent += p.DetailedStats().Sent
-			}
+			sent := portsSent(sw)
 			fwd, txFail := sw.tel.vForwarded.Value(), sw.tel.dropTxFail.Value()
 			if fwd != sent+txFail {
 				t.Errorf("%d forwarded verdicts, but ports sent %d and tx_fail counted %d", fwd, sent, txFail)

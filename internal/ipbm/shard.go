@@ -1,6 +1,6 @@
 package ipbm
 
-// shard.go is the flow-affine sharded forwarding mode: every port hashes
+// shard.go is the served forwarding driver: every port hashes
 // an arriving frame (RSS over raw frame bytes) into one of N rx rings,
 // and lane i polls ring i of every port, running ingress→TM→egress to
 // completion against its own TM queues and packet freelist. A flow maps
@@ -24,8 +24,8 @@ import (
 )
 
 // MaxShards bounds RunSharded's shard count: lane 0 of every striped
-// counter belongs to the shared synchronous/pipelined paths, and the
-// stripe sets are sized for MaxShards worker lanes above it.
+// counter belongs to the inline Forward paths, and the stripe sets are
+// sized for MaxShards worker lanes above it.
 const MaxShards = 63
 
 // DefaultBatch is the frame batch size used when RunSharded (or the
@@ -41,21 +41,19 @@ type shardSet struct {
 	batch  int
 }
 
-// RunSharded starts the sharded forwarding mode: every port splits its
+// RunSharded starts the served forwarding mode: every port splits its
 // ingress into shards RSS rings, and lane i polls ring i of every port,
 // running the full ingress→TM→egress lifecycle against per-shard queues
 // and freelists. batch bounds the frames one turn handles (0 =
-// DefaultBatch). Stop with Shutdown; mutually exclusive with
-// Run/RunPipelined on the same switch.
+// DefaultBatch). It may start before a configuration is installed:
+// frames arriving earlier count as admission failures. Stop with
+// Shutdown.
 func (s *Switch) RunSharded(shards, batch int) error {
 	if shards < 1 || shards > MaxShards {
 		return fmt.Errorf("ipbm: shard count %d outside [1,%d]", shards, MaxShards)
 	}
 	if batch <= 0 {
 		batch = DefaultBatch
-	}
-	if s.dp.Design() == nil {
-		return errNoConfig
 	}
 	if s.shardsP.Load() != nil {
 		return fmt.Errorf("ipbm: sharded mode already running")

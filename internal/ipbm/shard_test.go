@@ -85,10 +85,6 @@ func TestShardedModeForwards(t *testing.T) {
 
 // TestShardedModeErrors: misconfiguration is rejected up front.
 func TestShardedModeErrors(t *testing.T) {
-	sw, _ := New(DefaultOptions())
-	if err := sw.RunSharded(2, 0); err == nil {
-		t.Error("unconfigured sharded run accepted")
-	}
 	cfgd, _ := newBaseSwitch(t)
 	if err := cfgd.RunSharded(0, 0); err == nil {
 		t.Error("zero shards accepted")
@@ -102,6 +98,71 @@ func TestShardedModeErrors(t *testing.T) {
 	defer cfgd.Shutdown()
 	if err := cfgd.RunSharded(2, 4); err == nil {
 		t.Error("double start accepted")
+	}
+}
+
+// TestShardedStartsUnconfigured: the served driver may start before the
+// first configuration, as the daemon does. Frames arriving earlier end as
+// parse_error admission failures, frames after ApplyConfig are forwarded,
+// and every frame a port accepted has exactly one verdict.
+func TestShardedStartsUnconfigured(t *testing.T) {
+	sw, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.RunSharded(2, 0); err != nil {
+		t.Fatalf("unconfigured start refused: %v", err)
+	}
+	defer sw.Shutdown()
+	in, _ := sw.Ports().Port(inPort)
+	out, _ := sw.Ports().Port(outPort)
+	var accepted uint64
+	inject := func(n int) {
+		for i := 0; i < n; i++ {
+			if in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64)) {
+				accepted++
+			}
+		}
+	}
+
+	inject(20)
+	settle(t, sw, int(accepted))
+	early := accepted
+	if early == 0 {
+		t.Fatal("no frame accepted before the configuration")
+	}
+	if got := sw.tel.vParseError.Value(); got != early {
+		t.Fatalf("%d frames before ApplyConfig, %d parse_error verdicts", early, got)
+	}
+	if got := sw.tel.dropParse.Value(); got != early {
+		t.Fatalf("%d frames before ApplyConfig, %d parser drops", early, got)
+	}
+
+	if _, err := sw.ApplyConfig(newBaseWorkspace(t).Current().Config); err != nil {
+		t.Fatal(err)
+	}
+	populateBase(t, sw)
+	inject(20)
+	settle(t, sw, int(accepted))
+	late := accepted - early
+	if got := sw.tel.vForwarded.Value(); got != late {
+		t.Fatalf("%d frames after ApplyConfig, %d forwarded", late, got)
+	}
+	if got := sw.tel.vParseError.Value(); got != early {
+		t.Fatalf("parse_error verdicts moved to %d after ApplyConfig", got)
+	}
+	drained := uint64(0)
+	for {
+		if _, ok := out.Drain(); !ok {
+			break
+		}
+		drained++
+	}
+	if drained != late {
+		t.Fatalf("%d frames forwarded, %d left the egress port", late, drained)
+	}
+	if total := sw.packetsTotal(); total != accepted {
+		t.Fatalf("ports accepted %d frames, %d verdicts", accepted, total)
 	}
 }
 

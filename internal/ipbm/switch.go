@@ -54,9 +54,8 @@ type Options struct {
 	// default that amortizes to well under a percent of a ~2µs forward.
 	LatencyEvery uint64
 	// Exec selects the stage executor tier: fused closures (the zero
-	// value, tsp.ExecFused), the flat-program VM they are lowered from, or
-	// the tree-walking reference interpreter the other two are tested
-	// against.
+	// value, tsp.ExecFused) or the tree-walking reference interpreter they
+	// are tested against.
 	Exec tsp.ExecMode
 
 	// IntSwitchID identifies this switch in INT hop records.
@@ -205,9 +204,6 @@ type Switch struct {
 	// RunSharded is active): scrape-time aggregation, the INT queue-depth
 	// source and the in-flight audit all read it lock-free.
 	shardsP atomic.Pointer[shardSet]
-	// egress holds RunPipelined's egress lanes (written before they
-	// start; the stall-injection tests reach their gates through it).
-	egress []*lane
 
 	runWG   sync.WaitGroup
 	stopped atomic.Bool

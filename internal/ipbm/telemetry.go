@@ -38,10 +38,9 @@ type Telemetry struct {
 	// incremented for every finished packet. Pre-resolved so the hot-path
 	// cost is one switch plus one atomic add; their snapshots are how
 	// audit events quantify what traffic saw during a swap. Striped:
-	// lane 0 is the shared synchronous/pipelined paths, lanes 1..N the
-	// shard workers, so concurrent shards never contend on one cache
-	// line. Totals fold at read time; per-lane cells are what the
-	// ipsa_shard_* export reads.
+	// lane 0 is the inline Forward paths, lanes 1..N the shard workers, so
+	// concurrent shards never contend on one cache line. Totals fold at
+	// read time; per-lane cells are what the ipsa_shard_* export reads.
 	vForwarded  *telemetry.StripedCounter
 	vDropped    *telemetry.StripedCounter
 	vTmDrop     *telemetry.StripedCounter
@@ -152,7 +151,7 @@ func (t *Telemetry) verdictDeltas(before [verdict.NumVerdicts]uint64) map[string
 }
 
 // verdictLanes sizes the verdict counter stripes: one lane for the
-// shared synchronous/pipelined paths plus one per possible shard.
+// inline Forward paths plus one per possible shard.
 const verdictLanes = MaxShards + 1
 
 // newTelemetry builds the registry, resolves the static handles and
@@ -227,9 +226,9 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	}
 
 	// Executor tier, build_info style: a constant-1 gauge whose label says
-	// which of the three stage executors (fused second-stage closures, the
-	// flat-program VM, or the reference interpreter) this switch runs, so
-	// dashboards comparing hosts can tell tier apart from hardware.
+	// which of the two stage executors (fused closures or the reference
+	// interpreter) this switch runs, so dashboards comparing hosts can tell
+	// tier apart from hardware.
 	gauge("ipsa_exec_tier", 1, telemetry.L("tier", s.opts.Exec.String()))
 
 	// Pipeline module.

@@ -11,7 +11,7 @@ import (
 
 // TestTwoSwitchTopology wires two ipbm instances back to back and routes a
 // packet through both: host -> A(port1) -> A(port3) ~wire~ B(port1) ->
-// B(port3). Exercises the CM path (port run loops), the full pipeline of
+// B(port3). Exercises the CM path (served lanes), the full pipeline of
 // both devices and TTL decrement at each hop.
 func TestTwoSwitchTopology(t *testing.T) {
 	macA := pkt.MAC{0x02, 0, 0, 0, 0xAA, 0x01} // router MAC of A
@@ -57,10 +57,12 @@ func TestTwoSwitchTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	netio.Wire(pa, pb)
-	swA.Run()
-	swB.Run()
-	defer swA.Shutdown()
-	defer swB.Shutdown()
+	for _, sw := range []*Switch{swA, swB} {
+		if err := sw.RunSharded(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Shutdown()
+	}
 
 	// Inject at A's port 1 a packet for 20.1.2.3 addressed to A's MAC.
 	raw, err := pkt.Serialize(

@@ -84,12 +84,12 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 				seen[tn] = true
 			}
 		}
-		// The other tiers keep byte keys end to end: they are the oracle.
-		vm := switchOn(t, cfg, tsp.ExecCompiled)
-		for sn, sr := range vm.epochs.current().built {
+		// The interpreter keeps byte keys end to end: it is the oracle.
+		interp := switchOn(t, cfg, tsp.ExecInterp)
+		for sn, sr := range interp.epochs.current().built {
 			for _, tn := range cfg.Stages[sn].Tables {
 				if sr.WordKeyed(tn) {
-					t.Errorf("%q stage %s table %s: word-keyed on the VM tier", sc, sn, tn)
+					t.Errorf("%q stage %s table %s: word-keyed on the interpreter", sc, sn, tn)
 				}
 			}
 		}
@@ -103,8 +103,8 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 
 // TestTableStatsExactAcrossTiers pins the batched hit/miss accounting of
 // the word path: after the same 10k-frame trace, every table's counters on
-// the fused and VM tiers equal the interpreter's, which counts one lookup
-// at a time inside mem.Table.Lookup.
+// the fused tier equal the interpreter's, which counts one lookup at a
+// time inside mem.Table.Lookup.
 func TestTableStatsExactAcrossTiers(t *testing.T) {
 	const frames = 10000
 	for _, sc := range []string{"", "ecmp.script", "flowprobe.script"} {
@@ -146,12 +146,10 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 		if lookups < frames {
 			t.Fatalf("%q: only %d lookups over %d frames", sc, lookups, frames)
 		}
-		for name, mode := range map[string]tsp.ExecMode{"fused": tsp.ExecFused, "compiled": tsp.ExecCompiled} {
-			got := run(mode)
-			for tn, want := range oracle {
-				if got[tn] != want {
-					t.Errorf("%q %s %s: {hits misses} = %v, interpreter %v", sc, name, tn, got[tn], want)
-				}
+		got := run(tsp.ExecFused)
+		for tn, want := range oracle {
+			if got[tn] != want {
+				t.Errorf("%q fused %s: {hits misses} = %v, interpreter %v", sc, tn, got[tn], want)
 			}
 		}
 	}

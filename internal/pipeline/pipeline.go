@@ -26,8 +26,8 @@ type Selector struct {
 }
 
 // statLanes is the number of counter stripes for the processed/dropped
-// totals. Each concurrent executor (shard worker, egress worker, the
-// synchronous path) writes its own cache-line-padded lane, picked by
+// totals. Each concurrent executor (a shard worker, the inline path)
+// writes its own cache-line-padded lane, picked by
 // Env.Lane, so packet counting never bounces a cache line between cores.
 // Must be a power of two.
 const statLanes = 64
@@ -207,12 +207,10 @@ func (r *pktRing) remove(p *pkt.Packet) bool {
 
 // TrafficManager models the TM's per-port queues with tail drop.
 type TrafficManager struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled by Admit when a DequeueWait is parked
-	depth   int
-	queues  []pktRing
-	rr      int // round-robin scan position for DequeueRR
-	waiters int // DequeueWait callers currently parked on cond
+	mu     sync.Mutex
+	depth  int
+	queues []pktRing
+	rr     int // round-robin scan position for DequeueRR
 
 	// Watermark/microburst telemetry, mutated only under mu on the
 	// enqueue/dequeue paths that already hold it. burstThresh is the
@@ -256,7 +254,6 @@ type PortWatermark struct {
 // unbuffered TMs never queue, so they keep detection off.
 func NewTrafficManager(ports, depth int) *TrafficManager {
 	tm := &TrafficManager{depth: depth}
-	tm.cond = sync.NewCond(&tm.mu)
 	if ports < 1 {
 		ports = 1
 	}
@@ -352,10 +349,7 @@ func (tm *TrafficManager) Watermarks() []PortWatermark {
 }
 
 // Admit accepts a packet into the queue of its output port; packets with
-// no output port yet use port 0's queue. False means tail drop. When a
-// drain worker is parked in DequeueWait it is woken; the waiter check is
-// a plain int read under the mutex Admit already holds, so the common
-// no-waiter case costs one compare.
+// no output port yet use port 0's queue. False means tail drop.
 func (tm *TrafficManager) Admit(p *pkt.Packet) bool {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -367,9 +361,6 @@ func (tm *TrafficManager) Admit(p *pkt.Packet) bool {
 	tm.queues[q].push(p)
 	tm.enqueued.Add(1)
 	tm.noteDepthLocked(q)
-	if tm.waiters > 0 {
-		tm.cond.Signal()
-	}
 	return true
 }
 
@@ -396,16 +387,11 @@ func (tm *TrafficManager) PassThrough(p *pkt.Packet) bool {
 }
 
 // DequeueRR removes the oldest packet from the next non-empty queue in
-// round-robin order; ok=false when every queue is empty. This is the
-// asynchronous scheduler's entry point (the synchronous path uses
-// Admit/Release).
+// round-robin order; ok=false when every queue is empty. This is how a
+// lane that owns its TM drains it.
 func (tm *TrafficManager) DequeueRR() (*pkt.Packet, bool) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	return tm.dequeueLocked()
-}
-
-func (tm *TrafficManager) dequeueLocked() (*pkt.Packet, bool) {
 	n := len(tm.queues)
 	for i := 0; i < n; i++ {
 		q := (tm.rr + i) % n
@@ -417,45 +403,6 @@ func (tm *TrafficManager) dequeueLocked() (*pkt.Packet, bool) {
 		}
 	}
 	return nil, false
-}
-
-// DequeueWait is the event-driven form of DequeueRR: when every queue is
-// empty it parks the caller until Admit signals new work (or WakeAll is
-// broadcast) instead of returning. stop is re-checked under the TM mutex
-// after every wakeup; ok=false means the TM drained empty and stop
-// reported true. Callers that want an adaptive spin before parking should
-// poll DequeueRR a few times first and fall back to DequeueWait.
-func (tm *TrafficManager) DequeueWait(stop func() bool) (*pkt.Packet, bool) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	for {
-		if p, ok := tm.dequeueLocked(); ok {
-			return p, true
-		}
-		if stop() {
-			return nil, false
-		}
-		tm.waiters++
-		tm.cond.Wait()
-		tm.waiters--
-	}
-}
-
-// WakeAll unparks every DequeueWait caller so it can observe its stop
-// condition; called at shutdown after the stop flag is set.
-func (tm *TrafficManager) WakeAll() {
-	tm.mu.Lock()
-	if tm.waiters > 0 {
-		tm.cond.Broadcast()
-	}
-	tm.mu.Unlock()
-}
-
-// Waiters reports how many DequeueWait callers are parked (test hook).
-func (tm *TrafficManager) Waiters() int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.waiters
 }
 
 func (tm *TrafficManager) portOf(p *pkt.Packet) int {

@@ -40,7 +40,7 @@ type Options struct {
 	StageBlocks int
 	// BlockWidth/BlockDepth size one memory block (bits × entries).
 	BlockWidth, BlockDepth int
-	// Exec selects the stage executor (compiled by default; the
+	// Exec selects the stage executor (fused closures by default; the
 	// tree-walking interpreter for differential testing).
 	Exec tsp.ExecMode
 	// IntSwitchID identifies this switch in INT hop records.
@@ -176,7 +176,7 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	runtimes, err := tsp.BuildStageRuntimesOpts(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
+	runtimes, err := tsp.BuildStageRuntimes(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
 	if err != nil {
 		return nil, err
 	}

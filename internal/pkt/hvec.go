@@ -174,8 +174,8 @@ type Packet struct {
 	ToCPU bool
 
 	// Trace is this packet's telemetry flight record when it was sampled
-	// (nil for the common case). It rides the packet so the record
-	// survives the ingress→TM→egress handoff of the pipelined mode.
+	// (nil for the common case). It rides the packet from admission to
+	// the finish hook.
 	Trace *telemetry.TraceRecord
 	// Timed marks the packet as latency-sampled (per-TSP histograms).
 	Timed bool
@@ -186,9 +186,9 @@ type Packet struct {
 	IngressNanos int64
 
 	// Lane is the telemetry counter stripe this packet's lifecycle events
-	// are charged to: 0 on the shared synchronous/pipelined paths, shard
-	// index + 1 when a shard worker owns the packet. Stamped at packet
-	// admission so the finish hook lands on the admitting shard's cells.
+	// are charged to: 0 on the inline Forward paths, shard index + 1 when
+	// a shard worker owns the packet. Stamped at packet admission so the
+	// finish hook lands on the admitting shard's cells.
 	Lane int32
 
 	// RSS is the flow hash the packet was steered by (stamped at admission
@@ -201,13 +201,6 @@ type Packet struct {
 	// only for latency-sampled (Timed) packets; 0 otherwise. Kept separate
 	// from IngressNanos, which belongs to the INT source path.
 	FlowNanos int64
-
-	// Ver carries the program version the packet was pinned to at ingress
-	// so egress (possibly on another goroutine, after the traffic manager)
-	// executes the same program — per-packet version consistency for
-	// hitless reconfiguration. Typed as any to keep pkt free of the switch
-	// packages; storing a pointer in an interface does not allocate.
-	Ver any
 }
 
 // NewPacket wraps data in a Packet with a metadata area of metaBytes bytes.
@@ -241,7 +234,6 @@ func (p *Packet) ResetFor(data []byte, metaBytes int) {
 	p.Lane = 0
 	p.RSS = 0
 	p.FlowNanos = 0
-	p.Ver = nil
 }
 
 // Reset prepares p for reuse with new packet bytes.
@@ -263,7 +255,6 @@ func (p *Packet) Reset(data []byte) {
 	p.Lane = 0
 	p.RSS = 0
 	p.FlowNanos = 0
-	p.Ver = nil
 }
 
 // Clone deep-copies the packet (used by multicast and the traffic manager).

@@ -68,11 +68,13 @@ type DropRing struct {
 	tokens atomic.Int64
 	last   atomic.Int64 // refill clock, dropNanos
 
-	seq     atomic.Uint64
 	sampled atomic.Uint64 // records captured
 	skipped atomic.Uint64 // drops seen while the bucket was empty/disabled
 
+	// mu guards the ring and seq, the last record's sequence number:
+	// assigning it under the lock keeps ring order and sequence order one.
 	mu   sync.Mutex
+	seq  uint64
 	ring []dropSlot
 	pos  int
 	full bool
@@ -143,11 +145,11 @@ func (r *DropRing) Offer() bool {
 // true): the drop point, the epoch, and the frame's first DropHdrBytes
 // bytes. Zero allocations; the frame is copied, never retained.
 func (r *DropRing) Capture(reason verdict.DropReason, tsp, inPort, outPort int, epoch uint64, data []byte) {
-	seq := r.seq.Add(1)
 	r.sampled.Add(1)
 	r.mu.Lock()
+	r.seq++
 	s := &r.ring[r.pos]
-	s.seq = seq
+	s.seq = r.seq
 	s.nanos = dropNanos()
 	s.reason = reason
 	s.tsp = int32(tsp)

@@ -13,9 +13,8 @@ import (
 // likely to diverge — division and modulo by zero (hardware-style
 // saturation to 0, no fault), shift counts at and beyond the 64-bit
 // register width, and >64-bit wide stores at their width boundaries —
-// and assert that all three tiers (reference interpreter, flat-program
-// VM, fused closures) agree bit-for-bit on packet bytes, metadata and
-// fault counters.
+// and assert that both tiers (reference interpreter, fused closures)
+// agree bit-for-bit on packet bytes, metadata and fault counters.
 
 // edgeConfig wraps body as the default-arm action of a single stage over
 // one 16-byte header.
@@ -48,7 +47,6 @@ var edgeModes = []struct {
 	mode ExecMode
 }{
 	{"interp", ExecInterp},
-	{"compiled", ExecCompiled},
 	{"fused", ExecFused},
 }
 
@@ -59,12 +57,12 @@ type edgeRun struct {
 }
 
 // runEdgeTiers executes body on the same packet bytes under every tier.
-func runEdgeTiers(t *testing.T, body []template.Instr, data []byte) [3]edgeRun {
+func runEdgeTiers(t *testing.T, body []template.Instr, data []byte) []edgeRun {
 	t.Helper()
-	var out [3]edgeRun
+	out := make([]edgeRun, len(edgeModes))
 	for i, m := range edgeModes {
 		cfg := edgeConfig(body)
-		sr, err := NewStageRuntimeMode(cfg, "s", m.mode)
+		sr, err := NewStageRuntime(cfg, "s", BuildOpts{Mode: m.mode})
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}

@@ -1,17 +1,16 @@
 package tsp
 
-// fuse.go is the second-stage compiler: it lowers a stage past the flat
-// program of compile.go into fused native Go closures. Where the VM pays
-// one dispatch per instruction, the fused tier pays one indirect call per
-// template *node*, built once at bind time: constant subtrees are folded,
-// field offsets are burned into the closure, byte-aligned loads/stores
-// skip the generic bit helpers, and table applies capture their slot in
-// the compiled program's handle array (filled by Bind): a key of at most
-// 64 bits is assembled in a register and handed to the engine's own probe,
-// a wider one goes through the same applyTableWith funnel as the VM.
-// Fault-counter side effects and evaluation order mirror exec.go and
-// interp.go exactly; the differential fuzz (internal/ipbm) guards drift
-// across all three tiers.
+// fuse.go is the fast executor tier: it lowers a stage template to fused
+// native Go closures. Where the interpreter walks the tree per packet,
+// the fused tier pays one indirect call per template *node*, built once at
+// bind time: constant subtrees are folded, field offsets are burned into
+// the closure, byte-aligned loads/stores skip the generic bit helpers, and
+// table applies capture their slot in the stage's handle array (compile.go,
+// filled by Bind): a key of at most 64 bits is assembled in a register and
+// handed to the engine's own probe, a wider one goes through the same
+// applyTableWith funnel as the interpreter. Fault-counter side effects and
+// evaluation order mirror interp.go exactly; the differential fuzz
+// (internal/ipbm) guards drift between the two tiers.
 
 import (
 	"encoding/binary"
@@ -20,8 +19,8 @@ import (
 	"ipsa/internal/template"
 )
 
-// The closure kinds. A fusedVal pushes nothing: it *returns* the value
-// the VM would leave on its stack.
+// The closure kinds. A fusedVal returns the value the interpreter's
+// EvalExpr would.
 type (
 	fusedVal   func(*Env) uint64
 	fusedCond  func(*Env) bool
@@ -30,12 +29,11 @@ type (
 )
 
 // fusedProg is a stage lowered to closures. arms is parallel to
-// template.Stage.Arms (sharing indices with the VM's dispatch); nil
-// entries are empty bodies. post is the INT epilogue, when built with it.
+// template.Stage.Arms (sharing indices with the dispatch arrays); nil
+// entries are empty bodies.
 type fusedProg struct {
 	match fusedMatch
 	arms  []fusedStmt
-	post  fusedStmt
 	// keys and groups, parallel to prog.tables, are what makes an apply
 	// word-keyed: a plain table's key builder, a selector's group reader.
 	// Both are nil for a table whose key or group is wider than 64 bits,
@@ -51,10 +49,9 @@ type fuser struct {
 	tblIdx map[string]int
 }
 
-// fuseStage lowers a compiled stage to closures. It requires sr.prog: the
-// fused tier reuses the flat program's table list, key plans and
-// bind-time handle arrays (closures capture the prog pointer, so handles
-// resolved by Bind after fusing are visible without a rebuild).
+// fuseStage lowers a stage to closures over sr.prog's table list, key
+// plans and bind-time handle arrays (closures capture the prog pointer, so
+// handles resolved by Bind after fusing are visible without a rebuild).
 func fuseStage(sr *StageRuntime) *fusedProg {
 	n := len(sr.prog.tables)
 	fp := &fusedProg{keys: make([]*fusedWordKey, n), groups: make([]*fusedWordKey, n)}
@@ -213,6 +210,16 @@ func bitSpanOf(off, w int) (bitSpan, bool) {
 	return bitSpan{firstByte: first, nb: nb, slack: uint(nb*8 - off%8 - w), mask: mask}, true
 }
 
+// clamp64 mirrors ReadOperand's wide-field truncation: reads wider than 64
+// bits take the low 64 bits.
+func clamp64(off, w int) (int, int) {
+	if w > 64 {
+		off += w - 64
+		w = 64
+	}
+	return off, w
+}
+
 // fuseMetaLoad lowers a metadata read (offsets pre-clamped by clamp64).
 func fuseMetaLoad(off, w int) fusedVal {
 	if sp, ok := bitSpanOf(off, w); ok {
@@ -238,7 +245,7 @@ func fuseMetaLoad(off, w int) fusedVal {
 }
 
 // fuseHdrLoad lowers a header-field read. The location lookup replaces
-// the VM's Valid check + FieldBits re-lookup with one Loc call; the
+// ReadOperand's Valid check + FieldBits re-lookup with one Loc call; the
 // observable fault sequence is identical. The in-header bit offset is
 // constant, so the sub-byte alignment (and hence the shift and mask) is
 // known at fuse time even though the header's packet offset is not.
@@ -298,20 +305,19 @@ func (f *fuser) fuseOperand(o *template.Operand) (fn fusedVal, konst bool, kv ui
 			return 0
 		}, false, 0
 	case template.OpdMeta:
-		off, w := clamp64(o.BitOff, o.Width)
-		return fuseMetaLoad(int(off), int(w)), false, 0
+		return fuseMetaLoad(clamp64(o.BitOff, o.Width)), false, 0
 	case template.OpdHeader:
 		off, w := clamp64(o.BitOff, o.Width)
-		return fuseHdrLoad(o.Header, int(off), int(w)), false, 0
+		return fuseHdrLoad(o.Header, off, w), false, 0
 	}
 	return faultZeroVal, false, 0
 }
 
 // fuseBin lowers one arithmetic node over already-fused children; known
 // reports whether the operator exists (unknown operators keep the
-// children's side effects and fault, like the VM's opFaultZero tail).
-// Division, modulo and shift semantics match exec.go: x/0 == x%0 == 0,
-// shifts of 64 or more yield 0.
+// children's side effects and fault, as EvalExpr does). Division, modulo
+// and shift semantics match EvalExpr: x/0 == x%0 == 0, shifts of 64 or
+// more yield 0.
 func fuseBin(op template.ArithOp, a, b fusedVal) (fusedVal, bool) {
 	switch op {
 	case template.OpAdd:
@@ -506,8 +512,8 @@ func (f *fuser) fuseCond(c *template.Cond) (fusedCond, bool, bool) {
 }
 
 // fuseMetaStore lowers a narrow (<=64-bit) metadata store. The source is
-// evaluated before the bounds check, matching the VM's evaluate-then-
-// store order. Aligned whole-byte stores write directly; any other
+// evaluated before the bounds check, matching WriteOperand's evaluate-
+// then-store order. Aligned whole-byte stores write directly; any other
 // constant span of at most 8 bytes becomes a read-modify-write splice
 // with fuse-time masks — the same bytes SetBits produces.
 func fuseMetaStore(off, w int, src fusedVal) fusedStmt {
@@ -602,10 +608,9 @@ func fuseHdrStore(id pkt.HeaderID, off, w int, src fusedVal) fusedStmt {
 	}
 }
 
-// fuseAssign mirrors compiler.assign: wide field-to-field copies escape
-// to the interpreter's byte-granular execAssign, wide numeric stores to
-// the shared storeMetaWide/storeHdrWide helpers, everything else to a
-// direct store closure.
+// fuseAssign mirrors execAssign: wide field-to-field copies escape to the
+// interpreter's byte-granular execAssign, wide numeric stores to
+// storeMetaWide/storeHdrWide, everything else to a direct store closure.
 func (f *fuser) fuseAssign(in *template.Instr) fusedStmt {
 	if in.Dst.Width > 64 && in.Src != nil && in.Src.Kind == template.ExprOperand &&
 		in.Src.Operand != nil && in.Src.Operand.Width == in.Dst.Width {
@@ -628,9 +633,40 @@ func (f *fuser) fuseAssign(in *template.Instr) fusedStmt {
 		return fuseHdrStore(in.Dst.Header, in.Dst.BitOff, in.Dst.Width, src)
 	}
 	// Unknown destination kind: evaluate the source (for its side
-	// effects), then fault — the VM's pop+opFault sequence.
+	// effects), then fault — WriteOperand's default case.
 	return func(e *Env) {
 		src(e)
+		e.Faults.BadTemplate.Add(1)
+	}
+}
+
+// storeMetaWide mirrors WriteOperand's >64-bit metadata path: zero the
+// high part, store the low 64 bits.
+func (e *Env) storeMetaWide(off, w int, v uint64) {
+	for rem, ro := w-64, off; rem > 0; {
+		chunk := min(rem, 64)
+		_ = e.Pkt.SetMetaBits(ro, chunk, 0)
+		ro += chunk
+		rem -= chunk
+	}
+	if err := e.Pkt.SetMetaBits(off+w-64, 64, v); err != nil {
+		e.Faults.BadTemplate.Add(1)
+	}
+}
+
+// storeHdrWide mirrors WriteOperand's >64-bit header path.
+func (e *Env) storeHdrWide(hdr pkt.HeaderID, off, w int, v uint64) {
+	if !e.Pkt.HV.Valid(hdr) {
+		e.Faults.InvalidHeaderAccess.Add(1)
+		return
+	}
+	for rem, ro := w-64, off; rem > 0; {
+		chunk := min(rem, 64)
+		_ = e.Pkt.SetFieldBits(hdr, ro, chunk, 0)
+		ro += chunk
+		rem -= chunk
+	}
+	if err := e.Pkt.SetFieldBits(hdr, off+w-64, 64, v); err != nil {
 		e.Faults.BadTemplate.Add(1)
 	}
 }
@@ -828,7 +864,7 @@ func (k *fusedWordKey) build(e *Env, p *pkt.Packet, spec bool) (word uint64, ok 
 }
 
 // fuseWordKey lowers a plain table's key plan; nil when the key does not
-// fit a word (the apply then shares buildKeyPlanned with the VM tier).
+// fit a word (the apply then builds byte keys with buildKeyPlanned).
 func fuseWordKey(kp *keyPlan) *fusedWordKey {
 	if kp == nil || kp.sel || kp.nBytes > 8 {
 		return nil
@@ -924,10 +960,10 @@ func fuseHash(e *Env, steps []fusedHashStep) uint64 {
 }
 
 // fuseMatchStmts lowers the matcher. An apply captures its table's slot in
-// the compiled program's bound array — Bind fills it after fusing, so
-// closures see bind-time handles with no rebuild — and runs the word path
-// when Bind found a word handle there, else the applyTableWith funnel of
-// the VM and interpreter.
+// the stage's bound array — Bind fills it after fusing, so closures see
+// bind-time handles with no rebuild — and runs the word path when Bind
+// found a word handle there, else the applyTableWith funnel it shares with
+// the interpreter.
 func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 	if len(stmts) == 0 {
 		return nil
@@ -967,8 +1003,8 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 			}
 			if idx < 0 {
 				// Unknown table: one BadTemplate per attempt, whether or
-				// not a table already applied — the VM's double check
-				// collapses to a single fault either way.
+				// not a table already applied — runMatch's two checks
+				// collapse to a single fault either way.
 				parts = append(parts, func(e *Env, _ TableBackend, _ *matchOutcome) {
 					e.Faults.BadTemplate.Add(1)
 				})
@@ -977,7 +1013,8 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 			ti := idx
 			t, kp, bt := f.prog.tables[ti], f.prog.keyPlans[ti], &f.prog.bound[ti]
 			tname := t.Name
-			// generic is the funnel shared with the VM: byte keys end to end.
+			// generic is the funnel shared with the interpreter: byte keys
+			// end to end.
 			// Wide keys and groups take it, and so does any apply Bind could
 			// not resolve to a word handle.
 			generic := func(e *Env, backend TableBackend, out *matchOutcome) {

@@ -2,12 +2,10 @@ package tsp
 
 // int.go is the stamper side of in-band network telemetry (INT-MD): a
 // per-stage epilogue that appends one intmd.HopRecord to the packet's
-// INT trailer. In compiled mode the epilogue is a real compiled op
-// (opIntStamp) emitted into the stage program at apply time; the
-// interpreter calls the same Env method directly, so compiled/interp
+// INT trailer. executeOne runs it for both executor tiers, so fused/interp
 // parity is by construction. Stamping is off by default: a stage built
-// without BuildOpts.Int carries no epilogue at all, keeping the disabled
-// hot path branch-only and allocation-free.
+// without BuildOpts.Int skips the epilogue on one branch, keeping the
+// disabled hot path allocation-free.
 
 import (
 	"ipsa/internal/intmd"
@@ -25,8 +23,8 @@ type IntStampCtx struct {
 	// MaxHops caps the records one packet accumulates (0 = wire limit).
 	MaxHops int
 	// Now overrides the monotonic clock; nil uses intmd.NowNanos.
-	// Differential tests inject a deterministic clock here so compiled
-	// and interpreted stamps are byte-identical.
+	// Differential tests inject a deterministic clock here so fused and
+	// interpreted stamps are byte-identical.
 	Now func() int64
 	// Depth reports the TM queue depth for an egress port; nil stamps 0.
 	// Must be lock-free — it runs on the per-packet path.
@@ -48,7 +46,7 @@ func (c *IntStampCtx) NowNanos() int64 {
 // IntStageID derives a stage's 16-bit wire identifier from its name
 // (xor-folded FNV-1a). Name-derived rather than ordinal so IDs stay
 // stable across partial rewrites: an in-situ patch that adds or removes
-// a stage must not renumber the compiled programs of untouched TSPs.
+// a stage must not renumber the stages of untouched TSPs.
 // The sink resolves IDs back to names through the same function.
 func IntStageID(name string) uint16 {
 	h := uint32(2166136261)
@@ -59,10 +57,8 @@ func IntStageID(name string) uint16 {
 	return uint16(h>>16) ^ uint16(h)
 }
 
-// intStamp appends one hop record for the stage identified by stageID.
-// Shared verbatim by the compiled executor (case opIntStamp) and the
-// interpreter epilogue — when changing it, there is nothing to keep in
-// sync, which is the point.
+// intStamp appends one hop record for the stage identified by stageID:
+// the one stage epilogue both executor tiers run.
 func (e *Env) intStamp(stageID uint16) {
 	ctx := e.Int
 	if ctx == nil {
@@ -106,51 +102,4 @@ func (e *Env) intStamp(stageID uint16) {
 	if ctx.Stamps != nil {
 		ctx.Stamps.Inc()
 	}
-}
-
-// BuildOpts selects how stage runtimes are constructed: which executor,
-// and whether each stage gets the INT stamping epilogue. The zero value
-// is the default build (fused closures, INT off).
-type BuildOpts struct {
-	Mode ExecMode
-	// Int emits the IntStamp epilogue into every stage: an opIntStamp op
-	// appended to the compiled program, or the equivalent interpreter
-	// flag. Enabling or disabling it is therefore an in-situ rewrite of
-	// the stage programs, not a runtime branch flip.
-	Int bool
-}
-
-// NewStageRuntimeOpts is NewStageRuntimeMode with full build options.
-func NewStageRuntimeOpts(cfg *template.Config, name string, opts BuildOpts) (*StageRuntime, error) {
-	sr, err := NewStageRuntimeMode(cfg, name, opts.Mode)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Int {
-		id := IntStageID(name)
-		if sr.prog != nil {
-			sr.prog.post = []instr{{op: opIntStamp, a: int32(id)}}
-		} else {
-			sr.intStamp = true
-			sr.intStageID = id
-		}
-		if sr.fused != nil {
-			sr.fused.post = func(e *Env) { e.intStamp(id) }
-		}
-	}
-	return sr, nil
-}
-
-// BuildStageRuntimesOpts constructs every stage runtime of a config with
-// full build options.
-func BuildStageRuntimesOpts(cfg *template.Config, opts BuildOpts) (map[string]*StageRuntime, error) {
-	out := make(map[string]*StageRuntime, len(cfg.Stages))
-	for name := range cfg.Stages {
-		sr, err := NewStageRuntimeOpts(cfg, name, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = sr
-	}
-	return out, nil
 }

@@ -184,7 +184,7 @@ func TestExecAssignWideCopy(t *testing.T) {
 
 func TestBuildStageRuntimesAndResolve(t *testing.T) {
 	cfg := miniConfig()
-	rts, err := BuildStageRuntimes(cfg)
+	rts, err := BuildStageRuntimes(cfg, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestBuildStageRuntimesAndResolve(t *testing.T) {
 	}
 	bad, _ := cfg.Clone()
 	bad.Stages["s"].Arms[0].Action = "ghost"
-	if _, err := BuildStageRuntimes(bad); err == nil {
+	if _, err := BuildStageRuntimes(bad, BuildOpts{}); err == nil {
 		t.Error("bad config accepted")
 	}
 }

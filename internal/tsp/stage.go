@@ -21,8 +21,8 @@ type TableBackend interface {
 	LookupSelector(table string, groupKey []byte, hash uint64) (match.Result, bool)
 }
 
-// ResolvedTable is a direct handle to one backend table. Compiled
-// programs bind these once at apply time so per-packet applies skip the
+// ResolvedTable is a direct handle to one backend table. Fused stages
+// bind these once at apply time so per-packet applies skip the
 // backend's name-keyed resolution; semantics are identical to
 // TableBackend.Lookup on the same table.
 type ResolvedTable interface {
@@ -86,14 +86,12 @@ type StageRuntime struct {
 	tables  map[string]*template.Table
 	actions map[string]*template.Action
 
-	// prog, when non-nil, is the flat instruction program lowered from the
-	// template at bind time (ExecCompiled and ExecFused). Nil selects the
+	// prog and fused are the fused tier (ExecFused). prog is what lowering
+	// resolves once — the applied tables with their key plans and
+	// bind-time handles, the arm dispatch arrays (compile.go); fused is the
+	// stage as native Go closures over it (fuse.go). Both are nil on the
 	// reference tree interpreter (ExecInterp).
-	prog *stageProg
-
-	// fused, when non-nil, is the second-stage lowering of prog to native
-	// Go closures (ExecFused; see fuse.go). It shares prog's table list,
-	// key plans and bind-time handles.
+	prog  *stageProg
 	fused *fusedProg
 
 	// pfTouch drives the batch executor's one-packet-ahead software
@@ -101,8 +99,8 @@ type StageRuntime struct {
 	// table (fused.keys[0], prog.bound[0]) whose engine can touch a bucket.
 	pfTouch func(word uint64) uint64
 
-	// intStamp/intStageID are the interpreter's INT epilogue (compiled
-	// stages carry it as prog.post instead); set by NewStageRuntimeOpts.
+	// intStamp/intStageID are the stage's INT epilogue, run by executeOne
+	// on either tier; set from BuildOpts.Int.
 	intStamp   bool
 	intStageID uint16
 
@@ -119,16 +117,21 @@ type StageRuntime struct {
 	defaults atomic.Uint64
 }
 
-// NewStageRuntime binds a stage template to its design's tables/actions,
-// lowering it through both compile stages to fused closures (the default
-// executor).
-func NewStageRuntime(cfg *template.Config, name string) (*StageRuntime, error) {
-	return NewStageRuntimeMode(cfg, name, ExecFused)
+// BuildOpts selects how stage runtimes are constructed: which executor,
+// and whether each stage gets the INT stamping epilogue. The zero value
+// is the default build (fused closures, INT off).
+type BuildOpts struct {
+	Mode ExecMode
+	// Int gives every stage the IntStamp epilogue. Enabling or disabling
+	// it is therefore an in-situ rebuild of the stage runtimes, not a
+	// runtime branch flip.
+	Int bool
 }
 
-// NewStageRuntimeMode binds a stage template with an explicit executor
-// mode; ExecInterp keeps the tree-walking reference interpreter.
-func NewStageRuntimeMode(cfg *template.Config, name string, mode ExecMode) (*StageRuntime, error) {
+// NewStageRuntime binds a stage template to its design's tables/actions
+// and builds it as opts says: lowered to fused closures, or kept as a
+// tree for the reference interpreter.
+func NewStageRuntime(cfg *template.Config, name string, opts BuildOpts) (*StageRuntime, error) {
 	st, ok := cfg.Stages[name]
 	if !ok {
 		return nil, fmt.Errorf("tsp: no stage %q in config", name)
@@ -160,25 +163,30 @@ func NewStageRuntimeMode(cfg *template.Config, name string, mode ExecMode) (*Sta
 		}
 		sr.parseMask |= 1 << uint(id)
 	}
-	switch mode {
-	case ExecCompiled:
-		sr.prog = compileStage(sr)
-	case ExecFused:
+	if opts.Mode == ExecFused {
 		sr.prog = compileStage(sr)
 		sr.fused = fuseStage(sr)
 	}
+	sr.intStamp, sr.intStageID = opts.Int, IntStageID(name)
 	return sr, nil
 }
 
-// Compiled reports whether the stage runs a compiled program (flat VM or
-// fused closures) rather than the tree interpreter.
-func (sr *StageRuntime) Compiled() bool { return sr.prog != nil }
+// BuildStageRuntimes constructs the runtime of every stage of a config,
+// keyed by stage name.
+func BuildStageRuntimes(cfg *template.Config, opts BuildOpts) (map[string]*StageRuntime, error) {
+	out := make(map[string]*StageRuntime, len(cfg.Stages))
+	for name := range cfg.Stages {
+		sr, err := NewStageRuntime(cfg, name, opts)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = sr
+	}
+	return out, nil
+}
 
-// Fused reports whether the stage runs the fused-closure tier.
-func (sr *StageRuntime) Fused() bool { return sr.fused != nil }
-
-// Bind resolves the compiled program's table references against the
-// backend, if it supports direct handles. Called at apply time after the
+// Bind resolves the fused tier's table references against the backend,
+// if it supports direct handles. Called at apply time after the
 // backend's tables exist; a no-op for the interpreter (whose applies stay
 // name-keyed) and for backends without a resolver. Handles stay valid
 // across entry inserts and migrations — only a table drop invalidates
@@ -200,7 +208,7 @@ func (sr *StageRuntime) Bind(backend TableBackend) {
 				continue
 			}
 			bt.rs = rs
-			if ws, ok := rs.(WordSelector); ok && sr.fused != nil && sr.fused.groups[i] != nil {
+			if ws, ok := rs.(WordSelector); ok && sr.fused.groups[i] != nil {
 				bt.member = ws.WordMember((t.Keys[0].Operand.Width + 7) / 8)
 			}
 		case !t.IsSelector && res != nil:
@@ -209,7 +217,7 @@ func (sr *StageRuntime) Bind(backend TableBackend) {
 				continue
 			}
 			bt.rt = rt
-			if wt, ok := rt.(WordTable); ok && sr.fused != nil && sr.fused.keys[i] != nil {
+			if wt, ok := rt.(WordTable); ok && sr.fused.keys[i] != nil {
 				if probe := wt.WordLookup(sr.prog.keyPlans[i].nBytes); probe != nil {
 					bt.probe, bt.stats = probe, wt
 				}
@@ -227,8 +235,8 @@ func (sr *StageRuntime) Bind(backend TableBackend) {
 
 // WordKeyed reports whether the stage's applies of table run the word
 // path — key or group in a register, the engine's own probe — rather than
-// byte keys through the shared funnel. False before Bind, for the VM and
-// interpreter tiers, and for a table the stage does not apply.
+// byte keys through the shared funnel. False before Bind, on the
+// interpreter, and for a table the stage does not apply.
 func (sr *StageRuntime) WordKeyed(table string) bool {
 	if sr.prog == nil {
 		return false
@@ -379,15 +387,12 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 		if sr.fused.match != nil {
 			sr.fused.match(env, backend, out)
 		}
-	} else if sr.prog != nil {
-		env.ensureStack(sr.prog.maxStack)
-		env.exec(sr.prog.match, sr.prog, backend, out)
 	} else {
 		sr.runMatch(sr.tmpl.Match, env, backend, out)
 	}
 	// Executor submodule: select the arm by the matched entry's tag;
-	// misses and no-apply paths take the default arm. Compiled programs
-	// carry a precomputed dispatch table; the interpreter scans the
+	// misses and no-apply paths take the default arm. The fused tier
+	// carries a precomputed dispatch table; the interpreter scans the
 	// template's arm list. Both pick the last declaration on a tie.
 	armIdx, defIdx := -1, -1
 	if sr.prog != nil {
@@ -436,10 +441,6 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 				arm(env)
 				env.Params = nil
 			}
-		} else if sr.prog != nil {
-			env.Params = out.params
-			env.exec(sr.prog.arms[armIdx].code, sr.prog, backend, out)
-			env.Params = nil
 		} else if act := sr.actions[sr.tmpl.Arms[armIdx].Action]; act == nil {
 			env.Faults.BadTemplate.Add(1)
 		} else {
@@ -452,15 +453,7 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 	// Runs whether or not an arm matched (the stage still processed the
 	// packet) but not for drops — a dropped packet's trailer is never
 	// egressed, so stamping it would only distort the flow-path counters.
-	if sr.fused != nil {
-		if sr.fused.post != nil && !p.Drop {
-			sr.fused.post(env)
-		}
-	} else if sr.prog != nil {
-		if sr.prog.post != nil && !p.Drop {
-			env.exec(sr.prog.post, sr.prog, backend, out)
-		}
-	} else if sr.intStamp && !p.Drop {
+	if sr.intStamp && !p.Drop {
 		env.intStamp(sr.intStageID)
 	}
 	return out.applied, out.hit, isDefault
@@ -494,14 +487,15 @@ func (sr *StageRuntime) runMatch(stmts []template.MatchStmt, env *Env, backend T
 }
 
 // applyTable performs one table application: key/group construction,
-// backend lookup, and outcome recording. Both the interpreter and the
-// compiled executor funnel through this so lookup semantics (including the
-// skip-on-unreadable-key paths) cannot diverge between the two.
+// backend lookup, and outcome recording. The interpreter and the fused
+// tier's byte-keyed applies funnel through this so lookup semantics
+// (including the skip-on-unreadable-key paths) cannot diverge between the
+// two.
 func (e *Env) applyTable(t *template.Table, backend TableBackend, out *matchOutcome) {
 	e.applyTableWith(t, nil, nil, nil, backend, out)
 }
 
-// applyTableWith is applyTable with optional compile/bind-time shortcuts:
+// applyTableWith is applyTable with optional bind-time shortcuts:
 // direct table/selector handles (rt/rs) that skip the backend's name
 // resolution, and a key plan (kp) that skips the generic key builder's
 // per-field operand dispatch. Key bytes, selector handling, fault

@@ -118,27 +118,6 @@ func (t *TSP) ProcessBatchWith(stages []*StageRuntime, ps []*pkt.Packet, parser 
 	}
 }
 
-// BuildStageRuntimes constructs the runtimes for every stage of a config,
-// keyed by stage name, lowering each stage to fused closures (the default
-// executor).
-func BuildStageRuntimes(cfg *template.Config) (map[string]*StageRuntime, error) {
-	return BuildStageRuntimesMode(cfg, ExecFused)
-}
-
-// BuildStageRuntimesMode is BuildStageRuntimes with an explicit executor
-// mode.
-func BuildStageRuntimesMode(cfg *template.Config, mode ExecMode) (map[string]*StageRuntime, error) {
-	out := make(map[string]*StageRuntime, len(cfg.Stages))
-	for name := range cfg.Stages {
-		sr, err := NewStageRuntimeMode(cfg, name, mode)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = sr
-	}
-	return out, nil
-}
-
 // ResolveSRv6IDs finds the header instances the SRv6 primitives act on.
 func ResolveSRv6IDs(cfg *template.Config) (srh, ipv6 pkt.HeaderID) {
 	srh, ipv6 = pkt.InvalidHeader, pkt.InvalidHeader

@@ -141,7 +141,7 @@ func TestOnDemandParserVarLen(t *testing.T) {
 
 func TestStageRuntimeHitMissDefault(t *testing.T) {
 	cfg := miniConfig()
-	sr, err := NewStageRuntime(cfg, "s")
+	sr, err := NewStageRuntime(cfg, "s", BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,24 +191,24 @@ func TestStageRuntimeHitMissDefault(t *testing.T) {
 
 func TestNewStageRuntimeErrors(t *testing.T) {
 	cfg := miniConfig()
-	if _, err := NewStageRuntime(cfg, "ghost"); err == nil {
+	if _, err := NewStageRuntime(cfg, "ghost", BuildOpts{}); err == nil {
 		t.Error("unknown stage accepted")
 	}
 	bad, _ := cfg.Clone()
 	bad.Stages["s"].Tables = []string{"missing"}
-	if _, err := NewStageRuntime(bad, "s"); err == nil {
+	if _, err := NewStageRuntime(bad, "s", BuildOpts{}); err == nil {
 		t.Error("unknown table accepted")
 	}
 	bad2, _ := cfg.Clone()
 	bad2.Stages["s"].Arms[0].Action = "missing"
-	if _, err := NewStageRuntime(bad2, "s"); err == nil {
+	if _, err := NewStageRuntime(bad2, "s", BuildOpts{}); err == nil {
 		t.Error("unknown action accepted")
 	}
 }
 
 func TestTSPLoadUnload(t *testing.T) {
 	cfg := miniConfig()
-	sr, _ := NewStageRuntime(cfg, "s")
+	sr, _ := NewStageRuntime(cfg, "s", BuildOpts{})
 	tp := NewTSP(3)
 	if tp.Active() || tp.Index() != 3 {
 		t.Error("fresh TSP wrong state")
