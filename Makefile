@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-fused profile-hotpath cover experiments examples health-smoke fmt vet lint clean
+.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-ccm fuzz-fused profile-hotpath cover experiments examples health-smoke fmt vet lint clean
 
 # Benchmarks gated against BENCH_hotpath.json: the per-packet hot path
 # (strict 0 allocs/op) plus the whole-switch sharded burst.
@@ -135,6 +135,11 @@ bench-drop-baseline:
 fuzz-diff:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedVsInterp$$' -fuzztime 30s
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedBatchVsInterp$$' -fuzztime 30s
+
+# Fuzz the CCM request decoder: arbitrary request streams against a switch
+# running the base design must never panic the daemon.
+fuzz-ccm:
+	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzCCMRequest$$' -fuzztime 30s
 
 # Differential fuzz for the fused tier's word keys vs the byte keys the
 # wide-key funnel builds, on random key plans.

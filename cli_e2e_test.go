@@ -5,7 +5,9 @@ package ipsa
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -68,8 +70,8 @@ func TestCLIEndToEnd(t *testing.T) {
 	run(t, rp4bc, "-o", baseCfg, "testdata/base_l2l3.rp4")
 
 	// 3. Boot the switch daemon.
-	addr := freePort(t)
-	daemon := exec.Command(ipbmBin, "-listen", addr, "-config", baseCfg)
+	addr, web := freePort(t), freePort(t)
+	daemon := exec.Command(ipbmBin, "-listen", addr, "-config", baseCfg, "-metrics-addr", web)
 	daemon.Stdout = os.Stderr
 	daemon.Stderr = os.Stderr
 	if err := daemon.Start(); err != nil {
@@ -114,6 +116,43 @@ func TestCLIEndToEnd(t *testing.T) {
 	stats := run(t, rp4ctl, "-addr", addr, "stats")
 	if !strings.Contains(stats, "active_tsps") {
 		t.Fatalf("stats:\n%s", stats)
+	}
+
+	// 6. Every read subcommand answers from the live device's views.
+	run(t, rp4ctl, "-addr", addr, "int", "enable")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"metrics"}, `ipsa_config_applies_total{mode="full"} 1`},
+		{[]string{"metrics", "-grep", "^ipsa_epoch"}, "ipsa_epoch "},
+		{[]string{"trace", "5"}, ""},
+		{[]string{"flows"}, "LANE FLOW"},
+		{[]string{"flows", "records", "5"}, "LANE FLOW"},
+		{[]string{"hh", "5"}, "EST_PKTS"},
+		{[]string{"drops", "3"}, "SEQ    AGE"},
+		{[]string{"int", "report", "1"}, ""},
+		{[]string{"events"}, "int_enable"},
+		{[]string{"health", "5s"}, "state: "},
+		{[]string{"show", "rates", "5s"}, "["},
+	} {
+		out := run(t, rp4ctl, append([]string{"-addr", addr}, c.args...)...)
+		if !strings.Contains(out, c.want) {
+			t.Errorf("rp4ctl %v:\n%s", c.args, out)
+		}
+		if c.args[0] == "metrics" && len(c.args) > 1 && strings.Contains(out, "ipsa_packets_total") {
+			t.Errorf("metrics -grep let other series through:\n%s", out)
+		}
+	}
+	// The metrics endpoint serves the same views over HTTP.
+	resp, err := http.Get("http://" + web + "/v/events?max=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"kind":"int_enable"`) {
+		t.Errorf("GET /v/events: %d %s", resp.StatusCode, body)
 	}
 	fmt.Println("CLI end-to-end:", strings.TrimSpace(applied))
 }

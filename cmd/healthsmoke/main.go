@@ -1,7 +1,7 @@
 // healthsmoke is the end-to-end exercise behind `make health-smoke`: it
 // boots an ipbm switch in-process with a fast health sampler, verifies
 // /readyz flips once a configuration lands, pushes traffic through the
-// sharded datapath until /health reports nonzero rates, then drives a
+// sharded datapath until /v/health reports nonzero rates, then drives a
 // real in-situ update over the control channel and asserts the switch
 // stays healthy with the reconfiguration visible in the audit trail.
 // Exit status 0 means the health layer works end to end.
@@ -56,8 +56,8 @@ func run(testdata string, logger *slog.Logger) error {
 	}
 	defer sw.Shutdown()
 
-	tel := sw.Telemetry()
-	mux := telemetry.NewServeMux(tel.Reg, tel.Tracer, tel.Events)
+	mux := telemetry.NewServeMux(sw.Telemetry().Reg)
+	sw.Views().Register(mux)
 	sw.Health().Register(mux)
 	ms, err := telemetry.ServeMux("127.0.0.1:0", mux)
 	if err != nil {
@@ -143,16 +143,16 @@ func run(testdata string, logger *slog.Logger) error {
 
 	var st health.Status
 	if err := waitFor(5*time.Second, func() error {
-		code, body := get(base + "/health?window=2s")
+		code, body := get(base + "/v/health?window=2s")
 		if code != http.StatusOK {
-			return fmt.Errorf("/health: got %d, want 200", code)
+			return fmt.Errorf("/v/health: got %d, want 200", code)
 		}
 		st = health.Status{}
 		if err := json.Unmarshal(body, &st); err != nil {
 			return err
 		}
 		if st.PPS <= 0 {
-			return fmt.Errorf("/health reports pps=%.1f, want > 0", st.PPS)
+			return fmt.Errorf("/v/health reports pps=%.1f, want > 0", st.PPS)
 		}
 		return nil
 	}); err != nil {
@@ -181,8 +181,8 @@ func run(testdata string, logger *slog.Logger) error {
 	slog.Info("in-situ update applied", "full", rep.Device.Full,
 		"tsps_written", rep.Device.TSPsWritten, "load", rep.LoadTime)
 
-	events, err := cl.EventsDump(0)
-	if err != nil {
+	var events []telemetry.Event
+	if err := cl.View("events", telemetry.Query{}, &events); err != nil {
 		return err
 	}
 	applySeen := false
@@ -202,8 +202,8 @@ func run(testdata string, logger *slog.Logger) error {
 	// finished (nothing wedged) and the aggregate state stays healthy
 	// through the post-apply anomaly window.
 	return waitFor(3*time.Second, func() error {
-		hs, err := cl.HealthQuery(2 * time.Second)
-		if err != nil {
+		var hs health.Status
+		if err := cl.View("health", telemetry.Query{Window: 2 * time.Second}, &hs); err != nil {
 			return err
 		}
 		if len(hs.Ops) != 0 {

@@ -44,7 +44,7 @@ func main() {
 	batch := flag.Int("batch", 0, "frames per lane turn (0 = default)")
 	pcapIn := flag.String("pcap-in", "", "replay this pcap through port 0 and exit (offline mode)")
 	pcapOut := flag.String("pcap-out", "", "with -pcap-in: capture forwarded packets here")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /traces JSON); empty disables")
+	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /v/<view> JSON views, /healthz, /readyz); empty disables")
 	traceEvery := flag.Uint64("trace-every", 0, "record a packet flight trace every N packets; 0 disables")
 	traceRing := flag.Int("trace-ring", 256, "flight-recorder ring size")
 	latencyEvery := flag.Uint64("latency-every", 128,
@@ -106,18 +106,16 @@ func main() {
 		fatal(err)
 	}
 	if *metricsAddr != "" {
-		tel := sw.Telemetry()
-		mux := telemetry.NewServeMux(tel.Reg, tel.Tracer, tel.Events)
+		mux := telemetry.NewServeMux(sw.Telemetry().Reg)
+		sw.Views().Register(mux)
 		sw.Health().Register(mux)
-		sw.Flows().Register(mux)
-		sw.Drops().Register(mux)
 		ms, err := telemetry.ServeMux(*metricsAddr, mux)
 		if err != nil {
 			fatal(err)
 		}
 		defer ms.Close()
 		slog.Info("metrics endpoint up", "addr", ms.Addr(),
-			"paths", "/metrics /traces /events /flows /drops /health /healthz /readyz")
+			"paths", "/metrics /v/<view> /healthz /readyz /debug/pprof/", "views", sw.Views().Names())
 	}
 	if *configFile != "" {
 		b, err := os.ReadFile(*configFile)
@@ -142,7 +140,7 @@ func main() {
 	}
 	if *pcapIn != "" {
 		// Replay drives the sync path, so no forwarding mode starts the
-		// health sampler; tick it here so /health shows rates mid-replay.
+		// health sampler; tick it here so /v/health shows rates mid-replay.
 		sw.Health().Start()
 		if err := replay(sw, *pcapIn, *pcapOut); err != nil {
 			fatal(err)

@@ -1,6 +1,7 @@
 // pisabm runs the PISA behavioral-model baseline switch (the bmv2
 // equivalent): fixed stages, front parser, full-reload-only updates. It
-// speaks the same control channel as ipbm so rp4ctl drives both.
+// speaks the same control channel as ipbm so rp4ctl drives both; of
+// ipbm's views it serves metrics, stats, int, health and rates.
 //
 // Usage:
 //
@@ -9,13 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/health"
@@ -25,34 +25,29 @@ import (
 	"ipsa/internal/tsp"
 )
 
-// device adapts pisa.Switch to the full ctrlplane.Device interface and
-// exposes the health layer over the CCM.
+// device adapts pisa.Switch to the ctrlplane.Device interface: the
+// operations the baseline lacks answer with an error, and views holds
+// the subset of ipbm's views it has.
 type device struct {
 	*pisa.Switch
-	h *health.Health
+	views *telemetry.Views
 }
 
-func (d device) DeleteEntry(table string, handle int) error {
-	return fmt.Errorf("pisabm: per-entry deletion is not part of the baseline model")
-}
+var errBaseline = errors.New("pisabm: per-entry deletion and edit scripts are not part of the baseline model")
 
-func (d device) ListTables() []ctrlplane.TableStatus { return nil }
-
-func (d device) Stats() *ctrlplane.DeviceStats {
-	p, drop := d.Switch.Stats()
-	return &ctrlplane.DeviceStats{Processed: p, Dropped: drop}
-}
-
-func (d device) HealthQuery(window time.Duration) *health.Status {
-	return d.h.Status(window)
-}
+func (d device) DeleteEntry(string, int) error             { return errBaseline }
+func (d device) EditBegin() error                          { return errBaseline }
+func (d device) EditApply(ctrlplane.EditOp) error          { return errBaseline }
+func (d device) EditCommit() (*ctrlplane.EditStats, error) { return nil, errBaseline }
+func (d device) EditAbort() error                          { return errBaseline }
+func (d device) Views() *telemetry.Views                   { return d.views }
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9902", "control channel listen address")
 	configFile := flag.String("config", "", "initial device configuration JSON (optional)")
 	ingress := flag.Int("ingress-stages", 12, "fixed ingress stage count")
 	egress := flag.Int("egress-stages", 4, "fixed egress stage count")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /health JSON); empty disables")
+	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /v/<view> JSON views, /healthz, /readyz); empty disables")
 	execFlag := flag.String("exec", "fused", "stage executor: fused (compiled closures) or interp (reference tree-walker)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
@@ -124,8 +119,17 @@ func main() {
 	h.Start()
 	defer h.Stop()
 
+	views := telemetry.NewViews()
+	views.Add("metrics", func(telemetry.Query) any { return reg.Gather() })
+	views.Add("int", func(q telemetry.Query) any { return sw.IntReport(q.Max) })
+	views.Add("stats", func(telemetry.Query) any {
+		p, drop := sw.Stats()
+		return &ctrlplane.DeviceStats{Processed: p, Dropped: drop}
+	})
+	h.AddViews(views)
 	if *metricsAddr != "" {
-		mux := telemetry.NewServeMux(reg, nil, nil)
+		mux := telemetry.NewServeMux(reg)
+		views.Register(mux)
 		h.Register(mux)
 		ms, err := telemetry.ServeMux(*metricsAddr, mux)
 		if err != nil {
@@ -133,9 +137,9 @@ func main() {
 		}
 		defer ms.Close()
 		slog.Info("metrics endpoint up", "addr", ms.Addr(),
-			"paths", "/metrics /health /healthz /readyz")
+			"paths", "/metrics /v/<view> /healthz /readyz /debug/pprof/", "views", views.Names())
 	}
-	srv := ctrlplane.NewServer(device{sw, h}, logger)
+	srv := ctrlplane.NewServer(device{sw, views}, logger)
 	addr, err := srv.Listen(*listen)
 	if err != nil {
 		fatal(err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -13,9 +14,8 @@ import (
 // plain-text table shared by `rp4ctl drops` and the top view. The header
 // prefix prints as hex so an operator can eyeball addresses without a
 // pcap round trip.
-func renderDrops(recs []telemetry.DropRecord) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-12s %-11s %-5s %-5s %-6s %6s  %s\n",
+func renderDrops(w io.Writer, recs []telemetry.DropRecord) {
+	fmt.Fprintf(w, "%-6s %-12s %-11s %-5s %-5s %-6s %6s  %s\n",
 		"SEQ", "AGE", "REASON", "IN", "OUT", "EPOCH", "BYTES", "HDR")
 	for _, r := range recs {
 		reason := r.Reason
@@ -30,11 +30,10 @@ func renderDrops(recs []telemetry.DropRecord) string {
 		if r.Epoch > 0 {
 			epoch = fmt.Sprintf("%d", r.Epoch)
 		}
-		fmt.Fprintf(&b, "%-6d %-12s %-11s %-5d %-5s %-6s %6d  %s\n",
+		fmt.Fprintf(w, "%-6d %-12s %-11s %-5d %-5s %-6s %6d  %s\n",
 			r.Seq, time.Duration(r.Nanos).Round(time.Millisecond),
 			reason, r.InPort, out, epoch, r.Bytes, hexPrefix(r.Hdr, 32))
 	}
-	return b.String()
 }
 
 // hexPrefix renders up to max bytes as space-grouped hex pairs, with an

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"ipsa/internal/flowstat"
@@ -37,30 +37,27 @@ func protoName(proto uint8) string {
 
 // renderFlows formats flow records (active dumps or exported records) as
 // the plain-text table shared by `rp4ctl flows` and the top view.
-func renderFlows(recs []flowstat.Record) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-44s %10s %12s %10s %9s %-9s %s\n",
+func renderFlows(w io.Writer, recs []flowstat.Record) {
+	fmt.Fprintf(w, "%-4s %-44s %10s %12s %10s %9s %-9s %s\n",
 		"LANE", "FLOW", "PKTS", "BYTES", "AGE", "LATENCY", "VERDICT", "REASON")
 	for _, r := range recs {
 		lat := "-"
 		if r.LatSamples > 0 {
 			lat = fmt.Sprintf("%.1fus", float64(r.LatAvgNanos)/1e3)
 		}
-		fmt.Fprintf(&b, "%-4d %-44s %10d %12d %10s %9s %-9s %s\n",
+		fmt.Fprintf(w, "%-4d %-44s %10d %12d %10s %9s %-9s %s\n",
 			r.Lane,
 			tupleString(r.Src, r.Dst, r.Proto, r.SrcPort, r.DstPort, r.Hash),
 			r.Packets, r.Bytes,
 			time.Duration(r.AgeNanos).Round(time.Millisecond),
 			lat, r.Verdict, r.Reason)
 	}
-	return b.String()
 }
 
 // renderHitters formats a heavy-hitter dump; estimates carry their
 // overestimation bound so operators can judge confidence.
-func renderHitters(hh []flowstat.HeavyHitter) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-44s %12s %10s %s\n",
+func renderHitters(w io.Writer, hh []flowstat.HeavyHitter) {
+	fmt.Fprintf(w, "%-4s %-44s %12s %10s %s\n",
 		"LANE", "FLOW", "EST_PKTS", "ERR", "STATE")
 	for _, h := range hh {
 		state := "evicted"
@@ -71,10 +68,9 @@ func renderHitters(hh []flowstat.HeavyHitter) string {
 		if h.ErrBound > 0 {
 			err = fmt.Sprintf("±%d", h.ErrBound)
 		}
-		fmt.Fprintf(&b, "%-4d %-44s %12d %10s %s\n",
+		fmt.Fprintf(w, "%-4d %-44s %12d %10s %s\n",
 			h.Lane,
 			tupleString(h.Src, h.Dst, h.Proto, h.SrcPort, h.DstPort, h.Hash),
 			h.Packets, err, state)
 	}
-	return b.String()
 }

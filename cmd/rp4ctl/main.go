@@ -15,7 +15,10 @@
 //	rp4ctl -addr ... flows [records] [max]
 //	rp4ctl -addr ... hh [max]
 //	rp4ctl -addr ... drops [max]
+//	rp4ctl -addr ... int report [max]
+//	rp4ctl -addr ... events [max]
 //	rp4ctl -addr ... health [window]
+//	rp4ctl -addr ... show <view> [max|window]
 //	rp4ctl -addr ... top [interval]
 //	rp4ctl -addr ... table-stats <table>
 //	rp4ctl -addr ... read-register <name> <index>
@@ -32,56 +35,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"ipsa/internal/ctrlplane"
-	"ipsa/internal/flowstat"
-	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 )
-
-// metricID renders a point's identity — name{label="v",...} — the text
-// both printing and -grep filtering run against.
-func metricID(p telemetry.MetricPoint) string {
-	var labels []string
-	for _, l := range p.Labels {
-		labels = append(labels, fmt.Sprintf("%s=%q", l.Key, l.Value))
-	}
-	name := p.Name
-	if len(labels) > 0 {
-		name += "{" + strings.Join(labels, ",") + "}"
-	}
-	return name
-}
-
-// grepMetrics keeps the points whose rendered identity matches re.
-func grepMetrics(points []telemetry.MetricPoint, re *regexp.Regexp) []telemetry.MetricPoint {
-	var out []telemetry.MetricPoint
-	for _, p := range points {
-		if re.MatchString(metricID(p)) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// printMetric renders one metrics-dump point, indented for grouping.
-func printMetric(p telemetry.MetricPoint, indent string) {
-	name := metricID(p)
-	if p.Kind == "histogram" {
-		line := fmt.Sprintf("%s%s count=%d sum=%.3fms", indent, name, p.Count, float64(p.SumNanos)/1e6)
-		for _, q := range p.Quantiles {
-			line += fmt.Sprintf(" p%g=%.3fms", q.Quantile*100, q.Nanos/1e6)
-		}
-		fmt.Println(line)
-	} else {
-		fmt.Printf("%s%s %g\n", indent, name, p.Value)
-	}
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9901", "device control channel address")
@@ -96,6 +56,22 @@ func main() {
 	}
 	defer cl.Close()
 
+	if r, rest, ok := lookupRead(args); ok {
+		q, err := r.query(rest)
+		if err != nil {
+			fatal(err)
+		}
+		var payload json.RawMessage
+		if err := cl.View(r.view, q, &payload); err != nil {
+			fatal(err)
+		}
+		if err := r.render(os.Stdout, payload, rest); err == errUsage {
+			usage()
+		} else if err != nil {
+			fatal(err)
+		}
+		return
+	}
 	switch args[0] {
 	case "ping":
 		if err := cl.Ping(); err != nil {
@@ -117,173 +93,6 @@ func main() {
 			fatal(err)
 		}
 		printApply(st)
-	case "tables":
-		tables, err := cl.ListTables()
-		if err != nil {
-			fatal(err)
-		}
-		for _, t := range tables {
-			kind := t.Kind
-			if t.Selector {
-				kind += "/selector"
-			}
-			fmt.Printf("%-20s %-14s key=%-4db size=%-6d entries=%d\n",
-				t.Name, kind, t.KeyWidth, t.Size, t.Entries)
-		}
-	case "stats":
-		st, err := cl.Stats()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("processed=%d dropped=%d to_cpu=%d active_tsps=%d template_loads=%d stall=%.3fms\n",
-			st.Processed, st.Dropped, st.ToCPU, st.ActiveTSPs, st.TemplateLoads,
-			float64(st.StallNanos)/1e6)
-		for _, p := range st.Ports {
-			fmt.Printf("port %-3d rx=%-8d tx=%-8d rx_drops=%-6d tx_drops=%d\n",
-				p.Port, p.Received, p.Sent, p.RxDrops, p.TxDrops)
-		}
-	case "metrics":
-		var re *regexp.Regexp
-		if len(args) > 1 {
-			if args[1] != "-grep" || len(args) < 3 {
-				usage()
-			}
-			var err error
-			if re, err = regexp.Compile(args[2]); err != nil {
-				fatal(fmt.Errorf("bad -grep pattern: %w", err))
-			}
-		}
-		points, err := cl.MetricsDump()
-		if err != nil {
-			fatal(err)
-		}
-		if re != nil {
-			points = grepMetrics(points, re)
-		}
-		// Shard-labelled series render grouped per shard after the
-		// switch-wide series, so the per-lane view reads as one block.
-		shardOf := func(p telemetry.MetricPoint) (string, bool) {
-			for _, l := range p.Labels {
-				if l.Key == "shard" {
-					return l.Value, true
-				}
-			}
-			return "", false
-		}
-		byShard := make(map[string][]telemetry.MetricPoint)
-		var shardOrder []string
-		for _, p := range points {
-			if sv, ok := shardOf(p); ok {
-				if _, seen := byShard[sv]; !seen {
-					shardOrder = append(shardOrder, sv)
-				}
-				byShard[sv] = append(byShard[sv], p)
-				continue
-			}
-			printMetric(p, "")
-		}
-		sort.Slice(shardOrder, func(i, j int) bool {
-			a, _ := strconv.Atoi(shardOrder[i])
-			b, _ := strconv.Atoi(shardOrder[j])
-			return a < b
-		})
-		for _, sv := range shardOrder {
-			fmt.Printf("shard %s:\n", sv)
-			for _, p := range byShard[sv] {
-				printMetric(p, "  ")
-			}
-		}
-	case "trace":
-		max := 0
-		if len(args) > 1 {
-			var err error
-			if max, err = strconv.Atoi(args[1]); err != nil {
-				fatal(fmt.Errorf("bad max %q", args[1]))
-			}
-		}
-		traces, err := cl.TraceDump(max)
-		if err != nil {
-			fatal(err)
-		}
-		for _, tr := range traces {
-			head := fmt.Sprintf("#%d in=%d out=%d bytes=%d verdict=%s",
-				tr.Seq, tr.InPort, tr.OutPort, tr.Bytes, tr.Verdict)
-			if tr.Epoch > 0 {
-				head += fmt.Sprintf(" epoch=%d", tr.Epoch)
-			}
-			fmt.Println(head)
-			for _, h := range tr.Headers {
-				fmt.Printf("  hdr %-14s off=%-4d len=%d\n", h.Name, h.Off, h.Len)
-			}
-			for _, st := range tr.Stages {
-				line := fmt.Sprintf("  tsp%d/%s", st.TSP, st.Stage)
-				if st.Applied {
-					outcome := "miss"
-					if st.Hit {
-						outcome = fmt.Sprintf("hit tag=%d", st.Tag)
-					}
-					line += fmt.Sprintf(" table=%s %s", st.Table, outcome)
-				}
-				if st.Action != "" {
-					line += " action=" + st.Action
-					if st.Default {
-						line += " (default)"
-					}
-				}
-				fmt.Println(line)
-			}
-		}
-	case "flows":
-		rest := args[1:]
-		records := false
-		if len(rest) > 0 && rest[0] == "records" {
-			records = true
-			rest = rest[1:]
-		}
-		max := 0
-		if len(rest) > 0 {
-			var err error
-			if max, err = strconv.Atoi(rest[0]); err != nil {
-				fatal(fmt.Errorf("bad max %q", rest[0]))
-			}
-		}
-		var recs []flowstat.Record
-		var err error
-		if records {
-			recs, err = cl.FlowRecords(max)
-		} else {
-			recs, err = cl.FlowDump(max)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(renderFlows(recs))
-	case "hh":
-		max := 0
-		if len(args) > 1 {
-			var err error
-			if max, err = strconv.Atoi(args[1]); err != nil {
-				fatal(fmt.Errorf("bad max %q", args[1]))
-			}
-		}
-		hh, err := cl.HHDump(max)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(renderHitters(hh))
-	case "drops":
-		max := 0
-		if len(args) > 1 {
-			var err error
-			if max, err = strconv.Atoi(args[1]); err != nil {
-				fatal(fmt.Errorf("bad max %q", args[1]))
-			}
-		}
-		recs, err := cl.DropDump(max)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(renderDrops(recs))
 	case "int":
 		need(args, 2)
 		switch args[1] {
@@ -291,89 +100,14 @@ func main() {
 			if err := cl.IntEnable(); err != nil {
 				fatal(err)
 			}
-			fmt.Println("ok")
 		case "disable":
 			if err := cl.IntDisable(); err != nil {
 				fatal(err)
 			}
-			fmt.Println("ok")
-		case "report":
-			max := 0
-			if len(args) > 2 {
-				var err error
-				if max, err = strconv.Atoi(args[2]); err != nil {
-					fatal(fmt.Errorf("bad max %q", args[2]))
-				}
-			}
-			reports, err := cl.IntReport(max)
-			if err != nil {
-				fatal(err)
-			}
-			for _, r := range reports {
-				fmt.Printf("#%d in=%d out=%d bytes=%d path=%s\n",
-					r.Seq, r.InPort, r.OutPort, r.Bytes, r.Path())
-				for _, h := range r.Hops {
-					stage := h.Stage
-					if stage == "" {
-						stage = fmt.Sprintf("stage#%04x", h.StageID)
-					}
-					fmt.Printf("  sw%d tsp%d %-16s latency=%-8s qdepth=%d\n",
-						h.SwitchID, h.TSP, stage,
-						fmt.Sprintf("%.3fus", float64(h.LatencyNanos)/1e3), h.QDepth)
-				}
-			}
 		default:
 			usage()
 		}
-	case "events":
-		max := 0
-		if len(args) > 1 {
-			var err error
-			if max, err = strconv.Atoi(args[1]); err != nil {
-				fatal(fmt.Errorf("bad max %q", args[1]))
-			}
-		}
-		events, err := cl.EventsDump(max)
-		if err != nil {
-			fatal(err)
-		}
-		for _, ev := range events {
-			line := fmt.Sprintf("#%d %s", ev.Seq, ev.Kind)
-			if ev.ConfigHash != "" {
-				line += " cfg=" + ev.ConfigHash
-			}
-			if ev.Epoch > 0 {
-				line += fmt.Sprintf(" epoch=%d", ev.Epoch)
-			}
-			if ev.TSPsWritten > 0 {
-				line += fmt.Sprintf(" tsps=%d", ev.TSPsWritten)
-			}
-			if ev.TablesCreated > 0 || ev.TablesDropped > 0 {
-				line += fmt.Sprintf(" tables=+%d/-%d", ev.TablesCreated, ev.TablesDropped)
-			}
-			if ev.StagesRecompiled > 0 || ev.StagesReused > 0 {
-				line += fmt.Sprintf(" stages=%d+%d_reused", ev.StagesRecompiled, ev.StagesReused)
-			}
-			if ev.Hitless {
-				line += " hitless"
-			} else if ev.DrainNanos > 0 {
-				line += fmt.Sprintf(" drain=%.3fms", float64(ev.DrainNanos)/1e6)
-			}
-			if ev.InFlight > 0 {
-				line += fmt.Sprintf(" in_flight=%d", ev.InFlight)
-			}
-			if len(ev.VerdictDeltas) > 0 {
-				var parts []string
-				for k, v := range ev.VerdictDeltas {
-					parts = append(parts, fmt.Sprintf("%s+%d", k, v))
-				}
-				line += " during_swap=" + strings.Join(parts, ",")
-			}
-			if ev.Detail != "" {
-				line += " (" + ev.Detail + ")"
-			}
-			fmt.Println(line)
-		}
+		fmt.Println("ok")
 	case "edit":
 		need(args, 2)
 		if args[1] == "abort" {
@@ -412,19 +146,6 @@ func main() {
 		if st.Apply != nil {
 			printApply(st.Apply)
 		}
-	case "health":
-		window := time.Duration(0)
-		if len(args) > 1 {
-			var err error
-			if window, err = time.ParseDuration(args[1]); err != nil {
-				fatal(fmt.Errorf("bad window %q: %w", args[1], err))
-			}
-		}
-		st, err := cl.HealthQuery(window)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(renderStatus(st))
 	case "top":
 		interval := time.Second
 		if len(args) > 1 {
@@ -625,6 +346,7 @@ commands:
   int enable|disable
   int report [MAX]
   events [MAX]
+  show VIEW [MAX|WINDOW]  any device view as JSON (e.g. show rates 30s)
   edit SCRIPT.json        apply an edit script (JSON array of ops) as one hitless commit
   edit abort              discard a stuck open transaction
   health [WINDOW]         one-shot self-diagnosis snapshot (e.g. health 30s)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -10,21 +11,22 @@ import (
 	"time"
 
 	"ipsa/internal/ctrlplane"
+	"ipsa/internal/flowstat"
 	"ipsa/internal/health"
+	"ipsa/internal/telemetry"
 )
 
 // renderStatus formats one health snapshot as the plain-text operator
 // view shared by `rp4ctl health` and `rp4ctl top`.
-func renderStatus(st *health.Status) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "state: %-9s uptime: %-12s window: %s\n",
+func renderStatus(w io.Writer, st health.Status) {
+	fmt.Fprintf(w, "state: %-9s uptime: %-12s window: %s\n",
 		strings.ToUpper(st.State),
 		time.Duration(st.UptimeNanos).Round(time.Second),
 		time.Duration(st.WindowNanos))
 	if st.Reason != "" {
-		fmt.Fprintf(&b, "reason: %s\n", st.Reason)
+		fmt.Fprintf(w, "reason: %s\n", st.Reason)
 	}
-	fmt.Fprintf(&b, "pps: %-12.1f drops/s: %-10.1f drop%%: %-7.2f tm_depth: %d\n",
+	fmt.Fprintf(w, "pps: %-12.1f drops/s: %-10.1f drop%%: %-7.2f tm_depth: %d\n",
 		st.PPS, st.DropPPS, st.DropFraction*100, st.TMDepth)
 	if len(st.DropCauses) > 0 {
 		causes := make([]string, 0, len(st.DropCauses))
@@ -36,20 +38,20 @@ func renderStatus(st *health.Status) string {
 		for _, k := range causes {
 			parts = append(parts, fmt.Sprintf("%s=%.1f/s", k, st.DropCauses[k]))
 		}
-		fmt.Fprintf(&b, "drop causes: %s\n", strings.Join(parts, "  "))
+		fmt.Fprintf(w, "drop causes: %s\n", strings.Join(parts, "  "))
 	}
 	if st.Latency != nil && st.Latency.Count > 0 {
-		fmt.Fprintf(&b, "tsp latency (sampled): p50=%.3fus p90=%.3fus p99=%.3fus n=%d\n",
+		fmt.Fprintf(w, "tsp latency (sampled): p50=%.3fus p90=%.3fus p99=%.3fus n=%d\n",
 			st.Latency.P50/1e3, st.Latency.P90/1e3, st.Latency.P99/1e3, st.Latency.Count)
 	}
 	if len(st.Lanes) > 0 {
-		fmt.Fprintf(&b, "\n%-12s %-8s %12s %10s %12s\n", "LANE", "STATE", "HEARTBEAT", "PENDING", "RATE/S")
+		fmt.Fprintf(w, "\n%-12s %-8s %12s %10s %12s\n", "LANE", "STATE", "HEARTBEAT", "PENDING", "RATE/S")
 		for _, l := range st.Lanes {
 			state := l.State
 			if l.State == "stalled" {
 				state = "STALLED"
 			}
-			fmt.Fprintf(&b, "%-12s %-8s %12d %10d %12.1f\n",
+			fmt.Fprintf(w, "%-12s %-8s %12d %10d %12.1f\n",
 				l.Name, state, l.Heartbeat, l.Pending, l.RatePPS)
 		}
 	}
@@ -58,7 +60,7 @@ func renderStatus(st *health.Status) string {
 		if op.Wedged {
 			tag = "WEDGED"
 		}
-		fmt.Fprintf(&b, "\nreconfig %s cfg=%s age=%s [%s]\n",
+		fmt.Fprintf(w, "\nreconfig %s cfg=%s age=%s [%s]\n",
 			op.Kind, op.ConfigHash, time.Duration(op.AgeNanos).Round(time.Millisecond), tag)
 	}
 	if ev := st.LastEvent; ev != nil {
@@ -74,9 +76,8 @@ func renderStatus(st *health.Status) string {
 		if ev.Detail != "" {
 			line += " (" + ev.Detail + ")"
 		}
-		b.WriteString(line + "\n")
+		fmt.Fprint(w, line+"\n")
 	}
-	return b.String()
 }
 
 // top refreshes the operator view in place until interrupted. It
@@ -88,40 +89,41 @@ func top(addr string, cl *ctrlplane.Client, interval, window time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
-		st, err := cl.HealthQuery(window)
+		var st health.Status
+		err := cl.View("health", telemetry.Query{Window: window}, &st)
 		// \x1b[H\x1b[2J homes the cursor and clears the screen: a live
 		// refreshing view with no TUI dependency.
 		fmt.Print("\x1b[H\x1b[2J")
 		fmt.Printf("rp4ctl top — %s — %s (refresh %s, ctrl-c to quit)\n\n",
 			addr, time.Now().Format("15:04:05"), interval)
-		switch {
-		case err != nil:
+		if err != nil {
 			fmt.Printf("unreachable: %v\nre-dialing...\n", err)
 			cl.Close()
 			if ncl, derr := ctrlplane.Dial(addr, 2*time.Second); derr == nil {
 				cl = ncl
 			}
-		case st == nil:
-			fmt.Println("device reports no health layer")
-		default:
-			fmt.Print(renderStatus(st))
+		} else {
+			renderStatus(os.Stdout, st)
 			// Heavy-hitter pane; devices without flow accounting (or
 			// with it disabled) just skip it.
-			if hh, herr := cl.HHDump(5); herr == nil && len(hh) > 0 {
+			var hh []flowstat.HeavyHitter
+			if cl.View("hh", telemetry.Query{Max: 5}, &hh) == nil && len(hh) > 0 {
 				fmt.Println("\nheavy hitters:")
-				fmt.Print(renderHitters(hh))
+				renderHitters(os.Stdout, hh)
 			}
 			// Drops-by-reason pane from the attributed drop counters;
 			// silent until the first loss, like the causes line above.
-			if points, merr := cl.MetricsDump(); merr == nil {
+			var points []telemetry.MetricPoint
+			if cl.View("metrics", telemetry.Query{}, &points) == nil {
 				if pane := renderDropReasons(points); pane != "" {
 					fmt.Println("\ndrops by reason (total):")
 					fmt.Print(pane)
 				}
 			}
-			if recs, derr := cl.DropDump(3); derr == nil && len(recs) > 0 {
+			var recs []telemetry.DropRecord
+			if cl.View("drops", telemetry.Query{Max: 3}, &recs) == nil && len(recs) > 0 {
 				fmt.Println("\nlatest sampled drops:")
-				fmt.Print(renderDrops(recs))
+				renderDrops(os.Stdout, recs)
 			}
 		}
 		select {

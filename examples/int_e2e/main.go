@@ -20,8 +20,10 @@ import (
 	"ipsa/internal/core"
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/experiments"
+	"ipsa/internal/intmd"
 	"ipsa/internal/ipbm"
 	"ipsa/internal/pkt"
+	"ipsa/internal/telemetry"
 )
 
 func main() {
@@ -84,8 +86,8 @@ func main() {
 		}
 	}
 
-	reports, err := cl.IntReport(1)
-	if err != nil {
+	var reports []intmd.Report
+	if err := cl.View("int", telemetry.Query{Max: 1}, &reports); err != nil {
 		log.Fatal(err)
 	}
 	if len(reports) == 0 {
@@ -106,8 +108,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nINT disabled in situ; reconfiguration audit trail:")
-	events, err := cl.EventsDump(0)
-	if err != nil {
+	var events []telemetry.Event
+	if err := cl.View("events", telemetry.Query{}, &events); err != nil {
 		log.Fatal(err)
 	}
 	for _, ev := range events {

@@ -7,9 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"ipsa/internal/flowstat"
-	"ipsa/internal/health"
-	"ipsa/internal/intmd"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 )
@@ -87,15 +84,6 @@ func (c *Client) AddMember(m MemberReq) error {
 	return err
 }
 
-// ListTables lists installed tables.
-func (c *Client) ListTables() ([]TableStatus, error) {
-	resp, err := c.Do(&Request{Op: OpListTables})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tables, nil
-}
-
 // TableStats reads a table's counters.
 func (c *Client) TableStats(table string) (*TableStats, error) {
 	resp, err := c.Do(&Request{Op: OpTableStats, Table: table})
@@ -114,32 +102,15 @@ func (c *Client) ReadRegister(name string, index uint64) (uint64, error) {
 	return resp.Value, nil
 }
 
-// Stats snapshots device counters.
-func (c *Client) Stats() (*DeviceStats, error) {
-	resp, err := c.Do(&Request{Op: OpDeviceStats})
+// View reads the device's view name into out (a pointer to the view's
+// type, or to a json.RawMessage for the payload as sent). Zero fields of
+// q select the view's defaults.
+func (c *Client) View(name string, q telemetry.Query, out any) error {
+	resp, err := c.Do(&Request{Op: OpView, View: name, Max: q.Max, WindowNanos: q.Window.Nanoseconds()})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return resp.Device, nil
-}
-
-// MetricsDump fetches every metric series the device exports.
-func (c *Client) MetricsDump() ([]telemetry.MetricPoint, error) {
-	resp, err := c.Do(&Request{Op: OpMetricsDump})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Metrics, nil
-}
-
-// TraceDump fetches up to max buffered packet flight records, newest
-// first (max <= 0 returns all).
-func (c *Client) TraceDump(max int) ([]telemetry.TraceRecord, error) {
-	resp, err := c.Do(&Request{Op: OpTraceDump, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Traces, nil
+	return json.Unmarshal(resp.View, out)
 }
 
 // IntEnable turns on in-band telemetry stamping on the device.
@@ -152,66 +123,6 @@ func (c *Client) IntEnable() error {
 func (c *Client) IntDisable() error {
 	_, err := c.Do(&Request{Op: OpIntDisable})
 	return err
-}
-
-// IntReport fetches up to max sink-decoded INT reports, newest first
-// (max <= 0 returns all buffered).
-func (c *Client) IntReport(max int) ([]intmd.Report, error) {
-	resp, err := c.Do(&Request{Op: OpIntReport, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Reports, nil
-}
-
-// HealthQuery fetches the device's self-diagnosis snapshot. window <= 0
-// selects the device's default rate window.
-func (c *Client) HealthQuery(window time.Duration) (*health.Status, error) {
-	resp, err := c.Do(&Request{Op: OpHealthQuery, WindowNanos: window.Nanoseconds()})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Health, nil
-}
-
-// FlowDump fetches up to max active flows, largest first (max <= 0
-// selects the device default).
-func (c *Client) FlowDump(max int) ([]flowstat.Record, error) {
-	resp, err := c.Do(&Request{Op: OpFlowDump, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Flows, nil
-}
-
-// FlowRecords fetches up to max exported flow records (completed flows),
-// oldest first (max <= 0 returns all buffered).
-func (c *Client) FlowRecords(max int) ([]flowstat.Record, error) {
-	resp, err := c.Do(&Request{Op: OpFlowRecords, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Flows, nil
-}
-
-// HHDump fetches up to max estimated heavy hitters, largest first
-// (max <= 0 selects the device default).
-func (c *Client) HHDump(max int) ([]flowstat.HeavyHitter, error) {
-	resp, err := c.Do(&Request{Op: OpHHDump, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hitters, nil
-}
-
-// DropDump fetches up to max sampled drop records, newest first
-// (max <= 0 dumps the whole ring).
-func (c *Client) DropDump(max int) ([]telemetry.DropRecord, error) {
-	resp, err := c.Do(&Request{Op: OpDropDump, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Drops, nil
 }
 
 // EditBegin opens an edit-script transaction on the device.
@@ -244,14 +155,4 @@ func (c *Client) EditCommit() (*EditStats, error) {
 func (c *Client) EditAbort() error {
 	_, err := c.Do(&Request{Op: OpEditAbort})
 	return err
-}
-
-// EventsDump fetches up to max reconfiguration audit events, newest
-// first (max <= 0 returns all buffered).
-func (c *Client) EventsDump(max int) ([]telemetry.Event, error) {
-	resp, err := c.Do(&Request{Op: OpEventsDump, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Events, nil
 }

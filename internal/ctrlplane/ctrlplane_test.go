@@ -3,10 +3,12 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 )
 
@@ -152,10 +154,6 @@ func (d *fakeDevice) AddMember(req MemberReq) error {
 	return nil
 }
 
-func (d *fakeDevice) ListTables() []TableStatus {
-	return []TableStatus{{Name: "t", Kind: "exact", Entries: d.entries}}
-}
-
 func (d *fakeDevice) TableStats(table string) (*TableStats, error) {
 	if table != "t" {
 		return nil, fmt.Errorf("unknown table %q", table)
@@ -171,8 +169,25 @@ func (d *fakeDevice) ReadRegister(name string, index uint64) (uint64, error) {
 	return v + index, nil
 }
 
-func (d *fakeDevice) Stats() *DeviceStats {
-	return &DeviceStats{Processed: 100, ActiveTSPs: 7}
+var errNoEdits = errors.New("no edit scripts")
+
+func (d *fakeDevice) SetInt(bool) error               { return errors.New("no INT") }
+func (d *fakeDevice) EditBegin() error                { return errNoEdits }
+func (d *fakeDevice) EditApply(EditOp) error          { return errNoEdits }
+func (d *fakeDevice) EditCommit() (*EditStats, error) { return nil, errNoEdits }
+func (d *fakeDevice) EditAbort() error                { return errNoEdits }
+
+func (d *fakeDevice) Views() *telemetry.Views {
+	v := telemetry.NewViews()
+	v.Add("tables", func(telemetry.Query) any {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return []TableStatus{{Name: "t", Kind: "exact", Entries: d.entries}}
+	})
+	v.Add("stats", func(q telemetry.Query) any {
+		return &DeviceStats{Processed: uint64(q.Max), StallNanos: int64(q.Window), ActiveTSPs: 7}
+	})
+	return v
 }
 
 func TestClientServerRoundTrip(t *testing.T) {
@@ -210,8 +225,8 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err := cl.AddMember(MemberReq{Table: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	tables, err := cl.ListTables()
-	if err != nil || len(tables) != 1 || tables[0].Entries != 1 {
+	var tables []TableStatus
+	if err := cl.View("tables", telemetry.Query{}, &tables); err != nil || len(tables) != 1 || tables[0].Entries != 1 {
 		t.Fatalf("tables: %+v, %v", tables, err)
 	}
 	ts, err := cl.TableStats("t")
@@ -225,9 +240,17 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err != nil || v != 42 {
 		t.Fatalf("register: %d, %v", v, err)
 	}
-	ds, err := cl.Stats()
-	if err != nil || ds.Processed != 100 || ds.ActiveTSPs != 7 {
+	// The view op carries its query to the view.
+	var ds DeviceStats
+	err = cl.View("stats", telemetry.Query{Max: 100, Window: time.Second}, &ds)
+	if err != nil || ds.Processed != 100 || ds.StallNanos != int64(time.Second) || ds.ActiveTSPs != 7 {
 		t.Fatalf("device stats: %+v, %v", ds, err)
+	}
+	if err := cl.View("ghost", telemetry.Query{}, &ds); err == nil || !strings.Contains(err.Error(), "have stats, tables") {
+		t.Errorf("unknown view: %v", err)
+	}
+	if err := cl.IntEnable(); err == nil {
+		t.Error("device INT error not surfaced")
 	}
 }
 
@@ -277,5 +300,11 @@ func TestHandleUnknownAndMalformed(t *testing.T) {
 	}
 	if r := srv.Handle(&Request{Op: OpAddMember}); r.OK {
 		t.Error("member without body succeeded")
+	}
+	if r := srv.Handle(&Request{Op: OpEditTable}); r.OK {
+		t.Error("edit without op succeeded")
+	}
+	if r := srv.Handle(&Request{Op: OpView}); r.OK {
+		t.Error("view without a name succeeded")
 	}
 }

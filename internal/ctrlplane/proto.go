@@ -2,11 +2,7 @@ package ctrlplane
 
 import (
 	"encoding/json"
-	"time"
 
-	"ipsa/internal/flowstat"
-	"ipsa/internal/health"
-	"ipsa/internal/intmd"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 )
@@ -17,27 +13,18 @@ import (
 // Op names a control operation.
 type Op string
 
-// Control operations.
+// Control operations. Every argument-free read is the view op: it names
+// one of the device's registered views (telemetry.Views).
 const (
 	OpApplyConfig  Op = "apply_config"
 	OpInsertEntry  Op = "insert_entry"
 	OpDeleteEntry  Op = "delete_entry"
 	OpAddMember    Op = "add_member"
-	OpListTables   Op = "list_tables"
 	OpTableStats   Op = "table_stats"
 	OpReadRegister Op = "read_register"
-	OpDeviceStats  Op = "device_stats"
-	OpMetricsDump  Op = "metrics_dump"
-	OpTraceDump    Op = "trace_dump"
+	OpView         Op = "view"
 	OpIntEnable    Op = "int_enable"
 	OpIntDisable   Op = "int_disable"
-	OpIntReport    Op = "int_report"
-	OpEventsDump   Op = "events_dump"
-	OpHealthQuery  Op = "health_query"
-	OpFlowDump     Op = "flow_dump"
-	OpFlowRecords  Op = "flow_records"
-	OpHHDump       Op = "hh_dump"
-	OpDropDump     Op = "drop_dump"
 	OpPing         Op = "ping"
 
 	// Edit-script ops: a begin/ops/commit transaction that inserts,
@@ -67,11 +54,11 @@ type Request struct {
 	// Register/Index serve read_register.
 	Register string `json:"register,omitempty"`
 	Index    uint64 `json:"index,omitempty"`
-	// Max bounds trace_dump (0 means all buffered records).
-	Max int `json:"max,omitempty"`
-	// WindowNanos overrides the rate window of health_query (0 uses the
-	// device's default).
-	WindowNanos int64 `json:"window_nanos,omitempty"`
+	// View names the view a view op reads; Max and WindowNanos are its
+	// telemetry.Query (0 selects the view's defaults).
+	View        string `json:"view,omitempty"`
+	Max         int    `json:"max,omitempty"`
+	WindowNanos int64  `json:"window_nanos,omitempty"`
 	// Edit serves edit_tsp and edit_table.
 	Edit *EditOp `json:"edit,omitempty"`
 }
@@ -81,25 +68,16 @@ type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
 
-	Handle  int                     `json:"handle,omitempty"`
-	Tables  []TableStatus           `json:"tables,omitempty"`
-	Stats   *TableStats             `json:"stats,omitempty"`
-	Value   uint64                  `json:"value,omitempty"`
-	Device  *DeviceStats            `json:"device,omitempty"`
-	Apply   *ApplyStats             `json:"apply,omitempty"`
-	Metrics []telemetry.MetricPoint `json:"metrics,omitempty"`
-	Traces  []telemetry.TraceRecord `json:"traces,omitempty"`
-	Events  []telemetry.Event       `json:"events,omitempty"`
-	Reports []intmd.Report          `json:"reports,omitempty"`
-	Health  *health.Status          `json:"health,omitempty"`
-	Edit    *EditStats              `json:"edit,omitempty"`
-	Flows   []flowstat.Record       `json:"flows,omitempty"`
-	Hitters []flowstat.HeavyHitter  `json:"hitters,omitempty"`
-	Drops   []telemetry.DropRecord  `json:"drops,omitempty"`
-	Extra   json.RawMessage         `json:"extra,omitempty"`
+	Handle int         `json:"handle,omitempty"`
+	Stats  *TableStats `json:"stats,omitempty"`
+	Value  uint64      `json:"value,omitempty"`
+	Apply  *ApplyStats `json:"apply,omitempty"`
+	Edit   *EditStats  `json:"edit,omitempty"`
+	// View is a view op's payload, the JSON the view encodes to.
+	View json.RawMessage `json:"view,omitempty"`
 }
 
-// TableStatus summarizes one installed logical table.
+// TableStatus summarizes one installed logical table (the tables view).
 type TableStatus struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"`
@@ -124,8 +102,9 @@ type PortStats struct {
 	TxDrops  uint64 `json:"tx_drops,omitempty"`
 }
 
-// DeviceStats snapshots the data plane's counters. Ports is optional so
-// older devices (and their JSON) stay wire-compatible.
+// DeviceStats snapshots the data plane's counters (the stats view).
+// Ports is optional so older devices (and their JSON) stay
+// wire-compatible.
 type DeviceStats struct {
 	Processed       uint64      `json:"processed"`
 	Dropped         uint64      `json:"dropped"`
@@ -189,67 +168,24 @@ type EditStats struct {
 	Apply *ApplyStats `json:"apply,omitempty"`
 }
 
-// EditSource is optionally implemented by devices that support
-// edit-script partial reconfiguration (begin/ops/commit transactions).
-type EditSource interface {
-	EditBegin() error
-	EditApply(op EditOp) error
-	EditCommit() (*EditStats, error)
-	EditAbort() error
-}
-
 // Device is the behaviour a control server exposes; ipbm implements it.
+// Everything it can be asked to read without arguments is a view in
+// Views; a device without edit scripts or INT answers those ops with an
+// error.
 type Device interface {
 	ApplyConfig(cfg *template.Config) (*ApplyStats, error)
 	InsertEntry(req EntryReq) (handle int, err error)
 	DeleteEntry(table string, handle int) error
 	AddMember(req MemberReq) error
-	ListTables() []TableStatus
 	TableStats(table string) (*TableStats, error)
 	ReadRegister(name string, index uint64) (uint64, error)
-	Stats() *DeviceStats
-}
-
-// TelemetrySource is optionally implemented by devices with an
-// observability subsystem; the CCM probes for it so plain Devices keep
-// working unchanged.
-type TelemetrySource interface {
-	MetricsDump() []telemetry.MetricPoint
-	TraceDump(max int) []telemetry.TraceRecord
-}
-
-// IntSource is optionally implemented by devices whose data plane can
-// stamp and sink INT metadata; the CCM probes for it like
-// TelemetrySource.
-type IntSource interface {
 	SetInt(enabled bool) error
-	IntReport(max int) []intmd.Report
-}
 
-// EventSource is optionally implemented by devices that keep a
-// reconfiguration audit trail.
-type EventSource interface {
-	EventsDump(max int) []telemetry.Event
-}
+	// Edit-script partial reconfiguration: a begin/ops/commit transaction.
+	EditBegin() error
+	EditApply(op EditOp) error
+	EditCommit() (*EditStats, error)
+	EditAbort() error
 
-// HealthSource is optionally implemented by devices with a health layer;
-// window <= 0 selects the device's default rate window.
-type HealthSource interface {
-	HealthQuery(window time.Duration) *health.Status
-}
-
-// FlowSource is optionally implemented by devices with flow-level
-// accounting: active-flow dumps, the exported flow-record stream and
-// heavy-hitter estimates. max <= 0 selects the device's default bound.
-type FlowSource interface {
-	FlowDump(max int) []flowstat.Record
-	FlowRecords(max int) []flowstat.Record
-	HHDump(max int) []flowstat.HeavyHitter
-}
-
-// DropSource is optionally implemented by devices with a sampled
-// drop-capture ring (dropwatch-style loss forensics); max <= 0 dumps the
-// whole ring, newest first.
-type DropSource interface {
-	DropDump(max int) []telemetry.DropRecord
+	Views() *telemetry.Views
 }

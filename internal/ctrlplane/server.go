@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"ipsa/internal/telemetry"
 )
 
 // Server is the Control Channel Module (CCM): it bridges the data plane
@@ -140,8 +142,6 @@ func (s *Server) Handle(req *Request) *Response {
 			return fail(err)
 		}
 		return &Response{OK: true}
-	case OpListTables:
-		return &Response{OK: true, Tables: s.dev.ListTables()}
 	case OpTableStats:
 		st, err := s.dev.TableStats(req.Table)
 		if err != nil {
@@ -154,95 +154,41 @@ func (s *Server) Handle(req *Request) *Response {
 			return fail(err)
 		}
 		return &Response{OK: true, Value: v}
-	case OpDeviceStats:
-		return &Response{OK: true, Device: s.dev.Stats()}
-	case OpMetricsDump:
-		ts, ok := s.dev.(TelemetrySource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no telemetry"))
+	case OpView:
+		b, err := s.dev.Views().JSON(req.View, telemetry.Query{Max: req.Max, Window: time.Duration(req.WindowNanos)})
+		if err != nil {
+			return fail(err)
 		}
-		return &Response{OK: true, Metrics: ts.MetricsDump()}
-	case OpTraceDump:
-		ts, ok := s.dev.(TelemetrySource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no telemetry"))
-		}
-		return &Response{OK: true, Traces: ts.TraceDump(req.Max)}
+		return &Response{OK: true, View: b}
 	case OpIntEnable, OpIntDisable:
-		is, ok := s.dev.(IntSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no INT support"))
-		}
-		if err := is.SetInt(req.Op == OpIntEnable); err != nil {
+		if err := s.dev.SetInt(req.Op == OpIntEnable); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
-	case OpIntReport:
-		is, ok := s.dev.(IntSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no INT support"))
-		}
-		return &Response{OK: true, Reports: is.IntReport(req.Max)}
-	case OpEventsDump:
-		es, ok := s.dev.(EventSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no event log"))
-		}
-		return &Response{OK: true, Events: es.EventsDump(req.Max)}
-	case OpEditBegin, OpEditTSP, OpEditTable, OpEditCommit, OpEditAbort:
-		es, ok := s.dev.(EditSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no edit support"))
-		}
-		switch req.Op {
-		case OpEditBegin:
-			if err := es.EditBegin(); err != nil {
-				return fail(err)
-			}
-		case OpEditTSP, OpEditTable:
-			if req.Edit == nil {
-				return fail(fmt.Errorf("ccm: %s without edit op", req.Op))
-			}
-			if err := es.EditApply(*req.Edit); err != nil {
-				return fail(err)
-			}
-		case OpEditCommit:
-			st, err := es.EditCommit()
-			if err != nil {
-				return fail(err)
-			}
-			return &Response{OK: true, Edit: st}
-		case OpEditAbort:
-			if err := es.EditAbort(); err != nil {
-				return fail(err)
-			}
+	case OpEditBegin:
+		if err := s.dev.EditBegin(); err != nil {
+			return fail(err)
 		}
 		return &Response{OK: true}
-	case OpHealthQuery:
-		hs, ok := s.dev.(HealthSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no health layer"))
+	case OpEditTSP, OpEditTable:
+		if req.Edit == nil {
+			return fail(fmt.Errorf("ccm: %s without edit op", req.Op))
 		}
-		return &Response{OK: true, Health: hs.HealthQuery(time.Duration(req.WindowNanos))}
-	case OpFlowDump, OpFlowRecords, OpHHDump:
-		fs, ok := s.dev.(FlowSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no flow accounting"))
+		if err := s.dev.EditApply(*req.Edit); err != nil {
+			return fail(err)
 		}
-		switch req.Op {
-		case OpFlowDump:
-			return &Response{OK: true, Flows: fs.FlowDump(req.Max)}
-		case OpFlowRecords:
-			return &Response{OK: true, Flows: fs.FlowRecords(req.Max)}
-		default:
-			return &Response{OK: true, Hitters: fs.HHDump(req.Max)}
+		return &Response{OK: true}
+	case OpEditCommit:
+		st, err := s.dev.EditCommit()
+		if err != nil {
+			return fail(err)
 		}
-	case OpDropDump:
-		ds, ok := s.dev.(DropSource)
-		if !ok {
-			return fail(fmt.Errorf("ccm: device has no drop capture"))
+		return &Response{OK: true, Edit: st}
+	case OpEditAbort:
+		if err := s.dev.EditAbort(); err != nil {
+			return fail(err)
 		}
-		return &Response{OK: true, Drops: ds.DropDump(req.Max)}
+		return &Response{OK: true}
 	}
 	return fail(fmt.Errorf("ccm: unknown op %q", req.Op))
 }

@@ -274,25 +274,35 @@ func TestZeroAllocHotPath(t *testing.T) {
 	}
 }
 
+// viewMux serves s's views the way a switch's metrics endpoint does.
+func viewMux(s *Set) *http.ServeMux {
+	views := telemetry.NewViews()
+	s.AddViews(views)
+	mux := http.NewServeMux()
+	views.Register(mux)
+	return mux
+}
+
 // TestNilSafety: a disabled Set (nil) is inert everywhere callers touch
-// it, including the HTTP endpoint.
+// it, including its views, which serve empty arrays.
 func TestNilSafety(t *testing.T) {
 	var s *Set
-	if s.Lane(0) != nil || s.Peek(0) != nil {
+	if s.Lane(0) != nil {
 		t.Error("nil set produced a table")
 	}
 	s.FlushAll() // must not panic
-	mux := http.NewServeMux()
-	s.Register(mux)
-	rr := httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/flows", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d", rr.Code)
+	mux := viewMux(s)
+	for _, path := range []string{"/v/flows", "/v/flow_records", "/v/hh"} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != http.StatusOK || rr.Body.String() != "[]" {
+			t.Fatalf("%s: status %d body %q", path, rr.Code, rr.Body)
+		}
 	}
 }
 
-// TestHTTPEndpoint: /flows serves dumps, records and heavy hitters as
-// JSON.
+// TestHTTPEndpoint: the flow views serve dumps, records and heavy
+// hitters as JSON.
 func TestHTTPEndpoint(t *testing.T) {
 	s := NewSet(1, Config{TableBits: 4})
 	tab := s.Lane(0)
@@ -300,8 +310,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	h := pkt.RSSHash(data)
 	tab.Touch(h, data, len(data), 0)
 	tab.Finish(h, VerdictForwarded, -1, 0)
-	mux := http.NewServeMux()
-	s.Register(mux)
+	mux := viewMux(s)
 
 	get := func(url string) []byte {
 		rr := httptest.NewRecorder()
@@ -312,25 +321,25 @@ func TestHTTPEndpoint(t *testing.T) {
 		return rr.Body.Bytes()
 	}
 	var flows []Record
-	if err := json.Unmarshal(get("/flows"), &flows); err != nil {
+	if err := json.Unmarshal(get("/v/flows"), &flows); err != nil {
 		t.Fatal(err)
 	}
 	if len(flows) != 1 || flows[0].SrcPort != 8080 {
-		t.Fatalf("/flows = %+v", flows)
+		t.Fatalf("/v/flows = %+v", flows)
 	}
 	tab.Flush(0)
-	if err := json.Unmarshal(get("/flows?records=1&max=5"), &flows); err != nil {
+	if err := json.Unmarshal(get("/v/flow_records?max=5"), &flows); err != nil {
 		t.Fatal(err)
 	}
 	if len(flows) != 1 || flows[0].Reason != "flush" {
-		t.Fatalf("/flows?records=1 = %+v", flows)
+		t.Fatalf("/v/flow_records = %+v", flows)
 	}
 	var hh []HeavyHitter
-	if err := json.Unmarshal(get("/flows?hh=1"), &hh); err != nil {
+	if err := json.Unmarshal(get("/v/hh"), &hh); err != nil {
 		t.Fatal(err)
 	}
 	if len(hh) != 1 || hh[0].Live {
-		t.Fatalf("/flows?hh=1 = %+v", hh)
+		t.Fatalf("/v/hh = %+v", hh)
 	}
 }
 

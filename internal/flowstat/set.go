@@ -117,16 +117,12 @@ func (s *Set) Lane(i int) *Table {
 	return s.lanes[i].Load()
 }
 
-// Peek returns lane i's table without allocating it.
-func (s *Set) Peek(i int) *Table {
-	if s == nil || i < 0 || i >= len(s.lanes) {
+// tables returns the lanes allocated so far (none on a nil Set, so the
+// dumps of disabled accounting are empty).
+func (s *Set) tables() []*Table {
+	if s == nil {
 		return nil
 	}
-	return s.lanes[i].Load()
-}
-
-// tables returns the lanes allocated so far.
-func (s *Set) tables() []*Table {
 	var ts []*Table
 	for i := range s.lanes {
 		if t := s.lanes[i].Load(); t != nil {
@@ -161,9 +157,6 @@ func (s *Set) push(recs []rawRec) {
 // after it returns: RecordPackets() equals every packet the lanes ever
 // counted.
 func (s *Set) FlushAll() {
-	if s == nil {
-		return
-	}
 	now := Now()
 	for _, t := range s.tables() {
 		t.Flush(now)
@@ -205,6 +198,9 @@ func (s *Set) RecordCount() (n uint64) {
 
 // Records dumps up to max records from the ring, oldest first.
 func (s *Set) Records(max int) []Record {
+	if s == nil {
+		return []Record{}
+	}
 	var raw []rawRec
 	s.ring(func() {
 		if s.full {
@@ -292,7 +288,7 @@ func (s *Set) Dump(max int) []Record {
 	return out
 }
 
-// HeavyHitter is one ranked flow in an hh_dump: live mass plus the
+// HeavyHitter is one ranked flow of the hh view: live mass plus the
 // evicted mass remembered by the space-saving summaries (exact counts
 // folded at eviction) or, for flows below the summaries' radar, the
 // count-min estimate of their evicted history.
@@ -380,6 +376,15 @@ func (s *Set) HeavyHitters(max int) []HeavyHitter {
 		}
 	}
 	return out
+}
+
+// AddViews registers the flow views: flows (active flows, largest
+// first), flow_records (exported records, oldest first) and hh (heavy
+// hitters). A nil Set, disabled accounting, answers them empty.
+func (s *Set) AddViews(v *telemetry.Views) {
+	v.Add("flows", func(q telemetry.Query) any { return s.Dump(q.Max) })
+	v.Add("flow_records", func(q telemetry.Query) any { return s.Records(q.Max) })
+	v.Add("hh", func(q telemetry.Query) any { return s.HeavyHitters(q.Max) })
 }
 
 // Collect emits the ipsa_flow_* series; hang it on the shared registry

@@ -186,9 +186,6 @@ func (h *Health) now() int64 {
 	return time.Now().UnixNano()
 }
 
-// Ring exposes the time-series ring for direct rate queries.
-func (h *Health) Ring() *Ring { return h.ring }
-
 // AddColumn tracks an explicitly wired series in the ring.
 func (h *Health) AddColumn(c Column) {
 	if h == nil {

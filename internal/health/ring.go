@@ -2,8 +2,8 @@
 // time-series ring over the telemetry registry serving windowed rates, a
 // watchdog monitor over per-shard/per-pipeline heartbeats and
 // reconfiguration deadlines, a healthy→degraded→stalled state machine
-// exported as ipsa_health_state, and the /health, /healthz and /readyz
-// endpoints plus the CCM health_query payload that rp4ctl top renders.
+// exported as ipsa_health_state, the health and rates views that rp4ctl
+// health and top render, and the /healthz and /readyz probes.
 package health
 
 import (

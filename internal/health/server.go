@@ -1,34 +1,32 @@
 package health
 
 import (
-	"encoding/json"
 	"net/http"
-	"time"
+
+	"ipsa/internal/telemetry"
 )
 
-// Register mounts the health endpoints on mux (typically the one built
-// by telemetry.NewServeMux):
+// AddViews registers the health views:
 //
-//	/health   — JSON Status; ?window=5s overrides the rate window,
-//	            ?rates=1 appends the full per-series windowed dump
+//	health — the windowed Status (Query.Window overrides the rate window)
+//	rates  — every tracked series' windowed rate, sorted by name
+func (h *Health) AddViews(v *telemetry.Views) {
+	v.Add("health", func(q telemetry.Query) any { return h.Status(q.Window) })
+	v.Add("rates", func(q telemetry.Query) any {
+		if q.Window <= 0 {
+			q.Window = h.o.Window
+		}
+		return h.ring.Rates(q.Window)
+	})
+}
+
+// Register mounts the probe endpoints on mux (typically the one built by
+// telemetry.NewServeMux):
+//
 //	/healthz  — liveness: 200 unless the switch is stalled (503)
 //	/readyz   — readiness: 200 once a configuration is installed and the
 //	            switch is not stalled
 func (h *Health) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/health", func(w http.ResponseWriter, req *http.Request) {
-		window := time.Duration(0)
-		if v := req.URL.Query().Get("window"); v != "" {
-			if d, err := time.ParseDuration(v); err == nil && d > 0 {
-				window = d
-			}
-		}
-		st := h.Status(window)
-		if req.URL.Query().Get("rates") == "1" {
-			st.Rates = h.ring.Rates(windowOrDefault(window, h))
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(st)
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		state := h.State()
 		if state == StateStalled {
@@ -47,11 +45,4 @@ func (h *Health) Register(mux *http.ServeMux) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ready\n"))
 	})
-}
-
-func windowOrDefault(w time.Duration, h *Health) time.Duration {
-	if w > 0 {
-		return w
-	}
-	return h.o.Window
 }

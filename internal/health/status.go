@@ -7,7 +7,7 @@ import (
 	"ipsa/internal/verdict"
 )
 
-// Status is the health_query / GET /health payload: the aggregate
+// Status is the health view's payload: the aggregate
 // verdict plus the windowed rates an operator asks for first. rp4ctl top
 // renders it directly.
 type Status struct {
@@ -36,10 +36,6 @@ type Status struct {
 	// LastEvent is the newest audit-ring entry (reconfigurations and
 	// health transitions).
 	LastEvent *telemetry.Event `json:"last_event,omitempty"`
-
-	// Rates carries the full per-series windowed dump when requested
-	// (GET /health?rates=1).
-	Rates []Rate `json:"rates,omitempty"`
 }
 
 // dropVerdicts are the verdict label values that count as loss.

@@ -239,7 +239,8 @@ func TestDropSpikeAfterApply(t *testing.T) {
 	}
 }
 
-// TestHTTPEndpoints drives /health, /healthz and /readyz over real HTTP.
+// TestHTTPEndpoints drives the health views, /healthz and /readyz over
+// real HTTP.
 func TestHTTPEndpoints(t *testing.T) {
 	ready := false
 	hn := newHarness(t, func(o *Options) {
@@ -247,6 +248,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	})
 	mux := http.NewServeMux()
 	hn.h.Register(mux)
+	views := telemetry.NewViews()
+	hn.h.AddViews(views)
+	views.Register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -270,8 +274,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz healthy = %d, want 200", code)
 	}
-	if code := get("/health?window=5s&rates=1"); code != http.StatusOK {
-		t.Fatalf("/health = %d, want 200", code)
+	for _, path := range []string{"/v/health?window=5s", "/v/rates?window=5s"} {
+		if code := get(path); code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", path, code)
+		}
 	}
 
 	// All lanes stalled → stalled → liveness fails.

@@ -1,0 +1,210 @@
+package ipbm
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"sync"
+	"testing"
+	"time"
+
+	"ipsa/internal/ctrlplane"
+	"ipsa/internal/telemetry"
+	"ipsa/internal/template"
+)
+
+// handleStream decodes data as the stream of CCM requests a connection
+// carries and answers each in order, as Server.serveConn does, stopping
+// at the first undecodable request or after limit requests. Every
+// request must be answered either OK or with an error.
+func handleStream(t *testing.T, srv *ctrlplane.Server, data []byte, limit int) []*ctrlplane.Response {
+	t.Helper()
+	var out []*ctrlplane.Response
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for len(out) < limit {
+		var req ctrlplane.Request
+		if dec.Decode(&req) != nil {
+			break
+		}
+		resp := srv.Handle(&req)
+		if resp.OK == (resp.Error != "") {
+			t.Fatalf("request %d (%s): ok=%v error=%q", len(out), req.Op, resp.OK, resp.Error)
+		}
+		out = append(out, resp)
+	}
+	return out
+}
+
+// ccmReproducers are request streams that once killed the daemon: a
+// null table, stage or action in apply_config (nil dereference in
+// Validate), which must now be refused, and an edit transaction over an
+// empty design (writes into the null maps the config clone
+// round-tripped), whose last op must now succeed.
+var ccmReproducers = []struct {
+	stream string
+	ok     bool
+}{
+	{`{"op":"apply_config","config":{"tables":{"x":null}}}`, false},
+	{`{"op":"apply_config","config":{"stages":{"s":null}}}`, false},
+	{`{"op":"apply_config","config":{"actions":{"a":null}}}`, false},
+	{`{"op":"apply_config","config":{}}
+	{"op":"edit_begin"}
+	{"op":"edit_table","edit":{"kind":"set_table","table":"t","table_spec":{"name":"t","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}}`, true},
+	{`{"op":"apply_config","config":{}}
+	{"op":"edit_begin"}
+	{"op":"edit_tsp","edit":{"kind":"set_stage","stage":"s","spec":{"name":"s"},"actions":{"a":{"name":"a"}},"tsp":1}}`, true},
+}
+
+func TestCCMCrashReproducers(t *testing.T) {
+	for i, r := range ccmReproducers {
+		sw, err := New(DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps := handleStream(t, ctrlplane.NewServer(sw, nil), []byte(r.stream), 8)
+		if last := resps[len(resps)-1]; last.OK != r.ok {
+			t.Errorf("reproducer %d: ok=%v error=%q, want ok=%v", i, last.OK, last.Error, r.ok)
+		}
+	}
+}
+
+var (
+	ccmFuzzOnce sync.Once
+	ccmFuzzCfg  *template.Config
+)
+
+// FuzzCCMRequest throws arbitrary bytes at the control channel of a
+// switch running the populated base design, decoded as the request
+// stream a connection carries. No input may panic the daemon, and every
+// request is answered OK or with an error. Each input gets a fresh
+// switch, so a finding replays alone.
+func FuzzCCMRequest(f *testing.F) {
+	names := []string{"ghost"}
+	if sw, err := New(DefaultOptions()); err == nil {
+		names = append(names, sw.Views().Names()...)
+	}
+	for _, name := range names {
+		f.Add([]byte(`{"op":"view","view":"` + name + `","max":2,"window_nanos":1000000000}`))
+	}
+	for _, req := range []string{
+		`{"op":"ping"}`,
+		`{"op":"apply_config","config":{}}`,
+		`{"op":"insert_entry","entry":{"table":"ipv4_lpm","keys":[{"value":167772160}],"prefix_len":8,"tag":1,"params":[7]}}`,
+		`{"op":"delete_entry","table":"ipv4_lpm","handle":1}`,
+		`{"op":"add_member","member":{"table":"ecmp_ipv4","group":{"value":7},"tag":1,"params":[1,2]}}`,
+		`{"op":"table_stats","table":"ipv4_lpm"}`,
+		`{"op":"read_register","register":"r","index":3}`,
+		`{"op":"int_enable"}`,
+		`{"op":"int_disable"}`,
+		`{"op":"edit_begin"}`,
+		`{"op":"edit_begin"}{"op":"edit_tsp","edit":{"kind":"delete_stage","stage":"ipv4_lpm"}}{"op":"edit_commit"}`,
+		`{"op":"edit_begin"}{"op":"edit_table","edit":{"kind":"delete_table","table":"ipv4_host"}}{"op":"edit_abort"}`,
+		`{"op":"edit_commit"}`,
+		`{"op":"edit_abort"}`,
+		`{"op":"bogus"}`,
+	} {
+		f.Add([]byte(req))
+	}
+	for _, r := range ccmReproducers {
+		f.Add([]byte(r.stream))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ccmFuzzOnce.Do(func() {
+			w := newBaseWorkspace(t)
+			ccmFuzzCfg = w.Current().Config
+		})
+		cfg, err := ccmFuzzCfg.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := New(DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.ApplyConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := populateBaseErr(sw); err != nil {
+			t.Fatal(err)
+		}
+		handleStream(t, ctrlplane.NewServer(sw, nil), data, 16)
+	})
+}
+
+// viewVolatile matches what moves between two reads of a quiesced
+// switch: clock-derived ages and uptimes, and the Go runtime's own
+// series in the metrics view.
+var viewVolatile = regexp.MustCompile(`"(uptime|age)_nanos":\d+|("name":"ipsa_go_[a-z_]+","kind":"[a-z]+")(,"value":[^}]+)?`)
+
+// TestViewParity: on a quiesced switch every registered view reads the
+// same bytes over HTTP (GET /v/<name>) as over the CCM view op, once the
+// fields that move with the clock or the Go runtime are masked.
+func TestViewParity(t *testing.T) {
+	sw, _ := newBaseSwitchOpts(t, func(o *Options) {
+		o.TraceEvery, o.LatencyEvery, o.HealthInterval = 1, 1, -1
+	})
+	want := []string{"drops", "events", "flow_records", "flows", "health", "hh", "int",
+		"metrics", "rates", "stats", "tables", "traces"}
+	if got := sw.Views().Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("views = %v, want %v", got, want)
+	}
+	if err := sw.SetInt(true); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UnixNano()
+	sw.Health().Check(now)
+	for i := 0; i < 4; i++ {
+		if i == 2 {
+			sw.Flows().FlushAll() // records for flow_records, live flows after
+		}
+		for _, dst := range [][4]byte{{10, 0, 0, 2}, {10, 1, 0, 5}, {192, 168, 0, 1}} {
+			if _, err := sw.ProcessPacket(v4Packet(t, dst, routerMAC, 64), inPort); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sw.Health().Check(now + int64(time.Second))
+
+	mux := http.NewServeMux()
+	sw.Views().Register(mux)
+	web := httptest.NewServer(mux)
+	defer web.Close()
+	srv := ctrlplane.NewServer(sw, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := ctrlplane.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	mask := func(b []byte) string { return viewVolatile.ReplaceAllString(string(b), "$2") }
+	for _, name := range want {
+		resp, err := http.Get(web.URL + "/v/" + name + "?max=3&window=2s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v/%s: %d %s", name, resp.StatusCode, body)
+		}
+		var payload json.RawMessage
+		if err := cl.View(name, telemetry.Query{Max: 3, Window: 2 * time.Second}, &payload); err != nil {
+			t.Fatal(err)
+		}
+		if h, c := mask(body), mask(payload); h != c {
+			t.Errorf("view %s differs:\nhttp %s\nccm  %s", name, h, c)
+		}
+		if p := string(payload); p == "[]" || p == "null" {
+			t.Errorf("view %s is empty on a switch that carried traffic", name)
+		}
+	}
+}

@@ -149,49 +149,21 @@ func (s *Switch) Stats() *ctrlplane.DeviceStats {
 // Flows exposes the flow accounting engine (nil with FlowDisable).
 func (s *Switch) Flows() *flowstat.Set { return s.flows }
 
-// FlowDump implements ctrlplane.FlowSource: the active flows across all
-// lanes, largest first, truncated to max (0 = all).
-func (s *Switch) FlowDump(max int) []flowstat.Record {
-	if s.flows == nil {
-		return nil
-	}
-	return s.flows.Dump(max)
-}
+// Views is the switch's one introspection surface: every argument-free
+// read the CCM view op and the metrics endpoint's /v/<name> serve.
+func (s *Switch) Views() *telemetry.Views { return s.views }
 
-// FlowRecords returns the exported flow-record ring (completed flows),
-// oldest first, truncated to the newest max (0 = all).
-func (s *Switch) FlowRecords(max int) []flowstat.Record {
-	if s.flows == nil {
-		return nil
-	}
-	return s.flows.Records(max)
-}
-
-// HHDump implements ctrlplane.FlowSource: the estimated heavy hitters —
-// live flow mass merged with the evicted mass the space-saving
-// summaries and sketches remember.
-func (s *Switch) HHDump(max int) []flowstat.HeavyHitter {
-	if s.flows == nil {
-		return nil
-	}
-	return s.flows.HeavyHitters(max)
-}
-
-// Drops exposes the sampled drop-capture ring.
-func (s *Switch) Drops() *telemetry.DropRing { return s.tel.Drops }
-
-// DropDump implements ctrlplane.DropSource: the sampled drop-capture
-// ring, newest first, truncated to max (<= 0 = all).
-func (s *Switch) DropDump(max int) []telemetry.DropRecord {
-	return s.tel.Drops.Dump(max)
-}
-
-// MetricsDump implements ctrlplane.TelemetrySource.
-func (s *Switch) MetricsDump() []telemetry.MetricPoint {
-	return s.tel.Reg.Gather()
-}
-
-// TraceDump implements ctrlplane.TelemetrySource.
-func (s *Switch) TraceDump(max int) []telemetry.TraceRecord {
-	return s.tel.Tracer.Dump(max)
+// newViews registers each subsystem's views once.
+func (s *Switch) newViews() *telemetry.Views {
+	v := telemetry.NewViews()
+	v.Add("metrics", func(telemetry.Query) any { return s.tel.Reg.Gather() })
+	v.Add("traces", func(q telemetry.Query) any { return s.tel.Tracer.Dump(q.Max) })
+	v.Add("events", func(q telemetry.Query) any { return s.tel.Events.Dump(q.Max) })
+	v.Add("drops", func(q telemetry.Query) any { return s.tel.Drops.Dump(q.Max) })
+	v.Add("int", func(q telemetry.Query) any { return s.intReports(q.Max) })
+	v.Add("stats", func(telemetry.Query) any { return s.Stats() })
+	v.Add("tables", func(telemetry.Query) any { return s.ListTables() })
+	s.health.AddViews(v)
+	s.flows.AddViews(v)
+	return v
 }

@@ -237,7 +237,7 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 
 	// The capture ring sampled the storm: records exist, carry taxonomy
 	// reasons, and acl captures name their dropping TSP.
-	recs := sw.DropDump(0)
+	recs := sw.tel.Drops.Dump(0)
 	if len(recs) == 0 {
 		t.Fatal("drop ring empty after a drop storm")
 	}
@@ -264,7 +264,7 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	if !sawACL {
 		t.Error("no acl drop was ever sampled")
 	}
-	sampled, _ := sw.Drops().Stats()
+	sampled, _ := sw.tel.Drops.Stats()
 	if sampled == 0 {
 		t.Error("ring reports zero sampled drops")
 	}

@@ -8,6 +8,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/netio"
 	"ipsa/internal/pkt"
+	"ipsa/internal/telemetry"
 )
 
 // TestFunctionUpdateFlow exercises the update case the paper mentions but
@@ -270,8 +271,8 @@ func TestControlChannelEndToEnd(t *testing.T) {
 		t.Fatalf("traffic after TCP-driven update: err=%v drop=%v", err, p.Drop)
 	}
 	// Stats readable over the wire.
-	ds, err := cl.Stats()
-	if err != nil || ds.Processed == 0 {
+	var ds ctrlplane.DeviceStats
+	if err := cl.View("stats", telemetry.Query{}, &ds); err != nil || ds.Processed == 0 {
 		t.Fatalf("device stats: %+v, %v", ds, err)
 	}
 	ts, err := cl.TableStats("ipv4_host")

@@ -61,8 +61,19 @@ func (s *Switch) EditBegin() error {
 	// A commit is always a semantic diff of the edited config, never a
 	// replay of the old patch manifest.
 	pending.Patch = nil
+	// Ops write into these maps, and an empty running design round-trips
+	// them as null.
+	pending.Actions, pending.Tables = orEmpty(pending.Actions), orEmpty(pending.Tables)
+	pending.Stages, pending.TSPAssignment = orEmpty(pending.Stages), orEmpty(pending.TSPAssignment)
 	s.edit = &editSession{pending: pending}
 	return nil
+}
+
+func orEmpty[V any](m map[string]V) map[string]V {
+	if m == nil {
+		return map[string]V{}
+	}
+	return m
 }
 
 // EditApply applies one edit op to the open transaction's pending

@@ -101,7 +101,7 @@ func TestEditTransactionLifecycle(t *testing.T) {
 		t.Fatalf("forwarding broken after abort: err=%v drop=%v", err, p.Drop)
 	}
 	var aborts int
-	for _, ev := range sw.EventsDump(0) {
+	for _, ev := range sw.tel.Events.Dump(0) {
 		if ev.Kind == "edit_abort" {
 			aborts++
 		}

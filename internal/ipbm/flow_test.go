@@ -1,14 +1,16 @@
 package ipbm
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
 	"ipsa/internal/ctrlplane"
+	"ipsa/internal/flowstat"
 )
 
-// The switch is the CCM's flow source.
-var _ ctrlplane.FlowSource = (*Switch)(nil)
+// The switch is a CCM device.
+var _ ctrlplane.Device = (*Switch)(nil)
 
 // flowVerdictSum reads ipsa_packets_total across all verdict labels —
 // the right-hand side of the flow-conservation invariant.
@@ -83,7 +85,7 @@ func TestFlowConservationSharded(t *testing.T) {
 	}
 	// The records describe real flows: at least the 32 routed flows plus
 	// the unrouted strays, with tuples attached.
-	recs := sw.FlowRecords(0)
+	recs := sw.Flows().Records(0)
 	if len(recs) < 32 {
 		t.Fatalf("only %d flow records emitted", len(recs))
 	}
@@ -195,7 +197,7 @@ func TestFlowStateSurvivesReconfig(t *testing.T) {
 	if created := flowCreated(sw); created < created0 {
 		t.Errorf("flow tables reset across reconfig: created %d -> %d", created0, created)
 	}
-	hh := sw.HHDump(0)
+	hh := sw.Flows().HeavyHitters(0)
 	if len(hh) == 0 {
 		t.Fatal("no heavy hitters after the storm")
 	}
@@ -229,7 +231,7 @@ func flowCreated(sw *Switch) uint64 {
 }
 
 // TestFlowCCMRoundTrip drives the control surface end to end in-process:
-// flow_dump, flow_records and hh_dump through the CCM Handle path, on
+// the flows, hh and flow_records views through the CCM Handle path, on
 // the synchronous runner (lane = ingress port).
 func TestFlowCCMRoundTrip(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
@@ -240,24 +242,38 @@ func TestFlowCCMRoundTrip(t *testing.T) {
 	}
 	srv := ctrlplane.NewServer(sw, nil)
 
-	resp := srv.Handle(&ctrlplane.Request{Op: ctrlplane.OpFlowDump})
-	if !resp.OK || len(resp.Flows) != 1 {
-		t.Fatalf("flow_dump: ok=%v flows=%d err=%q", resp.OK, len(resp.Flows), resp.Error)
+	var flows []flowstat.Record
+	handleView(t, srv, &ctrlplane.Request{Op: ctrlplane.OpView, View: "flows"}, &flows)
+	if len(flows) != 1 {
+		t.Fatalf("flows view: %d flows", len(flows))
 	}
-	f := resp.Flows[0]
+	f := flows[0]
 	if f.Lane != inPort || f.Packets != 10 || f.Verdict != "forwarded" || f.Src != "10.0.0.1" {
-		t.Fatalf("flow_dump record: %+v", f)
+		t.Fatalf("flows view record: %+v", f)
 	}
 
-	resp = srv.Handle(&ctrlplane.Request{Op: ctrlplane.OpHHDump, Max: 5})
-	if !resp.OK || len(resp.Hitters) != 1 || resp.Hitters[0].Packets != 10 || !resp.Hitters[0].Live {
-		t.Fatalf("hh_dump: ok=%v hitters=%+v", resp.OK, resp.Hitters)
+	var hh []flowstat.HeavyHitter
+	handleView(t, srv, &ctrlplane.Request{Op: ctrlplane.OpView, View: "hh", Max: 5}, &hh)
+	if len(hh) != 1 || hh[0].Packets != 10 || !hh[0].Live {
+		t.Fatalf("hh view: %+v", hh)
 	}
 
 	sw.Shutdown() // flush live flows into records
-	resp = srv.Handle(&ctrlplane.Request{Op: ctrlplane.OpFlowRecords})
-	if !resp.OK || len(resp.Flows) != 1 || resp.Flows[0].Reason != "flush" {
-		t.Fatalf("flow_records: ok=%v flows=%+v", resp.OK, resp.Flows)
+	handleView(t, srv, &ctrlplane.Request{Op: ctrlplane.OpView, View: "flow_records"}, &flows)
+	if len(flows) != 1 || flows[0].Reason != "flush" {
+		t.Fatalf("flow_records view: %+v", flows)
+	}
+}
+
+// handleView answers req in-process and decodes the view payload into out.
+func handleView(t *testing.T, srv *ctrlplane.Server, req *ctrlplane.Request, out any) {
+	t.Helper()
+	resp := srv.Handle(req)
+	if !resp.OK {
+		t.Fatalf("view %s: %s", req.View, resp.Error)
+	}
+	if err := json.Unmarshal(resp.View, out); err != nil {
+		t.Fatalf("view %s: %v", req.View, err)
 	}
 }
 
@@ -270,12 +286,16 @@ func TestFlowDisable(t *testing.T) {
 	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
 		t.Fatal(err)
 	}
-	if got := sw.FlowDump(0); got != nil {
-		t.Errorf("FlowDump on disabled accounting = %v", got)
+	if got := sw.Flows().Dump(0); len(got) != 0 {
+		t.Errorf("Dump on disabled accounting = %v", got)
 	}
 	srv := ctrlplane.NewServer(sw, nil)
-	if resp := srv.Handle(&ctrlplane.Request{Op: ctrlplane.OpFlowDump}); !resp.OK || len(resp.Flows) != 0 {
-		t.Errorf("flow_dump on disabled accounting: ok=%v flows=%d", resp.OK, len(resp.Flows))
+	for _, view := range []string{"flows", "flow_records", "hh"} {
+		var recs []json.RawMessage
+		handleView(t, srv, &ctrlplane.Request{Op: ctrlplane.OpView, View: view}, &recs)
+		if len(recs) != 0 {
+			t.Errorf("%s view on disabled accounting: %d records", view, len(recs))
+		}
 	}
 	sw.Shutdown()
 }
@@ -287,7 +307,7 @@ func TestTraceEpochStamp(t *testing.T) {
 	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
 		t.Fatal(err)
 	}
-	traces := sw.TraceDump(1)
+	traces := sw.tel.Tracer.Dump(1)
 	if len(traces) != 1 || traces[0].Epoch != 1 {
 		t.Fatalf("pre-edit trace epoch = %+v, want epoch 1", traces)
 	}
@@ -303,7 +323,7 @@ func TestTraceEpochStamp(t *testing.T) {
 	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
 		t.Fatal(err)
 	}
-	traces = sw.TraceDump(1)
+	traces = sw.tel.Tracer.Dump(1)
 	if len(traces) != 1 || traces[0].Epoch != 2 {
 		t.Fatalf("post-edit trace epoch = %d, want 2", traces[0].Epoch)
 	}
@@ -357,7 +377,7 @@ func TestFlowLatencySampled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs := sw.FlowDump(0)
+	recs := sw.Flows().Dump(0)
 	if len(recs) != 1 {
 		t.Fatalf("flows = %d", len(recs))
 	}

@@ -6,11 +6,7 @@ package ipbm
 // RunSharded (one per shard lane), and every reconfiguration hands the version it retired to BeginOpWatch
 // so one that never quiesces is reported instead of lingering silently.
 
-import (
-	"time"
-
-	"ipsa/internal/health"
-)
+import "ipsa/internal/health"
 
 // initHealth builds the monitor. Called from New after newTelemetry;
 // RunSharded registers lanes and Starts it.
@@ -75,11 +71,5 @@ func (s *Switch) dropsTotal() uint64 {
 }
 
 // Health exposes the switch's self-diagnosis layer (rate queries, manual
-// checks, the HTTP endpoint registration).
+// checks, the probe endpoint registration).
 func (s *Switch) Health() *health.Health { return s.health }
-
-// HealthQuery implements ctrlplane.HealthSource: the windowed status the
-// CCM health_query op and rp4ctl top consume.
-func (s *Switch) HealthQuery(window time.Duration) *health.Status {
-	return s.health.Status(window)
-}

@@ -80,7 +80,7 @@ func TestShardStallDegradesHealth(t *testing.T) {
 	// queue (pending > 0 is what arms the stall detector).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		st := sw.HealthQuery(0)
+		st := sw.health.Status(0)
 		pending := 0
 		for _, l := range st.Lanes {
 			pending += l.Pending
@@ -117,7 +117,7 @@ func TestShardStallDegradesHealth(t *testing.T) {
 	if !sawDegraded {
 		t.Fatal("no health_degraded event in the audit ring")
 	}
-	st := sw.HealthQuery(0)
+	st := sw.health.Status(0)
 	stalled := ""
 	for _, l := range st.Lanes {
 		if l.State == "stalled" {
@@ -138,7 +138,7 @@ func TestShardStallDegradesHealth(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("state never recovered: %v (%s)", h.State(), sw.HealthQuery(0).Reason)
+			t.Fatalf("state never recovered: %v (%s)", h.State(), sw.health.Status(0).Reason)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -179,7 +179,7 @@ func TestHealthQueryRates(t *testing.T) {
 		now += int64(time.Second)
 		h.Check(now)
 	}
-	st := sw.HealthQuery(10 * time.Second)
+	st := sw.health.Status(10 * time.Second)
 	if st.PPS <= 0 {
 		t.Fatalf("PPS = %v, want > 0", st.PPS)
 	}

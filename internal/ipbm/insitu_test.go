@@ -98,7 +98,7 @@ func TestInsituECMP(t *testing.T) {
 		t.Errorf("hitless update stalled the pipeline for %v", got)
 	}
 	var applied bool
-	for _, ev := range sw.EventsDump(0) {
+	for _, ev := range sw.tel.Events.Dump(0) {
 		if ev.Kind == "apply_patch" {
 			applied = true
 			if !ev.Hitless || ev.DrainNanos != 0 || ev.Epoch == 0 {

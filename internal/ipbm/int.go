@@ -189,18 +189,12 @@ func (s *Switch) publishIntState(cfg *template.Config) {
 	s.dp.SetIntCtx(ctx)
 }
 
-// IntReport returns up to max sink-decoded reports, newest first (0 =
-// all retained). Empty while INT is disabled.
-func (s *Switch) IntReport(max int) []intmd.Report {
+// intReports returns up to max sink-decoded reports, newest first (0 =
+// all retained), the int view. Nil while INT is disabled.
+func (s *Switch) intReports(max int) []intmd.Report {
 	sink := s.intSinkP.Load()
 	if sink == nil {
 		return nil
 	}
 	return sink.reports.Dump(max)
-}
-
-// EventsDump returns up to max reconfiguration audit events, newest
-// first (0 = all retained).
-func (s *Switch) EventsDump(max int) []telemetry.Event {
-	return s.tel.Events.Dump(max)
 }

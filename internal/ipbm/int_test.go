@@ -36,7 +36,7 @@ func TestIntEndToEnd(t *testing.T) {
 	if _, _, ok := intmd.Parse(p.Data); ok {
 		t.Fatal("INT-disabled switch emitted a trailer")
 	}
-	if got := sw.IntReport(0); got != nil {
+	if got := sw.intReports(0); got != nil {
 		t.Fatalf("reports while disabled: %v", got)
 	}
 
@@ -63,7 +63,7 @@ func TestIntEndToEnd(t *testing.T) {
 		t.Errorf("stripped length %d != plain length %d", len(p.Data), plainLen)
 	}
 
-	reports := sw.IntReport(0)
+	reports := sw.intReports(0)
 	if len(reports) != 1 {
 		t.Fatalf("reports = %d, want 1", len(reports))
 	}
@@ -113,7 +113,7 @@ func TestIntEndToEnd(t *testing.T) {
 	if _, _, ok := intmd.Parse(p.Data); ok {
 		t.Error("trailer present after disable")
 	}
-	events := sw.EventsDump(0)
+	events := sw.tel.Events.Dump(0)
 	kinds := make(map[string]int)
 	for _, ev := range events {
 		kinds[ev.Kind]++
@@ -147,7 +147,7 @@ func TestIntDifferentialFusedVsInterp(t *testing.T) {
 	}
 	runDiff(t, a, b, diffTraffic(t, 48), "INT fused vs interp")
 
-	ra, rb := a.IntReport(0), b.IntReport(0)
+	ra, rb := a.intReports(0), b.intReports(0)
 	if len(ra) == 0 || len(ra) != len(rb) {
 		t.Fatalf("report counts diverged: fused=%d interp=%d", len(ra), len(rb))
 	}
@@ -265,7 +265,7 @@ func TestIntSoakShardedConservation(t *testing.T) {
 	// The toggles are on the audit trail as hitless epoch publishes:
 	// DrainNanos stays 0 because nothing drained.
 	var toggles int
-	for _, ev := range sw.EventsDump(0) {
+	for _, ev := range sw.tel.Events.Dump(0) {
 		if ev.Kind == "int_enable" || ev.Kind == "int_disable" {
 			toggles++
 			if !ev.Hitless || ev.DrainNanos != 0 || ev.Epoch == 0 {
@@ -336,7 +336,7 @@ func TestIntUpstreamTrailerExtended(t *testing.T) {
 	if p.Drop {
 		t.Fatal("transit packet dropped")
 	}
-	reports := sw.IntReport(1)
+	reports := sw.intReports(1)
 	if len(reports) != 1 {
 		t.Fatalf("reports = %d", len(reports))
 	}

@@ -118,7 +118,7 @@ func TestBlockedShardDoesNotStallOthers(t *testing.T) {
 		now += int64(time.Second)
 		sw.Health().Check(now)
 	}
-	for _, l := range sw.HealthQuery(0).Lanes {
+	for _, l := range sw.health.Status(0).Lanes {
 		if stalled := l.State == "stalled"; stalled != (l.Name == "shard-0") {
 			t.Errorf("lane %s is %q with shard 0 blocked and shard 1 forwarding", l.Name, l.State)
 		}

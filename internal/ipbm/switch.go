@@ -29,6 +29,7 @@ import (
 	"ipsa/internal/netio"
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
+	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 	"ipsa/internal/tsp"
 )
@@ -181,6 +182,7 @@ type Switch struct {
 	tel    *Telemetry
 	log    *slog.Logger
 	health *health.Health
+	views  *telemetry.Views
 
 	// intOn is the configured INT state (guarded by s.mu); the hot path
 	// reads the derived state instead: the stamping context lives in the
@@ -264,6 +266,7 @@ func New(opts Options) (*Switch, error) {
 	s.newTelemetry(opts)
 	s.dp.SetHooks(telemetryHooks{s})
 	s.initHealth(opts)
+	s.views = s.newViews()
 	return s, nil
 }
 

@@ -76,8 +76,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	defer cl.Close()
 
-	points, err := cl.MetricsDump()
-	if err != nil {
+	var points []telemetry.MetricPoint
+	if err := cl.View("metrics", telemetry.Query{}, &points); err != nil {
 		t.Fatal(err)
 	}
 	find := func(name string) []telemetry.MetricPoint {
@@ -111,8 +111,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Error("no TSP latency samples recorded")
 	}
 
-	traces, err := cl.TraceDump(4)
-	if err != nil {
+	var traces []telemetry.TraceRecord
+	if err := cl.View("traces", telemetry.Query{Max: 4}, &traces); err != nil {
 		t.Fatal(err)
 	}
 	if len(traces) == 0 {
@@ -139,8 +139,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// Per-port stats ride DeviceStats now.
-	dst, err := cl.Stats()
-	if err != nil {
+	var dst ctrlplane.DeviceStats
+	if err := cl.View("stats", telemetry.Query{}, &dst); err != nil {
 		t.Fatal(err)
 	}
 	if len(dst.Ports) != DefaultOptions().NumPorts {
@@ -151,8 +151,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// HTTP scrape: the Prometheus endpoint serves the same registry.
-	tel := sw.Telemetry()
-	ms, err := telemetry.Serve("127.0.0.1:0", tel.Reg, tel.Tracer, tel.Events)
+	mux := telemetry.NewServeMux(sw.Telemetry().Reg)
+	sw.Views().Register(mux)
+	ms, err := telemetry.ServeMux("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	tresp, err := http.Get("http://" + ms.Addr() + "/traces")
+	tresp, err := http.Get("http://" + ms.Addr() + "/v/traces")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +13,8 @@ import (
 // that the ring slot stays fixed-size and capture never allocates.
 const DropHdrBytes = 64
 
-// DropRecord is one sampled dropped packet, the exported (Dump/CCM/HTTP)
-// form of a ring slot.
+// DropRecord is one sampled dropped packet, the exported form of a ring
+// slot (the drops view).
 type DropRecord struct {
 	Seq    uint64 `json:"seq"`
 	Nanos  int64  `json:"nanos"` // capture time, monotonic process clock
@@ -97,9 +94,6 @@ func NewDropRing(size int, rate, burst int64) *DropRing {
 
 // SetRate changes the sampling rate at runtime (<= 0 disables).
 func (r *DropRing) SetRate(n int64) { r.rate.Store(n) }
-
-// Rate reads the sampling rate.
-func (r *DropRing) Rate() int64 { return r.rate.Load() }
 
 // Offer is the per-drop admission check: it refills the token bucket
 // from the clock and takes one token. False — the common answer under a
@@ -214,28 +208,4 @@ func (r *DropRing) Len() int {
 // not sampled (metrics: ipsa_drop_samples_total{outcome}).
 func (r *DropRing) Stats() (sampled, skipped uint64) {
 	return r.sampled.Load(), r.skipped.Load()
-}
-
-// Register mounts the drop-capture endpoint on mux:
-//
-//	/drops  sampled drop records, newest first (?max=N truncates)
-//
-// Responses are JSON arrays. Nil-safe: a nil ring serves empty arrays so
-// callers can mount unconditionally.
-func (r *DropRing) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/drops", func(w http.ResponseWriter, req *http.Request) {
-		max, _ := strconv.Atoi(req.URL.Query().Get("max"))
-		// Empty results stay non-nil so clients always see a JSON
-		// array, never null.
-		var v any = []struct{}{}
-		if r != nil {
-			if recs := r.Dump(max); len(recs) > 0 {
-				v = recs
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	})
 }

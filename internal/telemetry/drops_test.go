@@ -126,8 +126,10 @@ func TestDropRingConcurrent(t *testing.T) {
 
 func TestDropRingHTTP(t *testing.T) {
 	r := NewDropRing(8, 1000, 1000)
+	views := NewViews()
+	views.Add("drops", func(q Query) any { return r.Dump(q.Max) })
 	mux := http.NewServeMux()
-	r.Register(mux)
+	views.Register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -148,8 +150,9 @@ func TestDropRingHTTP(t *testing.T) {
 		return recs
 	}
 
-	if recs := get("/drops"); len(recs) != 0 {
-		t.Fatalf("empty ring served %d records", len(recs))
+	// An empty ring serves an empty array, never null.
+	if recs := get("/v/drops"); recs == nil || len(recs) != 0 {
+		t.Fatalf("empty ring served %#v", recs)
 	}
 	for i := 0; i < 3; i++ {
 		if !r.Offer() {
@@ -157,30 +160,21 @@ func TestDropRingHTTP(t *testing.T) {
 		}
 		r.Capture(verdict.ReasonParse, -1, 2, -1, 0, []byte{1, 2, 3})
 	}
-	recs := get("/drops")
+	recs := get("/v/drops")
 	if len(recs) != 3 || recs[0].Seq != 3 || recs[0].Reason != verdict.StrReasonParse {
 		t.Fatalf("served %+v", recs)
 	}
-	if recs := get("/drops?max=1"); len(recs) != 1 || recs[0].Seq != 3 {
+	if recs := get("/v/drops?max=1"); len(recs) != 1 || recs[0].Seq != 3 {
 		t.Fatalf("max=1 served %+v", recs)
 	}
-
-	// A nil ring mounts and serves empty arrays instead of crashing.
-	nilMux := http.NewServeMux()
-	var nilRing *DropRing
-	nilRing.Register(nilMux)
-	nilSrv := httptest.NewServer(nilMux)
-	defer nilSrv.Close()
-	resp, err := http.Get(nilSrv.URL + "/drops")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) == "null" {
-		t.Error("nil ring served null, want an empty array")
+	for path, code := range map[string]int{"/v/nope": http.StatusNotFound, "/v/drops?max=x": http.StatusBadRequest} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, code)
+		}
 	}
 }

@@ -1,12 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 )
 
 // Handler serves the registry in Prometheus text format.
@@ -17,48 +15,29 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Server is the scrape endpoint: /metrics in Prometheus text format,
-// /traces and /events as JSON when their sources are attached, and the
-// net/http/pprof profile handlers under /debug/pprof/.
+// Server is the scrape endpoint: /metrics in Prometheus text format and
+// the net/http/pprof profile handlers under /debug/pprof/, plus whatever
+// the caller mounts (the JSON views, the health probes).
 type Server struct {
 	srv  *http.Server
 	addr string
 }
 
-// NewServeMux assembles the switch's debug/scrape mux: reg at /metrics,
-// tracer (optional, may be nil) at /traces, events (optional, may be nil)
-// at /events, and the pprof handlers under /debug/pprof/. The pprof
-// handlers are mounted explicitly — this mux is private, so the
-// net/http/pprof DefaultServeMux registrations would not be reachable —
-// making CPU/heap profiles of the hot path one curl away:
+// NewServeMux assembles the switch's debug/scrape mux: reg at /metrics
+// and the pprof handlers under /debug/pprof/. The pprof handlers are
+// mounted explicitly — this mux is private, so the net/http/pprof
+// DefaultServeMux registrations would not be reachable — making CPU/heap
+// profiles of the hot path one curl away:
 //
 //	curl -o cpu.pb.gz http://<addr>/debug/pprof/profile?seconds=10
 //	curl -o heap.pb.gz http://<addr>/debug/pprof/heap
 //
 // Both ipbm and pisabm build their endpoint from this one helper; callers
-// mount additional routes (the health layer's /health, /healthz, /readyz)
-// on the returned mux before serving it.
-func NewServeMux(reg *Registry, tracer *Tracer, events *EventLog) *http.ServeMux {
+// mount the JSON views (Views.Register) and the health probes (/healthz,
+// /readyz) on the returned mux before serving it.
+func NewServeMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	if tracer != nil {
-		mux.HandleFunc("/traces", func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(tracer.Dump(0))
-		})
-	}
-	if events != nil {
-		mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-			max := 0
-			if v := req.URL.Query().Get("max"); v != "" {
-				if n, err := strconv.Atoi(v); err == nil && n > 0 {
-					max = n
-				}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(events.Dump(max))
-		})
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -77,11 +56,6 @@ func ServeMux(addr string, mux *http.ServeMux) (*Server, error) {
 	s := &Server{srv: &http.Server{Handler: mux}, addr: ln.Addr().String()}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
-}
-
-// Serve is NewServeMux + ServeMux for callers that need no extra routes.
-func Serve(addr string, reg *Registry, tracer *Tracer, events *EventLog) (*Server, error) {
-	return ServeMux(addr, NewServeMux(reg, tracer, events))
 }
 
 // Addr reports the bound address.

@@ -192,7 +192,12 @@ func TestHTTPServe(t *testing.T) {
 	tr.Commit(rec)
 	ev := NewEventLog(16)
 	ev.Append(Event{Kind: "apply_full", ConfigHash: "abc123"})
-	s, err := Serve("127.0.0.1:0", r, tr, ev)
+	views := NewViews()
+	views.Add("traces", func(q Query) any { return tr.Dump(q.Max) })
+	views.Add("events", func(q Query) any { return ev.Dump(q.Max) })
+	mux := NewServeMux(r)
+	views.Register(mux)
+	s, err := ServeMux("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestHTTPServe(t *testing.T) {
 	if !strings.Contains(string(body), "up_total 1") {
 		t.Fatalf("scrape: %s", body)
 	}
-	resp, err = http.Get("http://" + s.Addr() + "/traces")
+	resp, err = http.Get("http://" + s.Addr() + "/v/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +220,7 @@ func TestHTTPServe(t *testing.T) {
 	if !strings.Contains(string(body), `"seq"`) {
 		t.Fatalf("traces: %s", body)
 	}
-	resp, err = http.Get("http://" + s.Addr() + "/events")
+	resp, err = http.Get("http://" + s.Addr() + "/v/events?max=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,7 +311,15 @@ func (c *Config) Validate() error {
 	if len(c.Headers) > 0 && !knownHeader(c.Headers, c.FirstHdr) {
 		return fmt.Errorf("template: first header id %d unknown", c.FirstHdr)
 	}
+	for name, a := range c.Actions {
+		if a == nil {
+			return fmt.Errorf("template: action %q is null", name)
+		}
+	}
 	for name, t := range c.Tables {
+		if t == nil {
+			return fmt.Errorf("template: table %q is null", name)
+		}
 		if t.Name != name {
 			return fmt.Errorf("template: table map key %q != name %q", name, t.Name)
 		}
@@ -323,6 +331,9 @@ func (c *Config) Validate() error {
 		}
 	}
 	for name, s := range c.Stages {
+		if s == nil {
+			return fmt.Errorf("template: stage %q is null", name)
+		}
 		if s.Name != name {
 			return fmt.Errorf("template: stage map key %q != name %q", name, s.Name)
 		}
