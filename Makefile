@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-ccm fuzz-fused profile-hotpath cover experiments examples health-smoke fmt vet lint clean
+.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-ccm fuzz-fused fuzz-lpm profile-hotpath cover experiments examples health-smoke fmt vet lint clean
 
 # Benchmarks gated against BENCH_hotpath.json: the per-packet hot path
 # (strict 0 allocs/op) plus the whole-switch sharded burst.
@@ -145,6 +145,12 @@ fuzz-ccm:
 # wide-key funnel builds, on random key plans.
 fuzz-fused:
 	$(GO) test ./internal/tsp/ -run xxx -fuzz FuzzWordKeyVsPlanned -fuzztime 30s
+
+# Differential fuzz for the LPM engine: insert / replace / delete /
+# lookup streams at widths 32, 20 and 128 against a linear-scan
+# reference (handles, lookups by byte and by word, Len, Entries).
+fuzz-lpm:
+	$(GO) test ./internal/match/ -run xxx -fuzz '^FuzzLPM$$' -fuzztime 30s
 
 # Capture CPU and heap profiles of the fused hot path. The equivalent
 # for a live switch is `ipbm -cpuprofile cpu.out -memprofile mem.out`;

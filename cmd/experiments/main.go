@@ -16,17 +16,15 @@ import (
 )
 
 func main() {
-	dir := flag.String("testdata", "testdata", "directory with the shipped designs and scripts")
-	packets := flag.Int("packets", 20000, "packets per software throughput measurement")
-	entries := flag.Int("entries", 64, "filler entries per table for load measurements")
+	cfg := experiments.Default("testdata")
+	flag.StringVar(&cfg.TestdataDir, "testdata", cfg.TestdataDir, "directory with the shipped designs and scripts")
+	flag.IntVar(&cfg.Packets, "packets", cfg.Packets, "packets per software throughput measurement")
+	flag.IntVar(&cfg.Entries, "entries", cfg.Entries, "filler entries per table for load measurements")
 	flag.Parse()
 	what := "all"
 	if flag.NArg() > 0 {
 		what = flag.Arg(0)
 	}
-	cfg := experiments.Default(*dir)
-	cfg.Packets = *packets
-	cfg.Entries = *entries
 
 	run := func(name string, f func() (fmt.Stringer, error)) {
 		if what != "all" && what != name {

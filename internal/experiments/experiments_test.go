@@ -8,7 +8,6 @@ import (
 func testCfg() Config {
 	cfg := Default("../../testdata")
 	cfg.Packets = 2000
-	cfg.Entries = 256
 	return cfg
 }
 

@@ -45,9 +45,9 @@ func switchOn(t testing.TB, cfg *template.Config, mode tsp.ExecMode) *Switch {
 
 // TestShippedDesignsBindWordProbes makes a table dropping off the fast
 // path a test failure rather than a performance mystery: on the fused tier
-// every exact or hash table of at most 64 bits, the 32-bit LPM and the
-// selectors must have bound a word probe; wider keys, the IPv6 trie and the
-// ternary ACL stay bytes.
+// every exact, hash or LPM table of at most 64 bits and the selectors
+// must have bound a word probe; wider keys (the IPv6 host and LPM tables)
+// and the ternary ACL stay bytes.
 func TestShippedDesignsBindWordProbes(t *testing.T) {
 	named := map[string]bool{ // the shipped tables by name, so the rule below cannot drift unnoticed
 		"port_map_tbl": true, "bd_vrf_tbl": true, "l2_l3_tbl": true, "ipv4_host": true,
@@ -73,7 +73,7 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 				case kind == match.Exact || kind == match.Hash:
 					want = tbl.KeyWidth <= 64
 				case kind == match.LPM:
-					want = tbl.KeyWidth == 32
+					want = tbl.KeyWidth <= 64
 				}
 				if w, ok := named[tn]; ok && w != want {
 					t.Fatalf("%q %s: the rule says word-keyed %v, the table list %v", sc, tn, want, w)

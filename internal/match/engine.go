@@ -120,12 +120,7 @@ func New(kind Kind, keyWidthBits, capacity int) (Engine, error) {
 	case Exact, Hash:
 		return newExact(kind, keyWidthBits, capacity), nil
 	case LPM:
-		if keyWidthBits == 32 {
-			// IPv4 FIBs take the DIR-16-8-8 fast path; wider keys (IPv6)
-			// use the binary trie.
-			return newDIR168(capacity), nil
-		}
-		return newLPMTrie(keyWidthBits, capacity), nil
+		return newLPM(keyWidthBits, capacity), nil
 	case Ternary:
 		return newTernary(keyWidthBits, capacity), nil
 	case Range:

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -19,51 +20,106 @@ func fibEntries(n int) []Entry {
 	return out
 }
 
-// BenchmarkLPMLookup compares the binary trie against the DIR-16-8-8 fast
-// path on a 100k-route FIB — the substrate ablation behind making DIR the
-// default engine for IPv4 tables.
-func BenchmarkLPMLookup(b *testing.B) {
-	entries := fibEntries(100000)
-	probes := make([][]byte, 4096)
+// lpmShape is one FIB the LPM benchmarks load, with the keys they probe.
+type lpmShape struct {
+	name    string
+	width   int
+	entries []Entry
+	probes  [][]byte
+}
+
+// lpmShapes are the three FIBs the engine is measured on: the 8000
+// consecutive /24s of the benchmark's rtc_bigtable workload, probed
+// inside them; 100k random /8–/32 routes, probed at random addresses;
+// and 20k sparse IPv6 /32–/64 prefixes, probed inside random prefixes.
+func lpmShapes() []lpmShape {
 	rng := rand.New(rand.NewSource(4))
-	for i := range probes {
-		probes[i] = key32(rng.Uint32())
+	host := lpmShape{name: "host24_8k", width: 32}
+	for i := 0; i < 8000; i++ {
+		host.entries = append(host.entries, Entry{Key: key32(0x0D000000 + uint32(i)<<8), PrefixLen: 24, ActionID: i + 1, Params: []uint64{1}})
 	}
-	engines := map[string]Engine{
-		"trie":   newLPMTrie(32, 0),
-		"dir168": newDIR168(0),
+	fib := lpmShape{name: "fib_100k", width: 32, entries: fibEntries(100000)}
+	v6 := lpmShape{name: "v6_20k", width: 128}
+	for i := 0; i < 20000; i++ {
+		key := make([]byte, 16)
+		rng.Read(key[:8])
+		plen := 32 + rng.Intn(33)
+		v6.entries = append(v6.entries, Entry{Key: key, PrefixLen: plen, ActionID: i + 1, Params: []uint64{1}})
 	}
-	for name, eng := range engines {
-		for _, e := range entries {
-			if _, err := eng.Insert(e); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < 4096; i++ {
+		host.probes = append(host.probes, key32(0x0D000000+uint32(rng.Intn(8000))<<8|uint32(rng.Intn(256))))
+		fib.probes = append(fib.probes, key32(rng.Uint32()))
+		p := append([]byte(nil), v6.entries[rng.Intn(len(v6.entries))].Key...)
+		rng.Read(p[8:])
+		v6.probes = append(v6.probes, p)
+	}
+	return []lpmShape{host, fib, v6}
+}
+
+var lpmSink bool
+
+func heapInUse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// load builds an engine holding s.
+func (s *lpmShape) load(b *testing.B) Engine {
+	e, err := New(LPM, s.width, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ent := range s.entries {
+		if _, err := e.Insert(ent); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+	}
+	return e
+}
+
+// BenchmarkLPMLookup is one byte-keyed lookup per op on each shape. It
+// reports the heap the loaded engine occupies per entry as B/entry.
+func BenchmarkLPMLookup(b *testing.B) {
+	for _, s := range lpmShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			before := heapInUse()
+			e := s.load(b)
+			perEntry := float64(heapInUse()-before) / float64(len(s.entries))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Lookup(probes[i%len(probes)])
+				_, lpmSink = e.Lookup(s.probes[i%len(s.probes)])
+			}
+			b.ReportMetric(perEntry, "B/entry")
+		})
+	}
+}
+
+// BenchmarkLPMInsert is one new prefix per op, into an engine that grows
+// to the whole shape and then starts over.
+func BenchmarkLPMInsert(b *testing.B) {
+	for _, s := range lpmShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			var e Engine
+			for i := 0; i < b.N; i++ {
+				if i%len(s.entries) == 0 {
+					b.StopTimer()
+					e, _ = New(LPM, s.width, 0)
+					b.StartTimer()
+				}
+				if _, err := e.Insert(s.entries[i%len(s.entries)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkLPMInsert compares update cost (DIR pays slot expansion).
-func BenchmarkLPMInsert(b *testing.B) {
-	entries := fibEntries(4096)
-	b.Run("trie", func(b *testing.B) {
-		eng := newLPMTrie(32, 0)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Insert(entries[i%len(entries)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dir168", func(b *testing.B) {
-		eng := newDIR168(0)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Insert(entries[i%len(entries)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+// BenchmarkLPMLoad100k loads the whole 100k-route FIB per op.
+func BenchmarkLPMLoad100k(b *testing.B) {
+	s := lpmShapes()[1]
+	for i := 0; i < b.N; i++ {
+		s.load(b)
+	}
 }

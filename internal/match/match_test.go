@@ -3,7 +3,6 @@ package match
 import (
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -368,123 +367,10 @@ func TestConcurrentLookupInsert(t *testing.T) {
 	}
 }
 
-// TestDIR168MatchesTrie differentially validates the DIR-16-8-8 fast path
-// against the binary trie under random insert/delete/lookup interleavings.
-// Every lookup is also made by word and must agree; a second goroutine
-// probes by word throughout (run it under -race) and reads through the
-// *Result it gets while the slots it points into are being replaced.
-func TestDIR168MatchesTrie(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	fast := newDIR168(0)
-	slow := newLPMTrie(32, 0)
-	stop, done := make(chan struct{}), make(chan struct{})
-	defer func() { close(stop); <-done }()
-	go func() {
-		defer close(done)
-		for rr := rand.New(rand.NewSource(7)); ; {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if r := fast.LookupWord(uint64(rr.Uint32())); r != nil && (len(r.Params) != 1 || r.Params[0] != uint64(r.ActionID)) {
-				t.Errorf("word probe beside writers: torn result %+v", *r)
-				return
-			}
-		}
-	}()
-	type live struct{ fastH, slowH int }
-	var handles []live
-	for step := 0; step < 4000; step++ {
-		op := rng.Intn(10)
-		switch {
-		case op < 6: // insert
-			plen := rng.Intn(33)
-			addr := rng.Uint32()
-			if plen < 32 {
-				addr &= ^uint32(0) << uint(32-plen)
-			}
-			if plen == 0 {
-				addr = 0
-			}
-			e := Entry{Key: key32(addr), PrefixLen: plen, ActionID: step + 1, Params: []uint64{uint64(step + 1)}}
-			fh, err1 := fast.Insert(e)
-			sh, err2 := slow.Insert(e)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("insert divergence: %v vs %v", err1, err2)
-			}
-			if err1 == nil {
-				handles = append(handles, live{fh, sh})
-			}
-		case op < 8 && len(handles) > 0: // delete
-			i := rng.Intn(len(handles))
-			h := handles[i]
-			err1 := fast.Delete(h.fastH)
-			err2 := slow.Delete(h.slowH)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("delete divergence: %v vs %v", err1, err2)
-			}
-			handles = append(handles[:i], handles[i+1:]...)
-		default: // lookups
-			for j := 0; j < 16; j++ {
-				probe := key32(rng.Uint32())
-				rf, okF := fast.Lookup(probe)
-				rs, okS := slow.Lookup(probe)
-				if okF != okS || (okF && rf.ActionID != rs.ActionID) {
-					t.Fatalf("lookup divergence on %x: fast=%v/%v slow=%v/%v",
-						probe, rf.ActionID, okF, rs.ActionID, okS)
-				}
-				rw := fast.LookupWord(uint64(binary.BigEndian.Uint32(probe)))
-				if (rw != nil) != okF || okF && (rw.ActionID != rf.ActionID || rw.EntryHandle != rf.EntryHandle || rw.Params[0] != uint64(rf.ActionID)) {
-					t.Fatalf("word probe on %x: %+v, byte probe %+v/%v", probe, rw, rf, okF)
-				}
-			}
-		}
-		if fast.Len() != slow.Len() {
-			t.Fatalf("len divergence: %d vs %d", fast.Len(), slow.Len())
-		}
-	}
-}
-
-func TestDIR168Basics(t *testing.T) {
-	e, err := New(LPM, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.(*dir168); !ok {
-		t.Fatalf("32-bit LPM engine is %T, want dir168", e)
-	}
-	if e.Kind() != LPM || e.KeyWidth() != 32 {
-		t.Error("kind/width wrong")
-	}
-	// Capacity enforced via the shadow trie.
-	for i := 0; i < 4; i++ {
-		if _, err := e.Insert(Entry{Key: key32(uint32(i) << 24), PrefixLen: 8, ActionID: i + 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Insert(Entry{Key: key32(0xF0000000), PrefixLen: 8}); !errors.Is(err, ErrFull) {
-		t.Errorf("full insert: %v", err)
-	}
-	if _, err := e.Insert(Entry{Key: key32(0), PrefixLen: 40}); err == nil {
-		t.Error("bad prefix accepted")
-	}
-	if _, ok := e.Lookup([]byte{1}); ok {
-		t.Error("short key matched")
-	}
-	if err := e.Delete(12345); !errors.Is(err, ErrNoEntry) {
-		t.Errorf("ghost delete: %v", err)
-	}
-	// Entries snapshot via the trie.
-	if got := len(e.Entries()); got != 4 {
-		t.Errorf("entries = %d", got)
-	}
-}
-
 // TestLookupWrongKeyLength pins the one rule every engine shares: a lookup
 // key that is not exactly (width+7)/8 bytes long is a miss — not a match on
-// its prefix (ternary, dir168, trie) and not a compare against shorter
-// bounds (range).
+// its prefix (ternary, LPM at any width) and not a compare against
+// shorter bounds (range).
 func TestLookupWrongKeyLength(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -493,8 +379,10 @@ func TestLookupWrongKeyLength(t *testing.T) {
 		ent   Entry
 	}{
 		{"exact", Exact, 32, Entry{Key: key32(0x0a000001)}},
-		{"dir168", LPM, 32, Entry{Key: key32(0x0a000000), PrefixLen: 8}},
-		{"trie", LPM, 48, Entry{Key: []byte{0x0a, 0, 0, 0, 0, 0}, PrefixLen: 8}},
+		{"lpm32", LPM, 32, Entry{Key: key32(0x0a000000), PrefixLen: 8}},
+		{"lpm20", LPM, 20, Entry{Key: []byte{0x0a, 0, 0}, PrefixLen: 8}},
+		{"lpm48", LPM, 48, Entry{Key: []byte{0x0a, 0, 0, 0, 0, 0}, PrefixLen: 8}},
+		{"lpm128", LPM, 128, Entry{Key: append([]byte{0x0a}, make([]byte, 15)...), PrefixLen: 8}},
 		{"ternary", Ternary, 32, Entry{Key: key32(0x0a000001), Mask: key32(0xffffffff)}},
 		{"range", Range, 32, Entry{Key: key32(0x0a000000), High: key32(0x0affffff)}},
 	} {
@@ -507,7 +395,8 @@ func TestLookupWrongKeyLength(t *testing.T) {
 			if _, err := e.Insert(tc.ent); err != nil {
 				t.Fatal(err)
 			}
-			good := append([]byte{0x0a, 0, 0, 1}, make([]byte, tc.width/8-4)...)
+			good := make([]byte, (tc.width+7)/8)
+			copy(good, []byte{0x0a, 0, 0, 1})
 			if r, ok := e.Lookup(good); !ok || r.ActionID != 7 {
 				t.Fatalf("lookup %x: %+v,%v, want the entry", good, r, ok)
 			}

@@ -412,8 +412,8 @@ func TestMigrateFailureLeavesTableRouted(t *testing.T) {
 }
 
 // TestWordLookupBinding: a table hands out its engine's word probe only
-// where a word can name a key — exact/hash keys of at most 64 bits and the
-// 32-bit LPM directory, asked for at the table's own key length — and the
+// where a word can name a key — exact/hash and LPM keys of at most 64
+// bits, asked for at the table's own key length — and the
 // probe neither counts nor disagrees with the counted byte lookup.
 func TestWordLookupBinding(t *testing.T) {
 	m, err := NewManager(Config{Blocks: 64, BlockWidth: 128, BlockDepth: 1024, Clusters: 1}, FullCrossbar, 8)
@@ -430,6 +430,7 @@ func TestWordLookupBinding(t *testing.T) {
 		{"hash64", match.Hash, 64, true, true},
 		{"exact144", match.Exact, 144, false, false},
 		{"lpm32", match.LPM, 32, true, false},
+		{"lpm20", match.LPM, 20, true, false},
 		{"lpm128", match.LPM, 128, false, false},
 		{"ternary32", match.Ternary, 32, false, false},
 		{"range16", match.Range, 16, false, false},

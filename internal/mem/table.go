@@ -63,8 +63,8 @@ func (t *Table) AddLookupStats(hits, misses uint64) {
 }
 
 // wordEngine is what an engine whose keys fit a register exposes (the
-// exact/hash engine, the 32-bit LPM directory): the probe by word, and
-// optionally a touch of the bucket a word hashes to.
+// exact/hash engine and the LPM trie, at widths of at most 64 bits): the
+// probe by word, and optionally a touch of the bucket a word hashes to.
 type wordEngine interface {
 	LookupWord(word uint64) *match.Result
 }
@@ -86,7 +86,7 @@ func (t *Table) bindWord() {
 
 // WordLookup returns the engine's probe for a key carried as one word —
 // the key's keyBytes big-endian bytes, tail padding zero — or nil when the
-// table is byte-keyed (wide, ternary, range and trie tables) or its keys
+// table is byte-keyed (wide, ternary and range tables) or its keys
 // are not keyBytes long. The probe does no hit/miss accounting (callers
 // batch it through AddLookupStats); nil is a miss, and a returned Result is
 // the engine's own: read-only, valid forever.
