@@ -130,27 +130,30 @@ bench-drop-baseline:
 	$(GO) test -run xxx -bench '$(GATED_DROP_BENCH)' -benchmem -count=5 . | bin/benchgate -write BENCH_drop.json \
 		-note "min of 5 runs; attribution is always on, so the drop path must stay allocation-free"
 
+# Every fuzz target caps input minimisation at 1 s: at the default 60 s a
+# 30 s budget goes mostly to minimising 2 KB inputs, at 0 execs/s.
+#
 # Differential fuzz: fused executor vs the interpreter on the full switch,
 # one packet at a time and in look-ahead batches.
 fuzz-diff:
-	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedVsInterp$$' -fuzztime 30s
-	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedBatchVsInterp$$' -fuzztime 30s
+	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedBatchVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Fuzz the CCM request decoder: arbitrary request streams against a switch
 # running the base design must never panic the daemon.
 fuzz-ccm:
-	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzCCMRequest$$' -fuzztime 30s
+	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzCCMRequest$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Differential fuzz for the fused tier's word keys vs the byte keys the
 # wide-key funnel builds, on random key plans.
 fuzz-fused:
-	$(GO) test ./internal/tsp/ -run xxx -fuzz FuzzWordKeyVsPlanned -fuzztime 30s
+	$(GO) test ./internal/tsp/ -run xxx -fuzz FuzzWordKeyVsPlanned -fuzztime 30s -fuzzminimizetime 1s
 
 # Differential fuzz for the LPM engine: insert / replace / delete /
 # lookup streams at widths 32, 20 and 128 against a linear-scan
 # reference (handles, lookups by byte and by word, Len, Entries).
 fuzz-lpm:
-	$(GO) test ./internal/match/ -run xxx -fuzz '^FuzzLPM$$' -fuzztime 30s
+	$(GO) test ./internal/match/ -run xxx -fuzz '^FuzzLPM$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Capture CPU and heap profiles of the fused hot path. The equivalent
 # for a live switch is `ipbm -cpuprofile cpu.out -memprofile mem.out`;

@@ -293,75 +293,26 @@ type Table1Result struct {
 // full reload + full repopulation) against the rP4 flow (incremental
 // compile + patch + new-table population). The hardware rows come from the
 // FPGA time model fed with the real compiler deltas; the software rows are
-// wall-clock measurements of the two behavioral models.
+// wall-clock measurements of the two behavioral models, each the quickest
+// of table1Reps runs: C3's flows differ by less than the box's run-to-run
+// spread once table writes are cheap, and one slow run must not decide
+// which flow loads faster.
 func Table1(cfg Config) (*Table1Result, error) {
 	res := &Table1Result{}
 	ltp := hwmodel.DefaultLoadTimeParams()
 	for _, uc := range UseCases {
-		// rP4 incremental flow, measured on ipbm.
-		ws, err := cfg.baseWorkspace()
-		if err != nil {
-			return nil, err
+		var best table1Times
+		var rep *backend.UpdateReport
+		for i := 0; i < table1Reps; i++ {
+			t, r, err := table1Once(cfg, uc)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				best, rep = t, r
+			}
+			best = best.min(t)
 		}
-		sw, err := ipbm.New(swOpts(cfg))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sw.ApplyConfig(ws.Current().Config); err != nil {
-			return nil, err
-		}
-		if err := PopulateBase(sw, ws.Current().Config, cfg.Entries); err != nil {
-			return nil, err
-		}
-		script, err := cfg.read(scriptFile(uc))
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		rep, err := ws.ApplyScript(script, cfg.loader())
-		if err != nil {
-			return nil, err
-		}
-		ipbmCompile := time.Since(t0)
-		// Each timed load starts on a collected heap, so neither flow pays
-		// for the garbage its set-up left.
-		runtime.GC()
-		t1 := time.Now()
-		if _, err := sw.ApplyConfig(rep.Config); err != nil {
-			return nil, err
-		}
-		if err := PopulateUseCase(sw, uc, cfg.Entries); err != nil {
-			return nil, err
-		}
-		ipbmLoad := time.Since(t1)
-
-		// P4 full flow, measured on the PISA behavioral model.
-		popts := pisa.DefaultOptions()
-		popts.Exec = cfg.Exec
-		psw, err := pisa.New(popts)
-		if err != nil {
-			return nil, err
-		}
-		t2 := time.Now()
-		fullCfg, err := cfg.p4FullCompile(uc)
-		if err != nil {
-			return nil, err
-		}
-		bmv2Compile := time.Since(t2)
-		runtime.GC()
-		t3 := time.Now()
-		if _, err := psw.ApplyConfig(fullCfg); err != nil {
-			return nil, err
-		}
-		// Full reload discards everything: the P4 flow must repopulate
-		// every table, not just the new ones.
-		if err := PopulateBase(psw, fullCfg, cfg.Entries); err != nil {
-			return nil, err
-		}
-		if err := PopulateUseCase(psw, uc, cfg.Entries); err != nil {
-			return nil, err
-		}
-		bmv2Load := time.Since(t3)
 
 		// Hardware rows from the FPGA time model, fed the real deltas.
 		cost := hwmodel.UpdateCost{
@@ -382,11 +333,94 @@ func Table1(cfg Config) (*Table1Result, error) {
 		res.Rows = append(res.Rows,
 			Table1Row{Flow: "PISA", UseCase: uc, CompileMs: ltp.PISACompileMs(cost), LoadMs: ltp.PISALoadMs(cost)},
 			Table1Row{Flow: "IPSA", UseCase: uc, CompileMs: ltp.IPSACompileMs(cost), LoadMs: ltp.IPSALoadMs(cost)},
-			Table1Row{Flow: "bmv2-equiv", UseCase: uc, CompileMs: ms(bmv2Compile), LoadMs: ms(bmv2Load)},
-			Table1Row{Flow: "ipbm", UseCase: uc, CompileMs: ms(ipbmCompile), LoadMs: ms(ipbmLoad)},
+			Table1Row{Flow: "bmv2-equiv", UseCase: uc, CompileMs: ms(best.bmv2Compile), LoadMs: ms(best.bmv2Load)},
+			Table1Row{Flow: "ipbm", UseCase: uc, CompileMs: ms(best.ipbmCompile), LoadMs: ms(best.ipbmLoad)},
 		)
 	}
 	return res, nil
+}
+
+// table1Reps is how many times Table1 measures each use case.
+const table1Reps = 3
+
+// table1Times is one measurement of a use case's two software flows.
+type table1Times struct {
+	ipbmCompile, ipbmLoad, bmv2Compile, bmv2Load time.Duration
+}
+
+func (a table1Times) min(b table1Times) table1Times {
+	return table1Times{min(a.ipbmCompile, b.ipbmCompile), min(a.ipbmLoad, b.ipbmLoad),
+		min(a.bmv2Compile, b.bmv2Compile), min(a.bmv2Load, b.bmv2Load)}
+}
+
+// table1Once times uc's rP4 flow on ipbm and its P4 flow on the PISA
+// behavioral model once, each on a fresh switch, and returns the
+// incremental compiler's update report.
+func table1Once(cfg Config, uc string) (t table1Times, rep *backend.UpdateReport, err error) {
+	// rP4 incremental flow, measured on ipbm.
+	ws, err := cfg.baseWorkspace()
+	if err != nil {
+		return t, nil, err
+	}
+	sw, err := ipbm.New(swOpts(cfg))
+	if err != nil {
+		return t, nil, err
+	}
+	if _, err := sw.ApplyConfig(ws.Current().Config); err != nil {
+		return t, nil, err
+	}
+	if err := PopulateBase(sw, ws.Current().Config, cfg.Entries); err != nil {
+		return t, nil, err
+	}
+	script, err := cfg.read(scriptFile(uc))
+	if err != nil {
+		return t, nil, err
+	}
+	t0 := time.Now()
+	if rep, err = ws.ApplyScript(script, cfg.loader()); err != nil {
+		return t, nil, err
+	}
+	t.ipbmCompile = time.Since(t0)
+	// Each timed load starts on a collected heap, so neither flow pays
+	// for the garbage its set-up left.
+	runtime.GC()
+	t1 := time.Now()
+	if _, err := sw.ApplyConfig(rep.Config); err != nil {
+		return t, nil, err
+	}
+	if err := PopulateUseCase(sw, uc, cfg.Entries); err != nil {
+		return t, nil, err
+	}
+	t.ipbmLoad = time.Since(t1)
+
+	// P4 full flow, measured on the PISA behavioral model.
+	popts := pisa.DefaultOptions()
+	popts.Exec = cfg.Exec
+	psw, err := pisa.New(popts)
+	if err != nil {
+		return t, nil, err
+	}
+	t2 := time.Now()
+	fullCfg, err := cfg.p4FullCompile(uc)
+	if err != nil {
+		return t, nil, err
+	}
+	t.bmv2Compile = time.Since(t2)
+	runtime.GC()
+	t3 := time.Now()
+	if _, err := psw.ApplyConfig(fullCfg); err != nil {
+		return t, nil, err
+	}
+	// Full reload discards everything: the P4 flow must repopulate
+	// every table, not just the new ones.
+	if err := PopulateBase(psw, fullCfg, cfg.Entries); err != nil {
+		return t, nil, err
+	}
+	if err := PopulateUseCase(psw, uc, cfg.Entries); err != nil {
+		return t, nil, err
+	}
+	t.bmv2Load = time.Since(t3)
+	return t, rep, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -7,6 +7,7 @@
 package health
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,15 +37,18 @@ type ringCol struct {
 	valid  int // samples written so far, capped at capacity
 }
 
-// ringHist is one tracked histogram: full bucket snapshots per slot so
-// queries can compute quantiles of the windowed delta, not of all time.
+// ringHist is one histogram family, every series registered under one
+// name: the sum of their bucket snapshots per slot, so queries can compute
+// quantiles of the family's windowed delta, not of all time. The family's
+// only reader (HistWindowSum) sums its series anyway, so summing at tick
+// time keeps one snapshot per slot rather than one per series. When the
+// family gains or loses a series its window restarts (valid = 0): no delta
+// spans two different sets of series.
 type ringHist struct {
-	key    string
-	name   string
-	labels []telemetry.Label
-	h      *telemetry.Histogram
-	vals   [][telemetry.HistBuckets]uint64
-	valid  int
+	name  string
+	hs    []*telemetry.Histogram // the family's series, in registry order
+	vals  [][telemetry.HistBuckets]uint64
+	valid int
 }
 
 // Ring snapshots every registered counter/gauge (and any explicitly
@@ -131,19 +135,30 @@ func (r *Ring) rebuildLocked() {
 
 	oldH := make(map[string]*ringHist, len(r.hists))
 	for i := range r.hists {
-		oldH[r.hists[i].key] = &r.hists[i]
+		oldH[r.hists[i].name] = &r.hists[i]
 	}
-	handles := r.reg.HistogramHandles()
-	nextH := make([]ringHist, 0, len(handles))
-	for _, h := range handles {
-		if prev, ok := oldH[h.Key]; ok {
-			nextH = append(nextH, *prev)
+	var nextH []ringHist
+	family := make(map[string]int) // name -> index in nextH
+	for _, h := range r.reg.HistogramHandles() {
+		i, ok := family[h.Name]
+		if !ok {
+			i = len(nextH)
+			family[h.Name] = i
+			nextH = append(nextH, ringHist{name: h.Name})
+		}
+		nextH[i].hs = append(nextH[i].hs, h.Hist)
+	}
+	for i := range nextH {
+		hh := &nextH[i]
+		prev, ok := oldH[hh.name]
+		if !ok {
+			hh.vals = make([][telemetry.HistBuckets]uint64, r.capacity)
 			continue
 		}
-		nextH = append(nextH, ringHist{
-			key: h.Key, name: h.Name, labels: h.Labels, h: h.Hist,
-			vals: make([][telemetry.HistBuckets]uint64, r.capacity),
-		})
+		hh.vals = prev.vals
+		if slices.Equal(prev.hs, hh.hs) {
+			hh.valid = prev.valid
+		}
 	}
 	r.hists = nextH
 }
@@ -178,7 +193,14 @@ func (r *Ring) Tick(nowNanos int64) {
 	}
 	for i := range r.hists {
 		hh := &r.hists[i]
-		hh.vals[slot] = hh.h.Snapshot()
+		sum := &hh.vals[slot]
+		*sum = [telemetry.HistBuckets]uint64{}
+		for _, h := range hh.hs {
+			snap := h.Snapshot()
+			for b := range sum {
+				sum[b] += snap[b]
+			}
+		}
 		if hh.valid < r.capacity {
 			hh.valid++
 		}
@@ -332,9 +354,6 @@ func (r *Ring) HistWindowSum(name string, window time.Duration) (HistWindow, boo
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	hw := HistWindow{Name: name}
-	sum := make([]uint64, telemetry.HistBuckets)
-	delta := make([]uint64, telemetry.HistBuckets)
-	var total uint64
 	for i := range r.hists {
 		hh := &r.hists[i]
 		if hh.name != name {
@@ -342,19 +361,18 @@ func (r *Ring) HistWindowSum(name string, window time.Duration) (HistWindow, boo
 		}
 		newest, oldest, _, ok := r.windowSpanLocked(window, hh.valid)
 		if !ok {
-			continue
+			return hw, false
 		}
-		total += histDelta(&hh.vals[r.slotBack(newest)], &hh.vals[r.slotBack(oldest)], delta)
-		for b := range sum {
-			sum[b] += delta[b]
+		delta := make([]uint64, telemetry.HistBuckets)
+		total := histDelta(&hh.vals[r.slotBack(newest)], &hh.vals[r.slotBack(oldest)], delta)
+		if total == 0 {
+			return hw, false
 		}
+		hw.Count = total
+		hw.P50 = telemetry.WindowQuantile(delta, total, 0.5)
+		hw.P90 = telemetry.WindowQuantile(delta, total, 0.9)
+		hw.P99 = telemetry.WindowQuantile(delta, total, 0.99)
+		return hw, true
 	}
-	if total == 0 {
-		return hw, false
-	}
-	hw.Count = total
-	hw.P50 = telemetry.WindowQuantile(sum, total, 0.5)
-	hw.P90 = telemetry.WindowQuantile(sum, total, 0.9)
-	hw.P99 = telemetry.WindowQuantile(sum, total, 0.99)
-	return hw, true
+	return hw, false
 }

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,6 +149,89 @@ func TestRingCounterReset(t *testing.T) {
 	rate, ok := r.RateOf("resets_total", time.Hour)
 	if !ok || rate.Delta != 30 {
 		t.Fatalf("post-reset Delta = %v (ok=%v), want 30", rate.Delta, ok)
+	}
+}
+
+// TestRingHistFamily: a family of N series, summed into one snapshot per
+// tick, gives the HistWindow the per-series computation does (each
+// series' windowed bucket deltas, summed); and a series that joins the
+// family mid-run, with observations of its own already, restarts the
+// family's window, so no retained bucket ever goes backwards and no
+// window counts the newcomer's history.
+func TestRingHistFamily(t *testing.T) {
+	const n, ticks = 16, 40
+	reg := telemetry.NewRegistry()
+	var hs []*telemetry.Histogram
+	for i := 0; i < n; i++ {
+		hs = append(hs, reg.Histogram("lat_seconds", telemetry.L("tsp", string(rune('a'+i)))))
+	}
+	r := NewRing(reg, 32)
+	// perSeries keeps each series' own snapshot per tick, the old ring's
+	// layout, as the reference.
+	perSeries := make([][][telemetry.HistBuckets]uint64, 0, ticks)
+	now := int64(1e9)
+	for k := 0; k < ticks; k++ {
+		for i, h := range hs {
+			for j := 0; j <= (i*7+k*3)%11; j++ {
+				h.ObserveNanos(int64(1) << uint((i+j+k)%20))
+			}
+		}
+		r.Tick(now)
+		now += tick
+		snaps := make([][telemetry.HistBuckets]uint64, n)
+		for i, h := range hs {
+			snaps[i] = h.Snapshot()
+		}
+		perSeries = append(perSeries, snaps)
+	}
+	for _, w := range []int{1, 5, 17, 31} {
+		got, ok := r.HistWindowSum("lat_seconds", time.Duration(w)*time.Second)
+		newest, oldest := perSeries[ticks-1], perSeries[ticks-1-w]
+		sum := make([]uint64, telemetry.HistBuckets)
+		var total uint64
+		for i := 0; i < n; i++ {
+			for b := range sum {
+				d := newest[i][b] - oldest[i][b]
+				sum[b] += d
+				total += d
+			}
+		}
+		want := HistWindow{Name: "lat_seconds", Count: total,
+			P50: telemetry.WindowQuantile(sum, total, 0.5),
+			P90: telemetry.WindowQuantile(sum, total, 0.9),
+			P99: telemetry.WindowQuantile(sum, total, 0.99)}
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%ds window: %+v (ok=%v), per-series %+v", w, got, ok, want)
+		}
+	}
+
+	// A newcomer with 5000 observations of its own joins the family.
+	late := reg.Histogram("lat_seconds", telemetry.L("tsp", "late"))
+	for i := 0; i < 5000; i++ {
+		late.ObserveNanos(1 << 30)
+	}
+	for k := 0; k < 4; k++ {
+		for _, h := range append(hs, late) {
+			h.ObserveNanos(1000)
+		}
+		r.Tick(now)
+		now += tick
+		hh := &r.hists[0]
+		for back := 1; back < hh.valid; back++ {
+			newer, older := &hh.vals[r.slotBack(back-1)], &hh.vals[r.slotBack(back)]
+			for b := range newer {
+				if newer[b] < older[b] {
+					t.Fatalf("tick %d after the join: bucket %d went from %d to %d", k, b, older[b], newer[b])
+				}
+			}
+		}
+		got, ok := r.HistWindowSum("lat_seconds", time.Hour)
+		switch {
+		case k == 0 && ok:
+			t.Errorf("window spans the join: %+v", got)
+		case k > 0 && (!ok || got.Count != uint64(k*(n+1))):
+			t.Errorf("tick %d after the join: %+v (ok=%v), want %d observations of 1µs", k, got, ok, k*(n+1))
+		}
 	}
 }
 

@@ -95,6 +95,14 @@ func FuzzCCMRequest(f *testing.F) {
 		`{"op":"apply_config","config":{}}`,
 		`{"op":"insert_entry","entry":{"table":"ipv4_lpm","keys":[{"value":167772160}],"prefix_len":8,"tag":1,"params":[7]}}`,
 		`{"op":"delete_entry","table":"ipv4_lpm","handle":1}`,
+		// Handles that name nothing: negative, never handed out, and stale —
+		// deleted, its index since reused by an insert.
+		`{"op":"delete_entry","table":"ipv4_lpm","handle":-1}`,
+		`{"op":"delete_entry","table":"ipv4_host","handle":1099511627776}`,
+		`{"op":"delete_entry","table":"ipv4_lpm","handle":0}
+		{"op":"insert_entry","entry":{"table":"ipv4_lpm","keys":[{"value":167772160}],"prefix_len":8,"tag":1,"params":[7]}}
+		{"op":"delete_entry","table":"ipv4_lpm","handle":0}`,
+		`{"op":"delete_entry","table":"ipv4_host","handle":0}{"op":"delete_entry","table":"ipv4_host","handle":0}`,
 		`{"op":"add_member","member":{"table":"ecmp_ipv4","group":{"value":7},"tag":1,"params":[1,2]}}`,
 		`{"op":"table_stats","table":"ipv4_lpm"}`,
 		`{"op":"read_register","register":"r","index":3}`,

@@ -2,6 +2,9 @@ package ipbm
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"ipsa/internal/pkt"
@@ -94,6 +97,40 @@ func TestApplyFailureLeavesDeviceUsable(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 	// Traffic still forwards on the old design.
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	if err != nil || p.Drop {
+		t.Fatalf("device broken after rejected config: err=%v drop=%v", err, p.Drop)
+	}
+}
+
+// TestApplyRejectsWideLPMTable: a table no engine can hold (an LPM key
+// past 128 bits) is refused by validation, before the apply creates any
+// table, so a config that adds it beside another new table leaves the
+// table set as it was and the device forwarding.
+func TestApplyRejectsWideLPMTable(t *testing.T) {
+	sw, w := newBaseSwitch(t)
+	before := sw.mm.Tables()
+	sort.Strings(before)
+	bad, err := w.Current().Config.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, width := range map[string]int{"extra_host": 32, "wide_lpm": 200} {
+		spec := *bad.Tables["ipv4_lpm"]
+		spec.Name, spec.KeyWidth = name, width
+		if width == 32 {
+			spec.Kind = "exact"
+		}
+		bad.Tables[name] = &spec
+	}
+	if _, err := sw.ApplyConfig(bad); err == nil || !strings.Contains(err.Error(), "LPM key") {
+		t.Fatalf("200-bit LPM table: %v", err)
+	}
+	after := sw.mm.Tables()
+	sort.Strings(after)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("tables %v after the refused apply, want %v", after, before)
+	}
 	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
 	if err != nil || p.Drop {
 		t.Fatalf("device broken after rejected config: err=%v drop=%v", err, p.Drop)

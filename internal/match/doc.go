@@ -1,8 +1,8 @@
 // Package match implements the table lookup engines behind every
 // match-action stage: exact match (hashed SRAM), longest-prefix match (a
-// stride-4 multibit trie for every key width, the software stand-in for
-// an LPM-capable SRAM design), ternary match (priority-ordered value/mask
-// pairs, the TCAM model) and range match.
+// stride-4 multibit trie for keys of up to 128 bits, the software
+// stand-in for an LPM-capable SRAM design), ternary match
+// (priority-ordered value/mask pairs, the TCAM model) and range match.
 //
 // Keys are opaque byte strings assembled by the matcher submodule of a TSP
 // from the header/metadata fields named in the table definition; a key of
@@ -13,5 +13,9 @@
 // updates, matching the control/data plane split of a switch. The exact
 // and LPM engines are written in place beside wait-free readers, the way
 // a stage's SRAM is: slots are atomic pointers to immutable entries (see
-// exactEngine and lpmEngine); the TCAM models keep a sync.RWMutex.
+// exactEngine and lpmEngine); the TCAM models keep a sync.RWMutex. Their
+// writers find an entry by handle through one versioned handle table
+// (handles.go): a handle names an index and that index's generation, so
+// a handle kept past its entry's deletion never names the entry that
+// reused the index.
 package match

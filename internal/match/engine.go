@@ -110,11 +110,25 @@ func checkKeyLen(key []byte, widthBits int) error {
 	return nil
 }
 
+// CheckWidth reports whether an engine of the given kind takes keys of
+// keyWidthBits bits. New refuses exactly what it refuses; a configuration
+// check asks it so that a table no engine can hold is refused before any
+// of the configuration is applied.
+func CheckWidth(kind Kind, keyWidthBits int) error {
+	switch {
+	case keyWidthBits <= 0:
+		return fmt.Errorf("match: key width %d invalid", keyWidthBits)
+	case kind == LPM && keyWidthBits > maxLPMWidth:
+		return fmt.Errorf("match: %d-bit LPM key, at most %d bits", keyWidthBits, maxLPMWidth)
+	}
+	return nil
+}
+
 // New builds an engine of the given kind with the given key width in bits
 // and capacity (maximum entries; 0 means unlimited).
 func New(kind Kind, keyWidthBits, capacity int) (Engine, error) {
-	if keyWidthBits <= 0 {
-		return nil, fmt.Errorf("match: key width %d invalid", keyWidthBits)
+	if err := CheckWidth(kind, keyWidthBits); err != nil {
+		return nil, err
 	}
 	switch kind {
 	case Exact, Hash:

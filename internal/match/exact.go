@@ -24,18 +24,19 @@ import (
 // the write; no slot goes back to empty in place, so the probe chain to a
 // key that is not being written never breaks; and a rebuild fills a fresh
 // array and publishes it with one pointer store, leaving the old one,
-// which late readers may still be probing, to Go's GC.
+// which late readers may still be probing, to Go's GC. Delete finds an
+// entry through the versioned handle table it shares with the LPM engine
+// (handles.go), one pointer per entry.
 type exactEngine struct {
 	mu       sync.Mutex // serialises writers; readers never take it
 	kind     Kind
 	width    int
 	capacity int
 	tab      atomic.Pointer[exactTab]
-	live     atomic.Int64      // installed entries; written under mu
-	byHandle map[int]*exactEnt // Delete's index, guarded by mu
-	tombs    int               // tombstones in tab, guarded by mu
-	next     int
-	rebuilds int // slot arrays built after the first, guarded by mu
+	live     atomic.Int64           // installed entries; written under mu
+	handles  handleTable[*exactEnt] // Delete's index, guarded by mu
+	tombs    int                    // tombstones in tab, guarded by mu
+	rebuilds int                    // slot arrays built after the first, guarded by mu
 }
 
 // Slot tags: empty terminates a probe chain, a tombstone does not; any
@@ -75,8 +76,10 @@ func (x *exactEnt) is(word uint64, key []byte) bool {
 	return x.word == word && (x.key == "" || x.key == string(key))
 }
 
+func (x *exactEnt) handle() int { return x.res.EntryHandle }
+
 func newExact(kind Kind, widthBits, capacity int) *exactEngine {
-	e := &exactEngine{kind: kind, width: widthBits, capacity: capacity, byHandle: make(map[int]*exactEnt)}
+	e := &exactEngine{kind: kind, width: widthBits, capacity: capacity}
 	e.tab.Store(newExactTab(0))
 	return e
 }
@@ -254,18 +257,17 @@ func (e *exactEngine) Insert(ent Entry) (int, error) {
 		// Replace, keeping the handle: one pointer swap.
 		x.res.EntryHandle = prev.res.EntryHandle
 		s.ent.Store(x)
-		e.byHandle[x.res.EntryHandle] = x
+		e.handles.put(x)
 		return x.res.EntryHandle, nil
 	case s.tag.Load() == tagTomb:
 		e.tombs--
 	case 2*(n+e.tombs+1) > len(t.slots):
 		s, _ = e.rebuild(n+1).find(word, tag, ent.Key)
 	}
-	x.res.EntryHandle = e.next
-	e.next++
+	x.res.EntryHandle = e.handles.next()
 	s.ent.Store(x)
 	s.tag.Store(tag)
-	e.byHandle[x.res.EntryHandle] = x
+	e.handles.put(x)
 	e.live.Add(1)
 	return x.res.EntryHandle, nil
 }
@@ -273,11 +275,11 @@ func (e *exactEngine) Insert(ent Entry) (int, error) {
 func (e *exactEngine) Delete(handle int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	x, ok := e.byHandle[handle]
-	if !ok {
+	x := e.handles.get(handle)
+	if x == nil {
 		return fmt.Errorf("%w: handle %d", ErrNoEntry, handle)
 	}
-	delete(e.byHandle, handle)
+	e.handles.release(handle)
 	t := e.tab.Load()
 	i := t.home(slotTag(x.word))
 	for t.slots[i].ent.Load() != x {
@@ -306,11 +308,11 @@ func (e *exactEngine) Len() int { return int(e.live.Load()) }
 // stable.
 func (e *exactEngine) Entries() []Entry {
 	e.mu.Lock()
-	out := make([]Entry, 0, len(e.byHandle))
-	for h, x := range e.byHandle {
+	out := make([]Entry, 0, e.Len())
+	e.handles.each(func(x *exactEnt) {
 		out = append(out, Entry{Key: e.keyOf(x), ActionID: x.res.ActionID,
-			Params: append([]uint64(nil), x.res.Params...), Handle: h})
-	}
+			Params: append([]uint64(nil), x.res.Params...), Handle: x.res.EntryHandle})
+	})
 	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Handle < out[j].Handle })
 	return out

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -59,6 +60,33 @@ func BenchmarkExactInsert(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkExactLoad loads a table of n entries per op and reports the
+// heap the loaded engine occupies per entry as B/entry, the way
+// BenchmarkLPMLookup does: 8k is the size of rtc_bigtable's exact tables,
+// 1M the top of the table-size curve. One op at 1M is a million inserts;
+// run it with a small -benchtime Nx.
+func BenchmarkExactLoad(b *testing.B) {
+	for _, sz := range []struct {
+		name string
+		n    int
+	}{{"8k", 1 << 13}, {"64k", 1 << 16}, {"1M", 1 << 20}} {
+		b.Run(sz.name, func(b *testing.B) {
+			var perEntry float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := heapInUse()
+				b.StartTimer()
+				e := loadExact(b, sz.n)
+				b.StopTimer()
+				perEntry = float64(heapInUse()-before) / float64(sz.n)
+				runtime.KeepAlive(e)
+				b.StartTimer()
+			}
+			b.ReportMetric(perEntry, "B/entry")
 		})
 	}
 }

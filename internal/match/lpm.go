@@ -7,29 +7,34 @@ import (
 	"sync/atomic"
 )
 
-// lpmEngine is the longest-prefix-match engine for keys of every width,
-// the software model of the LPM capability the paper's designs use for
-// their IPv4 and IPv6 FIBs (stages D–G of the base design). It is a
-// multibit trie of 16-way nodes: level l resolves key bits 4l..4l+3. A
-// prefix of length plen > 0 lives in the node at level (plen-1)/4,
-// expanded into the 1<<(4l+4-plen) slots its last bits cover; a slot
-// holds the longest prefix of that band covering it. A lookup walks down
-// the key's path and keeps the last non-nil slot it passed; the /0 route
-// is one pointer beside the root.
+// lpmEngine is the longest-prefix-match engine for keys of every width up
+// to maxLPMWidth, the software model of the LPM capability the paper's
+// designs use for their IPv4 and IPv6 FIBs (stages D–G of the base
+// design). It is a multibit trie of 16-way nodes: level l resolves key
+// bits 4l..4l+3. A prefix of length plen > 0 lives in the node at level
+// (plen-1)/4, expanded into the 1<<(4l+4-plen) slots its last bits cover;
+// a slot holds the longest prefix of that band covering it. A lookup
+// walks down the key's path and keeps the last non-nil slot it passed;
+// the /0 route is one pointer beside the root.
 //
 // Like the exact engine it is written in place beside wait-free readers,
 // the way a stage's SRAM is: every slot is an atomic pointer to an
 // immutable leaf that embeds its Result, so a reader sees each slot
 // before or after a write, never torn, and a *Result handed out stays
-// valid forever. Writers serialise on mu and keep two indexes, by prefix
-// and by handle. An insert stores its leaf into the covered slots that
-// hold nothing or a prefix no longer than its own, so a replace (same
-// prefix, same handle) repoints exactly the old leaf's slots. A delete
-// stores, into exactly the slots that point at the deleted leaf, the
-// longest shorter prefix of the same band (at most three index probes),
-// then unlinks the nodes it leaves empty. No write copies anything, and
-// nothing is sized for the key space: a table holds the nodes on its
-// prefixes' paths.
+// valid forever. Writers serialise on mu. They find a leaf by handle
+// through the versioned handle table the exact engine uses too
+// (handles.go), and by prefix either in its slot or in short: a prefix
+// whose length is a multiple of 4 fills exactly one slot of its node,
+// where nothing in its band outranks it, so it is the leaf of that slot
+// with its length; only the others, which a longer prefix of their band
+// can hide, are indexed by prefix. An insert stores its leaf into the
+// covered slots that hold nothing or a prefix no longer than its own, so
+// a replace (same prefix, same handle) repoints exactly the old leaf's
+// slots. A delete stores, into exactly the slots that point at the
+// deleted leaf, the longest shorter prefix of the same band (at most
+// three probes of short), then unlinks the nodes it leaves empty. No
+// write copies anything, and nothing is sized for the key space: a table
+// holds the nodes on its prefixes' paths.
 type lpmEngine struct {
 	mu       sync.Mutex // serialises writers; readers never take it
 	width    int
@@ -37,9 +42,8 @@ type lpmEngine struct {
 	root     lpmNode
 	def      atomic.Pointer[lpmLeaf] // the /0 route
 	count    atomic.Int64
-	byPrefix map[lpmPrefix]*lpmLeaf // the writer's indexes, guarded by mu
-	byHandle map[int]*lpmLeaf
-	next     int
+	handles  handleTable[*lpmLeaf]  // guarded by mu, as is short
+	short    map[lpmPrefix]*lpmLeaf // the prefixes with plen%4 != 0
 }
 
 // lpmNode is one 16-way trie node, 256 bytes. A slot's leaf and the child
@@ -62,11 +66,15 @@ func (n *lpmNode) empty() bool {
 	return true
 }
 
-// lpmPrefix names a prefix: the key's bytes with every bit past plen zero.
+// lpmPrefix names a prefix: the key's bytes with every bit past plen
+// zero, held inline so that a leaf is one 64-byte allocation.
 type lpmPrefix struct {
-	key  string
+	key  [maxLPMWidth / 8]byte
 	plen int
 }
+
+// maxLPMWidth is the widest key an lpmPrefix holds: ipv6_lpm's 128 bits.
+const maxLPMWidth = 128
 
 // lpmLeaf is never written after a slot points at it.
 type lpmLeaf struct {
@@ -74,9 +82,10 @@ type lpmLeaf struct {
 	lpmPrefix
 }
 
+func (l *lpmLeaf) handle() int { return l.EntryHandle }
+
 func newLPM(widthBits, capacity int) *lpmEngine {
-	return &lpmEngine{width: widthBits, capacity: capacity,
-		byPrefix: make(map[lpmPrefix]*lpmLeaf), byHandle: make(map[int]*lpmLeaf)}
+	return &lpmEngine{width: widthBits, capacity: capacity, short: make(map[lpmPrefix]*lpmLeaf)}
 }
 
 func (t *lpmEngine) Kind() Kind    { return LPM }
@@ -88,17 +97,17 @@ func nibble(b byte, lvl int) int { return int(b>>(4-4*uint(lvl&1))) & 0xf }
 
 // prefixOf names the first plen bits of key.
 func prefixOf(key []byte, plen int) lpmPrefix {
-	var buf [16]byte // keys of up to 128 bits are masked on the stack
-	b := append(buf[:0], key...)
-	for i := range b {
+	p := lpmPrefix{plen: plen}
+	copy(p.key[:], key)
+	for i := range p.key {
 		switch bit := 8 * i; {
 		case bit >= plen:
-			b[i] = 0
+			p.key[i] = 0
 		case bit+8 > plen:
-			b[i] &= 0xff << uint(bit+8-plen)
+			p.key[i] &= 0xff << uint(bit+8-plen)
 		}
 	}
-	return lpmPrefix{string(b), plen}
+	return p
 }
 
 // span is the run of slots p covers in the node at its level.
@@ -122,6 +131,28 @@ func (t *lpmEngine) walk(p *lpmPrefix, path []*lpmNode) []*lpmNode {
 		path = append(path, n)
 	}
 	return path
+}
+
+// leafOf returns the installed leaf named p, or nil. Callers hold mu.
+func (t *lpmEngine) leafOf(p *lpmPrefix) *lpmLeaf {
+	switch {
+	case p.plen == 0:
+		return t.def.Load()
+	case p.plen%4 != 0:
+		return t.short[*p]
+	}
+	n := &t.root
+	for lvl := 0; n != nil && lvl < (p.plen-1)/4; lvl++ {
+		n = n.slots[nibble(p.key[lvl/2], lvl)].kid.Load()
+	}
+	if n == nil {
+		return nil
+	}
+	// The one slot p fills; only p itself has its length there.
+	if l := n.span(p)[0].leaf.Load(); l != nil && l.plen == p.plen {
+		return l
+	}
+	return nil
 }
 
 func (l *lpmLeaf) result() *Result {
@@ -188,17 +219,18 @@ func (t *lpmEngine) Insert(ent Entry) (int, error) {
 	defer t.mu.Unlock()
 	leaf := &lpmLeaf{Result: Result{ActionID: ent.ActionID, Params: append([]uint64(nil), ent.Params...)},
 		lpmPrefix: prefixOf(ent.Key, ent.PrefixLen)}
-	if old := t.byPrefix[leaf.lpmPrefix]; old != nil {
+	if old := t.leafOf(&leaf.lpmPrefix); old != nil {
 		leaf.EntryHandle = old.EntryHandle // replace, keeping the handle
 	} else if t.capacity > 0 && int(t.count.Load()) >= t.capacity {
 		return 0, fmt.Errorf("%w: %d entries", ErrFull, t.capacity)
 	} else {
-		leaf.EntryHandle = t.next
-		t.next++
+		leaf.EntryHandle = t.handles.next()
 		t.count.Add(1)
 	}
-	t.byPrefix[leaf.lpmPrefix] = leaf
-	t.byHandle[leaf.EntryHandle] = leaf
+	t.handles.put(leaf)
+	if leaf.plen%4 != 0 {
+		t.short[leaf.lpmPrefix] = leaf
+	}
 	if leaf.plen == 0 {
 		t.def.Store(leaf)
 		return leaf.EntryHandle, nil
@@ -219,12 +251,12 @@ func (t *lpmEngine) Insert(ent Entry) (int, error) {
 func (t *lpmEngine) Delete(handle int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	leaf, ok := t.byHandle[handle]
-	if !ok {
+	leaf := t.handles.get(handle)
+	if leaf == nil {
 		return fmt.Errorf("%w: handle %d", ErrNoEntry, handle)
 	}
-	delete(t.byHandle, handle)
-	delete(t.byPrefix, leaf.lpmPrefix)
+	t.handles.release(handle)
+	delete(t.short, leaf.lpmPrefix)
 	t.count.Add(-1)
 	if leaf.plen == 0 {
 		t.def.Store(nil)
@@ -233,10 +265,11 @@ func (t *lpmEngine) Delete(handle int) error {
 	var buf [32]*lpmNode
 	path := t.walk(&leaf.lpmPrefix, buf[:0])
 	// The slots the leaf held fall to the longest shorter prefix of its
-	// band, which covers every one of them.
+	// band, which covers every one of them; being shorter than the band's
+	// longest, it is in short.
 	var next *lpmLeaf
-	for plen, key := leaf.plen-1, []byte(leaf.key); next == nil && plen > 4*(len(path)-1); plen-- {
-		next = t.byPrefix[prefixOf(key, plen)]
+	for plen := leaf.plen - 1; next == nil && plen > 4*(len(path)-1); plen-- {
+		next = t.short[prefixOf(leaf.key[:], plen)]
 	}
 	span := path[len(path)-1].span(&leaf.lpmPrefix)
 	for i := range span {
@@ -257,12 +290,13 @@ func (t *lpmEngine) Len() int { return int(t.count.Load()) }
 // Entries returns the installed entries sorted by handle, each key with
 // the bits past its prefix length zero.
 func (t *lpmEngine) Entries() []Entry {
+	nbytes := (t.width + 7) / 8
 	t.mu.Lock()
-	out := make([]Entry, 0, len(t.byHandle))
-	for h, l := range t.byHandle {
-		out = append(out, Entry{Key: []byte(l.key), PrefixLen: l.plen, ActionID: l.ActionID,
-			Params: append([]uint64(nil), l.Params...), Handle: h})
-	}
+	out := make([]Entry, 0, t.Len())
+	t.handles.each(func(l *lpmLeaf) {
+		out = append(out, Entry{Key: append([]byte(nil), l.key[:nbytes]...), PrefixLen: l.plen, ActionID: l.ActionID,
+			Params: append([]uint64(nil), l.Params...), Handle: l.EntryHandle})
+	})
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Handle < out[j].Handle })
 	return out

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 )
 
 // lpmRef is the linear-scan reference the LPM engine is held to: a list
@@ -75,34 +77,48 @@ func (r *lpmRef) lookup(key []byte) *refPrefix {
 }
 
 // lpmDiff drives an engine and the reference through the same ops and
-// fails at the first disagreement.
+// fails at the first disagreement. The reference numbers its prefixes
+// 0, 1, 2, …; the engine reuses the indexes of deleted entries under a
+// new generation, so the diff maps each reference handle to the engine's.
 type lpmDiff struct {
-	t   testing.TB
-	e   *lpmEngine
-	ref lpmRef
+	t      testing.TB
+	e      *lpmEngine
+	ref    lpmRef
+	handle map[int]int // reference handle -> engine handle, live entries
 }
 
 func newLPMDiff(t testing.TB, width, capacity int) *lpmDiff {
-	return &lpmDiff{t: t, e: newLPM(width, capacity), ref: lpmRef{width: width, capacity: capacity}}
+	return &lpmDiff{t: t, e: newLPM(width, capacity), ref: lpmRef{width: width, capacity: capacity}, handle: map[int]int{}}
 }
 
 func (d *lpmDiff) insert(key []byte, plen, act int) {
 	d.t.Helper()
 	h, err := d.e.Insert(Entry{Key: key, PrefixLen: plen, ActionID: act, Params: []uint64{uint64(act)}})
-	switch wh, full := d.ref.insert(key, plen, act); {
+	wh, full := d.ref.insert(key, plen, act)
+	eh, replaced := d.handle[wh]
+	switch {
 	case full && !errors.Is(err, ErrFull):
 		d.t.Fatalf("insert %x/%d past capacity: %v", key, plen, err)
-	case !full && err != nil:
+	case full:
+	case err != nil:
 		d.t.Fatalf("insert %x/%d: %v", key, plen, err)
-	case !full && h != wh:
-		d.t.Fatalf("insert %x/%d: handle %d, want %d", key, plen, h, wh)
+	case replaced && h != eh:
+		d.t.Fatalf("replace %x/%d: handle %d, want %d", key, plen, h, eh)
+	case !replaced:
+		for rh, other := range d.handle {
+			if other == h {
+				d.t.Fatalf("insert %x/%d: handle %d, already the handle of reference entry %d", key, plen, h, rh)
+			}
+		}
+		d.handle[wh] = h
 	}
 	d.checkLen()
 }
 
 func (d *lpmDiff) delete(i int) {
 	d.t.Helper()
-	h := d.ref.ents[i].handle
+	h := d.handle[d.ref.ents[i].handle]
+	delete(d.handle, d.ref.ents[i].handle)
 	d.ref.ents = append(d.ref.ents[:i], d.ref.ents[i+1:]...)
 	if err := d.e.Delete(h); err != nil {
 		d.t.Fatalf("delete %d: %v", h, err)
@@ -117,7 +133,7 @@ func (d *lpmDiff) lookup(key []byte) {
 	d.t.Helper()
 	r, ok := d.e.Lookup(key)
 	w := d.ref.lookup(key)
-	if ok != (w != nil) || ok && (r.EntryHandle != w.handle || r.ActionID != w.act || len(r.Params) != 1 || r.Params[0] != uint64(w.act)) {
+	if ok != (w != nil) || ok && (r.EntryHandle != d.handle[w.handle] || r.ActionID != w.act || len(r.Params) != 1 || r.Params[0] != uint64(w.act)) {
 		d.t.Fatalf("%d-bit lookup %x: %+v,%v, reference %+v", d.ref.width, key, r, ok, w)
 	}
 	if d.ref.width > 64 {
@@ -135,17 +151,34 @@ func (d *lpmDiff) checkLen() {
 	}
 }
 
+// checkEntries compares Entries with the reference's prefixes in engine
+// handle order, and checks that the prefix index holds exactly the
+// prefixes whose length is not a multiple of 4.
 func (d *lpmDiff) checkEntries() {
 	d.t.Helper()
 	got := d.e.Entries()
 	if len(got) != len(d.ref.ents) {
 		d.t.Fatalf("Entries: %d, reference holds %d", len(got), len(d.ref.ents))
 	}
-	for i, w := range d.ref.ents {
+	want := append([]refPrefix(nil), d.ref.ents...)
+	sort.Slice(want, func(i, j int) bool { return d.handle[want[i].handle] < d.handle[want[j].handle] })
+	short := 0
+	for i, w := range want {
 		g := got[i]
-		if g.Handle != w.handle || g.PrefixLen != w.plen || !bytes.Equal(g.Key, w.key) || g.ActionID != w.act || len(g.Params) != 1 || g.Params[0] != uint64(w.act) {
-			d.t.Fatalf("Entries[%d] = %+v, reference %+v", i, g, w)
+		if g.Handle != d.handle[w.handle] || g.PrefixLen != w.plen || !bytes.Equal(g.Key, w.key) || g.ActionID != w.act || len(g.Params) != 1 || g.Params[0] != uint64(w.act) {
+			d.t.Fatalf("Entries[%d] = %+v, reference %+v (engine handle %d)", i, g, w, d.handle[w.handle])
 		}
+		if w.plen%4 != 0 {
+			short++
+		}
+	}
+	for p := range d.e.short {
+		if p.plen%4 == 0 {
+			d.t.Fatalf("prefix index holds a /%d", p.plen)
+		}
+	}
+	if len(d.e.short) != short {
+		d.t.Fatalf("prefix index holds %d prefixes, reference %d of a length not a multiple of 4", len(d.e.short), short)
 	}
 }
 
@@ -311,6 +344,16 @@ func TestLPMBasics(t *testing.T) {
 		if got := len(e.Entries()); got != 4 {
 			t.Errorf("entries = %d", got)
 		}
+	}
+	// The leaf holds its key inline: 128 bits is the widest an LPM table
+	// can be.
+	for _, width := range []int{129, 256} {
+		if _, err := New(LPM, width, 0); err == nil {
+			t.Errorf("%d-bit LPM engine built", width)
+		}
+	}
+	if n, l := unsafe.Sizeof(lpmNode{}), unsafe.Sizeof(lpmLeaf{}); n != 256 || l != 64 {
+		t.Errorf("lpmNode is %d bytes, lpmLeaf %d; want 256 and 64", n, l)
 	}
 }
 

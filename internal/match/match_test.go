@@ -1,8 +1,10 @@
 package match
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +91,59 @@ func TestExactBasic(t *testing.T) {
 	// Wrong key size rejected.
 	if _, err := e.Insert(Entry{Key: []byte{1}, ActionID: 1}); err == nil {
 		t.Error("short key accepted")
+	}
+}
+
+// TestStaleHandle: a handle outlives its entry without ever naming the
+// entry that reuses its index. A is inserted and deleted, B takes A's
+// index; deleting by A's handle must fail and leave B installed, and
+// handles never handed out must fail without a panic.
+func TestStaleHandle(t *testing.T) {
+	for _, kind := range []Kind{Exact, LPM} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e, err := New(kind, 32, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A table that never deletes numbers its entries 0, 1, 2, ….
+			for i := 0; i < 3; i++ {
+				if h, err := e.Insert(Entry{Key: key32(uint32(i) << 24), PrefixLen: 8, ActionID: 1}); err != nil || h != i {
+					t.Fatalf("insert %d: handle %d, %v", i, h, err)
+				}
+			}
+			a, err := e.Insert(Entry{Key: key32(0x0A000000), PrefixLen: 8, ActionID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Delete(a); err != nil {
+				t.Fatal(err)
+			}
+			bKey := key32(0x0B000000)
+			b, err := e.Insert(Entry{Key: bKey, PrefixLen: 8, ActionID: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == a || b&handleIndexMask != a&handleIndexMask {
+				t.Fatalf("B got handle %#x, want A's index under a new generation (A %#x)", b, a)
+			}
+			// -1; 2^62 (with 64-bit ints); the next index; and a generation of
+			// A's index not yet reached.
+			for _, h := range []int{a, -1, math.MaxInt/2 + 1, b + 1, a + 5<<handleIndexBits} {
+				if err := e.Delete(h); !errors.Is(err, ErrNoEntry) {
+					t.Errorf("Delete(%#x): %v, want ErrNoEntry", h, err)
+				}
+			}
+			if r, ok := e.Lookup(bKey); !ok || r.EntryHandle != b || r.ActionID != 2 {
+				t.Errorf("B after stale deletes: %+v, %v", r, ok)
+			}
+			ents := e.Entries()
+			if e.Len() != 4 || len(ents) != 4 || ents[3].Handle != b || !bytes.Equal(ents[3].Key, bKey) {
+				t.Errorf("Len %d, Entries %+v; want four, B last under %#x", e.Len(), ents, b)
+			}
+			if err := e.Delete(b); err != nil {
+				t.Errorf("Delete(B): %v", err)
+			}
+		})
 	}
 }
 

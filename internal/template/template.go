@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"ipsa/internal/match"
 	"ipsa/internal/pkt"
 )
 
@@ -328,6 +329,13 @@ func (c *Config) Validate() error {
 		}
 		if t.Size <= 0 {
 			return fmt.Errorf("template: table %q has size %d", name, t.Size)
+		}
+		kind, err := match.ParseKind(t.Kind)
+		if err == nil {
+			err = match.CheckWidth(kind, t.KeyWidth)
+		}
+		if err != nil {
+			return fmt.Errorf("template: table %q: %w", name, err)
 		}
 	}
 	for name, s := range c.Stages {

@@ -68,6 +68,9 @@ func TestUnmarshalRejectsInvalid(t *testing.T) {
 		{"table name mismatch", func(c *Config) { c.Tables["t"].Name = "x" }, "!= name"},
 		{"no keys", func(c *Config) { c.Tables["t"].Keys = nil }, "no keys"},
 		{"zero size", func(c *Config) { c.Tables["t"].Size = 0 }, "size"},
+		{"unknown kind", func(c *Config) { c.Tables["t"].Kind = "fuzzy" }, "unknown match kind"},
+		{"zero key width", func(c *Config) { c.Tables["t"].KeyWidth = 0 }, "key width"},
+		{"LPM past 128 bits", func(c *Config) { c.Tables["t"].Kind, c.Tables["t"].KeyWidth = "lpm", 129 }, "LPM key"},
 		{"stage name mismatch", func(c *Config) { c.Stages["s"].Name = "x" }, "!= name"},
 		{"unknown stage table", func(c *Config) { c.Stages["s"].Tables = []string{"ghost"} }, "unknown table"},
 		{"unknown arm action", func(c *Config) { c.Stages["s"].Arms[0].Action = "ghost" }, "unknown action"},
