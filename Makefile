@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-ccm fuzz-fused fuzz-lpm profile-hotpath cover experiments examples health-smoke fmt vet lint clean
+.PHONY: all build test race soak bench bench-hotpath bench-int bench-baseline bench-gate bench-fused bench-reconfig bench-reconfig-baseline bench-flow bench-flow-baseline bench-drop bench-drop-baseline fuzz-diff fuzz-ccm fuzz-fused fuzz-match profile-hotpath cover experiments examples health-smoke fmt vet lint clean
 
 # Benchmarks gated against BENCH_hotpath.json: the per-packet hot path
 # (strict 0 allocs/op) plus the whole-switch sharded burst.
@@ -140,7 +140,7 @@ fuzz-diff:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedBatchVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Fuzz the CCM request decoder: arbitrary request streams against a switch
-# running the base design must never panic the daemon.
+# running the ECMP design must never panic the daemon.
 fuzz-ccm:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzCCMRequest$$' -fuzztime 30s -fuzzminimizetime 1s
 
@@ -149,11 +149,15 @@ fuzz-ccm:
 fuzz-fused:
 	$(GO) test ./internal/tsp/ -run xxx -fuzz FuzzWordKeyVsPlanned -fuzztime 30s -fuzzminimizetime 1s
 
-# Differential fuzz for the LPM engine: insert / replace / delete /
-# lookup streams at widths 32, 20 and 128 against a linear-scan
-# reference (handles, lookups by byte and by word, Len, Entries).
-fuzz-lpm:
+# Differential fuzz for the match engines. The LPM engine: insert /
+# replace / delete / lookup streams at widths 32, 20 and 128 against a
+# linear-scan reference. The selector: member insert / delete / pick
+# streams at group widths 16, 64 and 96 against a map of slices, stale
+# handles and ErrFull included. Both hold handles, picks or lookups by
+# byte and by word, Len and Entries to their model.
+fuzz-match:
 	$(GO) test ./internal/match/ -run xxx -fuzz '^FuzzLPM$$' -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/match/ -run xxx -fuzz '^FuzzSelector$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Capture CPU and heap profiles of the fused hot path. The equivalent
 # for a live switch is `ipbm -cpuprofile cpu.out -memprofile mem.out`;

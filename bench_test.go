@@ -28,6 +28,7 @@ import (
 	"ipsa/internal/pkt"
 	"ipsa/internal/rp4/ast"
 	"ipsa/internal/rp4/parser"
+	"ipsa/internal/template"
 	"ipsa/internal/tsp"
 )
 
@@ -801,7 +802,7 @@ func BenchmarkAblation_CrossbarMigration(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tbl, err := mgr.CreateTable("fib", match.LPM, 32, 16384, 0)
+				tbl, err := mgr.CreateTable(&template.Table{Name: "fib", Kind: "lpm", KeyWidth: 32, Size: 16384}, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

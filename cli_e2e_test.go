@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -108,9 +109,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(applied, "full=false") {
 		t.Fatalf("apply was not incremental:\n%s", applied)
 	}
-	run(t, rp4ctl, "-addr", addr, "add-member", "ecmp_ipv4", "1", "group=7", "params=200,2199023255555")
+	// A selector's entries are its members: two for next-hop group 7, then
+	// the first deleted by the handle its insert printed.
+	first := run(t, rp4ctl, "-addr", addr, "insert", "ecmp_ipv4", "1", "key=7", "params=200,2199023255555")
+	run(t, rp4ctl, "-addr", addr, "insert", "ecmp_ipv4", "1", "key=7", "params=200,2199023255556")
+	run(t, rp4ctl, "-addr", addr, "delete", "ecmp_ipv4", strings.TrimPrefix(strings.TrimSpace(first), "handle="))
 	tables = run(t, rp4ctl, "-addr", addr, "tables")
-	if !strings.Contains(tables, "ecmp_ipv4") || strings.Contains(tables, "nexthop_tbl") {
+	if !regexp.MustCompile(`ecmp_ipv4 +hash/selector .* entries=1\n`).MatchString(tables) || strings.Contains(tables, "nexthop_tbl") {
 		t.Fatalf("post-update tables:\n%s", tables)
 	}
 	stats := run(t, rp4ctl, "-addr", addr, "stats")

@@ -23,10 +23,12 @@
 //	rp4ctl -addr ... table-stats <table>
 //	rp4ctl -addr ... read-register <name> <index>
 //	rp4ctl -addr ... insert <table> <tag> key=<v>[,<v>...] [params=<v>,...] [prefix=<n>] [prio=<n>]
-//	rp4ctl -addr ... add-member <table> <tag> group=<v> [params=<v>,...]
+//	rp4ctl -addr ... delete <table> <handle>
 //
 // Values are Go-syntax integers (0x.. hex ok); 16-byte values (IPv6
-// addresses) are given as 32 hex digits.
+// addresses) are given as 32 hex digits. On a selector (ECMP) table,
+// insert adds a member to the group key= names and prints the member's
+// handle, which delete takes to remove that member.
 package main
 
 import (
@@ -194,16 +196,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("handle=%d\n", h)
-	case "add-member":
-		need(args, 4)
-		m, err := parseMember(args[1:])
-		if err != nil {
-			fatal(err)
-		}
-		if err := cl.AddMember(*m); err != nil {
-			fatal(err)
-		}
-		fmt.Println("ok")
 	default:
 		usage()
 	}
@@ -294,36 +286,6 @@ func parseEntry(args []string) (*ctrlplane.EntryReq, error) {
 	return req, nil
 }
 
-func parseMember(args []string) (*ctrlplane.MemberReq, error) {
-	tag, err := strconv.Atoi(args[1])
-	if err != nil {
-		return nil, fmt.Errorf("bad tag %q", args[1])
-	}
-	req := &ctrlplane.MemberReq{Table: args[0], Tag: tag}
-	for _, kv := range args[2:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("expected key=value, got %q", kv)
-		}
-		switch k {
-		case "group":
-			fv, err := parseValue(v)
-			if err != nil {
-				return nil, err
-			}
-			req.Group = fv
-		case "params":
-			req.Params, err = parseUints(v)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("unknown option %q", k)
-		}
-	}
-	return req, nil
-}
-
 func need(args []string, n int) {
 	if len(args) < n {
 		usage()
@@ -354,8 +316,8 @@ commands:
   table-stats TABLE
   read-register NAME INDEX
   insert TABLE TAG key=V[,V...] [params=V,...] [prefix=N] [prio=N] [high=V,...]
-  delete TABLE HANDLE
-  add-member TABLE TAG group=V [params=V,...]`)
+                          (on a selector, key=GROUP adds a member)
+  delete TABLE HANDLE`)
 	os.Exit(2)
 }
 

@@ -97,12 +97,13 @@ func main() {
 	fmt.Printf("  only new tables need population: %v\n", rep.Compiler.NewTables)
 	fmt.Printf("  pipeline stall so far: %v\n", sw.Pipeline().StallTime())
 
-	// Two equal-cost members for nexthop group 7.
+	// Two equal-cost members for nexthop group 7: a selector's entries
+	// are its members, keyed by their group.
 	nhA := pkt.MAC{0x02, 0, 0, 0, 0, 0x03}
 	nhB := pkt.MAC{0x02, 0, 0, 0, 0, 0x33}
 	for _, m := range []pkt.MAC{nhA, nhB} {
-		if err := ctl.AddMember(ctrlplane.MemberReq{
-			Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: 7},
+		if _, err := ctl.InsertEntry(ctrlplane.EntryReq{
+			Table: "ecmp_ipv4", Keys: []ctrlplane.FieldValue{{Value: 7}},
 			Tag: 1, Params: []uint64{200, m.Uint64()},
 		}); err != nil {
 			log.Fatal(err)

@@ -379,23 +379,14 @@ func lowerTable(d *sem.Design, ti *sem.TableInfo) (*template.Table, error) {
 		Size:       ti.Def.Size,
 		IsSelector: ti.IsSelector,
 	}
-	// The engine kind: selectors and plain exacts store entries exactly;
-	// lpm/ternary/range map directly.
+	// The engine kind: a selector (all keys hash) is the hash engine, whose
+	// first key is the group and the rest feed the member hash; a table
+	// with an lpm, ternary or range key takes that engine; the rest exact.
 	kind := match.Exact
 	for _, k := range ti.Keys {
-		switch k.Kind {
-		case match.LPM:
-			kind = match.LPM
-		case match.Ternary:
-			kind = match.Ternary
-		case match.Range:
-			kind = match.Range
+		if k.Kind != match.Exact {
+			kind = k.Kind
 		}
-	}
-	if ti.IsSelector {
-		// The group key (first key) is the exact lookup; the rest feed
-		// the member hash.
-		kind = match.Exact
 	}
 	t.Kind = kind.String()
 	for _, k := range ti.Keys {

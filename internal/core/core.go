@@ -24,7 +24,6 @@ import (
 type Target interface {
 	ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error)
 	InsertEntry(req ctrlplane.EntryReq) (int, error)
-	AddMember(req ctrlplane.MemberReq) error
 }
 
 // InsituReport is the outcome of one runtime update.
@@ -166,14 +165,10 @@ func (c *Controller) Rollback() (*ctrlplane.ApplyStats, error) {
 // Generations reports how many configurations have been applied.
 func (c *Controller) Generations() int { return len(c.history) }
 
-// InsertEntry forwards a table write to the device.
+// InsertEntry forwards a table write to the device; on a selector table
+// it adds a member to a group.
 func (c *Controller) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	return c.target.InsertEntry(req)
-}
-
-// AddMember forwards an ECMP member addition to the device.
-func (c *Controller) AddMember(req ctrlplane.MemberReq) error {
-	return c.target.AddMember(req)
 }
 
 // InsertByAction resolves an action name to its executor tag via the

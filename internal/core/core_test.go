@@ -173,8 +173,8 @@ del_link nexthop_tbl_stage smac_tbl_stage
 	if len(rep.Compiler.RemovedStages) != 1 || rep.Compiler.RemovedStages[0] != "nexthop_tbl_stage" {
 		t.Errorf("removed: %v", rep.Compiler.RemovedStages)
 	}
-	if err := c.AddMember(ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: 7},
+	if _, err := c.InsertEntry(ctrlplane.EntryReq{
+		Table: "ecmp_ipv4", Keys: []ctrlplane.FieldValue{{Value: 7}},
 		Tag: 1, Params: []uint64{200, 0x020000000003},
 	}); err != nil {
 		t.Fatal(err)

@@ -63,7 +63,8 @@ func (c *Client) ApplyConfig(cfg *template.Config) (*ApplyStats, error) {
 	return resp.Apply, nil
 }
 
-// InsertEntry installs a table entry and returns its handle.
+// InsertEntry installs a table entry and returns its handle. On a selector
+// table the entry is one member of the group its one key field names.
 func (c *Client) InsertEntry(e EntryReq) (int, error) {
 	resp, err := c.Do(&Request{Op: OpInsertEntry, Entry: &e})
 	if err != nil {
@@ -75,12 +76,6 @@ func (c *Client) InsertEntry(e EntryReq) (int, error) {
 // DeleteEntry removes a table entry by handle.
 func (c *Client) DeleteEntry(table string, handle int) error {
 	_, err := c.Do(&Request{Op: OpDeleteEntry, Table: table, Handle: handle})
-	return err
-}
-
-// AddMember adds an ECMP group member.
-func (c *Client) AddMember(m MemberReq) error {
-	_, err := c.Do(&Request{Op: OpAddMember, Member: &m})
 	return err
 }
 

@@ -98,8 +98,10 @@ func TestEncodeEntryKinds(t *testing.T) {
 	}
 }
 
+// TestEncodeGroupKey: a selector's entry is a member, keyed by its group
+// alone; the hashed fields are no part of it.
 func TestEncodeGroupKey(t *testing.T) {
-	sel := &template.Table{Name: "s", Kind: "exact", KeyWidth: 64, Size: 4, IsSelector: true,
+	sel := &template.Table{Name: "s", Kind: "hash", KeyWidth: 64, Size: 4, IsSelector: true,
 		Keys: []template.KeySel{
 			{Name: "g", Kind: "hash", Operand: template.Operand{Kind: template.OpdMeta, Width: 32}},
 			{Name: "h", Kind: "hash", Operand: template.Operand{Kind: template.OpdHeader, Width: 32}},
@@ -112,13 +114,21 @@ func TestEncodeGroupKey(t *testing.T) {
 	if _, err := EncodeGroupKey(plain, FieldValue{Value: 1}); err == nil {
 		t.Error("non-selector accepted")
 	}
+	e, err := EncodeEntry(sel, EntryReq{Table: "s", Keys: []FieldValue{{Value: 7}}, Tag: 1, Params: []uint64{9}})
+	if err != nil || string(e.Key) != string(g) || e.ActionID != 1 || e.Params[0] != 9 {
+		t.Errorf("member entry: %+v, %v", e, err)
+	}
+	for _, keys := range [][]FieldValue{nil, {{Value: 7}, {Value: 1}}} {
+		if _, err := EncodeEntry(sel, EntryReq{Table: "s", Keys: keys}); err == nil {
+			t.Errorf("member with %d key fields accepted", len(keys))
+		}
+	}
 }
 
 // fakeDevice implements Device for protocol tests.
 type fakeDevice struct {
 	mu      sync.Mutex
 	entries int
-	members int
 	applied int
 	regs    map[string]uint64
 }
@@ -144,13 +154,6 @@ func (d *fakeDevice) DeleteEntry(table string, handle int) error {
 	if handle <= 0 {
 		return fmt.Errorf("bad handle %d", handle)
 	}
-	return nil
-}
-
-func (d *fakeDevice) AddMember(req MemberReq) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.members++
 	return nil
 }
 
@@ -220,9 +223,6 @@ func TestClientServerRoundTrip(t *testing.T) {
 		t.Error("device error not surfaced")
 	}
 	if err := cl.DeleteEntry("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AddMember(MemberReq{Table: "t"}); err != nil {
 		t.Fatal(err)
 	}
 	var tables []TableStatus
@@ -297,9 +297,6 @@ func TestHandleUnknownAndMalformed(t *testing.T) {
 	}
 	if r := srv.Handle(&Request{Op: OpInsertEntry}); r.OK {
 		t.Error("insert without entry succeeded")
-	}
-	if r := srv.Handle(&Request{Op: OpAddMember}); r.OK {
-		t.Error("member without body succeeded")
 	}
 	if r := srv.Handle(&Request{Op: OpEditTable}); r.OK {
 		t.Error("edit without op succeeded")

@@ -30,7 +30,9 @@ type FieldMask struct {
 	Bytes []byte `json:"bytes,omitempty"`
 }
 
-// EntryReq asks the device to install one table entry.
+// EntryReq asks the device to install one table entry. On a selector
+// (ECMP) table an entry is a member: Keys is one field, the group, and the
+// handle the device returns deletes that member alone.
 type EntryReq struct {
 	Table string       `json:"table"`
 	Keys  []FieldValue `json:"keys"`
@@ -43,16 +45,6 @@ type EntryReq struct {
 	// Tag selects the executor arm (the per-stage action switch tag).
 	Tag int `json:"tag"`
 	// Params are the action data bound to the entry.
-	Params []uint64 `json:"params,omitempty"`
-}
-
-// MemberReq adds one member to a selector (ECMP) group.
-type MemberReq struct {
-	Table string `json:"table"`
-	// Group is the value of the table's first (group) key.
-	Group FieldValue `json:"group"`
-	// Tag and Params describe the member's action binding.
-	Tag    int      `json:"tag"`
 	Params []uint64 `json:"params,omitempty"`
 }
 
@@ -119,13 +111,18 @@ func EncodeKey(t *template.Table, keys []FieldValue) ([]byte, error) {
 // table's match kind.
 func EncodeEntry(t *template.Table, req EntryReq) (match.Entry, error) {
 	e := match.Entry{ActionID: req.Tag, Params: req.Params, Priority: req.Priority}
-	key, err := EncodeKey(t, req.Keys)
+	kind, err := match.ParseKind(t.Kind)
 	if err != nil {
 		return e, err
 	}
-	e.Key = key
-	kind, err := match.ParseKind(t.Kind)
-	if err != nil {
+	if kind == match.Hash {
+		if len(req.Keys) != 1 {
+			return e, fmt.Errorf("ctrlplane: selector table %q takes one key field, the group, got %d", t.Name, len(req.Keys))
+		}
+		e.Key, err = EncodeGroupKey(t, req.Keys[0])
+		return e, err
+	}
+	if e.Key, err = EncodeKey(t, req.Keys); err != nil {
 		return e, err
 	}
 	switch kind {

@@ -19,7 +19,6 @@ const (
 	OpApplyConfig  Op = "apply_config"
 	OpInsertEntry  Op = "insert_entry"
 	OpDeleteEntry  Op = "delete_entry"
-	OpAddMember    Op = "add_member"
 	OpTableStats   Op = "table_stats"
 	OpReadRegister Op = "read_register"
 	OpView         Op = "view"
@@ -46,8 +45,6 @@ type Request struct {
 	Config *template.Config `json:"config,omitempty"`
 	// Entry serves insert_entry.
 	Entry *EntryReq `json:"entry,omitempty"`
-	// Member serves add_member.
-	Member *MemberReq `json:"member,omitempty"`
 	// Table/Handle serve delete_entry and table_stats.
 	Table  string `json:"table,omitempty"`
 	Handle int    `json:"handle,omitempty"`
@@ -176,7 +173,6 @@ type Device interface {
 	ApplyConfig(cfg *template.Config) (*ApplyStats, error)
 	InsertEntry(req EntryReq) (handle int, err error)
 	DeleteEntry(table string, handle int) error
-	AddMember(req MemberReq) error
 	TableStats(table string) (*TableStats, error)
 	ReadRegister(name string, index uint64) (uint64, error)
 	SetInt(enabled bool) error

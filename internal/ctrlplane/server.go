@@ -134,14 +134,6 @@ func (s *Server) Handle(req *Request) *Response {
 			return fail(err)
 		}
 		return &Response{OK: true}
-	case OpAddMember:
-		if req.Member == nil {
-			return fail(fmt.Errorf("ccm: add_member without member"))
-		}
-		if err := s.dev.AddMember(*req.Member); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
 	case OpTableStats:
 		st, err := s.dev.TableStats(req.Table)
 		if err != nil {

@@ -160,7 +160,6 @@ func rewriteScriptForP4Stages(script string) string {
 
 type entryTarget interface {
 	InsertEntry(req ctrlplane.EntryReq) (int, error)
-	AddMember(req ctrlplane.MemberReq) error
 }
 
 // RouterMAC etc. are the canonical test topology addresses.
@@ -227,18 +226,15 @@ func PopulateUseCase(t entryTarget, uc string, n int) error {
 	type fv = ctrlplane.FieldValue
 	switch uc {
 	case "C1":
+		// Next-hop group 7 gets two members in each selector.
 		for _, tbl := range []string{"ecmp_ipv4", "ecmp_ipv6"} {
-			if err := t.AddMember(ctrlplane.MemberReq{
-				Table: tbl, Group: fv{Value: 7}, Tag: 1,
-				Params: []uint64{200, NhMAC.Uint64()},
-			}); err != nil {
-				return err
-			}
-			if err := t.AddMember(ctrlplane.MemberReq{
-				Table: tbl, Group: fv{Value: 7}, Tag: 1,
-				Params: []uint64{200, NhMAC.Uint64() + 1},
-			}); err != nil {
-				return err
+			for m := uint64(0); m < 2; m++ {
+				if _, err := t.InsertEntry(e{
+					Table: tbl, Keys: []fv{{Value: 7}},
+					Tag: 1, Params: []uint64{200, NhMAC.Uint64() + m},
+				}); err != nil {
+					return err
+				}
 			}
 		}
 		// Second member's MAC needs a dmac entry.

@@ -15,6 +15,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
+	"ipsa/internal/tsp"
 )
 
 // handleStream decodes data as the stream of CCM requests a connection
@@ -72,16 +73,48 @@ func TestCCMCrashReproducers(t *testing.T) {
 	}
 }
 
+// ecmpMemberStream adds two members to ECMP group 7, deletes the first,
+// then deletes it again.
+const ecmpMemberStream = `{"op":"insert_entry","entry":{"table":"ecmp_ipv4","keys":[{"value":7}],"tag":1,"params":[1,2]}}
+{"op":"insert_entry","entry":{"table":"ecmp_ipv4","keys":[{"value":7}],"tag":1,"params":[1,3]}}
+{"op":"delete_entry","table":"ecmp_ipv4","handle":0}
+{"op":"delete_entry","table":"ecmp_ipv4","handle":0}`
+
+// TestCCMSelectorMembers drives an ECMP group's members through the CCM
+// entry ops: each insert_entry on the selector returns the member's
+// handle, delete_entry removes that member alone, a second delete of it
+// is refused, and the tables view counts the members left.
+func TestCCMSelectorMembers(t *testing.T) {
+	sw := switchOn(t, shippedConfig(t, "ecmp.script"), tsp.ExecFused)
+	resps := handleStream(t, ctrlplane.NewServer(sw, nil), []byte(ecmpMemberStream), 8)
+	if len(resps) != 4 || !resps[0].OK || !resps[1].OK || resps[1].Handle != 1 || !resps[2].OK || resps[3].OK {
+		t.Fatalf("member ops answered %+v %+v %+v %+v", *resps[0], *resps[1], *resps[2], *resps[3])
+	}
+	for _, ts := range sw.ListTables() {
+		if ts.Name == "ecmp_ipv4" && (!ts.Selector || ts.Kind != "hash" || ts.Entries != 1) {
+			t.Errorf("tables view: %+v, want one member of a hash selector", ts)
+		}
+	}
+	group, err := ctrlplane.EncodeGroupKey(sw.Config().Tables["ecmp_ipv4"], ctrlplane.FieldValue{Value: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := sw.LookupSelector("ecmp_ipv4", group, 5)
+	if !ok || r.EntryHandle != 1 || r.Params[1] != 3 {
+		t.Errorf("member left: %+v,%v", r, ok)
+	}
+}
+
 var (
 	ccmFuzzOnce sync.Once
 	ccmFuzzCfg  *template.Config
 )
 
 // FuzzCCMRequest throws arbitrary bytes at the control channel of a
-// switch running the populated base design, decoded as the request
-// stream a connection carries. No input may panic the daemon, and every
-// request is answered OK or with an error. Each input gets a fresh
-// switch, so a finding replays alone.
+// switch running the populated ECMP design (the base design under
+// ecmp.script), decoded as the request stream a connection carries. No
+// input may panic the daemon, and every request is answered OK or with an
+// error. Each input gets a fresh switch, so a finding replays alone.
 func FuzzCCMRequest(f *testing.F) {
 	names := []string{"ghost"}
 	if sw, err := New(DefaultOptions()); err == nil {
@@ -103,7 +136,7 @@ func FuzzCCMRequest(f *testing.F) {
 		{"op":"insert_entry","entry":{"table":"ipv4_lpm","keys":[{"value":167772160}],"prefix_len":8,"tag":1,"params":[7]}}
 		{"op":"delete_entry","table":"ipv4_lpm","handle":0}`,
 		`{"op":"delete_entry","table":"ipv4_host","handle":0}{"op":"delete_entry","table":"ipv4_host","handle":0}`,
-		`{"op":"add_member","member":{"table":"ecmp_ipv4","group":{"value":7},"tag":1,"params":[1,2]}}`,
+		ecmpMemberStream,
 		`{"op":"table_stats","table":"ipv4_lpm"}`,
 		`{"op":"read_register","register":"r","index":3}`,
 		`{"op":"int_enable"}`,
@@ -114,6 +147,9 @@ func FuzzCCMRequest(f *testing.F) {
 		`{"op":"edit_commit"}`,
 		`{"op":"edit_abort"}`,
 		`{"op":"bogus"}`,
+		// A member keyed by the group and a hashed field, which a member
+		// does not take.
+		`{"op":"insert_entry","entry":{"table":"ecmp_ipv6","keys":[{"value":7},{"value":1}],"tag":1}}`,
 	} {
 		f.Add([]byte(req))
 	}
@@ -121,10 +157,7 @@ func FuzzCCMRequest(f *testing.F) {
 		f.Add([]byte(r.stream))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ccmFuzzOnce.Do(func() {
-			w := newBaseWorkspace(t)
-			ccmFuzzCfg = w.Current().Config
-		})
+		ccmFuzzOnce.Do(func() { ccmFuzzCfg = shippedConfig(t, "ecmp.script") })
 		cfg, err := ccmFuzzCfg.Clone()
 		if err != nil {
 			t.Fatal(err)
@@ -136,8 +169,8 @@ func FuzzCCMRequest(f *testing.F) {
 		if _, err := sw.ApplyConfig(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if err := populateBaseErr(sw); err != nil {
-			t.Fatal(err)
+		for _, req := range baseEntries() {
+			_, _ = sw.InsertEntry(req) // ecmp.script swaps nexthop_tbl out
 		}
 		handleStream(t, ctrlplane.NewServer(sw, nil), data, 16)
 	})

@@ -21,9 +21,6 @@ func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("ipbm: unknown table %q", req.Table)
 	}
-	if t.IsSelector {
-		return 0, fmt.Errorf("ipbm: table %q is a selector; use add_member", req.Table)
-	}
 	entry, err := ctrlplane.EncodeEntry(t, req)
 	if err != nil {
 		return 0, err
@@ -44,30 +41,6 @@ func (s *Switch) DeleteEntry(table string, handle int) error {
 	return mt.Engine().Delete(handle)
 }
 
-// AddMember adds an ECMP group member to a selector table.
-func (s *Switch) AddMember(req ctrlplane.MemberReq) error {
-	cfg := s.Config()
-	s.mu.RLock()
-	sel := s.selectors[req.Table]
-	s.mu.RUnlock()
-	if cfg == nil {
-		return errNoConfig
-	}
-	t, ok := cfg.Tables[req.Table]
-	if !ok {
-		return fmt.Errorf("ipbm: unknown table %q", req.Table)
-	}
-	if !t.IsSelector || sel == nil {
-		return fmt.Errorf("ipbm: table %q is not a selector", req.Table)
-	}
-	group, err := ctrlplane.EncodeGroupKey(t, req.Group)
-	if err != nil {
-		return err
-	}
-	sel.addMember(group, matchResult(req.Tag, req.Params))
-	return nil
-}
-
 // ListTables reports installed logical tables.
 func (s *Switch) ListTables() []ctrlplane.TableStatus {
 	cfg := s.Config()
@@ -81,13 +54,7 @@ func (s *Switch) ListTables() []ctrlplane.TableStatus {
 			Name: name, Kind: t.Kind, KeyWidth: t.KeyWidth,
 			Size: t.Size, Selector: t.IsSelector,
 		}
-		if t.IsSelector {
-			s.mu.RLock()
-			if sel := s.selectors[name]; sel != nil {
-				st.Entries = sel.memberCount()
-			}
-			s.mu.RUnlock()
-		} else if mt, ok := s.mm.Table(name); ok {
+		if mt, ok := s.mm.Table(name); ok {
 			st.Entries = mt.Engine().Len()
 		}
 		out = append(out, st)

@@ -260,10 +260,7 @@ func TestControlChannelEndToEnd(t *testing.T) {
 	if st2.Full || st2.TSPsWritten != len(rep.RewrittenTSPs) {
 		t.Errorf("patch over TCP: %+v (want %d TSPs)", st2, len(rep.RewrittenTSPs))
 	}
-	if err := cl.AddMember(ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-		Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-	}); err != nil {
+	if _, err := cl.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
 		t.Fatal(err)
 	}
 	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)

@@ -22,16 +22,16 @@ import (
 // This file implements the epoch-versioned program store, the switch's
 // one reconfiguration mechanism. Every reconfiguration
 // (apply, patch, INT toggle, edit commit) assembles an immutable
-// progVersion — the compiled stage programs, the resolved table/selector
-// snapshot and the INT sink that belong together — and publishes it with
+// progVersion — the compiled stage programs, the resolved table snapshot
+// and the INT sink that belong together — and publishes it with
 // one atomic pointer store. Packets pin the version they entered under
 // and execute it to completion, so an old and a new program briefly
 // coexist and no packet ever waits for a writer. A superseded version is
 // retired and reclaimed once its in-flight count drains to zero.
 //
 // Table *contents* are intentionally not versioned: entry inserts and
-// member adds mutate the shared engines in place (control-plane writes
-// are visible mid-flight). What the
+// deletes, selector members included, mutate the shared engines in place
+// (control-plane writes are visible mid-flight). What the
 // version freezes is the program and the name→handle view, so a stage
 // compiled against epoch N can never observe a table dropped in N+1.
 
@@ -54,8 +54,8 @@ type progVersion struct {
 	ingress []epochSlot
 	egress  []epochSlot
 
-	// lookups is the resolved table/selector view this version's programs
-	// were bound against.
+	// lookups is the resolved table view this version's programs were
+	// bound against.
 	lookups *lookupSnapshot
 
 	// sink is the INT sink active when the version was published (nil
@@ -94,11 +94,11 @@ func (v *progVersion) Lookup(table string, key []byte) (match.Result, bool) {
 
 // LookupSelector implements the selector half of tsp.TableBackend.
 func (v *progVersion) LookupSelector(table string, groupKey []byte, h uint64) (match.Result, bool) {
-	st := v.lookups.selectors[table]
-	if st == nil {
+	t := v.lookups.tables[table]
+	if t == nil {
 		return match.Result{}, false
 	}
-	return st.lookup(groupKey, h)
+	return t.LookupMember(groupKey, h)
 }
 
 // runIngressBatch executes the version's ingress slots over a whole
@@ -331,18 +331,11 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 			}
 			continue
 		}
-		kind, err := match.ParseKind(t.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.mm.CreateTable(name, kind, t.KeyWidth, t.Size, tspOfTable(cfg, name)); err != nil {
+		if _, err := s.mm.CreateTable(t, tspOfTable(cfg, name)); err != nil {
 			return nil, err
 		}
 		stats.TablesCreated++
 		changed[name] = true
-		if t.IsSelector {
-			s.selectors[name] = newSelectorTable()
-		}
 	}
 	if old != nil {
 		for name := range old.Tables {
@@ -350,7 +343,6 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 				if err := s.mm.DropTable(name); err != nil {
 					return nil, err
 				}
-				delete(s.selectors, name)
 				stats.TablesDropped++
 				changed[name] = true
 			}

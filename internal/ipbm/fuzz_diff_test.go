@@ -337,10 +337,7 @@ func TestDifferentialFusedVsInterp(t *testing.T) {
 					_, _ = sw.InsertEntry(req)
 				}
 				if d.name == "ecmp" {
-					if err := sw.AddMember(ctrlplane.MemberReq{
-						Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-						Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-					}); err != nil {
+					if _, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
 						t.Fatal(err)
 					}
 				}

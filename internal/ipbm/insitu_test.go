@@ -40,21 +40,9 @@ func TestInsituECMP(t *testing.T) {
 
 	// Populate the two ECMP selector tables: nexthop group 7 has two
 	// members with distinct egress MACs/bridges.
-	memberA := ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-		Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-	}
 	nhMAC2 := pkt.MAC{0x02, 0, 0, 0, 0, 0x33}
-	memberB := ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-		Tag: 1, Params: []uint64{bridgeOut, nhMAC2.Uint64()},
-	}
-	if err := sw.AddMember(memberA); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddMember(memberB); err != nil {
-		t.Fatal(err)
-	}
+	insert(t, sw, ecmpMember(nhMAC.Uint64()))
+	insert(t, sw, ecmpMember(nhMAC2.Uint64()))
 	// Second dmac entry so member B's MAC resolves.
 	insert(t, sw, ctrlplane.EntryReq{
 		Table: "dmac_tbl",
@@ -345,10 +333,7 @@ func TestInsituUpdateUnderTraffic(t *testing.T) {
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AddMember(ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-		Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-	}); err != nil {
+	if _, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -182,6 +182,13 @@ func populateBase(t testing.TB, sw *Switch) {
 	}
 }
 
+// ecmpMember is a member of next-hop group nexthopID in the ECMP design's
+// ecmp_ipv4 selector that rewrites to bridgeOut and dmac.
+func ecmpMember(dmac uint64) ctrlplane.EntryReq {
+	return ctrlplane.EntryReq{Table: "ecmp_ipv4", Keys: []ctrlplane.FieldValue{{Value: nexthopID}},
+		Tag: 1, Params: []uint64{bridgeOut, dmac}}
+}
+
 func populateBaseErr(sw *Switch) error {
 	for _, req := range baseEntries() {
 		if _, err := sw.InsertEntry(req); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
 )
@@ -294,10 +293,8 @@ func TestShardedReconfigConservation(t *testing.T) {
 			if _, err := sw.ApplyConfig(rep.Config); err != nil {
 				return err
 			}
-			return sw.AddMember(ctrlplane.MemberReq{
-				Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-				Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-			})
+			_, err = sw.InsertEntry(ecmpMember(nhMAC.Uint64()))
+			return err
 		}()
 	}()
 

@@ -155,9 +155,8 @@ type Switch struct {
 	// the packet/Env pools.
 	dp *dataplane.Core
 
-	// mu serializes configuration changes and guards the selector map.
-	mu        sync.RWMutex
-	selectors map[string]*selectorTable
+	// mu serializes configuration changes.
+	mu sync.RWMutex
 
 	// lookups is the name→handle view of the table store, swapped
 	// atomically whenever a config apply creates, drops or migrates
@@ -233,14 +232,13 @@ func New(opts Options) (*Switch, error) {
 		puntDepth = 256
 	}
 	s := &Switch{
-		opts:      opts,
-		pl:        pl,
-		mm:        mm,
-		ports:     ports,
-		regs:      tsp.NewRegisterFile(nil),
-		dp:        dataplane.NewCore(),
-		selectors: make(map[string]*selectorTable),
-		toCPU:     make(chan *pkt.Packet, puntDepth),
+		opts:  opts,
+		pl:    pl,
+		mm:    mm,
+		ports: ports,
+		regs:  tsp.NewRegisterFile(nil),
+		dp:    dataplane.NewCore(),
+		toCPU: make(chan *pkt.Packet, puntDepth),
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -291,107 +289,6 @@ func (s *Switch) Config() *template.Config {
 	return nil
 }
 
-// selectorTable backs an ECMP-style selector: groups of members resolved
-// by hash. Groups are indexed by match.KeyWord of the group key, the word
-// the fused tier carries a group as; a group key wider than 8 bytes folds
-// into its word and is then verified bytewise, as in the exact engine. The
-// per-packet lookup is lock-free over an immutable copy-on-write snapshot;
-// member adds (a control-plane operation) clone and republish.
-type selectorTable struct {
-	mu     sync.Mutex // serialises writers; readers never take it
-	groups atomic.Pointer[map[uint64][]selGroup]
-}
-
-// selGroup is one group's members; never written after publication. The
-// groups of one map slot share a word: keys of different lengths, or wide
-// keys whose folds collide.
-type selGroup struct {
-	keyLen  int
-	key     string // wide group keys (more than 8 bytes) only
-	members []match.Result
-}
-
-func (g *selGroup) is(keyLen int, key []byte) bool {
-	return g.keyLen == keyLen && (g.key == "" || g.key == string(key))
-}
-
-func newSelectorTable() *selectorTable {
-	st := &selectorTable{}
-	m := make(map[uint64][]selGroup)
-	st.groups.Store(&m)
-	return st
-}
-
-func (st *selectorTable) addMember(group []byte, r match.Result) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old := *st.groups.Load()
-	m := make(map[uint64][]selGroup, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	word := match.KeyWord(group)
-	gs := append([]selGroup(nil), old[word]...)
-	i := 0
-	for i < len(gs) && !gs[i].is(len(group), group) {
-		i++
-	}
-	if i == len(gs) {
-		g := selGroup{keyLen: len(group)}
-		if len(group) > 8 {
-			g.key = string(group)
-		}
-		gs = append(gs, g)
-	}
-	gs[i].members = append(append([]match.Result(nil), gs[i].members...), r)
-	m[word] = gs
-	st.groups.Store(&m)
-}
-
-// pick is the one member lookup: the group by its word and length (key is
-// nil on the word path, where the word is the whole key), the member by
-// hash. The Result belongs to the published snapshot: read-only, and valid
-// forever, because a member add copies the group it extends.
-func (st *selectorTable) pick(word uint64, keyLen int, key []byte, h uint64) *match.Result {
-	gs := (*st.groups.Load())[word]
-	for i := range gs {
-		if g := &gs[i]; g.is(keyLen, key) {
-			return &g.members[h%uint64(len(g.members))]
-		}
-	}
-	return nil
-}
-
-func (st *selectorTable) lookup(group []byte, h uint64) (match.Result, bool) {
-	if r := st.pick(match.KeyWord(group), len(group), group, h); r != nil {
-		return *r, true
-	}
-	return match.Result{}, false
-}
-
-// LookupMember implements tsp.ResolvedSelector for bound handles.
-func (st *selectorTable) LookupMember(group []byte, h uint64) (match.Result, bool) {
-	return st.lookup(group, h)
-}
-
-// WordMember implements tsp.WordSelector.
-func (st *selectorTable) WordMember(groupBytes int) func(group, h uint64) *match.Result {
-	if groupBytes > 8 {
-		return nil
-	}
-	return func(group, h uint64) *match.Result { return st.pick(group, groupBytes, nil, h) }
-}
-
-func (st *selectorTable) memberCount() int {
-	n := 0
-	for _, gs := range *st.groups.Load() {
-		for _, g := range gs {
-			n += len(g.members)
-		}
-	}
-	return n
-}
-
 // tspSignature canonically describes a TSP's required content under cfg:
 // the signatures of the stages it hosts, in execution order.
 func tspSignature(cfg *template.Config, tspIdx int) string {
@@ -440,26 +337,19 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 
 // lookupSnapshot is an immutable name→handle view of the table store.
 type lookupSnapshot struct {
-	tables    map[string]*mem.Table
-	selectors map[string]*selectorTable
+	tables map[string]*mem.Table
 }
 
-// rebuildLookups publishes a fresh snapshot of resolved table and
-// selector handles. Called with s.mu held after any change to the table
-// set (create, drop, migrate); entry inserts and member adds mutate the
-// handles' contents and need no republish.
+// rebuildLookups publishes a fresh snapshot of resolved table handles.
+// Called with s.mu held after any change to the table set (create, drop,
+// migrate); entry inserts and deletes mutate the handles' contents and
+// need no republish.
 func (s *Switch) rebuildLookups() {
-	snap := &lookupSnapshot{
-		tables:    make(map[string]*mem.Table),
-		selectors: make(map[string]*selectorTable, len(s.selectors)),
-	}
+	snap := &lookupSnapshot{tables: make(map[string]*mem.Table)}
 	for _, name := range s.mm.Tables() {
 		if t, ok := s.mm.Table(name); ok {
 			snap.tables[name] = t
 		}
-	}
-	for name, st := range s.selectors {
-		snap.selectors[name] = st
 	}
 	s.lookups.Store(snap)
 }
@@ -476,39 +366,26 @@ func (s *Switch) ResolveTable(name string) (tsp.ResolvedTable, bool) {
 	return t, true
 }
 
-// ResolveSelector implements tsp.SelectorResolver; the same lifetime
-// contract as ResolveTable applies (member adds mutate the handle's
-// contents in place; only a table drop, which rebinds, invalidates it).
-func (s *Switch) ResolveSelector(name string) (tsp.ResolvedSelector, bool) {
-	st, ok := s.selectors[name]
-	if !ok {
-		return nil, false
+// table resolves a name in the current handle view.
+func (s *Switch) table(name string) *mem.Table {
+	if snap := s.lookups.Load(); snap != nil {
+		return snap.tables[name]
 	}
-	return st, true
+	return nil
 }
 
 // Lookup implements tsp.TableBackend over the storage module.
 func (s *Switch) Lookup(table string, key []byte) (match.Result, bool) {
-	snap := s.lookups.Load()
-	if snap == nil {
-		return match.Result{}, false
+	if t := s.table(table); t != nil {
+		return t.Lookup(key)
 	}
-	t := snap.tables[table]
-	if t == nil {
-		return match.Result{}, false
-	}
-	return t.Lookup(key)
+	return match.Result{}, false
 }
 
 // LookupSelector implements the ECMP group/member resolution.
 func (s *Switch) LookupSelector(table string, groupKey []byte, h uint64) (match.Result, bool) {
-	snap := s.lookups.Load()
-	if snap == nil {
-		return match.Result{}, false
+	if t := s.table(table); t != nil {
+		return t.LookupMember(groupKey, h)
 	}
-	st := snap.selectors[table]
-	if st == nil {
-		return match.Result{}, false
-	}
-	return st.lookup(groupKey, h)
+	return match.Result{}, false
 }

@@ -50,10 +50,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if st.Full {
 		t.Fatal("patch treated as full install")
 	}
-	if err := sw.AddMember(ctrlplane.MemberReq{
-		Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-		Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-	}); err != nil {
+	if _, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {

@@ -3,13 +3,8 @@ package ipbm
 import (
 	"sort"
 
-	"ipsa/internal/match"
 	"ipsa/internal/template"
 )
-
-func matchResult(tag int, params []uint64) match.Result {
-	return match.Result{ActionID: tag, Params: append([]uint64(nil), params...)}
-}
 
 func sortedTableNames(cfg *template.Config) []string {
 	out := make([]string, 0, len(cfg.Tables))

@@ -2,11 +2,9 @@ package ipbm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"sync"
 	"testing"
 
-	"ipsa/internal/ctrlplane"
 	"ipsa/internal/match"
 	"ipsa/internal/template"
 	"ipsa/internal/tsp"
@@ -45,9 +43,9 @@ func switchOn(t testing.TB, cfg *template.Config, mode tsp.ExecMode) *Switch {
 
 // TestShippedDesignsBindWordProbes makes a table dropping off the fast
 // path a test failure rather than a performance mystery: on the fused tier
-// every exact, hash or LPM table of at most 64 bits and the selectors
-// must have bound a word probe; wider keys (the IPv6 host and LPM tables)
-// and the ternary ACL stay bytes.
+// every exact or LPM table of at most 64 bits and every selector whose
+// group fits a word must have bound a word probe; wider keys (the IPv6
+// host and LPM tables) and the ternary ACL stay bytes.
 func TestShippedDesignsBindWordProbes(t *testing.T) {
 	named := map[string]bool{ // the shipped tables by name, so the rule below cannot drift unnoticed
 		"port_map_tbl": true, "bd_vrf_tbl": true, "l2_l3_tbl": true, "ipv4_host": true,
@@ -70,9 +68,7 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 				switch {
 				case tbl.IsSelector:
 					want = tbl.Keys[0].Operand.Width <= 64
-				case kind == match.Exact || kind == match.Hash:
-					want = tbl.KeyWidth <= 64
-				case kind == match.LPM:
+				case kind == match.Exact || kind == match.LPM:
 					want = tbl.KeyWidth <= 64
 				}
 				if w, ok := named[tn]; ok && w != want {
@@ -104,7 +100,8 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 // TestTableStatsExactAcrossTiers pins the batched hit/miss accounting of
 // the word path: after the same 10k-frame trace, every table's counters on
 // the fused tier equal the interpreter's, which counts one lookup at a
-// time inside mem.Table.Lookup.
+// time inside mem.Table.Lookup and LookupMember. Under ecmp.script the
+// selector holds members, so its counts are hits, not a vacuous zero.
 func TestTableStatsExactAcrossTiers(t *testing.T) {
 	const frames = 10000
 	for _, sc := range []string{"", "ecmp.script", "flowprobe.script"} {
@@ -114,6 +111,11 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 			sw := switchOn(t, cfg, mode)
 			for _, req := range baseEntries() {
 				_, _ = sw.InsertEntry(req) // a script may have swapped a table out
+			}
+			if _, ok := cfg.Tables["ecmp_ipv4"]; ok {
+				for m := uint64(0); m < 2; m++ {
+					insert(t, sw, ecmpMember(nhMAC.Uint64()+m))
+				}
 			}
 			// Batches of DefaultBatch, every other one led by a lone Forward:
 			// ExecuteBatch flushes the counts once a batch, Execute per packet.
@@ -155,99 +157,11 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestSelectorWordIndex holds the selector's word path to its byte path:
-// while members are added, byte and word lookups run beside the writer
-// (under -race) and every result must be a member of the group asked for;
-// once the writer is done, the two paths agree on every group and hash,
-// for group keys that fit a word and for wide ones.
-func TestSelectorWordIndex(t *testing.T) {
-	const groups, members = 64, 8
-	groupKey := func(n, g int) []byte {
-		k := make([]byte, n)
-		binary.BigEndian.PutUint16(k[n-2:], uint16(g))
-		if n > 8 {
-			k[0] = 0xab // beyond the word: only the bytes tell wide groups apart
-		}
-		return k
-	}
-	for _, n := range []int{2, 8, 12} {
-		st := newSelectorTable()
-		byWord := st.WordMember(n)
-		if (byWord != nil) != (n <= 8) {
-			t.Fatalf("%d-byte groups: word path %v", n, byWord != nil)
-		}
-		// A member's Params name its group and its position in it.
-		check := func(g int, r *match.Result) {
-			if len(r.Params) != 2 || r.Params[0] != uint64(g) || r.Params[1] >= members || r.ActionID != int(r.Params[1])+1 {
-				t.Errorf("%d-byte group %d: torn or foreign member %+v", n, g, *r)
-			}
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				for h := uint64(r); ; h += 2 {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					g := int(h*7) % groups
-					key := groupKey(n, g)
-					if res, ok := st.lookup(key, h); ok {
-						check(g, &res)
-					}
-					if byWord != nil {
-						if res := byWord(match.KeyWord(key), h); res != nil {
-							check(g, res)
-						}
-					}
-				}
-			}(r)
-		}
-		for m := 0; m < members; m++ {
-			for g := 0; g < groups; g++ {
-				st.addMember(groupKey(n, g), match.Result{ActionID: m + 1, Params: []uint64{uint64(g), uint64(m)}})
-			}
-		}
-		close(stop)
-		wg.Wait()
-		if got := st.memberCount(); got != groups*members {
-			t.Fatalf("%d-byte groups: %d members, want %d", n, got, groups*members)
-		}
-		for g := 0; g < groups; g++ {
-			key := groupKey(n, g)
-			for h := uint64(0); h < 3*members; h++ {
-				res, ok := st.lookup(key, h)
-				if !ok || res.Params[0] != uint64(g) || res.Params[1] != h%members {
-					t.Fatalf("%d-byte group %d hash %d: %+v,%v", n, g, h, res, ok)
-				}
-				if byWord == nil {
-					continue
-				}
-				if rw := byWord(match.KeyWord(key), h); rw == nil || rw.ActionID != res.ActionID || rw.Params[1] != res.Params[1] {
-					t.Fatalf("%d-byte group %d hash %d: word %+v, bytes %+v", n, g, h, rw, res)
-				}
-			}
-			// A key of another length is another group, even with the same word.
-			for _, k := range [][]byte{append([]byte{0}, key...), key[1:]} {
-				if res, ok := st.lookup(k, 0); ok {
-					t.Fatalf("%d-byte group %d: %d-byte key hit %+v", n, g, len(k), res)
-				}
-			}
-		}
-		if _, ok := st.lookup(groupKey(n, groups), 0); ok {
-			t.Fatalf("%d-byte groups: unknown group hit", n)
-		}
-	}
-}
-
-// TestSelectorWordApplyBesideAddMember runs fused selector applies while
-// the control plane adds members to the group the traffic resolves to, and
-// then holds the fused tier to the interpreter on the same traffic.
-func TestSelectorWordApplyBesideAddMember(t *testing.T) {
+// TestSelectorWordApplyBesideMemberOps runs fused selector applies while
+// the control plane inserts and deletes members of the group the traffic
+// resolves to, and then holds the fused tier to the interpreter, given the
+// same member ops, on the same traffic.
+func TestSelectorWordApplyBesideMemberOps(t *testing.T) {
 	cfg := shippedConfig(t, "ecmp.script")
 	mk := func(mode tsp.ExecMode) *Switch {
 		sw := switchOn(t, cfg, mode)
@@ -257,12 +171,21 @@ func TestSelectorWordApplyBesideAddMember(t *testing.T) {
 		return sw
 	}
 	fused, interp := mk(tsp.ExecFused), mk(tsp.ExecInterp)
-	add := func(sw *Switch, m int) {
-		if err := sw.AddMember(ctrlplane.MemberReq{
-			Table: "ecmp_ipv4", Group: ctrlplane.FieldValue{Value: nexthopID},
-			Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64() + uint64(m)},
-		}); err != nil {
-			t.Error(err)
+	// Sixteen members; every third insert deletes the member before it.
+	members := func(sw *Switch) {
+		var prev int
+		for m := 0; m < 16; m++ {
+			h, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64() + uint64(m)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if m%3 == 2 {
+				if err := sw.DeleteEntry("ecmp_ipv4", prev); err != nil {
+					t.Error(err)
+				}
+			}
+			prev = h
 		}
 	}
 	traffic := diffTraffic(t, 32)
@@ -270,9 +193,7 @@ func TestSelectorWordApplyBesideAddMember(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for m := 0; m < 16; m++ {
-			add(fused, m)
-		}
+		members(fused)
 	}()
 	for round := 0; round < 20; round++ {
 		batch := make([][]byte, len(traffic))
@@ -284,9 +205,7 @@ func TestSelectorWordApplyBesideAddMember(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	for m := 0; m < 16; m++ {
-		add(interp, m)
-	}
+	members(interp)
 	for i, raw := range traffic {
 		pf, err := fused.ProcessPacket(append([]byte(nil), raw...), inPort)
 		if err != nil {

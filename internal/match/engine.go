@@ -5,9 +5,9 @@ import "fmt"
 // Kind enumerates the supported match kinds.
 type Kind int
 
-// Match kinds. Hash is the rP4 spelling for an exact match whose result
-// feeds a hash-based selector (Fig. 5a uses `hash` keys for ECMP); it is
-// stored exactly like Exact.
+// Match kinds. Hash is the rP4 spelling of a selector table's keys (Fig.
+// 5a uses `hash` keys for ECMP): its engine is an action selector, whose
+// entries are the members of groups matched exactly on the first key.
 const (
 	Exact Kind = iota
 	LPM
@@ -74,9 +74,9 @@ type Engine interface {
 	// Lookup finds the entry matching key, or ok=false for a miss. A key
 	// that is not (KeyWidth+7)/8 bytes long always misses.
 	Lookup(key []byte) (Result, bool)
-	// Insert adds or replaces an entry. The meaning of aux depends on the
-	// kind: prefix length for LPM, mask bytes for Ternary, upper bound for
-	// Range; it is ignored for Exact/Hash.
+	// Insert adds or replaces an entry; which of Entry's fields it reads
+	// depends on the kind. A Hash insert always adds: the entry is one more
+	// member of the group its key names.
 	Insert(e Entry) (handle int, err error)
 	// Delete removes the entry with the given handle.
 	Delete(handle int) error
@@ -131,8 +131,10 @@ func New(kind Kind, keyWidthBits, capacity int) (Engine, error) {
 		return nil, err
 	}
 	switch kind {
-	case Exact, Hash:
-		return newExact(kind, keyWidthBits, capacity), nil
+	case Exact:
+		return newExact(keyWidthBits, capacity), nil
+	case Hash:
+		return newSelector(keyWidthBits, capacity), nil
 	case LPM:
 		return newLPM(keyWidthBits, capacity), nil
 	case Ternary:

@@ -24,19 +24,16 @@ import (
 // the write; no slot goes back to empty in place, so the probe chain to a
 // key that is not being written never breaks; and a rebuild fills a fresh
 // array and publishes it with one pointer store, leaving the old one,
-// which late readers may still be probing, to Go's GC. Delete finds an
-// entry through the versioned handle table it shares with the LPM engine
-// (handles.go), one pointer per entry.
+// which late readers may still be probing, to Go's GC. The selector
+// engine keeps its groups in the same slot array (slotIndex). Delete
+// finds an entry through the versioned handle table it shares with the
+// LPM and selector engines (handles.go), one pointer per entry.
 type exactEngine struct {
 	mu       sync.Mutex // serialises writers; readers never take it
-	kind     Kind
 	width    int
 	capacity int
-	tab      atomic.Pointer[exactTab]
-	live     atomic.Int64           // installed entries; written under mu
-	handles  handleTable[*exactEnt] // Delete's index, guarded by mu
-	tombs    int                    // tombstones in tab, guarded by mu
-	rebuilds int                    // slot arrays built after the first, guarded by mu
+	slotIndex[exactEnt, *exactEnt]
+	handles handleTable[*exactEnt] // Delete's index, guarded by mu
 }
 
 // Slot tags: empty terminates a probe chain, a tombstone does not; any
@@ -47,57 +44,178 @@ const (
 	tagTomb  = 1
 )
 
-// exactSlot is one open-addressing bucket, 16 bytes: four to a cache line.
-type exactSlot struct {
+// slot is one open-addressing bucket, 16 bytes: four to a cache line.
+type slot[E any] struct {
 	tag atomic.Uint64
-	ent atomic.Pointer[exactEnt]
+	ent atomic.Pointer[E]
 }
 
-// exactTab is one slot array. At most half of it is ever in use
-// (entries plus tombstones), so probes stay short.
-type exactTab struct {
-	slots []exactSlot
+// slotTab is one slot array. At most half of it is ever in use (entries
+// plus tombstones), so probes stay short.
+type slotTab[E any] struct {
+	slots []slot[E]
 	mask  uint64
 }
 
-func (t *exactTab) home(tag uint64) uint64 { return tag >> 2 & t.mask }
+func (t *slotTab[E]) home(tag uint64) uint64 { return tag >> 2 & t.mask }
 
-// exactEnt is what a slot points at: one 64-byte line holding the key and
-// the lookup result, never written after publication.
-type exactEnt struct {
-	word uint64 // KeyWord's word: the key itself when it fits
-	key  string // keys wider than 8 bytes only
-	res  Result
-}
-
-// is reports whether x holds key, which the caller has checked to be of
-// the engine's key length: equal words are equal keys unless x is wide.
-func (x *exactEnt) is(word uint64, key []byte) bool {
-	return x.word == word && (x.key == "" || x.key == string(key))
-}
-
-func (x *exactEnt) handle() int { return x.res.EntryHandle }
-
-func newExact(kind Kind, widthBits, capacity int) *exactEngine {
-	e := &exactEngine{kind: kind, width: widthBits, capacity: capacity}
-	e.tab.Store(newExactTab(0))
-	return e
-}
-
-// newExactTab sizes an array for n entries at no more than a third full,
+// newSlotTab sizes an array for n entries at no more than a third full,
 // 8 slots at least. It grows with the entries, not to the declared
 // capacity: most tables hold far fewer than they are declared deep. A
 // third, not the half that triggers a rebuild, so that every rebuild buys
 // at least size/6 further writes.
-func newExactTab(n int) *exactTab {
+func newSlotTab[E any](n int) *slotTab[E] {
 	size := 8
 	for size < 3*n {
 		size <<= 1
 	}
-	return &exactTab{slots: make([]exactSlot, size), mask: uint64(size - 1)}
+	return &slotTab[E]{slots: make([]slot[E], size), mask: uint64(size - 1)}
 }
 
-func (e *exactEngine) Kind() Kind    { return e.kind }
+// free returns the empty slot ending tag's probe chain.
+func (t *slotTab[E]) free(tag uint64) *slot[E] {
+	i := t.home(tag)
+	for t.slots[i].tag.Load() != tagEmpty {
+		i = (i + 1) & t.mask
+	}
+	return &t.slots[i]
+}
+
+// slotKey is what a slot's entry is found by: KeyWord of its key, and the
+// key itself when it is wider than a word.
+type slotKey struct {
+	word uint64 // KeyWord's word: the key itself when it fits
+	key  string // keys wider than 8 bytes only
+}
+
+func newSlotKey(key []byte) slotKey {
+	k := slotKey{word: KeyWord(key)}
+	if len(key) > 8 {
+		k.key = string(key)
+	}
+	return k
+}
+
+// is reports whether k is key, which the caller has checked to be of the
+// engine's key length: equal words are equal keys unless k is wide.
+func (k *slotKey) is(word uint64, key []byte) bool {
+	return k.word == word && (k.key == "" || k.key == string(key))
+}
+
+// bytes returns k as a widthBits-bit key (a fresh slice).
+func (k *slotKey) bytes(widthBits int) []byte {
+	if widthBits > 64 {
+		return []byte(k.key)
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], k.word)
+	return append([]byte(nil), b[8-(widthBits+7)/8:]...)
+}
+
+// keyed is what a slot array holds: a pointer to an entry that is never
+// written after a slot points at it and that carries its own key.
+type keyed[E any] interface {
+	*E
+	is(word uint64, key []byte) bool
+}
+
+// slotIndex is a slot array and its writer's bookkeeping, which the
+// engine's writer lock guards; readers load tab, and keys for Len. Each
+// engine writes the reader's probe out over tab, so that the key compare
+// inlines.
+type slotIndex[E any, P keyed[E]] struct {
+	tab      atomic.Pointer[slotTab[E]]
+	keys     atomic.Int64 // keys in tab
+	tombs    int          // tombstones in tab
+	rebuilds int          // slot arrays built after the first
+}
+
+func (ix *slotIndex[E, P]) init() { ix.tab.Store(newSlotTab[E](0)) }
+
+// find probes for key on the writer's side: the slot holding it and its
+// entry, or else the slot an insert should take — the first tombstone on
+// the chain if there is one, the empty slot ending it otherwise — and nil.
+func (ix *slotIndex[E, P]) find(word uint64, key []byte) (*slot[E], P) {
+	t := ix.tab.Load()
+	tag := slotTag(word)
+	var free *slot[E]
+	for i := t.home(tag); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		switch g := s.tag.Load(); {
+		case g == tag:
+			if x := P(s.ent.Load()); x.is(word, key) {
+				return s, x
+			}
+		case g <= tagTomb:
+			if free == nil {
+				free = s
+			}
+			if g == tagEmpty {
+				return free, nil
+			}
+		}
+	}
+}
+
+// add publishes x, whose key (of word word) find did not find, at s, the
+// slot find returned for it, rebuilding the array first when the entry
+// would take it past half full.
+func (ix *slotIndex[E, P]) add(s *slot[E], word uint64, x P) {
+	tag := slotTag(word)
+	switch {
+	case s.tag.Load() == tagTomb:
+		ix.tombs--
+	case 2*(int(ix.keys.Load())+ix.tombs+1) > len(ix.tab.Load().slots):
+		s = ix.rebuild(int(ix.keys.Load()) + 1).free(tag)
+	}
+	s.ent.Store((*E)(x))
+	s.tag.Store(tag)
+	ix.keys.Add(1)
+}
+
+// clear tombstones s, a slot holding a key.
+func (ix *slotIndex[E, P]) clear(s *slot[E]) {
+	s.tag.Store(tagTomb)
+	s.ent.Store(nil)
+	ix.tombs++
+	ix.keys.Add(-1)
+}
+
+// rebuild moves the live entries to a fresh array sized for n, leaving the
+// tombstones behind, and publishes it.
+func (ix *slotIndex[E, P]) rebuild(n int) *slotTab[E] {
+	old, t := ix.tab.Load(), newSlotTab[E](n)
+	for i := range old.slots {
+		tag := old.slots[i].tag.Load()
+		if tag <= tagTomb {
+			continue
+		}
+		s := t.free(tag)
+		s.ent.Store(old.slots[i].ent.Load())
+		s.tag.Store(tag)
+	}
+	ix.tombs = 0
+	ix.rebuilds++
+	ix.tab.Store(t)
+	return t
+}
+
+// exactEnt is what a slot points at: one 64-byte line holding the key and
+// the lookup result, never written after publication.
+type exactEnt struct {
+	slotKey
+	res Result
+}
+
+func (x *exactEnt) handle() int { return x.res.EntryHandle }
+
+func newExact(widthBits, capacity int) *exactEngine {
+	e := &exactEngine{width: widthBits, capacity: capacity}
+	e.init()
+	return e
+}
+
+func (e *exactEngine) Kind() Kind    { return Exact }
 func (e *exactEngine) KeyWidth() int { return e.width }
 
 // mix64 is a two-round multiply-xorshift finaliser: every input bit
@@ -188,87 +306,26 @@ func (e *exactEngine) PrefetchUseful() bool {
 	return len(e.tab.Load().slots) >= prefetchMinSlots
 }
 
-// find probes for key on the writer's side (callers hold mu): the slot
-// holding it and its entry, or else the slot an insert should take — the
-// first tombstone on the chain if there is one, the empty slot ending it
-// otherwise — and nil.
-func (t *exactTab) find(word, tag uint64, key []byte) (*exactSlot, *exactEnt) {
-	var free *exactSlot
-	for i := t.home(tag); ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		switch g := s.tag.Load(); {
-		case g == tag:
-			if x := s.ent.Load(); x.is(word, key) {
-				return s, x
-			}
-		case g <= tagTomb:
-			if free == nil {
-				free = s
-			}
-			if g == tagEmpty {
-				return free, nil
-			}
-		}
-	}
-}
-
-// rebuild moves the live entries to a fresh array sized for n, leaving the
-// tombstones behind, and publishes it. Callers hold mu.
-func (e *exactEngine) rebuild(n int) *exactTab {
-	old, t := e.tab.Load(), newExactTab(n)
-	for i := range old.slots {
-		tag := old.slots[i].tag.Load()
-		if tag <= tagTomb {
-			continue
-		}
-		j := t.home(tag)
-		for t.slots[j].tag.Load() != tagEmpty {
-			j = (j + 1) & t.mask
-		}
-		t.slots[j].ent.Store(old.slots[i].ent.Load())
-		t.slots[j].tag.Store(tag)
-	}
-	e.tombs = 0
-	e.rebuilds++
-	e.tab.Store(t)
-	return t
-}
-
 func (e *exactEngine) Insert(ent Entry) (int, error) {
 	if err := checkKeyLen(ent.Key, e.width); err != nil {
 		return 0, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	word := KeyWord(ent.Key)
-	tag := slotTag(word)
-	t := e.tab.Load()
-	s, prev := t.find(word, tag, ent.Key)
-	n := int(e.live.Load())
-	if prev == nil && e.capacity > 0 && n >= e.capacity {
-		return 0, fmt.Errorf("%w: %d entries", ErrFull, e.capacity)
-	}
-	x := &exactEnt{word: word, res: Result{ActionID: ent.ActionID, Params: append([]uint64(nil), ent.Params...)}}
-	if len(ent.Key) > 8 {
-		x.key = string(ent.Key)
-	}
+	x := &exactEnt{slotKey: newSlotKey(ent.Key), res: Result{ActionID: ent.ActionID, Params: append([]uint64(nil), ent.Params...)}}
+	s, prev := e.find(x.word, ent.Key)
 	switch {
 	case prev != nil:
 		// Replace, keeping the handle: one pointer swap.
 		x.res.EntryHandle = prev.res.EntryHandle
 		s.ent.Store(x)
-		e.handles.put(x)
-		return x.res.EntryHandle, nil
-	case s.tag.Load() == tagTomb:
-		e.tombs--
-	case 2*(n+e.tombs+1) > len(t.slots):
-		s, _ = e.rebuild(n+1).find(word, tag, ent.Key)
+	case e.capacity > 0 && e.Len() >= e.capacity:
+		return 0, fmt.Errorf("%w: %d entries", ErrFull, e.capacity)
+	default:
+		x.res.EntryHandle = e.handles.next()
+		e.add(s, x.word, x)
 	}
-	x.res.EntryHandle = e.handles.next()
-	s.ent.Store(x)
-	s.tag.Store(tag)
 	e.handles.put(x)
-	e.live.Add(1)
 	return x.res.EntryHandle, nil
 }
 
@@ -280,40 +337,27 @@ func (e *exactEngine) Delete(handle int) error {
 		return fmt.Errorf("%w: handle %d", ErrNoEntry, handle)
 	}
 	e.handles.release(handle)
-	t := e.tab.Load()
-	i := t.home(slotTag(x.word))
-	for t.slots[i].ent.Load() != x {
-		i = (i + 1) & t.mask
-	}
-	t.slots[i].tag.Store(tagTomb)
-	t.slots[i].ent.Store(nil)
-	e.tombs++
-	e.live.Add(-1)
+	s, _ := e.find(x.word, []byte(x.key))
+	e.clear(s)
 	return nil
 }
 
-// keyOf returns x's key bytes (a fresh slice for a word key).
-func (e *exactEngine) keyOf(x *exactEnt) []byte {
-	if e.width > 64 {
-		return []byte(x.key)
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], x.word)
-	return append([]byte(nil), b[8-(e.width+7)/8:]...)
-}
+func (e *exactEngine) Len() int { return int(e.keys.Load()) }
 
-func (e *exactEngine) Len() int { return int(e.live.Load()) }
-
-// Entries returns the installed entries sorted by handle, so dumps are
-// stable.
 func (e *exactEngine) Entries() []Entry {
 	e.mu.Lock()
-	out := make([]Entry, 0, e.Len())
-	e.handles.each(func(x *exactEnt) {
-		out = append(out, Entry{Key: e.keyOf(x), ActionID: x.res.ActionID,
+	defer e.mu.Unlock()
+	return entriesOf(&e.handles, e.width)
+}
+
+// entriesOf returns the entries of a handle table of widthBits-bit keys
+// sorted by handle, so dumps are stable.
+func entriesOf(h *handleTable[*exactEnt], widthBits int) []Entry {
+	var out []Entry
+	h.each(func(x *exactEnt) {
+		out = append(out, Entry{Key: x.bytes(widthBits), ActionID: x.res.ActionID,
 			Params: append([]uint64(nil), x.res.Params...), Handle: x.res.EntryHandle})
 	})
-	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Handle < out[j].Handle })
 	return out
 }

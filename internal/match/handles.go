@@ -3,7 +3,7 @@ package match
 import "math/bits"
 
 // handleTable is the writer's index from entry handle to entry, shared by
-// the exact and LPM engines: a dense slice of entries indexed by the
+// the exact, LPM and selector engines: a dense slice of entries indexed by the
 // handle's low bits, plus a LIFO list of released indexes. The bits above
 // hold the index's generation, which advances each time the index is
 // reused (BMv2 versions its entry handles the same way), so a handle that

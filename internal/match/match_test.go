@@ -96,10 +96,12 @@ func TestExactBasic(t *testing.T) {
 
 // TestStaleHandle: a handle outlives its entry without ever naming the
 // entry that reuses its index. A is inserted and deleted, B takes A's
-// index; deleting by A's handle must fail and leave B installed, and
-// handles never handed out must fail without a panic.
+// index; deleting by A's handle again must fail and leave B installed, and
+// negative and never-issued handles must fail without a panic. On the
+// selector every entry is a member of a group of its own, and Lookup
+// picks the group's oldest member.
 func TestStaleHandle(t *testing.T) {
-	for _, kind := range []Kind{Exact, LPM} {
+	for _, kind := range []Kind{Exact, LPM, Hash} {
 		t.Run(kind.String(), func(t *testing.T) {
 			e, err := New(kind, 32, 0)
 			if err != nil {
@@ -434,6 +436,7 @@ func TestLookupWrongKeyLength(t *testing.T) {
 		ent   Entry
 	}{
 		{"exact", Exact, 32, Entry{Key: key32(0x0a000001)}},
+		{"hash", Hash, 32, Entry{Key: key32(0x0a000001)}},
 		{"lpm32", LPM, 32, Entry{Key: key32(0x0a000000), PrefixLen: 8}},
 		{"lpm20", LPM, 20, Entry{Key: []byte{0x0a, 0, 0}, PrefixLen: 8}},
 		{"lpm48", LPM, 48, Entry{Key: []byte{0x0a, 0, 0, 0, 0, 0}, PrefixLen: 8}},

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ipsa/internal/match"
+	"ipsa/internal/template"
 )
 
 func TestBlocksForTable(t *testing.T) {
@@ -192,12 +193,19 @@ func TestCrossbarReachability(t *testing.T) {
 	}
 }
 
+// spec is a compiled table of one key field width bits wide: for a
+// selector, its group.
+func spec(name string, kind match.Kind, width, depth int) *template.Table {
+	return &template.Table{Name: name, Kind: kind.String(), KeyWidth: width, Size: depth,
+		Keys: []template.KeySel{{Operand: template.Operand{Width: width}}}}
+}
+
 func TestManagerCreateLookupDrop(t *testing.T) {
 	m, err := NewManager(Config{Blocks: 16, BlockWidth: 128, BlockDepth: 1024, Clusters: 2}, FullCrossbar, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := m.CreateTable("ipv4_lpm", match.LPM, 32, 2048, 0)
+	tbl, err := m.CreateTable(spec("ipv4_lpm", match.LPM, 32, 2048), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +213,7 @@ func TestManagerCreateLookupDrop(t *testing.T) {
 	if len(tbl.Blocks()) != 2 {
 		t.Errorf("blocks = %v", tbl.Blocks())
 	}
-	if _, err := m.CreateTable("ipv4_lpm", match.LPM, 32, 10, 0); err == nil {
+	if _, err := m.CreateTable(spec("ipv4_lpm", match.LPM, 32, 10), 0); err == nil {
 		t.Error("duplicate table accepted")
 	}
 	if _, err := tbl.Engine().Insert(match.Entry{Key: []byte{10, 0, 0, 0}, PrefixLen: 8, ActionID: 1}); err != nil {
@@ -240,7 +248,7 @@ func TestManagerClusteredPlacementAndMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := m.CreateTable("acl", match.Ternary, 64, 1024, 0)
+	tbl, err := m.CreateTable(spec("acl", match.Ternary, 64, 1024), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +298,7 @@ func TestManagerClusteredPlacementAndMigration(t *testing.T) {
 
 func TestManagerFullCrossbarMigrationIsRewireOnly(t *testing.T) {
 	m, _ := NewManager(Config{Blocks: 8, BlockWidth: 128, BlockDepth: 1024, Clusters: 2}, FullCrossbar, 4)
-	if _, err := m.CreateTable("t", match.Exact, 16, 100, 0); err != nil {
+	if _, err := m.CreateTable(spec("t", match.Exact, 16, 100), 0); err != nil {
 		t.Fatal(err)
 	}
 	moved, err := m.Migrate("t", 3)
@@ -301,7 +309,7 @@ func TestManagerFullCrossbarMigrationIsRewireOnly(t *testing.T) {
 
 func TestManagerPoolExhaustion(t *testing.T) {
 	m, _ := NewManager(Config{Blocks: 2, BlockWidth: 32, BlockDepth: 64, Clusters: 1}, FullCrossbar, 2)
-	if _, err := m.CreateTable("big", match.Exact, 64, 128, 0); err == nil {
+	if _, err := m.CreateTable(spec("big", match.Exact, 64, 128), 0); err == nil {
 		t.Error("table larger than pool accepted")
 	} else if !strings.Contains(err.Error(), "big") {
 		t.Errorf("error lacks table name: %v", err)
@@ -320,7 +328,7 @@ func TestMigrateKeepsHandlesAndEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := m.CreateTable("host", match.Exact, 32, 1024, 0)
+	tbl, err := m.CreateTable(spec("host", match.Exact, 32, 1024), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +394,7 @@ func TestMigrateFailureLeavesTableRouted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := m.CreateTable("host", match.Exact, 32, 1024, 3) // cluster 1
+	tbl, err := m.CreateTable(spec("host", match.Exact, 32, 1024), 3) // cluster 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,9 +420,10 @@ func TestMigrateFailureLeavesTableRouted(t *testing.T) {
 }
 
 // TestWordLookupBinding: a table hands out its engine's word probe only
-// where a word can name a key — exact/hash and LPM keys of at most 64
-// bits, asked for at the table's own key length — and the
-// probe neither counts nor disagrees with the counted byte lookup.
+// where a word can name a key — exact and LPM keys of at most 64 bits,
+// asked for at the table's own key length — and a selector's word pick
+// likewise for groups; neither counts nor disagrees with the counted byte
+// lookup.
 func TestWordLookupBinding(t *testing.T) {
 	m, err := NewManager(Config{Blocks: 64, BlockWidth: 128, BlockDepth: 1024, Clusters: 1}, FullCrossbar, 8)
 	if err != nil {
@@ -427,7 +436,8 @@ func TestWordLookupBinding(t *testing.T) {
 		word, pf bool
 	}{
 		{"exact12", match.Exact, 12, true, true},
-		{"hash64", match.Hash, 64, true, true},
+		{"hash64", match.Hash, 64, false, false},
+		{"hash72", match.Hash, 72, false, false},
 		{"exact144", match.Exact, 144, false, false},
 		{"lpm32", match.LPM, 32, true, false},
 		{"lpm20", match.LPM, 20, true, false},
@@ -435,7 +445,7 @@ func TestWordLookupBinding(t *testing.T) {
 		{"ternary32", match.Ternary, 32, false, false},
 		{"range16", match.Range, 16, false, false},
 	} {
-		tbl, err := m.CreateTable(tc.name, tc.kind, tc.width, 64, i)
+		tbl, err := m.CreateTable(spec(tc.name, tc.kind, tc.width, 64), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,6 +458,13 @@ func TestWordLookupBinding(t *testing.T) {
 		}
 		if tbl.WordLookup(n+1) != nil || tbl.WordLookup(n-1) != nil {
 			t.Errorf("%s: word probe handed out for another key length", tc.name)
+		}
+		member := tc.kind == match.Hash && tc.width <= 64
+		if got := tbl.WordMember(n) != nil; got != member {
+			t.Errorf("%s: word member pick %v, want %v", tc.name, got, member)
+		}
+		if tbl.WordMember(n+1) != nil || tbl.WordMember(n-1) != nil {
+			t.Errorf("%s: word member pick handed out for another group length", tc.name)
 		}
 		if tbl.PrefetchUseful() {
 			t.Errorf("%s: prefetch useful on an empty table", tc.name)
@@ -474,5 +491,30 @@ func TestWordLookupBinding(t *testing.T) {
 	}
 	if h, ms := tbl.Stats(); h != 2 || ms != 1 {
 		t.Fatalf("stats %d hits %d misses, want 2 and 1", h, ms)
+	}
+
+	// A selector's picks: the word pick counts nothing, the byte pick
+	// counts its hit and its miss, and Lookup on another kind misses.
+	sel, _ := m.Table("hash64")
+	group := []byte{0, 0, 0, 0, 0, 0, 0, 7}
+	for _, p := range []uint64{10, 11} {
+		if _, err := sel.Engine().Insert(match.Entry{Key: group, ActionID: 1, Params: []uint64{p}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := sel.WordMember(8)(7, 3); r == nil || r.Params[0] != 11 {
+		t.Fatalf("word member pick: %+v", r)
+	}
+	if r, ok := sel.LookupMember(group, 4); !ok || r.Params[0] != 10 {
+		t.Fatalf("byte member pick: %+v,%v", r, ok)
+	}
+	if _, ok := sel.LookupMember(make([]byte, 8), 4); ok {
+		t.Fatal("member of an absent group")
+	}
+	if h, ms := sel.Stats(); h != 1 || ms != 1 {
+		t.Fatalf("selector stats %d hits %d misses, want 1 and 1", h, ms)
+	}
+	if _, ok := tbl.LookupMember(key, 0); ok {
+		t.Fatal("member pick on an exact table")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"ipsa/internal/match"
+	"ipsa/internal/template"
 )
 
 // Table is a logical table: a match engine plus the pool blocks backing it.
@@ -21,9 +22,11 @@ type Table struct {
 	blocks []BlockID
 
 	// The engine's word-keyed views (nil where a word cannot name its
-	// keys, or it has no such entry point), resolved once at CreateTable.
+	// keys, or it has no such entry point) and a selector's member pick,
+	// resolved once at CreateTable.
 	word wordEngine
 	pf   wordPrefetcher
+	sel  memberEngine
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -38,12 +41,26 @@ func (t *Table) Blocks() []BlockID { return append([]BlockID(nil), t.blocks...) 
 // Lookup performs a lookup and maintains hit/miss counters.
 func (t *Table) Lookup(key []byte) (match.Result, bool) {
 	r, ok := t.engine.Lookup(key)
-	if ok {
+	t.count(ok)
+	return r, ok
+}
+
+// LookupMember picks a selector table's member for a group and a flow
+// hash, and counts the hit or miss; on a table of any other kind it misses.
+func (t *Table) LookupMember(group []byte, h uint64) (r match.Result, ok bool) {
+	if t.sel != nil {
+		r, ok = t.sel.LookupMember(group, h)
+	}
+	t.count(ok)
+	return r, ok
+}
+
+func (t *Table) count(hit bool) {
+	if hit {
 		t.hits.Add(1)
 	} else {
 		t.misses.Add(1)
 	}
-	return r, ok
 }
 
 // Stats reports cumulative hits and misses.
@@ -63,8 +80,8 @@ func (t *Table) AddLookupStats(hits, misses uint64) {
 }
 
 // wordEngine is what an engine whose keys fit a register exposes (the
-// exact/hash engine and the LPM trie, at widths of at most 64 bits): the
-// probe by word, and optionally a touch of the bucket a word hashes to.
+// exact engine and the LPM trie, at widths of at most 64 bits): the probe
+// by word, and optionally a touch of the bucket a word hashes to.
 type wordEngine interface {
 	LookupWord(word uint64) *match.Result
 }
@@ -74,27 +91,53 @@ type wordPrefetcher interface {
 	PrefetchUseful() bool
 }
 
-// bindWord resolves the engine's word views, once, so that no type
-// assertion is left for the packet path to make.
-func (t *Table) bindWord() {
-	if t.KeyWidth > 64 {
+// memberEngine is the selector engine's (match.Hash) member pick, by the
+// group's bytes and by its word.
+type memberEngine interface {
+	LookupMember(group []byte, h uint64) (match.Result, bool)
+	LookupMemberWord(group, h uint64) *match.Result
+}
+
+// bind resolves the engine's views, once, so that no type assertion is
+// left for the packet path to make.
+func (t *Table) bind() {
+	t.sel, _ = t.engine.(memberEngine)
+	if t.engine.KeyWidth() > 64 {
 		return // a wide exact key folds into its word; only the bytes decide
 	}
 	t.word, _ = t.engine.(wordEngine)
 	t.pf, _ = t.engine.(wordPrefetcher)
 }
 
+// wordKeyed reports whether a key of keyBytes bytes, carried as one word,
+// names the engine's keys.
+func (t *Table) wordKeyed(keyBytes int) bool {
+	w := t.engine.KeyWidth()
+	return w <= 64 && keyBytes == (w+7)/8
+}
+
 // WordLookup returns the engine's probe for a key carried as one word —
 // the key's keyBytes big-endian bytes, tail padding zero — or nil when the
-// table is byte-keyed (wide, ternary and range tables) or its keys
-// are not keyBytes long. The probe does no hit/miss accounting (callers
-// batch it through AddLookupStats); nil is a miss, and a returned Result is
-// the engine's own: read-only, valid forever.
+// table is byte-keyed (wide, ternary, range and selector tables) or its
+// keys are not keyBytes long. The probe does no hit/miss accounting
+// (callers batch it through AddLookupStats); nil is a miss, and a returned
+// Result is the engine's own: read-only, valid forever.
 func (t *Table) WordLookup(keyBytes int) func(word uint64) *match.Result {
-	if t.word == nil || keyBytes != (t.KeyWidth+7)/8 {
+	if t.word == nil || !t.wordKeyed(keyBytes) {
 		return nil
 	}
 	return t.word.LookupWord
+}
+
+// WordMember is WordLookup for a selector table: its member pick by a
+// group carried as one word and a flow hash, or nil when the table is no
+// selector or its groups are wider than a word or not groupBytes long.
+// Results and accounting as for WordLookup.
+func (t *Table) WordMember(groupBytes int) func(group, h uint64) *match.Result {
+	if t.sel == nil || !t.wordKeyed(groupBytes) {
+		return nil
+	}
+	return t.sel.LookupMemberWord
 }
 
 // WordPrefetch returns the engine's bucket touch for a key as WordLookup
@@ -147,28 +190,30 @@ func (m *Manager) Pool() *Pool { return m.pool }
 // Crossbar exposes the interconnect.
 func (m *Manager) Crossbar() *Crossbar { return m.xbar }
 
-// CreateTable allocates blocks for a W×D table with the given match kind
-// and wires it for use by the TSP at tspIndex. With a clustered crossbar
-// the blocks come from that TSP's cluster.
-func (m *Manager) CreateTable(name string, kind match.Kind, keyWidthBits, depth, tspIndex int) (*Table, error) {
+// CreateTable builds the engine for a compiled table, allocates blocks for
+// its W×D (W its KeyWidth, D its Size) and wires it for use by the TSP at
+// tspIndex. With a clustered crossbar the blocks come from that TSP's
+// cluster.
+func (m *Manager) CreateTable(tt *template.Table, tspIndex int) (*Table, error) {
+	name := tt.Name
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.tables[name]; ok {
 		return nil, fmt.Errorf("mem: table %q already exists", name)
 	}
-	eng, err := match.New(kind, keyWidthBits, depth)
+	eng, err := tt.NewEngine()
 	if err != nil {
 		return nil, err
 	}
 	cfg := m.pool.Config()
-	n := BlocksForTable(keyWidthBits, depth, cfg.BlockWidth, cfg.BlockDepth)
+	n := BlocksForTable(tt.KeyWidth, tt.Size, cfg.BlockWidth, cfg.BlockDepth)
 	cluster := m.xbar.ClusterOfTSP(tspIndex)
 	ids, err := m.pool.Allocate(name, n, cluster)
 	if err != nil {
 		return nil, fmt.Errorf("mem: placing table %q: %w", name, err)
 	}
-	t := &Table{Name: name, KeyWidth: keyWidthBits, Depth: depth, engine: eng, blocks: ids}
-	t.bindWord()
+	t := &Table{Name: name, KeyWidth: tt.KeyWidth, Depth: tt.Size, engine: eng, blocks: ids}
+	t.bind()
 	m.tables[name] = t
 	// Extend (not replace) the TSP's routes with the new table's blocks.
 	routes := append(m.xbar.Routes(tspIndex), ids...)

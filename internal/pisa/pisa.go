@@ -76,12 +76,11 @@ type Switch struct {
 	// per-packet lifecycle is identical infrastructure.
 	dp *dataplane.Core
 
-	mu        sync.RWMutex
-	ingress   []physStage
-	egress    []physStage
-	tables    map[string]match.Engine
-	selectors map[string]map[string][]match.Result
-	tstats    map[string]*tableCounters
+	mu      sync.RWMutex
+	ingress []physStage
+	egress  []physStage
+	tables  map[string]match.Engine
+	tstats  map[string]*tableCounters
 
 	processed uint64
 	dropped   uint64
@@ -121,14 +120,13 @@ func New(opts Options) (*Switch, error) {
 		logger = slog.Default()
 	}
 	s := &Switch{
-		opts:      opts,
-		log:       logger.With("component", "pisa"),
-		dp:        dataplane.NewCore(),
-		ingress:   make([]physStage, opts.IngressStages),
-		egress:    make([]physStage, opts.EgressStages),
-		tables:    make(map[string]match.Engine),
-		selectors: make(map[string]map[string][]match.Result),
-		tstats:    make(map[string]*tableCounters),
+		opts:    opts,
+		log:     logger.With("component", "pisa"),
+		dp:      dataplane.NewCore(),
+		ingress: make([]physStage, opts.IngressStages),
+		egress:  make([]physStage, opts.EgressStages),
+		tables:  make(map[string]match.Engine),
+		tstats:  make(map[string]*tableCounters),
 	}
 	s.dp.SetLogger(logger.With("component", "dataplane", "switch", "pisa"))
 	return s, nil
@@ -214,28 +212,19 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 
 	// Rebuild all tables empty: the full-reload penalty.
 	tables := make(map[string]match.Engine, len(cfg.Tables))
-	selectors := make(map[string]map[string][]match.Result)
 	tstats := make(map[string]*tableCounters, len(cfg.Tables))
 	for name, t := range cfg.Tables {
-		kind, err := match.ParseKind(t.Kind)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := match.New(kind, t.KeyWidth, t.Size)
+		eng, err := t.NewEngine()
 		if err != nil {
 			return nil, err
 		}
 		tables[name] = eng
-		if t.IsSelector {
-			selectors[name] = make(map[string][]match.Result)
-		}
 		tstats[name] = &tableCounters{}
 	}
 
 	s.ingress = newIngress
 	s.egress = newEgress
 	s.tables = tables
-	s.selectors = selectors
 	s.tstats = tstats
 	// Registers reset on every rebuild, unlike ipbm's additive update.
 	s.dp.Install(cfg, tsp.NewRegisterFile(cfg.Registers))
@@ -256,36 +245,45 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 
 // Lookup implements tsp.TableBackend over per-stage memory.
 func (s *Switch) Lookup(table string, key []byte) (match.Result, bool) {
-	s.mu.RLock()
-	eng := s.tables[table]
-	tc := s.tstats[table]
-	s.mu.RUnlock()
+	eng, tc := s.table(table)
 	if eng == nil {
 		return match.Result{}, false
 	}
 	r, ok := eng.Lookup(key)
-	if tc != nil {
-		tc.mu.Lock()
-		if ok {
-			tc.hits++
-		} else {
-			tc.misses++
-		}
-		tc.mu.Unlock()
-	}
+	tc.count(ok)
 	return r, ok
 }
 
 // LookupSelector: PISA models ECMP with action-selector externs; the
-// behavioral model resolves group members by hash like ipbm does.
+// behavioral model resolves group members by hash with ipbm's engine.
 func (s *Switch) LookupSelector(table string, groupKey []byte, h uint64) (match.Result, bool) {
-	s.mu.RLock()
-	members := s.selectors[table][string(groupKey)]
-	s.mu.RUnlock()
-	if len(members) == 0 {
+	eng, tc := s.table(table)
+	sel, _ := eng.(interface {
+		LookupMember(group []byte, h uint64) (match.Result, bool)
+	})
+	if sel == nil {
 		return match.Result{}, false
 	}
-	return members[h%uint64(len(members))], true
+	r, ok := sel.LookupMember(groupKey, h)
+	tc.count(ok)
+	return r, ok
+}
+
+// table returns a table's engine and counters (nil, nil when absent).
+func (s *Switch) table(name string) (match.Engine, *tableCounters) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tables[name], s.tstats[name]
+}
+
+func (tc *tableCounters) count(hit bool) {
+	tc.mu.Lock()
+	if hit {
+		tc.hits++
+	} else {
+		tc.misses++
+	}
+	tc.mu.Unlock()
 }
 
 // frontParse is PISA's standalone parser: it walks the entire parse graph
@@ -405,51 +403,20 @@ func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("pisa: unknown table %q", req.Table)
 	}
-	if t.IsSelector {
-		return 0, fmt.Errorf("pisa: table %q is a selector; use AddMember", req.Table)
-	}
 	entry, err := ctrlplane.EncodeEntry(t, req)
 	if err != nil {
 		return 0, err
 	}
-	s.mu.RLock()
-	eng := s.tables[req.Table]
-	s.mu.RUnlock()
+	eng, _ := s.table(req.Table)
 	if eng == nil {
 		return 0, fmt.Errorf("pisa: table %q not instantiated", req.Table)
 	}
 	return eng.Insert(entry)
 }
 
-// AddMember adds an ECMP member to a selector table.
-func (s *Switch) AddMember(req ctrlplane.MemberReq) error {
-	cfg := s.Config()
-	if cfg == nil {
-		return fmt.Errorf("pisa: no configuration installed")
-	}
-	t, ok := cfg.Tables[req.Table]
-	if !ok || !t.IsSelector {
-		return fmt.Errorf("pisa: table %q is not a selector", req.Table)
-	}
-	group, err := ctrlplane.EncodeGroupKey(t, req.Group)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.selectors[req.Table] == nil {
-		return fmt.Errorf("pisa: table %q not instantiated", req.Table)
-	}
-	s.selectors[req.Table][string(group)] = append(s.selectors[req.Table][string(group)],
-		match.Result{ActionID: req.Tag, Params: append([]uint64(nil), req.Params...)})
-	return nil
-}
-
 // TableStats reads a table's counters.
 func (s *Switch) TableStats(table string) (*ctrlplane.TableStats, error) {
-	s.mu.RLock()
-	tc := s.tstats[table]
-	s.mu.RUnlock()
+	_, tc := s.table(table)
 	if tc == nil {
 		return nil, fmt.Errorf("pisa: unknown table %q", table)
 	}

@@ -158,13 +158,37 @@ type KeySel struct {
 // Table is a compiled table definition.
 type Table struct {
 	Name       string   `json:"name"`
-	Kind       string   `json:"kind"` // engine kind: exact|lpm|ternary|range
+	Kind       string   `json:"kind"` // engine kind: exact|lpm|ternary|range|hash
 	Keys       []KeySel `json:"keys"`
 	KeyWidth   int      `json:"key_width"`
 	Size       int      `json:"size"`
 	IsSelector bool     `json:"is_selector,omitempty"`
 	// DefaultTag selects the executor arm on miss; 0 means default arm.
 	DefaultTag uint64 `json:"default_tag,omitempty"`
+}
+
+// MatchWidth is the width in bits of the key the table's engine matches:
+// a selector's (kind hash) group, its first key, since the others only
+// feed the member hash; every key otherwise. KeyWidth, the whole key, is
+// what the table occupies in memory.
+func (t *Table) MatchWidth() int {
+	if t.Kind != match.Hash.String() {
+		return t.KeyWidth
+	}
+	if len(t.Keys) == 0 {
+		return 0
+	}
+	return t.Keys[0].Operand.Width
+}
+
+// NewEngine builds the match engine the table's kind names, keyed
+// MatchWidth bits wide and holding at most Size entries.
+func (t *Table) NewEngine() (match.Engine, error) {
+	kind, err := match.ParseKind(t.Kind)
+	if err != nil {
+		return nil, err
+	}
+	return match.New(kind, t.MatchWidth(), t.Size)
 }
 
 // MatchKind says what a matcher node does.
@@ -331,8 +355,13 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("template: table %q has size %d", name, t.Size)
 		}
 		kind, err := match.ParseKind(t.Kind)
-		if err == nil {
-			err = match.CheckWidth(kind, t.KeyWidth)
+		if err == nil && t.IsSelector != (kind == match.Hash) {
+			err = fmt.Errorf("is_selector %v with kind %s: a table is a selector exactly when its kind is hash", t.IsSelector, kind)
+		}
+		for _, w := range []int{t.KeyWidth, t.MatchWidth()} {
+			if err == nil {
+				err = match.CheckWidth(kind, w)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("template: table %q: %w", name, err)

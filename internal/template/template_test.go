@@ -71,6 +71,11 @@ func TestUnmarshalRejectsInvalid(t *testing.T) {
 		{"unknown kind", func(c *Config) { c.Tables["t"].Kind = "fuzzy" }, "unknown match kind"},
 		{"zero key width", func(c *Config) { c.Tables["t"].KeyWidth = 0 }, "key width"},
 		{"LPM past 128 bits", func(c *Config) { c.Tables["t"].Kind, c.Tables["t"].KeyWidth = "lpm", 129 }, "LPM key"},
+		{"selector not hash", func(c *Config) { c.Tables["t"].IsSelector = true }, "is_selector true with kind exact"},
+		{"hash not selector", func(c *Config) { c.Tables["t"].Kind = "hash" }, "is_selector false with kind hash"},
+		{"zero-width group", func(c *Config) {
+			c.Tables["t"].Kind, c.Tables["t"].IsSelector, c.Tables["t"].Keys[0].Operand.Width = "hash", true, 0
+		}, "key width 0"},
 		{"stage name mismatch", func(c *Config) { c.Stages["s"].Name = "x" }, "!= name"},
 		{"unknown stage table", func(c *Config) { c.Stages["s"].Tables = []string{"ghost"} }, "unknown table"},
 		{"unknown arm action", func(c *Config) { c.Stages["s"].Arms[0].Action = "ghost" }, "unknown action"},

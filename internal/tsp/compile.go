@@ -74,11 +74,10 @@ type stageProg struct {
 // Bind, and stays nil where the backend hands out no such handle; the
 // applies then take the backend's name-keyed lookups.
 type boundTable struct {
-	rt ResolvedTable    // plain table: direct byte-keyed handle
-	rs ResolvedSelector // selector: direct group/member handle
+	rt ResolvedTable // direct byte-keyed handle
 	// The fused tier's word path, for keys and groups of at most 64 bits:
-	// the engine's own probe (nil = miss), the table its batched hit/miss
-	// counts go to, and the selector's member pick by group word.
+	// the engine's own probe (nil = miss) or the selector's member pick by
+	// group word, and the table their batched hit/miss counts go to.
 	probe  func(word uint64) *match.Result
 	stats  WordTable
 	member func(group, hash uint64) *match.Result

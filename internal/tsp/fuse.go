@@ -15,6 +15,7 @@ package tsp
 import (
 	"encoding/binary"
 
+	"ipsa/internal/match"
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
 )
@@ -959,6 +960,23 @@ func fuseHash(e *Env, steps []fusedHashStep) uint64 {
 	return finalizeHash(h)
 }
 
+// countLookup records a word-path lookup of bt: its hit or miss into the
+// Env's batched counts, and a hit's entry into out.
+func (e *Env) countLookup(bt *boundTable, res *match.Result, out *matchOutcome) {
+	if e.statTbl != bt {
+		e.flushTableStats()
+		e.statTbl = bt
+	}
+	if res == nil {
+		e.statMisses++
+		return
+	}
+	e.statHits++
+	out.hit = true
+	out.tag = uint64(res.ActionID)
+	out.params = res.Params
+}
+
 // fuseMatchStmts lowers the matcher. An apply captures its table's slot in
 // the stage's bound array — Bind fills it after fusing, so closures see
 // bind-time handles with no rebuild — and runs the word path when Bind
@@ -1024,12 +1042,13 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 					e.Faults.BadTemplate.Add(1)
 					return
 				}
-				e.applyTableWith(t, bt.rt, bt.rs, kp, backend, out)
+				e.applyTableWith(t, bt.rt, kp, backend, out)
 			}
 			if gs := f.groups[ti]; gs != nil {
 				// Selector whose group fits a word: group, hash fold and the
 				// member pick run over fuse-time constant offsets with no byte
-				// key in between. Fault ordering and outcome recording are
+				// key in between, and the hit/miss counts batch on the Env as
+				// a plain table's do. Fault ordering and outcome recording are
 				// applyTableWith's selector arm's.
 				hsteps := fuseHashSteps(t.Keys[1:])
 				parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
@@ -1044,11 +1063,7 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 					if !ok {
 						return
 					}
-					if res := member(group, fuseHash(e, hsteps)); res != nil {
-						out.hit = true
-						out.tag = uint64(res.ActionID)
-						out.params = res.Params
-					}
+					e.countLookup(bt, member(group, fuseHash(e, hsteps)), out)
 				})
 				continue
 			}
@@ -1073,18 +1088,7 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 							return
 						}
 					}
-					if e.statTbl != bt {
-						e.flushTableStats()
-						e.statTbl = bt
-					}
-					if res := probe(word); res != nil {
-						e.statHits++
-						out.hit = true
-						out.tag = uint64(res.ActionID)
-						out.params = res.Params
-					} else {
-						e.statMisses++
-					}
+					e.countLookup(bt, probe(word), out)
 				})
 				continue
 			}

@@ -24,27 +24,16 @@ type TableBackend interface {
 // ResolvedTable is a direct handle to one backend table. Fused stages
 // bind these once at apply time so per-packet applies skip the
 // backend's name-keyed resolution; semantics are identical to
-// TableBackend.Lookup on the same table.
+// TableBackend's Lookup and LookupSelector on the same table.
 type ResolvedTable interface {
 	Lookup(key []byte) (match.Result, bool)
-}
-
-// TableResolver is optionally implemented by backends that can hand out
-// direct handles for plain (non-selector) tables.
-type TableResolver interface {
-	ResolveTable(name string) (ResolvedTable, bool)
-}
-
-// ResolvedSelector is the selector-table counterpart of ResolvedTable:
-// a direct group/member handle bound at apply time.
-type ResolvedSelector interface {
 	LookupMember(group []byte, hash uint64) (match.Result, bool)
 }
 
-// SelectorResolver is optionally implemented by backends that can hand
-// out direct selector handles.
-type SelectorResolver interface {
-	ResolveSelector(name string) (ResolvedSelector, bool)
+// TableResolver is optionally implemented by backends that can hand out
+// direct table handles.
+type TableResolver interface {
+	ResolveTable(name string) (ResolvedTable, bool)
 }
 
 // WordTable is an optional extension of ResolvedTable: a handle whose
@@ -55,10 +44,14 @@ type SelectorResolver interface {
 type WordTable interface {
 	// WordLookup returns the engine's probe for keys of keyBytes bytes
 	// carried big-endian in one word with tail padding zero, or nil when
-	// the table is byte-keyed (wide, ternary, range, trie) or its keys have
-	// another length. A nil Result is a miss; a non-nil one is the engine's
-	// own, read-only and valid forever.
+	// the table is byte-keyed (wide, ternary, range, selector) or its keys
+	// have another length. A nil Result is a miss; a non-nil one is the
+	// engine's own, read-only and valid forever.
 	WordLookup(keyBytes int) func(word uint64) *match.Result
+	// WordMember is WordLookup for a selector: the member pick for groups
+	// of groupBytes bytes carried in one word, or nil when the table is no
+	// selector or its groups are wider than a word or of another length.
+	WordMember(groupBytes int) func(group, hash uint64) *match.Result
 	// WordPrefetch returns the engine's touch of the bucket a word would
 	// probe, or nil when it has none (LPM). The returned tag is arbitrary;
 	// callers sink it into the Env so the load cannot be dead-code-eliminated.
@@ -70,14 +63,6 @@ type WordTable interface {
 	// change without a rebind.
 	PrefetchUseful() bool
 	AddLookupStats(hits, misses uint64)
-}
-
-// WordSelector is the selector counterpart of WordTable.
-type WordSelector interface {
-	// WordMember returns the member pick for groups of groupBytes bytes
-	// carried big-endian in one word, or nil when the selector's groups are
-	// wider than a word or of another length. Results as for WordLookup.
-	WordMember(groupBytes int) func(group, hash uint64) *match.Result
 }
 
 // StageRuntime executes one logical stage template.
@@ -197,30 +182,29 @@ func (sr *StageRuntime) Bind(backend TableBackend) {
 		return
 	}
 	res, _ := backend.(TableResolver)
-	sel, _ := backend.(SelectorResolver)
 	for i, t := range sr.prog.tables {
 		bt := &sr.prog.bound[i]
 		*bt = boundTable{}
+		if res == nil {
+			continue
+		}
+		rt, found := res.ResolveTable(t.Name)
+		if !found {
+			continue
+		}
+		bt.rt = rt
+		wt, ok := rt.(WordTable)
+		if !ok {
+			continue
+		}
 		switch {
-		case t.IsSelector && sel != nil:
-			rs, found := sel.ResolveSelector(t.Name)
-			if !found {
-				continue
+		case t.IsSelector && sr.fused.groups[i] != nil:
+			if bt.member = wt.WordMember((t.Keys[0].Operand.Width + 7) / 8); bt.member != nil {
+				bt.stats = wt
 			}
-			bt.rs = rs
-			if ws, ok := rs.(WordSelector); ok && sr.fused.groups[i] != nil {
-				bt.member = ws.WordMember((t.Keys[0].Operand.Width + 7) / 8)
-			}
-		case !t.IsSelector && res != nil:
-			rt, found := res.ResolveTable(t.Name)
-			if !found {
-				continue
-			}
-			bt.rt = rt
-			if wt, ok := rt.(WordTable); ok && sr.fused.keys[i] != nil {
-				if probe := wt.WordLookup(sr.prog.keyPlans[i].nBytes); probe != nil {
-					bt.probe, bt.stats = probe, wt
-				}
+		case sr.fused.keys[i] != nil:
+			if bt.probe = wt.WordLookup(sr.prog.keyPlans[i].nBytes); bt.probe != nil {
+				bt.stats = wt
 			}
 		}
 	}
@@ -492,15 +476,15 @@ func (sr *StageRuntime) runMatch(stmts []template.MatchStmt, env *Env, backend T
 // (including the skip-on-unreadable-key paths) cannot diverge between the
 // two.
 func (e *Env) applyTable(t *template.Table, backend TableBackend, out *matchOutcome) {
-	e.applyTableWith(t, nil, nil, nil, backend, out)
+	e.applyTableWith(t, nil, nil, backend, out)
 }
 
-// applyTableWith is applyTable with optional bind-time shortcuts:
-// direct table/selector handles (rt/rs) that skip the backend's name
-// resolution, and a key plan (kp) that skips the generic key builder's
-// per-field operand dispatch. Key bytes, selector handling, fault
-// ordering and outcome recording are byte-identical either way.
-func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, rs ResolvedSelector, kp *keyPlan, backend TableBackend, out *matchOutcome) {
+// applyTableWith is applyTable with optional bind-time shortcuts: a
+// direct table handle (rt) that skips the backend's name resolution, and
+// a key plan (kp) that skips the generic key builder's per-field operand
+// dispatch. Key bytes, selector handling, fault ordering and outcome
+// recording are byte-identical either way.
+func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, kp *keyPlan, backend TableBackend, out *matchOutcome) {
 	out.applied = true
 	out.table = t.Name
 	var res match.Result
@@ -528,8 +512,8 @@ func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, rs ResolvedSel
 				}
 			}
 		}
-		if rs != nil {
-			res, ok = rs.LookupMember(group, finalizeHash(h))
+		if rt != nil {
+			res, ok = rt.LookupMember(group, finalizeHash(h))
 		} else {
 			res, ok = backend.LookupSelector(t.Name, group, finalizeHash(h))
 		}
