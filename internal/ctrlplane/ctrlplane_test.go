@@ -1,8 +1,11 @@
 package ctrlplane
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -284,6 +287,57 @@ func TestServerHandlesConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if dev.entries != 160 {
 		t.Errorf("entries = %d", dev.entries)
+	}
+}
+
+// TestRequestSizeBound: a request may read at most maxRequestBytes from
+// its connection. One of exactly that size is answered; one byte more
+// and the server closes the connection without answering, while a fresh
+// connection still answers ping.
+func TestRequestSizeBound(t *testing.T) {
+	srv := NewServer(&fakeDevice{}, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// ping is answered whatever else the request carries, so the padding
+	// rides an unused field.
+	ping := func(size int) []byte {
+		head, tail := `{"op":"ping","table":"`, `"}`
+		return []byte(head + strings.Repeat("x", size-len(head)-len(tail)) + tail)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(ping(maxRequestBytes)); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	dec := json.NewDecoder(conn)
+	if err := dec.Decode(&resp); err != nil || !resp.OK {
+		t.Fatalf("request of exactly the bound: %+v, %v", resp, err)
+	}
+	// The server stops reading at the bound and closes, so the tail of
+	// this write may meet a reset; only the missing answer matters.
+	go conn.Write(ping(maxRequestBytes + 1))
+	if err := dec.Decode(&resp); err == nil {
+		t.Fatalf("request over the bound was answered: %+v", resp)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("connection left open after a request over the bound")
+	}
+	cl, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("fresh connection after an oversized request: %v", err)
 	}
 }
 

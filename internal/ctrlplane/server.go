@@ -13,6 +13,12 @@ import (
 	"ipsa/internal/telemetry"
 )
 
+// maxRequestBytes is the most one CCM request may read from its
+// connection. The largest shipped apply_config is ~12.5 KB, so the bound
+// leaves three orders of magnitude of headroom while keeping one endless
+// request from growing the daemon's heap without limit.
+const maxRequestBytes = 16 << 20
+
 // Server is the Control Channel Module (CCM): it bridges the data plane
 // with the controller for runtime configuration (paper Sec. 4.1). One
 // goroutine per connection; requests on a connection are answered in
@@ -86,12 +92,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := json.NewDecoder(conn)
+	budget := &io.LimitedReader{R: conn}
+	dec := json.NewDecoder(budget)
 	enc := json.NewEncoder(conn)
 	for {
 		var req Request
+		budget.N = maxRequestBytes
 		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			if budget.N <= 0 {
+				s.log.Debug("ccm request over budget", "limit_bytes", maxRequestBytes)
+			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.log.Debug("ccm decode", "err", err)
 			}
 			return

@@ -239,16 +239,22 @@ func TestRecordRingWrap(t *testing.T) {
 // TestZeroAllocHotPath pins the per-packet contract: Touch and Finish on
 // a warm table allocate nothing.
 func TestZeroAllocHotPath(t *testing.T) {
-	s := NewSet(1, Config{TableBits: 8})
-	tab := s.Lane(0)
 	data := v4Frame(t, 7)
-	h := pkt.RSSHash(data)
-	tab.Touch(h, data, len(data), 0)
-	if avg := testing.AllocsPerRun(1000, func() {
-		tab.Touch(h, data, len(data), 1)
-		tab.Finish(h, VerdictForwarded, 100, 1)
-	}); avg != 0 {
-		t.Errorf("hot path allocates: %.2f allocs/op", avg)
+	// Resident flows: one hot flow, and a working set of 64 walking a
+	// 1024-slot table.
+	for _, c := range []struct{ bits, flows int }{{8, 1}, {10, 64}} {
+		tab := NewSet(1, Config{TableBits: c.bits}).Lane(0)
+		walk := func() {
+			for f := 0; f < c.flows; f++ {
+				h := pkt.RSSHash(data) + uint64(f)*0x9e3779b97f4a7c15
+				tab.Touch(h, data, len(data), 1)
+				tab.Finish(h, VerdictForwarded, 100, 1)
+			}
+		}
+		walk()
+		if avg := testing.AllocsPerRun(1000, walk); avg != 0 {
+			t.Errorf("hot path allocates with %d resident flows: %.2f allocs per %d packets", c.flows, avg, c.flows)
+		}
 	}
 
 	// The evicting path: 8 slots and 200 flows cycled bare, so every packet

@@ -278,9 +278,11 @@ func TestIntSoakShardedConservation(t *testing.T) {
 	}
 }
 
-// TestIntDisabledZeroAlloc pins the tentpole's overhead contract: with
+// TestIntDisabledZeroAlloc pins INT's overhead contract: with
 // INT off (the default), the steady-state forwarding path still performs
-// zero heap allocations per packet. `make bench-int` runs this.
+// zero heap allocations per packet, also across an enable/disable round
+// trip. TestHotPathZeroAlloc in the root package holds the same contract
+// on every use case and executor tier.
 func TestIntDisabledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
