@@ -21,9 +21,11 @@ race:
 # manager, the ring ports' port-to-lane hand-off, the flow tables' hold
 # with two writers on one lane, racing readers and clash evictions, and
 # the loss-forensics ledger with every drop reason firing at once under a
-# hitless edit storm.
+# hitless edit storm, and the table handles every stage binds: the
+# lock-free match engines with readers beside writers and the mem.Table
+# hit/miss counters.
 soak:
-	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/ ./internal/flowstat/ ./internal/telemetry/
+	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/ ./internal/flowstat/ ./internal/telemetry/ ./internal/mem/ ./internal/match/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -32,7 +34,7 @@ bench:
 # 30 s budget goes mostly to minimising 2 KB inputs, at 0 execs/s.
 #
 # Differential fuzz: fused executor vs the interpreter on the full switch,
-# one packet at a time and in look-ahead batches.
+# one packet at a time and in stage-major batches over large tables.
 fuzz-diff:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedBatchVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s

@@ -119,8 +119,12 @@ func ParseScript(script string) ([]Command, error) {
 	return cmds, nil
 }
 
-// ApplyCommands executes parsed commands and recompiles.
+// ApplyCommands executes parsed commands and recompiles. The commands
+// edit a copy of the base design; the workspace takes the copy and its
+// compiled state together, only once the whole script has compiled, so a
+// script that fails at any step leaves the workspace as it was.
 func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, error) {
+	prog := w.prog.Clone()
 	links := w.cur.Links.Clone()
 	headerLinksChanged := false
 	for _, c := range cmds {
@@ -143,7 +147,7 @@ func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, e
 			if fn := c.Flags["func_name"]; fn != "" && (snip.Funcs == nil || !hasFunc(snip.Funcs, fn)) {
 				return nil, fmt.Errorf("script line %d: %q does not define function %q", c.Line, c.Args[0], fn)
 			}
-			if err := MergeSnippet(w.prog, snip); err != nil {
+			if err := MergeSnippet(prog, snip); err != nil {
 				return nil, err
 			}
 			// New stages join the graph unlinked; add_link places them.
@@ -158,7 +162,7 @@ func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, e
 			if name == "" {
 				return nil, fmt.Errorf("script line %d: unload needs a function name", c.Line)
 			}
-			stages, err := RemoveFunc(w.prog, name)
+			stages, err := RemoveFunc(prog, name)
 			if err != nil {
 				return nil, err
 			}
@@ -169,10 +173,10 @@ func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, e
 			if len(c.Args) != 2 {
 				return nil, fmt.Errorf("script line %d: add_link takes two stages", c.Line)
 			}
-			if st, _ := w.prog.Stage(c.Args[0]); st == nil {
+			if st, _ := prog.Stage(c.Args[0]); st == nil {
 				return nil, fmt.Errorf("script line %d: unknown stage %q", c.Line, c.Args[0])
 			}
-			if st, _ := w.prog.Stage(c.Args[1]); st == nil {
+			if st, _ := prog.Stage(c.Args[1]); st == nil {
 				return nil, fmt.Errorf("script line %d: unknown stage %q", c.Line, c.Args[1])
 			}
 			if err := links.AddEdge(c.Args[0], c.Args[1]); err != nil {
@@ -194,7 +198,7 @@ func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, e
 			if err != nil {
 				return nil, fmt.Errorf("script line %d: bad tag %q", c.Line, tagS)
 			}
-			if err := LinkHeader(w.prog, pre, tag, next); err != nil {
+			if err := LinkHeader(prog, pre, tag, next); err != nil {
 				return nil, err
 			}
 			headerLinksChanged = true
@@ -204,7 +208,7 @@ func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, e
 			if err != nil {
 				return nil, fmt.Errorf("script line %d: bad tag %q", c.Line, tagS)
 			}
-			if err := UnlinkHeader(w.prog, pre, tag); err != nil {
+			if err := UnlinkHeader(prog, pre, tag); err != nil {
 				return nil, err
 			}
 			headerLinksChanged = true
@@ -213,31 +217,31 @@ func (w *Workspace) ApplyCommands(cmds []Command, load Loader) (*UpdateReport, e
 				return nil, fmt.Errorf("script line %d: remove_stage takes one stage", c.Line)
 			}
 			links.RemoveNode(c.Args[0])
-			removeStage(w.prog, c.Args[0])
+			removeStage(prog, c.Args[0])
 		}
 	}
 	// Orphaned stages (all links removed) are pruned — "the ECMP function
 	// also covers and therefore replaces H". Entries stay.
 	keep := map[string]bool{}
-	if w.prog.Funcs != nil {
-		if w.prog.Funcs.IngressEntry != "" {
-			keep[w.prog.Funcs.IngressEntry] = true
+	if prog.Funcs != nil {
+		if prog.Funcs.IngressEntry != "" {
+			keep[prog.Funcs.IngressEntry] = true
 		}
-		if w.prog.Funcs.EgressEntry != "" {
-			keep[w.prog.Funcs.EgressEntry] = true
+		if prog.Funcs.EgressEntry != "" {
+			keep[prog.Funcs.EgressEntry] = true
 		}
 	}
 	pruned := links.PruneOrphans(keep)
 	for _, s := range pruned {
-		removeStage(w.prog, s)
+		removeStage(prog, s)
 	}
 	// Tables no stage applies any more leave the base design too, so a
 	// later reload of the same function does not collide (actions,
 	// structs and registers stay: identical redefinitions merge cleanly
 	// and register contents must survive function cycling).
-	sweepDeadTables(w.prog)
+	sweepDeadTables(prog)
 
-	return w.recompile(links, headerLinksChanged)
+	return w.recompile(prog, links, headerLinksChanged)
 }
 
 // sweepDeadTables removes table definitions not applied by any stage.
@@ -287,8 +291,8 @@ func hasFunc(uf *ast.UserFuncs, name string) bool {
 	return false
 }
 
-func (w *Workspace) recompile(links *Graph, headerLinksChanged bool) (*UpdateReport, error) {
-	d, err := sem.Analyze(w.prog)
+func (w *Workspace) recompile(prog *ast.Program, links *Graph, headerLinksChanged bool) (*UpdateReport, error) {
+	d, err := sem.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +315,7 @@ func (w *Workspace) recompile(links *Graph, headerLinksChanged bool) (*UpdateRep
 		NewTables:     rep.NewTables,
 		RemovedTables: rep.RemovedTables,
 	}
-	w.cur = nc
+	w.prog, w.cur = prog, nc
 	return rep, nil
 }
 

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -207,6 +208,36 @@ func TestScriptErrors(t *testing.T) {
 		if _, err := w.ApplyScript(s, testdataLoader(t)); err == nil {
 			t.Errorf("accepted: %s", s)
 		}
+	}
+}
+
+// TestFailedScriptLeavesWorkspace: a script that fails after an earlier
+// command already edited the design leaves the workspace exactly as it
+// was — rendered design and compiled configuration — and the next script
+// applies to that state.
+func TestFailedScriptLeavesWorkspace(t *testing.T) {
+	w, err := NewWorkspace(loadBase(t), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() (string, string) {
+		cfg, err := json.Marshal(w.Current().Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.RenderProgram(), string(cfg)
+	}
+	prog, cfg := state()
+	bad := "load ecmp.rp4 --func_name ecmp\nadd_link no_such_stage x\n"
+	if _, err := w.ApplyScript(bad, testdataLoader(t)); err == nil {
+		t.Fatal("script with an unknown stage accepted")
+	}
+	if gotProg, gotCfg := state(); gotProg != prog || gotCfg != cfg {
+		t.Fatalf("failed script changed the workspace (design changed: %v, config changed: %v)",
+			gotProg != prog, gotCfg != cfg)
+	}
+	if _, err := w.ApplyScript(readScript(t, "ecmp.script"), testdataLoader(t)); err != nil {
+		t.Fatalf("ecmp.script after a failed script: %v", err)
 	}
 }
 

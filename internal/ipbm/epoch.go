@@ -10,7 +10,6 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/dataplane"
-	"ipsa/internal/match"
 	"ipsa/internal/mem"
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
@@ -22,9 +21,9 @@ import (
 // This file implements the epoch-versioned program store, the switch's
 // one reconfiguration mechanism. Every reconfiguration
 // (apply, patch, INT toggle, edit commit) assembles an immutable
-// progVersion — the compiled stage programs, the resolved table snapshot
-// and the INT sink that belong together — and publishes it with
-// one atomic pointer store. Packets pin the version they entered under
+// progVersion — the compiled stage programs, bound to the table handles
+// of one snapshot, and the INT sink that belong together — and publishes
+// it with one atomic pointer store. Packets pin the version they entered under
 // and execute it to completion, so an old and a new program briefly
 // coexist and no packet ever waits for a writer. A superseded version is
 // retired and reclaimed once its in-flight count drains to zero.
@@ -32,8 +31,9 @@ import (
 // Table *contents* are intentionally not versioned: entry inserts and
 // deletes, selector members included, mutate the shared engines in place
 // (control-plane writes are visible mid-flight). What the
-// version freezes is the program and the name→handle view, so a stage
-// compiled against epoch N can never observe a table dropped in N+1.
+// version freezes is the program and the handles its stages were bound
+// to, so a stage compiled against epoch N can never observe a table
+// dropped in N+1.
 
 // epochSlot is one physical TSP's program under a version: the TSP
 // object (kept for latency-histogram attribution) plus the stage
@@ -53,10 +53,6 @@ type progVersion struct {
 	// a consistent pipeline shape.
 	ingress []epochSlot
 	egress  []epochSlot
-
-	// lookups is the resolved table view this version's programs were
-	// bound against.
-	lookups *lookupSnapshot
 
 	// sink is the INT sink active when the version was published (nil
 	// when INT is off in this version).
@@ -82,25 +78,6 @@ func (v *progVersion) unpin() { v.inFlight.Add(-1) }
 // quiesced reports whether no packet executes this version anymore.
 func (v *progVersion) quiesced() bool { return v.inFlight.Load() == 0 }
 
-// Lookup implements tsp.TableBackend over the version's frozen handle
-// view (interpreter mode and unresolved compiled applies land here).
-func (v *progVersion) Lookup(table string, key []byte) (match.Result, bool) {
-	t := v.lookups.tables[table]
-	if t == nil {
-		return match.Result{}, false
-	}
-	return t.Lookup(key)
-}
-
-// LookupSelector implements the selector half of tsp.TableBackend.
-func (v *progVersion) LookupSelector(table string, groupKey []byte, h uint64) (match.Result, bool) {
-	t := v.lookups.tables[table]
-	if t == nil {
-		return match.Result{}, false
-	}
-	return t.LookupMember(groupKey, h)
-}
-
 // runIngressBatch executes the version's ingress slots over a whole
 // batch, stage-major (every live packet passes through one TSP's stages
 // before any packet advances to the next TSP). Dropped packets stay in
@@ -110,7 +87,7 @@ func (v *progVersion) LookupSelector(table string, groupKey []byte, h uint64) (m
 func (v *progVersion) runIngressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, env *tsp.Env) {
 	for i := range v.ingress {
 		sl := &v.ingress[i]
-		sl.t.ProcessBatchWith(sl.stages, ps, v.design.Parser, v, env)
+		sl.t.ProcessBatchWith(sl.stages, ps, v.design.Parser, env)
 	}
 	for _, p := range ps {
 		if p != nil && p.Drop {
@@ -126,7 +103,7 @@ func (v *progVersion) runIngressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, e
 func (v *progVersion) runEgressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, env *tsp.Env) {
 	for i := range v.egress {
 		sl := &v.egress[i]
-		sl.t.ProcessBatchWith(sl.stages, ps, v.design.Parser, v, env)
+		sl.t.ProcessBatchWith(sl.stages, ps, v.design.Parser, env)
 	}
 	for _, p := range ps {
 		if p == nil {
@@ -435,11 +412,13 @@ type publishResult struct {
 // touched — refreshes the pipeline's bookkeeping, assembles the new
 // progVersion and publishes it. The caller must already have published
 // the design snapshot, lookup view and INT state this version should
-// capture, and must hold s.mu. kind/hash feed the health monitor's
+// capture, and must hold s.mu; every stage it compiles binds its tables
+// against that lookup view. kind/hash feed the health monitor's
 // retirement watch for the superseded version.
 func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, kind, hash string) (publishResult, error) {
 	var pub publishResult
 	prev := s.epochs.current()
+	view := s.lookups.Load()
 
 	sigs := make(map[string]string, len(cfg.Stages))
 	built := make(map[string]*tsp.StageRuntime, len(cfg.Stages))
@@ -461,7 +440,7 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 		if err != nil {
 			return pub, err
 		}
-		sr.Bind(s)
+		sr.Bind(view)
 		built[sn] = sr
 		pub.recompiled++
 	}
@@ -513,11 +492,10 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 	// reclaimed once its last pinned packet finishes. The health monitor
 	// watches that retirement against the reconfiguration deadline.
 	v := &progVersion{
-		design:  s.dp.Design(),
-		lookups: s.lookups.Load(),
-		sink:    s.intSinkP.Load(),
-		sigs:    sigs,
-		built:   built,
+		design: s.dp.Design(),
+		sink:   s.intSinkP.Load(),
+		sigs:   sigs,
+		built:  built,
 	}
 	for i := 0; i <= tmIn; i++ {
 		if len(perTSP[i]) > 0 {

@@ -19,7 +19,7 @@ import (
 // interpreter; the two executor tiers must be bit-for-bit equivalent.
 // These tests hold that line two ways: differential fuzz targets over
 // arbitrary packet bytes — one packet at a time, and in stage-major
-// batches with the look-ahead prefetch armed — and a deterministic sweep
+// batches over large tables — and a deterministic sweep
 // over every shipped example design with realistic traffic.
 
 var (
@@ -177,16 +177,16 @@ func FuzzFusedVsInterp(f *testing.F) {
 	})
 }
 
-// prefetchEntries fills a table past the slot-array size at which its exact
-// engine finds a one-ahead prefetch worthwhile (match.prefetchMinSlots).
-const prefetchEntries = 3000
+// largeTableEntries takes the nexthop and dmac tables' exact engines past
+// a cache-resident slot array.
+const largeTableEntries = 3000
 
-// prefetchEntriesFor is the batch fuzz target's extra population: enough
+// largeTableEntriesFor is the batch fuzz target's extra population: enough
 // nexthops and egress MACs that the nexthop and dmac stages, each applying
-// one word-keyed table, run the batch executor's look-ahead.
-func prefetchEntriesFor() []ctrlplane.EntryReq {
+// one word-keyed table, probe tables that no longer fit the cache.
+func largeTableEntriesFor() []ctrlplane.EntryReq {
 	var reqs []ctrlplane.EntryReq
-	for i := 0; i < prefetchEntries; i++ {
+	for i := 0; i < largeTableEntries; i++ {
 		mac := nhMAC.Uint64() + 1 + uint64(i)
 		reqs = append(reqs,
 			ctrlplane.EntryReq{
@@ -199,21 +199,6 @@ func prefetchEntriesFor() []ctrlplane.EntryReq {
 			})
 	}
 	return reqs
-}
-
-// batchFuzzBringUp is diffFuzzBringUp with the prefetch population, and
-// fails unless the fused switch's look-ahead tables ask to be prefetched.
-func batchFuzzBringUp() (*Switch, *Switch, error) {
-	fused, interp, err := diffFuzzBringUp(prefetchEntriesFor())
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, tn := range []string{"nexthop_tbl", "dmac_tbl"} {
-		if tbl, ok := fused.Storage().Table(tn); !ok || !tbl.PrefetchUseful() {
-			return nil, nil, fmt.Errorf("%s: look-ahead prefetch not armed", tn)
-		}
-	}
-	return fused, interp, nil
 }
 
 // egressFrames drains sw's egress rings, one slice of frames per port in
@@ -244,9 +229,9 @@ func egressFrames(sw *Switch) [][][]byte {
 // FuzzFusedBatchVsInterp holds the fused tier's batch path to the
 // interpreter on arbitrary packet bytes. Each input runs in one
 // ForwardBatch between routed IPv4 frames, so the stage-major executor
-// builds the next packet's key one packet ahead — from a fuzzed frame, or
-// for a routed frame behind one — and parks it for that packet's apply.
-// Both switches must transmit the same frames on the same ports, punt the
+// carries the fuzzed frame's faults and outcomes beside clean packets
+// through every stage, over 3000-entry nexthop and dmac tables. Both
+// switches must transmit the same frames on the same ports, punt the
 // same packets and count the same faults. Under plain `go test` the seed
 // corpus runs as regression tests.
 func FuzzFusedBatchVsInterp(f *testing.F) {
@@ -254,7 +239,7 @@ func FuzzFusedBatchVsInterp(f *testing.F) {
 	host := v4Packet(f, [4]byte{10, 0, 0, 2}, routerMAC, 64)
 	routed := v4Packet(f, [4]byte{10, 1, 2, 3}, routerMAC, 64)
 	f.Fuzz(func(t *testing.T, data []byte, port uint8) {
-		batchFuzzOnce.Do(func() { batchFuzzFused, batchFuzzInterp, batchFuzzErr = batchFuzzBringUp() })
+		batchFuzzOnce.Do(func() { batchFuzzFused, batchFuzzInterp, batchFuzzErr = diffFuzzBringUp(largeTableEntriesFor()) })
 		if batchFuzzErr != nil {
 			t.Fatalf("switch bring-up: %v", batchFuzzErr)
 		}

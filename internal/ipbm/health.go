@@ -16,8 +16,6 @@ func (s *Switch) initHealth(opts Options) {
 		Events:           s.tel.Events,
 		Log:              s.log.With("component", "health"),
 		Interval:         opts.HealthInterval,
-		Window:           opts.HealthWindow,
-		RingSize:         opts.HealthRing,
 		ReconfigDeadline: opts.ReconfigDeadline,
 		Packets:          s.packetsTotal,
 		Drops:            s.dropsTotal,

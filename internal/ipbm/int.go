@@ -176,7 +176,6 @@ func (s *Switch) publishIntState(cfg *template.Config) {
 	}
 	ctx := &tsp.IntStampCtx{
 		SwitchID: s.opts.IntSwitchID,
-		MaxHops:  s.opts.IntMaxHops,
 		Now:      s.intNow,
 		Depth:    s.tmDepthFast,
 		Stamps:   s.tel.Reg.Counter("ipsa_int_stamps_total"),
@@ -185,7 +184,7 @@ func (s *Switch) publishIntState(cfg *template.Config) {
 	if s.intDepth != nil {
 		ctx.Depth = s.intDepth
 	}
-	s.intSinkP.Store(newIntSink(cfg, s.tel.Reg, s.opts.IntReportRing))
+	s.intSinkP.Store(newIntSink(cfg, s.tel.Reg, ringDepth))
 	s.dp.SetIntCtx(ctx)
 }
 

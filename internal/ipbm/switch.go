@@ -41,8 +41,6 @@ type Options struct {
 	QueueDepth int
 	Mem        mem.Config
 	Crossbar   mem.CrossbarKind
-	// PuntDepth bounds the to-CPU queue.
-	PuntDepth int
 	// TraceRing sizes the telemetry flight recorder (records retained).
 	TraceRing int
 	// TraceEvery samples every Nth packet into the flight recorder
@@ -61,13 +59,6 @@ type Options struct {
 
 	// IntSwitchID identifies this switch in INT hop records.
 	IntSwitchID uint32
-	// IntMaxHops caps the hop records one packet accumulates
-	// (0 = the wire format's limit of 255).
-	IntMaxHops int
-	// IntReportRing sizes the sink's ring of decoded reports.
-	IntReportRing int
-	// EventRing sizes the reconfiguration audit-event log.
-	EventRing int
 	// DropRing sizes the sampled drop-capture ring (records retained;
 	// 0 = 256). The attributed drop counters are always on regardless.
 	DropRing int
@@ -85,10 +76,6 @@ type Options struct {
 	// negative disables the background ticker so tests can drive
 	// Health().Check with synthetic clocks).
 	HealthInterval time.Duration
-	// HealthWindow is the default rate window (0 = 10s).
-	HealthWindow time.Duration
-	// HealthRing is the number of retained rate samples (0 = 120).
-	HealthRing int
 	// ReconfigDeadline bounds how long a retired program version may keep
 	// packets pinned before the health monitor reports the
 	// reconfiguration wedged (0 = 2s).
@@ -103,18 +90,14 @@ type Options struct {
 	// FlowTopK sizes each lane's space-saving heavy-hitter summary
 	// (0 = default 16).
 	FlowTopK int
-	// FlowSketchWidth/FlowSketchDepth size each lane's count-min sketch
-	// of evicted flow mass (0 = defaults 1024x4; width rounds up to a
-	// power of two, point-estimate error ε = e/width).
-	FlowSketchWidth int
-	FlowSketchDepth int
-	// FlowRecordRing sizes the shared exported-flow-record ring
-	// (0 = default 2048).
-	FlowRecordRing int
 	// FlowDisable turns flow accounting off entirely (it is on by
 	// default; the overhead benchmarks use this for the comparison).
 	FlowDisable bool
 }
+
+// ringDepth is how many entries the to-CPU punt queue, the INT sink's
+// report ring and the reconfiguration event log each hold.
+const ringDepth = 256
 
 // DefaultOptions returns a software-scale switch: more TSPs than the
 // paper's 8-processor FPGA so that every use case fits even when header
@@ -126,15 +109,12 @@ func DefaultOptions() Options {
 		QueueDepth: 1024,
 		Mem:        mem.DefaultConfig(),
 		Crossbar:   mem.FullCrossbar,
-		PuntDepth:  256,
 
 		TraceRing:    256,
 		TraceEvery:   0,
 		LatencyEvery: 0,
 
-		IntSwitchID:   1,
-		IntReportRing: 256,
-		EventRing:     256,
+		IntSwitchID: 1,
 
 		DropRing:       256,
 		DropSampleRate: 64,
@@ -227,10 +207,6 @@ func New(opts Options) (*Switch, error) {
 	if err != nil {
 		return nil, err
 	}
-	puntDepth := opts.PuntDepth
-	if puntDepth <= 0 {
-		puntDepth = 256
-	}
 	s := &Switch{
 		opts:  opts,
 		pl:    pl,
@@ -238,7 +214,7 @@ func New(opts Options) (*Switch, error) {
 		ports: ports,
 		regs:  tsp.NewRegisterFile(nil),
 		dp:    dataplane.NewCore(),
-		toCPU: make(chan *pkt.Packet, puntDepth),
+		toCPU: make(chan *pkt.Packet, ringDepth),
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -252,12 +228,9 @@ func New(opts Options) (*Switch, error) {
 			lanes = MaxShards + 1
 		}
 		s.flows = flowstat.NewSet(lanes, flowstat.Config{
-			TableBits:   opts.FlowTableBits,
-			IdleNanos:   int64(opts.FlowIdle),
-			TopK:        opts.FlowTopK,
-			SketchWidth: opts.FlowSketchWidth,
-			SketchDepth: opts.FlowSketchDepth,
-			RingSize:    opts.FlowRecordRing,
+			TableBits: opts.FlowTableBits,
+			IdleNanos: int64(opts.FlowIdle),
+			TopK:      opts.FlowTopK,
 		})
 	}
 	s.lanes.New = func() any { return s.newLane(0, s.pl.TM(), crossPass, DefaultBatch) }
@@ -340,6 +313,18 @@ type lookupSnapshot struct {
 	tables map[string]*mem.Table
 }
 
+// ResolveTable implements tsp.TableResolver: every stage runtime binds
+// its tables against the snapshot published with its program. A handle
+// survives inserts and migrations (the manager mutates the table in
+// place).
+func (snap *lookupSnapshot) ResolveTable(name string) (tsp.ResolvedTable, bool) {
+	t, ok := snap.tables[name]
+	if !ok {
+		return nil, false
+	}
+	return t, true
+}
+
 // rebuildLookups publishes a fresh snapshot of resolved table handles.
 // Called with s.mu held after any change to the table set (create, drop,
 // migrate); entry inserts and deletes mutate the handles' contents and
@@ -354,18 +339,6 @@ func (s *Switch) rebuildLookups() {
 	s.lookups.Store(snap)
 }
 
-// ResolveTable implements tsp.TableResolver: compiled stage programs
-// bind direct *mem.Table handles at apply time and skip the per-packet
-// name resolution. The handle survives inserts and migrations (the
-// manager mutates the table in place).
-func (s *Switch) ResolveTable(name string) (tsp.ResolvedTable, bool) {
-	t, ok := s.mm.Table(name)
-	if !ok {
-		return nil, false
-	}
-	return t, true
-}
-
 // table resolves a name in the current handle view.
 func (s *Switch) table(name string) *mem.Table {
 	if snap := s.lookups.Load(); snap != nil {
@@ -374,7 +347,8 @@ func (s *Switch) table(name string) *mem.Table {
 	return nil
 }
 
-// Lookup implements tsp.TableBackend over the storage module.
+// Lookup looks key up in a table of the current handle view, counting the
+// hit or miss: a control-path probe, not the packet path.
 func (s *Switch) Lookup(table string, key []byte) (match.Result, bool) {
 	if t := s.table(table); t != nil {
 		return t.Lookup(key)
@@ -382,7 +356,8 @@ func (s *Switch) Lookup(table string, key []byte) (match.Result, bool) {
 	return match.Result{}, false
 }
 
-// LookupSelector implements the ECMP group/member resolution.
+// LookupSelector is Lookup for a selector: the member of group picked by
+// the flow hash h.
 func (s *Switch) LookupSelector(table string, groupKey []byte, h uint64) (match.Result, bool) {
 	if t := s.table(table); t != nil {
 		return t.LookupMember(groupKey, h)

@@ -162,7 +162,7 @@ func (s *Switch) newTelemetry(opts Options) {
 		Reg:          reg,
 		Tracer:       telemetry.NewTracer(opts.TraceRing, opts.TraceEvery),
 		LatSamp:      telemetry.NewSampler(opts.LatencyEvery),
-		Events:       telemetry.NewEventLog(opts.EventRing),
+		Events:       telemetry.NewEventLog(ringDepth),
 		appliesFull:  reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "full")),
 		appliesDiff:  reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "diff")),
 		appliesPatch: reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "patch")),

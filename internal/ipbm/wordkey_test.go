@@ -118,7 +118,8 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 				}
 			}
 			// Batches of DefaultBatch, every other one led by a lone Forward:
-			// ExecuteBatch flushes the counts once a batch, Execute per packet.
+			// ExecuteBatch flushes the counts once a batch, and a Forward is
+			// a batch of one.
 			for i, n := 0, 0; i < frames; n++ {
 				var batch [][]byte
 				for ; len(batch) < DefaultBatch && i < frames; i++ {

@@ -11,8 +11,7 @@ import (
 // exactEngine is a hash-table exact-match engine, the software model of an
 // SRAM exact-match table that is written in place: one flat power-of-two
 // slot array with linear probing rather than a Go map, so that the bucket
-// a key hashes to is an addressable cache line Prefetch can touch one
-// packet ahead of the lookup.
+// a key hashes to is one addressable cache line.
 //
 // Lookups are wait-free and take no lock; writers serialise on mu and
 // touch only the slots of the key they write. Why that is safe
@@ -282,28 +281,6 @@ func (e *exactEngine) probe(word uint64, key []byte) *Result {
 			return nil
 		}
 	}
-}
-
-// Prefetch touches the bucket cache line word (a key as LookupWord takes
-// it) hashes to, so the lookup a packet later finds it warm. The returned
-// word is derived from the touched slot; callers sink it to keep the load
-// from being optimised away. Never faults, never allocates.
-func (e *exactEngine) Prefetch(word uint64) uint64 {
-	t := e.tab.Load()
-	return t.slots[t.home(slotTag(word))].tag.Load()
-}
-
-// prefetchMinSlots is the slot-array size below which a one-ahead
-// prefetch is pure overhead: 8192 slots is 128KB of slot array (2731
-// entries or more) — past L1 and a meaningful slice of L2 — so smaller
-// arrays are presumed cache-resident and PrefetchUseful declines the
-// speculative key builds.
-const prefetchMinSlots = 8192
-
-// PrefetchUseful reports whether the slot array is large enough that
-// touching a bucket one packet ahead actually hides a miss.
-func (e *exactEngine) PrefetchUseful() bool {
-	return len(e.tab.Load().slots) >= prefetchMinSlots
 }
 
 func (e *exactEngine) Insert(ent Entry) (int, error) {

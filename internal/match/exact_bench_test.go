@@ -8,7 +8,7 @@ import (
 )
 
 // benchSizes are the table sizes the exact-match benchmarks sweep: cache
-// resident, past L2, and far past prefetchMinSlots.
+// resident, past L2, and far past it.
 var benchSizes = []struct {
 	name string
 	n    int
@@ -92,9 +92,7 @@ func BenchmarkExactLoad(b *testing.B) {
 }
 
 // BenchmarkExactLookup probes installed (hit) and absent (miss) keys in
-// random order. hit_pf is the batch executor's pattern, the next key's
-// bucket touched one lookup ahead, on tables large enough for
-// PrefetchUseful to ask for it.
+// random order.
 func BenchmarkExactLookup(b *testing.B) {
 	const probes = 1 << 16
 	for _, sz := range benchSizes {
@@ -105,14 +103,10 @@ func BenchmarkExactLookup(b *testing.B) {
 			hit[i] = hostKey(rng.Intn(sz.n))
 			miss[i] = hostKey(sz.n + rng.Intn(sz.n))
 		}
-		run := func(name string, keys [][]byte, want bool, prefetch bool) {
+		run := func(name string, keys [][]byte, want bool) {
 			b.Run(name+"/"+sz.name, func(b *testing.B) {
-				pf := e.(*exactEngine)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if prefetch {
-						benchSink += pf.Prefetch(KeyWord(keys[(i+1)%probes]))
-					}
 					r, ok := e.Lookup(keys[i%probes])
 					if ok != want {
 						b.Fatalf("lookup %x: hit=%v", keys[i%probes], ok)
@@ -121,11 +115,8 @@ func BenchmarkExactLookup(b *testing.B) {
 				}
 			})
 		}
-		run("hit", hit, true, false)
-		run("miss", miss, false, false)
-		if e.(*exactEngine).PrefetchUseful() {
-			run("hit_pf", hit, true, true)
-		}
+		run("hit", hit, true)
+		run("miss", miss, false)
 	}
 }
 

@@ -430,20 +430,20 @@ func TestWordLookupBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tc := range []struct {
-		name     string
-		kind     match.Kind
-		width    int
-		word, pf bool
+		name  string
+		kind  match.Kind
+		width int
+		word  bool
 	}{
-		{"exact12", match.Exact, 12, true, true},
-		{"hash64", match.Hash, 64, false, false},
-		{"hash72", match.Hash, 72, false, false},
-		{"exact144", match.Exact, 144, false, false},
-		{"lpm32", match.LPM, 32, true, false},
-		{"lpm20", match.LPM, 20, true, false},
-		{"lpm128", match.LPM, 128, false, false},
-		{"ternary32", match.Ternary, 32, false, false},
-		{"range16", match.Range, 16, false, false},
+		{"exact12", match.Exact, 12, true},
+		{"hash64", match.Hash, 64, false},
+		{"hash72", match.Hash, 72, false},
+		{"exact144", match.Exact, 144, false},
+		{"lpm32", match.LPM, 32, true},
+		{"lpm20", match.LPM, 20, true},
+		{"lpm128", match.LPM, 128, false},
+		{"ternary32", match.Ternary, 32, false},
+		{"range16", match.Range, 16, false},
 	} {
 		tbl, err := m.CreateTable(spec(tc.name, tc.kind, tc.width, 64), i)
 		if err != nil {
@@ -452,9 +452,6 @@ func TestWordLookupBinding(t *testing.T) {
 		n := (tc.width + 7) / 8
 		if got := tbl.WordLookup(n) != nil; got != tc.word {
 			t.Errorf("%s: word probe %v, want %v", tc.name, got, tc.word)
-		}
-		if got := tbl.WordPrefetch() != nil; got != tc.pf {
-			t.Errorf("%s: word prefetch %v, want %v", tc.name, got, tc.pf)
 		}
 		if tbl.WordLookup(n+1) != nil || tbl.WordLookup(n-1) != nil {
 			t.Errorf("%s: word probe handed out for another key length", tc.name)
@@ -465,9 +462,6 @@ func TestWordLookupBinding(t *testing.T) {
 		}
 		if tbl.WordMember(n+1) != nil || tbl.WordMember(n-1) != nil {
 			t.Errorf("%s: word member pick handed out for another group length", tc.name)
-		}
-		if tbl.PrefetchUseful() {
-			t.Errorf("%s: prefetch useful on an empty table", tc.name)
 		}
 	}
 	tbl, _ := m.Table("exact12")

@@ -23,9 +23,8 @@ type Table struct {
 
 	// The engine's word-keyed views (nil where a word cannot name its
 	// keys, or it has no such entry point) and a selector's member pick,
-	// resolved once at CreateTable.
+	// resolved once at NewTable.
 	word wordEngine
-	pf   wordPrefetcher
 	sel  memberEngine
 
 	hits   atomic.Uint64
@@ -81,14 +80,9 @@ func (t *Table) AddLookupStats(hits, misses uint64) {
 
 // wordEngine is what an engine whose keys fit a register exposes (the
 // exact engine and the LPM trie, at widths of at most 64 bits): the probe
-// by word, and optionally a touch of the bucket a word hashes to.
+// by word.
 type wordEngine interface {
 	LookupWord(word uint64) *match.Result
-}
-
-type wordPrefetcher interface {
-	Prefetch(word uint64) uint64
-	PrefetchUseful() bool
 }
 
 // memberEngine is the selector engine's (match.Hash) member pick, by the
@@ -98,15 +92,22 @@ type memberEngine interface {
 	LookupMemberWord(group, h uint64) *match.Result
 }
 
-// bind resolves the engine's views, once, so that no type assertion is
-// left for the packet path to make.
-func (t *Table) bind() {
-	t.sel, _ = t.engine.(memberEngine)
-	if t.engine.KeyWidth() > 64 {
-		return // a wide exact key folds into its word; only the bytes decide
+// NewTable builds a compiled table's engine and resolves its views, once,
+// so that no type assertion is left for the packet path to make. The
+// table holds no pool blocks: CreateTable places the ones it needs, and a
+// switch with no storage module (pisa) uses it as it is.
+func NewTable(tt *template.Table) (*Table, error) {
+	eng, err := tt.NewEngine()
+	if err != nil {
+		return nil, err
 	}
-	t.word, _ = t.engine.(wordEngine)
-	t.pf, _ = t.engine.(wordPrefetcher)
+	t := &Table{Name: tt.Name, KeyWidth: tt.KeyWidth, Depth: tt.Size, engine: eng}
+	t.sel, _ = eng.(memberEngine)
+	// A wide exact key folds into its word; only the bytes decide.
+	if eng.KeyWidth() <= 64 {
+		t.word, _ = eng.(wordEngine)
+	}
+	return t, nil
 }
 
 // wordKeyed reports whether a key of keyBytes bytes, carried as one word,
@@ -139,24 +140,6 @@ func (t *Table) WordMember(groupBytes int) func(group, h uint64) *match.Result {
 	}
 	return t.sel.LookupMemberWord
 }
-
-// WordPrefetch returns the engine's bucket touch for a key as WordLookup
-// takes it, or nil when the engine has none. The batch executor calls it
-// one packet ahead of the probe and sinks the returned tag so the load
-// cannot be optimised away; it never counts as a hit or miss.
-func (t *Table) WordPrefetch() func(word uint64) uint64 {
-	if t.pf == nil {
-		return nil
-	}
-	return t.pf.Prefetch
-}
-
-// PrefetchUseful reports whether a one-ahead prefetch would currently
-// help: true only when the engine supports it AND its resident probe
-// array has outgrown the cache sizes where speculative touches are pure
-// overhead. Re-evaluated by batch executors per batch, so tables grow
-// into prefetching as entries are installed.
-func (t *Table) PrefetchUseful() bool { return t.pf != nil && t.pf.PrefetchUseful() }
 
 // Manager owns the pool, the crossbar and every logical table — the
 // Storage Module (SM) of ipbm.
@@ -201,7 +184,7 @@ func (m *Manager) CreateTable(tt *template.Table, tspIndex int) (*Table, error) 
 	if _, ok := m.tables[name]; ok {
 		return nil, fmt.Errorf("mem: table %q already exists", name)
 	}
-	eng, err := tt.NewEngine()
+	t, err := NewTable(tt)
 	if err != nil {
 		return nil, err
 	}
@@ -212,8 +195,7 @@ func (m *Manager) CreateTable(tt *template.Table, tspIndex int) (*Table, error) 
 	if err != nil {
 		return nil, fmt.Errorf("mem: placing table %q: %w", name, err)
 	}
-	t := &Table{Name: name, KeyWidth: tt.KeyWidth, Depth: tt.Size, engine: eng, blocks: ids}
-	t.bind()
+	t.blocks = ids
 	m.tables[name] = t
 	// Extend (not replace) the TSP's routes with the new table's blocks.
 	routes := append(m.xbar.Routes(tspIndex), ids...)

@@ -23,7 +23,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/dataplane"
 	"ipsa/internal/intmd"
-	"ipsa/internal/match"
+	"ipsa/internal/mem"
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
 	"ipsa/internal/tsp"
@@ -79,8 +79,10 @@ type Switch struct {
 	mu      sync.RWMutex
 	ingress []physStage
 	egress  []physStage
-	tables  map[string]match.Engine
-	tstats  map[string]*tableCounters
+	// tables is the last rebuild's table set, replaced whole by the next;
+	// every stage runtime is bound to its handles once, at ApplyConfig,
+	// so the packet path reaches a table with no lock and no name lookup.
+	tables tableSet
 
 	processed uint64
 	dropped   uint64
@@ -105,9 +107,18 @@ type Switch struct {
 	intNow     func() int64
 }
 
-type tableCounters struct {
-	mu           sync.Mutex
-	hits, misses uint64
+// tableSet maps table names to handles: each an engine with its own
+// atomic hit and miss counters. It is the resolver the stage runtimes
+// bind against.
+type tableSet map[string]*mem.Table
+
+// ResolveTable implements tsp.TableResolver.
+func (ts tableSet) ResolveTable(name string) (tsp.ResolvedTable, bool) {
+	t, ok := ts[name]
+	if !ok {
+		return nil, false
+	}
+	return t, true
 }
 
 // New builds an unprogrammed PISA switch.
@@ -125,8 +136,6 @@ func New(opts Options) (*Switch, error) {
 		dp:      dataplane.NewCore(),
 		ingress: make([]physStage, opts.IngressStages),
 		egress:  make([]physStage, opts.EgressStages),
-		tables:  make(map[string]match.Engine),
-		tstats:  make(map[string]*tableCounters),
 	}
 	s.dp.SetLogger(logger.With("component", "dataplane", "switch", "pisa"))
 	return s, nil
@@ -211,21 +220,21 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	}
 
 	// Rebuild all tables empty: the full-reload penalty.
-	tables := make(map[string]match.Engine, len(cfg.Tables))
-	tstats := make(map[string]*tableCounters, len(cfg.Tables))
+	tables := make(tableSet, len(cfg.Tables))
 	for name, t := range cfg.Tables {
-		eng, err := t.NewEngine()
+		tbl, err := mem.NewTable(t)
 		if err != nil {
 			return nil, err
 		}
-		tables[name] = eng
-		tstats[name] = &tableCounters{}
+		tables[name] = tbl
+	}
+	for _, sr := range runtimes {
+		sr.Bind(tables)
 	}
 
 	s.ingress = newIngress
 	s.egress = newEgress
 	s.tables = tables
-	s.tstats = tstats
 	// Registers reset on every rebuild, unlike ipbm's additive update.
 	s.dp.Install(cfg, tsp.NewRegisterFile(cfg.Registers))
 	s.publishIntState(cfg)
@@ -241,49 +250,6 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 		TablesCreated: len(cfg.Tables),
 		LoadNanos:     int64(time.Since(start)),
 	}, nil
-}
-
-// Lookup implements tsp.TableBackend over per-stage memory.
-func (s *Switch) Lookup(table string, key []byte) (match.Result, bool) {
-	eng, tc := s.table(table)
-	if eng == nil {
-		return match.Result{}, false
-	}
-	r, ok := eng.Lookup(key)
-	tc.count(ok)
-	return r, ok
-}
-
-// LookupSelector: PISA models ECMP with action-selector externs; the
-// behavioral model resolves group members by hash with ipbm's engine.
-func (s *Switch) LookupSelector(table string, groupKey []byte, h uint64) (match.Result, bool) {
-	eng, tc := s.table(table)
-	sel, _ := eng.(interface {
-		LookupMember(group []byte, h uint64) (match.Result, bool)
-	})
-	if sel == nil {
-		return match.Result{}, false
-	}
-	r, ok := sel.LookupMember(groupKey, h)
-	tc.count(ok)
-	return r, ok
-}
-
-// table returns a table's engine and counters (nil, nil when absent).
-func (s *Switch) table(name string) (match.Engine, *tableCounters) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[name], s.tstats[name]
-}
-
-func (tc *tableCounters) count(hit bool) {
-	tc.mu.Lock()
-	if hit {
-		tc.hits++
-	} else {
-		tc.misses++
-	}
-	tc.mu.Unlock()
 }
 
 // frontParse is PISA's standalone parser: it walks the entire parse graph
@@ -329,22 +295,16 @@ func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	env := s.dp.GetEnv(d)
 
 	s.frontParse(d, p)
-	// Every physical stage is traversed, programmed or not.
-	for i := range ing {
-		if p.Drop {
-			break
-		}
-		if ing[i].runtime != nil {
-			ing[i].runtime.Execute(p, d.Parser, s, env)
-		}
-	}
-	if !p.Drop {
-		for i := range eg {
+	// Every physical stage is traversed, programmed or not; a stage runs
+	// the packet as a batch of one.
+	one := [1]*pkt.Packet{p}
+	for _, phys := range [2][]physStage{ing, eg} {
+		for i := range phys {
 			if p.Drop {
 				break
 			}
-			if eg[i].runtime != nil {
-				eg[i].runtime.Execute(p, d.Parser, s, env)
+			if phys[i].runtime != nil {
+				phys[i].runtime.ExecuteBatch(one[:], d.Parser, env)
 			}
 		}
 	}
@@ -407,22 +367,29 @@ func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng, _ := s.table(req.Table)
-	if eng == nil {
+	tbl := s.table(req.Table)
+	if tbl == nil {
 		return 0, fmt.Errorf("pisa: table %q not instantiated", req.Table)
 	}
-	return eng.Insert(entry)
+	return tbl.Engine().Insert(entry)
 }
 
 // TableStats reads a table's counters.
 func (s *Switch) TableStats(table string) (*ctrlplane.TableStats, error) {
-	_, tc := s.table(table)
-	if tc == nil {
+	tbl := s.table(table)
+	if tbl == nil {
 		return nil, fmt.Errorf("pisa: unknown table %q", table)
 	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return &ctrlplane.TableStats{Hits: tc.hits, Misses: tc.misses}, nil
+	hits, misses := tbl.Stats()
+	return &ctrlplane.TableStats{Hits: hits, Misses: misses}, nil
+}
+
+// table returns the current rebuild's handle for a table (nil when
+// absent).
+func (s *Switch) table(name string) *mem.Table {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tables[name]
 }
 
 // Stats reports processed/dropped packets.

@@ -9,6 +9,7 @@ import (
 	"ipsa/internal/pkt"
 	"ipsa/internal/rp4/parser"
 	"ipsa/internal/template"
+	"ipsa/internal/tsp"
 )
 
 var (
@@ -40,6 +41,10 @@ func baseConfig(t *testing.T) *template.Config {
 	return c.Config
 }
 
+// populatedTables are the tables populate fills, each of which the routed
+// frame of v4pkt hits.
+var populatedTables = []string{"port_map_tbl", "bd_vrf_tbl", "l2_l3_tbl", "ipv4_host", "nexthop_tbl", "smac_tbl", "dmac_tbl"}
+
 func populate(t *testing.T, sw *Switch) {
 	t.Helper()
 	ins := func(req ctrlplane.EntryReq) {
@@ -69,39 +74,68 @@ func v4pkt(t *testing.T) []byte {
 	return raw
 }
 
+// TestPISAForwardsBaseDesign routes one frame through the base design on
+// each executor tier. Both tiers forward it, and both report the same
+// per-table hits and misses, with a hit on every table the frame applies.
 func TestPISAForwardsBaseDesign(t *testing.T) {
-	sw, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	cfg := baseConfig(t)
+	stats := map[tsp.ExecMode]map[string]ctrlplane.TableStats{}
+	for _, mode := range []tsp.ExecMode{tsp.ExecFused, tsp.ExecInterp} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Exec = mode
+			sw, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sw.ApplyConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Full || st.TSPsWritten != 16 {
+				t.Errorf("apply: %+v", st)
+			}
+			populate(t, sw)
+			p, err := sw.ProcessPacket(v4pkt(t), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Drop || p.OutPort != 3 {
+				t.Fatalf("drop=%v out=%d", p.Drop, p.OutPort)
+			}
+			var ip pkt.IPv4
+			if err := ip.Decode(p.Data[pkt.EthernetLen:]); err != nil {
+				t.Fatal(err)
+			}
+			if ip.TTL != 63 {
+				t.Errorf("ttl = %d", ip.TTL)
+			}
+			if sw.Faults().BadTemplate.Load() != 0 {
+				t.Errorf("faults: %+v", sw.Faults())
+			}
+			proc, drop := sw.Stats()
+			if proc != 1 || drop != 0 {
+				t.Errorf("stats: %d/%d", proc, drop)
+			}
+			stats[mode] = map[string]ctrlplane.TableStats{}
+			for tn := range cfg.Tables {
+				ts, err := sw.TableStats(tn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats[mode][tn] = *ts
+			}
+			for _, tn := range populatedTables {
+				if stats[mode][tn].Hits == 0 {
+					t.Errorf("%s: no hit", tn)
+				}
+			}
+		})
 	}
-	st, err := sw.ApplyConfig(baseConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Full || st.TSPsWritten != 16 {
-		t.Errorf("apply: %+v", st)
-	}
-	populate(t, sw)
-	p, err := sw.ProcessPacket(v4pkt(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Drop || p.OutPort != 3 {
-		t.Fatalf("drop=%v out=%d", p.Drop, p.OutPort)
-	}
-	var ip pkt.IPv4
-	if err := ip.Decode(p.Data[pkt.EthernetLen:]); err != nil {
-		t.Fatal(err)
-	}
-	if ip.TTL != 63 {
-		t.Errorf("ttl = %d", ip.TTL)
-	}
-	if sw.Faults().BadTemplate.Load() != 0 {
-		t.Errorf("faults: %+v", sw.Faults())
-	}
-	proc, drop := sw.Stats()
-	if proc != 1 || drop != 0 {
-		t.Errorf("stats: %d/%d", proc, drop)
+	for tn, fused := range stats[tsp.ExecFused] {
+		if interp := stats[tsp.ExecInterp][tn]; fused != interp {
+			t.Errorf("%s: fused %+v, interp %+v", tn, fused, interp)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package ast
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"ipsa/internal/rp4/token"
@@ -25,6 +26,46 @@ type Program struct {
 	// that have not yet been linked into a pipe.
 	Floating []*StageDef
 	Funcs    *UserFuncs
+}
+
+// Clone returns a deep copy of p that shares no node with it, so a caller
+// can edit the copy and then keep or drop it whole.
+func (p *Program) Clone() *Program {
+	return deepCopy(reflect.ValueOf(p)).Interface().(*Program)
+}
+
+// deepCopy copies v through every pointer, interface and slice. The AST is
+// a tree of exported fields with no maps, so that reaches every node.
+func deepCopy(v reflect.Value) reflect.Value {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice:
+		if v.IsNil() {
+			return v
+		}
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		c := reflect.New(v.Type().Elem())
+		c.Elem().Set(deepCopy(v.Elem()))
+		return c
+	case reflect.Interface:
+		c := reflect.New(v.Type()).Elem()
+		c.Set(deepCopy(v.Elem()))
+		return c
+	case reflect.Slice:
+		c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		for i := 0; i < v.Len(); i++ {
+			c.Index(i).Set(deepCopy(v.Index(i)))
+		}
+		return c
+	case reflect.Struct:
+		c := reflect.New(v.Type()).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			c.Field(i).Set(deepCopy(v.Field(i)))
+		}
+		return c
+	}
+	return v
 }
 
 // Header returns the header definition with the given name.

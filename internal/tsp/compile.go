@@ -71,8 +71,9 @@ type stageProg struct {
 }
 
 // boundTable is what Bind resolved one table to. Every field is nil until
-// Bind, and stays nil where the backend hands out no such handle; the
-// applies then take the backend's name-keyed lookups.
+// Bind, and stays nil where the resolver hands out no such handle: with
+// no rt the apply builds its key and misses, with no word view it takes
+// the byte funnel.
 type boundTable struct {
 	rt ResolvedTable // direct byte-keyed handle
 	// The fused tier's word path, for keys and groups of at most 64 bits:

@@ -71,7 +71,8 @@ func runEdgeTiers(t *testing.T, body []template.Instr, data []byte) []edgeRun {
 		env := &Env{Regs: NewRegisterFile(nil), Faults: faults,
 			SRHID: pkt.InvalidHeader, IPv6ID: pkt.InvalidHeader}
 		p := pkt.NewPacket(append([]byte(nil), data...), cfg.MetaBytes)
-		sr.Execute(p, op, &mapBackend{}, env)
+		sr.Bind(&mapBackend{})
+		sr.ExecuteBatch([]*pkt.Packet{p}, op, env)
 		out[i] = edgeRun{
 			data: p.Data, meta: p.Meta,
 			faults: [3]uint64{

@@ -26,7 +26,7 @@ type (
 	fusedVal   func(*Env) uint64
 	fusedCond  func(*Env) bool
 	fusedStmt  func(*Env)
-	fusedMatch func(*Env, TableBackend, *matchOutcome)
+	fusedMatch func(*Env, *matchOutcome)
 )
 
 // fusedProg is a stage lowered to closures. arms is parallel to
@@ -806,20 +806,16 @@ type fusedWordKey struct {
 	steps []wordStep
 }
 
-// build assembles the word from p. For a table key that is the key's
-// nBytes big-endian bytes with tail padding zero — match.KeyWord of the
-// bytes buildKeyPlanned lays down — built in the same step order, with the
-// same abort rule and the same fault counts: ok false means a field could
-// not be read, because its header is not parsed (InvalidHeaderAccess) or
-// it ends beyond the buffer (BadTemplate), and the apply then records
-// applied-no-hit and looks nothing up. A keyValue step always reads
-// (ReadOperand counts its own faults and yields 0).
-//
-// With spec set build is the batch executor's look-ahead: p need not be
-// e.Pkt, nothing is counted, and ok is false unless the word was built
-// cleanly — a keyValue step declines, since only the packet's own apply
-// may count what ReadOperand finds.
-func (k *fusedWordKey) build(e *Env, p *pkt.Packet, spec bool) (word uint64, ok bool) {
+// build assembles the word from the Env's packet. For a table key that is
+// the key's nBytes big-endian bytes with tail padding zero — match.KeyWord
+// of the bytes buildKeyPlanned lays down — built in the same step order,
+// with the same abort rule and the same fault counts: ok false means a
+// field could not be read, because its header is not parsed
+// (InvalidHeaderAccess) or it ends beyond the buffer (BadTemplate), and the
+// apply then records applied-no-hit and looks nothing up. A keyValue step
+// always reads (ReadOperand counts its own faults and yields 0).
+func (k *fusedWordKey) build(e *Env) (word uint64, ok bool) {
+	p := e.Pkt
 	word = k.base
 	for i := range k.steps {
 		s := &k.steps[i]
@@ -831,23 +827,16 @@ func (k *fusedWordKey) build(e *Env, p *pkt.Packet, spec bool) (word uint64, ok 
 		case keyHdr:
 			loc, hok := p.HV.Loc(s.hdr)
 			if !hok {
-				if !spec {
-					e.Faults.InvalidHeaderAccess.Add(1)
-				}
+				e.Faults.InvalidHeaderAccess.Add(1)
 				return 0, false
 			}
 			src, off = p.Data, off+loc.Off
 		default:
-			if spec {
-				return 0, false
-			}
 			word |= e.ReadOperand(s.op) & s.mask << s.shl
 			continue
 		}
 		if uint(off)+uint(s.nb) > uint(len(src)) {
-			if !spec {
-				e.Faults.BadTemplate.Add(1)
-			}
+			e.Faults.BadTemplate.Add(1)
 			return 0, false
 		}
 		b := src[off:]
@@ -948,7 +937,7 @@ func fuseHash(e *Env, steps []fusedHashStep) uint64 {
 			}
 			continue
 		}
-		v, ok := s.word.build(e, e.Pkt, false)
+		v, ok := s.word.build(e)
 		if !ok {
 			break
 		}
@@ -1005,13 +994,13 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 				continue
 			}
 			cc, tm, em := c, thenM, elseM
-			parts = append(parts, func(e *Env, b TableBackend, out *matchOutcome) {
+			parts = append(parts, func(e *Env, out *matchOutcome) {
 				if cc(e) {
 					if tm != nil {
-						tm(e, b, out)
+						tm(e, out)
 					}
 				} else if em != nil {
-					em(e, b, out)
+					em(e, out)
 				}
 			})
 		case template.MatchApply:
@@ -1023,7 +1012,7 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 				// Unknown table: one BadTemplate per attempt, whether or
 				// not a table already applied — runMatch's two checks
 				// collapse to a single fault either way.
-				parts = append(parts, func(e *Env, _ TableBackend, _ *matchOutcome) {
+				parts = append(parts, func(e *Env, _ *matchOutcome) {
 					e.Faults.BadTemplate.Add(1)
 				})
 				continue
@@ -1032,17 +1021,16 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 			t, kp, bt := f.prog.tables[ti], f.prog.keyPlans[ti], &f.prog.bound[ti]
 			tname := t.Name
 			// generic is the funnel shared with the interpreter: byte keys
-			// end to end.
-			// Wide keys and groups take it, and so does any apply Bind could
-			// not resolve to a word handle.
-			generic := func(e *Env, backend TableBackend, out *matchOutcome) {
+			// end to end. Wide keys and groups take it, and so does any
+			// apply Bind could not resolve to a word handle.
+			generic := func(e *Env, out *matchOutcome) {
 				if out.applied {
 					// One table application per stage per packet; extra
 					// applies are template bugs.
 					e.Faults.BadTemplate.Add(1)
 					return
 				}
-				e.applyTableWith(t, bt.rt, kp, backend, out)
+				e.applyTableWith(t, bt.rt, kp, out)
 			}
 			if gs := f.groups[ti]; gs != nil {
 				// Selector whose group fits a word: group, hash fold and the
@@ -1051,15 +1039,15 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 				// a plain table's do. Fault ordering and outcome recording are
 				// applyTableWith's selector arm's.
 				hsteps := fuseHashSteps(t.Keys[1:])
-				parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
+				parts = append(parts, func(e *Env, out *matchOutcome) {
 					member := bt.member
 					if out.applied || member == nil {
-						generic(e, backend, out)
+						generic(e, out)
 						return
 					}
 					out.applied = true
 					out.table = tname
-					group, ok := gs.build(e, e.Pkt, false)
+					group, ok := gs.build(e)
 					if !ok {
 						return
 					}
@@ -1071,22 +1059,18 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 				// Plain table whose key fits a word: field loads OR into a
 				// register, the register goes straight to the engine's probe,
 				// and the hit/miss counts batch on the Env instead of two
-				// shared atomics per packet. A word the batch executor parked
-				// for this packet one turn ago is taken, not rebuilt.
-				parts = append(parts, func(e *Env, backend TableBackend, out *matchOutcome) {
+				// shared atomics per packet.
+				parts = append(parts, func(e *Env, out *matchOutcome) {
 					probe := bt.probe
 					if out.applied || probe == nil {
-						generic(e, backend, out)
+						generic(e, out)
 						return
 					}
 					out.applied = true
 					out.table = tname
-					word := e.keyWord
-					if e.keyPkt != e.Pkt {
-						var ok bool
-						if word, ok = wk.build(e, e.Pkt, false); !ok {
-							return
-						}
+					word, ok := wk.build(e)
+					if !ok {
+						return
 					}
 					e.countLookup(bt, probe(word), out)
 				})
@@ -1101,9 +1085,9 @@ func (f *fuser) fuseMatchStmts(stmts []template.MatchStmt) fusedMatch {
 	case 1:
 		return parts[0]
 	}
-	return func(e *Env, b TableBackend, out *matchOutcome) {
+	return func(e *Env, out *matchOutcome) {
 		for _, p := range parts {
-			p(e, b, out)
+			p(e, out)
 		}
 	}
 }

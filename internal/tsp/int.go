@@ -20,8 +20,6 @@ import (
 type IntStampCtx struct {
 	// SwitchID identifies this switch in hop records.
 	SwitchID uint32
-	// MaxHops caps the records one packet accumulates (0 = wire limit).
-	MaxHops int
 	// Now overrides the monotonic clock; nil uses intmd.NowNanos.
 	// Differential tests inject a deterministic clock here so fused and
 	// interpreted stamps are byte-identical.
@@ -30,7 +28,7 @@ type IntStampCtx struct {
 	// Must be lock-free — it runs on the per-packet path.
 	Depth func(port int) int
 	// Stamps / Skips count hop records written and stamps suppressed by
-	// the MaxHops cap. Optional.
+	// the wire format's hop cap (intmd.MaxHopsWire). Optional.
 	Stamps *telemetry.Counter
 	Skips  *telemetry.Counter
 }
@@ -65,14 +63,10 @@ func (e *Env) intStamp(stageID uint16) {
 		return
 	}
 	p := e.Pkt
-	maxHops := ctx.MaxHops
-	if maxHops <= 0 || maxHops > intmd.MaxHopsWire {
-		maxHops = intmd.MaxHopsWire
-	}
 	now := uint64(ctx.NowNanos())
 	var inNs uint64
 	if prevOut, ok := intmd.LastHopOut(p.Data); ok {
-		if hops, _ := intmd.Hops(p.Data); hops >= maxHops {
+		if hops, _ := intmd.Hops(p.Data); hops >= intmd.MaxHopsWire {
 			if ctx.Skips != nil {
 				ctx.Skips.Inc()
 			}

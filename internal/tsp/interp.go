@@ -57,21 +57,10 @@ type Env struct {
 	groupBuf []byte
 	fieldBuf []byte
 
-	// keyPkt/keyWord are the batch executor's look-ahead: the word key of
-	// keyPkt for the stage now running, built one packet early for the
-	// prefetch and taken by that packet's apply. keyPkt is nil outside a
-	// prefetching batch.
-	keyPkt  *pkt.Packet
-	keyWord uint64
-
-	// prefetched sinks the tag returned by table prefetches so the bucket
-	// load has a data dependency the compiler cannot eliminate.
-	prefetched uint64
-
 	// statTbl/statHits/statMisses batch table hit/miss accounting for the
 	// fused word path: counts for the table last probed accumulate here in
 	// plain registers and flushTableStats credits them to the table's
-	// shared atomics at packet (scalar) or batch boundaries.
+	// shared atomics at batch boundaries.
 	statTbl    *boundTable
 	statHits   uint64
 	statMisses uint64
@@ -98,7 +87,6 @@ func (e *Env) Rebind(regs *RegisterFile, faults *Faults, srh, ipv6 pkt.HeaderID)
 	e.Lane = 0
 	e.statTbl = nil
 	e.statHits, e.statMisses = 0, 0
-	e.keyPkt = nil
 }
 
 const fnvOffset64 = 14695981039346656037

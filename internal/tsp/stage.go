@@ -10,28 +10,20 @@ import (
 	"ipsa/internal/template"
 )
 
-// TableBackend is what a TSP's matcher needs from the storage module: a
-// lookup per logical table. The ipbm device implements it over the
-// disaggregated memory pool; tests implement it directly.
-type TableBackend interface {
-	// Lookup performs a plain table lookup.
-	Lookup(table string, key []byte) (match.Result, bool)
-	// LookupSelector resolves a selector (ECMP) table: the group is picked
-	// by exact match on groupKey, the member by hash.
-	LookupSelector(table string, groupKey []byte, hash uint64) (match.Result, bool)
-}
-
-// ResolvedTable is a direct handle to one backend table. Fused stages
-// bind these once at apply time so per-packet applies skip the
-// backend's name-keyed resolution; semantics are identical to
-// TableBackend's Lookup and LookupSelector on the same table.
+// ResolvedTable is a direct handle to one table of the storage module:
+// what a TSP reaches through the crossbar, wired when the template is
+// downloaded rather than looked up per packet.
 type ResolvedTable interface {
+	// Lookup performs a plain table lookup.
 	Lookup(key []byte) (match.Result, bool)
+	// LookupMember resolves a selector (ECMP) table: the group is picked
+	// by exact match on group, the member by hash.
 	LookupMember(group []byte, hash uint64) (match.Result, bool)
 }
 
-// TableResolver is optionally implemented by backends that can hand out
-// direct table handles.
+// TableResolver hands out table handles by name. The ipbm device
+// implements it over its frozen table view, pisa over the tables of its
+// last rebuild, tests directly.
 type TableResolver interface {
 	ResolveTable(name string) (ResolvedTable, bool)
 }
@@ -52,16 +44,6 @@ type WordTable interface {
 	// of groupBytes bytes carried in one word, or nil when the table is no
 	// selector or its groups are wider than a word or of another length.
 	WordMember(groupBytes int) func(group, hash uint64) *match.Result
-	// WordPrefetch returns the engine's touch of the bucket a word would
-	// probe, or nil when it has none (LPM). The returned tag is arbitrary;
-	// callers sink it into the Env so the load cannot be dead-code-eliminated.
-	WordPrefetch() func(word uint64) uint64
-	// PrefetchUseful tells whether prefetching is worthwhile right now: a
-	// table whose resident probe array fits in cache gains nothing from a
-	// one-ahead touch. The batch executor asks once per stage per batch, so
-	// the table can grow into (or shrink out of) prefetching as entries
-	// change without a rebind.
-	PrefetchUseful() bool
 	AddLookupStats(hits, misses uint64)
 }
 
@@ -79,10 +61,9 @@ type StageRuntime struct {
 	prog  *stageProg
 	fused *fusedProg
 
-	// pfTouch drives the batch executor's one-packet-ahead software
-	// prefetch: set by Bind when the stage applies exactly one word-keyed
-	// table (fused.keys[0], prog.bound[0]) whose engine can touch a bucket.
-	pfTouch func(word uint64) uint64
+	// res is what the interpreter resolves its applies' tables by, per
+	// apply; set by Bind. The fused tier resolves once, into prog.bound.
+	res TableResolver
 
 	// intStamp/intStageID are the stage's INT epilogue, run by executeOne
 	// on either tier; set from BuildOpts.Int.
@@ -170,24 +151,23 @@ func BuildStageRuntimes(cfg *template.Config, opts BuildOpts) (map[string]*Stage
 	return out, nil
 }
 
-// Bind resolves the fused tier's table references against the backend,
-// if it supports direct handles. Called at apply time after the
-// backend's tables exist; a no-op for the interpreter (whose applies stay
-// name-keyed) and for backends without a resolver. Handles stay valid
+// Bind wires the stage's applies to their tables, once, at apply time
+// after the tables exist. The fused tier resolves each table to its handle
+// and, where the key or group fits a word, to the engine's own probe; the
+// interpreter keeps res and resolves by name on every apply, as the
+// per-packet reference. An apply whose table res does not know still
+// builds its key, with the same faults, and misses. Handles stay valid
 // across entry inserts and migrations — only a table drop invalidates
 // them, and a drop always comes with new runtimes for the stages that
 // referenced it.
-func (sr *StageRuntime) Bind(backend TableBackend) {
+func (sr *StageRuntime) Bind(res TableResolver) {
 	if sr.prog == nil {
+		sr.res = res
 		return
 	}
-	res, _ := backend.(TableResolver)
 	for i, t := range sr.prog.tables {
 		bt := &sr.prog.bound[i]
 		*bt = boundTable{}
-		if res == nil {
-			continue
-		}
 		rt, found := res.ResolveTable(t.Name)
 		if !found {
 			continue
@@ -207,13 +187,6 @@ func (sr *StageRuntime) Bind(backend TableBackend) {
 				bt.stats = wt
 			}
 		}
-	}
-	// Arm the batch executor's one-ahead prefetch for the common stage
-	// shape: exactly one table, word-keyed, on an engine that can touch a
-	// bucket. Advisory only — batches run identically without it.
-	sr.pfTouch = nil
-	if len(sr.prog.bound) == 1 && sr.prog.bound[0].probe != nil {
-		sr.pfTouch = sr.prog.bound[0].stats.WordPrefetch()
 	}
 }
 
@@ -256,74 +229,23 @@ type matchOutcome struct {
 	table   string // the table the stage applied, for tracing
 }
 
-// Execute runs the stage's parse-match-execute triad on one packet.
-func (sr *StageRuntime) Execute(p *pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
-	sr.packets.Add(1)
-	applied, hit, isDefault := sr.executeOne(p, parser, backend, env)
-	env.flushTableStats()
-	if applied {
-		if hit {
-			sr.hits.Add(1)
-		} else {
-			sr.misses.Add(1)
-		}
-	}
-	if isDefault {
-		sr.defaults.Add(1)
-	}
-}
-
 // ExecuteBatch runs the stage over every live packet of a batch before
 // the pipeline advances to the next stage: per-stage state (match tables,
 // closures, key plans) stays cache-hot across the batch, and the stage
-// counters — four contended atomics per packet on the scalar path — are
-// accumulated in registers and flushed once. Packets already dropped by
-// an earlier stage are skipped, preserving the scalar path's
-// break-on-drop semantics. Trace and Timed are re-pointed per packet from
-// the packet itself. When Bind armed a prefetch, the next live packet's
-// key is built and its table bucket touched one packet ahead.
-func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
+// counters are accumulated in registers and flushed once. It is the one
+// way to run a stage; a single packet is a batch of one. Packets already
+// dropped by an earlier stage are skipped. Trace and Timed are re-pointed
+// per packet from the packet itself.
+func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, env *Env) {
 	var packets, hits, misses, defaults uint64
-	n := len(ps)
-	// One-ahead prefetch, re-advised once per batch: a table whose probe
-	// array is currently cache-resident declines, and the batch skips the
-	// look-ahead entirely. A batch of one (Forward) has no packet ahead,
-	// so it does not ask.
-	touch := sr.pfTouch
-	var key *fusedWordKey
-	if n < 2 || touch == nil || !sr.prog.bound[0].stats.PrefetchUseful() {
-		touch = nil
-	} else {
-		key = sr.fused.keys[0]
-	}
-	// ahead is the packet whose key the previous turn built while it
-	// prefetched, parked on the Env for that packet's apply to take: a key
-	// is built once per packet per stage. The look-ahead counts no fault
-	// and parks nothing it could not build cleanly (the header may simply
-	// not be parsed yet); the apply then builds, and faults, as usual.
-	var ahead *pkt.Packet
-	var aheadWord uint64
-	for i, p := range ps {
+	for _, p := range ps {
 		if p == nil || p.Drop {
 			continue
-		}
-		if touch != nil {
-			env.keyPkt, env.keyWord = ahead, aheadWord
-			ahead = nil
-			for j := i + 1; j < n; j++ {
-				if nx := ps[j]; nx != nil && !nx.Drop {
-					if w, ok := key.build(env, nx, true); ok {
-						ahead, aheadWord = nx, w
-						env.prefetched += touch(w)
-					}
-					break
-				}
-			}
 		}
 		packets++
 		env.Trace = p.Trace
 		env.Timed = p.Timed
-		applied, hit, isDefault := sr.executeOne(p, parser, backend, env)
+		applied, hit, isDefault := sr.executeOne(p, parser, env)
 		if applied {
 			if hit {
 				hits++
@@ -335,7 +257,6 @@ func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, b
 			defaults++
 		}
 	}
-	env.keyPkt = nil
 	env.flushTableStats()
 	if packets != 0 {
 		sr.packets.Add(packets)
@@ -351,9 +272,9 @@ func (sr *StageRuntime) ExecuteBatch(ps []*pkt.Packet, parser *OnDemandParser, b
 	}
 }
 
-// executeOne is the per-packet core shared by Execute and ExecuteBatch.
-// Callers own the stage counters (batches flush them once per batch).
-func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) (applied, hit, isDefault bool) {
+// executeOne is ExecuteBatch's per-packet core; the caller owns the
+// stage counters.
+func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, env *Env) (applied, hit, isDefault bool) {
 	env.Pkt = p
 	// Parser submodule: just-in-time parsing of the declared headers. The
 	// mask compare short-circuits the per-header walk when everything the
@@ -369,10 +290,10 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 	*out = matchOutcome{}
 	if sr.fused != nil {
 		if sr.fused.match != nil {
-			sr.fused.match(env, backend, out)
+			sr.fused.match(env, out)
 		}
 	} else {
-		sr.runMatch(sr.tmpl.Match, env, backend, out)
+		sr.runMatch(sr.tmpl.Match, env, out)
 	}
 	// Executor submodule: select the arm by the matched entry's tag;
 	// misses and no-apply paths take the default arm. The fused tier
@@ -443,15 +364,15 @@ func (sr *StageRuntime) executeOne(p *pkt.Packet, parser *OnDemandParser, backen
 	return out.applied, out.hit, isDefault
 }
 
-func (sr *StageRuntime) runMatch(stmts []template.MatchStmt, env *Env, backend TableBackend, out *matchOutcome) {
+func (sr *StageRuntime) runMatch(stmts []template.MatchStmt, env *Env, out *matchOutcome) {
 	for i := range stmts {
 		st := &stmts[i]
 		switch st.Kind {
 		case template.MatchIf:
 			if env.EvalCond(st.Cond) {
-				sr.runMatch(st.Then, env, backend, out)
+				sr.runMatch(st.Then, env, out)
 			} else {
-				sr.runMatch(st.Else, env, backend, out)
+				sr.runMatch(st.Else, env, out)
 			}
 		case template.MatchApply:
 			if out.applied {
@@ -465,26 +386,24 @@ func (sr *StageRuntime) runMatch(stmts []template.MatchStmt, env *Env, backend T
 				env.Faults.BadTemplate.Add(1)
 				continue
 			}
-			env.applyTable(t, backend, out)
+			var rt ResolvedTable
+			if sr.res != nil {
+				rt, _ = sr.res.ResolveTable(t.Name)
+			}
+			env.applyTableWith(t, rt, nil, out)
 		}
 	}
 }
 
-// applyTable performs one table application: key/group construction,
-// backend lookup, and outcome recording. The interpreter and the fused
-// tier's byte-keyed applies funnel through this so lookup semantics
-// (including the skip-on-unreadable-key paths) cannot diverge between the
-// two.
-func (e *Env) applyTable(t *template.Table, backend TableBackend, out *matchOutcome) {
-	e.applyTableWith(t, nil, nil, backend, out)
-}
-
-// applyTableWith is applyTable with optional bind-time shortcuts: a
-// direct table handle (rt) that skips the backend's name resolution, and
-// a key plan (kp) that skips the generic key builder's per-field operand
-// dispatch. Key bytes, selector handling, fault ordering and outcome
-// recording are byte-identical either way.
-func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, kp *keyPlan, backend TableBackend, out *matchOutcome) {
+// applyTableWith performs one table application: key/group
+// construction, the lookup through rt, and outcome recording. The
+// interpreter and the fused tier's byte-keyed applies funnel through this
+// so lookup semantics (including the skip-on-unreadable-key paths) cannot
+// diverge between the two. A key plan (kp) skips the generic key
+// builder's per-field operand dispatch; key bytes, selector handling,
+// fault ordering and outcome recording are byte-identical either way. A
+// nil rt, a table with no handle, builds its key and misses.
+func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, kp *keyPlan, out *matchOutcome) {
 	out.applied = true
 	out.table = t.Name
 	var res match.Result
@@ -514,8 +433,6 @@ func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, kp *keyPlan, b
 		}
 		if rt != nil {
 			res, ok = rt.LookupMember(group, finalizeHash(h))
-		} else {
-			res, ok = backend.LookupSelector(t.Name, group, finalizeHash(h))
 		}
 	} else {
 		var key []byte
@@ -530,8 +447,6 @@ func (e *Env) applyTableWith(t *template.Table, rt ResolvedTable, kp *keyPlan, b
 		}
 		if rt != nil {
 			res, ok = rt.Lookup(key)
-		} else {
-			res, ok = backend.Lookup(t.Name, key)
 		}
 	}
 	if ok {
@@ -554,9 +469,9 @@ func (e *Env) keySlot(n int) []byte {
 }
 
 // flushTableStats credits the hit/miss counts the fused word path
-// accumulated on this Env to their table and clears the batch. Execute
-// flushes per packet, ExecuteBatch once per batch; either way the shared
-// table counters are exact at every public boundary.
+// accumulated on this Env to their table and clears the batch.
+// ExecuteBatch flushes once per batch, so the shared table counters are
+// exact at every public boundary.
 func (e *Env) flushTableStats() {
 	if e.statTbl != nil {
 		if e.statHits|e.statMisses != 0 {

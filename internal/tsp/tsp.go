@@ -86,7 +86,7 @@ func (t *TSP) StageNames() []string {
 // whole stage sweep is timed once and the mean per live packet is
 // observed for each Timed packet, since per-packet boundaries do not
 // exist in stage-major order.
-func (t *TSP) ProcessBatchWith(stages []*StageRuntime, ps []*pkt.Packet, parser *OnDemandParser, backend TableBackend, env *Env) {
+func (t *TSP) ProcessBatchWith(stages []*StageRuntime, ps []*pkt.Packet, parser *OnDemandParser, env *Env) {
 	if len(stages) == 0 {
 		return
 	}
@@ -108,7 +108,7 @@ func (t *TSP) ProcessBatchWith(stages []*StageRuntime, ps []*pkt.Packet, parser 
 		t0 = time.Now()
 	}
 	for _, s := range stages {
-		s.ExecuteBatch(ps, parser, backend, env)
+		s.ExecuteBatch(ps, parser, env)
 	}
 	if timed > 0 {
 		mean := int64(time.Since(t0)) / int64(live)

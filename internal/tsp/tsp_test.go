@@ -66,18 +66,29 @@ func miniConfig() *template.Config {
 	}
 }
 
+// mapBackend resolves every table name to a view of two maps, keyed
+// "table/key" and "table/group".
 type mapBackend struct {
 	entries map[string]match.Result
 	groups  map[string][]match.Result
 }
 
-func (b *mapBackend) Lookup(table string, key []byte) (match.Result, bool) {
-	r, ok := b.entries[table+"/"+string(key)]
+type mapTable struct {
+	b    *mapBackend
+	name string
+}
+
+func (b *mapBackend) ResolveTable(name string) (ResolvedTable, bool) {
+	return mapTable{b, name}, true
+}
+
+func (t mapTable) Lookup(key []byte) (match.Result, bool) {
+	r, ok := t.b.entries[t.name+"/"+string(key)]
 	return r, ok
 }
 
-func (b *mapBackend) LookupSelector(table string, group []byte, h uint64) (match.Result, bool) {
-	m := b.groups[table+"/"+string(group)]
+func (t mapTable) LookupMember(group []byte, h uint64) (match.Result, bool) {
+	m := t.b.groups[t.name+"/"+string(group)]
 	if len(m) == 0 {
 		return match.Result{}, false
 	}
@@ -150,13 +161,14 @@ func TestStageRuntimeHitMissDefault(t *testing.T) {
 		"t/\xAA": {ActionID: 1, Params: []uint64{0x5C}},
 		"t/\xBB": {ActionID: 2},
 	}}
+	sr.Bind(be)
 	regs := NewRegisterFile(nil)
 	faults := &Faults{}
 
 	// Hit tag 1: setmeta writes the param into meta bits 34..41.
 	p := pkt.NewPacket([]byte{0xAA, 0x00}, cfg.MetaBytes)
 	env := &Env{Regs: regs, Faults: faults, SRHID: pkt.InvalidHeader, IPv6ID: pkt.InvalidHeader}
-	sr.Execute(p, op, be, env)
+	sr.ExecuteBatch([]*pkt.Packet{p}, op, env)
 	v, _ := p.MetaBits(34, 8)
 	if v != 0x5C {
 		t.Errorf("meta = %#x, want 0x5C", v)
@@ -166,7 +178,7 @@ func TestStageRuntimeHitMissDefault(t *testing.T) {
 	}
 	// Hit tag 2: dropper.
 	p2 := pkt.NewPacket([]byte{0xBB, 0x00}, cfg.MetaBytes)
-	sr.Execute(p2, op, be, env)
+	sr.ExecuteBatch([]*pkt.Packet{p2}, op, env)
 	if !p2.Drop {
 		t.Error("dropper arm did not drop")
 	}
@@ -176,7 +188,7 @@ func TestStageRuntimeHitMissDefault(t *testing.T) {
 	}
 	// Miss: default NoAction.
 	p3 := pkt.NewPacket([]byte{0xCC, 0x00}, cfg.MetaBytes)
-	sr.Execute(p3, op, be, env)
+	sr.ExecuteBatch([]*pkt.Packet{p3}, op, env)
 	if p3.Drop {
 		t.Error("miss dropped")
 	}
@@ -229,11 +241,11 @@ func TestTSPLoadUnload(t *testing.T) {
 	}
 	// A dropped packet stops in-TSP processing.
 	tp.Load([]*StageRuntime{sr, sr})
-	be := &mapBackend{entries: map[string]match.Result{"t/\xBB": {ActionID: 2}}}
+	sr.Bind(&mapBackend{entries: map[string]match.Result{"t/\xBB": {ActionID: 2}}})
 	op := NewOnDemandParser(cfg)
 	env := &Env{Regs: NewRegisterFile(nil), Faults: &Faults{}, SRHID: pkt.InvalidHeader, IPv6ID: pkt.InvalidHeader}
 	p := pkt.NewPacket([]byte{0xBB, 0x00}, cfg.MetaBytes)
-	tp.ProcessBatchWith(tp.Stages(), []*pkt.Packet{p}, op, be, env)
+	tp.ProcessBatchWith(tp.Stages(), []*pkt.Packet{p}, op, env)
 	pkts, _, _ := sr.Stats()
 	if pkts != 1 {
 		t.Errorf("second stage ran on dropped packet: %d executions", pkts)
