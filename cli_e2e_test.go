@@ -37,6 +37,13 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func freePort(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -117,6 +124,25 @@ func TestCLIEndToEnd(t *testing.T) {
 	tables = run(t, rp4ctl, "-addr", addr, "tables")
 	if !regexp.MustCompile(`ecmp_ipv4 +hash/selector .* entries=1\n`).MatchString(tables) || strings.Contains(tables, "nexthop_tbl") {
 		t.Fatalf("post-update tables:\n%s", tables)
+	}
+	// An edit script is one request: a new table commits, and a script
+	// that would strand a stage's table is refused with nothing changed.
+	addTable := filepath.Join(dir, "add_table.json")
+	writeFile(t, addTable, `[{"kind":"set_table","table":"cli_scratch","table_spec":{"name":"cli_scratch","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}]`)
+	if out := run(t, rp4ctl, "-addr", addr, "edit", addTable); !strings.Contains(out, "committed 1 ops") {
+		t.Fatalf("edit:\n%s", out)
+	}
+	tables = run(t, rp4ctl, "-addr", addr, "tables")
+	if !strings.Contains(tables, "cli_scratch") {
+		t.Fatalf("tables after edit:\n%s", tables)
+	}
+	dropUsed := filepath.Join(dir, "drop_used.json")
+	writeFile(t, dropUsed, `[{"kind":"delete_table","table":"dmac_tbl"}]`)
+	if out, err := exec.Command(rp4ctl, "-addr", addr, "edit", dropUsed).CombinedOutput(); err == nil {
+		t.Fatalf("edit stranding a stage's table succeeded:\n%s", out)
+	}
+	if after := run(t, rp4ctl, "-addr", addr, "tables"); after != tables {
+		t.Fatalf("refused edit changed tables:\n%s\nwant:\n%s", after, tables)
 	}
 	stats := run(t, rp4ctl, "-addr", addr, "stats")
 	if !strings.Contains(stats, "active_tsps") {

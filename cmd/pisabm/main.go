@@ -35,12 +35,9 @@ type device struct {
 
 var errBaseline = errors.New("pisabm: per-entry deletion and edit scripts are not part of the baseline model")
 
-func (d device) DeleteEntry(string, int) error             { return errBaseline }
-func (d device) EditBegin() error                          { return errBaseline }
-func (d device) EditApply(ctrlplane.EditOp) error          { return errBaseline }
-func (d device) EditCommit() (*ctrlplane.EditStats, error) { return nil, errBaseline }
-func (d device) EditAbort() error                          { return errBaseline }
-func (d device) Views() *telemetry.Views                   { return d.views }
+func (d device) DeleteEntry(string, int) error                          { return errBaseline }
+func (d device) Edit([]ctrlplane.EditOp) (*ctrlplane.ApplyStats, error) { return nil, errBaseline }
+func (d device) Views() *telemetry.Views                                { return d.views }
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9902", "control channel listen address")

@@ -112,13 +112,6 @@ func main() {
 		fmt.Println("ok")
 	case "edit":
 		need(args, 2)
-		if args[1] == "abort" {
-			if err := cl.EditAbort(); err != nil {
-				fatal(err)
-			}
-			fmt.Println("aborted")
-			break
-		}
 		b, err := os.ReadFile(args[1])
 		if err != nil {
 			fatal(err)
@@ -127,27 +120,12 @@ func main() {
 		if err := json.Unmarshal(b, &ops); err != nil {
 			fatal(fmt.Errorf("edit script %s: %w", args[1], err))
 		}
-		if len(ops) == 0 {
-			fatal(fmt.Errorf("edit script %s has no ops", args[1]))
-		}
-		if err := cl.EditBegin(); err != nil {
+		st, err := cl.Edit(ops)
+		if err != nil {
 			fatal(err)
 		}
-		for i, op := range ops {
-			if err := cl.EditApply(op); err != nil {
-				_ = cl.EditAbort()
-				fatal(fmt.Errorf("op %d (%s): %w (transaction aborted)", i, op.Kind, err))
-			}
-		}
-		st, err := cl.EditCommit()
-		if err != nil {
-			_ = cl.EditAbort()
-			fatal(fmt.Errorf("commit: %w (transaction aborted)", err))
-		}
-		fmt.Printf("committed %d ops\n", st.Ops)
-		if st.Apply != nil {
-			printApply(st.Apply)
-		}
+		fmt.Printf("committed %d ops\n", len(ops))
+		printApply(st)
 	case "top":
 		interval := time.Second
 		if len(args) > 1 {
@@ -310,7 +288,6 @@ commands:
   events [MAX]
   show VIEW [MAX|WINDOW]  any device view as JSON (e.g. show rates 30s)
   edit SCRIPT.json        apply an edit script (JSON array of ops) as one hitless commit
-  edit abort              discard a stuck open transaction
   health [WINDOW]         one-shot self-diagnosis snapshot (e.g. health 30s)
   top [INTERVAL]          live refreshing operator view (default 1s refresh)
   table-stats TABLE

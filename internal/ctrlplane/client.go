@@ -120,34 +120,12 @@ func (c *Client) IntDisable() error {
 	return err
 }
 
-// EditBegin opens an edit-script transaction on the device.
-func (c *Client) EditBegin() error {
-	_, err := c.Do(&Request{Op: OpEditBegin})
-	return err
-}
-
-// EditApply applies one edit op to the open transaction. Stage ops ride
-// edit_tsp, table ops ride edit_table.
-func (c *Client) EditApply(op EditOp) error {
-	wire := OpEditTable
-	if op.Kind == "set_stage" || op.Kind == "delete_stage" {
-		wire = OpEditTSP
-	}
-	_, err := c.Do(&Request{Op: wire, Edit: &op})
-	return err
-}
-
-// EditCommit publishes the open transaction as one reconfiguration.
-func (c *Client) EditCommit() (*EditStats, error) {
-	resp, err := c.Do(&Request{Op: OpEditCommit})
+// Edit sends a whole edit script, which the device publishes as one
+// reconfiguration or rejects whole.
+func (c *Client) Edit(ops []EditOp) (*ApplyStats, error) {
+	resp, err := c.Do(&Request{Op: OpEdit, Edits: ops})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Edit, nil
-}
-
-// EditAbort discards the open transaction.
-func (c *Client) EditAbort() error {
-	_, err := c.Do(&Request{Op: OpEditAbort})
-	return err
+	return resp.Apply, nil
 }

@@ -177,11 +177,8 @@ func (d *fakeDevice) ReadRegister(name string, index uint64) (uint64, error) {
 
 var errNoEdits = errors.New("no edit scripts")
 
-func (d *fakeDevice) SetInt(bool) error               { return errors.New("no INT") }
-func (d *fakeDevice) EditBegin() error                { return errNoEdits }
-func (d *fakeDevice) EditApply(EditOp) error          { return errNoEdits }
-func (d *fakeDevice) EditCommit() (*EditStats, error) { return nil, errNoEdits }
-func (d *fakeDevice) EditAbort() error                { return errNoEdits }
+func (d *fakeDevice) SetInt(bool) error                  { return errors.New("no INT") }
+func (d *fakeDevice) Edit([]EditOp) (*ApplyStats, error) { return nil, errNoEdits }
 
 func (d *fakeDevice) Views() *telemetry.Views {
 	v := telemetry.NewViews()
@@ -352,8 +349,10 @@ func TestHandleUnknownAndMalformed(t *testing.T) {
 	if r := srv.Handle(&Request{Op: OpInsertEntry}); r.OK {
 		t.Error("insert without entry succeeded")
 	}
-	if r := srv.Handle(&Request{Op: OpEditTable}); r.OK {
-		t.Error("edit without op succeeded")
+	for _, ops := range [][]EditOp{nil, {}} {
+		if r := srv.Handle(&Request{Op: OpEdit, Edits: ops}); r.OK || !strings.Contains(r.Error, "without ops") {
+			t.Errorf("edit with ops %#v answered %+v", ops, r)
+		}
 	}
 	if r := srv.Handle(&Request{Op: OpView}); r.OK {
 		t.Error("view without a name succeeded")

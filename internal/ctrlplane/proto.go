@@ -25,17 +25,11 @@ const (
 	OpIntEnable    Op = "int_enable"
 	OpIntDisable   Op = "int_disable"
 	OpPing         Op = "ping"
-
-	// Edit-script ops: a begin/ops/commit transaction that inserts,
-	// deletes or rewires individual TSP stages and tables instead of
-	// shipping a whole configuration. Stage edits ride edit_tsp, table
-	// edits ride edit_table; commit publishes the accumulated script as
-	// one (hitless, on ipbm) reconfiguration.
-	OpEditBegin  Op = "edit_begin"
-	OpEditTSP    Op = "edit_tsp"
-	OpEditTable  Op = "edit_table"
-	OpEditCommit Op = "edit_commit"
-	OpEditAbort  Op = "edit_abort"
+	// OpEdit carries a whole edit script: ops that insert, delete or
+	// rewire individual TSP stages and tables instead of shipping a whole
+	// configuration, published as one (hitless, on ipbm) reconfiguration
+	// or rejected whole.
+	OpEdit Op = "edit"
 )
 
 // Request is one control-channel message.
@@ -56,8 +50,8 @@ type Request struct {
 	View        string `json:"view,omitempty"`
 	Max         int    `json:"max,omitempty"`
 	WindowNanos int64  `json:"window_nanos,omitempty"`
-	// Edit serves edit_tsp and edit_table.
-	Edit *EditOp `json:"edit,omitempty"`
+	// Edits serves edit, applied in order.
+	Edits []EditOp `json:"edits,omitempty"`
 }
 
 // Response answers a Request.
@@ -69,7 +63,6 @@ type Response struct {
 	Stats  *TableStats `json:"stats,omitempty"`
 	Value  uint64      `json:"value,omitempty"`
 	Apply  *ApplyStats `json:"apply,omitempty"`
-	Edit   *EditStats  `json:"edit,omitempty"`
 	// View is a view op's payload, the JSON the view encodes to.
 	View json.RawMessage `json:"view,omitempty"`
 }
@@ -159,12 +152,6 @@ type EditOp struct {
 	TableSpec *template.Table             `json:"table_spec,omitempty"`
 }
 
-// EditStats summarizes a committed edit script.
-type EditStats struct {
-	Ops   int         `json:"ops"`
-	Apply *ApplyStats `json:"apply,omitempty"`
-}
-
 // Device is the behaviour a control server exposes; ipbm implements it.
 // Everything it can be asked to read without arguments is a view in
 // Views; a device without edit scripts or INT answers those ops with an
@@ -176,12 +163,8 @@ type Device interface {
 	TableStats(table string) (*TableStats, error)
 	ReadRegister(name string, index uint64) (uint64, error)
 	SetInt(enabled bool) error
-
-	// Edit-script partial reconfiguration: a begin/ops/commit transaction.
-	EditBegin() error
-	EditApply(op EditOp) error
-	EditCommit() (*EditStats, error)
-	EditAbort() error
+	// Edit applies an edit script as one reconfiguration, or none of it.
+	Edit(ops []EditOp) (*ApplyStats, error)
 
 	Views() *telemetry.Views
 }

@@ -167,30 +167,15 @@ func (s *Server) Handle(req *Request) *Response {
 			return fail(err)
 		}
 		return &Response{OK: true}
-	case OpEditBegin:
-		if err := s.dev.EditBegin(); err != nil {
-			return fail(err)
+	case OpEdit:
+		if len(req.Edits) == 0 {
+			return fail(fmt.Errorf("ccm: edit without ops"))
 		}
-		return &Response{OK: true}
-	case OpEditTSP, OpEditTable:
-		if req.Edit == nil {
-			return fail(fmt.Errorf("ccm: %s without edit op", req.Op))
-		}
-		if err := s.dev.EditApply(*req.Edit); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
-	case OpEditCommit:
-		st, err := s.dev.EditCommit()
+		st, err := s.dev.Edit(req.Edits)
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Edit: st}
-	case OpEditAbort:
-		if err := s.dev.EditAbort(); err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true}
+		return &Response{OK: true, Apply: st}
 	}
 	return fail(fmt.Errorf("ccm: unknown op %q", req.Op))
 }

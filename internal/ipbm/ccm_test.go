@@ -42,9 +42,9 @@ func handleStream(t *testing.T, srv *ctrlplane.Server, data []byte, limit int) [
 
 // ccmReproducers are request streams that once killed the daemon: a
 // null table, stage or action in apply_config (nil dereference in
-// Validate), which must now be refused, and an edit transaction over an
-// empty design (writes into the null maps the config clone
-// round-tripped), whose last op must now succeed.
+// Validate), which must now be refused, and an edit over an empty design
+// (writes into the null maps the config clone round-tripped), which must
+// now succeed.
 var ccmReproducers = []struct {
 	stream string
 	ok     bool
@@ -53,11 +53,9 @@ var ccmReproducers = []struct {
 	{`{"op":"apply_config","config":{"stages":{"s":null}}}`, false},
 	{`{"op":"apply_config","config":{"actions":{"a":null}}}`, false},
 	{`{"op":"apply_config","config":{}}
-	{"op":"edit_begin"}
-	{"op":"edit_table","edit":{"kind":"set_table","table":"t","table_spec":{"name":"t","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}}`, true},
+	{"op":"edit","edits":[{"kind":"set_table","table":"t","table_spec":{"name":"t","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}]}`, true},
 	{`{"op":"apply_config","config":{}}
-	{"op":"edit_begin"}
-	{"op":"edit_tsp","edit":{"kind":"set_stage","stage":"s","spec":{"name":"s"},"actions":{"a":{"name":"a"}},"tsp":1}}`, true},
+	{"op":"edit","edits":[{"kind":"set_stage","stage":"s","spec":{"name":"s"},"actions":{"a":{"name":"a"}},"tsp":1}]}`, true},
 }
 
 func TestCCMCrashReproducers(t *testing.T) {
@@ -105,6 +103,9 @@ func TestCCMSelectorMembers(t *testing.T) {
 	}
 }
 
+// fuzzScratchOp creates a table no stage uses.
+const fuzzScratchOp = `{"kind":"set_table","table":"fz","table_spec":{"name":"fz","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}`
+
 var (
 	ccmFuzzOnce sync.Once
 	ccmFuzzCfg  *template.Config
@@ -141,11 +142,12 @@ func FuzzCCMRequest(f *testing.F) {
 		`{"op":"read_register","register":"r","index":3}`,
 		`{"op":"int_enable"}`,
 		`{"op":"int_disable"}`,
-		`{"op":"edit_begin"}`,
-		`{"op":"edit_begin"}{"op":"edit_tsp","edit":{"kind":"delete_stage","stage":"ipv4_lpm"}}{"op":"edit_commit"}`,
-		`{"op":"edit_begin"}{"op":"edit_table","edit":{"kind":"delete_table","table":"ipv4_host"}}{"op":"edit_abort"}`,
-		`{"op":"edit_commit"}`,
-		`{"op":"edit_abort"}`,
+		`{"op":"edit","edits":[` + fuzzScratchOp + `]}`,
+		`{"op":"edit","edits":[{"kind":"delete_stage","stage":"ipv4_lpm_fib"},{"kind":"delete_table","table":"ipv4_lpm"},` + fuzzScratchOp + `]}`,
+		// Refused whole: the second op names no table.
+		`{"op":"edit","edits":[` + fuzzScratchOp + `,{"kind":"delete_table","table":"ghost"}]}`,
+		`{"op":"edit","edits":[]}`,
+		`{"op":"edit","edits":null}`,
 		`{"op":"bogus"}`,
 		// A member keyed by the group and a hashed field, which a member
 		// does not take.

@@ -128,23 +128,17 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	release1()
 
 	// Phase 2 — the mixed storm races a hitless edit storm: scratch-table
-	// create/drop transactions publish a fresh epoch every commit while
+	// create/drop edits publish a fresh epoch every commit while
 	// the four traffic categories interleave.
 	editErr := make(chan error, 1)
 	go func() {
 		editErr <- func() error {
 			for i := 0; i < edits; i++ {
-				if err := sw.EditBegin(); err != nil {
-					return err
-				}
 				op := ctrlplane.EditOp{Kind: "set_table", Table: "drop_scratch", TableSpec: scratchTable("drop_scratch")}
 				if i%2 == 1 {
 					op = ctrlplane.EditOp{Kind: "delete_table", Table: "drop_scratch"}
 				}
-				if err := sw.EditApply(op); err != nil {
-					return err
-				}
-				if _, err := sw.EditCommit(); err != nil {
+				if _, err := sw.Edit([]ctrlplane.EditOp{op}); err != nil {
 					return err
 				}
 			}

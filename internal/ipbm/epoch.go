@@ -239,9 +239,9 @@ func stageUsesTables(cfg *template.Config, sn string, names map[string]bool) boo
 // it reconciles registers and tables with what is installed, compiles
 // only the stages whose structural hash changed, and publishes the result
 // as a new program version — without ever excluding packet readers.
-// Called with s.mu held (ApplyConfig, and the edit layer's commit under
-// its own lock hold).
-func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane.ApplyStats, error) {
+// Called with s.mu held, by ApplyConfig (ops 0) and by Edit, which
+// passes its script's length so the publish is one edit_commit event.
+func (s *Switch) applyHitless(cfg *template.Config, start time.Time, ops int) (*ctrlplane.ApplyStats, error) {
 	var old *template.Config
 	if d := s.dp.Design(); d != nil {
 		old = d.Cfg
@@ -255,8 +255,18 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 			kind = "apply_patch"
 		}
 	}
-	// A patch manifest is a contract; reject a bad one before touching
-	// any state so the device keeps forwarding on the old program.
+	detail := ""
+	if ops > 0 {
+		kind, detail = "edit_commit", fmt.Sprintf("%d ops", ops)
+	}
+	// A patch manifest is a contract, and a stage on a TSP the device
+	// lacks would never run; reject either before touching any state so
+	// the device keeps forwarding on the old program.
+	for sn, idx := range cfg.TSPAssignment {
+		if idx < 0 || idx >= s.pl.NumTSPs() {
+			return nil, fmt.Errorf("ipbm: stage %q assigned to TSP %d outside [0,%d)", sn, idx, s.pl.NumTSPs())
+		}
+	}
 	if patchDirected {
 		for _, idx := range cfg.Patch.RewrittenTSPs {
 			if idx < 0 || idx >= s.pl.NumTSPs() {
@@ -375,6 +385,7 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time) (*ctrlplane
 	s.tel.Events.Append(telemetry.Event{
 		Kind:             kind,
 		ConfigHash:       hash,
+		Detail:           detail,
 		TSPsWritten:      stats.TSPsWritten,
 		TablesCreated:    stats.TablesCreated,
 		TablesDropped:    stats.TablesDropped,

@@ -8,11 +8,10 @@ import (
 	"ipsa/internal/template"
 )
 
-// scratchTableOps returns the two-op edit scripts that create and drop
-// an otherwise-unreferenced scratch table — the smallest possible
-// partial reconfiguration, but one that still forces a full epoch
-// publish (snapshot swap, table create/drop safety, maximal stage
-// reuse).
+// scratchTable is an otherwise-unreferenced table whose create and drop
+// edits are the smallest possible partial reconfiguration, but one that
+// still forces a full epoch publish (snapshot swap, table create/drop
+// safety, maximal stage reuse).
 func scratchTable(name string) *template.Table {
 	return &template.Table{
 		Name: name, Kind: "exact",
@@ -22,34 +21,27 @@ func scratchTable(name string) *template.Table {
 }
 
 // TestEpochStoreBasics: each apply publishes a new epoch; with no
-// packets in flight the previous version is reclaimed immediately.
+// packets in flight the previous version is reclaimed immediately. An
+// edit is one publish and writes one audit event.
 func TestEpochStoreBasics(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	e0, retired, _ := sw.EpochStats()
 	if e0 != 1 || retired != 0 {
 		t.Fatalf("after install: epoch=%d retired=%d", e0, retired)
 	}
-	if err := sw.EditBegin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.EditApply(ctrlplane.EditOp{Kind: "set_table", Table: "scratch", TableSpec: scratchTable("scratch")}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := sw.EditCommit()
+	seq0 := sw.tel.Events.LastSeq()
+	st, err := sw.Edit([]ctrlplane.EditOp{{Kind: "set_table", Table: "scratch", TableSpec: scratchTable("scratch")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ops != 1 || st.Apply == nil || !st.Apply.Hitless {
-		t.Fatalf("edit stats: %+v", st)
-	}
-	if st.Apply.TablesCreated != 1 || st.Apply.Epoch != 2 {
-		t.Fatalf("apply stats: %+v", st.Apply)
+	if !st.Hitless || st.TablesCreated != 1 || st.Epoch != 2 {
+		t.Fatalf("apply stats: %+v", st)
 	}
 	// No stage references the scratch table, so every compiled stage is
 	// reused verbatim across the epoch.
-	if st.Apply.StagesRecompiled != 0 || st.Apply.StagesReused == 0 {
+	if st.StagesRecompiled != 0 || st.StagesReused == 0 {
 		t.Errorf("one-table edit recompiled %d stages (reused %d)",
-			st.Apply.StagesRecompiled, st.Apply.StagesReused)
+			st.StagesRecompiled, st.StagesReused)
 	}
 	epoch, retired, reclaimed := sw.EpochStats()
 	if epoch != 2 || retired != 0 || reclaimed == 0 {
@@ -59,55 +51,18 @@ func TestEpochStoreBasics(t *testing.T) {
 	if got := sw.Pipeline().StallTime(); got != 0 {
 		t.Errorf("hitless edit stalled the pipeline for %v", got)
 	}
-}
-
-// TestEditTransactionLifecycle covers the transaction state machine:
-// double begin, ops without a transaction, abort, and commit-validation
-// failure keeping the transaction open.
-func TestEditTransactionLifecycle(t *testing.T) {
-	sw, _ := newBaseSwitch(t)
-	if err := sw.EditApply(ctrlplane.EditOp{Kind: "set_table"}); err == nil {
-		t.Error("op accepted without transaction")
+	// One event, carrying the script's length and everything an apply
+	// records, and one diff-mode apply on the counter.
+	if n := sw.tel.Events.LastSeq() - seq0; n != 1 {
+		t.Fatalf("edit wrote %d events, want 1", n)
 	}
-	if _, err := sw.EditCommit(); err == nil {
-		t.Error("commit accepted without transaction")
+	ev, _ := sw.tel.Events.Last()
+	if ev.Kind != "edit_commit" || ev.Detail != "1 ops" || ev.Epoch != 2 || !ev.Hitless ||
+		ev.ConfigHash != configHash(sw.Config()) || ev.TablesCreated != 1 || ev.StagesReused != st.StagesReused {
+		t.Errorf("edit event: %+v", ev)
 	}
-	if err := sw.EditBegin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.EditBegin(); err == nil {
-		t.Error("double begin accepted")
-	}
-	if err := sw.EditApply(ctrlplane.EditOp{Kind: "delete_table", Table: "ghost"}); err == nil {
-		t.Error("delete of unknown table accepted")
-	}
-	// Deleting a table a stage still references validates at commit and
-	// keeps the transaction open for a corrective abort.
-	if err := sw.EditApply(ctrlplane.EditOp{Kind: "delete_table", Table: "dmac_tbl"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.EditCommit(); err == nil {
-		t.Error("commit of dangling table reference accepted")
-	}
-	if err := sw.EditAbort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.EditAbort(); err == nil {
-		t.Error("double abort accepted")
-	}
-	// The device still forwards and the abort is on the audit trail.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
-	if err != nil || p.Drop {
-		t.Fatalf("forwarding broken after abort: err=%v drop=%v", err, p.Drop)
-	}
-	var aborts int
-	for _, ev := range sw.tel.Events.Dump(0) {
-		if ev.Kind == "edit_abort" {
-			aborts++
-		}
-	}
-	if aborts != 1 {
-		t.Errorf("edit_abort events = %d, want 1", aborts)
+	if got := sw.tel.appliesDiff.Value(); got != 1 {
+		t.Errorf("diff-mode applies = %d, want 1", got)
 	}
 }
 
@@ -152,20 +107,14 @@ func TestEpochReclamationSoak(t *testing.T) {
 		}
 	}()
 
-	// Edits: alternate create/drop of a scratch table, one transaction
-	// per commit — 1k epoch publishes while packets are in flight.
+	// Edits: alternate create/drop of a scratch table, one request per
+	// commit — 1k epoch publishes while packets are in flight.
 	for i := 0; i < edits; i++ {
-		if err := sw.EditBegin(); err != nil {
-			t.Fatal(err)
-		}
 		op := ctrlplane.EditOp{Kind: "set_table", Table: "soak_scratch", TableSpec: scratchTable("soak_scratch")}
 		if i%2 == 1 {
 			op = ctrlplane.EditOp{Kind: "delete_table", Table: "soak_scratch"}
 		}
-		if err := sw.EditApply(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.EditCommit(); err != nil {
+		if _, err := sw.Edit([]ctrlplane.EditOp{op}); err != nil {
 			t.Fatalf("edit %d: %v", i, err)
 		}
 	}

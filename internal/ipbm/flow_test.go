@@ -173,17 +173,11 @@ func TestFlowStateSurvivesReconfig(t *testing.T) {
 		}
 	}()
 	for i := 0; i < edits; i++ {
-		if err := sw.EditBegin(); err != nil {
-			t.Fatal(err)
-		}
 		op := ctrlplane.EditOp{Kind: "set_table", Table: "flow_scratch", TableSpec: scratchTable("flow_scratch")}
 		if i%2 == 1 {
 			op = ctrlplane.EditOp{Kind: "delete_table", Table: "flow_scratch"}
 		}
-		if err := sw.EditApply(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.EditCommit(); err != nil {
+		if _, err := sw.Edit([]ctrlplane.EditOp{op}); err != nil {
 			t.Fatalf("edit %d: %v", i, err)
 		}
 	}
@@ -311,13 +305,7 @@ func TestTraceEpochStamp(t *testing.T) {
 	if len(traces) != 1 || traces[0].Epoch != 1 {
 		t.Fatalf("pre-edit trace epoch = %+v, want epoch 1", traces)
 	}
-	if err := sw.EditBegin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.EditApply(ctrlplane.EditOp{Kind: "set_table", Table: "trace_scratch", TableSpec: scratchTable("trace_scratch")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.EditCommit(); err != nil {
+	if _, err := sw.Edit([]ctrlplane.EditOp{{Kind: "set_table", Table: "trace_scratch", TableSpec: scratchTable("trace_scratch")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {

@@ -401,7 +401,7 @@ func TestLifecycleParity(t *testing.T) {
 	t.Run("admission_error", func(t *testing.T) {
 		for _, d := range parityDrivers() {
 			t.Run(d.name, func(t *testing.T) {
-				cfg, err := cloneConfig(newBaseWorkspace(t).Current().Config)
+				cfg, err := newBaseWorkspace(t).Current().Config.Clone()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -75,15 +75,7 @@ func (h *stormHarness) runStorm(t *testing.T, frames, pristine [][]byte, nFrames
 			if n%2 == 1 {
 				op = ctrlplane.EditOp{Kind: "delete_table", Table: "storm_scratch"}
 			}
-			if err := h.sw.EditBegin(); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := h.sw.EditApply(op); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := h.sw.EditCommit(); err != nil {
+			if _, err := h.sw.Edit([]ctrlplane.EditOp{op}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -152,9 +152,6 @@ type Switch struct {
 	// run inline, so those stay allocation-free from any goroutine.
 	lanes sync.Pool
 
-	// edit is the open edit-script session, if any (guarded by s.mu).
-	edit *editSession
-
 	toCPU  chan *pkt.Packet
 	punted atomic.Uint64
 
@@ -305,7 +302,7 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyHitless(cfg, start)
+	return s.applyHitless(cfg, start, 0)
 }
 
 // lookupSnapshot is an immutable name→handle view of the table store.
