@@ -38,7 +38,7 @@ func main() {
 	}
 	cfg := ctl.CurrentConfig()
 	fmt.Printf("installed %d stages over %d tables; %d TSPs active\n",
-		len(cfg.Stages), len(cfg.Tables), sw.Pipeline().ActiveTSPs())
+		len(cfg.Stages), len(cfg.Tables), sw.Stats().ActiveTSPs)
 
 	// 3. Populate the forwarding state: port 1 -> interface 10 -> bridge
 	// 100/VRF 1; route 10.0.0.0/8 via nexthop 7 out of port 3.

@@ -1,13 +1,14 @@
 // Package dataplane is the per-packet execution substrate shared by the
 // IPSA behavioral model (internal/ipbm) and the PISA baseline
 // (internal/pisa). Both switches previously duplicated the packet
-// lifecycle — wrap + istd stamping, Env setup, telemetry begin/finish,
+// lifecycle — wrap + istd stamping, Env setup, the INT ingress stamp,
 // out-port surfacing — with slightly different locking; centralizing it
 // keeps IPSA-vs-PISA differences architectural rather than accidental,
 // and gives both switches the same zero-allocation steady state:
 //
-//   - the installed configuration is an immutable Design snapshot behind
-//     an atomic pointer, so the hot path never takes the switch mutex;
+//   - a configuration is an immutable Design snapshot that packets read
+//     without taking the switch mutex (pisa keeps its current one behind
+//     the Core's atomic pointer; ipbm's program versions carry their own);
 //   - Packets and Envs come from sync.Pools, with Meta, header-vector and
 //     scratch storage reused across packets.
 package dataplane
@@ -58,24 +59,12 @@ func (d *Design) NewPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	return p, nil
 }
 
-// Hooks receives per-packet lifecycle callbacks (sampled telemetry).
-// A nil Hooks is valid and costs one branch per packet.
-type Hooks interface {
-	// BeginPacket runs after the packet is built, before the first stage.
-	BeginPacket(p *pkt.Packet)
-	// FinishPacket runs after the verdict is known, before the packet is
-	// recycled; implementations must detach anything that outlives it
-	// (e.g. the trace record).
-	FinishPacket(p *pkt.Packet, verdict string)
-}
-
 // Core is the state a switch embeds: the design snapshot, the shared
 // fault counters, and the packet/Env pools. Packet and Env are pooled
 // separately because a batch keeps many packets in flight under one Env.
 type Core struct {
 	design atomic.Pointer[Design]
 	faults tsp.Faults
-	hooks  Hooks
 	log    *slog.Logger
 
 	// intCtx, when non-nil, marks this switch an INT source: GetEnv hands
@@ -96,9 +85,6 @@ func NewCore() *Core {
 	return c
 }
 
-// SetHooks attaches the lifecycle callbacks. Call before traffic starts.
-func (c *Core) SetHooks(h Hooks) { c.hooks = h }
-
 // SetLogger attaches a structured logger for install-time diagnostics.
 // Call before traffic starts; nil restores the process default.
 func (c *Core) SetLogger(l *slog.Logger) {
@@ -115,10 +101,10 @@ func (c *Core) SetIntCtx(ctx *tsp.IntStampCtx) { c.intCtx.Store(ctx) }
 // IntCtx returns the installed INT context (nil when INT is off).
 func (c *Core) IntCtx() *tsp.IntStampCtx { return c.intCtx.Load() }
 
-// Install builds and atomically publishes the Design for cfg. The caller
-// supplies the register file so each switch keeps its own update
-// semantics (ipbm preserves contents additively; pisa resets).
-func (c *Core) Install(cfg *template.Config, regs *tsp.RegisterFile) *Design {
+// NewDesign builds the Design for cfg over the register file regs, which
+// the caller supplies so each switch keeps its own update semantics
+// (ipbm preserves contents additively; pisa resets).
+func NewDesign(cfg *template.Config, regs *tsp.RegisterFile) *Design {
 	srh, ipv6 := tsp.ResolveSRv6IDs(cfg)
 	n := 0
 	for i := range cfg.Headers {
@@ -126,7 +112,7 @@ func (c *Core) Install(cfg *template.Config, regs *tsp.RegisterFile) *Design {
 			n = id
 		}
 	}
-	d := &Design{
+	return &Design{
 		Cfg:        cfg,
 		Parser:     tsp.NewOnDemandParser(cfg),
 		Regs:       regs,
@@ -134,6 +120,11 @@ func (c *Core) Install(cfg *template.Config, regs *tsp.RegisterFile) *Design {
 		IPv6:       ipv6,
 		numHeaders: n,
 	}
+}
+
+// Install builds and atomically publishes the Design for cfg over regs.
+func (c *Core) Install(cfg *template.Config, regs *tsp.RegisterFile) *Design {
+	d := NewDesign(cfg, regs)
 	c.design.Store(d)
 	if c.log != nil {
 		c.log.Debug("design installed",
@@ -194,20 +185,10 @@ func (c *Core) GetEnv(d *Design) *tsp.Env {
 func (c *Core) PutEnv(e *tsp.Env) { c.envPool.Put(e) }
 
 // BeginPacket stamps the INT source ingress timestamp (only while INT is
-// enabled) and invokes the begin hook, if any.
+// enabled).
 func (c *Core) BeginPacket(p *pkt.Packet) {
 	if ctx := c.intCtx.Load(); ctx != nil {
 		p.IngressNanos = ctx.NowNanos()
-	}
-	if c.hooks != nil {
-		c.hooks.BeginPacket(p)
-	}
-}
-
-// FinishPacket invokes the finish hook, if any.
-func (c *Core) FinishPacket(p *pkt.Packet, verdict string) {
-	if c.hooks != nil {
-		c.hooks.FinishPacket(p, verdict)
 	}
 }
 

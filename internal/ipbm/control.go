@@ -84,11 +84,6 @@ func (s *Switch) ReadRegister(name string, index uint64) (uint64, error) {
 // Stats snapshots the device counters.
 func (s *Switch) Stats() *ctrlplane.DeviceStats {
 	processed, dropped := s.pl.Stats()
-	var loads uint64
-	for i := 0; i < s.pl.NumTSPs(); i++ {
-		t, _ := s.pl.TSP(i)
-		loads += t.Loads()
-	}
 	var ports []ctrlplane.PortStats
 	for i := 0; i < s.ports.Len(); i++ {
 		p, err := s.ports.Port(i)
@@ -105,9 +100,9 @@ func (s *Switch) Stats() *ctrlplane.DeviceStats {
 		Processed:       processed,
 		Dropped:         dropped,
 		ToCPU:           s.punted.Load(),
-		ActiveTSPs:      s.pl.ActiveTSPs(),
+		ActiveTSPs:      s.activeTSPs(),
 		StallNanos:      int64(s.pl.StallTime()),
-		TemplateLoads:   loads,
+		TemplateLoads:   s.tel.tspsWritten.Value(),
 		InvalidAccesses: s.dp.Faults().InvalidHeaderAccess.Load(),
 		Ports:           ports,
 	}

@@ -6,13 +6,13 @@ import (
 )
 
 // NewPacket wraps raw bytes in a caller-owned packet sized for the
-// installed design's metadata area and stamps istd.in_port.
+// published design's metadata area and stamps istd.in_port.
 func (s *Switch) NewPacket(data []byte, inPort int) (*pkt.Packet, error) {
-	d := s.dp.Design()
-	if d == nil {
+	v := s.epochs.current()
+	if v == nil {
 		return nil, errNoConfig
 	}
-	return d.NewPacket(data, inPort)
+	return v.design.NewPacket(data, inPort)
 }
 
 // inline runs frames from one ingress port to completion on the caller's

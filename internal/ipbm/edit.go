@@ -24,11 +24,11 @@ func (s *Switch) Edit(ops []ctrlplane.EditOp) (*ctrlplane.ApplyStats, error) {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.dp.Design()
-	if d == nil {
+	running := s.Config()
+	if running == nil {
 		return nil, fmt.Errorf("ipbm: no configuration installed to edit")
 	}
-	cfg, err := d.Cfg.Clone()
+	cfg, err := running.Clone()
 	if err != nil {
 		return nil, fmt.Errorf("ipbm: clone running config: %w", err)
 	}

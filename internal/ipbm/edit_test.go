@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ipsa/internal/ctrlplane"
+	"ipsa/internal/template"
 )
 
 // ccmListener serves sw's control channel on an ephemeral port for the
@@ -31,9 +33,11 @@ func setScratch(name string) []ctrlplane.EditOp {
 
 // TestEditRejectedWhole: an edit script or configuration the device
 // cannot run is refused whole — an op that names an unknown table, a
-// result that fails validation, a stage on a TSP the device lacks — and
-// leaves the running config, the epoch, the audit trail and forwarding
-// as they were.
+// result that fails validation, a stage on a TSP the device lacks, a TSP
+// assigned to no stage the config defines, an ingress stage that is not
+// before every egress stage — and leaves the
+// running config, the epoch, the audit trail, the table list and
+// forwarding as they were, so the next edit commits.
 func TestEditRejectedWhole(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	forwards := func(what string) {
@@ -55,8 +59,20 @@ func TestEditRejectedWhole(t *testing.T) {
 	edit := func(ops ...ctrlplane.EditOp) func() error {
 		return func() error { _, err := sw.Edit(ops); return err }
 	}
+	applyEdited := func(change func(cfg *template.Config)) func() error {
+		return func() error {
+			cfg, err := sw.Config().Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			change(cfg)
+			_, err = sw.ApplyConfig(cfg)
+			return err
+		}
+	}
 	hash, seq := configHash(sw.Config()), sw.tel.Events.LastSeq()
 	epoch, _, _ := sw.EpochStats()
+	tables := sw.ListTables()
 	for _, c := range []struct {
 		name, want string
 		apply      func() error
@@ -65,15 +81,20 @@ func TestEditRejectedWhole(t *testing.T) {
 		{"delete of a table a stage uses", "validate", edit(ctrlplane.EditOp{Kind: "delete_table", Table: "dmac_tbl"})},
 		{"edit onto TSP 99", "outside", edit(moveNexthop(99)...)},
 		{"edit onto TSP -1", "outside", edit(moveNexthop(-1)...)},
-		{"apply_config onto TSP 99", "outside", func() error {
-			cfg, err := sw.Config().Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+		{"apply_config onto TSP 99", "outside", applyEdited(func(cfg *template.Config) {
 			cfg.TSPAssignment["nexthop"] = 99
-			_, err = sw.ApplyConfig(cfg)
-			return err
-		}},
+		})},
+		{"apply_config placing an unknown stage", "unknown stage", applyEdited(func(cfg *template.Config) {
+			cfg.TSPAssignment["ghost"] = 3
+		})},
+		// The egress stages l2_l3_rewrite and dmac sit on the last TSP, 15.
+		{"edit onto the egress stages' TSP", `ingress stage "nexthop_moved" on TSP 15 is not before egress stage "l2_l3_rewrite" on TSP 15`,
+			edit(moveNexthop(15)...)},
+		{"apply_config of the first ingress stage onto the last TSP", `ingress stage "port_map" on TSP 15 is not before egress stage "l2_l3_rewrite" on TSP 15`,
+			applyEdited(func(cfg *template.Config) {
+				cfg.TSPAssignment[cfg.IngressChain[0]] = 15
+				cfg.Tables["scratch"] = scratchTable("scratch")
+			})},
 	} {
 		if err := c.apply(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err=%v, want %q", c.name, err, c.want)
@@ -83,7 +104,14 @@ func TestEditRejectedWhole(t *testing.T) {
 			t.Errorf("%s touched the device: config %s -> %s, epoch %d -> %d, events %d -> %d",
 				c.name, hash, got, epoch, e, seq, sw.tel.Events.LastSeq())
 		}
+		if got := sw.ListTables(); !reflect.DeepEqual(got, tables) {
+			t.Errorf("%s changed the table list:\n got %+v\nwant %+v", c.name, got, tables)
+		}
 		forwards(c.name)
+	}
+	// Nothing a refusal left behind blocks the next edit.
+	if st, err := sw.Edit(setScratch("scratch_after")); err != nil || st.Epoch != epoch+1 {
+		t.Fatalf("edit after the refusals: err=%v, want epoch %d committed", err, epoch+1)
 	}
 	// The same move onto a TSP the device has commits and forwards.
 	if _, err := sw.Edit(moveNexthop(5)); err != nil {

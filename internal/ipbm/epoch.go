@@ -35,24 +35,64 @@ import (
 // to, so a stage compiled against epoch N can never observe a table
 // dropped in N+1.
 
-// epochSlot is one physical TSP's program under a version: the TSP
-// object (kept for latency-histogram attribution) plus the stage
-// runtimes it executes under this version.
+// epochSlot is one physical TSP's program under a version: the TSP's
+// index, the latency histogram its Timed packets observe, and the stage
+// runtimes it executes.
 type epochSlot struct {
-	t      *tsp.TSP
+	index  int
+	lat    *telemetry.Histogram
 	stages []*tsp.StageRuntime
 }
 
-// progVersion is one immutable epoch of the program store.
+// run executes the slot's stages over a whole batch, stage-major: every
+// live packet passes through one stage before any packet advances to the
+// next, so per-stage closures, key plans and match tables stay cache-hot
+// across the batch. A packet dropped by stage k is skipped by stage k+1.
+// Latency sampling is per batch: the whole stage sweep is timed once and
+// the mean per live packet is observed for each Timed packet, since
+// per-packet boundaries do not exist in stage-major order.
+func (sl *epochSlot) run(ps []*pkt.Packet, parser *tsp.OnDemandParser, env *tsp.Env) {
+	env.TSPIndex = sl.index
+	timed, live := 0, 0
+	if sl.lat != nil {
+		for _, p := range ps {
+			if p == nil || p.Drop {
+				continue
+			}
+			live++
+			if p.Timed {
+				timed++
+			}
+		}
+	}
+	var t0 time.Time
+	if timed > 0 {
+		t0 = time.Now()
+	}
+	for _, s := range sl.stages {
+		s.ExecuteBatch(ps, parser, env)
+	}
+	if timed > 0 {
+		mean := int64(time.Since(t0)) / int64(live)
+		for i := 0; i < timed; i++ {
+			sl.lat.ObserveNanos(mean)
+		}
+	}
+}
+
+// progVersion is one immutable epoch of the program store, and the only
+// record of what the switch runs: Config, Edit, the views and every
+// packet read the published one.
 type progVersion struct {
 	epoch  uint64
 	design *dataplane.Design
 
-	// ingress/egress are the pre-split active slots: the selector's
-	// TM split is baked in at publish time so a pinned packet also sees
-	// a consistent pipeline shape.
-	ingress []epochSlot
-	egress  []epochSlot
+	// tmIn/tmOut are the elastic pipeline's split (the paper's selector):
+	// packets run TSPs [0, tmIn], cross the TM, then run [tmOut, n).
+	// ingress/egress are the active slots on either side of it.
+	tmIn, tmOut int
+	ingress     []epochSlot
+	egress      []epochSlot
 
 	// sink is the INT sink active when the version was published (nil
 	// when INT is off in this version).
@@ -78,6 +118,10 @@ func (v *progVersion) unpin() { v.inFlight.Add(-1) }
 // quiesced reports whether no packet executes this version anymore.
 func (v *progVersion) quiesced() bool { return v.inFlight.Load() == 0 }
 
+// activeTSPs counts the TSPs hosting stages; the rest idle in low-power
+// state.
+func (v *progVersion) activeTSPs() int { return len(v.ingress) + len(v.egress) }
+
 // runIngressBatch executes the version's ingress slots over a whole
 // batch, stage-major (every live packet passes through one TSP's stages
 // before any packet advances to the next TSP). Dropped packets stay in
@@ -86,8 +130,7 @@ func (v *progVersion) quiesced() bool { return v.inFlight.Load() == 0 }
 // nil slots are skipped.
 func (v *progVersion) runIngressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, env *tsp.Env) {
 	for i := range v.ingress {
-		sl := &v.ingress[i]
-		sl.t.ProcessBatchWith(sl.stages, ps, v.design.Parser, env)
+		v.ingress[i].run(ps, v.design.Parser, env)
 	}
 	for _, p := range ps {
 		if p != nil && p.Drop {
@@ -102,8 +145,7 @@ func (v *progVersion) runIngressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, e
 // dropped.
 func (v *progVersion) runEgressBatch(pl *pipeline.Pipeline, ps []*pkt.Packet, env *tsp.Env) {
 	for i := range v.egress {
-		sl := &v.egress[i]
-		sl.t.ProcessBatchWith(sl.stages, ps, v.design.Parser, env)
+		v.egress[i].run(ps, v.design.Parser, env)
 	}
 	for _, p := range ps {
 		if p == nil {
@@ -242,10 +284,7 @@ func stageUsesTables(cfg *template.Config, sn string, names map[string]bool) boo
 // Called with s.mu held, by ApplyConfig (ops 0) and by Edit, which
 // passes its script's length so the publish is one edit_commit event.
 func (s *Switch) applyHitless(cfg *template.Config, start time.Time, ops int) (*ctrlplane.ApplyStats, error) {
-	var old *template.Config
-	if d := s.dp.Design(); d != nil {
-		old = d.Cfg
-	}
+	old := s.Config()
 	stats := &ctrlplane.ApplyStats{Full: old == nil, Hitless: true}
 	kind := "apply_full"
 	patchDirected := old != nil && cfg.Patch != nil && s.opts.Crossbar == mem.FullCrossbar
@@ -259,18 +298,28 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time, ops int) (*
 	if ops > 0 {
 		kind, detail = "edit_commit", fmt.Sprintf("%d ops", ops)
 	}
-	// A patch manifest is a contract, and a stage on a TSP the device
-	// lacks would never run; reject either before touching any state so
-	// the device keeps forwarding on the old program.
+	// A patch manifest is a contract, a stage on a TSP the device lacks
+	// would never run, and an ingress stage at or after an egress stage's
+	// TSP leaves the TM no place in the chain; reject any of them before
+	// touching any state so the device keeps forwarding on the old
+	// program.
+	n := s.pl.NumTSPs()
 	for sn, idx := range cfg.TSPAssignment {
-		if idx < 0 || idx >= s.pl.NumTSPs() {
-			return nil, fmt.Errorf("ipbm: stage %q assigned to TSP %d outside [0,%d)", sn, idx, s.pl.NumTSPs())
+		if cfg.Stages[sn] == nil {
+			return nil, fmt.Errorf("ipbm: TSP %d assigned to unknown stage %q", idx, sn)
 		}
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("ipbm: stage %q assigned to TSP %d outside [0,%d)", sn, idx, n)
+		}
+	}
+	if tmIn, tmOut, in, eg := tmSplit(cfg, n); tmIn >= tmOut {
+		return nil, fmt.Errorf("ipbm: ingress stage %q on TSP %d is not before egress stage %q on TSP %d",
+			in, tmIn, eg, tmOut)
 	}
 	if patchDirected {
 		for _, idx := range cfg.Patch.RewrittenTSPs {
-			if idx < 0 || idx >= s.pl.NumTSPs() {
-				return nil, fmt.Errorf("ipbm: patch rewrites TSP %d outside [0,%d)", idx, s.pl.NumTSPs())
+			if idx < 0 || idx >= n {
+				return nil, fmt.Errorf("ipbm: patch rewrites TSP %d outside [0,%d)", idx, n)
 			}
 		}
 		for _, name := range cfg.Patch.NewTables {
@@ -342,7 +391,7 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time, ops int) (*
 	if patchDirected {
 		stats.TSPsWritten = len(cfg.Patch.RewrittenTSPs)
 	} else {
-		for i := 0; i < s.pl.NumTSPs(); i++ {
+		for i := 0; i < n; i++ {
 			oldSig := ""
 			if old != nil {
 				oldSig = tspSignature(old, i)
@@ -353,17 +402,16 @@ func (s *Switch) applyHitless(cfg *template.Config, start time.Time, ops int) (*
 		}
 	}
 
-	// 4. Publish the refreshed handle view, the design snapshot and (when
-	// enabled) the INT state. New packets pick these up; packets pinned to
-	// an older version keep executing against its frozen view.
+	// 4. Publish the refreshed handle view and (when enabled) the INT
+	// state. New packets pick these up; packets pinned to an older version
+	// keep executing against its frozen view.
 	s.rebuildLookups()
-	s.dp.Install(cfg, s.regs)
 	if s.intOn {
 		s.publishIntState(cfg)
 	}
 
 	// 5. Compile (with cross-epoch reuse) and publish the new version.
-	pub, err := s.publishProgram(cfg, changed, kind, hash)
+	pub, err := s.publishProgram(dataplane.NewDesign(cfg, s.regs), changed, kind, hash)
 	if err != nil {
 		return nil, err
 	}
@@ -418,16 +466,39 @@ type publishResult struct {
 	tspsLoaded int
 }
 
-// publishProgram compiles cfg's stages — reusing the current version's
+// tmSplit is the TM split cfg implies on n TSPs: tmIn is the last TSP
+// hosting an ingress stage (-1 if none), tmOut the first hosting an
+// egress stage (n if none), and in/eg name the first such stage on each
+// in chain order. The split is valid when tmIn < tmOut.
+func tmSplit(cfg *template.Config, n int) (tmIn, tmOut int, in, eg string) {
+	tmIn, tmOut = -1, n
+	for i := 0; i < n; i++ {
+		for _, sn := range orderedStagesOf(cfg, i) {
+			switch cfg.Stages[sn].Pipe {
+			case "ingress":
+				if i > tmIn {
+					tmIn, in = i, sn
+				}
+			case "egress":
+				if i < tmOut {
+					tmOut, eg = i, sn
+				}
+			}
+		}
+	}
+	return tmIn, tmOut, in, eg
+}
+
+// publishProgram compiles d's stages — reusing the current version's
 // runtimes where the structural hash matches and no table in changed was
-// touched — refreshes the pipeline's bookkeeping, assembles the new
-// progVersion and publishes it. The caller must already have published
-// the design snapshot, lookup view and INT state this version should
-// capture, and must hold s.mu; every stage it compiles binds its tables
-// against that lookup view. kind/hash feed the health monitor's
-// retirement watch for the superseded version.
-func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, kind, hash string) (publishResult, error) {
+// touched — assembles the new progVersion around d and publishes it. The
+// caller must already have published the lookup view and INT state this
+// version should capture, and must hold s.mu; every stage it compiles
+// binds its tables against that lookup view. kind/hash feed the health
+// monitor's retirement watch for the superseded version.
+func (s *Switch) publishProgram(d *dataplane.Design, changed map[string]bool, kind, hash string) (publishResult, error) {
 	var pub publishResult
+	cfg := d.Cfg
 	prev := s.epochs.current()
 	view := s.lookups.Load()
 
@@ -456,70 +527,41 @@ func (s *Switch) publishProgram(cfg *template.Config, changed map[string]bool, k
 		pub.recompiled++
 	}
 
-	// Refresh the pipeline's TSP bookkeeping and selector. Packets execute
-	// the version they pinned, never the TSPs' loaded stages, so Commit is
-	// metadata maintenance (scrape-time stats, ActiveTSPs) that no packet
-	// waits for.
-	n := s.pl.NumTSPs()
-	perTSP := make([][]*tsp.StageRuntime, n)
-	tmIn, tmOut := -1, n
-	for i := 0; i < n; i++ {
-		for _, sn := range orderedStagesOf(cfg, i) {
-			perTSP[i] = append(perTSP[i], built[sn])
-			switch cfg.Stages[sn].Pipe {
-			case "ingress":
-				if i > tmIn {
-					tmIn = i
-				}
-			case "egress":
-				if i < tmOut {
-					tmOut = i
-				}
-			}
-		}
-	}
-	err := s.pl.Commit(func(sel *pipeline.Selector, tsps []*tsp.TSP) error {
-		for i := range tsps {
-			if len(perTSP[i]) == 0 {
-				if tsps[i].Active() {
-					tsps[i].Unload()
-				}
-			} else {
-				tsps[i].Load(perTSP[i])
-				pub.tspsLoaded++
-			}
-		}
-		if sel.TMIn != tmIn || sel.TMOut != tmOut {
-			pub.selectorMoved = true
-		}
-		sel.TMIn, sel.TMOut = tmIn, tmOut
-		return nil
-	})
-	if err != nil {
-		return pub, err
-	}
-
 	// Assemble and publish the version; its predecessor is retired and
 	// reclaimed once its last pinned packet finishes. The health monitor
 	// watches that retirement against the reconfiguration deadline.
+	n := s.pl.NumTSPs()
+	tmIn, tmOut, _, _ := tmSplit(cfg, n)
 	v := &progVersion{
-		design: s.dp.Design(),
+		design: d,
+		tmIn:   tmIn,
+		tmOut:  tmOut,
 		sink:   s.intSinkP.Load(),
 		sigs:   sigs,
 		built:  built,
 	}
-	for i := 0; i <= tmIn; i++ {
-		if len(perTSP[i]) > 0 {
-			t, _ := s.pl.TSP(i)
-			v.ingress = append(v.ingress, epochSlot{t: t, stages: perTSP[i]})
+	for i := 0; i < n; i++ {
+		names := orderedStagesOf(cfg, i)
+		if len(names) == 0 {
+			continue
+		}
+		sl := epochSlot{index: i, lat: s.tel.tspLat[i]}
+		for _, sn := range names {
+			sl.stages = append(sl.stages, built[sn])
+		}
+		switch {
+		case i <= tmIn:
+			v.ingress = append(v.ingress, sl)
+		case i >= tmOut:
+			v.egress = append(v.egress, sl)
 		}
 	}
-	for i := tmOut; i < n; i++ {
-		if len(perTSP[i]) > 0 {
-			t, _ := s.pl.TSP(i)
-			v.egress = append(v.egress, epochSlot{t: t, stages: perTSP[i]})
-		}
+	prevIn, prevOut := -1, n
+	if prev != nil {
+		prevIn, prevOut = prev.tmIn, prev.tmOut
 	}
+	pub.selectorMoved = tmIn != prevIn || tmOut != prevOut
+	pub.tspsLoaded = v.activeTSPs()
 	pub.epoch = s.epochs.publish(v)
 	if prev != nil {
 		s.health.BeginOpWatch(kind, hash, prev.quiesced)

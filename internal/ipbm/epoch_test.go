@@ -22,14 +22,15 @@ func scratchTable(name string) *template.Table {
 
 // TestEpochStoreBasics: each apply publishes a new epoch; with no
 // packets in flight the previous version is reclaimed immediately. An
-// edit is one publish and writes one audit event.
+// edit is one publish, writes one audit event and counts exactly the TSP
+// programs it wrote as template loads.
 func TestEpochStoreBasics(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	e0, retired, _ := sw.EpochStats()
 	if e0 != 1 || retired != 0 {
 		t.Fatalf("after install: epoch=%d retired=%d", e0, retired)
 	}
-	seq0 := sw.tel.Events.LastSeq()
+	seq0, loads0 := sw.tel.Events.LastSeq(), sw.Stats().TemplateLoads
 	st, err := sw.Edit([]ctrlplane.EditOp{{Kind: "set_table", Table: "scratch", TableSpec: scratchTable("scratch")}})
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +43,9 @@ func TestEpochStoreBasics(t *testing.T) {
 	if st.StagesRecompiled != 0 || st.StagesReused == 0 {
 		t.Errorf("one-table edit recompiled %d stages (reused %d)",
 			st.StagesRecompiled, st.StagesReused)
+	}
+	if loads := sw.Stats().TemplateLoads - loads0; loads != uint64(st.TSPsWritten) {
+		t.Errorf("edit moved template loads by %d, wrote %d TSPs", loads, st.TSPsWritten)
 	}
 	epoch, retired, reclaimed := sw.EpochStats()
 	if epoch != 2 || retired != 0 || reclaimed == 0 {

@@ -20,7 +20,7 @@ func (s *Switch) initHealth(opts Options) {
 		Packets:          s.packetsTotal,
 		Drops:            s.dropsTotal,
 		TMDepth:          s.tmDepthSum,
-		Ready:            func() bool { return s.dp.Design() != nil },
+		Ready:            func() bool { return s.epochs.current() != nil },
 	})
 	// Collector-only series the ring should still rate: pipeline totals
 	// and the TM's enqueue/tail-drop counters. Registered handles

@@ -99,7 +99,7 @@ func configHash(cfg *template.Config) string {
 }
 
 // IntEnabled reports whether INT stamping is currently compiled into the
-// loaded stage programs.
+// published stage programs.
 func (s *Switch) IntEnabled() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -125,15 +125,15 @@ func (s *Switch) SetInt(enabled bool) error {
 	if !enabled {
 		kind = "int_disable"
 	}
-	d := s.dp.Design()
-	if d == nil {
+	v := s.epochs.current()
+	if v == nil {
 		// No configuration yet: the flag alone changes what the next
 		// ApplyConfig builds.
 		s.publishIntState(nil)
 		s.tel.Events.Append(telemetry.Event{Kind: kind, Detail: "no config installed; deferred to next apply"})
 		return nil
 	}
-	cfg := d.Cfg
+	cfg := v.design.Cfg
 	hash := configHash(cfg)
 	inFlight := s.tmDepthSum()
 	before := s.tel.verdictSnapshot()
@@ -142,7 +142,7 @@ func (s *Switch) SetInt(enabled bool) error {
 	} else {
 		s.publishIntState(nil)
 	}
-	pub, err := s.publishProgram(cfg, nil, kind, hash)
+	pub, err := s.publishProgram(v.design, nil, kind, hash)
 	if err != nil {
 		s.intOn = !enabled
 		return err

@@ -177,6 +177,7 @@ func (l *lane) admit(v *progVersion, f *laneFrame) error {
 		return err
 	}
 	l.s.dp.BeginPacket(p)
+	l.s.beginPacketTelemetry(p)
 	if p.Trace != nil {
 		p.Trace.Epoch = v.epoch
 	}
@@ -272,7 +273,7 @@ func (l *lane) egress(v *progVersion) {
 }
 
 // finish is the one place a packet gets its verdict: punt, out-port
-// surfacing, INT sink, the telemetry finish hook, the flow verdict queued
+// surfacing, INT sink, the verdict telemetry, the flow verdict queued
 // for settle, then the transmit queue (or no_port) and the freelist.
 // survived is false only for a TM tail drop.
 func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
@@ -291,7 +292,7 @@ func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 		}
 	}
 	verdict := dataplane.Verdict(p, survived, len(l.txq))
-	s.dp.FinishPacket(p, verdict)
+	s.finishPacketTelemetry(v, p, verdict)
 	if l.fl != nil {
 		l.fins = append(l.fins, flowFin{p.RSS, flowLat(p), flowstat.VerdictOf(verdict)})
 	}

@@ -130,9 +130,9 @@ type Switch struct {
 	ports *netio.PortSet
 	regs  *tsp.RegisterFile
 
-	// dp holds the per-packet execution state: the installed design as an
-	// atomic snapshot (the hot path never takes s.mu), fault counters and
-	// the packet/Env pools.
+	// dp holds the per-packet execution state: fault counters, the INT
+	// stamping context and the packet/Env pools. The design a packet runs
+	// comes with the program version it pinned.
 	dp *dataplane.Core
 
 	// mu serializes configuration changes.
@@ -218,7 +218,6 @@ func New(opts Options) (*Switch, error) {
 		logger = slog.Default()
 	}
 	s.log = logger.With("component", "ipbm")
-	s.dp.SetLogger(logger.With("component", "dataplane", "switch", "ipbm"))
 	if !opts.FlowDisable {
 		lanes := opts.NumPorts
 		if lanes < MaxShards+1 {
@@ -232,7 +231,6 @@ func New(opts Options) (*Switch, error) {
 	}
 	s.lanes.New = func() any { return s.newLane(0, s.pl.TM(), crossPass, DefaultBatch) }
 	s.newTelemetry(opts)
-	s.dp.SetHooks(telemetryHooks{s})
 	s.initHealth(opts)
 	s.views = s.newViews()
 	return s, nil
@@ -250,11 +248,11 @@ func (s *Switch) Ports() *netio.PortSet { return s.ports }
 // Registers exposes the register file.
 func (s *Switch) Registers() *tsp.RegisterFile { return s.regs }
 
-// Config returns the installed configuration (nil before the first
-// ApplyConfig).
+// Config returns the configuration of the published program version
+// (nil before the first ApplyConfig).
 func (s *Switch) Config() *template.Config {
-	if d := s.dp.Design(); d != nil {
-		return d.Cfg
+	if v := s.epochs.current(); v != nil {
+		return v.design.Cfg
 	}
 	return nil
 }

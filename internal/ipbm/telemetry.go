@@ -6,7 +6,6 @@ import (
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
 	"ipsa/internal/telemetry"
-	"ipsa/internal/template"
 	"ipsa/internal/verdict"
 )
 
@@ -61,6 +60,10 @@ type Telemetry struct {
 	dropNoPort *telemetry.StripedCounter
 	dropParse  *telemetry.StripedCounter
 	dropTxFail *telemetry.StripedCounter
+
+	// tspLat is each TSP's stage-batch latency histogram, observed for
+	// latency-sampled packets by the program versions' slots.
+	tspLat []*telemetry.Histogram
 
 	// Drops is the sampled drop-capture ring (dropwatch-style): a
 	// token-bucket-limited subset of losses keeps its header prefix,
@@ -186,8 +189,7 @@ func (s *Switch) newTelemetry(opts Options) {
 			telemetry.L("reason", verdict.StrReasonACL), telemetry.L("stage", "tsp"+strconv.Itoa(i))))
 	}
 	for i := 0; i < s.pl.NumTSPs(); i++ {
-		t, _ := s.pl.TSP(i)
-		t.SetLatencyHistogram(reg.Histogram("ipsa_tsp_latency_seconds",
+		tel.tspLat = append(tel.tspLat, reg.Histogram("ipsa_tsp_latency_seconds",
 			telemetry.L("tsp", strconv.Itoa(i))))
 	}
 	reg.AddCollector(s.collect)
@@ -236,11 +238,7 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	ctr("ipsa_pipeline_processed_total", processed)
 	ctr("ipsa_pipeline_dropped_total", dropped)
 	gauge("ipsa_pipeline_stall_seconds_total", s.pl.StallTime().Seconds())
-	gauge("ipsa_pipeline_active_tsps", float64(s.pl.ActiveTSPs()))
-	for i := 0; i < s.pl.NumTSPs(); i++ {
-		t, _ := s.pl.TSP(i)
-		ctr("ipsa_tsp_template_loads_total", t.Loads(), telemetry.L("tsp", strconv.Itoa(i)))
-	}
+	gauge("ipsa_pipeline_active_tsps", float64(s.activeTSPs()))
 
 	// Traffic manager: enqueue/tail-drop counters plus live queue depths,
 	// totalled across the shared TM and every shard TM.
@@ -318,19 +316,30 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 		gauge("ipsa_table_entries", float64(t.Engine().Len()), l)
 	}
 
-	// Per-stage counters from the currently loaded runtimes.
-	for i := 0; i < s.pl.NumTSPs(); i++ {
-		t, _ := s.pl.TSP(i)
-		tspLabel := telemetry.L("tsp", strconv.Itoa(i))
-		for _, sr := range t.Stages() {
-			packets, hits, misses := sr.Stats()
-			ls := []telemetry.Label{telemetry.L("stage", sr.Name()), tspLabel}
-			ctr("ipsa_stage_packets_total", packets, ls...)
-			ctr("ipsa_stage_hits_total", hits, ls...)
-			ctr("ipsa_stage_misses_total", misses, ls...)
-			ctr("ipsa_stage_default_actions_total", sr.Defaults(), ls...)
+	// Per-stage counters from the published version's runtimes.
+	if v := s.epochs.current(); v != nil {
+		for _, slots := range [][]epochSlot{v.ingress, v.egress} {
+			for _, sl := range slots {
+				tspLabel := telemetry.L("tsp", strconv.Itoa(sl.index))
+				for _, sr := range sl.stages {
+					packets, hits, misses := sr.Stats()
+					ls := []telemetry.Label{telemetry.L("stage", sr.Name()), tspLabel}
+					ctr("ipsa_stage_packets_total", packets, ls...)
+					ctr("ipsa_stage_hits_total", hits, ls...)
+					ctr("ipsa_stage_misses_total", misses, ls...)
+					ctr("ipsa_stage_default_actions_total", sr.Defaults(), ls...)
+				}
+			}
 		}
 	}
+}
+
+// activeTSPs counts the TSPs the published version runs stages on.
+func (s *Switch) activeTSPs() int {
+	if v := s.epochs.current(); v != nil {
+		return v.activeTSPs()
+	}
+	return 0
 }
 
 // admitFailed accounts a frame the dataplane refused to admit (GetPacket
@@ -396,16 +405,6 @@ func (s *Switch) tmWatermarks() []pipeline.PortWatermark {
 	return out
 }
 
-// telemetryHooks adapts the switch's sampled packet telemetry to the
-// dataplane lifecycle callbacks.
-type telemetryHooks struct{ s *Switch }
-
-func (h telemetryHooks) BeginPacket(p *pkt.Packet) { h.s.beginPacketTelemetry(p) }
-
-func (h telemetryHooks) FinishPacket(p *pkt.Packet, v string) {
-	h.s.finishPacketTelemetry(p, v)
-}
-
 // beginPacketTelemetry makes the per-packet sampling decisions: it
 // attaches a flight record (rarely) and marks the packet latency-sampled
 // (more often). Cost when nothing samples: two atomic increments.
@@ -418,16 +417,17 @@ func (s *Switch) beginPacketTelemetry(p *pkt.Packet) {
 	p.Timed = s.tel.LatSamp.Hit()
 }
 
-// finishPacketTelemetry counts the packet's verdict and — for the loss
+// finishPacketTelemetry counts the packet's verdict v and — for the loss
 // verdicts — its attributed drop reason, offers lost packets to the
 // sampled capture ring, then completes and commits a sampled packet's
-// flight record. The counters come first — they must tick for every
+// flight record, naming its headers from the design of ver, the version
+// the packet ran. The counters come first — they must tick for every
 // packet, traced or not.
-func (s *Switch) finishPacketTelemetry(p *pkt.Packet, v string) {
+func (s *Switch) finishPacketTelemetry(ver *progVersion, p *pkt.Packet, v string) {
 	lane := int(p.Lane)
 	s.tel.countVerdict(lane, v)
 	if reason, tspIdx := s.tel.countDrop(lane, v, p.DropStage); reason != verdict.ReasonNone && s.tel.Drops.Offer() {
-		s.tel.Drops.Capture(reason, tspIdx, p.InPort, p.OutPort, s.currentEpoch(), p.Data)
+		s.tel.Drops.Capture(reason, tspIdx, p.InPort, p.OutPort, ver.epoch, p.Data)
 	}
 	rec := p.Trace
 	if rec == nil {
@@ -437,16 +437,11 @@ func (s *Switch) finishPacketTelemetry(p *pkt.Packet, v string) {
 	rec.OutPort = p.OutPort
 	rec.Bytes = len(p.Data)
 	rec.Verdict = v
-	var cfg *template.Config
-	if d := s.dp.Design(); d != nil {
-		cfg = d.Cfg
-	}
+	cfg := ver.design.Cfg
 	p.HV.Each(func(id pkt.HeaderID, loc pkt.HeaderLoc) {
 		name := "hdr" + strconv.Itoa(int(id))
-		if cfg != nil {
-			if h := cfg.HeaderByID(id); h != nil {
-				name = h.Name
-			}
+		if h := cfg.HeaderByID(id); h != nil {
+			name = h.Name
 		}
 		rec.Headers = append(rec.Headers, telemetry.TraceHeader{Name: name, Off: loc.Off, Len: loc.Len})
 	})

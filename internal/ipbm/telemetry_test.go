@@ -38,6 +38,48 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Per-stage series follow the published program: move nexthop,
+	// renamed, onto TSP 5 and forward once more.
+	spec := *sw.Config().Stages["nexthop"]
+	spec.Name = "nexthop_moved"
+	if _, err := sw.Edit([]ctrlplane.EditOp{
+		{Kind: "delete_stage", Stage: "nexthop"},
+		{Kind: "set_stage", Stage: "nexthop_moved", Spec: &spec, TSP: 5, Position: -1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sent, err := sw.Forward(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil || !sent {
+		t.Fatalf("forward after the move: err=%v sent=%v", err, sent)
+	}
+	moved := false
+	for _, p := range sw.Telemetry().Reg.Gather() {
+		stage, tsp := "", ""
+		for _, l := range p.Labels {
+			switch l.Key {
+			case "stage":
+				stage = l.Value
+			case "tsp":
+				tsp = l.Value
+			}
+		}
+		if stage == "nexthop" {
+			t.Errorf("series %s still names the deleted stage", p.Name)
+		}
+		if p.Name == "ipsa_stage_packets_total" && stage == "nexthop_moved" && tsp == "5" && p.Value == 1 {
+			moved = true
+		}
+	}
+	if !moved {
+		t.Error(`no ipsa_stage_packets_total{stage="nexthop_moved",tsp="5"} 1`)
+	}
+	tsps := map[int]bool{}
+	for _, idx := range sw.Config().TSPAssignment {
+		tsps[idx] = true
+	}
+	if got := sw.Stats().ActiveTSPs; got != len(tsps) {
+		t.Errorf("ActiveTSPs = %d, config assigns stages to %d TSPs", got, len(tsps))
+	}
+
 	// In-situ patch: insert ECMP at runtime, then keep forwarding.
 	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
 	if err != nil {

@@ -1,10 +1,9 @@
-// Package pipeline implements IPSA's elastic pipeline (paper Sec. 2.3):
-// a chain of TSPs with a selector that picks which TSP feeds the traffic
-// manager (TM) and which resumes after it. Middle TSPs can belong to
-// ingress, egress, or be bypassed in low-power state. The pipeline holds
-// the chain's bookkeeping — loaded templates, the selector, the packet
-// counters — and the TM; packets execute the program version they pinned
-// (internal/ipbm's epoch store), so a template rewrite never drains them.
+// Package pipeline implements the fixed parts of IPSA's elastic pipeline
+// (paper Sec. 2.3): the TSP count, the traffic manager (TM) and the packet
+// counters. What each TSP runs and where the chain splits around the TM —
+// the paper's selector — belong to a program version (internal/ipbm's
+// epoch store): packets execute the version they pinned, so a template
+// rewrite never drains them.
 package pipeline
 
 import (
@@ -14,16 +13,7 @@ import (
 	"time"
 
 	"ipsa/internal/pkt"
-	"ipsa/internal/tsp"
 )
-
-// Selector is the elastic pipeline's split configuration: packets traverse
-// TSPs [0..TMIn], pass the TM, then traverse [TMOut..N-1]. TMIn == -1
-// means no ingress TSPs; TMOut == N means no egress TSPs.
-type Selector struct {
-	TMIn  int
-	TMOut int
-}
 
 // statLanes is the number of counter stripes for the processed/dropped
 // totals. Each concurrent executor (a shard worker, the inline path)
@@ -50,11 +40,8 @@ func laneSum(cells *[statLanes]statCell) uint64 {
 
 // Pipeline is the chain of physical TSPs plus the TM.
 type Pipeline struct {
-	tsps []*tsp.TSP
-	tm   *TrafficManager
-
-	mu  sync.Mutex // serialises Commit against Selector readers
-	sel Selector
+	numTSPs int
+	tm      *TrafficManager
 
 	processed [statLanes]statCell
 	dropped   [statLanes]statCell
@@ -66,44 +53,14 @@ func New(n, ports, queueDepth int) (*Pipeline, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pipeline: need at least one TSP, got %d", n)
 	}
-	p := &Pipeline{tm: NewTrafficManager(ports, queueDepth), sel: Selector{TMIn: -1, TMOut: n}}
-	for i := 0; i < n; i++ {
-		p.tsps = append(p.tsps, tsp.NewTSP(i))
-	}
-	return p, nil
+	return &Pipeline{numTSPs: n, tm: NewTrafficManager(ports, queueDepth)}, nil
 }
 
 // NumTSPs returns the physical TSP count.
-func (p *Pipeline) NumTSPs() int { return len(p.tsps) }
-
-// TSP returns the TSP at index i.
-func (p *Pipeline) TSP(i int) (*tsp.TSP, error) {
-	if i < 0 || i >= len(p.tsps) {
-		return nil, fmt.Errorf("pipeline: TSP %d out of range [0,%d)", i, len(p.tsps))
-	}
-	return p.tsps[i], nil
-}
+func (p *Pipeline) NumTSPs() int { return p.numTSPs }
 
 // TM exposes the traffic manager.
 func (p *Pipeline) TM() *TrafficManager { return p.tm }
-
-// Selector returns the current split.
-func (p *Pipeline) Selector() Selector {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sel
-}
-
-// ActiveTSPs counts TSPs hosting stages; the rest idle in low-power state.
-func (p *Pipeline) ActiveTSPs() int {
-	n := 0
-	for _, t := range p.tsps {
-		if t.Active() {
-			n++
-		}
-	}
-	return n
-}
 
 // Stats reports processed and dropped packet counts, summed across the
 // per-lane stripes.
@@ -117,22 +74,6 @@ func (p *Pipeline) Stats() (processed, dropped uint64) {
 // it stays because the device stats, the stall gauge and the benchmark
 // harness assert on exactly that.
 func (p *Pipeline) StallTime() time.Duration { return 0 }
-
-// Commit runs fn to rewrite templates and the selector under the lock and
-// validates the resulting split. No packet takes this lock.
-func (p *Pipeline) Commit(fn func(sel *Selector, tsps []*tsp.TSP) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sel := p.sel
-	if err := fn(&sel, p.tsps); err != nil {
-		return err
-	}
-	if sel.TMIn >= len(p.tsps) || sel.TMOut < 0 || sel.TMOut > len(p.tsps) || (sel.TMIn >= sel.TMOut) {
-		return fmt.Errorf("pipeline: selector %+v invalid for %d TSPs", sel, len(p.tsps))
-	}
-	p.sel = sel
-	return nil
-}
 
 // CountDropped charges one stage-dropped packet to the given counter
 // lane: the executors account through the pipeline so Stats stays the
@@ -186,25 +127,6 @@ func (r *pktRing) popHead() *pkt.Packet {
 	return p
 }
 
-// remove deletes p, scanning from the tail: the synchronous path always
-// releases the packet it just admitted, so the scan hits on the first
-// probe and nothing shifts.
-func (r *pktRing) remove(p *pkt.Packet) bool {
-	n := int(r.n.Load())
-	for i := n - 1; i >= 0; i-- {
-		if r.buf[(r.head+i)%len(r.buf)] != p {
-			continue
-		}
-		for j := i; j < n-1; j++ {
-			r.buf[(r.head+j)%len(r.buf)] = r.buf[(r.head+j+1)%len(r.buf)]
-		}
-		r.buf[(r.head+n-1)%len(r.buf)] = nil
-		r.n.Store(int32(n - 1))
-		return true
-	}
-	return false
-}
-
 // TrafficManager models the TM's per-port queues with tail drop.
 type TrafficManager struct {
 	mu     sync.Mutex
@@ -250,8 +172,8 @@ type PortWatermark struct {
 
 // NewTrafficManager builds a TM with per-port queues of the given depth
 // (0 depth means unbuffered pass-through accounting only). The
-// microburst threshold defaults to half the queue depth (minimum 1);
-// unbuffered TMs never queue, so they keep detection off.
+// microburst threshold is half the queue depth (minimum 1); unbuffered
+// TMs never queue, so they keep detection off.
 func NewTrafficManager(ports, depth int) *TrafficManager {
 	tm := &TrafficManager{depth: depth}
 	if ports < 1 {
@@ -266,21 +188,6 @@ func NewTrafficManager(ports, depth int) *TrafficManager {
 		}
 	}
 	return tm
-}
-
-// SetBurstThreshold changes the microburst depth threshold (<= 0
-// disables detection; watermarks are always on).
-func (tm *TrafficManager) SetBurstThreshold(n int) {
-	tm.mu.Lock()
-	tm.burstThresh = n
-	tm.mu.Unlock()
-}
-
-// BurstThreshold reads the microburst depth threshold.
-func (tm *TrafficManager) BurstThreshold() int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return tm.burstThresh
 }
 
 // noteDepthLocked updates port q's watermark and opens a burst window
@@ -364,14 +271,7 @@ func (tm *TrafficManager) Admit(p *pkt.Packet) bool {
 	return true
 }
 
-// Release removes a packet from its queue (synchronous scheduling).
-func (tm *TrafficManager) Release(p *pkt.Packet) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	tm.queues[tm.portOf(p)].remove(p)
-}
-
-// PassThrough is the synchronous path's fused Admit+Release: the packet
+// PassThrough is the run-to-completion path's admission: the packet
 // would be enqueued and immediately scheduled, so only the admission
 // check and the accounting happen — no lock, no queue churn. The depth
 // read is atomic but unserialised against concurrent Admit, so admission
@@ -429,18 +329,9 @@ func (tm *TrafficManager) Depths() []int {
 	return out
 }
 
-// Depth reports the queue length of one port.
-func (tm *TrafficManager) Depth(port int) int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if port < 0 || port >= len(tm.queues) {
-		return 0
-	}
-	return int(tm.queues[port].n.Load())
-}
-
-// DepthFast is Depth without the mutex: a raw atomic read of the port's
-// occupancy counter, unserialised against concurrent Admit/DequeueRR the
+// DepthFast reads one port's queue length (0 for a port the TM does not
+// have) without the mutex: a raw atomic read of the port's occupancy
+// counter, unserialised against concurrent Admit/DequeueRR the
 // same way PassThrough's admission check is. This is the per-packet
 // accessor the INT stamper reads queue depth through.
 func (tm *TrafficManager) DepthFast(port int) int {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ipsa/internal/pkt"
-	"ipsa/internal/tsp"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -17,36 +16,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if p.NumTSPs() != 4 {
 		t.Errorf("NumTSPs = %d", p.NumTSPs())
-	}
-	if _, err := p.TSP(4); err == nil {
-		t.Error("out-of-range TSP accepted")
-	}
-	if _, err := p.TSP(2); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSelectorValidation(t *testing.T) {
-	p, _ := New(4, 2, 8)
-	err := p.Commit(func(sel *Selector, _ []*tsp.TSP) error {
-		sel.TMIn, sel.TMOut = 2, 2 // overlap
-		return nil
-	})
-	if err == nil {
-		t.Error("overlapping selector accepted")
-	}
-	err = p.Commit(func(sel *Selector, _ []*tsp.TSP) error {
-		sel.TMIn, sel.TMOut = 1, 3
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := p.Selector(); s.TMIn != 1 || s.TMOut != 3 {
-		t.Errorf("selector: %+v", s)
-	}
-	if p.StallTime() != 0 {
-		t.Error("a commit charged stall time")
 	}
 }
 
@@ -62,16 +31,18 @@ func TestTrafficManagerTailDrop(t *testing.T) {
 	if tm.Admit(c) {
 		t.Error("over-depth admit accepted")
 	}
-	if tm.Depth(1) != 2 {
-		t.Errorf("depth = %d", tm.Depth(1))
+	if tm.DepthFast(1) != 2 {
+		t.Errorf("depth = %d", tm.DepthFast(1))
 	}
 	enq, drops := tm.Stats()
 	if enq != 2 || drops != 1 {
 		t.Errorf("stats: %d/%d", enq, drops)
 	}
-	tm.Release(a)
-	if tm.Depth(1) != 1 {
-		t.Errorf("depth after release = %d", tm.Depth(1))
+	if p, ok := tm.DequeueRR(); !ok || p != a {
+		t.Errorf("dequeue = %p, %v; want the oldest packet %p", p, ok, a)
+	}
+	if tm.DepthFast(1) != 1 {
+		t.Errorf("depth after dequeue = %d", tm.DepthFast(1))
 	}
 	// Unknown/negative ports fall back to queue 0.
 	d := pkt.NewPacket(nil, 0)
@@ -79,10 +50,10 @@ func TestTrafficManagerTailDrop(t *testing.T) {
 	if !tm.Admit(d) {
 		t.Error("fallback admit failed")
 	}
-	if tm.Depth(0) != 1 {
-		t.Errorf("queue 0 depth = %d", tm.Depth(0))
+	if tm.DepthFast(0) != 1 {
+		t.Errorf("queue 0 depth = %d", tm.DepthFast(0))
 	}
-	if tm.Depth(99) != 0 {
+	if tm.DepthFast(99) != 0 || tm.DepthFast(-1) != 0 {
 		t.Error("out-of-range depth nonzero")
 	}
 }

@@ -287,8 +287,7 @@ func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// pisa skips dataplane.BeginPacket (no telemetry hooks), so the INT
-	// ingress timestamp is stamped here.
+	// The INT source's ingress timestamp, only while INT is enabled.
 	if ctx := s.dp.IntCtx(); ctx != nil {
 		p.IngressNanos = ctx.NowNanos()
 	}

@@ -37,8 +37,9 @@ type Env struct {
 	// attached time their stage batch. Kept separate from Trace so
 	// latency sampling can run denser than full tracing.
 	Timed bool
-	// TSPIndex is the physical TSP currently executing, stamped by
-	// TSP.Process so stage trace events carry their location.
+	// TSPIndex is the physical TSP currently executing, stamped by the
+	// program version's slot that runs the stage, so stage trace events
+	// carry their location.
 	TSPIndex int
 
 	// Int is the INT stamping context, set by the dataplane per packet
@@ -356,8 +357,8 @@ func (e *Env) EvalCond(c *template.Cond) bool {
 // sets the Drop flag and istd.drop bit as before, and stamps the
 // structured loss attribution — the reason (a stage drop action is an
 // intentional, ACL-style drop) and the stage (the TSP this Env is
-// currently executing, stamped by TSP.Process/ProcessBatch). Both ride
-// the packet to the finish hook, which files the loss under
+// currently executing, stamped by the slot running it). Both ride the
+// packet to the switch's verdict accounting, which files the loss under
 // ipsa_drop_total{reason,stage}.
 //
 // An admission-stamped parse failure wins over the program drop: designs

@@ -218,37 +218,28 @@ func TestNewStageRuntimeErrors(t *testing.T) {
 	}
 }
 
-func TestTSPLoadUnload(t *testing.T) {
+// TestDroppedPacketSkipsLaterStages: a packet one stage drops is not
+// run by the stage after it in the same batch sweep.
+func TestDroppedPacketSkipsLaterStages(t *testing.T) {
 	cfg := miniConfig()
-	sr, _ := NewStageRuntime(cfg, "s", BuildOpts{})
-	tp := NewTSP(3)
-	if tp.Active() || tp.Index() != 3 {
-		t.Error("fresh TSP wrong state")
-	}
-	tp.Load([]*StageRuntime{sr})
-	if !tp.Active() || tp.Loads() != 1 {
-		t.Error("load not reflected")
-	}
-	if got := tp.StageNames(); len(got) != 1 || got[0] != "s" {
-		t.Errorf("stages: %v", got)
-	}
-	if tp.String() != "TSP3[s]" {
-		t.Errorf("String: %q", tp.String())
-	}
-	tp.Unload()
-	if tp.Active() || tp.Loads() != 2 {
-		t.Error("unload not reflected")
-	}
-	// A dropped packet stops in-TSP processing.
-	tp.Load([]*StageRuntime{sr, sr})
-	sr.Bind(&mapBackend{entries: map[string]match.Result{"t/\xBB": {ActionID: 2}}})
+	drops := &mapBackend{entries: map[string]match.Result{"t/\xBB": {ActionID: 2}}}
+	first, _ := NewStageRuntime(cfg, "s", BuildOpts{})
+	second, _ := NewStageRuntime(cfg, "s", BuildOpts{})
+	first.Bind(drops)
+	second.Bind(drops)
 	op := NewOnDemandParser(cfg)
 	env := &Env{Regs: NewRegisterFile(nil), Faults: &Faults{}, SRHID: pkt.InvalidHeader, IPv6ID: pkt.InvalidHeader}
-	p := pkt.NewPacket([]byte{0xBB, 0x00}, cfg.MetaBytes)
-	tp.ProcessBatchWith(tp.Stages(), []*pkt.Packet{p}, op, env)
-	pkts, _, _ := sr.Stats()
-	if pkts != 1 {
-		t.Errorf("second stage ran on dropped packet: %d executions", pkts)
+	ps := []*pkt.Packet{pkt.NewPacket([]byte{0xBB, 0x00}, cfg.MetaBytes)}
+	first.ExecuteBatch(ps, op, env)
+	second.ExecuteBatch(ps, op, env)
+	if !ps[0].Drop {
+		t.Fatal("first stage did not drop the packet")
+	}
+	if pkts, _, _ := first.Stats(); pkts != 1 {
+		t.Errorf("first stage ran %d packets, want 1", pkts)
+	}
+	if pkts, _, _ := second.Stats(); pkts != 0 {
+		t.Errorf("second stage ran on a dropped packet: %d executions", pkts)
 	}
 }
 
