@@ -217,7 +217,7 @@ func run(testdata string, logger *slog.Logger) error {
 	}
 	applySeen := false
 	for _, ev := range events {
-		if ev.Kind == "apply_patch" || ev.Kind == "apply_diff" || ev.Kind == "apply_full" {
+		if ev.Kind == "apply_diff" || ev.Kind == "apply_full" {
 			applySeen = true
 		}
 		if ev.Kind == "health_degraded" || ev.Kind == "health_stalled" {

@@ -56,11 +56,11 @@ func hexPrefix(b []byte, max int) string {
 	return s.String()
 }
 
-// renderDropReasons aggregates the attributed drop counters
+// renderDropTotals aggregates the attributed drop counters
 // (ipsa_drop_total{reason,stage}) from a metrics dump into a
 // reason-by-stage breakdown, largest first. Empty when nothing has
 // dropped yet.
-func renderDropReasons(points []telemetry.MetricPoint) string {
+func renderDropTotals(points []telemetry.MetricPoint) string {
 	type row struct {
 		reason, stage string
 		count         uint64

@@ -143,7 +143,7 @@ var (
 	fxEvents = []telemetry.Event{
 		{Seq: 3, Kind: "edit_commit", ConfigHash: "abc123", Epoch: 3, TSPsWritten: 2, TablesCreated: 1,
 			StagesRecompiled: 1, StagesReused: 6, Hitless: true, Detail: "2 ops"},
-		{Seq: 2, Kind: "apply_patch", ConfigHash: "def456", TSPsWritten: 3, TablesDropped: 1, DrainNanos: 1500000, InFlight: 4,
+		{Seq: 2, Kind: "apply_diff", ConfigHash: "def456", TSPsWritten: 3, TablesDropped: 1, DrainNanos: 1500000, InFlight: 4,
 			VerdictDeltas: map[string]uint64{"forwarded": 10}},
 		{Seq: 1, Kind: "int_enable", Detail: "no config installed; deferred to next apply"},
 	}
@@ -156,8 +156,8 @@ var (
 			{Name: "shard-0", State: "ok", Heartbeat: 100, RatePPS: 600.5},
 			{Name: "shard-1", State: "stalled", Heartbeat: 7, Pending: 8},
 		},
-		Ops:       []health.OpStatus{{Kind: "apply_patch", ConfigHash: "abc", AgeNanos: 2500e6, Wedged: true}},
-		LastEvent: &telemetry.Event{Seq: 9, Kind: "apply_patch", ConfigHash: "abc", Epoch: 4, Hitless: true, Detail: "x"},
+		Ops:       []health.OpStatus{{Kind: "apply_diff", ConfigHash: "abc", AgeNanos: 2500e6, Wedged: true}},
+		LastEvent: &telemetry.Event{Seq: 9, Kind: "apply_diff", ConfigHash: "abc", Epoch: 4, Hitless: true, Detail: "x"},
 	}
 )
 
@@ -230,7 +230,7 @@ shard 10:
   sw1 tsp4 stage#beef       latency=1.200us  qdepth=3
 `},
 		{"events", fxEvents, `#3 edit_commit cfg=abc123 epoch=3 tsps=2 tables=+1/-0 stages=1+6_reused hitless (2 ops)
-#2 apply_patch cfg=def456 tsps=3 tables=+0/-1 drain=1.500ms in_flight=4 during_swap=forwarded+10
+#2 apply_diff cfg=def456 tsps=3 tables=+0/-1 drain=1.500ms in_flight=4 during_swap=forwarded+10
 #1 int_enable (no config installed; deferred to next apply)
 `},
 		{"health 10s", fxHealth, `state: DEGRADED  uptime: 1h2m3s       window: 10s
@@ -243,9 +243,9 @@ LANE         STATE       HEARTBEAT    PENDING       RATE/S
 shard-0      ok                100          0        600.5
 shard-1      STALLED             7          8          0.0
 
-reconfig apply_patch cfg=abc age=2.5s [WEDGED]
+reconfig apply_diff cfg=abc age=2.5s [WEDGED]
 
-last event: #9 apply_patch cfg=abc epoch=4 hitless (x)
+last event: #9 apply_diff cfg=abc epoch=4 hitless (x)
 `},
 	} {
 		r, rest, ok := lookupRead(strings.Fields(c.cmd))

@@ -115,7 +115,7 @@ func top(addr string, cl *ctrlplane.Client, interval, window time.Duration) {
 			// silent until the first loss, like the causes line above.
 			var points []telemetry.MetricPoint
 			if cl.View("metrics", telemetry.Query{}, &points) == nil {
-				if pane := renderDropReasons(points); pane != "" {
+				if pane := renderDropTotals(points); pane != "" {
 					fmt.Println("\ndrops by reason (total):")
 					fmt.Print(pane)
 				}

@@ -96,6 +96,9 @@ type PortStats struct {
 // Ports is optional so older devices (and their JSON) stay
 // wire-compatible.
 type DeviceStats struct {
+	// Processed counts packets that finished forwarded, to_cpu or
+	// no_port; Dropped those a stage dropped. A frame admission flagged
+	// as a parse failure counts in neither.
 	Processed       uint64      `json:"processed"`
 	Dropped         uint64      `json:"dropped"`
 	ToCPU           uint64      `json:"to_cpu"`

@@ -207,39 +207,30 @@ func SurfaceOutPort(p *pkt.Packet) {
 	}
 }
 
-// DropVerdict classifies a packet the program dropped mid-pipeline.
-// Normally that is an intentional, ACL-style drop; but when admission
-// already stamped the frame as a parse failure, the parse verdict wins —
-// the program's catch-all drop action merely disposed of a frame nothing
-// could have routed, and filing it as policy would hide a garbage-frame
-// storm from the unexpected-loss health detector.
-func DropVerdict(p *pkt.Packet) string {
-	if p.DropReason == verdict.ReasonParse {
-		return verdict.StrParseError
-	}
-	return verdict.StrDropped
-}
-
-// Verdict classifies a finished packet for telemetry. survived is false
-// when the packet died without a stage drop (e.g. TM admission failure).
-// A packet that finishes without a valid egress port splits two ways:
-// admission marked it a parse failure (the frame could not carry the
-// design's root header — nothing downstream could have routed it) or a
-// genuine no_port (the program never picked an egress).
-func Verdict(p *pkt.Packet, survived bool, numPorts int) string {
+// Verdict classifies a finished packet. survived is false when the
+// packet died without a stage drop (TM admission failure). An admission
+// parse stamp wins over a stage drop and over a missing egress port: the
+// frame could not carry the design's root header, so the program's
+// catch-all drop action (or its failure to pick an egress) merely
+// disposed of a frame nothing could have routed, and filing it as policy
+// or no_port would hide a garbage-frame storm from the unexpected-loss
+// health detector.
+func Verdict(p *pkt.Packet, survived bool, numPorts int) verdict.Verdict {
+	parseFailed := p.DropReason == verdict.ReasonParse
 	switch {
+	case p.Drop && parseFailed:
+		return verdict.ParseError
 	case p.Drop:
-		return DropVerdict(p)
+		return verdict.Dropped
 	case !survived:
-		return verdict.StrTMDrop
+		return verdict.TMDrop
 	case p.ToCPU:
-		return verdict.StrToCPU
-	case p.OutPort < 0 || p.OutPort >= numPorts:
-		if p.DropReason == verdict.ReasonParse {
-			return verdict.StrParseError
-		}
-		return verdict.StrNoPort
+		return verdict.ToCPU
+	case p.OutPort >= 0 && p.OutPort < numPorts:
+		return verdict.Forwarded
+	case parseFailed:
+		return verdict.ParseError
 	default:
-		return verdict.StrForwarded
+		return verdict.NoPort
 	}
 }

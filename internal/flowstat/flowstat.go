@@ -36,10 +36,8 @@ import (
 	"ipsa/internal/verdict"
 )
 
-// Verdict is the compact last-verdict enum stored per flow entry,
-// shared with the telemetry layer via internal/verdict (one source of
-// truth for the enum ↔ string mapping). The aliases below keep the
-// flowstat call sites and wire formats unchanged.
+// Verdict is the compact last-verdict enum stored per flow entry: the
+// switch's one verdict enum (internal/verdict), handed to Finish as is.
 type Verdict = verdict.Verdict
 
 const (
@@ -51,9 +49,6 @@ const (
 	VerdictNoPort    = verdict.NoPort
 	VerdictParse     = verdict.ParseError
 )
-
-// VerdictOf maps a dataplane verdict string to the enum.
-func VerdictOf(s string) Verdict { return verdict.Of(s) }
 
 // Eviction reasons carried on emitted flow records.
 const (

@@ -349,15 +349,19 @@ func TestHTTPEndpoint(t *testing.T) {
 	}
 }
 
-// TestVerdictRoundTrip: the enum and dataplane strings agree.
+// TestVerdictRoundTrip: the verdict a flow last finished with is the one
+// its record reports, for every verdict the switch hands in.
 func TestVerdictRoundTrip(t *testing.T) {
-	for _, v := range []Verdict{VerdictForwarded, VerdictDropped, VerdictTMDrop, VerdictToCPU, VerdictNoPort} {
-		if VerdictOf(v.String()) != v {
-			t.Errorf("verdict %d round-trips as %d", v, VerdictOf(v.String()))
+	s := NewSet(1, Config{TableBits: 4})
+	tab := s.Lane(0)
+	data := v4Frame(t, 4242)
+	h := pkt.RSSHash(data)
+	for v := VerdictForwarded; v <= VerdictParse; v++ {
+		tab.Touch(h, data, len(data), 0)
+		tab.Finish(h, v, -1, 0)
+		if recs := s.Dump(0); len(recs) != 1 || recs[0].Verdict != v.String() {
+			t.Errorf("after a %v finish the flow dumps %+v", v, recs)
 		}
-	}
-	if VerdictOf("bogus") != VerdictNone {
-		t.Error("unknown verdict not mapped to none")
 	}
 }
 

@@ -32,6 +32,29 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// The monitor's fixed tuning.
+const (
+	// rateWindow is the default rate window.
+	rateWindow = 10 * time.Second
+	// ringSize is the number of retained samples: two minutes of history
+	// at the default cadence.
+	ringSize = 120
+	// stallRounds is how many consecutive no-progress-while-pending checks
+	// flag a lane stalled.
+	stallRounds = 3
+	// reconfigDeadline bounds a tracked reconfiguration (a retired program
+	// version still holding packets) before it is reported wedged.
+	reconfigDeadline = 2 * time.Second
+	// dropSpikeFraction and dropSpikeFactor parameterize the post-apply
+	// anomaly check: the windowed drop fraction must exceed both the
+	// absolute floor and baseline*factor to count as a spike.
+	dropSpikeFraction = 0.05
+	dropSpikeFactor   = 2
+	// spikeChecks is how many checks after a reconfiguration the
+	// verdict-delta anomaly detector stays armed.
+	spikeChecks = 5
+)
+
 // Options configures a Health instance.
 type Options struct {
 	Registry *telemetry.Registry // required
@@ -42,28 +65,6 @@ type Options struct {
 	// disables the background ticker entirely — tests drive Check()
 	// manually with synthetic clocks.
 	Interval time.Duration
-	// Window is the default rate window (default 10s).
-	Window time.Duration
-	// RingSize is the number of retained samples (default 120 — two
-	// minutes of history at the default cadence).
-	RingSize int
-	// StallRounds is how many consecutive no-progress-while-pending
-	// checks flag a lane stalled (default 3).
-	StallRounds int
-	// ReconfigDeadline bounds a tracked reconfiguration (a retired
-	// program version still holding packets) before it is reported
-	// wedged (default 2s).
-	ReconfigDeadline time.Duration
-	// DropSpikeFraction and DropSpikeFactor parameterize the post-apply
-	// anomaly check: the windowed drop fraction must exceed both the
-	// absolute floor (default 0.05) and baseline*factor (default 2) to
-	// count as a spike.
-	DropSpikeFraction float64
-	DropSpikeFactor   float64
-	// SpikeChecks is how many checks after a reconfiguration the
-	// verdict-delta anomaly detector stays armed (default 5).
-	SpikeChecks int
-
 	// Packets and Drops feed the switch-level throughput history:
 	// cumulative packets seen and packets lost. Feeders should count
 	// only unexpected losses (congestion, misrouting, parse failures) —
@@ -133,27 +134,6 @@ func New(o Options) *Health {
 	if o.Interval == 0 {
 		o.Interval = time.Second
 	}
-	if o.Window <= 0 {
-		o.Window = 10 * time.Second
-	}
-	if o.RingSize <= 0 {
-		o.RingSize = 120
-	}
-	if o.StallRounds <= 0 {
-		o.StallRounds = 3
-	}
-	if o.ReconfigDeadline == 0 {
-		o.ReconfigDeadline = 2 * time.Second
-	}
-	if o.DropSpikeFraction <= 0 {
-		o.DropSpikeFraction = 0.05
-	}
-	if o.DropSpikeFactor <= 0 {
-		o.DropSpikeFactor = 2
-	}
-	if o.SpikeChecks <= 0 {
-		o.SpikeChecks = 5
-	}
 	if o.VerdictSeries == "" {
 		o.VerdictSeries = "ipsa_packets_total"
 	}
@@ -165,7 +145,7 @@ func New(o Options) *Health {
 	}
 	h := &Health{
 		o:      o,
-		ring:   NewRing(o.Registry, o.RingSize),
+		ring:   NewRing(o.Registry, ringSize),
 		log:    o.Log,
 		events: o.Events,
 		stopCh: make(chan struct{}),
@@ -377,10 +357,10 @@ func (h *Health) checkSpikeLocked() {
 		return
 	}
 	now := h.hist[(h.histPos-1+histSlots)%histSlots].t
-	_, _, frac := h.dropFractionLocked(now, h.o.Window)
+	_, _, frac := h.dropFractionLocked(now, rateWindow)
 	if seq := h.events.LastSeq(); seq != h.lastEventSeq {
 		if ev, ok := h.events.Last(); ok && isReconfigKind(ev.Kind) {
-			h.spikeLeft = h.o.SpikeChecks
+			h.spikeLeft = spikeChecks
 			h.spikeBase = frac
 			h.spikeKind = ev.Kind
 		}
@@ -388,7 +368,7 @@ func (h *Health) checkSpikeLocked() {
 	}
 	if h.spikeLeft > 0 {
 		h.spikeLeft--
-		if frac > h.o.DropSpikeFraction && frac > h.spikeBase*h.o.DropSpikeFactor {
+		if frac > dropSpikeFraction && frac > h.spikeBase*dropSpikeFactor {
 			if !h.spikeActive {
 				h.spikeActive = true
 				h.log.Warn("drop-rate spike after reconfiguration",
@@ -400,9 +380,9 @@ func (h *Health) checkSpikeLocked() {
 						": windowed drop fraction exceeded baseline",
 				})
 			}
-			h.spikeLeft = h.o.SpikeChecks // keep armed while spiking
+			h.spikeLeft = spikeChecks // keep armed while spiking
 		}
-	} else if h.spikeActive && frac <= h.o.DropSpikeFraction {
+	} else if h.spikeActive && frac <= dropSpikeFraction {
 		h.spikeActive = false
 	}
 }

@@ -14,7 +14,7 @@ func (h *Health) AddViews(v *telemetry.Views) {
 	v.Add("health", func(q telemetry.Query) any { return h.Status(q.Window) })
 	v.Add("rates", func(q telemetry.Query) any {
 		if q.Window <= 0 {
-			q.Window = h.o.Window
+			q.Window = rateWindow
 		}
 		return h.ring.Rates(q.Window)
 	})

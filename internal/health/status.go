@@ -47,13 +47,13 @@ var dropVerdicts = map[string]bool{
 }
 
 // Status assembles the exported view over the given window (<= 0 uses
-// the configured default). Query path: allocates freely.
+// the default rate window). Query path: allocates freely.
 func (h *Health) Status(window time.Duration) *Status {
 	if h == nil {
 		return &Status{State: StateHealthy.String()}
 	}
 	if window <= 0 {
-		window = h.o.Window
+		window = rateWindow
 	}
 	now := h.now()
 

@@ -9,7 +9,7 @@ import (
 // Lane is one monitored execution lane: a shard worker. Progress is a
 // monotonic heartbeat the lane stamps as it does work; Pending is how much
 // work is queued for it (its rx rings plus TM occupancy). A lane is flagged stalled when its heartbeat is
-// frozen across StallRounds consecutive checks while Pending stays
+// frozen across stallRounds consecutive checks while Pending stays
 // positive — the TM-empty guard, since an idle lane's frozen heartbeat
 // is just an idle lane.
 type Lane struct {
@@ -70,7 +70,7 @@ func (h *Health) BeginOpWatch(kind, configHash string, check func() bool) {
 		return
 	}
 	o := &op{kind: kind, configHash: configHash, start: h.now(),
-		deadline: h.o.ReconfigDeadline.Nanoseconds(), check: check}
+		deadline: reconfigDeadline.Nanoseconds(), check: check}
 	h.mu.Lock()
 	h.ops = append(h.ops, o)
 	h.mu.Unlock()
@@ -108,7 +108,7 @@ func (h *Health) checkLanesLocked() (stalled int) {
 		}
 		l.last = prog
 		was := l.stalled
-		l.stalled = l.rounds >= h.o.StallRounds
+		l.stalled = l.rounds >= stallRounds
 		if l.stalled != was {
 			if l.stalled {
 				h.log.Warn("lane stalled: heartbeat frozen with work queued",

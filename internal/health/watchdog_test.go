@@ -85,7 +85,7 @@ func TestWatchdogStallAndRecover(t *testing.T) {
 		t.Fatalf("state with live lanes = %v, want healthy", st)
 	}
 
-	// Freeze lane A with work queued; B keeps beating. StallRounds=3
+	// Freeze lane A with work queued; B keeps beating. stallRounds=3
 	// consecutive frozen checks flag it.
 	for i := 0; i < 4; i++ {
 		beatB++
@@ -156,7 +156,7 @@ func TestReconfigDeadline(t *testing.T) {
 	hn := newHarness(t, nil)
 	var quiesced atomic.Bool
 	done := func() { quiesced.Store(true) }
-	hn.h.BeginOpWatch("apply_patch", "cafebabe", quiesced.Load)
+	hn.h.BeginOpWatch("apply_diff", "cafebabe", quiesced.Load)
 
 	// Within the 2s default deadline: still healthy.
 	hn.check(t, 1)
@@ -203,7 +203,6 @@ func TestReconfigDeadline(t *testing.T) {
 func TestDropSpikeAfterApply(t *testing.T) {
 	var packets, drops uint64
 	hn := newHarness(t, func(o *Options) {
-		o.Window = 3 * time.Second
 		o.Packets = func() uint64 { return packets }
 		o.Drops = func() uint64 { return drops }
 	})
@@ -214,7 +213,7 @@ func TestDropSpikeAfterApply(t *testing.T) {
 		hn.check(t, 1)
 	}
 	// The reconfiguration lands...
-	hn.events.Append(telemetry.Event{Kind: "apply_patch", ConfigHash: "deadbeef"})
+	hn.events.Append(telemetry.Event{Kind: "apply_diff", ConfigHash: "deadbeef"})
 	// ...and drops surge: 50% loss, far beyond the ~0 baseline.
 	for i := 0; i < 3; i++ {
 		packets += 1000

@@ -6,6 +6,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/flowstat"
 	"ipsa/internal/telemetry"
+	"ipsa/internal/verdict"
 )
 
 // The ctrlplane.Device implementation: what the CCM exposes to the
@@ -81,9 +82,11 @@ func (s *Switch) ReadRegister(name string, index uint64) (uint64, error) {
 	return v, nil
 }
 
-// Stats snapshots the device counters.
+// Stats snapshots the device counters. Processed and Dropped read the
+// verdict ledger: processed is every packet that finished forwarded,
+// to_cpu or no_port, dropped every packet a stage dropped.
 func (s *Switch) Stats() *ctrlplane.DeviceStats {
-	processed, dropped := s.pl.Stats()
+	vs := s.tel.VerdictSnapshot()
 	var ports []ctrlplane.PortStats
 	for i := 0; i < s.ports.Len(); i++ {
 		p, err := s.ports.Port(i)
@@ -97,8 +100,8 @@ func (s *Switch) Stats() *ctrlplane.DeviceStats {
 		})
 	}
 	return &ctrlplane.DeviceStats{
-		Processed:       processed,
-		Dropped:         dropped,
+		Processed:       vs[verdict.Forwarded] + vs[verdict.ToCPU] + vs[verdict.NoPort],
+		Dropped:         vs[verdict.Dropped],
 		ToCPU:           s.punted.Load(),
 		ActiveTSPs:      s.activeTSPs(),
 		StallNanos:      int64(s.pl.StallTime()),

@@ -126,13 +126,7 @@ func TestEpochReclamationSoak(t *testing.T) {
 	total := <-accepted
 
 	// Conservation: every accepted frame reaches exactly one verdict.
-	finished := func() uint64 {
-		var sum uint64
-		for _, c := range sw.tel.verdictCounters() {
-			sum += c.Value()
-		}
-		return sum
-	}
+	finished := sw.packetsTotal
 	deadline := time.Now().Add(10 * time.Second)
 	for finished() < uint64(total) {
 		if time.Now().After(deadline) {

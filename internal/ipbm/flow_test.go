@@ -12,16 +12,6 @@ import (
 // The switch is a CCM device.
 var _ ctrlplane.Device = (*Switch)(nil)
 
-// flowVerdictSum reads ipsa_packets_total across all verdict labels —
-// the right-hand side of the flow-conservation invariant.
-func flowVerdictSum(sw *Switch) uint64 {
-	var sum uint64
-	for _, c := range sw.tel.verdictCounters() {
-		sum += c.Value()
-	}
-	return sum
-}
-
 // TestFlowConservationSharded pins the tentpole's accounting invariant:
 // after a sharded soak quiesces and the switch shuts down (flushing
 // every live flow into a record), the packet mass carried by flow
@@ -66,16 +56,16 @@ func TestFlowConservationSharded(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	for flowVerdictSum(sw) < accepted {
+	for sw.packetsTotal() < accepted {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d packets reached a verdict", flowVerdictSum(sw), accepted)
+			t.Fatalf("only %d/%d packets reached a verdict", sw.packetsTotal(), accepted)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(done)
 	sw.Shutdown() // flushes every live flow into the record stream
 
-	verdicts := flowVerdictSum(sw)
+	verdicts := sw.packetsTotal()
 	if verdicts != accepted {
 		t.Fatalf("verdicts %d != accepted %d", verdicts, accepted)
 	}
@@ -138,9 +128,9 @@ func TestFlowStateSurvivesReconfig(t *testing.T) {
 	}
 	waitFor := func(n uint64) {
 		deadline := time.Now().Add(10 * time.Second)
-		for flowVerdictSum(sw) < n {
+		for sw.packetsTotal() < n {
 			if time.Now().After(deadline) {
-				t.Fatalf("only %d/%d packets reached a verdict", flowVerdictSum(sw), n)
+				t.Fatalf("only %d/%d packets reached a verdict", sw.packetsTotal(), n)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -207,7 +197,7 @@ func TestFlowStateSurvivesReconfig(t *testing.T) {
 
 	close(done)
 	sw.Shutdown()
-	if got, want := sw.Flows().RecordPackets(), flowVerdictSum(sw); got != want {
+	if got, want := sw.Flows().RecordPackets(), sw.packetsTotal(); got != want {
 		t.Fatalf("flow records carry %d packets, verdicts = %d (conservation violated under reconfig)",
 			got, want)
 	}

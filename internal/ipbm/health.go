@@ -12,28 +12,19 @@ import "ipsa/internal/health"
 // RunSharded registers lanes and Starts it.
 func (s *Switch) initHealth(opts Options) {
 	s.health = health.New(health.Options{
-		Registry:         s.tel.Reg,
-		Events:           s.tel.Events,
-		Log:              s.log.With("component", "health"),
-		Interval:         opts.HealthInterval,
-		ReconfigDeadline: opts.ReconfigDeadline,
-		Packets:          s.packetsTotal,
-		Drops:            s.dropsTotal,
-		TMDepth:          s.tmDepthSum,
-		Ready:            func() bool { return s.epochs.current() != nil },
+		Registry: s.tel.Reg,
+		Events:   s.tel.Events,
+		Log:      s.log.With("component", "health"),
+		Interval: opts.HealthInterval,
+		Packets:  s.packetsTotal,
+		Drops:    s.dropsTotal,
+		TMDepth:  s.tmDepthSum,
+		Ready:    func() bool { return s.epochs.current() != nil },
 	})
-	// Collector-only series the ring should still rate: pipeline totals
-	// and the TM's enqueue/tail-drop counters. Registered handles
+	// Collector-only series the ring should still rate: the TM's
+	// enqueue/tail-drop counters and depth. Registered handles
 	// (ipsa_packets_total{verdict}, ipsa_shard_rx_frames_total, latency
 	// histograms, ...) are tracked automatically.
-	s.health.AddColumn(health.Column{
-		Name: "ipsa_pipeline_processed_total", Kind: "counter",
-		Read: func() float64 { p, _ := s.pl.Stats(); return float64(p) },
-	})
-	s.health.AddColumn(health.Column{
-		Name: "ipsa_pipeline_dropped_total", Kind: "counter",
-		Read: func() float64 { _, d := s.pl.Stats(); return float64(d) },
-	})
 	s.health.AddColumn(health.Column{
 		Name: "ipsa_tm_enqueued_total", Kind: "counter",
 		Read: func() float64 { e, _ := s.TMStats(); return float64(e) },
@@ -52,20 +43,26 @@ func (s *Switch) initHealth(opts Options) {
 // the pipeline, whatever their fate.
 func (s *Switch) packetsTotal() uint64 {
 	var n uint64
-	for _, c := range s.tel.verdictCounters() {
-		n += c.Value()
+	for _, c := range s.tel.VerdictSnapshot() {
+		n += c
 	}
 	return n
 }
 
 // dropsTotal folds the unexpected losses: TM tail drops, no-egress
-// finishes, parse failures and refused transmits. Intentional stage
-// drops (reason "acl" — a firewall program doing its job) are excluded
-// so a policy-heavy program can never trip the post-reconfig drop-spike
-// detector into reporting the switch degraded.
+// finishes, parse failures and refused transmits — every drops cell, as
+// the acl cells are kept apart in dropACL. Intentional stage drops (a
+// firewall program doing its job) are excluded so a policy-heavy program
+// can never trip the post-reconfig drop-spike detector into reporting
+// the switch degraded.
 func (s *Switch) dropsTotal() uint64 {
-	return s.tel.dropTM.Value() + s.tel.dropNoPort.Value() +
-		s.tel.dropParse.Value() + s.tel.dropTxFail.Value()
+	var n uint64
+	for _, c := range s.tel.drops {
+		if c != nil {
+			n += c.Value()
+		}
+	}
+	return n
 }
 
 // Health exposes the switch's self-diagnosis layer (rate queries, manual

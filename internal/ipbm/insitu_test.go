@@ -87,7 +87,7 @@ func TestInsituECMP(t *testing.T) {
 	}
 	var applied bool
 	for _, ev := range sw.tel.Events.Dump(0) {
-		if ev.Kind == "apply_patch" {
+		if ev.Kind == "apply_diff" {
 			applied = true
 			if !ev.Hitless || ev.DrainNanos != 0 || ev.Epoch == 0 {
 				t.Errorf("patch event not hitless: %+v", ev)
@@ -95,7 +95,7 @@ func TestInsituECMP(t *testing.T) {
 		}
 	}
 	if !applied {
-		t.Error("no apply_patch audit event")
+		t.Error("no apply_diff audit event")
 	}
 }
 

@@ -232,13 +232,7 @@ func TestIntSoakShardedConservation(t *testing.T) {
 	}
 
 	// Conservation: wait for every injected packet to reach a verdict.
-	finished := func() uint64 {
-		var sum uint64
-		for _, c := range sw.tel.verdictCounters() {
-			sum += c.Value()
-		}
-		return sum
-	}
+	finished := sw.packetsTotal
 	deadline := time.Now().Add(5 * time.Second)
 	for finished() < uint64(injected) {
 		if time.Now().After(deadline) {

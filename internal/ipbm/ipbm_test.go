@@ -10,6 +10,7 @@ import (
 	"ipsa/internal/pkt"
 	"ipsa/internal/rp4/parser"
 	"ipsa/internal/template"
+	"ipsa/internal/verdict"
 )
 
 // Test topology constants for the base L2/L3 design.
@@ -327,9 +328,9 @@ func TestUnknownPortDropped(t *testing.T) {
 	if !p.Drop {
 		t.Error("packet from unmapped port not dropped")
 	}
-	_, dropped := sw.Pipeline().Stats()
-	if dropped != 1 {
-		t.Errorf("dropped = %d", dropped)
+	vs := sw.Telemetry().VerdictSnapshot()
+	if vs[verdict.Dropped] != 1 || sw.Stats().Dropped != 1 {
+		t.Errorf("dropped verdicts = %d, Stats().Dropped = %d, want 1 each", vs[verdict.Dropped], sw.Stats().Dropped)
 	}
 }
 

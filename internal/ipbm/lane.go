@@ -221,7 +221,7 @@ func (l *lane) settle() {
 // and takes each survivor across the TM. Afterwards l.ps holds what this
 // turn still has to egress: the pass-through survivors, or nothing.
 func (l *lane) ingress(v *progVersion) {
-	v.runIngressBatch(l.s.pl, l.ps, l.dsh.Env(v.design))
+	v.runIngressBatch(l.ps, l.dsh.Env(v.design))
 	live := l.ps[:0]
 	for _, p := range l.ps {
 		switch {
@@ -264,7 +264,7 @@ func (l *lane) egress(v *progVersion) {
 	if len(l.ps) == 0 {
 		return
 	}
-	v.runEgressBatch(l.s.pl, l.ps, l.dsh.Env(v.design))
+	v.runEgressBatch(l.ps, l.dsh.Env(v.design))
 	for i, p := range l.ps {
 		l.finish(v, p, true)
 		l.ps[i] = nil
@@ -272,10 +272,11 @@ func (l *lane) egress(v *progVersion) {
 	l.ps = l.ps[:0]
 }
 
-// finish is the one place a packet gets its verdict: punt, out-port
-// surfacing, INT sink, the verdict telemetry, the flow verdict queued
-// for settle, then the transmit queue (or no_port) and the freelist.
-// survived is false only for a TM tail drop.
+// finish is the one place a packet gets its verdict and the one place a
+// packet's fate is counted: punt, out-port surfacing, INT sink, the
+// verdict filed in the telemetry ledger, the flow verdict queued for
+// settle, then the transmit queue and the freelist. survived is false
+// only for a TM tail drop.
 func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 	s := l.s
 	if p.ToCPU {
@@ -291,21 +292,17 @@ func (l *lane) finish(v *progVersion, p *pkt.Packet, survived bool) {
 			v.sink.process(p)
 		}
 	}
-	verdict := dataplane.Verdict(p, survived, len(l.txq))
-	s.finishPacketTelemetry(v, p, verdict)
+	vd := dataplane.Verdict(p, survived, len(l.txq))
+	s.finishPacketTelemetry(v, p, vd)
 	if l.fl != nil {
-		l.fins = append(l.fins, flowFin{p.RSS, flowLat(p), flowstat.VerdictOf(verdict)})
+		l.fins = append(l.fins, flowFin{p.RSS, flowLat(p), vd})
 	}
 	if l.inspect {
 		l.kept = p
 		return
 	}
-	if out {
-		if p.OutPort >= 0 && p.OutPort < len(l.txq) {
-			l.txq[p.OutPort] = append(l.txq[p.OutPort], p.Data)
-		} else {
-			s.tel.noPortDrops.Inc()
-		}
+	if out && p.OutPort >= 0 && p.OutPort < len(l.txq) {
+		l.txq[p.OutPort] = append(l.txq[p.OutPort], p.Data)
 	}
 	l.dsh.PutPacket(p)
 }

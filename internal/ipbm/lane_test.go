@@ -134,9 +134,9 @@ type ledger struct {
 func readLedger(sw *Switch) ledger {
 	l := ledger{verdicts: map[string]uint64{}, drops: map[string]uint64{},
 		flowPackets: sw.Flows().RecordPackets(), punted: sw.punted.Load()}
-	for i, c := range sw.tel.verdictCounters() {
-		if v := c.Value(); v > 0 {
-			l.verdicts[verdictNames[i]] = v
+	for v, n := range sw.Telemetry().VerdictSnapshot() {
+		if n > 0 {
+			l.verdicts[verdict.Verdict(v).String()] = n
 		}
 	}
 	for _, p := range sw.Telemetry().Reg.Gather() {
@@ -199,8 +199,8 @@ func settle(t *testing.T, sw *Switch, n int) {
 	for {
 		// Verdicts first: once all n are in, due cannot grow.
 		done := sw.packetsTotal() >= uint64(n)
-		due := sw.tel.vForwarded.Value() + sw.tel.vToCPU.Value()
-		left := portsSent(sw) + sw.tel.dropTxFail.Value()
+		due := sw.tel.packets[verdict.Forwarded].Value() + sw.tel.packets[verdict.ToCPU].Value()
+		left := portsSent(sw) + sw.tel.drops[verdict.ReasonTxFail].Value()
 		if done && due == left {
 			return
 		}
@@ -476,7 +476,7 @@ func TestShutdownConservation(t *testing.T) {
 				t.Errorf("ports accepted %d frames, %d reached a verdict", accepted, got)
 			}
 			sent := portsSent(sw)
-			fwd, txFail := sw.tel.vForwarded.Value(), sw.tel.dropTxFail.Value()
+			fwd, txFail := sw.tel.packets[verdict.Forwarded].Value(), sw.tel.drops[verdict.ReasonTxFail].Value()
 			if fwd != sent+txFail {
 				t.Errorf("%d forwarded verdicts, but ports sent %d and tx_fail counted %d", fwd, sent, txFail)
 			}

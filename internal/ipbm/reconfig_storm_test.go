@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ipsa/internal/ctrlplane"
+	"ipsa/internal/verdict"
 )
 
 const (
@@ -46,8 +47,8 @@ type stormHarness struct {
 // inSwitchDrops sums the verdict counters that account for a frame
 // without it emerging at a port.
 func (h *stormHarness) inSwitchDrops() uint64 {
-	t := h.sw.tel
-	return t.vDropped.Value() + t.vTmDrop.Value() + t.vNoPort.Value()
+	vs := h.sw.Telemetry().VerdictSnapshot()
+	return vs[verdict.Dropped] + vs[verdict.TMDrop] + vs[verdict.NoPort]
 }
 
 // runStorm injects nFrames in a closed loop, committing one scratch edit

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,10 +75,6 @@ type Options struct {
 	// negative disables the background ticker so tests can drive
 	// Health().Check with synthetic clocks).
 	HealthInterval time.Duration
-	// ReconfigDeadline bounds how long a retired program version may keep
-	// packets pinned before the health monitor reports the
-	// reconfiguration wedged (0 = 2s).
-	ReconfigDeadline time.Duration
 
 	// FlowTableBits sizes each flow-accounting lane table to 2^bits slots
 	// (0 = flowstat's default of 1024).
@@ -257,34 +252,40 @@ func (s *Switch) Config() *template.Config {
 	return nil
 }
 
-// tspSignature canonically describes a TSP's required content under cfg:
-// the signatures of the stages it hosts, in execution order.
-func tspSignature(cfg *template.Config, tspIdx int) string {
-	var parts []string
-	for _, sn := range orderedStagesOf(cfg, tspIdx) {
-		parts = append(parts, stageSignature(cfg, sn, false))
+// tspChanged reports whether a TSP that ran the stages was (signatures
+// in oldSigs) runs a different program with the stages now (signatures in
+// sigs): a different stage list, or a stage whose signature changed.
+func tspChanged(was, now []string, oldSigs, sigs map[string]string) bool {
+	if len(was) != len(now) {
+		return true
 	}
-	return strings.Join(parts, "\x00")
-}
-
-// orderedStagesOf returns the stage names hosted by tspIdx in chain order
-// (execution order within a TSP follows the chain order).
-func orderedStagesOf(cfg *template.Config, tspIdx int) []string {
-	var stages []string
-	for sn, idx := range cfg.TSPAssignment {
-		if idx == tspIdx {
-			stages = append(stages, sn)
+	for k := range now {
+		if oldSigs[was[k]] != sigs[now[k]] {
+			return true
 		}
 	}
-	rank := make(map[string]int)
-	for i, n := range cfg.IngressChain {
-		rank[n] = i
+	return false
+}
+
+// stagesByTSP lists the stages each of n TSPs hosts under cfg in chain
+// order (execution order within a TSP follows the chain order). cfg's
+// TSP assignments must lie in [0,n).
+func stagesByTSP(cfg *template.Config, n int) [][]string {
+	rank := make(map[string]int, len(cfg.IngressChain)+len(cfg.EgressChain))
+	for i, sn := range cfg.IngressChain {
+		rank[sn] = i
 	}
-	for i, n := range cfg.EgressChain {
-		rank[n] = len(cfg.IngressChain) + i
+	for i, sn := range cfg.EgressChain {
+		rank[sn] = len(cfg.IngressChain) + i
 	}
-	sort.Slice(stages, func(i, j int) bool { return rank[stages[i]] < rank[stages[j]] })
-	return stages
+	out := make([][]string, n)
+	for sn, idx := range cfg.TSPAssignment {
+		out[idx] = append(out[idx], sn)
+	}
+	for _, stages := range out {
+		sort.Slice(stages, func(i, j int) bool { return rank[stages[i]] < rank[stages[j]] })
+	}
+	return out
 }
 
 // ApplyConfig installs or patches a device configuration. On a patch, only

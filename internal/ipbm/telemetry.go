@@ -24,42 +24,27 @@ type Telemetry struct {
 	Events *telemetry.EventLog
 
 	// Config-plane counters, resolved at New.
-	appliesFull  *telemetry.Counter
-	appliesDiff  *telemetry.Counter
-	appliesPatch *telemetry.Counter
-	tspsWritten  *telemetry.Counter
-	migrated     *telemetry.Counter
-	// noPortDrops counts packets that finished the pipeline with no valid
-	// egress port — silently lost before this counter existed.
-	noPortDrops *telemetry.Counter
+	appliesFull *telemetry.Counter
+	appliesDiff *telemetry.Counter
+	tspsWritten *telemetry.Counter
+	migrated    *telemetry.Counter
 
-	// Per-verdict packet counters (ipsa_packets_total{verdict=...}),
-	// incremented for every finished packet. Pre-resolved so the hot-path
-	// cost is one switch plus one atomic add; their snapshots are how
-	// audit events quantify what traffic saw during a swap. Striped:
+	// The packet ledger: every finished packet adds one cell of packets
+	// (ipsa_packets_total{verdict}, indexed by verdict.Verdict; index 0,
+	// None, is unused) and every lost one also one cell of ipsa_drop_total
+	// {reason,stage}, so the per-reason sums reconcile exactly against the
+	// loss verdicts. No other counter records a packet's fate. dropACL is
+	// per TSP (stage "tsp<i>") so an intentional stage drop names the
+	// processor that fired it; drops holds the other reasons (indexed by
+	// verdict.DropReason), each with one fixed drop point. tx_fail is the
+	// one loss outside the verdict taxonomy: the packet finished
+	// "forwarded" and the egress port then refused the frame. Striped:
 	// lane 0 is the inline Forward paths, lanes 1..N the shard workers, so
 	// concurrent shards never contend on one cache line. Totals fold at
 	// read time; per-lane cells are what the ipsa_shard_* export reads.
-	vForwarded  *telemetry.StripedCounter
-	vDropped    *telemetry.StripedCounter
-	vTmDrop     *telemetry.StripedCounter
-	vToCPU      *telemetry.StripedCounter
-	vNoPort     *telemetry.StripedCounter
-	vParseError *telemetry.StripedCounter
-
-	// Attributed drop counters (ipsa_drop_total{reason,stage}): every
-	// lost packet increments exactly one cell, striped like the verdict
-	// counters, so per-reason sums reconcile exactly against the loss
-	// verdicts in ipsa_packets_total. dropACL is per-TSP (stage "tsp<i>")
-	// so an intentional stage drop names the processor that fired it; the
-	// other reasons each have one fixed drop point. dropTxFail is the one
-	// loss outside the verdict taxonomy: the packet finished "forwarded"
-	// and the egress port then refused the frame.
-	dropACL    []*telemetry.StripedCounter
-	dropTM     *telemetry.StripedCounter
-	dropNoPort *telemetry.StripedCounter
-	dropParse  *telemetry.StripedCounter
-	dropTxFail *telemetry.StripedCounter
+	packets [verdict.NumVerdicts + 1]*telemetry.StripedCounter
+	drops   [verdict.NumReasons + 1]*telemetry.StripedCounter
+	dropACL []*telemetry.StripedCounter
 
 	// tspLat is each TSP's stage-batch latency histogram, observed for
 	// latency-sampled packets by the program versions' slots.
@@ -71,83 +56,51 @@ type Telemetry struct {
 	Drops *telemetry.DropRing
 }
 
-// verdictNames orders the per-verdict counters for snapshots/deltas —
-// the shared taxonomy's order (enum value minus one).
-var verdictNames = verdict.Strings
-
-func (t *Telemetry) verdictCounters() [verdict.NumVerdicts]*telemetry.StripedCounter {
-	return [verdict.NumVerdicts]*telemetry.StripedCounter{
-		t.vForwarded, t.vDropped, t.vTmDrop, t.vToCPU, t.vNoPort, t.vParseError,
-	}
-}
-
-// countVerdict bumps the finished packet's verdict counter on stripe
-// lane (the packet's telemetry lane: 0 shared, shard index + 1).
-func (t *Telemetry) countVerdict(lane int, v string) {
-	switch v {
-	case verdict.StrForwarded:
-		t.vForwarded.Cell(lane).Inc()
-	case verdict.StrDropped:
-		t.vDropped.Cell(lane).Inc()
-	case verdict.StrTMDrop:
-		t.vTmDrop.Cell(lane).Inc()
-	case verdict.StrToCPU:
-		t.vToCPU.Cell(lane).Inc()
-	case verdict.StrNoPort:
-		t.vNoPort.Cell(lane).Inc()
-	case verdict.StrParseError:
-		t.vParseError.Cell(lane).Inc()
-	}
-}
-
-// countDrop attributes one lost packet to its ipsa_drop_total cell. It
-// returns the reason plus the dropping TSP (-1 when the drop point is
-// not a stage) so the caller can offer the packet to the capture ring;
-// ReasonNone means the verdict was not a loss.
-func (t *Telemetry) countDrop(lane int, v string, stage int32) (verdict.DropReason, int) {
-	switch v {
-	case verdict.StrDropped:
-		if len(t.dropACL) == 0 {
-			return verdict.ReasonNone, -1
-		}
+// file counts one finished packet with verdict v on stripe lane (the
+// packet's telemetry lane: 0 shared, shard index + 1): one verdict cell
+// and, for a loss, one drop cell — an acl loss on the cell of stage, the
+// TSP that fired it. It returns the drop reason (ReasonNone for no loss)
+// and the TSP to name in a capture (-1 when the drop point is not a
+// stage).
+func (t *Telemetry) file(lane int, v verdict.Verdict, stage int32) (verdict.DropReason, int) {
+	t.packets[v].Cell(lane).Inc()
+	r := v.Reason()
+	switch r {
+	case verdict.ReasonNone:
+		return r, -1
+	case verdict.ReasonACL:
 		i := int(stage)
 		if i < 0 || i >= len(t.dropACL) {
 			i = 0
 		}
 		t.dropACL[i].Cell(lane).Inc()
-		return verdict.ReasonACL, i
-	case verdict.StrTMDrop:
-		t.dropTM.Cell(lane).Inc()
-		return verdict.ReasonTM, -1
-	case verdict.StrNoPort:
-		t.dropNoPort.Cell(lane).Inc()
-		return verdict.ReasonNoPort, -1
-	case verdict.StrParseError:
-		t.dropParse.Cell(lane).Inc()
-		return verdict.ReasonParse, -1
+		return r, i
 	}
-	return verdict.ReasonNone, -1
+	t.drops[r].Cell(lane).Inc()
+	return r, -1
 }
 
-// verdictSnapshot captures the per-verdict totals (audit-event baseline).
-func (t *Telemetry) verdictSnapshot() [verdict.NumVerdicts]uint64 {
-	var out [verdict.NumVerdicts]uint64
-	for i, c := range t.verdictCounters() {
-		out[i] = c.Value()
+// VerdictSnapshot reads the ledger's per-verdict totals, indexed by
+// verdict.Verdict, without allocating: the audit events' baseline and
+// what a poll for "every packet reached a verdict" sums.
+func (t *Telemetry) VerdictSnapshot() [verdict.NumVerdicts + 1]uint64 {
+	var out [verdict.NumVerdicts + 1]uint64
+	for v := 1; v < len(out); v++ {
+		out[v] = t.packets[v].Value()
 	}
 	return out
 }
 
 // verdictDeltas reports the per-verdict change since a snapshot, keeping
 // only verdicts that moved.
-func (t *Telemetry) verdictDeltas(before [verdict.NumVerdicts]uint64) map[string]uint64 {
+func (t *Telemetry) verdictDeltas(before [verdict.NumVerdicts + 1]uint64) map[string]uint64 {
 	var out map[string]uint64
-	for i, c := range t.verdictCounters() {
-		if d := c.Value() - before[i]; d > 0 {
+	for v, n := range t.VerdictSnapshot() {
+		if d := n - before[v]; d > 0 {
 			if out == nil {
 				out = make(map[string]uint64)
 			}
-			out[verdictNames[i]] = d
+			out[verdict.Verdict(v).String()] = d
 		}
 	}
 	return out
@@ -162,27 +115,25 @@ const verdictLanes = MaxShards + 1
 func (s *Switch) newTelemetry(opts Options) {
 	reg := telemetry.NewRegistry()
 	tel := &Telemetry{
-		Reg:          reg,
-		Tracer:       telemetry.NewTracer(opts.TraceRing, opts.TraceEvery),
-		LatSamp:      telemetry.NewSampler(opts.LatencyEvery),
-		Events:       telemetry.NewEventLog(ringDepth),
-		appliesFull:  reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "full")),
-		appliesDiff:  reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "diff")),
-		appliesPatch: reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "patch")),
-		tspsWritten:  reg.Counter("ipsa_config_tsps_written_total"),
-		migrated:     reg.Counter("ipsa_config_entries_migrated_total"),
-		noPortDrops:  reg.Counter("ipsa_no_port_drops_total"),
-		vForwarded:   reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", verdict.StrForwarded)),
-		vDropped:     reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", verdict.StrDropped)),
-		vTmDrop:      reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", verdict.StrTMDrop)),
-		vToCPU:       reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", verdict.StrToCPU)),
-		vNoPort:      reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", verdict.StrNoPort)),
-		vParseError:  reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", verdict.StrParseError)),
-		dropTM:       reg.StripedCounter("ipsa_drop_total", verdictLanes, telemetry.L("reason", verdict.StrReasonTM), telemetry.L("stage", "tm")),
-		dropNoPort:   reg.StripedCounter("ipsa_drop_total", verdictLanes, telemetry.L("reason", verdict.StrReasonNoPort), telemetry.L("stage", "tx")),
-		dropParse:    reg.StripedCounter("ipsa_drop_total", verdictLanes, telemetry.L("reason", verdict.StrReasonParse), telemetry.L("stage", "parser")),
-		dropTxFail:   reg.StripedCounter("ipsa_drop_total", verdictLanes, telemetry.L("reason", verdict.StrReasonTxFail), telemetry.L("stage", "tx")),
-		Drops:        telemetry.NewDropRing(opts.DropRing, opts.DropSampleRate, opts.DropSampleBurst),
+		Reg:         reg,
+		Tracer:      telemetry.NewTracer(opts.TraceRing, opts.TraceEvery),
+		LatSamp:     telemetry.NewSampler(opts.LatencyEvery),
+		Events:      telemetry.NewEventLog(ringDepth),
+		appliesFull: reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "full")),
+		appliesDiff: reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "diff")),
+		tspsWritten: reg.Counter("ipsa_config_tsps_written_total"),
+		migrated:    reg.Counter("ipsa_config_entries_migrated_total"),
+		Drops:       telemetry.NewDropRing(opts.DropRing, opts.DropSampleRate, opts.DropSampleBurst),
+	}
+	for v := verdict.Forwarded; int(v) <= verdict.NumVerdicts; v++ {
+		tel.packets[v] = reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", v.String()))
+	}
+	for _, d := range []struct {
+		r     verdict.DropReason
+		stage string
+	}{{verdict.ReasonTM, "tm"}, {verdict.ReasonNoPort, "tx"}, {verdict.ReasonParse, "parser"}, {verdict.ReasonTxFail, "tx"}} {
+		tel.drops[d.r] = reg.StripedCounter("ipsa_drop_total", verdictLanes,
+			telemetry.L("reason", d.r.String()), telemetry.L("stage", d.stage))
 	}
 	for i := 0; i < s.pl.NumTSPs(); i++ {
 		tel.dropACL = append(tel.dropACL, reg.StripedCounter("ipsa_drop_total", verdictLanes,
@@ -234,9 +185,6 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	gauge("ipsa_exec_tier", 1, telemetry.L("tier", s.opts.Exec.String()))
 
 	// Pipeline module.
-	processed, dropped := s.pl.Stats()
-	ctr("ipsa_pipeline_processed_total", processed)
-	ctr("ipsa_pipeline_dropped_total", dropped)
 	gauge("ipsa_pipeline_stall_seconds_total", s.pl.StallTime().Seconds())
 	gauge("ipsa_pipeline_active_tsps", float64(s.activeTSPs()))
 
@@ -275,13 +223,13 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 		for _, sh := range set.shards {
 			lane := sh.dsh.Lane()
 			var pkts, drops uint64
-			for _, c := range s.tel.verdictCounters() {
-				pkts += c.CellValue(lane)
+			for v := verdict.Forwarded; int(v) <= verdict.NumVerdicts; v++ {
+				n := s.tel.packets[v].CellValue(lane)
+				pkts += n
+				if v.IsDrop() {
+					drops += n
+				}
 			}
-			drops = s.tel.vDropped.CellValue(lane) +
-				s.tel.vTmDrop.CellValue(lane) +
-				s.tel.vNoPort.CellValue(lane) +
-				s.tel.vParseError.CellValue(lane)
 			l := telemetry.L("shard", strconv.Itoa(sh.idx))
 			ctr("ipsa_shard_packets_total", pkts, l)
 			ctr("ipsa_shard_drops_total", drops, l)
@@ -343,12 +291,11 @@ func (s *Switch) activeTSPs() int {
 }
 
 // admitFailed accounts a frame the dataplane refused to admit (GetPacket
-// error, before the packet ever existed): the loss lands in both ledgers
-// — the parse_error verdict and the parser's drop cell — so conservation
-// holds even for packets that never entered the pipeline.
+// error, before the packet ever existed) as a parse_error in the ledger,
+// so conservation holds even for packets that never entered the
+// pipeline.
 func (s *Switch) admitFailed(lane, inPort int, data []byte) {
-	s.tel.countVerdict(lane, verdict.StrParseError)
-	if r, _ := s.tel.countDrop(lane, verdict.StrParseError, -1); r != verdict.ReasonNone && s.tel.Drops.Offer() {
+	if r, _ := s.tel.file(lane, verdict.ParseError, -1); s.tel.Drops.Offer() {
 		s.tel.Drops.Capture(r, -1, inPort, -1, s.currentEpoch(), data)
 	}
 }
@@ -358,7 +305,7 @@ func (s *Switch) admitFailed(lane, inPort int, data []byte) {
 // on counter stripe lane, and offers each to the capture ring. The
 // packets are already recycled, so the records carry no ingress port.
 func (s *Switch) txFailed(lane, outPort int, frames [][]byte) {
-	s.tel.dropTxFail.Cell(lane).Add(uint64(len(frames)))
+	s.tel.drops[verdict.ReasonTxFail].Cell(lane).Add(uint64(len(frames)))
 	for _, data := range frames {
 		if s.tel.Drops.Offer() {
 			s.tel.Drops.Capture(verdict.ReasonTxFail, -1, -1, outPort, s.currentEpoch(), data)
@@ -417,16 +364,13 @@ func (s *Switch) beginPacketTelemetry(p *pkt.Packet) {
 	p.Timed = s.tel.LatSamp.Hit()
 }
 
-// finishPacketTelemetry counts the packet's verdict v and — for the loss
-// verdicts — its attributed drop reason, offers lost packets to the
-// sampled capture ring, then completes and commits a sampled packet's
-// flight record, naming its headers from the design of ver, the version
-// the packet ran. The counters come first — they must tick for every
-// packet, traced or not.
-func (s *Switch) finishPacketTelemetry(ver *progVersion, p *pkt.Packet, v string) {
-	lane := int(p.Lane)
-	s.tel.countVerdict(lane, v)
-	if reason, tspIdx := s.tel.countDrop(lane, v, p.DropStage); reason != verdict.ReasonNone && s.tel.Drops.Offer() {
+// finishPacketTelemetry files the packet's verdict v in the ledger,
+// offers a lost packet to the sampled capture ring, then completes and
+// commits a sampled packet's flight record, naming its headers from the
+// design of ver, the version the packet ran. The counters come first —
+// they must tick for every packet, traced or not.
+func (s *Switch) finishPacketTelemetry(ver *progVersion, p *pkt.Packet, v verdict.Verdict) {
+	if reason, tspIdx := s.tel.file(int(p.Lane), v, p.DropStage); reason != verdict.ReasonNone && s.tel.Drops.Offer() {
 		s.tel.Drops.Capture(reason, tspIdx, p.InPort, p.OutPort, ver.epoch, p.Data)
 	}
 	rec := p.Trace
@@ -436,7 +380,7 @@ func (s *Switch) finishPacketTelemetry(ver *progVersion, p *pkt.Packet, v string
 	p.Trace = nil
 	rec.OutPort = p.OutPort
 	rec.Bytes = len(p.Data)
-	rec.Verdict = v
+	rec.Verdict = v.String()
 	cfg := ver.design.Cfg
 	p.HV.Each(func(id pkt.HeaderID, loc pkt.HeaderLoc) {
 		name := "hdr" + strconv.Itoa(int(id))

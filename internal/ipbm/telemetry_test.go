@@ -10,6 +10,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/telemetry"
+	"ipsa/internal/verdict"
 )
 
 // TestTelemetryEndToEnd drives the full observability path: traffic, an
@@ -248,9 +249,9 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 }
 
 // TestCounterConservationSharded soaks two shard lanes with a burst and
-// checks no packet is unaccounted for: everything the switch accepted is
-// either transmitted, dropped by a stage, tail-dropped by a TM, dropped at
-// a port, or lost to a missing egress port.
+// checks no packet is unaccounted for: everything the switch accepted has
+// exactly one verdict in the ledger, the ports and TMs agree with it, and
+// the unroutable packets were dropped by a stage.
 func TestCounterConservationSharded(t *testing.T) {
 	w := newBaseWorkspace(t)
 	opts := DefaultOptions()
@@ -307,10 +308,28 @@ func TestCounterConservationSharded(t *testing.T) {
 		}
 	}
 
-	account := func() (uint64, string) {
-		_, plDropped := sw.Pipeline().Stats()
-		_, tmDrops := sw.TMStats()
-		var sent, txDrops uint64
+	if accepted == 0 {
+		t.Fatal("nothing accepted")
+	}
+	if vs := waitLedger(t, sw, accepted); vs[verdict.Dropped] == 0 {
+		t.Errorf("unroutable packets never hit a stage drop (%v)", vs)
+	}
+}
+
+// waitLedger waits until each of the accepted frames has exactly one
+// verdict in the ledger and the counters outside it agree: the ports'
+// Sent+TxDrops equals the forwarded verdicts (nothing these tests send is
+// punted) and the TMs' tail drops equal tm_drop. It returns the verdict
+// totals.
+func waitLedger(t *testing.T, sw *Switch, accepted uint64) [verdict.NumVerdicts + 1]uint64 {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		vs := sw.Telemetry().VerdictSnapshot()
+		var finished, sent, txDrops uint64
+		for _, n := range vs {
+			finished += n
+		}
 		for i := 0; i < sw.Ports().Len(); i++ {
 			p, err := sw.Ports().Port(i)
 			if err != nil {
@@ -320,34 +339,23 @@ func TestCounterConservationSharded(t *testing.T) {
 			sent += st.Sent
 			txDrops += st.TxDrops
 		}
-		noPort := uint64(0)
-		for _, pt := range sw.Telemetry().Reg.Gather() {
-			if pt.Name == "ipsa_no_port_drops_total" {
-				noPort = uint64(pt.Value)
-			}
-		}
-		total := plDropped + tmDrops + sent + txDrops + noPort
-		detail := fmt.Sprintf("stage_drops=%d tm_drops=%d sent=%d tx_drops=%d no_port=%d",
-			plDropped, tmDrops, sent, txDrops, noPort)
-		return total, detail
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		total, detail := account()
-		if total == accepted {
-			if total == 0 {
-				t.Fatal("nothing accepted")
-			}
-			_, plDropped := sw.Pipeline().Stats()
-			if plDropped == 0 {
-				t.Errorf("unroutable packets never hit a stage drop (%s)", detail)
-			}
-			return
+		_, tailDrops := sw.TMStats()
+		if finished == accepted && sent+txDrops == vs[verdict.Forwarded] && tailDrops == vs[verdict.TMDrop] {
+			return vs
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("conservation violated: accepted=%d accounted=%d (%s)", accepted, total, detail)
+			t.Fatalf("ledger: %d verdicts for %d accepted frames (%v); ports sent %d + tx drops %d vs forwarded %d; TM tail drops %d vs tm_drop %d",
+				finished, accepted, vs, sent, txDrops, vs[verdict.Forwarded], tailDrops, vs[verdict.TMDrop])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestVerdictSnapshotZeroAlloc: the ledger's totals read without
+// allocating, so completion polls on timed paths cost nothing but loads.
+func TestVerdictSnapshotZeroAlloc(t *testing.T) {
+	sw, _ := newBaseSwitch(t)
+	if n := testing.AllocsPerRun(100, func() { _ = sw.packetsTotal() }); n != 0 {
+		t.Fatalf("VerdictSnapshot allocates %.1f times per read", n)
 	}
 }

@@ -1,9 +1,10 @@
 // Package pipeline implements the fixed parts of IPSA's elastic pipeline
-// (paper Sec. 2.3): the TSP count, the traffic manager (TM) and the packet
-// counters. What each TSP runs and where the chain splits around the TM —
-// the paper's selector — belong to a program version (internal/ipbm's
-// epoch store): packets execute the version they pinned, so a template
-// rewrite never drains them.
+// (paper Sec. 2.3): the TSP count and the traffic manager (TM). What each
+// TSP runs and where the chain splits around the TM — the paper's
+// selector — belong to a program version (internal/ipbm's epoch store):
+// packets execute the version they pinned, so a template rewrite never
+// drains them. Packets are counted by their verdicts, in internal/ipbm's
+// ledger, not here.
 package pipeline
 
 import (
@@ -15,36 +16,10 @@ import (
 	"ipsa/internal/pkt"
 )
 
-// statLanes is the number of counter stripes for the processed/dropped
-// totals. Each concurrent executor (a shard worker, the inline path)
-// writes its own cache-line-padded lane, picked by
-// Env.Lane, so packet counting never bounces a cache line between cores.
-// Must be a power of two.
-const statLanes = 64
-
-// statCell is one padded counter stripe: the counter plus padding to fill
-// a 64-byte cache line so adjacent lanes never share one.
-type statCell struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
-// laneSum folds the stripes back into one total at read time.
-func laneSum(cells *[statLanes]statCell) uint64 {
-	var t uint64
-	for i := range cells {
-		t += cells[i].n.Load()
-	}
-	return t
-}
-
 // Pipeline is the chain of physical TSPs plus the TM.
 type Pipeline struct {
 	numTSPs int
 	tm      *TrafficManager
-
-	processed [statLanes]statCell
-	dropped   [statLanes]statCell
 }
 
 // New builds a pipeline of n TSPs and a TM with the given port count and
@@ -62,30 +37,12 @@ func (p *Pipeline) NumTSPs() int { return p.numTSPs }
 // TM exposes the traffic manager.
 func (p *Pipeline) TM() *TrafficManager { return p.tm }
 
-// Stats reports processed and dropped packet counts, summed across the
-// per-lane stripes.
-func (p *Pipeline) Stats() (processed, dropped uint64) {
-	return laneSum(&p.processed), laneSum(&p.dropped)
-}
-
 // StallTime reports cumulative time the pipeline spent drained for
 // updates. Nothing drains it any more — reconfiguration publishes a new
 // program version beside the running one — so this is structurally zero;
 // it stays because the device stats, the stall gauge and the benchmark
 // harness assert on exactly that.
 func (p *Pipeline) StallTime() time.Duration { return 0 }
-
-// CountDropped charges one stage-dropped packet to the given counter
-// lane: the executors account through the pipeline so Stats stays the
-// one source of truth.
-func (p *Pipeline) CountDropped(lane int) {
-	p.dropped[lane&(statLanes-1)].n.Add(1)
-}
-
-// CountProcessed charges one processed packet to the given counter lane.
-func (p *Pipeline) CountProcessed(lane int) {
-	p.processed[lane&(statLanes-1)].n.Add(1)
-}
 
 // pktRing is a growable circular packet queue: O(1) push/popHead with no
 // per-enqueue allocation once the ring has grown to its working set.

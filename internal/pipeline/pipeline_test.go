@@ -57,15 +57,3 @@ func TestTrafficManagerTailDrop(t *testing.T) {
 		t.Error("out-of-range depth nonzero")
 	}
 }
-
-// TestLaneStatsFold: per-lane stat stripes fold into one Stats() total
-// regardless of which lane counted.
-func TestLaneStatsFold(t *testing.T) {
-	var cells [statLanes]statCell
-	cells[0].n.Add(3)
-	cells[7].n.Add(4)
-	cells[statLanes-1].n.Add(5)
-	if got := laneSum(&cells); got != 12 {
-		t.Fatalf("laneSum = %d want 12", got)
-	}
-}

@@ -14,7 +14,7 @@ type Event struct {
 	Seq       uint64 `json:"seq"`
 	TimeNanos int64  `json:"time_nanos"` // wall clock (UnixNano)
 	// Kind is the reconfiguration flavor: apply_full, apply_diff,
-	// apply_patch, int_enable, int_disable, edit_commit.
+	// int_enable, int_disable, edit_commit.
 	Kind string `json:"kind"`
 	// ConfigHash identifies the applied configuration (truncated SHA-256
 	// of its serialized form); empty for events with no config payload.

@@ -1,8 +1,9 @@
 // Package verdict is the single source of truth for packet disposition
 // taxonomies: the per-packet verdict (what finally happened to a packet)
-// and the drop reason (why a dropped packet died, and where). Both the
-// flow accounting engine and the telemetry layer previously kept private
-// copies of the verdict enum/string mapping; they now share this one.
+// and the drop reason (why a dropped packet died, and where). The
+// switches classify a finished packet once, as an enum, and the flow
+// accounting engine, the telemetry counters and the flight recorder all
+// take that enum; strings exist only as label values and record fields.
 //
 // The package has no imports so every layer — pkt, telemetry, flowstat,
 // dataplane, the switches — can depend on it without cycles.
@@ -40,25 +41,6 @@ var Strings = [NumVerdicts]string{
 	StrForwarded, StrDropped, StrTMDrop, StrToCPU, StrNoPort, StrParseError,
 }
 
-// Of maps a verdict string to the enum (None for anything unknown).
-func Of(s string) Verdict {
-	switch s {
-	case StrForwarded:
-		return Forwarded
-	case StrDropped:
-		return Dropped
-	case StrTMDrop:
-		return TMDrop
-	case StrToCPU:
-		return ToCPU
-	case StrNoPort:
-		return NoPort
-	case StrParseError:
-		return ParseError
-	}
-	return None
-}
-
 func (v Verdict) String() string {
 	if v == None || int(v) > NumVerdicts {
 		return "none"
@@ -66,14 +48,24 @@ func (v Verdict) String() string {
 	return Strings[v-1]
 }
 
-// IsDrop reports whether the verdict means the packet was lost.
-func (v Verdict) IsDrop() bool {
+// Reason is the drop reason a loss verdict is filed under (ReasonNone
+// when the verdict is not a loss): every loss verdict has exactly one.
+func (v Verdict) Reason() DropReason {
 	switch v {
-	case Dropped, TMDrop, NoPort, ParseError:
-		return true
+	case Dropped:
+		return ReasonACL
+	case TMDrop:
+		return ReasonTM
+	case NoPort:
+		return ReasonNoPort
+	case ParseError:
+		return ReasonParse
 	}
-	return false
+	return ReasonNone
 }
+
+// IsDrop reports whether the verdict means the packet was lost.
+func (v Verdict) IsDrop() bool { return v.Reason() != ReasonNone }
 
 // DropReason says why (and at which point) a packet died. Every dropped
 // packet carries exactly one reason; the reasons are the label values of
@@ -102,23 +94,6 @@ const (
 // ReasonStrings orders the reason strings by enum value minus one.
 var ReasonStrings = [NumReasons]string{
 	StrReasonACL, StrReasonTM, StrReasonNoPort, StrReasonParse, StrReasonTxFail,
-}
-
-// ReasonOf maps a reason string to the enum (ReasonNone when unknown).
-func ReasonOf(s string) DropReason {
-	switch s {
-	case StrReasonACL:
-		return ReasonACL
-	case StrReasonTM:
-		return ReasonTM
-	case StrReasonNoPort:
-		return ReasonNoPort
-	case StrReasonParse:
-		return ReasonParse
-	case StrReasonTxFail:
-		return ReasonTxFail
-	}
-	return ReasonNone
 }
 
 func (r DropReason) String() string {

@@ -2,22 +2,14 @@ package verdict
 
 import "testing"
 
-// TestVerdictRoundTrip pins the enum ↔ string mapping both ways: the
-// telemetry layer indexes Strings by enum and flowstat recovers enums
-// from strings, so a skew between the two silently misfiles packets.
+// TestVerdictRoundTrip pins the enum -> string mapping the telemetry
+// labels and record fields use: Strings is indexed by enum minus one,
+// and anything outside the real verdicts renders "none".
 func TestVerdictRoundTrip(t *testing.T) {
 	for v := Forwarded; int(v) <= NumVerdicts; v++ {
-		if got := Of(v.String()); got != v {
-			t.Errorf("Of(%q) = %v, want %v", v.String(), got, v)
+		if got := Strings[v-1]; got != v.String() {
+			t.Errorf("Strings[%d] = %q, want %q", v-1, got, v.String())
 		}
-	}
-	for i, s := range Strings {
-		if got := int(Of(s)) - 1; got != i {
-			t.Errorf("Strings[%d] = %q maps back to index %d", i, s, got)
-		}
-	}
-	if Of("nonsense") != None {
-		t.Errorf("Of(nonsense) = %v, want None", Of("nonsense"))
 	}
 	if None.String() != "none" {
 		t.Errorf("None.String() = %q", None.String())
@@ -27,19 +19,39 @@ func TestVerdictRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReasonRoundTrip pins the verdict -> reason mapping the drop ledger
+// files losses by: each loss verdict has its own reason, the reason's
+// label names the verdict (a stage drop is "acl"), and tx_fail — a loss
+// after a "forwarded" verdict — is the one reason no verdict reaches.
 func TestReasonRoundTrip(t *testing.T) {
+	reached := map[DropReason]Verdict{}
+	for v := Forwarded; int(v) <= NumVerdicts; v++ {
+		r := v.Reason()
+		if r == ReasonNone {
+			continue
+		}
+		if prev, dup := reached[r]; dup {
+			t.Errorf("verdicts %v and %v both file under %v", prev, v, r)
+		}
+		reached[r] = v
+		want := v.String()
+		if v == Dropped {
+			want = StrReasonACL
+		}
+		if r.String() != want {
+			t.Errorf("%v files under %q, want %q", v, r.String(), want)
+		}
+	}
 	for r := ReasonACL; int(r) <= NumReasons; r++ {
-		if got := ReasonOf(r.String()); got != r {
-			t.Errorf("ReasonOf(%q) = %v, want %v", r.String(), got, r)
+		if got := ReasonStrings[r-1]; got != r.String() {
+			t.Errorf("ReasonStrings[%d] = %q, want %q", r-1, got, r.String())
+		}
+		if _, ok := reached[r]; ok == (r == ReasonTxFail) {
+			t.Errorf("reason %v reached by a verdict: %v", r, ok)
 		}
 	}
-	for i, s := range ReasonStrings {
-		if got := int(ReasonOf(s)) - 1; got != i {
-			t.Errorf("ReasonStrings[%d] = %q maps back to index %d", i, s, got)
-		}
-	}
-	if ReasonOf("nonsense") != ReasonNone {
-		t.Errorf("ReasonOf(nonsense) = %v", ReasonOf("nonsense"))
+	if None.Reason() != ReasonNone {
+		t.Errorf("None files under %v", None.Reason())
 	}
 }
 
