@@ -23,6 +23,7 @@ import (
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
 	"ipsa/internal/tsp"
+	"ipsa/internal/verdict"
 )
 
 // device adapts pisa.Switch to the ctrlplane.Device interface: the
@@ -85,34 +86,46 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(reg)
+	// pisa_packets_total{verdict} counts every finished packet once, like
+	// ipbm's ipsa_packets_total.
 	reg.AddCollector(func(emit func(telemetry.MetricPoint)) {
-		p, drop := sw.Stats()
-		emit(telemetry.MetricPoint{Name: "pisa_pipeline_processed_total", Kind: "counter", Value: float64(p)})
-		emit(telemetry.MetricPoint{Name: "pisa_pipeline_dropped_total", Kind: "counter", Value: float64(drop)})
+		snap := sw.VerdictSnapshot()
+		for v := 1; v < len(snap); v++ {
+			emit(telemetry.MetricPoint{Name: "pisa_packets_total", Kind: "counter",
+				Labels: []telemetry.Label{{Key: "verdict", Value: verdict.Verdict(v).String()}},
+				Value:  float64(snap[v])})
+		}
 	})
 	h := health.New(health.Options{
 		Registry: reg,
 		Log:      logger.With("component", "health"),
 		Packets: func() uint64 {
-			p, drop := sw.Stats()
-			return p + drop
+			var total uint64
+			for _, n := range sw.VerdictSnapshot() {
+				total += n
+			}
+			return total
 		},
+		// Unexpected losses only: pisa has no TM, and a stage drop is
+		// policy.
 		Drops: func() uint64 {
-			_, drop := sw.Stats()
-			return drop
+			snap := sw.VerdictSnapshot()
+			return snap[verdict.NoPort] + snap[verdict.ParseError]
 		},
-		Ready: func() bool { return sw.Config() != nil },
-		// The baseline has neither the per-verdict counters nor the
-		// per-TSP latency histograms; silence those breakdowns.
+		Ready:         func() bool { return sw.Config() != nil },
 		VerdictSeries: "pisa_packets_total",
+		// The baseline has no per-TSP latency histograms; silence that
+		// breakdown.
 		LatencySeries: "pisa_tsp_latency_seconds",
 	})
 	// Collector-only series are invisible to the ring's registry scan;
-	// track them explicitly so windowed rates work for the baseline too.
-	h.AddColumn(health.Column{Name: "pisa_pipeline_processed_total", Kind: "counter",
-		Read: func() float64 { p, _ := sw.Stats(); return float64(p) }})
-	h.AddColumn(health.Column{Name: "pisa_pipeline_dropped_total", Kind: "counter",
-		Read: func() float64 { _, drop := sw.Stats(); return float64(drop) }})
+	// track them explicitly so windowed rates and the drop-cause
+	// breakdown work for the baseline too.
+	for v := 1; v <= verdict.NumVerdicts; v++ {
+		h.AddColumn(health.Column{Name: "pisa_packets_total", Kind: "counter",
+			Labels: []telemetry.Label{{Key: "verdict", Value: verdict.Verdict(v).String()}},
+			Read:   func() float64 { return float64(sw.VerdictSnapshot()[v]) }})
+	}
 	h.Start()
 	defer h.Stop()
 

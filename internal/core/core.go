@@ -140,21 +140,14 @@ func (c *Controller) ApplyUpdate(script string, loader backend.Loader) (*InsituR
 // Rollback reverts the device to the previous configuration — the
 // "reliable failback procedure" for live trials. The compiler workspace
 // is not rewound (source history is the operator's concern); only the
-// device configuration flips back.
+// device configuration flips back. The next ApplyUpdate still works: the
+// device diffs against what it runs, not against the workspace's patch
+// manifest.
 func (c *Controller) Rollback() (*ctrlplane.ApplyStats, error) {
 	if len(c.history) < 2 {
 		return nil, fmt.Errorf("core: nothing to roll back to")
 	}
-	prev := c.history[len(c.history)-2]
-	// A stored configuration may carry the patch manifest of the update
-	// that produced it; it describes a different transition, so rollback
-	// must take the diffing path.
-	if prev.Patch != nil {
-		cp := *prev
-		cp.Patch = nil
-		prev = &cp
-	}
-	st, err := c.target.ApplyConfig(prev)
+	st, err := c.target.ApplyConfig(c.history[len(c.history)-2])
 	if err != nil {
 		return nil, err
 	}

@@ -80,6 +80,30 @@ func TestControllerRP4Flow(t *testing.T) {
 	if _, err := c.Rollback(); err == nil {
 		t.Error("rollback past the base accepted")
 	}
+	// The workspace is still ahead of the device, so the next update's
+	// patch manifest names only what the script adds (flow_probe) while
+	// the device must also recreate ECMP's tables. The update goes
+	// through on the device's own diff and leaves the device running the
+	// workspace's design.
+	rep, err = c.ApplyUpdate(readTestdata(t, "flowprobe.script"), loader(t))
+	if err != nil {
+		t.Fatalf("update after rollback refused: %v", err)
+	}
+	if want := len(rep.Compiler.NewTables) + 2; rep.Device.TablesCreated != want {
+		t.Errorf("device created %d tables, want %d (manifest %v plus ECMP's two)",
+			rep.Device.TablesCreated, want, rep.Compiler.NewTables)
+	}
+	if rep.Device.TSPsWritten == 0 {
+		t.Error("device wrote no TSPs")
+	}
+	for name := range rep.Compiler.Config.Tables {
+		if _, ok := sw.Config().Tables[name]; !ok {
+			t.Errorf("device lacks table %q after the update", name)
+		}
+	}
+	if len(sw.Config().Tables) != len(rep.Compiler.Config.Tables) {
+		t.Errorf("device runs %d tables, workspace %d", len(sw.Config().Tables), len(rep.Compiler.Config.Tables))
+	}
 }
 
 func TestControllerP4Flow(t *testing.T) {

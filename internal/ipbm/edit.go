@@ -32,8 +32,8 @@ func (s *Switch) Edit(ops []ctrlplane.EditOp) (*ctrlplane.ApplyStats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipbm: clone running config: %w", err)
 	}
-	// A commit is always a semantic diff of the edited config, never a
-	// replay of the old patch manifest.
+	// The running config's patch manifest describes the update that
+	// installed it, not this edit, and may name tables the edit drops.
 	cfg.Patch = nil
 	// Ops write into these maps, and an empty running design round-trips
 	// them as null.
