@@ -39,10 +39,12 @@ fuzz-diff:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzFusedBatchVsInterp$$' -fuzztime 30s -fuzzminimizetime 1s
 
-# Fuzz the CCM request decoder: arbitrary request streams against a switch
-# running the ECMP design must never panic the daemon.
+# Fuzz the CCM: arbitrary request streams against a switch running the
+# ECMP design must never panic the daemon, and the CCM codec must accept,
+# refuse, decode and re-encode every stream exactly as encoding/json does.
 fuzz-ccm:
 	$(GO) test ./internal/ipbm/ -run xxx -fuzz '^FuzzCCMRequest$$' -fuzztime 30s -fuzzminimizetime 1s
+	$(GO) test ./internal/ctrlplane/ -run xxx -fuzz '^FuzzCCMCodec$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Differential fuzz for the fused tier's word keys vs the byte keys the
 # wide-key funnel builds, on random key plans.

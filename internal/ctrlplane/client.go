@@ -15,8 +15,8 @@ import (
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
+	dec  *Decoder
+	out  []byte // the request being sent, its storage reused
 }
 
 // Dial connects to a device's control channel.
@@ -25,7 +25,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: %w", err)
 	}
-	return &Client{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}, nil
+	return &Client{conn: conn, dec: NewDecoder(conn)}, nil
 }
 
 // Close closes the connection.
@@ -35,11 +35,18 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Do(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
+	out, err := appendRequest(c.out[:0], req)
+	if err == nil {
+		_, err = c.conn.Write(out)
+	}
+	if c.out = out; cap(out) > keepBuf {
+		c.out = nil
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: send: %w", err)
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.dec.decodeResponse(&resp); err != nil {
 		return nil, fmt.Errorf("ctrlplane: recv: %w", err)
 	}
 	if !resp.OK {

@@ -7,8 +7,22 @@ import (
 	"ipsa/internal/template"
 )
 
-// The CCM protocol is newline-free JSON objects streamed over TCP: each
-// Request gets exactly one Response, in order.
+// The CCM protocol streams JSON objects over TCP; each Request gets
+// exactly one Response, in order. Framing:
+//
+//   - Values come back to back; whitespace between them is allowed, not
+//     required. Both ends write each value on one line, ending in a
+//     newline, as json.Encoder does.
+//   - Keys match exactly: "OP" is an unknown key, not "op". Unknown keys
+//     are ignored.
+//   - A request may take at most 16 MiB (maxRequestBytes) from its first
+//     byte to its last; the server closes a connection whose request is
+//     larger or does not decode.
+//   - Once a request's first byte has arrived, the rest must arrive
+//     within 10 s (requestTimeout) or the server closes the connection.
+//     An idle connection between requests is never timed out.
+//
+// codec.go reads and writes the envelopes.
 
 // Op names a control operation.
 type Op string

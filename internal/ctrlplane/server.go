@@ -1,22 +1,22 @@
 package ctrlplane
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"os"
 	"sync"
 	"time"
 
 	"ipsa/internal/telemetry"
 )
 
-// maxRequestBytes is the most one CCM request may read from its
-// connection. The largest shipped apply_config is ~12.5 KB, so the bound
-// leaves three orders of magnitude of headroom while keeping one endless
-// request from growing the daemon's heap without limit.
+// maxRequestBytes is the most bytes one CCM request may take, from its
+// first byte to its last. The largest shipped apply_config is ~12.5 KB,
+// so the bound leaves three orders of magnitude of headroom while keeping
+// one endless request from growing the daemon's heap without limit.
 const maxRequestBytes = 16 << 20
 
 // Server is the Control Channel Module (CCM): it bridges the data plane
@@ -92,24 +92,32 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	budget := &io.LimitedReader{R: conn}
-	dec := json.NewDecoder(budget)
-	enc := json.NewEncoder(conn)
+	dec := NewDecoder(conn)
+	dec.limit, dec.dl = maxRequestBytes, conn
+	var out []byte
 	for {
 		var req Request
-		budget.N = maxRequestBytes
-		if err := dec.Decode(&req); err != nil {
-			if budget.N <= 0 {
+		if err := dec.DecodeRequest(&req); err != nil {
+			switch {
+			case errors.Is(err, errRequestTooLarge):
 				s.log.Debug("ccm request over budget", "limit_bytes", maxRequestBytes)
-			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				s.log.Debug("ccm request cut off mid-way", "timeout", requestTimeout)
+			case err != io.EOF && !errors.Is(err, net.ErrClosed):
 				s.log.Debug("ccm decode", "err", err)
 			}
 			return
 		}
-		resp := s.Handle(&req)
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if out, err = appendResponse(out[:0], s.Handle(&req)); err == nil {
+			_, err = conn.Write(out)
+		}
+		if err != nil {
 			s.log.Debug("ccm encode", "err", err)
 			return
+		}
+		if cap(out) > keepBuf {
+			out = nil
 		}
 	}
 }

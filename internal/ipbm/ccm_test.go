@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,10 +27,10 @@ import (
 func handleStream(t *testing.T, srv *ctrlplane.Server, data []byte, limit int) []*ctrlplane.Response {
 	t.Helper()
 	var out []*ctrlplane.Response
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := ctrlplane.NewDecoder(bytes.NewReader(data))
 	for len(out) < limit {
 		var req ctrlplane.Request
-		if dec.Decode(&req) != nil {
+		if dec.DecodeRequest(&req) != nil {
 			break
 		}
 		resp := srv.Handle(&req)
@@ -40,51 +42,81 @@ func handleStream(t *testing.T, srv *ctrlplane.Server, data []byte, limit int) [
 	return out
 }
 
-// ccmReproducers are request streams that once killed the daemon: a
-// null table, stage or action in apply_config (nil dereference in
-// Validate), which must now be refused, and an edit over an empty design
-// (writes into the null maps the config clone round-tripped), which must
-// now succeed.
-var ccmReproducers = []struct {
-	stream string
-	ok     bool
-}{
-	{`{"op":"apply_config","config":{"tables":{"x":null}}}`, false},
-	{`{"op":"apply_config","config":{"stages":{"s":null}}}`, false},
-	{`{"op":"apply_config","config":{"actions":{"a":null}}}`, false},
-	{`{"op":"apply_config","config":{}}
-	{"op":"edit","edits":[{"kind":"set_table","table":"t","table_spec":{"name":"t","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}]}`, true},
-	{`{"op":"apply_config","config":{}}
-	{"op":"edit","edits":[{"kind":"set_stage","stage":"s","spec":{"name":"s"},"actions":{"a":{"name":"a"}},"tsp":1}]}`, true},
+// ccmSeed is one named request stream of the shared CCM seed corpus.
+type ccmSeed struct{ name, stream string }
+
+// ccmSeeds reads the CCM seed corpus that FuzzCCMRequest here and the
+// codec's FuzzCCMCodec share: streams under "-- name --" lines, "#"
+// lines being comments.
+func ccmSeeds(tb testing.TB) []ccmSeed {
+	tb.Helper()
+	data, err := os.ReadFile("../ctrlplane/testdata/ccm_seeds.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []ccmSeed
+	for _, line := range strings.Split(string(data), "\n") {
+		switch {
+		case strings.HasPrefix(line, "#"):
+		case strings.HasPrefix(line, "-- ") && strings.HasSuffix(line, " --"):
+			out = append(out, ccmSeed{name: line[3 : len(line)-3]})
+		case len(out) > 0 && line != "":
+			if s := &out[len(out)-1]; s.stream == "" {
+				s.stream = line
+			} else {
+				s.stream += "\n" + line
+			}
+		}
+	}
+	return out
 }
 
+// ccmSeedStream returns the seed named name.
+func ccmSeedStream(t *testing.T, name string) string {
+	for _, s := range ccmSeeds(t) {
+		if s.name == name {
+			return s.stream
+		}
+	}
+	t.Fatalf("no CCM seed %q", name)
+	return ""
+}
+
+// TestCCMCrashReproducers replays the seed streams that once killed the
+// daemon: a null table, stage or action in apply_config (nil dereference
+// in Validate), which must now be refused, and an edit over an empty
+// design (writes into the null maps the config clone round-tripped),
+// which must now succeed.
 func TestCCMCrashReproducers(t *testing.T) {
-	for i, r := range ccmReproducers {
+	n := 0
+	for _, r := range ccmSeeds(t) {
+		ok, isRepro := strings.CutPrefix(r.name, "reproducer/")
+		if !isRepro {
+			continue
+		}
+		n++
 		sw, err := New(DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		resps := handleStream(t, ctrlplane.NewServer(sw, nil), []byte(r.stream), 8)
-		if last := resps[len(resps)-1]; last.OK != r.ok {
-			t.Errorf("reproducer %d: ok=%v error=%q, want ok=%v", i, last.OK, last.Error, r.ok)
+		want := strings.HasPrefix(ok, "ok/")
+		if last := resps[len(resps)-1]; last.OK != want {
+			t.Errorf("%s: ok=%v error=%q, want ok=%v", r.name, last.OK, last.Error, want)
 		}
+	}
+	if n < 5 {
+		t.Fatalf("%d reproducers in the seed corpus, want 5", n)
 	}
 }
 
-// ecmpMemberStream adds two members to ECMP group 7, deletes the first,
-// then deletes it again.
-const ecmpMemberStream = `{"op":"insert_entry","entry":{"table":"ecmp_ipv4","keys":[{"value":7}],"tag":1,"params":[1,2]}}
-{"op":"insert_entry","entry":{"table":"ecmp_ipv4","keys":[{"value":7}],"tag":1,"params":[1,3]}}
-{"op":"delete_entry","table":"ecmp_ipv4","handle":0}
-{"op":"delete_entry","table":"ecmp_ipv4","handle":0}`
-
 // TestCCMSelectorMembers drives an ECMP group's members through the CCM
-// entry ops: each insert_entry on the selector returns the member's
+// entry ops (the ecmp_members seed): each insert_entry on the selector returns the member's
 // handle, delete_entry removes that member alone, a second delete of it
 // is refused, and the tables view counts the members left.
 func TestCCMSelectorMembers(t *testing.T) {
 	sw := switchOn(t, shippedConfig(t, "ecmp.script"), tsp.ExecFused)
-	resps := handleStream(t, ctrlplane.NewServer(sw, nil), []byte(ecmpMemberStream), 8)
+	resps := handleStream(t, ctrlplane.NewServer(sw, nil), []byte(ccmSeedStream(t, "ecmp_members")), 8)
 	if len(resps) != 4 || !resps[0].OK || !resps[1].OK || resps[1].Handle != 1 || !resps[2].OK || resps[3].OK {
 		t.Fatalf("member ops answered %+v %+v %+v %+v", *resps[0], *resps[1], *resps[2], *resps[3])
 	}
@@ -103,9 +135,6 @@ func TestCCMSelectorMembers(t *testing.T) {
 	}
 }
 
-// fuzzScratchOp creates a table no stage uses.
-const fuzzScratchOp = `{"kind":"set_table","table":"fz","table_spec":{"name":"fz","kind":"exact","keys":[{"name":"k"}],"key_width":4,"size":8}}`
-
 var (
 	ccmFuzzOnce sync.Once
 	ccmFuzzCfg  *template.Config
@@ -113,50 +142,21 @@ var (
 
 // FuzzCCMRequest throws arbitrary bytes at the control channel of a
 // switch running the populated ECMP design (the base design under
-// ecmp.script), decoded as the request stream a connection carries. No
+// ecmp.script), decoded by the CCM codec as the request stream a
+// connection carries. Its seeds are a view op per registered view and
+// the shared seed corpus. No
 // input may panic the daemon, and every request is answered OK or with an
 // error. Each input gets a fresh switch, so a finding replays alone.
 func FuzzCCMRequest(f *testing.F) {
-	names := []string{"ghost"}
+	var names []string
 	if sw, err := New(DefaultOptions()); err == nil {
-		names = append(names, sw.Views().Names()...)
+		names = sw.Views().Names()
 	}
 	for _, name := range names {
 		f.Add([]byte(`{"op":"view","view":"` + name + `","max":2,"window_nanos":1000000000}`))
 	}
-	for _, req := range []string{
-		`{"op":"ping"}`,
-		`{"op":"apply_config","config":{}}`,
-		`{"op":"insert_entry","entry":{"table":"ipv4_lpm","keys":[{"value":167772160}],"prefix_len":8,"tag":1,"params":[7]}}`,
-		`{"op":"delete_entry","table":"ipv4_lpm","handle":1}`,
-		// Handles that name nothing: negative, never handed out, and stale —
-		// deleted, its index since reused by an insert.
-		`{"op":"delete_entry","table":"ipv4_lpm","handle":-1}`,
-		`{"op":"delete_entry","table":"ipv4_host","handle":1099511627776}`,
-		`{"op":"delete_entry","table":"ipv4_lpm","handle":0}
-		{"op":"insert_entry","entry":{"table":"ipv4_lpm","keys":[{"value":167772160}],"prefix_len":8,"tag":1,"params":[7]}}
-		{"op":"delete_entry","table":"ipv4_lpm","handle":0}`,
-		`{"op":"delete_entry","table":"ipv4_host","handle":0}{"op":"delete_entry","table":"ipv4_host","handle":0}`,
-		ecmpMemberStream,
-		`{"op":"table_stats","table":"ipv4_lpm"}`,
-		`{"op":"read_register","register":"r","index":3}`,
-		`{"op":"int_enable"}`,
-		`{"op":"int_disable"}`,
-		`{"op":"edit","edits":[` + fuzzScratchOp + `]}`,
-		`{"op":"edit","edits":[{"kind":"delete_stage","stage":"ipv4_lpm_fib"},{"kind":"delete_table","table":"ipv4_lpm"},` + fuzzScratchOp + `]}`,
-		// Refused whole: the second op names no table.
-		`{"op":"edit","edits":[` + fuzzScratchOp + `,{"kind":"delete_table","table":"ghost"}]}`,
-		`{"op":"edit","edits":[]}`,
-		`{"op":"edit","edits":null}`,
-		`{"op":"bogus"}`,
-		// A member keyed by the group and a hashed field, which a member
-		// does not take.
-		`{"op":"insert_entry","entry":{"table":"ecmp_ipv6","keys":[{"value":7},{"value":1}],"tag":1}}`,
-	} {
-		f.Add([]byte(req))
-	}
-	for _, r := range ccmReproducers {
-		f.Add([]byte(r.stream))
+	for _, s := range ccmSeeds(f) {
+		f.Add([]byte(s.stream))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ccmFuzzOnce.Do(func() { ccmFuzzCfg = shippedConfig(t, "ecmp.script") })

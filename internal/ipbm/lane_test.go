@@ -20,7 +20,8 @@ import (
 // the base L2/L3 design plus the flow probe (to_cpu) and the ACL, a
 // poisoned ACL flow (acl drop), a route chain to a nonexistent port
 // (no_port), a probed flow that punts from its first packet, depth-4 TM
-// queues and egress rings (tm_drop, tx_fail), INT stamping and sinking on.
+// queues (tm_drop) and 32-frame egress rings (NumPorts × QueueDepth:
+// tx_fail), INT stamping and sinking on.
 func paritySwitch(t *testing.T, exec tsp.ExecMode) *Switch {
 	t.Helper()
 	w := newBaseWorkspace(t)
@@ -100,7 +101,7 @@ func parityTrace(t *testing.T) []parityGroup {
 	for i := range truncated {
 		truncated[i] = truncated[i][:10] // mid-Ethernet: cannot carry the root header
 	}
-	return []parityGroup{
+	groups := []parityGroup{
 		{name: "forwarded", frames: routable(3, 1)},
 		{name: "acl", frames: repeat(2, [4]byte{10, 1, 7, 7})},
 		{name: "parse_error", frames: truncated},
@@ -108,15 +109,19 @@ func parityTrace(t *testing.T) []parityGroup {
 		{name: "to_cpu", frames: repeat(2, [4]byte{10, 0, 0, 2})},
 		// One flow, so RunSharded steers the whole burst to one shard TM.
 		{name: "tm_drop", frames: repeat(10, [4]byte{10, 1, 200, 1}), congested: true},
-		// Six forwarded frames against a depth-4 egress ring nobody drains.
-		{name: "tx_fill", frames: routable(3, 2), undrained: true},
-		{name: "tx_fail", frames: routable(3, 3)},
 	}
+	// 34 forwarded frames, three at a time, against a 32-frame egress
+	// ring nobody drains.
+	fill := routable(31, 2)
+	for i := 0; i < len(fill); i += 3 {
+		groups = append(groups, parityGroup{name: "tx_fill", frames: fill[i:min(i+3, len(fill))], undrained: true})
+	}
+	return append(groups, parityGroup{name: "tx_fail", frames: routable(3, 3)})
 }
 
 const (
 	parityTMDrops = 6 // of the congested group's 10 frames
-	parityTxFails = 2 // of the six frames of tx_fill and tx_fail
+	parityTxFails = 2 // of the 34 frames of tx_fill and tx_fail
 )
 
 // ledger is everything the parity test compares between drivers.

@@ -373,3 +373,40 @@ func TestShardedShutdownDrains(t *testing.T) {
 		t.Fatal("Shutdown hung with frames in flight")
 	}
 }
+
+// TestShardedEgressPause: an egress peer that stops draining for longer
+// than QueueDepth frames take to arrive costs no frame the switch
+// accepted. An egress ring takes everything the ingress side can hold
+// (NumPorts × QueueDepth), so refusal stays at the ingress edge, where
+// the sender sees it, and the peer gets every frame once it resumes.
+func TestShardedEgressPause(t *testing.T) {
+	const depth = 64
+	sw, _ := newBaseSwitchOpts(t, func(o *Options) { o.QueueDepth = depth })
+	if err := sw.RunSharded(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Shutdown()
+	in, _ := sw.Ports().Port(inPort)
+	out, _ := sw.Ports().Port(outPort)
+	const n = 4 * depth // all sent while the peer is paused
+	for i := 0; i < n; i++ {
+		f := flowPacket(t, uint16(i), uint32(i))
+		for !in.Inject(f) {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	settle(t, sw, n)
+	if txFail, drops := sw.tel.drops[verdict.ReasonTxFail].Value(), out.DetailedStats().TxDrops; txFail != 0 || drops != 0 {
+		t.Fatalf("a paused egress peer cost %d tx_fail verdicts, %d port tx drops", txFail, drops)
+	}
+	got := 0
+	for {
+		if _, ok := out.Drain(); !ok {
+			break
+		}
+		got++
+	}
+	if got != n {
+		t.Fatalf("the resumed peer drained %d of %d frames", got, n)
+	}
+}

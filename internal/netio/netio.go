@@ -79,18 +79,22 @@ type RxQueue struct {
 }
 
 // NewChanPort builds a port with the given queue depth per direction.
-func NewChanPort(depth int) *ChanPort {
+func NewChanPort(depth int) *ChanPort { return newChanPort(depth, 1) }
+
+// newChanPort builds a port whose egress ring takes up to ports × depth
+// frames, keeping storage for depth of them.
+func newChanPort(depth, ports int) *ChanPort {
 	if depth <= 0 {
 		depth = 64
 	}
 	p := &ChanPort{done: make(chan struct{})}
-	p.tx = queue[[]byte]{ring: ring[[]byte]{max: depth}, wake: make(chan struct{}, 1)}
+	p.tx = queue[[]byte]{ring: ring[[]byte]{max: ports * depth, keep: depth}, wake: make(chan struct{}, 1)}
 	p.rx = []*RxQueue{p.newRxQueue(depth, make(chan struct{}, 1))}
 	return p
 }
 
 func (p *ChanPort) newRxQueue(depth int, wake chan struct{}) *RxQueue {
-	return &RxQueue{port: p, queue: queue[Frame]{ring: ring[Frame]{max: depth}, wake: wake}}
+	return &RxQueue{port: p, queue: queue[Frame]{ring: ring[Frame]{max: depth, keep: depth}, wake: wake}}
 }
 
 // SplitRx replaces the ingress side with len(wake) RSS queues of depth
@@ -313,14 +317,18 @@ type PortSet struct {
 	ports []*ChanPort
 }
 
-// NewPortSet builds n ports with the given depth.
+// NewPortSet builds n ports with the given depth. A switch's egress ring
+// can take everything its ingress side holds, n × depth frames, so a
+// frame the switch accepted is not refused mid-switch because one egress
+// peer paused for a scheduler quantum: refusal stays at the ingress
+// edge. Storage past depth is released once the ring drains.
 func NewPortSet(n, depth int) (*PortSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("netio: need at least one port, got %d", n)
 	}
 	ps := &PortSet{}
 	for i := 0; i < n; i++ {
-		ps.ports = append(ps.ports, NewChanPort(depth))
+		ps.ports = append(ps.ports, newChanPort(depth, n))
 	}
 	return ps, nil
 }

@@ -16,6 +16,10 @@ type ring[T any] struct {
 	head int
 	n    int
 	max  int
+	// keep is the most storage the ring holds on to: storage grown past
+	// it serves a burst and is released when the ring drains, so a ring
+	// that never holds more than keep entries never reallocates.
+	keep int
 }
 
 // push appends v, growing the storage if it is full; false means the
@@ -25,7 +29,11 @@ func (r *ring[T]) push(v T) bool {
 		if r.n >= r.max {
 			return false
 		}
-		grown := make([]T, min(max(2*len(r.buf), ringStart), r.max))
+		size := max(2*len(r.buf), ringStart)
+		if len(r.buf) < r.keep {
+			size = min(size, r.keep) // a stop at keep, so staying within it never reallocates
+		}
+		grown := make([]T, min(size, r.max))
 		k := copy(grown, r.buf[r.head:])
 		copy(grown[k:], r.buf[:r.head])
 		r.buf, r.head = grown, 0
@@ -50,7 +58,9 @@ func (r *ring[T]) pop() (v T, ok bool) {
 	if r.head++; r.head == len(r.buf) {
 		r.head = 0
 	}
-	r.n--
+	if r.n--; r.n == 0 && len(r.buf) > r.keep {
+		r.buf, r.head = nil, 0
+	}
 	return v, true
 }
 

@@ -348,3 +348,46 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("RSS Inject+Recv allocates: %.2f allocs/op", avg)
 	}
 }
+
+// TestTxRingBurstStorage: a port set's egress ring takes n × depth
+// frames and lets the storage past depth go once it drains, while a ring
+// that stays within depth keeps its storage for good.
+func TestTxRingBurstStorage(t *testing.T) {
+	const n, depth = 4, 8
+	ps, err := NewPortSet(n, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := ps.Port(0)
+	drain := func() (k int) {
+		for ; ; k++ {
+			if _, ok := p.Drain(); !ok {
+				return k
+			}
+		}
+	}
+	send := func(k int) {
+		for i := 0; i < k; i++ {
+			if !p.Send([]byte{byte(i)}) {
+				t.Fatalf("frame %d of %d refused", i, k)
+			}
+		}
+	}
+	send(depth)
+	first := &p.tx.ring.buf[0]
+	drain()
+	send(depth)
+	if len(p.tx.ring.buf) != depth || &p.tx.ring.buf[0] != first {
+		t.Fatalf("a ring within depth reallocated: %d slots", len(p.tx.ring.buf))
+	}
+	send(n*depth - depth)
+	if p.Send([]byte{0}) {
+		t.Fatalf("egress ring took more than %d frames", n*depth)
+	}
+	if k := drain(); k != n*depth || p.tx.ring.buf != nil {
+		t.Fatalf("drained %d of %d frames, %d slots kept", k, n*depth, len(p.tx.ring.buf))
+	}
+	if st := p.DetailedStats(); st.TxDrops != 1 {
+		t.Fatalf("tx drops = %d, want 1", st.TxDrops)
+	}
+}
