@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak bench fuzz-diff fuzz-ccm fuzz-fused fuzz-match profile-hotpath cover experiments examples health-smoke fmt vet lint clean
+.PHONY: all build test race soak bench fuzz-diff fuzz-ccm fuzz-fused fuzz-match profile-hotpath cover experiments examples fmt vet lint clean
 
 all: build test
 
@@ -21,9 +21,10 @@ race:
 # manager, the ring ports' port-to-lane hand-off, the flow tables' hold
 # with two writers on one lane, racing readers and clash evictions, and
 # the loss-forensics ledger with every drop reason firing at once under a
-# hitless edit storm, and the table handles every stage binds: the
-# lock-free match engines with readers beside writers and the mem.Table
-# hit/miss counters.
+# hitless edit storm, commits failed at every step under sharded traffic
+# (TestCommitFaultsUnderTrafficHitless), and the table handles every
+# stage binds: the lock-free match engines with readers beside writers
+# and the mem.Table hit/miss counters.
 soak:
 	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/ ./internal/flowstat/ ./internal/telemetry/ ./internal/mem/ ./internal/match/
 
@@ -82,13 +83,6 @@ examples:
 	$(GO) run ./examples/srv6_insitu
 	$(GO) run ./examples/flowprobe
 	$(GO) run ./examples/int_e2e
-
-# End-to-end health-layer exercise: boot ipbm with a fast sampler, check
-# /readyz gating, push traffic until /health shows nonzero rates, run an
-# in-situ update over the CCM and assert the switch stays healthy with
-# the apply event in the audit trail.
-health-smoke:
-	$(GO) run ./cmd/healthsmoke
 
 fmt:
 	gofmt -w .

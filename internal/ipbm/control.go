@@ -13,12 +13,13 @@ import (
 // controller.
 
 // InsertEntry installs one table entry using the shared key encoding.
+// The published version's handle view holds exactly its config's tables.
 func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
-	cfg := s.Config()
-	if cfg == nil {
+	v := s.epochs.current()
+	if v == nil {
 		return 0, errNoConfig
 	}
-	t, ok := cfg.Tables[req.Table]
+	t, ok := v.design.Cfg.Tables[req.Table]
 	if !ok {
 		return 0, fmt.Errorf("ipbm: unknown table %q", req.Table)
 	}
@@ -26,17 +27,13 @@ func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	mt, ok := s.mm.Table(req.Table)
-	if !ok {
-		return 0, fmt.Errorf("ipbm: table %q not instantiated", req.Table)
-	}
-	return mt.Engine().Insert(entry)
+	return v.view[req.Table].Engine().Insert(entry)
 }
 
 // DeleteEntry removes an entry by handle.
 func (s *Switch) DeleteEntry(table string, handle int) error {
-	mt, ok := s.mm.Table(table)
-	if !ok {
+	mt := s.table(table)
+	if mt == nil {
 		return fmt.Errorf("ipbm: unknown table %q", table)
 	}
 	return mt.Engine().Delete(handle)
@@ -44,29 +41,25 @@ func (s *Switch) DeleteEntry(table string, handle int) error {
 
 // ListTables reports installed logical tables.
 func (s *Switch) ListTables() []ctrlplane.TableStatus {
-	cfg := s.Config()
 	var out []ctrlplane.TableStatus
-	if cfg == nil {
+	v := s.epochs.current()
+	if v == nil {
 		return out
 	}
-	for _, name := range sortedTableNames(cfg) {
-		t := cfg.Tables[name]
-		st := ctrlplane.TableStatus{
+	for _, name := range sortedKeys(v.design.Cfg.Tables) {
+		t := v.design.Cfg.Tables[name]
+		out = append(out, ctrlplane.TableStatus{
 			Name: name, Kind: t.Kind, KeyWidth: t.KeyWidth,
-			Size: t.Size, Selector: t.IsSelector,
-		}
-		if mt, ok := s.mm.Table(name); ok {
-			st.Entries = mt.Engine().Len()
-		}
-		out = append(out, st)
+			Size: t.Size, Selector: t.IsSelector, Entries: v.view[name].Engine().Len(),
+		})
 	}
 	return out
 }
 
 // TableStats reads a table's hit/miss counters.
 func (s *Switch) TableStats(table string) (*ctrlplane.TableStats, error) {
-	mt, ok := s.mm.Table(table)
-	if !ok {
+	mt := s.table(table)
+	if mt == nil {
 		return nil, fmt.Errorf("ipbm: unknown table %q", table)
 	}
 	h, m := mt.Stats()

@@ -47,7 +47,7 @@ func (s *Switch) Edit(ops []ctrlplane.EditOp) (*ctrlplane.ApplyStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ipbm: edit script does not validate: %w", err)
 	}
-	return s.applyHitless(cfg, start, len(ops))
+	return s.commit(cfg, s.intOn, start, "edit_commit", fmt.Sprintf("%d ops", len(ops)))
 }
 
 func orEmpty[V any](m map[string]V) map[string]V {

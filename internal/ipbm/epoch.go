@@ -2,13 +2,10 @@ package ipbm
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ipsa/internal/ctrlplane"
 	"ipsa/internal/dataplane"
 	"ipsa/internal/pkt"
 	"ipsa/internal/telemetry"
@@ -17,14 +14,14 @@ import (
 )
 
 // This file implements the epoch-versioned program store, the switch's
-// one reconfiguration mechanism. Every reconfiguration
-// (apply, patch, INT toggle, edit commit) assembles an immutable
-// progVersion — the compiled stage programs, bound to the table handles
-// of one snapshot, and the INT sink that belong together — and publishes
-// it with one atomic pointer store. Packets pin the version they entered under
-// and execute it to completion, so an old and a new program briefly
-// coexist and no packet ever waits for a writer. A superseded version is
-// retired and reclaimed once its in-flight count drains to zero.
+// one reconfiguration mechanism. Every commit (commit.go: ApplyConfig,
+// Edit and SetInt alike) assembles an immutable progVersion — the
+// compiled stage programs, the table handles they are bound to and the
+// INT sink that belong together — and publishes it with one atomic
+// pointer store. Packets pin the version they entered under and execute
+// it to completion, so an old and a new program briefly coexist and no
+// packet ever waits for a writer. A superseded version is retired and
+// reclaimed once its in-flight count drains to zero.
 //
 // Table *contents* are intentionally not versioned: entry inserts and
 // deletes, selector members included, mutate the shared engines in place
@@ -92,12 +89,15 @@ type progVersion struct {
 	ingress     []epochSlot
 	egress      []epochSlot
 	// byTSP lists each TSP's stages in chain order (stagesByTSP): the
-	// next apply diffs its own TSPs against it.
+	// next commit diffs its own TSPs against it.
 	byTSP [][]string
 
-	// sink is the INT sink active when the version was published (nil
-	// when INT is off in this version).
+	// view holds the table handles the stages were bound against.
+	view tableView
+	// sink is the INT sink (nil when INT is off in this version).
 	sink *intSink
+	// regs is every register the file holds (they outlive their configs).
+	regs map[string]template.Register
 
 	// sigs/built are the structural-hash build cache: stage name →
 	// canonical signature and compiled runtime. The next epoch reuses a
@@ -157,9 +157,11 @@ type epochStore struct {
 
 // pin returns the current version with one in-flight reference taken, or
 // nil when no configuration has been installed yet.
-// The load→add window is benign: a concurrently retired version stays
-// valid Go memory, executes correctly, and is reclaimed on a later reap
-// once this pin unwinds.
+// A publish between the load and the add can retire, and a reap reclaim,
+// the version before the add lands. That is harmless only because
+// reclaiming frees nothing: the version stays valid Go memory, its
+// tables keep their engines, and it executes correctly. Anything that
+// releases a resource at reclamation must close this window first.
 func (st *epochStore) pin() *progVersion {
 	v := st.cur.Load()
 	if v != nil {
@@ -183,13 +185,6 @@ func (st *epochStore) publish(v *progVersion) uint64 {
 	}
 	st.reapLocked()
 	return v.epoch
-}
-
-// reap frees retired versions whose in-flight count drained to zero.
-func (st *epochStore) reap() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.reapLocked()
 }
 
 func (st *epochStore) reapLocked() {
@@ -248,215 +243,6 @@ func stageSignature(cfg *template.Config, sn string, intOn bool) string {
 	return string(b)
 }
 
-// stageSignatures maps every stage of cfg to its stageSignature.
-func stageSignatures(cfg *template.Config, intOn bool) map[string]string {
-	sigs := make(map[string]string, len(cfg.Stages))
-	for sn := range cfg.Stages {
-		sigs[sn] = stageSignature(cfg, sn, intOn)
-	}
-	return sigs
-}
-
-// stageUsesTables reports whether stage sn applies any table in names.
-func stageUsesTables(cfg *template.Config, sn string, names map[string]bool) bool {
-	if len(names) == 0 {
-		return false
-	}
-	for _, tn := range cfg.Stages[sn].Tables {
-		if names[tn] {
-			return true
-		}
-	}
-	return false
-}
-
-// applyHitless installs or patches an already-validated configuration:
-// it reconciles registers and tables with what is installed, compiles
-// only the stages whose structural hash changed, and publishes the result
-// as a new program version — without ever excluding packet readers.
-// Called with s.mu held, by ApplyConfig (ops 0) and by Edit, which
-// passes its script's length so the publish is one edit_commit event.
-func (s *Switch) applyHitless(cfg *template.Config, start time.Time, ops int) (*ctrlplane.ApplyStats, error) {
-	old := s.Config()
-	stats := &ctrlplane.ApplyStats{Full: old == nil, Hitless: true}
-	kind := "apply_full"
-	if old != nil {
-		kind = "apply_diff"
-	}
-	detail := ""
-	if ops > 0 {
-		kind, detail = "edit_commit", fmt.Sprintf("%d ops", ops)
-	}
-	// A stage on a TSP the device lacks would never run, an ingress stage
-	// at or after an egress stage's TSP leaves the TM no place in the
-	// chain, and a patch manifest naming a TSP the device lacks or a table
-	// the design lacks was not compiled for this design; reject any of
-	// them before touching any state so the device keeps forwarding on
-	// the old program.
-	n := s.pl.NumTSPs()
-	for sn, idx := range cfg.TSPAssignment {
-		if cfg.Stages[sn] == nil {
-			return nil, fmt.Errorf("ipbm: TSP %d assigned to unknown stage %q", idx, sn)
-		}
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("ipbm: stage %q assigned to TSP %d outside [0,%d)", sn, idx, n)
-		}
-	}
-	byTSP := stagesByTSP(cfg, n)
-	if tmIn, tmOut, in, eg := tmSplit(cfg, byTSP); tmIn >= tmOut {
-		return nil, fmt.Errorf("ipbm: ingress stage %q on TSP %d is not before egress stage %q on TSP %d",
-			in, tmIn, eg, tmOut)
-	}
-	if cfg.Patch != nil {
-		for _, idx := range cfg.Patch.RewrittenTSPs {
-			if idx < 0 || idx >= n {
-				return nil, fmt.Errorf("ipbm: patch rewrites TSP %d outside [0,%d)", idx, n)
-			}
-		}
-		for _, name := range cfg.Patch.NewTables {
-			if _, ok := cfg.Tables[name]; !ok {
-				return nil, fmt.Errorf("ipbm: patch creates unknown table %q", name)
-			}
-		}
-	}
-	// The TSPs whose program the new configuration changes: their count is
-	// TSPsWritten, the quantity the Table 1 update-cost comparison is
-	// stated in. The device always takes it from its own diff against the
-	// running version, never from the manifest, which describes the
-	// compiler workspace's last transition: after a rollback or a refused
-	// apply that is not the device's. The running version's stage
-	// signatures were taken under the same INT flag, which only SetInt
-	// changes, by republishing.
-	sigs := stageSignatures(cfg, s.intOn)
-	oldByTSP := make([][]string, n)
-	var oldSigs map[string]string
-	if prev := s.epochs.current(); prev != nil {
-		oldByTSP, oldSigs = prev.byTSP, prev.sigs
-	}
-	for i := range byTSP {
-		if tspChanged(oldByTSP[i], byTSP[i], oldSigs, sigs) {
-			stats.TSPsWritten++
-		}
-	}
-	hash := configHash(cfg)
-	inFlight := s.tmDepthSum()
-	verdictsBefore := s.tel.VerdictSnapshot()
-
-	// 1. Registers: additive, contents preserved.
-	if err := s.regs.Update(cfg.Registers); err != nil {
-		return nil, err
-	}
-
-	// 2. Tables: create new, drop removed, migrate moved. Any table whose
-	// storage identity changed this apply poisons stage reuse below — a
-	// resolved handle bound in a previous epoch must never alias a
-	// recreated table.
-	changed := make(map[string]bool)
-	tspOfTable := func(c *template.Config, name string) int {
-		for sn, st := range c.Stages {
-			for _, tn := range st.Tables {
-				if tn == name {
-					return c.TSPAssignment[sn]
-				}
-			}
-		}
-		return 0
-	}
-	for name, t := range cfg.Tables {
-		if _, ok := s.mm.Table(name); ok {
-			if old != nil {
-				oldTSP, newTSP := tspOfTable(old, name), tspOfTable(cfg, name)
-				if oldTSP != newTSP {
-					moved, err := s.mm.Migrate(name, newTSP)
-					if err != nil {
-						return nil, err
-					}
-					stats.EntriesMigrated += moved
-					changed[name] = true
-				}
-			}
-			continue
-		}
-		if _, err := s.mm.CreateTable(t, tspOfTable(cfg, name)); err != nil {
-			return nil, err
-		}
-		stats.TablesCreated++
-		changed[name] = true
-	}
-	if old != nil {
-		for name := range old.Tables {
-			if _, stays := cfg.Tables[name]; !stays {
-				if err := s.mm.DropTable(name); err != nil {
-					return nil, err
-				}
-				stats.TablesDropped++
-				changed[name] = true
-			}
-		}
-	}
-
-	// 3. Publish the refreshed handle view and (when enabled) the INT
-	// state. New packets pick these up; packets pinned to an older version
-	// keep executing against its frozen view.
-	s.rebuildLookups()
-	if s.intOn {
-		s.publishIntState(cfg)
-	}
-
-	// 4. Compile (with cross-epoch reuse) and publish the new version.
-	pub, err := s.publishProgram(dataplane.NewDesign(cfg, s.regs), byTSP, sigs, changed, kind, hash)
-	if err != nil {
-		return nil, err
-	}
-	stats.StagesRecompiled, stats.StagesReused = pub.recompiled, pub.reused
-	stats.SelectorMoved = pub.selectorMoved
-	stats.Epoch = pub.epoch
-
-	stats.LoadNanos = int64(time.Since(start))
-	switch kind {
-	case "apply_full":
-		s.tel.appliesFull.Inc()
-	default:
-		s.tel.appliesDiff.Inc()
-	}
-	s.tel.tspsWritten.Add(uint64(stats.TSPsWritten))
-	s.tel.migrated.Add(uint64(stats.EntriesMigrated))
-	s.tel.Events.Append(telemetry.Event{
-		Kind:             kind,
-		ConfigHash:       hash,
-		Detail:           detail,
-		TSPsWritten:      stats.TSPsWritten,
-		TablesCreated:    stats.TablesCreated,
-		TablesDropped:    stats.TablesDropped,
-		Hitless:          true,
-		Epoch:            stats.Epoch,
-		StagesRecompiled: stats.StagesRecompiled,
-		StagesReused:     stats.StagesReused,
-		InFlight:         inFlight,
-		VerdictDeltas:    s.tel.verdictDeltas(verdictsBefore),
-	})
-	s.log.Debug("configuration applied hitless",
-		"kind", kind, "config_hash", hash, "epoch", stats.Epoch,
-		"tsps_written", stats.TSPsWritten,
-		"stages_recompiled", stats.StagesRecompiled,
-		"stages_reused", stats.StagesReused,
-		"tables_created", stats.TablesCreated,
-		"tables_dropped", stats.TablesDropped,
-		"entries_migrated", stats.EntriesMigrated,
-		"in_flight", inFlight)
-	return stats, nil
-}
-
-// publishResult summarizes one publishProgram call.
-type publishResult struct {
-	epoch              uint64
-	recompiled, reused int
-	selectorMoved      bool
-	// tspsLoaded counts physical TSPs that received a program under the
-	// new version (SetInt reports it as its rewrite count).
-	tspsLoaded int
-}
-
 // tmSplit is the TM split cfg implies on its TSPs' stages byTSP (from
 // stagesByTSP): tmIn is the last TSP hosting an ingress stage (-1 if
 // none), tmOut the first hosting an egress stage (len(byTSP) if none),
@@ -479,81 +265,4 @@ func tmSplit(cfg *template.Config, byTSP [][]string) (tmIn, tmOut int, in, eg st
 		}
 	}
 	return tmIn, tmOut, in, eg
-}
-
-// publishProgram compiles d's stages — reusing the current version's
-// runtimes where the structural hash (sigs, from stageSignatures under
-// the current INT flag) matches and no table in changed was touched —
-// assembles the new progVersion around d's stages byTSP and publishes it. The
-// caller must already have published the lookup view and INT state this
-// version should capture, and must hold s.mu; every stage it compiles
-// binds its tables against that lookup view. kind/hash feed the health
-// monitor's retirement watch for the superseded version.
-func (s *Switch) publishProgram(d *dataplane.Design, byTSP [][]string, sigs map[string]string, changed map[string]bool, kind, hash string) (publishResult, error) {
-	var pub publishResult
-	cfg := d.Cfg
-	prev := s.epochs.current()
-	view := s.lookups.Load()
-
-	built := make(map[string]*tsp.StageRuntime, len(cfg.Stages))
-	names := make([]string, 0, len(cfg.Stages))
-	for sn := range cfg.Stages {
-		names = append(names, sn)
-	}
-	sort.Strings(names)
-	for _, sn := range names {
-		if prev != nil && prev.sigs[sn] == sigs[sn] && prev.built[sn] != nil &&
-			!stageUsesTables(cfg, sn, changed) {
-			built[sn] = prev.built[sn]
-			pub.reused++
-			continue
-		}
-		sr, err := tsp.NewStageRuntime(cfg, sn, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
-		if err != nil {
-			return pub, err
-		}
-		sr.Bind(view)
-		built[sn] = sr
-		pub.recompiled++
-	}
-
-	// Assemble and publish the version; its predecessor is retired and
-	// reclaimed once its last pinned packet finishes. The health monitor
-	// watches that retirement against the reconfiguration deadline.
-	tmIn, tmOut, _, _ := tmSplit(cfg, byTSP)
-	v := &progVersion{
-		design: d,
-		tmIn:   tmIn,
-		tmOut:  tmOut,
-		byTSP:  byTSP,
-		sink:   s.intSinkP.Load(),
-		sigs:   sigs,
-		built:  built,
-	}
-	for i, names := range byTSP {
-		if len(names) == 0 {
-			continue
-		}
-		sl := epochSlot{index: i, lat: s.tel.tspLat[i]}
-		for _, sn := range names {
-			sl.stages = append(sl.stages, built[sn])
-		}
-		switch {
-		case i <= tmIn:
-			v.ingress = append(v.ingress, sl)
-		case i >= tmOut:
-			v.egress = append(v.egress, sl)
-		}
-	}
-	prevIn, prevOut := -1, len(byTSP)
-	if prev != nil {
-		prevIn, prevOut = prev.tmIn, prev.tmOut
-	}
-	pub.selectorMoved = tmIn != prevIn || tmOut != prevOut
-	pub.tspsLoaded = v.activeTSPs()
-	pub.epoch = s.epochs.publish(v)
-	if prev != nil {
-		s.health.BeginOpWatch(kind, hash, prev.quiesced)
-	}
-	return pub, nil
 }

@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"time"
 
 	"ipsa/internal/intmd"
 	"ipsa/internal/pkt"
@@ -27,8 +28,8 @@ type intStageSeries struct {
 	depth *telemetry.Histogram // ipsa_int_queue_depth{stage=...}
 }
 
-// intSink is the published sink state: immutable after construction,
-// swapped atomically so the per-packet check is one pointer load.
+// intSink is the sink state a program version carries: immutable after
+// construction, so the per-packet check is one field load.
 type intSink struct {
 	stages  map[uint16]*intStageSeries
 	reports *intmd.ReportRing
@@ -106,74 +107,35 @@ func (s *Switch) IntEnabled() bool {
 	return s.intOn
 }
 
-// SetInt enables or disables INT stamping. This is a true in-situ
-// update, published as a new program-store epoch: every stage recompiles
-// (the stamping epilogue changes its structural hash, so reuse naturally
-// yields nothing) while table contents, registers and counters are
-// untouched, and packets pinned to the previous version finish under the
-// previous INT state — stamping and sinking stay consistent per packet.
-// The audit event carries the verdict-counter deltas like any other
-// apply.
+// SetInt enables or disables INT stamping: it commits the running config
+// again with the INT flag flipped, as ApplyConfig commits a new one. Every
+// stage recompiles (the stamping epilogue is in its structural hash),
+// tables, registers and counters are untouched, and packets pinned to the
+// previous version finish under the previous INT state. Before the first
+// configuration only the flag changes, for the first commit to build with.
 func (s *Switch) SetInt(enabled bool) error {
+	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.intOn == enabled {
 		return nil
 	}
-	s.intOn = enabled
-	kind := "int_enable"
-	if !enabled {
-		kind = "int_disable"
+	kind := "int_disable"
+	if enabled {
+		kind = "int_enable"
 	}
-	v := s.epochs.current()
-	if v == nil {
-		// No configuration yet: the flag alone changes what the next
-		// ApplyConfig builds.
-		s.publishIntState(nil)
+	cfg := s.Config()
+	if cfg == nil {
+		s.intOn = enabled
 		s.tel.Events.Append(telemetry.Event{Kind: kind, Detail: "no config installed; deferred to next apply"})
 		return nil
 	}
-	cfg := v.design.Cfg
-	hash := configHash(cfg)
-	inFlight := s.tmDepthSum()
-	before := s.tel.VerdictSnapshot()
-	if enabled {
-		s.publishIntState(cfg)
-	} else {
-		s.publishIntState(nil)
-	}
-	pub, err := s.publishProgram(v.design, v.byTSP, stageSignatures(cfg, s.intOn), nil, kind, hash)
-	if err != nil {
-		s.intOn = !enabled
-		return err
-	}
-	s.tel.tspsWritten.Add(uint64(pub.tspsLoaded))
-	s.tel.Events.Append(telemetry.Event{
-		Kind:             kind,
-		ConfigHash:       hash,
-		TSPsWritten:      pub.tspsLoaded,
-		Hitless:          true,
-		Epoch:            pub.epoch,
-		StagesRecompiled: pub.recompiled,
-		StagesReused:     pub.reused,
-		InFlight:         inFlight,
-		VerdictDeltas:    s.tel.verdictDeltas(before),
-	})
-	s.log.Debug("INT state changed in situ",
-		"kind", kind, "config_hash", hash, "epoch", pub.epoch,
-		"tsps_written", pub.tspsLoaded, "in_flight", inFlight)
-	return nil
+	_, err := s.commit(cfg, enabled, start, kind, "")
+	return err
 }
 
-// publishIntState installs (cfg non-nil) or removes the stamping context
-// and sink. Called with s.mu held; the hot path picks the change up via
-// atomic loads.
-func (s *Switch) publishIntState(cfg *template.Config) {
-	if cfg == nil {
-		s.dp.SetIntCtx(nil)
-		s.intSinkP.Store(nil)
-		return
-	}
+// intStampCtx is the stamping context an INT-on commit installs.
+func (s *Switch) intStampCtx() *tsp.IntStampCtx {
 	ctx := &tsp.IntStampCtx{
 		SwitchID: s.opts.IntSwitchID,
 		Now:      s.intNow,
@@ -184,16 +146,14 @@ func (s *Switch) publishIntState(cfg *template.Config) {
 	if s.intDepth != nil {
 		ctx.Depth = s.intDepth
 	}
-	s.intSinkP.Store(newIntSink(cfg, s.tel.Reg, ringDepth))
-	s.dp.SetIntCtx(ctx)
+	return ctx
 }
 
 // intReports returns up to max sink-decoded reports, newest first (0 =
 // all retained), the int view. Nil while INT is disabled.
 func (s *Switch) intReports(max int) []intmd.Report {
-	sink := s.intSinkP.Load()
-	if sink == nil {
-		return nil
+	if v := s.epochs.current(); v != nil && v.sink != nil {
+		return v.sink.reports.Dump(max)
 	}
-	return sink.reports.Dump(max)
+	return nil
 }

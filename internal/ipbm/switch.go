@@ -133,12 +133,6 @@ type Switch struct {
 	// mu serializes configuration changes.
 	mu sync.RWMutex
 
-	// lookups is the name→handle view of the table store, swapped
-	// atomically whenever a config apply creates, drops or migrates
-	// tables; each program version captures the one it was bound against.
-	// Lookups by name never touch the memory manager's mutex.
-	lookups atomic.Pointer[lookupSnapshot]
-
 	// epochs is the versioned program store: what every turn of every
 	// lane pins, and the only thing a reconfiguration publishes to.
 	epochs epochStore
@@ -157,14 +151,15 @@ type Switch struct {
 
 	// intOn is the configured INT state (guarded by s.mu); the hot path
 	// reads the derived state instead: the stamping context lives in the
-	// dataplane core, the sink in the program version published with it
-	// (intSinkP is the sink the next version will capture).
-	intOn    bool
-	intSinkP atomic.Pointer[intSink]
+	// dataplane core, the sink in the program version published with it.
+	intOn bool
 	// intNow/intDepth override the stamper's clock and queue-depth
 	// sources (tests inject deterministic ones); nil = real sources.
 	intNow   func() int64
 	intDepth func(port int) int
+	// failStep, when nonzero, fails every commit before its failStep-th
+	// execute step (tests inject commit faults with it).
+	failStep int
 
 	// flows is the always-on flow accounting engine (nil only with
 	// Options.FlowDisable): one flow table per lane — per shard in sharded
@@ -234,14 +229,8 @@ func New(opts Options) (*Switch, error) {
 // Pipeline exposes the pipeline module (PM).
 func (s *Switch) Pipeline() *pipeline.Pipeline { return s.pl }
 
-// Storage exposes the storage module (SM).
-func (s *Switch) Storage() *mem.Manager { return s.mm }
-
 // Ports exposes the communication module (CM).
 func (s *Switch) Ports() *netio.PortSet { return s.ports }
-
-// Registers exposes the register file.
-func (s *Switch) Registers() *tsp.RegisterFile { return s.regs }
 
 // Config returns the configuration of the published program version
 // (nil before the first ApplyConfig).
@@ -250,21 +239,6 @@ func (s *Switch) Config() *template.Config {
 		return v.design.Cfg
 	}
 	return nil
-}
-
-// tspChanged reports whether a TSP that ran the stages was (signatures
-// in oldSigs) runs a different program with the stages now (signatures in
-// sigs): a different stage list, or a stage whose signature changed.
-func tspChanged(was, now []string, oldSigs, sigs map[string]string) bool {
-	if len(was) != len(now) {
-		return true
-	}
-	for k := range now {
-		if oldSigs[was[k]] != sigs[now[k]] {
-			return true
-		}
-	}
-	return false
 }
 
 // stagesByTSP lists the stages each of n TSPs hosts under cfg in chain
@@ -292,8 +266,9 @@ func stagesByTSP(cfg *template.Config, n int) [][]string {
 // stages whose content changed are recompiled, new tables are created,
 // vanished tables are recycled, existing table entries and register
 // contents are preserved, and tables whose TSP moved across crossbar
-// clusters are migrated. The change is published as a new epoch of the
-// versioned program store (see epoch.go): traffic is never excluded.
+// clusters are migrated. The change is one commit (commit.go), published
+// as a new epoch of the versioned program store (see epoch.go): traffic
+// is never excluded, and a refused commit changes nothing.
 func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -301,44 +276,32 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyHitless(cfg, start, 0)
+	kind := "apply_diff"
+	if s.Config() == nil {
+		kind = "apply_full"
+	}
+	return s.commit(cfg, s.intOn, start, kind, "")
 }
 
-// lookupSnapshot is an immutable name→handle view of the table store.
-type lookupSnapshot struct {
-	tables map[string]*mem.Table
-}
+// tableView is an immutable name→handle view of the table store.
+type tableView map[string]*mem.Table
 
 // ResolveTable implements tsp.TableResolver: every stage runtime binds
-// its tables against the snapshot published with its program. A handle
+// its tables against the view published with its program. A handle
 // survives inserts and migrations (the manager mutates the table in
 // place).
-func (snap *lookupSnapshot) ResolveTable(name string) (tsp.ResolvedTable, bool) {
-	t, ok := snap.tables[name]
+func (tv tableView) ResolveTable(name string) (tsp.ResolvedTable, bool) {
+	t, ok := tv[name]
 	if !ok {
 		return nil, false
 	}
 	return t, true
 }
 
-// rebuildLookups publishes a fresh snapshot of resolved table handles.
-// Called with s.mu held after any change to the table set (create, drop,
-// migrate); entry inserts and deletes mutate the handles' contents and
-// need no republish.
-func (s *Switch) rebuildLookups() {
-	snap := &lookupSnapshot{tables: make(map[string]*mem.Table)}
-	for _, name := range s.mm.Tables() {
-		if t, ok := s.mm.Table(name); ok {
-			snap.tables[name] = t
-		}
-	}
-	s.lookups.Store(snap)
-}
-
-// table resolves a name in the current handle view.
+// table resolves a name in the published handle view.
 func (s *Switch) table(name string) *mem.Table {
-	if snap := s.lookups.Load(); snap != nil {
-		return snap.tables[name]
+	if v := s.epochs.current(); v != nil {
+		return v.view[name]
 	}
 	return nil
 }

@@ -251,21 +251,16 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	ctr("ipsa_faults_total", faults.RegisterFault.Load(), telemetry.L("kind", "register_fault"))
 	ctr("ipsa_faults_total", faults.BadTemplate.Load(), telemetry.L("kind", "bad_template"))
 
-	// Storage module: per-table hit/miss counters and occupancy.
-	for _, name := range s.mm.Tables() {
-		t, ok := s.mm.Table(name)
-		if !ok {
-			continue
-		}
-		hits, misses := t.Stats()
-		l := telemetry.L("table", name)
-		ctr("ipsa_table_hits_total", hits, l)
-		ctr("ipsa_table_misses_total", misses, l)
-		gauge("ipsa_table_entries", float64(t.Engine().Len()), l)
-	}
-
-	// Per-stage counters from the published version's runtimes.
+	// Per-table hit/miss counters and occupancy, and per-stage counters
+	// from the published version's runtimes.
 	if v := s.epochs.current(); v != nil {
+		for name, t := range v.view {
+			hits, misses := t.Stats()
+			l := telemetry.L("table", name)
+			ctr("ipsa_table_hits_total", hits, l)
+			ctr("ipsa_table_misses_total", misses, l)
+			gauge("ipsa_table_entries", float64(t.Engine().Len()), l)
+		}
 		for _, slots := range [][]epochSlot{v.ingress, v.egress} {
 			for _, sl := range slots {
 				tspLabel := telemetry.L("tsp", strconv.Itoa(sl.index))

@@ -1,15 +1,11 @@
 package ipbm
 
-import (
-	"sort"
+import "sort"
 
-	"ipsa/internal/template"
-)
-
-func sortedTableNames(cfg *template.Config) []string {
-	out := make([]string, 0, len(cfg.Tables))
-	for n := range cfg.Tables {
-		out = append(out, n)
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

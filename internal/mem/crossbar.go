@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -127,6 +128,17 @@ func (cb *Crossbar) Routes(tsp int) []BlockID {
 	cb.mu.Lock()
 	defer cb.mu.Unlock()
 	return append([]BlockID(nil), cb.routes[tsp]...)
+}
+
+// unroute removes blocks from the routes of every TSP but keep.
+func (cb *Crossbar) unroute(blocks []BlockID, keep int) {
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	for tsp, rs := range cb.routes {
+		if tsp != keep {
+			cb.routes[tsp] = slices.DeleteFunc(rs, func(b BlockID) bool { return slices.Contains(blocks, b) })
+		}
+	}
 }
 
 // Unwire removes a TSP's routes (stage deletion).

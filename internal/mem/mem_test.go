@@ -512,3 +512,38 @@ func TestWordLookupBinding(t *testing.T) {
 		t.Fatal("member pick on an exact table")
 	}
 }
+
+// TestRoutesFollowTheirTables: a TSP's crossbar routes are the blocks of
+// the tables wired to it, however often tables are created, dropped and
+// moved. Nothing released or moved away stays routed, so the routes a
+// commit validates do not grow with the number of commits.
+func TestRoutesFollowTheirTables(t *testing.T) {
+	for _, kind := range []CrossbarKind{FullCrossbar, ClusteredCrossbar} {
+		m, err := NewManager(Config{Blocks: 8, BlockWidth: 64, BlockDepth: 1024, Clusters: 2}, kind, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.CreateTable(spec("host", match.Exact, 32, 1024), 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if _, err := m.CreateTable(spec("scratch", match.Exact, 32, 1024), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DropTable("scratch"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Migrate("host", 3-i%2*3); err != nil { // TSP 3 (cluster 1), then back to 0
+				t.Fatal(err)
+			}
+		}
+		host, _ := m.Table("host")
+		routed := 0
+		for tsp := 0; tsp < 4; tsp++ {
+			routed += len(m.Crossbar().Routes(tsp))
+		}
+		if want := host.Blocks(); routed != len(want) || !reflect.DeepEqual(m.Crossbar().Routes(0), want) {
+			t.Errorf("%s: %d blocks routed, TSP 0 routes %v; want only host's %v", kind, routed, m.Crossbar().Routes(0), want)
+		}
+	}
+}

@@ -115,11 +115,7 @@ func (p *Pool) Allocate(owner string, n, cluster int) ([]BlockID, error) {
 		candidates = append(candidates, i)
 	}
 	if len(candidates) < n {
-		where := "pool"
-		if cluster >= 0 {
-			where = fmt.Sprintf("cluster %d", cluster)
-		}
-		return nil, fmt.Errorf("mem: need %d blocks in %s, only %d free", n, where, len(candidates))
+		return nil, fmt.Errorf("mem: need %d blocks in %s, only %d free", n, where(cluster), len(candidates))
 	}
 	if cluster < 0 {
 		// Prefer the fullest clusters first to keep whole clusters free.
@@ -143,6 +139,14 @@ func (p *Pool) Allocate(owner string, n, cluster int) ([]BlockID, error) {
 	}
 	p.free -= n
 	return ids, nil
+}
+
+// where names a cluster, or the whole pool for -1.
+func where(cluster int) string {
+	if cluster < 0 {
+		return "pool"
+	}
+	return fmt.Sprintf("cluster %d", cluster)
 }
 
 // Release returns blocks to the pool (paper: "if a logical stage is

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,7 +95,7 @@ type memberEngine interface {
 
 // NewTable builds a compiled table's engine and resolves its views, once,
 // so that no type assertion is left for the packet path to make. The
-// table holds no pool blocks: CreateTable places the ones it needs, and a
+// table holds no pool blocks: Manager.Adopt places the ones it needs, and a
 // switch with no storage module (pisa) uses it as it is.
 func NewTable(tt *template.Table) (*Table, error) {
 	eng, err := tt.NewEngine()
@@ -173,38 +174,100 @@ func (m *Manager) Pool() *Pool { return m.pool }
 // Crossbar exposes the interconnect.
 func (m *Manager) Crossbar() *Crossbar { return m.xbar }
 
-// CreateTable builds the engine for a compiled table, allocates blocks for
-// its W×D (W its KeyWidth, D its Size) and wires it for use by the TSP at
-// tspIndex. With a clustered crossbar the blocks come from that TSP's
-// cluster.
+// CreateTable builds the engine for a compiled table and adopts it for
+// the TSP at tspIndex.
 func (m *Manager) CreateTable(tt *template.Table, tspIndex int) (*Table, error) {
-	name := tt.Name
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.tables[name]; ok {
-		return nil, fmt.Errorf("mem: table %q already exists", name)
-	}
 	t, err := NewTable(tt)
 	if err != nil {
 		return nil, err
 	}
-	cfg := m.pool.Config()
-	n := BlocksForTable(tt.KeyWidth, tt.Size, cfg.BlockWidth, cfg.BlockDepth)
-	cluster := m.xbar.ClusterOfTSP(tspIndex)
-	ids, err := m.pool.Allocate(name, n, cluster)
-	if err != nil {
-		return nil, fmt.Errorf("mem: placing table %q: %w", name, err)
-	}
-	t.blocks = ids
-	m.tables[name] = t
-	// Extend (not replace) the TSP's routes with the new table's blocks.
-	routes := append(m.xbar.Routes(tspIndex), ids...)
-	if err := m.xbar.Configure(tspIndex, routes); err != nil {
-		_ = m.pool.Release(ids)
-		delete(m.tables, name)
+	if err := m.Adopt(t, tspIndex); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// Adopt allocates blocks for a built table's W×D (KeyWidth×Depth), from
+// the cluster of the TSP at tspIndex, and wires them for that TSP. A
+// dropped table comes back with its engine, entries and handle intact.
+func (m *Manager) Adopt(t *Table, tspIndex int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.tables[t.Name]; ok {
+		return fmt.Errorf("mem: table %q already exists", t.Name)
+	}
+	ids, err := m.pool.Allocate(t.Name, m.blocksFor(t), m.xbar.ClusterOfTSP(tspIndex))
+	if err != nil {
+		return fmt.Errorf("mem: placing table %q: %w", t.Name, err)
+	}
+	// Extend (not replace) the TSP's routes with the table's blocks.
+	if err := m.xbar.Configure(tspIndex, append(m.xbar.Routes(tspIndex), ids...)); err != nil {
+		_ = m.pool.Release(ids)
+		return err
+	}
+	t.blocks = ids
+	m.tables[t.Name] = t
+	return nil
+}
+
+func (m *Manager) blocksFor(t *Table) int {
+	cfg := m.pool.Config()
+	return BlocksForTable(t.KeyWidth, t.Depth, cfg.BlockWidth, cfg.BlockDepth)
+}
+
+// Fits checks, changing nothing, that a commit dropping drops, moving
+// each table of moves to its TSP and adopting each of adds at its TSP
+// claims no more blocks in any cluster (the pool, for a full crossbar)
+// than are free or released there. It checks the balance, not the order
+// the steps run in, which can still run out part way.
+func (m *Manager) Fits(drops []string, moves map[string]int, adds map[*Table]int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	need := make(map[int]int) // cluster -> blocks claimed, less blocks released
+	release := func(t *Table) {
+		for _, id := range t.blocks {
+			c := -1
+			if m.xbar.Kind() == ClusteredCrossbar {
+				c, _ = m.pool.ClusterOf(id)
+			}
+			need[c]--
+		}
+	}
+	for _, name := range drops {
+		if t, ok := m.tables[name]; ok {
+			release(t)
+		}
+	}
+	for name, tspIndex := range moves {
+		if t, ok := m.tables[name]; ok && !m.inCluster(t, m.xbar.ClusterOfTSP(tspIndex)) {
+			need[m.xbar.ClusterOfTSP(tspIndex)] += len(t.blocks)
+			release(t)
+		}
+	}
+	for t, tspIndex := range adds {
+		need[m.xbar.ClusterOfTSP(tspIndex)] += m.blocksFor(t)
+	}
+	for c, n := range need {
+		free := m.pool.FreeBlocks()
+		if c >= 0 {
+			free = m.pool.FreeBlocksInCluster(c)
+		}
+		if n > free {
+			return fmt.Errorf("mem: commit needs %d more blocks in %s, only %d free", n, where(c), free)
+		}
+	}
+	return nil
+}
+
+// inCluster reports whether every block of t sits in cluster (any block
+// does for -1, a full crossbar's "all").
+func (m *Manager) inCluster(t *Table, cluster int) bool {
+	for _, b := range t.blocks {
+		if c, err := m.pool.ClusterOf(b); err != nil || (cluster >= 0 && c != cluster) {
+			return false
+		}
+	}
+	return true
 }
 
 // Table looks up a logical table by name.
@@ -237,6 +300,7 @@ func (m *Manager) DropTable(name string) error {
 	if err := m.pool.Release(t.blocks); err != nil {
 		return err
 	}
+	m.xbar.unroute(t.blocks, -1)
 	delete(m.tables, name)
 	return nil
 }
@@ -248,7 +312,7 @@ func (m *Manager) DropTable(name string) error {
 // model the entries themselves stay in the table's engine, so lock-free
 // lookups run through a migration and controller-held entry handles stay
 // valid. With a full crossbar, or when the blocks already sit in the
-// right cluster, Migrate only rewires and reports 0.
+// right cluster, Migrate only rewires (to newTSP alone) and reports 0.
 func (m *Manager) Migrate(name string, newTSP int) (moved int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -257,20 +321,13 @@ func (m *Manager) Migrate(name string, newTSP int) (moved int, err error) {
 		return 0, fmt.Errorf("mem: table %q does not exist", name)
 	}
 	cluster := m.xbar.ClusterOfTSP(newTSP)
-	inPlace := true // a full crossbar (cluster < 0) reaches every block
-	for _, b := range t.blocks {
-		c, err := m.pool.ClusterOf(b)
-		if err != nil {
+	routes := slices.DeleteFunc(m.xbar.Routes(newTSP), func(b BlockID) bool { return slices.Contains(t.blocks, b) })
+	if m.inCluster(t, cluster) {
+		if err := m.xbar.Configure(newTSP, append(routes, t.blocks...)); err != nil {
 			return 0, err
 		}
-		if cluster >= 0 && c != cluster {
-			inPlace = false
-			break
-		}
-	}
-	routes := m.xbar.Routes(newTSP)
-	if inPlace {
-		return 0, m.xbar.Configure(newTSP, append(routes, t.blocks...))
+		m.xbar.unroute(t.blocks, newTSP)
+		return 0, nil
 	}
 	newIDs, err := m.pool.Allocate(name, len(t.blocks), cluster)
 	if err != nil {
@@ -283,6 +340,7 @@ func (m *Manager) Migrate(name string, newTSP int) (moved int, err error) {
 		return 0, err
 	}
 	old := t.blocks
+	m.xbar.unroute(old, -1)
 	t.blocks = newIDs
 	moved = t.engine.Len()
 	m.migratedEntries += moved

@@ -45,9 +45,9 @@ func (s *Switch) SetInt(enabled bool) error {
 	return nil
 }
 
-// publishIntState installs (cfg non-nil and INT on) or clears the
+// installIntState installs (cfg non-nil and INT on) or clears the
 // stamping context and sink view. Called with s.mu held.
-func (s *Switch) publishIntState(cfg *template.Config) {
+func (s *Switch) installIntState(cfg *template.Config) {
 	if cfg == nil || !s.intOn {
 		s.dp.SetIntCtx(nil)
 		s.intNames = nil
@@ -68,9 +68,9 @@ func (s *Switch) publishIntState(cfg *template.Config) {
 	})
 }
 
-// intSinkProcess strips a survivor's INT trailer at the egress boundary
+// sinkIntReport strips a survivor's INT trailer at the egress boundary
 // (before the deparser copies the packet) and retains the decoded report.
-func (s *Switch) intSinkProcess(p *pkt.Packet) {
+func (s *Switch) sinkIntReport(p *pkt.Packet) {
 	s.mu.RLock()
 	names := s.intNames
 	ring := s.intReports

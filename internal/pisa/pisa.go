@@ -234,7 +234,7 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	s.tables = tables
 	// Registers reset on every rebuild, unlike ipbm's additive update.
 	s.dp.Install(cfg, tsp.NewRegisterFile(cfg.Registers))
-	s.publishIntState(cfg)
+	s.installIntState(cfg)
 	s.effectiveStagesUsed = used
 	s.reloads++
 	s.log.Debug("full pipeline rebuild (PISA has no incremental update)",
@@ -316,7 +316,7 @@ func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	}
 	// INT sink runs before the deparser so the reassembled packet never
 	// carries the trailer off the switch.
-	s.intSinkProcess(p)
+	s.sinkIntReport(p)
 	s.deparse(p)
 	return p, nil
 }
