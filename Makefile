@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak bench fuzz-diff fuzz-ccm fuzz-fused fuzz-match profile-hotpath cover experiments examples fmt vet lint clean
+.PHONY: all build test race soak bench fuzz-diff fuzz-ccm fuzz-fused fuzz-match fuzz-int profile-hotpath cover experiments examples fmt vet lint clean
 
 all: build test
 
@@ -22,9 +22,10 @@ race:
 # with two writers on one lane, racing readers and clash evictions, and
 # the loss-forensics ledger with every drop reason firing at once under a
 # hitless edit storm, commits failed at every step under sharded traffic
-# (TestCommitFaultsUnderTrafficHitless), and the table handles every
-# stage binds: the lock-free match engines with readers beside writers
-# and the mem.Table hit/miss counters.
+# (TestCommitFaultsUnderTrafficHitless), pisa's one-pointer rebuilds
+# beside concurrent ProcessPacket (TestPISABuildsReachPacketsWhole), and
+# the table handles every stage binds: the lock-free match engines with
+# readers beside writers and the mem.Table hit/miss counters.
 soak:
 	$(GO) test -race -count=2 ./internal/ipbm/ ./internal/pisa/ ./internal/pipeline/ ./internal/dataplane/ ./internal/tsp/ ./internal/netio/ ./internal/flowstat/ ./internal/telemetry/ ./internal/mem/ ./internal/match/
 
@@ -51,6 +52,13 @@ fuzz-ccm:
 # wide-key funnel builds, on random key plans.
 fuzz-fused:
 	$(GO) test ./internal/tsp/ -run xxx -fuzz FuzzWordKeyVsPlanned -fuzztime 30s -fuzzminimizetime 1s
+
+# Fuzz the INT trailer decoder the sink runs on every INT-on frame:
+# arbitrary bytes never panic Hops, TrailerLen, LastHopOut, Parse or
+# Strip, an accepted trailer accounts for every byte of the frame, and the
+# decoded hops stamped onto the payload again parse back to themselves.
+fuzz-int:
+	$(GO) test ./internal/intmd/ -run xxx -fuzz '^FuzzIntmdTrailer$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # Differential fuzz for the match engines. The LPM engine: insert /
 # replace / delete / lookup streams at widths 32, 20 and 128 against a

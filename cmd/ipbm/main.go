@@ -46,7 +46,6 @@ func main() {
 	pcapOut := flag.String("pcap-out", "", "with -pcap-in: capture forwarded packets here")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP scrape endpoint (/metrics Prometheus text, /v/<view> JSON views, /healthz, /readyz); empty disables")
 	traceEvery := flag.Uint64("trace-every", 0, "record a packet flight trace every N packets; 0 disables")
-	traceRing := flag.Int("trace-ring", 256, "flight-recorder ring size")
 	latencyEvery := flag.Uint64("latency-every", 128,
 		"sample per-TSP latency every N packets; 0 disables")
 	execFlag := flag.String("exec", "fused", "stage executor: fused (compiled closures) or interp (reference tree-walker)")
@@ -57,9 +56,7 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 0, "health sampler tick (0 = default 1s; negative disables)")
 	flowBits := flag.Int("flow-table-bits", 0, "log2 of per-lane flow table slots (0 = default)")
 	flowIdle := flag.Duration("flow-idle", 0, "idle timeout before a flow is swept into a record (0 = default)")
-	flowTopK := flag.Int("flow-topk", 0, "heavy-hitter summary size per lane (0 = default)")
 	flowOff := flag.Bool("flow-off", false, "disable always-on flow accounting")
-	dropRing := flag.Int("drop-ring", 0, "sampled drop-capture ring size (0 = default)")
 	dropRate := flag.Int64("drop-rate", -1, "max sampled drop captures per second (0 disables capture; -1 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here for the whole run (pprof format)")
 	memProfile := flag.String("memprofile", "", "write a heap profile here at shutdown (pprof format)")
@@ -87,17 +84,12 @@ func main() {
 	opts.NumTSPs = *tsps
 	opts.NumPorts = *ports
 	opts.TraceEvery = *traceEvery
-	opts.TraceRing = *traceRing
 	opts.LatencyEvery = *latencyEvery
 	opts.Exec = execMode
 	opts.IntSwitchID = uint32(*intSwitchID)
 	opts.FlowTableBits = *flowBits
 	opts.FlowIdle = *flowIdle
-	opts.FlowTopK = *flowTopK
 	opts.FlowDisable = *flowOff
-	if *dropRing > 0 {
-		opts.DropRing = *dropRing
-	}
 	if *dropRate >= 0 {
 		opts.DropSampleRate = *dropRate
 	}

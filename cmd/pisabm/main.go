@@ -114,9 +114,6 @@ func main() {
 		},
 		Ready:         func() bool { return sw.Config() != nil },
 		VerdictSeries: "pisa_packets_total",
-		// The baseline has no per-TSP latency histograms; silence that
-		// breakdown.
-		LatencySeries: "pisa_tsp_latency_seconds",
 	})
 	// Collector-only series are invisible to the ring's registry scan;
 	// track them explicitly so windowed rates and the drop-cause

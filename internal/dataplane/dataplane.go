@@ -6,18 +6,18 @@
 // keeps IPSA-vs-PISA differences architectural rather than accidental,
 // and gives both switches the same zero-allocation steady state:
 //
-//   - a configuration is an immutable Design snapshot that packets read
-//     without taking the switch mutex (pisa keeps its current one behind
-//     the Core's atomic pointer; ipbm's program versions carry their own);
+//   - a configuration is an immutable Design snapshot, INT stamping
+//     context included, that packets read without taking a lock: each
+//     switch publishes its Designs inside its own one-pointer record
+//     (ipbm's program versions, pisa's builds), so a packet reads one
+//     whole configuration from admission to its verdict;
 //   - Packets and Envs come from sync.Pools, with Meta, header-vector and
 //     scratch storage reused across packets.
 package dataplane
 
 import (
 	"fmt"
-	"log/slog"
 	"sync"
-	"sync/atomic"
 
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
@@ -29,12 +29,16 @@ import (
 var ErrNoConfig = fmt.Errorf("dataplane: no configuration installed")
 
 // Design is one installed configuration's immutable execution snapshot.
-// A new Design is built at apply time and swapped in atomically; packets
-// in flight keep the snapshot they started with.
+// A new Design is built at apply time and published with the switch's
+// program; packets in flight keep the snapshot they started with.
 type Design struct {
 	Cfg    *template.Config
 	Parser *tsp.OnDemandParser
 	Regs   *tsp.RegisterFile
+	// Int, when non-nil, makes this design an INT source: every Env bound
+	// to it arms the stamped stages' epilogues and packet admission
+	// records the ingress timestamp. Set before the design is published.
+	Int *tsp.IntStampCtx
 	// SRH/IPv6 locate the header instances the SRv6 action primitives
 	// operate on (InvalidHeader when the design has none).
 	SRH  pkt.HeaderID
@@ -51,55 +55,42 @@ func (d *Design) NewPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	if err := StampInPort(p, inPort); err != nil {
 		return nil, err
 	}
-	// Same admission-time parse probe as Core.GetPacket (see below), so
-	// caller-owned packets classify losses identically to pooled ones.
-	if !d.Parser.EnsureRoot(p) {
-		p.DropReason = verdict.ReasonParse
-	}
+	d.admit(p)
 	return p, nil
 }
 
-// Core is the state a switch embeds: the design snapshot, the shared
-// fault counters, and the packet/Env pools. Packet and Env are pooled
-// separately because a batch keeps many packets in flight under one Env.
-type Core struct {
-	design atomic.Pointer[Design]
-	faults tsp.Faults
-	log    *slog.Logger
+// admit is the admission every packet constructor ends with. The parse
+// probe reads the design's root header: a frame too short for it is
+// stamped a parse failure by the parser, so a later no-egress finish is
+// attributed to the parser rather than the program. The packet still
+// traverses the pipeline unchanged (programs that route on metadata alone
+// keep working); the probe's result is cached in the header vector, so
+// the first stage's own parse is a hit. An INT source design also stamps
+// the ingress timestamp.
+func (d *Design) admit(p *pkt.Packet) {
+	d.Parser.EnsureRoot(p)
+	if d.Int != nil {
+		p.IngressNanos = d.Int.NowNanos()
+	}
+}
 
-	// intCtx, when non-nil, marks this switch an INT source: GetEnv hands
-	// it to every Env (arming the stamped stages' epilogues) and packet
-	// admission records the ingress timestamp. One atomic load per packet
-	// when disabled.
-	intCtx atomic.Pointer[tsp.IntStampCtx]
+// Core is the state a switch embeds: the shared fault counters and the
+// packet/Env pools. Packet and Env are pooled separately because a batch
+// keeps many packets in flight under one Env.
+type Core struct {
+	faults tsp.Faults
 
 	pktPool sync.Pool
 	envPool sync.Pool
 }
 
-// NewCore builds an empty core (no design installed).
+// NewCore builds a core with empty pools.
 func NewCore() *Core {
 	c := &Core{}
 	c.pktPool.New = func() any { return &pkt.Packet{OutPort: -1} }
 	c.envPool.New = func() any { return &tsp.Env{} }
 	return c
 }
-
-// SetLogger attaches a structured logger for install-time diagnostics.
-// Call before traffic starts; nil restores the process default.
-func (c *Core) SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.Default()
-	}
-	c.log = l
-}
-
-// SetIntCtx installs (or, with nil, removes) the INT stamping context.
-// Safe to call while traffic is flowing: packets pick it up at Env setup.
-func (c *Core) SetIntCtx(ctx *tsp.IntStampCtx) { c.intCtx.Store(ctx) }
-
-// IntCtx returns the installed INT context (nil when INT is off).
-func (c *Core) IntCtx() *tsp.IntStampCtx { return c.intCtx.Load() }
 
 // NewDesign builds the Design for cfg over the register file regs, which
 // the caller supplies so each switch keeps its own update semantics
@@ -122,21 +113,10 @@ func NewDesign(cfg *template.Config, regs *tsp.RegisterFile) *Design {
 	}
 }
 
-// Install builds and atomically publishes the Design for cfg over regs.
+// Install builds the Design for cfg over regs; the caller publishes it.
 func (c *Core) Install(cfg *template.Config, regs *tsp.RegisterFile) *Design {
-	d := NewDesign(cfg, regs)
-	c.design.Store(d)
-	if c.log != nil {
-		c.log.Debug("design installed",
-			"headers", len(cfg.Headers), "stages", len(cfg.Stages),
-			"tables", len(cfg.Tables), "registers", len(cfg.Registers))
-	}
-	return d
+	return NewDesign(cfg, regs)
 }
-
-// Design returns the current snapshot (nil before the first Install).
-// Lock-free; safe from any goroutine.
-func (c *Core) Design() *Design { return c.design.Load() }
 
 // Faults exposes the executor fault counters.
 func (c *Core) Faults() *tsp.Faults { return &c.faults }
@@ -152,15 +132,7 @@ func (c *Core) GetPacket(d *Design, data []byte, inPort int) (*pkt.Packet, error
 		c.pktPool.Put(p)
 		return nil, err
 	}
-	// Admission-time parse probe: a frame that cannot carry the design's
-	// root header is marked a parse failure here, so a later no-egress
-	// finish is attributed to the parser rather than the program. The
-	// packet still traverses the pipeline unchanged (programs that route
-	// on metadata alone keep working); the probe's result is cached in
-	// the header vector, so the first stage's own parse is a hit.
-	if !d.Parser.EnsureRoot(p) {
-		p.DropReason = verdict.ReasonParse
-	}
+	d.admit(p)
 	return p, nil
 }
 
@@ -172,25 +144,23 @@ func (c *Core) PutPacket(p *pkt.Packet) {
 	c.pktPool.Put(p)
 }
 
-// GetEnv returns a pooled Env bound to design d and the shared fault
-// counters, with scratch buffers retained across packets.
+// GetEnv returns a pooled Env bound to design d, its INT context and the
+// shared fault counters, with scratch buffers retained across packets.
 func (c *Core) GetEnv(d *Design) *tsp.Env {
 	e := c.envPool.Get().(*tsp.Env)
-	e.Rebind(d.Regs, &c.faults, d.SRH, d.IPv6)
-	e.Int = c.intCtx.Load()
+	d.bind(e, &c.faults)
 	return e
+}
+
+// bind points e at the design's registers, SRv6 header IDs and INT
+// context, and at faults.
+func (d *Design) bind(e *tsp.Env, faults *tsp.Faults) {
+	e.Rebind(d.Regs, faults, d.SRH, d.IPv6)
+	e.Int = d.Int
 }
 
 // PutEnv recycles an Env.
 func (c *Core) PutEnv(e *tsp.Env) { c.envPool.Put(e) }
-
-// BeginPacket stamps the INT source ingress timestamp (only while INT is
-// enabled).
-func (c *Core) BeginPacket(p *pkt.Packet) {
-	if ctx := c.intCtx.Load(); ctx != nil {
-		p.IngressNanos = ctx.NowNanos()
-	}
-}
 
 // StampInPort records the ingress port on the packet and in
 // istd.in_port, where match templates read it.
@@ -208,13 +178,13 @@ func SurfaceOutPort(p *pkt.Packet) {
 }
 
 // Verdict classifies a finished packet. survived is false when the
-// packet died without a stage drop (TM admission failure). An admission
+// packet died without a stage drop (TM admission failure). The parser's
 // parse stamp wins over a stage drop and over a missing egress port: the
-// frame could not carry the design's root header, so the program's
-// catch-all drop action (or its failure to pick an egress) merely
-// disposed of a frame nothing could have routed, and filing it as policy
-// or no_port would hide a garbage-frame storm from the unexpected-loss
-// health detector.
+// frame was too short for a header its parse chain names, so the
+// program's catch-all drop action (or its failure to pick an egress)
+// merely disposed of a frame nothing could have routed, and filing it as
+// policy or no_port would hide a truncated-frame storm from the
+// unexpected-loss health detector.
 func Verdict(p *pkt.Packet, survived bool, numPorts int) verdict.Verdict {
 	parseFailed := p.DropReason == verdict.ReasonParse
 	switch {

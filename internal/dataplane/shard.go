@@ -3,7 +3,6 @@ package dataplane
 import (
 	"ipsa/internal/pkt"
 	"ipsa/internal/tsp"
-	"ipsa/internal/verdict"
 )
 
 // Shard is one shard worker's private packet-lifecycle cache over a Core:
@@ -51,10 +50,7 @@ func (sh *Shard) GetPacket(d *Design, data []byte, inPort int) (*pkt.Packet, err
 		return nil, err
 	}
 	p.Lane = sh.lane
-	// Same admission-time parse probe as Core.GetPacket.
-	if !d.Parser.EnsureRoot(p) {
-		p.DropReason = verdict.ReasonParse
-	}
+	d.admit(p)
 	return p, nil
 }
 
@@ -77,8 +73,7 @@ func (sh *Shard) PutPacket(p *pkt.Packet) {
 // round trip.
 func (sh *Shard) Env(d *Design) *tsp.Env {
 	e := &sh.env
-	e.Rebind(d.Regs, &sh.core.faults, d.SRH, d.IPv6)
-	e.Int = sh.core.intCtx.Load()
+	d.bind(e, &sh.core.faults)
 	e.Lane = int(sh.lane)
 	return e
 }

@@ -231,11 +231,11 @@ func (t *Table) emit(e *rawRec, reason uint8) {
 	t.topk.Offer(r)
 }
 
-// sweep advances the clock hand over SweepChunk slots, retiring entries
+// sweep advances the clock hand over sweepChunk slots, retiring entries
 // idle past the configured bound. Runs inline in Touch, under its hold.
 func (t *Table) sweep(now int64) {
 	idle := t.set.cfg.IdleNanos
-	n := uint64(t.set.cfg.SweepChunk)
+	n := uint64(sweepChunk)
 	for i := uint64(0); i < n; i++ {
 		e := &t.slots[(t.hand+i)&t.mask]
 		if e.hash != 0 && now-e.last >= idle {

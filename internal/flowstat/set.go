@@ -14,14 +14,18 @@ import (
 
 // Config sizes one Set. Zero values take the defaults below.
 type Config struct {
-	TableBits   int   // log2 slots per lane table (default 10 = 1024 slots)
-	IdleNanos   int64 // idle-eviction bound (default 2s)
-	SweepChunk  int   // slots examined per incremental sweep (default 64)
-	TopK        int   // space-saving summary size per lane (default 16)
-	SketchWidth int   // count-min row width, rounded to a power of two (default 1024)
-	SketchDepth int   // count-min rows (default 4)
-	RingSize    int   // shared flow-record ring capacity (default 2048)
+	TableBits int   // log2 slots per lane table (default 10 = 1024 slots)
+	IdleNanos int64 // idle-eviction bound (default 2s)
+	TopK      int   // space-saving summary size per lane (default 16)
+	RingSize  int   // shared flow-record ring capacity (default 2048)
 }
+
+// The sweep and sketch geometry every Set uses.
+const (
+	sweepChunk  = 64   // slots examined per incremental sweep
+	sketchWidth = 1024 // count-min row width (a power of two)
+	sketchDepth = 4    // count-min rows
+)
 
 func (c Config) withDefaults() Config {
 	if c.TableBits <= 0 {
@@ -33,25 +37,8 @@ func (c Config) withDefaults() Config {
 	if c.IdleNanos <= 0 {
 		c.IdleNanos = 2e9
 	}
-	if c.SweepChunk <= 0 {
-		c.SweepChunk = 64
-	}
 	if c.TopK <= 0 {
 		c.TopK = 16
-	}
-	if c.SketchWidth <= 0 {
-		c.SketchWidth = 1024
-	}
-	// Keep the recorded width in sync with what NewCountMin allocates so
-	// the exported epsilon reflects the real sketch.
-	for w := 1; ; w <<= 1 {
-		if w >= c.SketchWidth {
-			c.SketchWidth = w
-			break
-		}
-	}
-	if c.SketchDepth <= 0 {
-		c.SketchDepth = 4
 	}
 	if c.RingSize <= 0 {
 		c.RingSize = 2048
@@ -108,7 +95,7 @@ func (s *Set) Lane(i int) *Table {
 		lane:   int32(i),
 		mask:   slots - 1,
 		slots:  make([]rawRec, slots),
-		sketch: NewCountMin(s.cfg.SketchWidth, s.cfg.SketchDepth),
+		sketch: NewCountMin(sketchWidth, sketchDepth),
 		topk:   NewTopK(s.cfg.TopK),
 	}
 	if s.lanes[i].CompareAndSwap(nil, t) {
@@ -415,9 +402,9 @@ func (s *Set) Collect(emit func(telemetry.MetricPoint)) {
 	gauge("ipsa_flow_active_total", float64(live))
 	gauge("ipsa_flow_lanes", float64(len(ts)))
 	gauge("ipsa_flow_table_slots", float64(uint64(1)<<s.cfg.TableBits))
-	gauge("ipsa_flow_sketch_width", float64(s.cfg.SketchWidth))
-	gauge("ipsa_flow_sketch_depth", float64(s.cfg.SketchDepth))
-	gauge("ipsa_flow_sketch_epsilon", math.E/float64(s.cfg.SketchWidth))
+	gauge("ipsa_flow_sketch_width", sketchWidth)
+	gauge("ipsa_flow_sketch_depth", sketchDepth)
+	gauge("ipsa_flow_sketch_epsilon", math.E/sketchWidth)
 	gauge("ipsa_flow_topk", float64(s.cfg.TopK))
 	ctr("ipsa_flow_created_total", float64(created))
 	ctr("ipsa_flow_evictions_total", float64(evIdle), telemetry.L("reason", "idle"))

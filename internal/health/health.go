@@ -53,6 +53,9 @@ const (
 	// spikeChecks is how many checks after a reconfiguration the
 	// verdict-delta anomaly detector stays armed.
 	spikeChecks = 5
+	// latencySeries is the histogram family folded into the windowed
+	// latency quantiles; a registry without it has no latency breakdown.
+	latencySeries = "ipsa_tsp_latency_seconds"
 )
 
 // Options configures a Health instance.
@@ -80,9 +83,6 @@ type Options struct {
 	// VerdictSeries names the per-verdict counter family used for the
 	// drop-cause breakdown (default ipsa_packets_total, label "verdict").
 	VerdictSeries string
-	// LatencySeries names the histogram family folded into the windowed
-	// latency quantiles (default ipsa_tsp_latency_seconds).
-	LatencySeries string
 
 	// Now overrides the clock (UnixNano) for tests.
 	Now func() int64
@@ -136,9 +136,6 @@ func New(o Options) *Health {
 	}
 	if o.VerdictSeries == "" {
 		o.VerdictSeries = "ipsa_packets_total"
-	}
-	if o.LatencySeries == "" {
-		o.LatencySeries = "ipsa_tsp_latency_seconds"
 	}
 	if o.Log == nil {
 		o.Log = slog.Default()

@@ -117,7 +117,7 @@ func (h *Health) Status(window time.Duration) *Status {
 			}
 		}
 	}
-	if hw, ok := h.ring.HistWindowSum(h.o.LatencySeries, window); ok {
+	if hw, ok := h.ring.HistWindowSum(latencySeries, window); ok {
 		st.Latency = &hw
 	}
 	if ev, ok := h.events.Last(); ok {

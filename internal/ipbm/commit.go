@@ -25,7 +25,6 @@ type commitPlan struct {
 	running *progVersion // an empty version before the first commit
 	v       *progVersion // the version to publish; execute adds its view
 	fresh   []*tsp.StageRuntime
-	ctx     *tsp.IntStampCtx // nil when INT is off
 	hash    string
 	stats   ctrlplane.ApplyStats
 	drops   []string       // tables the commit drops
@@ -39,7 +38,8 @@ type commitPlan struct {
 // version (nil before the first commit) and builds the TSP diff, the
 // table sets and their blocks, the register additions, the stage
 // runtimes (sharing running's where the structural hash matches and no
-// table of the stage changes) and the INT sink. It changes nothing.
+// table of the stage changes) and the INT stamping context and sink,
+// which the version's design carries. It changes nothing.
 func (s *Switch) planCommit(running *progVersion, cfg *template.Config, intOn bool) (*commitPlan, error) {
 	// A stage on a TSP the device lacks would never run, an ingress stage
 	// at or after an egress stage's TSP leaves the TM no place in the
@@ -101,11 +101,19 @@ func (s *Switch) planCommit(running *progVersion, cfg *template.Config, intOn bo
 	}
 
 	// A stage whose table is created, dropped or moved is recompiled: a
-	// handle bound in a previous epoch must never alias a new table.
+	// handle bound in a previous epoch must never alias a new table. A
+	// table redefined under its old name is dropped and created afresh,
+	// without its entries.
 	changed := make(map[string]bool)
 	adds := make(map[*mem.Table]int)
+	for _, name := range sortedKeys(old.Tables) {
+		if now, stays := cfg.Tables[name]; !stays || !sameEngine(old.Tables[name], now) {
+			p.drops = append(p.drops, name)
+			changed[name] = true
+		}
+	}
 	for _, name := range sortedKeys(cfg.Tables) {
-		if _, ok := old.Tables[name]; !ok {
+		if _, ok := old.Tables[name]; !ok || changed[name] {
 			t, err := mem.NewTable(cfg.Tables[name])
 			if err != nil {
 				return nil, err
@@ -118,12 +126,6 @@ func (s *Switch) planCommit(running *progVersion, cfg *template.Config, intOn bo
 			continue
 		}
 		changed[name] = true
-	}
-	for _, name := range sortedKeys(old.Tables) {
-		if _, stays := cfg.Tables[name]; !stays {
-			p.drops = append(p.drops, name)
-			changed[name] = true
-		}
 	}
 	if err := s.mm.Fits(p.drops, p.moves, adds); err != nil {
 		return nil, err
@@ -175,7 +177,7 @@ func (s *Switch) planCommit(running *progVersion, cfg *template.Config, intOn bo
 	}
 	if intOn {
 		v.sink = newIntSink(cfg, s.tel.Reg, ringDepth)
-		p.ctx = s.intStampCtx()
+		v.design.Int = s.intStampCtx()
 	}
 	return p, nil
 }
@@ -230,11 +232,6 @@ func (s *Switch) execute(p *commitPlan) (err error) {
 			sr.Bind(p.v.view)
 		}
 		return nil, nil
-	})
-	ctx := s.dp.IntCtx()
-	do(func() (func() error, error) {
-		s.dp.SetIntCtx(p.ctx)
-		return func() error { s.dp.SetIntCtx(ctx); return nil }, nil
 	})
 	do(func() (func() error, error) {
 		_ = s.regs.Update(p.regs) // new names only: it cannot fail
@@ -292,6 +289,15 @@ func (s *Switch) commit(cfg *template.Config, intOn bool, start time.Time, kind,
 	})
 	s.log.Debug("configuration committed", "kind", kind, "config_hash", p.hash, "in_flight", inFlight, "stats", &stats)
 	return &stats, nil
+}
+
+// sameEngine reports whether table b of a commit builds the engine that
+// the running table a has, over as many blocks: the same kind, widths,
+// size and selector flag. Only then does the commit keep a's blocks and
+// entries; where keys sit in the packet is the stages' business.
+func sameEngine(a, b *template.Table) bool {
+	return a.Kind == b.Kind && a.KeyWidth == b.KeyWidth && a.MatchWidth() == b.MatchWidth() &&
+		a.Size == b.Size && a.IsSelector == b.IsSelector
 }
 
 // tableTSPs maps each table of cfg to the lowest TSP of a stage that

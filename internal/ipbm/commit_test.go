@@ -42,7 +42,7 @@ func stateOf(t *testing.T, sw *Switch) deviceState {
 		Registers:   sw.regs.Names(),
 		View:        map[string]*mem.Table{},
 		IntEnabled:  sw.IntEnabled(),
-		IntStamping: sw.dp.IntCtx() != nil,
+		IntStamping: sw.epochs.current() != nil && sw.epochs.current().design.Int != nil,
 	}
 	st.Epoch, _, _ = sw.EpochStats()
 	for _, name := range sw.mm.Tables() {

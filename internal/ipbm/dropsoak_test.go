@@ -30,7 +30,6 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	opts := DefaultOptions()
 	opts.QueueDepth = 4       // tiny TM queues so one batch can overfill them
 	opts.DropSampleRate = 1e6 // sample effectively every loss
-	opts.DropSampleBurst = 1e6
 	sw, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -147,15 +146,20 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 		}()
 	}()
 	// Truncated frames: 6 and 10 bytes cannot carry the Ethernet root
-	// header (parse_error); 14 bytes carry it but nothing after it.
+	// header, 14 and 20 bytes carry it but not the IPv4 header it leads
+	// to. Each is a parse error unless the TM tail-drops it first; none is
+	// a policy drop, so the dropped verdicts are the poisoned ACL flow's.
 	truncated := v4Packet(t, [4]byte{10, 1, 0, 1}, routerMAC, 64)
-	truncLens := []int{6, 10, 14}
+	truncLens := []int{6, 10, 14, 20}
+	var aclAccepted uint64
 	for i := 0; i < mixed; i++ {
 		switch i % 4 {
 		case 0: // routable
 			inject(v4Packet(t, [4]byte{10, 1, byte(i >> 8), byte(i)}, routerMAC, 64))
 		case 1: // poisoned ACL flow
+			before := accepted
 			inject(v4Packet(t, [4]byte{10, 1, 7, 7}, routerMAC, 64))
+			aclAccepted += accepted - before
 		case 2: // poisoned route: resolves to nonexistent port 99
 			inject(v4Packet(t, [4]byte{10, 2, 0, 9}, routerMAC, 64))
 		case 3: // truncated
@@ -169,6 +173,9 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	// Quiesce: every accepted frame reaches exactly one verdict, and the
 	// ports and TMs agree with the ledger.
 	vs := waitLedger(t, sw, accepted)
+	if vs[verdict.Dropped] != aclAccepted {
+		t.Errorf("%d dropped verdicts for %d frames of the poisoned ACL flow: verdicts %v", vs[verdict.Dropped], aclAccepted, vs)
+	}
 	st := sw.Stats()
 	if st.Dropped != vs[verdict.Dropped] {
 		t.Errorf("Stats().Dropped = %d, dropped verdict %d", st.Dropped, vs[verdict.Dropped])

@@ -21,7 +21,7 @@ func (s *Switch) initHealth(opts Options) {
 		TMDepth:  s.tmDepthSum,
 		Ready:    func() bool { return s.epochs.current() != nil },
 	})
-	// Collector-only series the ring should still rate: the TM's
+	// Collector-only series the ring should still rate: the shard TMs'
 	// enqueue/tail-drop counters and depth. Registered handles
 	// (ipsa_packets_total{verdict}, ipsa_shard_rx_frames_total, latency
 	// histograms, ...) are tracked automatically.

@@ -4,17 +4,19 @@ package ipbm
 // → flushTx, written once. A lane is everything one goroutine needs to
 // take frames from arrival to a verdict without sharing a hot cache line:
 // a packet freelist, an Env and a counter stripe (dataplane.Shard), the
-// TM its packets cross, the flow table its admissions are accounted on,
-// batch scratch and per-port transmit queues. The two forwarding drivers
+// TM a shard lane parks its packets in, the flow table its admissions are
+// accounted on, batch scratch and per-port transmit queues. The two forwarding drivers
 // are thin loops over it:
 //
 //   - Forward / ForwardBatch / ProcessPacket run a pooled lane inline on
-//     the caller's goroutine (batch of 1 or n, TM pass-through);
+//     the caller's goroutine (batch of 1 or n, ingress survivors straight
+//     to egress);
 //   - RunSharded serves lanes behind the ring ports, one per shard holding
 //     that shard's RSS ring of every port, each draining its own TM.
 //
 // A turn pins the current program version once and everything in it runs
-// that version: no packet outlives its turn.
+// that version — its design, INT context and sink included: no packet
+// outlives its turn.
 
 import (
 	"fmt"
@@ -29,18 +31,6 @@ import (
 )
 
 var errNoConfig = fmt.Errorf("ipbm: no configuration installed")
-
-// tmCross is how a lane's packets cross the traffic manager.
-type tmCross uint8
-
-const (
-	// crossPass is run to completion: the TM only checks admission and
-	// the packet stays in the turn's batch (no lock, no queue churn).
-	crossPass tmCross = iota
-	// crossOwn parks packets in the lane's own TM and drains it in the
-	// same turn, under the turn's pin.
-	crossOwn
-)
 
 // laneFrame is one frame of a turn: the bytes, the RSS flow hash (from
 // the port that steered it, or the inline driver) and the ingress port.
@@ -63,11 +53,13 @@ type flowFin struct {
 type laneGate struct{ held, release chan struct{} }
 
 type lane struct {
-	s     *Switch
-	idx   int
-	dsh   *dataplane.Shard
-	tm    *pipeline.TrafficManager
-	cross tmCross
+	s   *Switch
+	idx int
+	dsh *dataplane.Shard
+	// tm is a shard lane's own TM, where a turn parks its ingress
+	// survivors and drains them under the turn's pin; nil for an inline
+	// lane, which runs its survivors to completion.
+	tm *pipeline.TrafficManager
 
 	// fl is the flow table this lane's packets are accounted on: the
 	// shard's, or the ingress port's. Other lanes may share it (shard i
@@ -107,11 +99,11 @@ type lane struct {
 	gate atomic.Pointer[laneGate]
 }
 
-// newLane builds a lane charging counter stripe `stripe`, crossing tm as
-// cross says, with scratch for turns of batch frames.
-func (s *Switch) newLane(stripe int, tm *pipeline.TrafficManager, cross tmCross, batch int) *lane {
+// newLane builds a lane charging counter stripe `stripe`, parking its
+// packets in tm (nil: none), with scratch for turns of batch frames.
+func (s *Switch) newLane(stripe int, tm *pipeline.TrafficManager, batch int) *lane {
 	return &lane{
-		s: s, tm: tm, cross: cross,
+		s: s, tm: tm,
 		dsh:    s.dp.NewShard(stripe, 2*batch),
 		frames: make([]laneFrame, 0, batch),
 		ps:     make([]*pkt.Packet, 0, batch),
@@ -147,7 +139,7 @@ func (l *lane) turn() (sent int, err error) {
 		}
 		l.touch()
 		l.ingress(v)
-		if l.cross == crossOwn {
+		if l.tm != nil {
 			l.drain()
 		}
 		l.egress(v)
@@ -176,7 +168,6 @@ func (l *lane) admit(v *progVersion, f *laneFrame) error {
 		l.s.admitFailed(l.dsh.Lane(), int(f.port), f.data)
 		return err
 	}
-	l.s.dp.BeginPacket(p)
 	l.s.beginPacketTelemetry(p)
 	if p.Trace != nil {
 		p.Trace.Epoch = v.epoch
@@ -217,9 +208,9 @@ func (l *lane) settle() {
 	l.fins = l.fins[:0]
 }
 
-// ingress runs the admitted batch through v's ingress half, stage-major,
-// and takes each survivor across the TM. Afterwards l.ps holds what this
-// turn still has to egress: the pass-through survivors, or nothing.
+// ingress runs the admitted batch through v's ingress half, stage-major.
+// An inline lane keeps its survivors in l.ps for egress; a shard lane
+// parks each in its TM, leaving l.ps empty.
 func (l *lane) ingress(v *progVersion) {
 	v.runIngressBatch(l.ps, l.dsh.Env(v.design))
 	live := l.ps[:0]
@@ -227,24 +218,15 @@ func (l *lane) ingress(v *progVersion) {
 		switch {
 		case p.Drop:
 			l.finish(v, p, true)
-		case !l.park(p):
+		case l.tm == nil:
+			live = append(live, p)
+		case !l.tm.Admit(p):
 			// Tail drop is the TM's policy decision; counted in its stats.
 			l.finish(v, p, false)
-		case l.cross == crossPass:
-			live = append(live, p)
 		}
 	}
 	clear(l.ps[len(live):])
 	l.ps = live
-}
-
-// park takes an ingress survivor across the TM boundary; false means the
-// TM refused it.
-func (l *lane) park(p *pkt.Packet) bool {
-	if l.cross == crossOwn {
-		return l.tm.Admit(p)
-	}
-	return l.tm.PassThrough(p)
 }
 
 // drain moves every packet in the lane's TM into l.ps.
@@ -258,7 +240,7 @@ func (l *lane) drain() {
 	}
 }
 
-// egress runs the packets in l.ps, which crossed the TM, through v's
+// egress runs the packets in l.ps, the ingress survivors, through v's
 // egress half, stage-major, finishes each and empties l.ps.
 func (l *lane) egress(v *progVersion) {
 	if len(l.ps) == 0 {
@@ -374,8 +356,8 @@ func (l *lane) portsClosed() bool {
 	return true
 }
 
-// queueDepth is the backlog of a lane that owns its TM: frames waiting in
-// its rx rings plus packets in the TM.
+// queueDepth is a shard lane's backlog: frames waiting in its rx rings
+// plus packets in its TM.
 func (l *lane) queueDepth() int {
 	n := l.tm.DepthSum()
 	for _, q := range l.rings {

@@ -75,8 +75,8 @@ func paritySwitch(t *testing.T, exec tsp.ExecMode) *Switch {
 type parityGroup struct {
 	name   string
 	frames [][]byte
-	// congested asks the driver to keep the TM full while the group's
-	// last six frames cross it.
+	// congested asks a shard driver to keep its TM full while the group's
+	// last six frames cross it; the inline drivers forward them all.
 	congested bool
 	// undrained leaves what the group transmitted in the egress rings.
 	undrained bool
@@ -223,9 +223,10 @@ type parityDriver struct {
 	start func(t *testing.T, sw *Switch)
 	// send pushes frames in at inPort. Admission errors come back.
 	send func(sw *Switch, frames [][]byte) error
-	// congest sends the ten frames of the congested group so that the TM
-	// takes four and refuses six.
-	congest func(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, sentBefore int)
+	// congest, for a driver whose lanes park packets in a TM, sends the
+	// ten frames of the congested group so that the TM takes four and
+	// refuses six. Nil: the driver runs them to completion, all forwarded.
+	congest func(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte)
 }
 
 func injectAll(sw *Switch, frames [][]byte) error {
@@ -238,33 +239,10 @@ func injectAll(sw *Switch, frames [][]byte) error {
 	return nil
 }
 
-// congestShared is the congestion recipe for the inline lanes, which pass
-// through the shared TM: four frames cross an empty TM, then four placeholders occupy
-// its admission queue while the other six arrive.
-func congestShared(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, sentBefore int) {
-	if err := d.send(sw, frames[:4]); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, sw, sentBefore+4)
-	tm := sw.Pipeline().TM()
-	for i := 0; i < 4; i++ {
-		if !tm.Admit(pkt.NewPacket(nil, 0)) {
-			t.Fatal("placeholder refused")
-		}
-	}
-	if err := d.send(sw, frames[4:]); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, sw, sentBefore+10)
-	for i := 0; i < 4; i++ {
-		tm.DequeueRR()
-	}
-}
-
 // congestShards is the recipe for shard lanes, which park a turn's
 // packets in their own TM before draining it: hold the workers, let the
 // whole burst reach their rings, release, so one turn takes all ten.
-func congestShards(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte, sentBefore int) {
+func congestShards(t *testing.T, sw *Switch, d *parityDriver, frames [][]byte) {
 	var release []func()
 	for _, l := range sw.shardsP.Load().shards {
 		release = append(release, l.block())
@@ -302,7 +280,6 @@ func parityDrivers() []parityDriver {
 				}
 				return first
 			},
-			congest: congestShared,
 		},
 		{
 			name: "ForwardBatch",
@@ -310,7 +287,6 @@ func parityDrivers() []parityDriver {
 				_, err := sw.ForwardBatch(frames, inPort)
 				return err
 			},
-			congest: congestShared,
 		},
 		sharded(1),
 		sharded(2),
@@ -331,8 +307,9 @@ func cloneFrames(frames [][]byte) [][]byte {
 // requires the same ledger from each: verdict counters, per-reason×stage
 // drop counters, flow-record packet totals, punt count and egress
 // frames/bytes, all equal to what the reference interpreter produces for
-// the same frames (with the TM and egress-ring refusals, which only a
-// driver can produce, moved from "forwarded" to their own rows).
+// the same frames (with the egress-ring refusals, which only a driver can
+// produce, and the TM refusals, which only a shard lane's TM can, moved
+// from "forwarded" to their own rows).
 func TestLifecycleParity(t *testing.T) {
 	trace := parityTrace(t)
 
@@ -351,18 +328,25 @@ func TestLifecycleParity(t *testing.T) {
 		}
 	}
 	oracle.Shutdown()
-	want := readLedger(oracle)
 	frameLen := len(trace[0].frames[0])
-	want.egFrames = eg.egFrames - parityTMDrops - parityTxFails
-	want.egBytes = eg.egBytes - (parityTMDrops+parityTxFails)*frameLen
-	want.verdicts[verdict.StrForwarded] -= parityTMDrops
-	want.verdicts[verdict.StrTMDrop] += parityTMDrops
-	want.drops[verdict.StrReasonTM+"/tm"] += parityTMDrops
-	want.drops[verdict.StrReasonTxFail+"/tx"] += parityTxFails
+	// expect is the oracle's ledger with tmDrops of the congested group
+	// and the tx_fail frames refused.
+	expect := func(tmDrops int) ledger {
+		want := readLedger(oracle)
+		want.egFrames = eg.egFrames - tmDrops - parityTxFails
+		want.egBytes = eg.egBytes - (tmDrops+parityTxFails)*frameLen
+		want.drops[verdict.StrReasonTxFail+"/tx"] += parityTxFails
+		if tmDrops > 0 {
+			want.verdicts[verdict.StrForwarded] -= uint64(tmDrops)
+			want.verdicts[verdict.StrTMDrop] += uint64(tmDrops)
+			want.drops[verdict.StrReasonTM+"/tm"] += uint64(tmDrops)
+		}
+		return want
+	}
 	for _, v := range []string{verdict.StrForwarded, verdict.StrDropped, verdict.StrTMDrop,
 		verdict.StrToCPU, verdict.StrNoPort, verdict.StrParseError} {
-		if want.verdicts[v] == 0 {
-			t.Fatalf("the trace never produces verdict %s: %v", v, want)
+		if expect(parityTMDrops).verdicts[v] == 0 {
+			t.Fatalf("the trace never produces verdict %s: %v", v, expect(parityTMDrops))
 		}
 	}
 
@@ -376,8 +360,8 @@ func TestLifecycleParity(t *testing.T) {
 			sent := 0
 			for _, g := range trace {
 				frames := cloneFrames(g.frames)
-				if g.congested {
-					d.congest(t, sw, &d, frames, sent)
+				if g.congested && d.congest != nil {
+					d.congest(t, sw, &d, frames)
 				} else if err := d.send(sw, frames); err != nil {
 					t.Fatalf("group %s: %v", g.name, err)
 				}
@@ -390,6 +374,10 @@ func TestLifecycleParity(t *testing.T) {
 			sw.Shutdown()
 			got := readLedger(sw)
 			got.egFrames, got.egBytes = eg.egFrames, eg.egBytes
+			want := expect(0)
+			if d.congest != nil {
+				want = expect(parityTMDrops)
+			}
 			if got.String() != want.String() {
 				t.Errorf("ledger differs from the interpreter oracle\n got: %v\nwant: %v", got, want)
 			}

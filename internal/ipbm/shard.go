@@ -63,7 +63,7 @@ func (s *Switch) RunSharded(shards, batch int) error {
 	for i := 0; i < shards; i++ {
 		// The lane owns its TM, so every packet of a turn is drained under
 		// the turn's pin and none outlives it.
-		l := s.newLane(i+1, pipeline.NewTrafficManager(s.ports.Len(), s.opts.QueueDepth), crossOwn, batch)
+		l := s.newLane(i+1, pipeline.NewTrafficManager(s.ports.Len(), s.opts.QueueDepth), batch)
 		label := telemetry.L("shard", strconv.Itoa(i))
 		l.idx = i
 		l.beat = s.tel.Reg.Counter("ipsa_shard_rx_frames_total", label)
@@ -122,10 +122,14 @@ func (s *Switch) Sharded() (shards, batch int) {
 	return len(set.shards), set.batch
 }
 
-// tmDepthSum totals TM occupancy across the shared TM and every shard TM
-// (audit-event "packets in flight" source).
+// The TMs are the shard lanes': an inline lane runs its packets to
+// completion, so nothing queues outside the sharded mode and every fold
+// below reads 0 without it.
+
+// tmDepthSum totals TM occupancy across every shard TM (audit-event
+// "packets in flight" source).
 func (s *Switch) tmDepthSum() int {
-	n := s.pl.TM().DepthSum()
+	n := 0
 	if set := s.shardsP.Load(); set != nil {
 		for _, sh := range set.shards {
 			n += sh.tm.DepthSum()
@@ -134,16 +138,10 @@ func (s *Switch) tmDepthSum() int {
 	return n
 }
 
-// tmDepthFast is the per-packet queue-depth source for the INT stamper:
-// the port's occupancy summed over the shared TM and every shard TM,
-// lock-free and approximate under concurrency like DepthFast itself.
+// tmDepthFast is one port's occupancy summed over every shard TM: the INT
+// stamper's per-packet queue-depth source, lock-free and approximate
+// under concurrency like DepthFast itself.
 func (s *Switch) tmDepthFast(port int) int {
-	return s.pl.TM().DepthFast(port) + s.shardDepth(port)
-}
-
-// shardDepth is the shard TMs' combined occupancy for one port (0 when
-// the sharded mode is inactive).
-func (s *Switch) shardDepth(port int) int {
 	n := 0
 	if set := s.shardsP.Load(); set != nil {
 		for _, sh := range set.shards {
@@ -153,10 +151,8 @@ func (s *Switch) shardDepth(port int) int {
 	return n
 }
 
-// TMStats totals enqueued packets and tail drops across the shared TM and
-// every shard TM.
+// TMStats totals enqueued packets and tail drops across every shard TM.
 func (s *Switch) TMStats() (enqueued, tailDrops uint64) {
-	enqueued, tailDrops = s.pl.TM().Stats()
 	if set := s.shardsP.Load(); set != nil {
 		for _, sh := range set.shards {
 			e, d := sh.tm.Stats()

@@ -330,7 +330,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
 	sw, _ := newBaseSwitch(t)
-	sh := sw.newLane(1, pipeline.NewTrafficManager(sw.Ports().Len(), 64), crossOwn, 32)
+	sh := sw.newLane(1, pipeline.NewTrafficManager(sw.Ports().Len(), 64), 32)
 	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
 	data := make([]byte, len(raw))
 	out, _ := sw.Ports().Port(outPort)

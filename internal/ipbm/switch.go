@@ -40,8 +40,6 @@ type Options struct {
 	QueueDepth int
 	Mem        mem.Config
 	Crossbar   mem.CrossbarKind
-	// TraceRing sizes the telemetry flight recorder (records retained).
-	TraceRing int
 	// TraceEvery samples every Nth packet into the flight recorder
 	// (0 disables tracing until enabled via the control channel).
 	TraceEvery uint64
@@ -58,15 +56,10 @@ type Options struct {
 
 	// IntSwitchID identifies this switch in INT hop records.
 	IntSwitchID uint32
-	// DropRing sizes the sampled drop-capture ring (records retained;
-	// 0 = 256). The attributed drop counters are always on regardless.
-	DropRing int
-	// DropSampleRate bounds drop captures per second (token bucket;
-	// 0 disables capture until raised via DropRing.SetRate).
+	// DropSampleRate bounds drop captures per second (a token bucket
+	// holding a second's worth; 0 disables capture until raised via
+	// DropRing.SetRate). The attributed drop counters are always on.
 	DropSampleRate int64
-	// DropSampleBurst is the capture token bucket's capacity
-	// (0 = DropSampleRate).
-	DropSampleBurst int64
 
 	// Logger receives the switch's structured logs (nil = slog.Default();
 	// the switch adds component attributes).
@@ -82,16 +75,14 @@ type Options struct {
 	// FlowIdle is the idle bound past which the sweeper exports a flow as
 	// a record (0 = flowstat's default of 2s).
 	FlowIdle time.Duration
-	// FlowTopK sizes each lane's space-saving heavy-hitter summary
-	// (0 = default 16).
-	FlowTopK int
 	// FlowDisable turns flow accounting off entirely (it is on by
 	// default; the overhead benchmarks use this for the comparison).
 	FlowDisable bool
 }
 
 // ringDepth is how many entries the to-CPU punt queue, the INT sink's
-// report ring and the reconfiguration event log each hold.
+// report ring, the reconfiguration event log, the flight recorder and
+// the drop-capture ring each hold.
 const ringDepth = 256
 
 // DefaultOptions returns a software-scale switch: more TSPs than the
@@ -105,13 +96,11 @@ func DefaultOptions() Options {
 		Mem:        mem.DefaultConfig(),
 		Crossbar:   mem.FullCrossbar,
 
-		TraceRing:    256,
 		TraceEvery:   0,
 		LatencyEvery: 0,
 
 		IntSwitchID: 1,
 
-		DropRing:       256,
 		DropSampleRate: 64,
 	}
 }
@@ -125,9 +114,9 @@ type Switch struct {
 	ports *netio.PortSet
 	regs  *tsp.RegisterFile
 
-	// dp holds the per-packet execution state: fault counters, the INT
-	// stamping context and the packet/Env pools. The design a packet runs
-	// comes with the program version it pinned.
+	// dp holds the fault counters and the packet/Env pools. The design a
+	// packet runs, INT stamping context included, comes with the program
+	// version it pinned.
 	dp *dataplane.Core
 
 	// mu serializes configuration changes.
@@ -150,8 +139,8 @@ type Switch struct {
 	views  *telemetry.Views
 
 	// intOn is the configured INT state (guarded by s.mu); the hot path
-	// reads the derived state instead: the stamping context lives in the
-	// dataplane core, the sink in the program version published with it.
+	// reads the published version instead: its design carries the
+	// stamping context, the version itself the sink.
 	intOn bool
 	// intNow/intDepth override the stamper's clock and queue-depth
 	// sources (tests inject deterministic ones); nil = real sources.
@@ -182,7 +171,7 @@ func New(opts Options) (*Switch, error) {
 	if opts.NumTSPs <= 0 || opts.NumPorts <= 0 {
 		return nil, fmt.Errorf("ipbm: invalid sizing %+v", opts)
 	}
-	pl, err := pipeline.New(opts.NumTSPs, opts.NumPorts, opts.QueueDepth)
+	pl, err := pipeline.New(opts.NumTSPs)
 	if err != nil {
 		return nil, err
 	}
@@ -216,10 +205,9 @@ func New(opts Options) (*Switch, error) {
 		s.flows = flowstat.NewSet(lanes, flowstat.Config{
 			TableBits: opts.FlowTableBits,
 			IdleNanos: int64(opts.FlowIdle),
-			TopK:      opts.FlowTopK,
 		})
 	}
-	s.lanes.New = func() any { return s.newLane(0, s.pl.TM(), crossPass, DefaultBatch) }
+	s.lanes.New = func() any { return s.newLane(0, nil, DefaultBatch) }
 	s.newTelemetry(opts)
 	s.initHealth(opts)
 	s.views = s.newViews()

@@ -116,14 +116,14 @@ func (s *Switch) newTelemetry(opts Options) {
 	reg := telemetry.NewRegistry()
 	tel := &Telemetry{
 		Reg:         reg,
-		Tracer:      telemetry.NewTracer(opts.TraceRing, opts.TraceEvery),
+		Tracer:      telemetry.NewTracer(ringDepth, opts.TraceEvery),
 		LatSamp:     telemetry.NewSampler(opts.LatencyEvery),
 		Events:      telemetry.NewEventLog(ringDepth),
 		appliesFull: reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "full")),
 		appliesDiff: reg.Counter("ipsa_config_applies_total", telemetry.L("mode", "diff")),
 		tspsWritten: reg.Counter("ipsa_config_tsps_written_total"),
 		migrated:    reg.Counter("ipsa_config_entries_migrated_total"),
-		Drops:       telemetry.NewDropRing(opts.DropRing, opts.DropSampleRate, opts.DropSampleBurst),
+		Drops:       telemetry.NewDropRing(ringDepth, opts.DropSampleRate, 0),
 	}
 	for v := verdict.Forwarded; int(v) <= verdict.NumVerdicts; v++ {
 		tel.packets[v] = reg.StripedCounter("ipsa_packets_total", verdictLanes, telemetry.L("verdict", v.String()))
@@ -189,16 +189,16 @@ func (s *Switch) collect(emit func(telemetry.MetricPoint)) {
 	gauge("ipsa_pipeline_active_tsps", float64(s.activeTSPs()))
 
 	// Traffic manager: enqueue/tail-drop counters plus live queue depths,
-	// totalled across the shared TM and every shard TM.
+	// totalled across every shard TM.
 	enq, tailDrops := s.TMStats()
 	ctr("ipsa_tm_enqueued_total", enq)
 	ctr("ipsa_tm_tail_drops_total", tailDrops)
-	for port, depth := range s.pl.TM().Depths() {
-		gauge("ipsa_tm_queue_depth", float64(depth+s.shardDepth(port)), telemetry.L("port", strconv.Itoa(port)))
+	for port := 0; port < s.ports.Len(); port++ {
+		gauge("ipsa_tm_queue_depth", float64(s.tmDepthFast(port)), telemetry.L("port", strconv.Itoa(port)))
 	}
 
-	// TM watermarks and microburst windows, merged across the shared TM
-	// and every shard TM (max watermark, summed burst counts).
+	// TM watermarks and microburst windows, merged across every shard TM
+	// (max watermark, summed burst counts).
 	for _, w := range s.tmWatermarks() {
 		l := telemetry.L("port", strconv.Itoa(w.Port))
 		gauge("ipsa_tm_watermark", float64(w.Watermark), l)
@@ -317,11 +317,14 @@ func (s *Switch) currentEpoch() uint64 {
 	return 0
 }
 
-// tmWatermarks merges the shared TM's and every shard TM's per-port
-// watermark/microburst snapshots: the watermark is the max across TMs,
-// burst counts add, and the window bounds widen.
+// tmWatermarks merges every shard TM's per-port watermark/microburst
+// snapshots: the watermark is the max across TMs, burst counts add, and
+// the window bounds widen.
 func (s *Switch) tmWatermarks() []pipeline.PortWatermark {
-	out := s.pl.TM().Watermarks()
+	out := make([]pipeline.PortWatermark, s.ports.Len())
+	for i := range out {
+		out[i].Port = i
+	}
 	set := s.shardsP.Load()
 	if set == nil {
 		return out

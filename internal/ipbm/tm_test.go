@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ipsa/internal/pipeline"
-	"ipsa/internal/pkt"
 )
 
 // TestTMTailDropUnderBurst: a lane that owns its TM parks the whole
@@ -24,7 +23,7 @@ func TestTMTailDropUnderBurst(t *testing.T) {
 	}
 	populateBase(t, sw)
 	tm := pipeline.NewTrafficManager(sw.Ports().Len(), opts.QueueDepth)
-	l := sw.newLane(1, tm, crossOwn, 16)
+	l := sw.newLane(1, tm, 16)
 	for i := 0; i < 10; i++ {
 		l.frames = append(l.frames, laneFrame{data: v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), port: inPort})
 	}
@@ -47,38 +46,5 @@ func TestTMTailDropUnderBurst(t *testing.T) {
 	}
 	if gotten != 4 {
 		t.Fatalf("drained %d packets, want 4", gotten)
-	}
-}
-
-// TestDequeueRRFairness: two queues drain alternately.
-func TestDequeueRRFairness(t *testing.T) {
-	sw, _ := newBaseSwitch(t)
-	tm := sw.Pipeline().TM()
-	mk := func(port int) *pkt.Packet {
-		p := pkt.NewPacket(nil, 0)
-		p.OutPort = port
-		return p
-	}
-	for i := 0; i < 3; i++ {
-		if !tm.Admit(mk(1)) || !tm.Admit(mk(2)) {
-			t.Fatal("admit failed")
-		}
-	}
-	var order []int
-	for {
-		p, ok := tm.DequeueRR()
-		if !ok {
-			break
-		}
-		order = append(order, p.OutPort)
-	}
-	if len(order) != 6 {
-		t.Fatalf("drained %d", len(order))
-	}
-	// Alternation: no port appears twice in a row while both are backlogged.
-	for i := 1; i < 4; i++ {
-		if order[i] == order[i-1] {
-			t.Fatalf("unfair order: %v", order)
-		}
 	}
 }

@@ -16,26 +16,23 @@ import (
 	"ipsa/internal/pkt"
 )
 
-// Pipeline is the chain of physical TSPs plus the TM.
+// Pipeline is the chain of physical TSPs. The TMs packets cross belong
+// to the lanes that park them (internal/ipbm's shard lanes); a lane run
+// to completion hands its ingress survivors straight to egress.
 type Pipeline struct {
 	numTSPs int
-	tm      *TrafficManager
 }
 
-// New builds a pipeline of n TSPs and a TM with the given port count and
-// per-port queue depth.
-func New(n, ports, queueDepth int) (*Pipeline, error) {
+// New builds a pipeline of n TSPs.
+func New(n int) (*Pipeline, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pipeline: need at least one TSP, got %d", n)
 	}
-	return &Pipeline{numTSPs: n, tm: NewTrafficManager(ports, queueDepth)}, nil
+	return &Pipeline{numTSPs: n}, nil
 }
 
 // NumTSPs returns the physical TSP count.
 func (p *Pipeline) NumTSPs() int { return p.numTSPs }
-
-// TM exposes the traffic manager.
-func (p *Pipeline) TM() *TrafficManager { return p.tm }
 
 // StallTime reports cumulative time the pipeline spent drained for
 // updates. Nothing drains it any more — reconfiguration publishes a new
@@ -47,7 +44,7 @@ func (p *Pipeline) StallTime() time.Duration { return 0 }
 // pktRing is a growable circular packet queue: O(1) push/popHead with no
 // per-enqueue allocation once the ring has grown to its working set.
 // Structural mutation happens under the owning TM's mutex; n is atomic so
-// the lock-free PassThrough admission check can read the depth.
+// the lock-free depth readers (DepthFast, DepthSum) can read it.
 type pktRing struct {
 	buf  []*pkt.Packet
 	head int
@@ -128,9 +125,8 @@ type PortWatermark struct {
 }
 
 // NewTrafficManager builds a TM with per-port queues of the given depth
-// (0 depth means unbuffered pass-through accounting only). The
-// microburst threshold is half the queue depth (minimum 1); unbuffered
-// TMs never queue, so they keep detection off.
+// (0 means unbounded, with microburst detection off). The microburst
+// threshold is half the queue depth (minimum 1).
 func NewTrafficManager(ports, depth int) *TrafficManager {
 	tm := &TrafficManager{depth: depth}
 	if ports < 1 {
@@ -228,21 +224,6 @@ func (tm *TrafficManager) Admit(p *pkt.Packet) bool {
 	return true
 }
 
-// PassThrough is the run-to-completion path's admission: the packet
-// would be enqueued and immediately scheduled, so only the admission
-// check and the accounting happen — no lock, no queue churn. The depth
-// read is atomic but unserialised against concurrent Admit, so admission
-// against in-flight queued traffic is approximate by at most one packet,
-// like any real TM's occupancy counter.
-func (tm *TrafficManager) PassThrough(p *pkt.Packet) bool {
-	if tm.depth > 0 && int(tm.queues[tm.portOf(p)].n.Load()) >= tm.depth {
-		tm.tailDrops.Add(1)
-		return false
-	}
-	tm.enqueued.Add(1)
-	return true
-}
-
 // DequeueRR removes the oldest packet from the next non-empty queue in
 // round-robin order; ok=false when every queue is empty. This is how a
 // lane that owns its TM drains it.
@@ -275,22 +256,12 @@ func (tm *TrafficManager) Stats() (enqueued, tailDrops uint64) {
 	return tm.enqueued.Load(), tm.tailDrops.Load()
 }
 
-// Depths snapshots every port queue's length (telemetry gauge source).
-func (tm *TrafficManager) Depths() []int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	out := make([]int, len(tm.queues))
-	for i := range tm.queues {
-		out[i] = int(tm.queues[i].n.Load())
-	}
-	return out
-}
-
 // DepthFast reads one port's queue length (0 for a port the TM does not
 // have) without the mutex: a raw atomic read of the port's occupancy
-// counter, unserialised against concurrent Admit/DequeueRR the
-// same way PassThrough's admission check is. This is the per-packet
-// accessor the INT stamper reads queue depth through.
+// counter, unserialised against concurrent Admit/DequeueRR, so
+// approximate by at most one packet like any real TM's occupancy counter.
+// This is the per-packet accessor the INT stamper reads queue depth
+// through.
 func (tm *TrafficManager) DepthFast(port int) int {
 	if port < 0 || port >= len(tm.queues) {
 		return 0

@@ -7,10 +7,10 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 2, 8); err == nil {
+	if _, err := New(0); err == nil {
 		t.Error("zero TSPs accepted")
 	}
-	p, err := New(4, 2, 8)
+	p, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,5 +55,37 @@ func TestTrafficManagerTailDrop(t *testing.T) {
 	}
 	if tm.DepthFast(99) != 0 || tm.DepthFast(-1) != 0 {
 		t.Error("out-of-range depth nonzero")
+	}
+}
+
+// TestDequeueRRFairness: two queues drain alternately.
+func TestDequeueRRFairness(t *testing.T) {
+	tm := NewTrafficManager(8, 1024)
+	mk := func(port int) *pkt.Packet {
+		p := pkt.NewPacket(nil, 0)
+		p.OutPort = port
+		return p
+	}
+	for i := 0; i < 3; i++ {
+		if !tm.Admit(mk(1)) || !tm.Admit(mk(2)) {
+			t.Fatal("admit failed")
+		}
+	}
+	var order []int
+	for {
+		p, ok := tm.DequeueRR()
+		if !ok {
+			break
+		}
+		order = append(order, p.OutPort)
+	}
+	if len(order) != 6 {
+		t.Fatalf("drained %d", len(order))
+	}
+	// Alternation: no port appears twice in a row while both are backlogged.
+	for i := 1; i < 4; i++ {
+		if order[i] == order[i-1] {
+			t.Fatalf("unfair order: %v", order)
+		}
 	}
 }

@@ -10,72 +10,52 @@ package pisa
 import (
 	"ipsa/internal/intmd"
 	"ipsa/internal/pkt"
-	"ipsa/internal/template"
 	"ipsa/internal/tsp"
 )
 
 // IntEnabled reports whether INT stamping is compiled into the stages.
 func (s *Switch) IntEnabled() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.intOn
 }
 
-// SetInt enables or disables INT stamping. Unlike ipbm's drain-and-swap,
-// this is PISA's only update mode: a full ApplyConfig rebuild, which
-// resets registers and empties every table.
+// SetInt enables or disables INT stamping. Unlike ipbm's in-situ commit,
+// this is PISA's only update mode: a full rebuild of the installed
+// config, which resets registers and empties every table. Before the
+// first ApplyConfig only the flag changes, for that rebuild to use.
 func (s *Switch) SetInt(enabled bool) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.intOn == enabled {
-		s.mu.Unlock()
 		return nil
 	}
+	if cfg := s.Config(); cfg != nil {
+		if _, err := s.rebuild(cfg, enabled); err != nil {
+			return err
+		}
+	}
 	s.intOn = enabled
-	s.mu.Unlock()
-	cfg := s.Config()
-	if cfg == nil {
-		return nil // the flag shapes the next ApplyConfig
-	}
-	if _, err := s.ApplyConfig(cfg); err != nil {
-		s.mu.Lock()
-		s.intOn = !enabled
-		s.mu.Unlock()
-		return err
-	}
 	return nil
 }
 
-// installIntState installs (cfg non-nil and INT on) or clears the
-// stamping context and sink view. Called with s.mu held.
-func (s *Switch) installIntState(cfg *template.Config) {
-	if cfg == nil || !s.intOn {
-		s.dp.SetIntCtx(nil)
-		s.intNames = nil
-		return
-	}
-	if s.intReports == nil {
-		s.intReports = intmd.NewReportRing(0)
-	}
-	names := make(map[uint16]string, len(cfg.Stages))
+// intState makes build b an INT source and sink: its design carries the
+// stamping context and b the sink's stage-ID name map.
+func (s *Switch) intState(b *build) {
+	cfg := b.design.Cfg
+	b.intNames = make(map[uint16]string, len(cfg.Stages))
 	for name := range cfg.Stages {
-		names[tsp.IntStageID(name)] = name
+		b.intNames[tsp.IntStageID(name)] = name
 	}
-	s.intNames = names
-	s.dp.SetIntCtx(&tsp.IntStampCtx{
-		SwitchID: s.opts.IntSwitchID,
-		Now:      s.intNow,
-		// No traffic manager in the fixed model: queue depth stamps 0.
-	})
+	// No traffic manager in the fixed model: queue depth stamps 0.
+	b.design.Int = &tsp.IntStampCtx{SwitchID: s.opts.IntSwitchID}
 }
 
 // sinkIntReport strips a survivor's INT trailer at the egress boundary
-// (before the deparser copies the packet) and retains the decoded report.
-func (s *Switch) sinkIntReport(p *pkt.Packet) {
-	s.mu.RLock()
-	names := s.intNames
-	ring := s.intReports
-	s.mu.RUnlock()
-	if names == nil || ring == nil {
+// (before the deparser copies the packet) and retains the decoded report,
+// when the build p ran stamps INT.
+func (s *Switch) sinkIntReport(b *build, p *pkt.Packet) {
+	if b.intNames == nil {
 		return
 	}
 	hops, payloadLen, ok := intmd.Parse(p.Data)
@@ -84,19 +64,13 @@ func (s *Switch) sinkIntReport(p *pkt.Packet) {
 	}
 	p.Data = p.Data[:payloadLen]
 	for i := range hops {
-		hops[i].Stage = names[hops[i].StageID]
+		hops[i].Stage = b.intNames[hops[i].StageID]
 	}
-	ring.Push(intmd.Report{InPort: p.InPort, OutPort: p.OutPort, Bytes: payloadLen, Hops: hops})
+	s.intReports.Push(intmd.Report{InPort: p.InPort, OutPort: p.OutPort, Bytes: payloadLen, Hops: hops})
 }
 
 // IntReport returns up to max sink-decoded reports, newest first (0 =
-// all retained). Empty while INT is disabled.
+// all retained). Empty until INT is first enabled.
 func (s *Switch) IntReport(max int) []intmd.Report {
-	s.mu.RLock()
-	ring := s.intReports
-	s.mu.RUnlock()
-	if ring == nil {
-		return nil
-	}
-	return ring.Dump(max)
+	return s.intReports.Dump(max)
 }

@@ -62,9 +62,27 @@ func DefaultOptions() Options {
 	}
 }
 
-// physStage is one fixed physical stage.
-type physStage struct {
-	runtime *tsp.StageRuntime // nil = unprogrammed, still traversed
+// build is one rebuild's immutable result and everything a packet reads:
+// the design (config, parser, registers, SRv6 IDs, INT stamping context),
+// the physical stages, the tables their runtimes are bound to and the INT
+// sink's stage names. ApplyConfig publishes it whole behind one pointer,
+// so no packet runs one build's parser or registers against another's
+// stages.
+type build struct {
+	design *dataplane.Design
+	// ingress and egress are the fixed physical stages: each runs its
+	// stage runtime, or none when unprogrammed (still traversed).
+	ingress []*tsp.StageRuntime
+	egress  []*tsp.StageRuntime
+	// tables is the build's table set; every stage runtime is bound to
+	// its handles once, at ApplyConfig, so the packet path reaches a table
+	// with no lock and no name lookup.
+	tables tableSet
+	// used counts physical stages consumed, including the extra stages
+	// spanned by oversized tables.
+	used int
+	// intNames maps INT stage IDs to stage names (nil when INT is off).
+	intNames map[uint16]string
 }
 
 // Switch is the PISA behavioral model.
@@ -72,36 +90,25 @@ type Switch struct {
 	opts Options
 	log  *slog.Logger
 
-	// dp holds the installed design snapshot (config, parser, registers,
-	// SRv6 IDs), fault counters and the Env pool, shared with ipbm so the
-	// per-packet lifecycle is identical infrastructure.
+	// dp holds the fault counters and the Env pool, shared with ipbm so
+	// the per-packet lifecycle is identical infrastructure.
 	dp *dataplane.Core
-
-	mu      sync.RWMutex
-	ingress []physStage
-	egress  []physStage
-	// tables is the last rebuild's table set, replaced whole by the next;
-	// every stage runtime is bound to its handles once, at ApplyConfig,
-	// so the packet path reaches a table with no lock and no name lookup.
-	tables tableSet
+	// cur is the published build (nil before the first ApplyConfig).
+	cur atomic.Pointer[build]
 
 	// verdicts counts finished packets by verdict (indexed by the enum),
 	// classified by dataplane.Verdict like ipbm's ledger and added to
 	// without a lock.
 	verdicts [verdict.NumVerdicts + 1]atomic.Uint64
+	// intReports retains the INT sink's decoded reports.
+	intReports *intmd.ReportRing
 
-	// effectiveStagesUsed counts physical stages consumed, including the
-	// extra stages spanned by oversized tables.
-	effectiveStagesUsed int
+	// mu serializes rebuilds and guards the INT flag and reload count.
+	mu sync.Mutex
+	// intOn says whether the next rebuild compiles INT stamping in.
+	intOn bool
 	// reloads counts full pipeline rebuilds.
 	reloads int
-
-	// INT state: whether stamping is compiled in, the sink's stage-ID
-	// name map, the retained reports, and a test-injectable clock.
-	intOn      bool
-	intNames   map[uint16]string
-	intReports *intmd.ReportRing
-	intNow     func() int64
 }
 
 // tableSet maps table names to handles: each an engine with its own
@@ -127,30 +134,28 @@ func New(opts Options) (*Switch, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	s := &Switch{
-		opts:    opts,
-		log:     logger.With("component", "pisa"),
-		dp:      dataplane.NewCore(),
-		ingress: make([]physStage, opts.IngressStages),
-		egress:  make([]physStage, opts.EgressStages),
-	}
-	s.dp.SetLogger(logger.With("component", "dataplane", "switch", "pisa"))
-	return s, nil
+	return &Switch{
+		opts:       opts,
+		log:        logger.With("component", "pisa"),
+		dp:         dataplane.NewCore(),
+		intReports: intmd.NewReportRing(0),
+	}, nil
 }
 
 // Reloads reports how many full rebuilds have happened.
 func (s *Switch) Reloads() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.reloads
 }
 
 // EffectiveStagesUsed reports physical stages consumed by the installed
 // design, counting stages burned by table spanning.
 func (s *Switch) EffectiveStagesUsed() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.effectiveStagesUsed
+	if b := s.cur.Load(); b != nil {
+		return b.used
+	}
+	return 0
 }
 
 // stageSpan computes how many physical stages a table's memory consumes.
@@ -176,20 +181,27 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.rebuild(cfg, s.intOn)
+}
 
-	runtimes, err := tsp.BuildStageRuntimes(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: s.intOn})
+// rebuild builds cfg whole, with INT stamping compiled in when intOn, and
+// publishes the build. Called with s.mu held.
+func (s *Switch) rebuild(cfg *template.Config, intOn bool) (*ctrlplane.ApplyStats, error) {
+	start := time.Now()
+	runtimes, err := tsp.BuildStageRuntimes(cfg, tsp.BuildOpts{Mode: s.opts.Exec, Int: intOn})
 	if err != nil {
 		return nil, err
 	}
 	// Map logical chains onto fixed stages in order, accounting for table
 	// spans.
-	newIngress := make([]physStage, s.opts.IngressStages)
-	newEgress := make([]physStage, s.opts.EgressStages)
-	used := 0
-	place := func(chain []string, phys []physStage) error {
+	b := &build{
+		ingress: make([]*tsp.StageRuntime, s.opts.IngressStages),
+		egress:  make([]*tsp.StageRuntime, s.opts.EgressStages),
+		tables:  make(tableSet, len(cfg.Tables)),
+	}
+	place := func(chain []string, phys []*tsp.StageRuntime) error {
 		next := 0
 		for _, sn := range chain {
 			st := cfg.Stages[sn]
@@ -203,42 +215,40 @@ func (s *Switch) ApplyConfig(cfg *template.Config) (*ctrlplane.ApplyStats, error
 				return fmt.Errorf("pisa: stage %q needs %d physical stages at position %d, only %d available",
 					sn, span, next, len(phys))
 			}
-			phys[next] = physStage{runtime: runtimes[sn]}
+			phys[next] = runtimes[sn]
 			next += span // spanned stages are consumed (paper Sec. 5)
-			used += span
+			b.used += span
 		}
 		return nil
 	}
-	if err := place(cfg.IngressChain, newIngress); err != nil {
+	if err := place(cfg.IngressChain, b.ingress); err != nil {
 		return nil, err
 	}
-	if err := place(cfg.EgressChain, newEgress); err != nil {
+	if err := place(cfg.EgressChain, b.egress); err != nil {
 		return nil, err
 	}
 
 	// Rebuild all tables empty: the full-reload penalty.
-	tables := make(tableSet, len(cfg.Tables))
 	for name, t := range cfg.Tables {
 		tbl, err := mem.NewTable(t)
 		if err != nil {
 			return nil, err
 		}
-		tables[name] = tbl
+		b.tables[name] = tbl
 	}
 	for _, sr := range runtimes {
-		sr.Bind(tables)
+		sr.Bind(b.tables)
 	}
 
-	s.ingress = newIngress
-	s.egress = newEgress
-	s.tables = tables
 	// Registers reset on every rebuild, unlike ipbm's additive update.
-	s.dp.Install(cfg, tsp.NewRegisterFile(cfg.Registers))
-	s.installIntState(cfg)
-	s.effectiveStagesUsed = used
+	b.design = dataplane.NewDesign(cfg, tsp.NewRegisterFile(cfg.Registers))
+	if intOn {
+		s.intState(b)
+	}
+	s.cur.Store(b)
 	s.reloads++
 	s.log.Debug("full pipeline rebuild (PISA has no incremental update)",
-		"tables_rebuilt", len(cfg.Tables), "stages_used", used,
+		"tables_rebuilt", len(cfg.Tables), "stages_used", b.used,
 		"reloads", s.reloads, "load", time.Since(start))
 
 	return &ctrlplane.ApplyStats{
@@ -268,25 +278,18 @@ func (s *Switch) deparse(p *pkt.Packet) {
 	p.Data = out
 }
 
-// ProcessPacket pushes a frame through the fixed pipeline. The returned
-// packet is caller-owned; the per-packet Env comes from the shared
-// dataplane pool.
+// ProcessPacket pushes a frame through the fixed pipeline of the build
+// published when it starts. The returned packet is caller-owned; the
+// per-packet Env comes from the shared dataplane pool.
 func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
-	d := s.dp.Design()
-	if d == nil {
-		return nil, fmt.Errorf("pisa: no configuration installed")
+	b := s.cur.Load()
+	if b == nil {
+		return nil, dataplane.ErrNoConfig
 	}
-	s.mu.RLock()
-	ing := s.ingress
-	eg := s.egress
-	s.mu.RUnlock()
+	d := b.design
 	p, err := d.NewPacket(data, inPort)
 	if err != nil {
 		return nil, err
-	}
-	// The INT source's ingress timestamp, only while INT is enabled.
-	if ctx := s.dp.IntCtx(); ctx != nil {
-		p.IngressNanos = ctx.NowNanos()
 	}
 	env := s.dp.GetEnv(d)
 
@@ -294,13 +297,13 @@ func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	// Every physical stage is traversed, programmed or not; a stage runs
 	// the packet as a batch of one.
 	one := [1]*pkt.Packet{p}
-	for _, phys := range [2][]physStage{ing, eg} {
-		for i := range phys {
+	for _, phys := range [2][]*tsp.StageRuntime{b.ingress, b.egress} {
+		for _, sr := range phys {
 			if p.Drop {
 				break
 			}
-			if phys[i].runtime != nil {
-				phys[i].runtime.ExecuteBatch(one[:], d.Parser, env)
+			if sr != nil {
+				sr.ExecuteBatch(one[:], d.Parser, env)
 			}
 		}
 	}
@@ -316,7 +319,7 @@ func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
 	}
 	// INT sink runs before the deparser so the reassembled packet never
 	// carries the trailer off the switch.
-	s.sinkIntReport(p)
+	s.sinkIntReport(b, p)
 	s.deparse(p)
 	return p, nil
 }
@@ -324,19 +327,20 @@ func (s *Switch) ProcessPacket(data []byte, inPort int) (*pkt.Packet, error) {
 // Config returns the installed configuration (nil before the first
 // ApplyConfig).
 func (s *Switch) Config() *template.Config {
-	if d := s.dp.Design(); d != nil {
-		return d.Cfg
+	if b := s.cur.Load(); b != nil {
+		return b.design.Cfg
 	}
 	return nil
 }
 
-// InsertEntry installs one table entry (same encoding as ipbm).
+// InsertEntry installs one table entry (same encoding as ipbm) into the
+// published build's table.
 func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
-	cfg := s.Config()
-	if cfg == nil {
-		return 0, fmt.Errorf("pisa: no configuration installed")
+	b := s.cur.Load()
+	if b == nil {
+		return 0, dataplane.ErrNoConfig
 	}
-	t, ok := cfg.Tables[req.Table]
+	t, ok := b.design.Cfg.Tables[req.Table]
 	if !ok {
 		return 0, fmt.Errorf("pisa: unknown table %q", req.Table)
 	}
@@ -344,11 +348,7 @@ func (s *Switch) InsertEntry(req ctrlplane.EntryReq) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tbl := s.table(req.Table)
-	if tbl == nil {
-		return 0, fmt.Errorf("pisa: table %q not instantiated", req.Table)
-	}
-	return tbl.Engine().Insert(entry)
+	return b.tables[req.Table].Engine().Insert(entry)
 }
 
 // TableStats reads a table's counters.
@@ -361,12 +361,13 @@ func (s *Switch) TableStats(table string) (*ctrlplane.TableStats, error) {
 	return &ctrlplane.TableStats{Hits: hits, Misses: misses}, nil
 }
 
-// table returns the current rebuild's handle for a table (nil when
+// table returns the published build's handle for a table (nil when
 // absent).
 func (s *Switch) table(name string) *mem.Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[name]
+	if b := s.cur.Load(); b != nil {
+		return b.tables[name]
+	}
+	return nil
 }
 
 // Stats reports processed and dropped packets with ipbm's definitions:
@@ -394,11 +395,11 @@ func (s *Switch) Faults() *tsp.Faults { return s.dp.Faults() }
 
 // ReadRegister reads one register cell.
 func (s *Switch) ReadRegister(name string, index uint64) (uint64, error) {
-	d := s.dp.Design()
-	if d == nil {
-		return 0, fmt.Errorf("pisa: no configuration installed")
+	b := s.cur.Load()
+	if b == nil {
+		return 0, dataplane.ErrNoConfig
 	}
-	v, ok := d.Regs.Read(name, index)
+	v, ok := b.design.Regs.Read(name, index)
 	if !ok {
 		return 0, fmt.Errorf("pisa: register %q[%d] unreadable", name, index)
 	}

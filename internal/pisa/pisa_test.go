@@ -320,3 +320,154 @@ func TestPISAConcurrentStats(t *testing.T) {
 			snap, snap[verdict.ParseError], total, workers*each, 3*workers*each)
 	}
 }
+
+// TestPISATruncatedFramesAreParseErrors: on the populated base design,
+// prefixes of a routed 42-byte IPv4/UDP frame that end inside Ethernet
+// (6, 10 B) or IPv4 (14, 20, 33 B) read parse_error, as on ipbm's two
+// tiers: the front parser's walk stamps the truncation wherever it finds
+// it. The whole frame is forwarded.
+func TestPISATruncatedFramesAreParseErrors(t *testing.T) {
+	frame, err := pkt.Serialize(
+		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2}},
+		&pkt.UDP{SrcPort: 1234, DstPort: 53},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != 42 {
+		t.Fatalf("frame is %d bytes, want 42", len(frame))
+	}
+	sw, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.ApplyConfig(baseConfig(t)); err != nil {
+		t.Fatal(err)
+	}
+	populate(t, sw)
+	for _, n := range []int{6, 10, 14, 20, 33, 42} {
+		want := verdict.ParseError
+		if n == len(frame) {
+			want = verdict.Forwarded
+		}
+		before := sw.VerdictSnapshot()
+		if _, err := sw.ProcessPacket(append([]byte(nil), frame[:n]...), 1); err != nil {
+			t.Fatal(err)
+		}
+		if after := sw.VerdictSnapshot(); after[want] != before[want]+1 {
+			t.Errorf("%d-byte prefix: verdicts %v -> %v, want one more %s", n, before, after, want)
+		}
+	}
+}
+
+// tagConfig is a one-stage design over a single 8-byte header of ID id,
+// whose stage writes tag into the header's first byte and istd.out_port.
+// Two tags on two header IDs make builds whose mix is no build: the
+// second's stage cannot find its header through the first's parser.
+func tagConfig(id pkt.HeaderID, tag uint64) *template.Config {
+	set := func(dst template.Operand) template.Instr {
+		return template.Instr{Op: template.IAssign, Dst: dst, Src: &template.Expr{Kind: template.ExprOperand,
+			Operand: &template.Operand{Kind: template.OpdConst, Const: tag}}}
+	}
+	return &template.Config{
+		Headers:   []template.Header{{Name: "h", ID: id, WidthBits: 64}},
+		FirstHdr:  id,
+		MetaBytes: 8,
+		Actions: map[string]*template.Action{"tag": {Name: "tag", Body: []template.Instr{
+			set(template.Operand{Kind: template.OpdHeader, Header: id, Width: 8}),
+			set(template.Operand{Kind: template.OpdMeta, BitOff: template.IstdOutPortOff, Width: template.IstdOutPortWidth}),
+		}}},
+		Stages: map[string]*template.Stage{"s": {Name: "s", Pipe: "ingress", Parse: []pkt.HeaderID{id},
+			Arms: []template.Arm{{Default: true, Action: "tag"}}}},
+		IngressChain:  []string{"s"},
+		TSPAssignment: map[string]int{"s": 0},
+	}
+}
+
+// TestPISABuildsReachPacketsWhole: ApplyConfig and SetInt rebuild the
+// pipeline over and over while four goroutines push frames through
+// ProcessPacket, and every result is the output of one build — two
+// designs, each with INT off and on — never one build's parser, registers
+// or INT context against another's stages. `make soak` runs it under the
+// race detector.
+func TestPISABuildsReachPacketsWhole(t *testing.T) {
+	type result struct {
+		data          string
+		port          int
+		drop, stamped bool
+	}
+	run := func(sw *Switch) (result, error) {
+		p, err := sw.ProcessPacket(make([]byte, 16), 0)
+		if err != nil {
+			return result{}, err
+		}
+		return result{string(p.Data), p.OutPort, p.Drop, p.IngressNanos != 0}, nil
+	}
+	builds := []*template.Config{tagConfig(0, 1), tagConfig(1, 2)}
+	want := map[result]bool{}
+	for _, cfg := range builds {
+		for _, intOn := range []bool{false, true} {
+			sw, _ := New(DefaultOptions())
+			if err := sw.SetInt(intOn); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sw.ApplyConfig(cfg); err != nil {
+				t.Fatal(err)
+			}
+			r, err := run(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[r] = true
+		}
+	}
+	if len(want) != 4 {
+		t.Fatalf("four builds give %d distinct outputs: %v", len(want), want)
+	}
+
+	sw, _ := New(DefaultOptions())
+	if _, err := sw.ApplyConfig(builds[0]); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, err := run(sw)
+				if err == nil && !want[r] {
+					err = fmt.Errorf("result %+v is no build's output", r)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := sw.ApplyConfig(builds[i%2]); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := sw.SetInt(i%3 == 0); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

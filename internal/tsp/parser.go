@@ -3,6 +3,7 @@ package tsp
 import (
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
+	"ipsa/internal/verdict"
 )
 
 // OnDemandParser is the parser submodule shared by the TSPs of one device:
@@ -64,7 +65,9 @@ func (op *OnDemandParser) headerLen(h *template.Header, data []byte, off int) (i
 
 // Ensure parses headers along the chain until want is in the header vector
 // or the chain ends. It reports whether want is valid afterwards. Steps
-// are bounded to the header count so linked-header cycles terminate.
+// are bounded to the header count so linked-header cycles terminate. A
+// frame that ends inside a header the chain leads to is stamped
+// p.DropReason = verdict.ReasonParse: truncated is not absent.
 //
 // Failures are remembered in the packet's tried mask, so a pipeline whose
 // stages repeatedly request a header the packet does not carry pays the
@@ -101,7 +104,10 @@ func (op *OnDemandParser) ensureWalk(p *pkt.Packet, want pkt.HeaderID) bool {
 			var ok bool
 			n, ok = op.headerLen(h, p.Data, off)
 			if !ok {
-				return false // truncated packet
+				// Truncated, not absent: the chain names this header but
+				// the frame cannot hold it (or its length field).
+				p.DropReason = verdict.ReasonParse
+				return false
 			}
 			p.HV.Set(cur, off, n)
 		}
@@ -132,11 +138,12 @@ func (op *OnDemandParser) ensureWalk(p *pkt.Packet, want pkt.HeaderID) bool {
 }
 
 // EnsureRoot parses the chain's first header, reporting whether the
-// frame can carry it. Packet admission uses it to classify truncated or
-// garbage frames as parse errors up front; the result lands in the
-// packet's header vector (or its tried mask), so the first stage's own
-// Ensure of the root header is a cache hit either way. Designs with no
-// parse chain accept every frame.
+// frame can carry it. Packet admission uses it so that a frame too short
+// for the root header is stamped a parse error up front, whatever the
+// stages go on to request; the result lands in the packet's header vector
+// (or its tried mask), so the first stage's own Ensure of the root header
+// is a cache hit either way. Designs with no parse chain accept every
+// frame.
 func (op *OnDemandParser) EnsureRoot(p *pkt.Packet) bool {
 	if op.header(op.first) == nil {
 		return true
