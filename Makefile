@@ -9,9 +9,12 @@ all: build test
 build:
 	$(GO) build ./...
 
+# Tier 1, with every oracle row of the internal/testbed harness: the
+# differentials, ipbm vs pisa and the prefix verdicts.
 test:
 	$(GO) test ./...
 
+# The same tests, oracle rows included, under the race detector.
 race:
 	$(GO) test -race ./...
 

@@ -5,13 +5,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
-	"ipsa/internal/compiler/backend"
 	"ipsa/internal/core"
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/experiments"
@@ -19,6 +16,7 @@ import (
 	"ipsa/internal/ipbm"
 	"ipsa/internal/netio"
 	"ipsa/internal/telemetry"
+	"ipsa/internal/testbed"
 	"ipsa/internal/trafficgen"
 )
 
@@ -70,13 +68,7 @@ func TestHealthEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	src, err := os.ReadFile(filepath.Join("testdata", "base_l2l3.rp4"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	copts := backend.DefaultOptions()
-	copts.NumTSPs = 16
-	ctrl, err := core.NewController("base_l2l3.rp4", string(src), copts, cl)
+	ctrl, err := core.NewController("base_l2l3.rp4", testbed.Script(t, "base_l2l3.rp4"), testbed.Compiler(), cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +156,7 @@ func TestHealthEndToEnd(t *testing.T) {
 
 	// A real in-situ update (add the ACL) over the CCM: it lands in the
 	// audit trail and degrades nothing.
-	script, err := os.ReadFile(filepath.Join("testdata", "acl.script"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := func(name string) (string, error) {
-		b, err := os.ReadFile(filepath.Join("testdata", name))
-		return string(b), err
-	}
-	if _, err := ctrl.ApplyUpdate(string(script), loader); err != nil {
+	if _, err := ctrl.ApplyUpdate(testbed.Script(t, "acl.script"), testbed.Repo().Read); err != nil {
 		t.Fatal(err)
 	}
 	var events []telemetry.Event

@@ -1,38 +1,13 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
-	"ipsa/internal/compiler/backend"
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/ipbm"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
-
-func readTestdata(t *testing.T, name string) string {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("../../testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-func loader(t *testing.T) backend.Loader {
-	t.Helper()
-	return func(name string) (string, error) {
-		b, err := os.ReadFile(filepath.Join("../../testdata", name))
-		return string(b), err
-	}
-}
-
-func opts() backend.Options {
-	o := backend.DefaultOptions()
-	o.NumTSPs = 16
-	return o
-}
 
 func newSwitch(t *testing.T) *ipbm.Switch {
 	t.Helper()
@@ -45,7 +20,7 @@ func newSwitch(t *testing.T) *ipbm.Switch {
 
 func TestControllerRP4Flow(t *testing.T) {
 	sw := newSwitch(t)
-	c, err := NewController("base_l2l3.rp4", readTestdata(t, "base_l2l3.rp4"), opts(), sw)
+	c, err := NewController("base_l2l3.rp4", testbed.Script(t, "base_l2l3.rp4"), testbed.Compiler(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +28,7 @@ func TestControllerRP4Flow(t *testing.T) {
 		t.Fatalf("generations = %d", c.Generations())
 	}
 	// ECMP update: both halves timed, device agrees with compiler.
-	rep, err := c.ApplyUpdate(readTestdata(t, "ecmp.script"), loader(t))
+	rep, err := c.ApplyUpdate(testbed.Script(t, "ecmp.script"), testbed.Repo().Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +60,7 @@ func TestControllerRP4Flow(t *testing.T) {
 	// the device must also recreate ECMP's tables. The update goes
 	// through on the device's own diff and leaves the device running the
 	// workspace's design.
-	rep, err = c.ApplyUpdate(readTestdata(t, "flowprobe.script"), loader(t))
+	rep, err = c.ApplyUpdate(testbed.Script(t, "flowprobe.script"), testbed.Repo().Read)
 	if err != nil {
 		t.Fatalf("update after rollback refused: %v", err)
 	}
@@ -108,7 +83,7 @@ func TestControllerRP4Flow(t *testing.T) {
 
 func TestControllerP4Flow(t *testing.T) {
 	sw := newSwitch(t)
-	c, err := NewControllerFromP4("base_l2l3.p4", readTestdata(t, "base_l2l3.p4"), opts(), sw)
+	c, err := NewControllerFromP4("base_l2l3.p4", testbed.Script(t, "base_l2l3.p4"), testbed.Compiler(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +150,7 @@ func TestControllerP4ThenInsituECMP(t *testing.T) {
 	// in-situ update on top of the generated design. The ECMP script
 	// references the generated stage names (<table>_stage).
 	sw := newSwitch(t)
-	c, err := NewControllerFromP4("base_l2l3.p4", readTestdata(t, "base_l2l3.p4"), opts(), sw)
+	c, err := NewControllerFromP4("base_l2l3.p4", testbed.Script(t, "base_l2l3.p4"), testbed.Compiler(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +162,7 @@ del_link ipv6_lpm_stage nexthop_tbl_stage
 add_link ecmp_stage smac_tbl_stage
 del_link nexthop_tbl_stage smac_tbl_stage
 `
-	rep, err := c.ApplyUpdate(script, loader(t))
+	rep, err := c.ApplyUpdate(script, testbed.Repo().Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +182,10 @@ del_link nexthop_tbl_stage smac_tbl_stage
 
 func TestControllerBadSources(t *testing.T) {
 	sw := newSwitch(t)
-	if _, err := NewController("bad.rp4", "junk {", opts(), sw); err == nil {
+	if _, err := NewController("bad.rp4", "junk {", testbed.Compiler(), sw); err == nil {
 		t.Error("bad rP4 accepted")
 	}
-	if _, err := NewControllerFromP4("bad.p4", "junk {", opts(), sw); err == nil {
+	if _, err := NewControllerFromP4("bad.p4", "junk {", testbed.Compiler(), sw); err == nil {
 		t.Error("bad P4 accepted")
 	}
 }

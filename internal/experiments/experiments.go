@@ -7,23 +7,16 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
 	"ipsa/internal/compiler/backend"
-	"ipsa/internal/compiler/frontend"
-	"ipsa/internal/ctrlplane"
 	"ipsa/internal/hwmodel"
 	"ipsa/internal/ipbm"
-	"ipsa/internal/p4"
 	"ipsa/internal/pisa"
-	"ipsa/internal/pkt"
-	"ipsa/internal/rp4/ast"
-	"ipsa/internal/rp4/parser"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 	"ipsa/internal/tsp"
 )
 
@@ -54,28 +47,10 @@ func Default(dir string) Config {
 }
 
 // UseCases in paper order.
-var UseCases = []string{"C1", "C2", "C3"}
+var UseCases = testbed.UseCases
 
-func scriptFile(uc string) string {
-	switch uc {
-	case "C1":
-		return "ecmp.script"
-	case "C2":
-		return "srv6.script"
-	case "C3":
-		return "flowprobe.script"
-	}
-	return ""
-}
-
-func (c Config) read(name string) (string, error) {
-	b, err := os.ReadFile(filepath.Join(c.TestdataDir, name))
-	return string(b), err
-}
-
-func (c Config) loader() backend.Loader {
-	return func(name string) (string, error) { return c.read(name) }
-}
+// dir is the directory holding the shipped designs and scripts.
+func (c Config) dir() testbed.Dir { return testbed.Dir(c.TestdataDir) }
 
 func (c Config) compilerOpts() backend.Options {
 	o := backend.DefaultOptions()
@@ -83,191 +58,35 @@ func (c Config) compilerOpts() backend.Options {
 	return o
 }
 
-// baseWorkspace compiles the rP4 base design.
-func (c Config) baseWorkspace() (*backend.Workspace, error) {
-	src, err := c.read("base_l2l3.rp4")
-	if err != nil {
-		return nil, err
-	}
-	prog, err := parser.Parse("base_l2l3.rp4", src)
-	if err != nil {
-		return nil, err
-	}
-	return backend.NewWorkspace(prog, c.compilerOpts())
-}
-
-// p4FullCompile runs the complete P4 flow (parse, rp4fc, rp4bc) on the
-// *updated* P4 source of a use case — the thing the P4 flow must redo from
-// scratch for every change. The updated source is the base design merged
-// with the use case's rP4 snippet, so both flows compile the same design.
+// p4FullCompile runs the complete P4 flow on the *updated* P4 source of a
+// use case: the thing the P4 flow must redo from scratch for every change.
+// The PISA target maps one stage per processor, so nothing is merged.
 func (c Config) p4FullCompile(uc string) (*template.Config, error) {
-	src, err := c.read("base_l2l3.p4")
-	if err != nil {
-		return nil, err
-	}
-	hlir, err := p4.Parse("base_l2l3.p4", src)
-	if err != nil {
-		return nil, err
-	}
-	prog, _, err := frontend.Transform(hlir)
-	if err != nil {
-		return nil, err
-	}
 	opts := c.compilerOpts()
-	opts.EnableMerge = false // the PISA target maps one stage per processor
-	ws, err := backend.NewWorkspace(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Merge the use case's increment the way a developer editing the P4
-	// source would (the full flow has no script language; we reuse the
-	// snippet merge to build the same final design).
-	if uc != "" {
-		script, err := c.read(scriptFile(uc))
-		if err != nil {
-			return nil, err
-		}
-		script = rewriteScriptForP4Stages(script)
-		rep, err := ws.ApplyScript(script, c.loader())
-		if err != nil {
-			return nil, err
-		}
-		return rep.Config, nil
-	}
-	return ws.Current().Config, nil
-}
-
-// rewriteScriptForP4Stages maps the rP4-native stage names used by the
-// shipped scripts onto the <table>_stage names rp4fc generates.
-func rewriteScriptForP4Stages(script string) string {
-	repl := strings.NewReplacer(
-		"port_map ", "port_map_tbl_stage ",
-		"bd_vrf ", "bd_vrf_tbl_stage ",
-		"l2_l3 ", "l2_l3_tbl_stage ",
-		"ipv4_host_fib", "ipv4_host_stage",
-		"ipv4_lpm_fib", "ipv4_lpm_stage",
-		"ipv6_host_fib", "ipv6_host_stage",
-		"ipv6_lpm_fib", "ipv6_lpm_stage",
-		"nexthop ", "nexthop_tbl_stage ",
-		"nexthop\n", "nexthop_tbl_stage\n",
-		"l2_l3_rewrite", "smac_tbl_stage",
-		"dmac ", "dmac_tbl_stage ",
-	)
-	return repl.Replace(script)
+	opts.EnableMerge = false
+	return c.dir().P4Full(opts, testbed.ScriptOf(uc))
 }
 
 // --- Population ------------------------------------------------------------
 
-type entryTarget interface {
-	InsertEntry(req ctrlplane.EntryReq) (int, error)
-}
-
-// RouterMAC etc. are the canonical test topology addresses.
+// RouterMAC and HostMAC are the test topology's router and bridged-host
+// addresses.
 var (
-	RouterMAC = pkt.MAC{0x02, 0, 0, 0, 0, 0x01}
-	HostMAC   = pkt.MAC{0x02, 0, 0, 0, 0, 0x02}
-	NhMAC     = pkt.MAC{0x02, 0, 0, 0, 0, 0x03}
-	SmacMAC   = pkt.MAC{0x02, 0, 0, 0, 0, 0x04}
+	RouterMAC = testbed.RouterMAC
+	HostMAC   = testbed.HostMAC
 )
 
 // PopulateBase installs the base forwarding state plus n filler entries
 // per FIB table (so repopulation cost is visible in the full flow).
 // Entries for tables the installed design no longer has (e.g. nexthop_tbl
 // after ECMP replaced it) are skipped.
-func PopulateBase(t entryTarget, cfg *template.Config, n int) error {
-	type e = ctrlplane.EntryReq
-	type fv = ctrlplane.FieldValue
-	base := []e{
-		{Table: "port_map_tbl", Keys: []fv{{Value: 1}}, Tag: 1, Params: []uint64{10}},
-		{Table: "bd_vrf_tbl", Keys: []fv{{Value: 10}}, Tag: 1, Params: []uint64{100, 1}},
-		{Table: "l2_l3_tbl", Keys: []fv{{Value: 100}, {Value: RouterMAC.Uint64()}}, Tag: 1},
-		{Table: "nexthop_tbl", Keys: []fv{{Value: 7}}, Tag: 1, Params: []uint64{200, NhMAC.Uint64()}},
-		{Table: "smac_tbl", Keys: []fv{{Value: 200}}, Tag: 1, Params: []uint64{SmacMAC.Uint64()}},
-		{Table: "dmac_tbl", Keys: []fv{{Value: 200}, {Value: NhMAC.Uint64()}}, Tag: 1, Params: []uint64{3}},
-		{Table: "dmac_tbl", Keys: []fv{{Value: 100}, {Value: HostMAC.Uint64()}}, Tag: 1, Params: []uint64{5}},
-		// Covering route for the generated traffic.
-		{Table: "ipv4_lpm", Keys: []fv{{Value: 0x0A000000}}, PrefixLen: 8, Tag: 1, Params: []uint64{7}},
-	}
-	for _, req := range base {
-		if _, ok := cfg.Tables[req.Table]; !ok {
-			continue
-		}
-		if _, err := t.InsertEntry(req); err != nil {
-			return fmt.Errorf("populate %s: %w", req.Table, err)
-		}
-	}
-	v6 := make([]byte, 16)
-	v6[0], v6[1] = 0x20, 0x01
-	if _, err := t.InsertEntry(e{Table: "ipv6_lpm", Keys: []fv{{Bytes: v6}}, PrefixLen: 32, Tag: 1, Params: []uint64{7}}); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if _, err := t.InsertEntry(e{
-			Table: "ipv4_host",
-			Keys:  []fv{{Value: 1}, {Value: uint64(0x0B000000 + i)}},
-			Tag:   1, Params: []uint64{7},
-		}); err != nil {
-			return err
-		}
-		if _, err := t.InsertEntry(e{
-			Table: "ipv4_lpm",
-			Keys:  []fv{{Value: uint64(0x0C000000 + i<<8)}}, PrefixLen: 24,
-			Tag: 1, Params: []uint64{7},
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+func PopulateBase(t testbed.EntryTarget, cfg *template.Config, n int) error {
+	return testbed.Install(t, cfg, testbed.Filled(n))
 }
 
 // PopulateUseCase installs the entries a use case's new tables need.
-func PopulateUseCase(t entryTarget, uc string, n int) error {
-	type e = ctrlplane.EntryReq
-	type fv = ctrlplane.FieldValue
-	switch uc {
-	case "C1":
-		// Next-hop group 7 gets two members in each selector.
-		for _, tbl := range []string{"ecmp_ipv4", "ecmp_ipv6"} {
-			for m := uint64(0); m < 2; m++ {
-				if _, err := t.InsertEntry(e{
-					Table: tbl, Keys: []fv{{Value: 7}},
-					Tag: 1, Params: []uint64{200, NhMAC.Uint64() + m},
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		// Second member's MAC needs a dmac entry.
-		if _, err := t.InsertEntry(e{
-			Table: "dmac_tbl",
-			Keys:  []fv{{Value: 200}, {Value: NhMAC.Uint64() + 1}},
-			Tag:   1, Params: []uint64{4},
-		}); err != nil {
-			return err
-		}
-	case "C2":
-		sid := make([]byte, 16)
-		sid[0], sid[15] = 0x20, 0xAA
-		if _, err := t.InsertEntry(e{Table: "local_sid", Keys: []fv{{Bytes: sid}}, Tag: 1}); err != nil {
-			return err
-		}
-		pfx := make([]byte, 16)
-		pfx[0] = 0xfd
-		if _, err := t.InsertEntry(e{Table: "end_transit", Keys: []fv{{Bytes: pfx}}, PrefixLen: 8, Tag: 1, Params: []uint64{7}}); err != nil {
-			return err
-		}
-	case "C3":
-		for i := 0; i < n; i++ {
-			if _, err := t.InsertEntry(e{
-				Table: "flow_probe",
-				Keys:  []fv{{Value: 0x0A000001}, {Value: uint64(0x0A010000 + i)}},
-				Tag:   1, Params: []uint64{uint64(i % 1024), 1 << 30},
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+func PopulateUseCase(t testbed.EntryTarget, uc string, n int) error {
+	return testbed.Install(t, nil, testbed.UseCase(uc, n))
 }
 
 // --- Table 1 ---------------------------------------------------------------
@@ -354,7 +173,7 @@ func (a table1Times) min(b table1Times) table1Times {
 // incremental compiler's update report.
 func table1Once(cfg Config, uc string) (t table1Times, rep *backend.UpdateReport, err error) {
 	// rP4 incremental flow, measured on ipbm.
-	ws, err := cfg.baseWorkspace()
+	ws, err := cfg.dir().Workspace(cfg.compilerOpts())
 	if err != nil {
 		return t, nil, err
 	}
@@ -368,12 +187,12 @@ func table1Once(cfg Config, uc string) (t table1Times, rep *backend.UpdateReport
 	if err := PopulateBase(sw, ws.Current().Config, cfg.Entries); err != nil {
 		return t, nil, err
 	}
-	script, err := cfg.read(scriptFile(uc))
+	script, err := cfg.dir().Read(testbed.ScriptOf(uc))
 	if err != nil {
 		return t, nil, err
 	}
 	t0 := time.Now()
-	if rep, err = ws.ApplyScript(script, cfg.loader()); err != nil {
+	if rep, err = ws.ApplyScript(script, cfg.dir().Read); err != nil {
 		return t, nil, err
 	}
 	t.ipbmCompile = time.Since(t0)
@@ -463,15 +282,3 @@ func (r *Table1Result) String() string {
 	}
 	return b.String()
 }
-
-// parseRP4 is a tiny indirection so throughput.go can parse without
-// importing the parser twice.
-func parseRP4(name, src string) (*ast.Program, error) { return parser.Parse(name, src) }
-
-// P4FullCompile exposes the full P4-flow compile for the benches.
-func P4FullCompile(cfg Config, uc string) (*template.Config, error) {
-	return cfg.p4FullCompile(uc)
-}
-
-// NewPISASwitch builds a default-sized PISA baseline switch.
-func NewPISASwitch() (*pisa.Switch, error) { return pisa.New(pisa.DefaultOptions()) }

@@ -9,7 +9,7 @@ import (
 	"ipsa/internal/hwmodel"
 	"ipsa/internal/ipbm"
 	"ipsa/internal/pisa"
-	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 	"ipsa/internal/trafficgen"
 )
 
@@ -38,15 +38,7 @@ type prepared struct {
 // PrepareUseCase builds both switches with the use case installed and
 // populated, plus a matching traffic generator. Exported for the benches.
 func PrepareUseCase(cfg Config, uc string) (*prepared, error) {
-	ws, err := cfg.baseWorkspace()
-	if err != nil {
-		return nil, err
-	}
-	script, err := cfg.read(scriptFile(uc))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := ws.ApplyScript(script, cfg.loader())
+	design, err := cfg.dir().Incremental(cfg.compilerOpts(), testbed.ScriptOf(uc))
 	if err != nil {
 		return nil, err
 	}
@@ -55,25 +47,26 @@ func PrepareUseCase(cfg Config, uc string) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sw.ApplyConfig(rep.Config); err != nil {
+	if _, err := sw.ApplyConfig(design); err != nil {
 		return nil, err
 	}
-	if err := PopulateBase(sw, rep.Config, 8); err != nil {
+	if err := PopulateBase(sw, design, 8); err != nil {
 		return nil, err
 	}
 	if err := PopulateUseCase(sw, uc, 8); err != nil {
 		return nil, err
 	}
 
-	popts := pisa.DefaultOptions()
-	psw, err := pisa.New(popts)
+	// pisa maps the same chains onto its fixed stages itself, so the
+	// incremental design loads on it as is.
+	psw, err := pisa.New(pisa.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	if err := applyToPISA(psw, rep.Config, cfg); err != nil {
+	if _, err := psw.ApplyConfig(design); err != nil {
 		return nil, err
 	}
-	if err := PopulateBase(psw, rep.Config, 8); err != nil {
+	if err := PopulateBase(psw, design, 8); err != nil {
 		return nil, err
 	}
 	if err := PopulateUseCase(psw, uc, 8); err != nil {
@@ -88,7 +81,7 @@ func PrepareUseCase(cfg Config, uc string) (*prepared, error) {
 		gcfg.V4Base = [4]byte{10, 2, 0, 0}
 	case "C2":
 		gcfg.Profile = trafficgen.SRv6
-		gcfg.SID[0], gcfg.SID[15] = 0x20, 0xAA
+		gcfg.SID = testbed.SID
 		gcfg.NextSegment[0], gcfg.NextSegment[1] = 0x20, 0x01
 	case "C3":
 		gcfg.Profile = trafficgen.IPv4Routed
@@ -99,15 +92,6 @@ func PrepareUseCase(cfg Config, uc string) (*prepared, error) {
 		return nil, err
 	}
 	return &prepared{ipsa: sw, pisa: psw, gen: gen}, nil
-}
-
-// applyToPISA recompiles the same design without IPSA-specific merging and
-// installs it on the fixed pipeline.
-func applyToPISA(psw *pisa.Switch, ipsaCfg *template.Config, cfg Config) error {
-	// The config already carries per-stage templates; PISA maps chains
-	// onto fixed stages itself, so the same config loads directly.
-	_, err := psw.ApplyConfig(ipsaCfg)
-	return err
 }
 
 // IPSA exposes the prepared IPSA switch (for benches).
@@ -268,24 +252,12 @@ func (c Config) baseWorkspace8(uc string) (*backend.Workspace, error) {
 	for _, tsps := range []int{8, 12, 16} {
 		o := backend.DefaultOptions()
 		o.NumTSPs = tsps
-		src, err := c.read("base_l2l3.rp4")
-		if err != nil {
-			return nil, err
-		}
-		prog, err := parseRP4("base_l2l3.rp4", src)
-		if err != nil {
-			return nil, err
-		}
-		ws, err := backend.NewWorkspace(prog, o)
+		ws, err := c.dir().Workspace(o)
 		if err != nil {
 			return nil, err
 		}
 		if uc != "" {
-			script, err := c.read(scriptFile(uc))
-			if err != nil {
-				return nil, err
-			}
-			if _, err := ws.ApplyScript(script, c.loader()); err != nil {
+			if _, err := c.dir().Update(ws, testbed.ScriptOf(uc)); err != nil {
 				continue // try a wider machine
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // TestInsituACLClosesProbeLoop plays the paper's full C3 story: the probe
@@ -15,10 +16,7 @@ func TestInsituACLClosesProbeLoop(t *testing.T) {
 	sw, w := newBaseSwitch(t)
 
 	// Update 1: the probe (use case C3).
-	rep, err := w.ApplyScript(script(t, "flowprobe.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "flowprobe.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func TestInsituACLClosesProbeLoop(t *testing.T) {
 	})
 	var punted *pkt.Packet
 	for i := 0; i < 4; i++ {
-		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,10 +42,7 @@ func TestInsituACLClosesProbeLoop(t *testing.T) {
 	}
 
 	// Update 2: the controller reacts by loading the ACL.
-	rep2, err := w.ApplyScript(script(t, "acl.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := testbed.Update(t, w, "acl.script")
 	if len(rep2.AddedStages) != 1 || rep2.AddedStages[0] != "acl_stage" {
 		t.Fatalf("added: %v", rep2.AddedStages)
 	}
@@ -79,7 +74,7 @@ func TestInsituACLClosesProbeLoop(t *testing.T) {
 	})
 
 	// The offender is now dropped at the top of the pipeline...
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +83,7 @@ func TestInsituACLClosesProbeLoop(t *testing.T) {
 	}
 	// ...while other flows still forward, and the register state from the
 	// probe survived both updates.
-	p2, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 2, 3}, routerMAC, 64), inPort)
+	p2, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 2, 3}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +103,7 @@ func TestInsituACLClosesProbeLoop(t *testing.T) {
 // ordering end to end.
 func TestACLRemark(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "acl.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "acl.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +132,11 @@ func TestACLRemark(t *testing.T) {
 
 	// The /8 flow is remarked and forwarded.
 	raw, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2}},
 		&pkt.TCP{SrcPort: 1, DstPort: 2},
 	)
-	p, err := sw.ProcessPacket(raw, inPort)
+	p, err := sw.ProcessPacket(raw, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +150,11 @@ func TestACLRemark(t *testing.T) {
 	}
 	// The blocked host wins on priority.
 	raw2, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, Src: [4]byte{10, 0, 0, 0xFF}, Dst: [4]byte{10, 0, 0, 2}},
 		&pkt.UDP{SrcPort: 1, DstPort: 2},
 	)
-	p2, err := sw.ProcessPacket(raw2, inPort)
+	p2, err := sw.ProcessPacket(raw2, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +165,10 @@ func TestACLRemark(t *testing.T) {
 	ip6 := pkt.IPv6{NextHeader: pkt.IPProtoTCP, HopLimit: 64}
 	ip6.Dst[0], ip6.Dst[15] = 0x20, 0x02
 	raw3, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 		&ip6, &pkt.TCP{SrcPort: 1, DstPort: 2},
 	)
-	p3, err := sw.ProcessPacket(raw3, inPort)
+	p3, err := sw.ProcessPacket(raw3, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}

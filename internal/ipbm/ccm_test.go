@@ -17,7 +17,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/telemetry"
 	"ipsa/internal/template"
-	"ipsa/internal/tsp"
+	"ipsa/internal/testbed"
 )
 
 // handleStream decodes data as the stream of CCM requests a connection
@@ -115,7 +115,7 @@ func TestCCMCrashReproducers(t *testing.T) {
 // handle, delete_entry removes that member alone, a second delete of it
 // is refused, and the tables view counts the members left.
 func TestCCMSelectorMembers(t *testing.T) {
-	sw := switchOn(t, shippedConfig(t, "ecmp.script"), tsp.ExecFused)
+	sw := switchOn(t, testbed.Config(t, "ecmp.script"), nil)
 	resps := handleStream(t, ctrlplane.NewServer(sw, nil), []byte(ccmSeedStream(t, "ecmp_members")), 8)
 	if len(resps) != 4 || !resps[0].OK || !resps[1].OK || resps[1].Handle != 1 || !resps[2].OK || resps[3].OK {
 		t.Fatalf("member ops answered %+v %+v %+v %+v", *resps[0], *resps[1], *resps[2], *resps[3])
@@ -159,22 +159,12 @@ func FuzzCCMRequest(f *testing.F) {
 		f.Add([]byte(s.stream))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ccmFuzzOnce.Do(func() { ccmFuzzCfg = shippedConfig(t, "ecmp.script") })
+		ccmFuzzOnce.Do(func() { ccmFuzzCfg = testbed.Config(t, "ecmp.script") })
 		cfg, err := ccmFuzzCfg.Clone()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := New(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.ApplyConfig(cfg); err != nil {
-			t.Fatal(err)
-		}
-		for _, req := range baseEntries() {
-			_, _ = sw.InsertEntry(req) // ecmp.script swaps nexthop_tbl out
-		}
-		handleStream(t, ctrlplane.NewServer(sw, nil), data, 16)
+		handleStream(t, ctrlplane.NewServer(switchOn(t, cfg, nil), nil), data, 16)
 	})
 }
 
@@ -205,7 +195,7 @@ func TestViewParity(t *testing.T) {
 			sw.Flows().FlushAll() // records for flow_records, live flows after
 		}
 		for _, dst := range [][4]byte{{10, 0, 0, 2}, {10, 1, 0, 5}, {192, 168, 0, 1}} {
-			if _, err := sw.ProcessPacket(v4Packet(t, dst, routerMAC, 64), inPort); err != nil {
+			if _, err := sw.ProcessPacket(v4Packet(t, dst, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 				t.Fatal(err)
 			}
 		}

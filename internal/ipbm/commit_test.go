@@ -13,6 +13,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/mem"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 	"ipsa/internal/verdict"
 )
 
@@ -59,7 +60,7 @@ func stateOf(t *testing.T, sw *Switch) deviceState {
 			st.View[name] = tbl
 		}
 	}
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +170,7 @@ func TestCommitFaultAtEveryStep(t *testing.T) {
 					o.Crossbar, o.Mem = xbar, mem.Config{Blocks: 128, BlockWidth: 128, BlockDepth: 4096, Clusters: 2}
 				})
 				base := sw.Config()
-				rep, err := w.ApplyScript(script(t, name+".script"), loader(t))
-				if err != nil {
-					t.Fatal(err)
-				}
+				rep := testbed.Update(t, w, name+".script")
 				apply := func(cfg *template.Config) func() error {
 					return func() error { _, err := sw.ApplyConfig(cfg); return err }
 				}
@@ -217,23 +215,20 @@ func faultEveryStep(t *testing.T, sw *Switch, what string, commit func() error) 
 func TestCommitFaultsUnderTrafficHitless(t *testing.T) {
 	sw, w := newBaseSwitch(t)
 	base := sw.Config()
-	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "ecmp.script")
 	if err := sw.RunSharded(2, DefaultBatch); err != nil {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
-	in, err := sw.Ports().Port(inPort)
+	in, err := sw.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sw.Ports().Port(outPort)
+	out, err := sw.Ports().Port(testbed.OutPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
+	frame := v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
 
 	// traffic injects probe frames in a closed loop, at most 64 inside
 	// the switch, until stop is called; accepted counts what the switch
@@ -303,7 +298,7 @@ func TestCommitFaultsUnderTrafficHitless(t *testing.T) {
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
-	insert(t, sw, ecmpMember(nhMAC.Uint64()))
+	insert(t, sw, testbed.ECMPMember(testbed.NhMAC.Uint64()))
 	failEach("ecmp unload", rep.Config, base)
 
 	vs := waitLedger(t, sw, accepted)

@@ -5,6 +5,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // TestConstDeclarations: a function using named constants loads and runs.
@@ -58,7 +59,7 @@ del_link port_map bd_vrf
 	insert(t, sw, ctrlplane.EntryReq{
 		Table: "tcp_mark", Keys: []ctrlplane.FieldValue{{Value: 0x0A000002}}, Tag: 1,
 	})
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("err=%v drop=%v", err, p.Drop)
 	}

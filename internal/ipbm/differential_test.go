@@ -1,209 +1,72 @@
 package ipbm
 
 import (
-	"bytes"
-	"os"
 	"testing"
 
-	"ipsa/internal/compiler/backend"
-	"ipsa/internal/compiler/frontend"
 	"ipsa/internal/mem"
-	"ipsa/internal/p4"
-	"ipsa/internal/rp4/ast"
-	"ipsa/internal/rp4/parser"
-	"ipsa/internal/rp4/printer"
-	"ipsa/internal/trafficgen"
+	"ipsa/internal/testbed"
 )
 
-// diffTraffic builds a mixed workload covering every path: routed v4
-// (host+lpm), routed v6, bridged L2, unroutable, unknown MACs.
-func diffTraffic(t *testing.T, n int) [][]byte {
-	t.Helper()
-	var out [][]byte
-	profiles := []trafficgen.Profile{
-		trafficgen.IPv4Routed, trafficgen.IPv6Routed, trafficgen.Mixed46, trafficgen.L2Bridged,
-	}
-	for i, prof := range profiles {
-		cfg := trafficgen.DefaultConfig()
-		cfg.Profile = prof
-		cfg.Flows = n
-		cfg.Seed = int64(i + 1)
-		cfg.RouterMAC, cfg.HostMAC = routerMAC, hostMAC
-		cfg.V4Base = [4]byte{10, 1, 0, 0}
-		g, err := trafficgen.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, g.FlowPackets()...)
-	}
-	return out
-}
-
-// runDiff pushes the same packets through two switches and demands
-// bit-identical outcomes.
-func runDiff(t *testing.T, a, b *Switch, packets [][]byte, what string) {
-	t.Helper()
-	for i, raw := range packets {
-		pa, err := a.ProcessPacket(append([]byte(nil), raw...), inPort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := b.ProcessPacket(append([]byte(nil), raw...), inPort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pa.Drop != pb.Drop || pa.OutPort != pb.OutPort || pa.ToCPU != pb.ToCPU {
-			t.Fatalf("%s: packet %d outcome diverged: a={drop:%v out:%d} b={drop:%v out:%d}",
-				what, i, pa.Drop, pa.OutPort, pb.Drop, pb.OutPort)
-		}
-		if !bytes.Equal(pa.Data, pb.Data) {
-			t.Fatalf("%s: packet %d bytes diverged", what, i)
-		}
-	}
-}
-
-func switchFromOpts(t *testing.T, compOpts backend.Options, swOpts Options) *Switch {
-	t.Helper()
-	w := func() *backend.Workspace {
-		src, err := os.ReadFile("../../testdata/base_l2l3.rp4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := parseRP4(t, "base_l2l3.rp4", string(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := backend.NewWorkspace(prog, compOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ws
-	}()
-	sw, err := New(swOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
-	return sw
+// diffAll is testbed.Diff with every frame forwarded: on the base entries
+// every flow of testbed.Mix routes or bridges.
+func diffAll(a, b testbed.Forwarder, frames [][]byte) error {
+	return testbed.Diff(a, b, frames, len(frames))
 }
 
 // TestDifferentialMergedVsUnmerged: rp4bc's predicate merging is an
 // optimization; it must never change forwarding behaviour.
 func TestDifferentialMergedVsUnmerged(t *testing.T) {
-	on := backend.DefaultOptions()
-	on.NumTSPs = 16
-	off := on
+	off := testbed.Compiler()
 	off.EnableMerge = false
-	a := switchFromOpts(t, on, DefaultOptions())
-	b := switchFromOpts(t, off, DefaultOptions())
-	runDiff(t, a, b, diffTraffic(t, 64), "merge on/off")
+	a := switchOn(t, testbed.Config(t, ""), nil)
+	b := switchOn(t, testbed.WorkspaceWith(t, off).Current().Config, nil)
+	if err := diffAll(a, b, testbed.Frames(t, 64, 0, testbed.Mix...)); err != nil {
+		t.Fatalf("merge on/off: %v", err)
+	}
 }
 
 // TestDifferentialClusteredCrossbar: the clustered crossbar changes
 // placement and forces migrations but never behaviour.
 func TestDifferentialClusteredCrossbar(t *testing.T) {
-	comp := backend.DefaultOptions()
-	comp.NumTSPs = 16
-	full := DefaultOptions()
-	clustered := DefaultOptions()
-	clustered.Crossbar = mem.ClusteredCrossbar
-	// A roomy pool so each cluster holds the biggest table.
-	clustered.Mem = mem.Config{Blocks: 128, BlockWidth: 128, BlockDepth: 4096, Clusters: 2}
-	a := switchFromOpts(t, comp, full)
-	b := switchFromOpts(t, comp, clustered)
-	runDiff(t, a, b, diffTraffic(t, 48), "full vs clustered crossbar")
+	a := switchOn(t, testbed.Config(t, ""), nil)
+	b := switchOn(t, testbed.Config(t, ""), func(o *Options) {
+		o.Crossbar = mem.ClusteredCrossbar
+		// A roomy pool so each cluster holds the biggest table.
+		o.Mem = mem.Config{Blocks: 128, BlockWidth: 128, BlockDepth: 4096, Clusters: 2}
+	})
+	if err := diffAll(a, b, testbed.Frames(t, 48, 0, testbed.Mix...)); err != nil {
+		t.Fatalf("full vs clustered crossbar: %v", err)
+	}
 }
 
-// TestDifferentialP4VsRP4: the same design authored in P4 (through rp4fc)
-// and in rP4 natively must forward identically.
+// TestDifferentialP4VsRP4: the same design authored in P4 (through rp4fc,
+// its rP4 text parsed back) and in rP4 natively must forward identically.
 func TestDifferentialP4VsRP4(t *testing.T) {
-	comp := backend.DefaultOptions()
-	comp.NumTSPs = 16
-	a := switchFromOpts(t, comp, DefaultOptions())
-
-	p4src, err := os.ReadFile("../../testdata/base_l2l3.p4")
+	p4, err := testbed.Repo().P4Full(testbed.Compiler(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hlir, err := p4.Parse("base_l2l3.p4", string(p4src))
-	if err != nil {
-		t.Fatal(err)
+	a := switchOn(t, testbed.Config(t, ""), nil)
+	b := switchOn(t, p4, nil)
+	if err := diffAll(a, b, testbed.Frames(t, 64, 0, testbed.Mix...)); err != nil {
+		t.Fatalf("P4 vs rP4: %v", err)
 	}
-	prog, _, err := frontend.Transform(hlir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round-trip the generated source through the printer to also pin the
-	// text form.
-	prog2, err := parseRP4(t, "generated.rp4", printer.Print(prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := backend.NewWorkspace(prog2, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.ApplyConfig(ws.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, b)
-	runDiff(t, a, b, diffTraffic(t, 64), "P4 vs rP4")
 }
 
 // TestDifferentialLayoutDPvsGreedy: after an update, DP and greedy layout
 // place stages differently but forward identically.
 func TestDifferentialLayoutDPvsGreedy(t *testing.T) {
-	mk := func(dp bool) (*Switch, *backend.Workspace) {
-		comp := backend.DefaultOptions()
-		comp.NumTSPs = 16
+	mk := func(dp bool) *Switch {
+		comp := testbed.Compiler()
 		comp.IncrementalDP = dp
-		src, err := os.ReadFile("../../testdata/base_l2l3.rp4")
-		if err != nil {
+		w := testbed.WorkspaceWith(t, comp)
+		sw := switchOn(t, w.Current().Config, nil)
+		if _, err := sw.ApplyConfig(testbed.Update(t, w, "flowprobe.script").Config); err != nil {
 			t.Fatal(err)
 		}
-		prog, err := parseRP4(t, "base_l2l3.rp4", string(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := backend.NewWorkspace(prog, comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := New(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.ApplyConfig(ws.Current().Config); err != nil {
-			t.Fatal(err)
-		}
-		populateBase(t, sw)
-		return sw, ws
+		return sw
 	}
-	update := func(sw *Switch, ws *backend.Workspace) {
-		rep, err := ws.ApplyScript(script(t, "flowprobe.script"), loader(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sw.ApplyConfig(rep.Config); err != nil {
-			t.Fatal(err)
-		}
+	if err := diffAll(mk(true), mk(false), testbed.Frames(t, 48, 0, testbed.Mix...)); err != nil {
+		t.Fatalf("DP vs greedy layout: %v", err)
 	}
-	a, wsA := mk(true)
-	b, wsB := mk(false)
-	update(a, wsA)
-	update(b, wsB)
-	runDiff(t, a, b, diffTraffic(t, 48), "DP vs greedy layout")
-}
-
-// parseRP4 keeps the differential tests terse.
-func parseRP4(t *testing.T, name, src string) (*ast.Program, error) {
-	t.Helper()
-	return parser.Parse(name, src)
 }

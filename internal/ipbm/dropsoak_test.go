@@ -7,6 +7,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 	"ipsa/internal/verdict"
 )
 
@@ -26,24 +27,14 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	if testing.Short() {
 		edits, mixed = 10, 80
 	}
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.QueueDepth = 4       // tiny TM queues so one batch can overfill them
-	opts.DropSampleRate = 1e6 // sample effectively every loss
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	const queueDepth = 4 // tiny TM queues so one batch can overfill them
+	sw, w := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.QueueDepth = queueDepth
+		opts.DropSampleRate = 1e6 // sample effectively every loss
+	})
 	// Load the ACL function and poison one routable flow with a drop
 	// entry: src 10.0.0.1 -> dst 10.1.7.7, any protocol.
-	rep, err := w.ApplyScript(script(t, "acl.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "acl.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +53,11 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	// frame survives the pipeline and classifies no_port at dispose.
 	poisonMAC := pkt.MAC{0x02, 0, 0, 0, 0, 0x99}
 	for _, req := range []ctrlplane.EntryReq{
-		{Table: "ipv4_host", Keys: []ctrlplane.FieldValue{{Value: vrfID}, {Value: 0x0A020009}},
+		{Table: "ipv4_host", Keys: []ctrlplane.FieldValue{{Value: testbed.VrfID}, {Value: 0x0A020009}},
 			Tag: 1, Params: []uint64{9}},
 		{Table: "nexthop_tbl", Keys: []ctrlplane.FieldValue{{Value: 9}},
-			Tag: 1, Params: []uint64{bridgeOut, poisonMAC.Uint64()}},
-		{Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: bridgeOut}, {Value: poisonMAC.Uint64()}},
+			Tag: 1, Params: []uint64{testbed.BridgeOut, poisonMAC.Uint64()}},
+		{Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: testbed.BridgeOut}, {Value: poisonMAC.Uint64()}},
 			Tag: 1, Params: []uint64{99}},
 	} {
 		insert(t, sw, req)
@@ -76,8 +67,8 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	}
 	defer sw.Shutdown()
 
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	done := make(chan struct{})
 	var drainWG sync.WaitGroup
 	drainWG.Add(1)
@@ -122,7 +113,7 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		inject(v4Packet(t, [4]byte{10, 1, 200, byte(i)}, routerMAC, 64))
+		inject(v4Packet(t, [4]byte{10, 1, 200, byte(i)}, testbed.RouterMAC, 64))
 	}
 	release0()
 	release1()
@@ -149,19 +140,19 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	// header, 14 and 20 bytes carry it but not the IPv4 header it leads
 	// to. Each is a parse error unless the TM tail-drops it first; none is
 	// a policy drop, so the dropped verdicts are the poisoned ACL flow's.
-	truncated := v4Packet(t, [4]byte{10, 1, 0, 1}, routerMAC, 64)
+	truncated := v4Packet(t, [4]byte{10, 1, 0, 1}, testbed.RouterMAC, 64)
 	truncLens := []int{6, 10, 14, 20}
 	var aclAccepted uint64
 	for i := 0; i < mixed; i++ {
 		switch i % 4 {
 		case 0: // routable
-			inject(v4Packet(t, [4]byte{10, 1, byte(i >> 8), byte(i)}, routerMAC, 64))
+			inject(v4Packet(t, [4]byte{10, 1, byte(i >> 8), byte(i)}, testbed.RouterMAC, 64))
 		case 1: // poisoned ACL flow
 			before := accepted
-			inject(v4Packet(t, [4]byte{10, 1, 7, 7}, routerMAC, 64))
+			inject(v4Packet(t, [4]byte{10, 1, 7, 7}, testbed.RouterMAC, 64))
 			aclAccepted += accepted - before
 		case 2: // poisoned route: resolves to nonexistent port 99
-			inject(v4Packet(t, [4]byte{10, 2, 0, 9}, routerMAC, 64))
+			inject(v4Packet(t, [4]byte{10, 2, 0, 9}, testbed.RouterMAC, 64))
 		case 3: // truncated
 			inject(append([]byte(nil), truncated[:truncLens[(i/4)%len(truncLens)]]...))
 		}
@@ -286,8 +277,8 @@ func TestDropConservationUnderEditStorm(t *testing.T) {
 	if wm == nil || wm.mark == 0 {
 		t.Fatal("no TM watermark recorded on the admission queue")
 	}
-	if wm.mark > opts.QueueDepth {
-		t.Errorf("watermark %d exceeds queue depth %d", wm.mark, opts.QueueDepth)
+	if wm.mark > queueDepth {
+		t.Errorf("watermark %d exceeds queue depth %d", wm.mark, queueDepth)
 	}
 	if wm.bursts == 0 {
 		t.Error("TM overfill produced no microburst window")

@@ -9,6 +9,7 @@ import (
 	"ipsa/internal/netio"
 	"ipsa/internal/pkt"
 	"ipsa/internal/telemetry"
+	"ipsa/internal/testbed"
 )
 
 // TestFunctionUpdateFlow exercises the update case the paper mentions but
@@ -17,10 +18,7 @@ import (
 // script. Register state is preserved because the register is not removed.
 func TestFunctionUpdateFlow(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "flowprobe.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "flowprobe.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +28,7 @@ func TestFunctionUpdateFlow(t *testing.T) {
 		Tag:   1, Params: []uint64{3, 100},
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +90,7 @@ add_link probe2_stage ipv6_host_fib
 		if name == "probe_v2.rp4" {
 			return v2, nil
 		}
-		return loader(t)(name)
+		return testbed.Repo().Read(name)
 	}
 	rep2, err := w.ApplyScript(update, ld)
 	if err != nil {
@@ -123,7 +121,7 @@ add_link probe2_stage ipv6_host_fib
 		{false, true},  // 7
 	}
 	for i, want := range results {
-		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,12 +152,12 @@ func TestPcapReplayThroughSwitch(t *testing.T) {
 	}
 	ts := time.Unix(1700000000, 0)
 	for i := 0; i < 10; i++ {
-		if err := wr.WritePacket(ts, v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64)); err != nil {
+		if err := wr.WritePacket(ts, v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := wr.WritePacket(ts, v4Packet(t, [4]byte{192, 168, 0, byte(i)}, routerMAC, 64)); err != nil {
+		if err := wr.WritePacket(ts, v4Packet(t, [4]byte{192, 168, 0, byte(i)}, testbed.RouterMAC, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +177,7 @@ func TestPcapReplayThroughSwitch(t *testing.T) {
 		if err != nil {
 			break
 		}
-		p, err := sw.ProcessPacket(data, inPort)
+		p, err := sw.ProcessPacket(data, testbed.InPort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +204,8 @@ func TestPcapReplayThroughSwitch(t *testing.T) {
 	}
 	var eth pkt.Ethernet
 	_ = eth.Decode(first)
-	if eth.Dst != nhMAC {
-		t.Errorf("captured dmac %v, want %v", eth.Dst, nhMAC)
+	if eth.Dst != testbed.NhMAC {
+		t.Errorf("captured dmac %v, want %v", eth.Dst, testbed.NhMAC)
 	}
 }
 
@@ -215,7 +213,7 @@ func TestPcapReplayThroughSwitch(t *testing.T) {
 // TCP protocol: apply base config, populate, update to ECMP, verify over
 // the wire — the three-process deployment in one test.
 func TestControlChannelEndToEnd(t *testing.T) {
-	w := newBaseWorkspace(t)
+	w := testbed.Workspace(t)
 	sw, err := New(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -242,17 +240,14 @@ func TestControlChannelEndToEnd(t *testing.T) {
 	}
 	// Populate over the wire.
 	if _, err := cl.InsertEntry(ctrlplane.EntryReq{
-		Table: "port_map_tbl", Keys: []ctrlplane.FieldValue{{Value: inPort}},
-		Tag: 1, Params: []uint64{iifIndex},
+		Table: "port_map_tbl", Keys: []ctrlplane.FieldValue{{Value: testbed.InPort}},
+		Tag: 1, Params: []uint64{testbed.IifIndex},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	populateBase(t, sw) // rest in-process for brevity
+	testbed.Populate(t, sw, nil, testbed.Base()) // rest in-process for brevity
 	// In-situ update over the wire, patch manifest included.
-	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "ecmp.script")
 	st2, err := cl.ApplyConfig(rep.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +255,10 @@ func TestControlChannelEndToEnd(t *testing.T) {
 	if st2.Full || st2.TSPsWritten != len(rep.RewrittenTSPs) {
 		t.Errorf("patch over TCP: %+v (want %d TSPs)", st2, len(rep.RewrittenTSPs))
 	}
-	if _, err := cl.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
+	if _, err := cl.InsertEntry(testbed.ECMPMember(testbed.NhMAC.Uint64())); err != nil {
 		t.Fatal(err)
 	}
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("traffic after TCP-driven update: err=%v drop=%v", err, p.Drop)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 )
 
 // ccmListener serves sw's control channel on an ephemeral port for the
@@ -42,7 +43,7 @@ func TestEditRejectedWhole(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	forwards := func(what string) {
 		t.Helper()
-		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil || p.Drop {
 			t.Fatalf("%s: forwarding broken: err=%v drop=%v", what, err, p.Drop)
 		}

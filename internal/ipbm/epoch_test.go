@@ -6,6 +6,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 )
 
 // scratchTable is an otherwise-unreferenced table whose create and drop
@@ -86,7 +87,7 @@ func TestEpochReclamationSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
-	in, _ := sw.Ports().Port(inPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
 
 	// Traffic: inject continuously until told to stop, counting every
 	// accepted frame.

@@ -7,6 +7,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/flowstat"
+	"ipsa/internal/testbed"
 )
 
 // The switch is a CCM device.
@@ -22,8 +23,8 @@ func TestFlowConservationSharded(t *testing.T) {
 	if err := sw.RunSharded(4, 4); err != nil {
 		t.Fatal(err)
 	}
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	done := make(chan struct{})
 	go func() {
 		for {
@@ -44,7 +45,7 @@ func TestFlowConservationSharded(t *testing.T) {
 		if i%7 == 6 {
 			// Unrouted destination: the packet is dropped but its flow is
 			// still accounted.
-			frame = v4Packet(t, [4]byte{192, 168, 0, byte(i)}, routerMAC, 64)
+			frame = v4Packet(t, [4]byte{192, 168, 0, byte(i)}, testbed.RouterMAC, 64)
 		} else {
 			frame = flowPacket(t, uint16(5000+i%32), uint32(i))
 		}
@@ -103,8 +104,8 @@ func TestFlowStateSurvivesReconfig(t *testing.T) {
 	if err := sw.RunSharded(2, 4); err != nil {
 		t.Fatal(err)
 	}
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	done := make(chan struct{})
 	go func() {
 		for {
@@ -220,7 +221,7 @@ func flowCreated(sw *Switch) uint64 {
 func TestFlowCCMRoundTrip(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	for i := 0; i < 10; i++ {
-		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +233,7 @@ func TestFlowCCMRoundTrip(t *testing.T) {
 		t.Fatalf("flows view: %d flows", len(flows))
 	}
 	f := flows[0]
-	if f.Lane != inPort || f.Packets != 10 || f.Verdict != "forwarded" || f.Src != "10.0.0.1" {
+	if f.Lane != testbed.InPort || f.Packets != 10 || f.Verdict != "forwarded" || f.Src != "10.0.0.1" {
 		t.Fatalf("flows view record: %+v", f)
 	}
 
@@ -267,7 +268,7 @@ func TestFlowDisable(t *testing.T) {
 	if sw.Flows() != nil {
 		t.Fatal("FlowDisable still built a flow set")
 	}
-	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 		t.Fatal(err)
 	}
 	if got := sw.Flows().Dump(0); len(got) != 0 {
@@ -288,7 +289,7 @@ func TestFlowDisable(t *testing.T) {
 // epoch they executed under, across a hitless edit.
 func TestTraceEpochStamp(t *testing.T) {
 	sw, _ := newBaseSwitchOpts(t, func(o *Options) { o.TraceEvery = 1 })
-	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 		t.Fatal(err)
 	}
 	traces := sw.tel.Tracer.Dump(1)
@@ -298,7 +299,7 @@ func TestTraceEpochStamp(t *testing.T) {
 	if _, err := sw.Edit([]ctrlplane.EditOp{{Kind: "set_table", Table: "trace_scratch", TableSpec: scratchTable("trace_scratch")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+	if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 		t.Fatal(err)
 	}
 	traces = sw.tel.Tracer.Dump(1)
@@ -312,7 +313,7 @@ func TestTraceEpochStamp(t *testing.T) {
 func TestFlowMetricsExported(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	for i := 0; i < 5; i++ {
-		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +352,7 @@ func TestFlowMetricsExported(t *testing.T) {
 func TestFlowLatencySampled(t *testing.T) {
 	sw, _ := newBaseSwitchOpts(t, func(o *Options) { o.LatencyEvery = 1 })
 	for i := 0; i < 4; i++ {
-		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil {
+		if _, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,15 +3,15 @@ package ipbm
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"ipsa/internal/compiler/backend"
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
-	"ipsa/internal/rp4/parser"
+	"ipsa/internal/testbed"
+	"ipsa/internal/trafficgen"
 	"ipsa/internal/tsp"
 )
 
@@ -44,36 +44,23 @@ func faultSnapshot(sw *Switch) [3]uint64 {
 }
 
 // diffFuzzBringUp builds a fused/interpreter switch pair running the SRv6
-// design (the largest parsing surface) with populated base tables plus
-// extra entries. No testing.T plumbing so it can run inside the fuzz
-// engine's worker.
+// design with VLAN support on top (the largest parsing surface), with the
+// base and C2 entries, VLAN testbed.VID bound, plus extra entries. No
+// testing.T plumbing so it can run inside the fuzz engine's worker.
 func diffFuzzBringUp(extra []ctrlplane.EntryReq) (*Switch, *Switch, error) {
-	read := func(name string) (string, error) {
-		b, err := os.ReadFile(filepath.Join("../../testdata", name))
-		return string(b), err
-	}
-	src, err := read("base_l2l3.rp4")
+	bed := testbed.Repo()
+	w, err := bed.Workspace(testbed.Compiler())
 	if err != nil {
 		return nil, nil, err
 	}
-	prog, err := parser.Parse("base_l2l3.rp4", src)
-	if err != nil {
-		return nil, nil, err
+	var rep *backend.UpdateReport
+	for _, script := range []string{"srv6.script", "vlan.script"} {
+		if rep, err = bed.Update(w, script); err != nil {
+			return nil, nil, err
+		}
 	}
-	copts := backend.DefaultOptions()
-	copts.NumTSPs = 16
-	w, err := backend.NewWorkspace(prog, copts)
-	if err != nil {
-		return nil, nil, err
-	}
-	scriptSrc, err := read("srv6.script")
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := w.ApplyScript(scriptSrc, read)
-	if err != nil {
-		return nil, nil, err
-	}
+	entries := append(testbed.Base(), testbed.UseCase("C2", 0)...)
+	entries = append(append(entries, testbed.VLANBind()), extra...)
 	mk := func(mode tsp.ExecMode) (*Switch, error) {
 		o := DefaultOptions()
 		o.Exec = mode
@@ -84,15 +71,7 @@ func diffFuzzBringUp(extra []ctrlplane.EntryReq) (*Switch, *Switch, error) {
 		if _, err := sw.ApplyConfig(rep.Config); err != nil {
 			return nil, err
 		}
-		if err := populateBaseErr(sw); err != nil {
-			return nil, err
-		}
-		for _, req := range extra {
-			if _, err := sw.InsertEntry(req); err != nil {
-				return nil, fmt.Errorf("insert into %s: %w", req.Table, err)
-			}
-		}
-		return sw, nil
+		return sw, testbed.Install(sw, nil, entries)
 	}
 	fused, err := mk(tsp.ExecFused)
 	if err != nil {
@@ -106,42 +85,37 @@ func diffFuzzBringUp(extra []ctrlplane.EntryReq) (*Switch, *Switch, error) {
 }
 
 // comparePacket demands identical observable outcomes from two executor
-// tiers: packet bytes, user metadata, verdict bits and egress port. The
-// names label the tiers in the failure report.
-func comparePacket(aName, bName string, pa, pb *pkt.Packet) error {
-	if pa.Drop != pb.Drop || pa.ToCPU != pb.ToCPU || pa.OutPort != pb.OutPort {
-		return fmt.Errorf("verdict diverged: %s={drop:%v cpu:%v out:%d} %s={drop:%v cpu:%v out:%d}",
-			aName, pa.Drop, pa.ToCPU, pa.OutPort, bName, pb.Drop, pb.ToCPU, pb.OutPort)
-	}
-	if !bytes.Equal(pa.Data, pb.Data) {
-		return fmt.Errorf("packet bytes diverged:\n%s: %x\n%s: %x", aName, pa.Data, bName, pb.Data)
+// tiers: the verdict bits, egress port and packet bytes, then the user
+// metadata.
+func comparePacket(pa, pb *pkt.Packet) error {
+	if err := testbed.Compare(pa, pb); err != nil {
+		return err
 	}
 	if !bytes.Equal(pa.Meta, pb.Meta) {
-		return fmt.Errorf("metadata diverged:\n%s: %x\n%s: %x", aName, pa.Meta, bName, pb.Meta)
+		return fmt.Errorf("metadata diverged:\nfused:  %x\ninterp: %x", pa.Meta, pb.Meta)
 	}
 	return nil
 }
 
 // addDiffSeeds adds the differential fuzz targets' seed corpus: empty and
-// runt frames, a routed SRv6 packet, a routed IPv4 packet and a truncated
-// one.
+// runt frames, one frame of each testbed profile (routed SRv6 frames run
+// the End stages), VLAN-tagged routed frames, the same with an upstream
+// INT hop, and every fourth prefix of a routed IPv4 and an SRv6 frame.
 func addDiffSeeds(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0, 0, 0, 0, 1}, uint8(1))
-	srv6, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
-		&pkt.IPv6{NextHeader: pkt.IPProtoRouting, HopLimit: 64},
-		&pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{{1}, {2}}},
-		&pkt.TCP{SrcPort: 1, DstPort: 2},
-	)
-	f.Add(srv6, uint8(1))
-	v4 := []byte{
-		0x02, 0, 0, 0, 0, 0x01, 0x02, 0, 0, 0, 0, 0x02, 0x08, 0x00,
-		0x45, 0, 0, 20, 0, 0, 0, 0, 64, 6, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
+	for _, hops := range []int{0, 1} {
+		frames := testbed.Frames(f, 1, hops, testbed.CrossTarget...)
+		frames = append(frames, testbed.Tagged(testbed.VID, frames[:2])...)
+		for _, fr := range frames {
+			f.Add(fr, uint8(testbed.InPort))
+		}
 	}
-	f.Add(v4, uint8(1))
-	// Truncated v4 header: exercises the invalid-header fault paths.
-	f.Add(v4[:16], uint8(1))
+	for _, fr := range testbed.Frames(f, 1, 0, trafficgen.IPv4Routed, trafficgen.SRv6) {
+		for n := 4; n < len(fr); n += 4 {
+			f.Add(fr[:n], uint8(testbed.InPort))
+		}
+	}
 }
 
 // FuzzFusedVsInterp feeds arbitrary packet bytes through the fused and
@@ -167,7 +141,7 @@ func FuzzFusedVsInterp(f *testing.F) {
 		if err != nil {
 			t.Fatalf("interp ProcessPacket: %v", err)
 		}
-		if err := comparePacket("fused", "interp", pf, pi); err != nil {
+		if err := comparePacket(pf, pi); err != nil {
 			t.Fatal(err)
 		}
 		df, di := faultDelta(faultSnapshot(diffFuzzFused), beforeF), faultDelta(faultSnapshot(diffFuzzInterp), beforeI)
@@ -187,15 +161,15 @@ const largeTableEntries = 3000
 func largeTableEntriesFor() []ctrlplane.EntryReq {
 	var reqs []ctrlplane.EntryReq
 	for i := 0; i < largeTableEntries; i++ {
-		mac := nhMAC.Uint64() + 1 + uint64(i)
+		mac := testbed.NhMAC.Uint64() + 1 + uint64(i)
 		reqs = append(reqs,
 			ctrlplane.EntryReq{
 				Table: "nexthop_tbl", Keys: []ctrlplane.FieldValue{{Value: uint64(1000 + i)}},
-				Tag: 1, Params: []uint64{bridgeOut, mac},
+				Tag: 1, Params: []uint64{testbed.BridgeOut, mac},
 			},
 			ctrlplane.EntryReq{
-				Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: bridgeOut}, {Value: mac}},
-				Tag: 1, Params: []uint64{outPort},
+				Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: testbed.BridgeOut}, {Value: mac}},
+				Tag: 1, Params: []uint64{testbed.OutPort},
 			})
 	}
 	return reqs
@@ -236,8 +210,8 @@ func egressFrames(sw *Switch) [][][]byte {
 // corpus runs as regression tests.
 func FuzzFusedBatchVsInterp(f *testing.F) {
 	addDiffSeeds(f)
-	host := v4Packet(f, [4]byte{10, 0, 0, 2}, routerMAC, 64)
-	routed := v4Packet(f, [4]byte{10, 1, 2, 3}, routerMAC, 64)
+	host := v4Packet(f, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
+	routed := v4Packet(f, [4]byte{10, 1, 2, 3}, testbed.RouterMAC, 64)
 	f.Fuzz(func(t *testing.T, data []byte, port uint8) {
 		batchFuzzOnce.Do(func() { batchFuzzFused, batchFuzzInterp, batchFuzzErr = diffFuzzBringUp(largeTableEntriesFor()) })
 		if batchFuzzErr != nil {
@@ -283,55 +257,31 @@ func faultDelta(after, before [3]uint64) [3]uint64 {
 // a fused and an interpreter switch process the same realistic traffic
 // mix and must agree on every outcome and fault count.
 func TestDifferentialFusedVsInterp(t *testing.T) {
-	designs := []struct {
-		name   string
-		script string // applied on top of the base design; "" = base only
-	}{
-		{"base", ""},
-		{"acl", "acl.script"},
-		{"ecmp", "ecmp.script"},
-		{"flowprobe", "flowprobe.script"},
-		{"srv6", "srv6.script"},
-		{"vlan", "vlan.script"},
-	}
-	for _, d := range designs {
-		t.Run(d.name, func(t *testing.T) {
-			w := newBaseWorkspace(t)
-			cfg := w.Current().Config
-			if d.script != "" {
-				rep, err := w.ApplyScript(script(t, d.script), loader(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg = rep.Config
-			}
-			mk := func(mode tsp.ExecMode) *Switch {
-				o := DefaultOptions()
-				o.Exec = mode
-				sw, err := New(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sw.ApplyConfig(cfg); err != nil {
-					t.Fatal(err)
-				}
-				// Some scripts swap tables out (ecmp replaces
-				// nexthop_tbl with a selector); install what the
-				// design still has — identically on both switches.
-				for _, req := range baseEntries() {
-					_, _ = sw.InsertEntry(req)
-				}
-				if d.name == "ecmp" {
-					if _, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
-						t.Fatal(err)
-					}
+	for _, script := range testbed.Scripts {
+		name := strings.TrimSuffix(script, ".script")
+		if name == "" {
+			name = "base"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := testbed.Config(t, script)
+			mk := func(tier func(*Options)) *Switch {
+				sw := switchOn(t, cfg, tier)
+				if script == "ecmp.script" {
+					insert(t, sw, testbed.ECMPMember(testbed.NhMAC.Uint64()))
 				}
 				return sw
 			}
-			fused, interp := mk(tsp.ExecFused), mk(tsp.ExecInterp)
-			runDiff(t, fused, interp, diffTraffic(t, 48), d.name+" fused vs interp")
+			frames := testbed.Frames(t, 48, 0, testbed.Mix...)
+			floor := len(frames)
+			if script == "ecmp.script" {
+				floor = 140 // the one member is IPv4's: the 52 IPv6 flows drop
+			}
+			fused, interp := mk(nil), mk(interpreted)
+			if err := testbed.Diff(fused, interp, frames, floor); err != nil {
+				t.Fatalf("fused vs interp: %v", err)
+			}
 			if ff, fi := faultSnapshot(fused), faultSnapshot(interp); ff != fi {
-				t.Fatalf("%s: fault counters diverged: fused=%v interp=%v", d.name, ff, fi)
+				t.Fatalf("fault counters diverged: fused=%v interp=%v", ff, fi)
 			}
 		})
 	}

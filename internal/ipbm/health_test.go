@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // newManualHealthSwitch builds the base switch with the health sampler in
@@ -12,18 +13,10 @@ import (
 // waiting on the 1s ticker.
 func newManualHealthSwitch(t *testing.T) *Switch {
 	t.Helper()
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.HealthInterval = -1
-	opts.LatencyEvery = 1 // sample every packet so latency assertions are deterministic
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	sw, _ := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.HealthInterval = -1
+		opts.LatencyEvery = 1 // sample every packet so latency assertions are deterministic
+	})
 	return sw
 }
 
@@ -37,7 +30,7 @@ func TestHealthReadiness(t *testing.T) {
 	if sw.Health().Ready() {
 		t.Fatal("switch ready before any configuration")
 	}
-	w := newBaseWorkspace(t)
+	w := testbed.Workspace(t)
 	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +53,7 @@ func TestShardStallDegradesHealth(t *testing.T) {
 	h := sw.Health()
 	gauge := sw.Telemetry().Reg.Gauge("ipsa_health_state")
 
-	frame := v4Packet(t, [4]byte{10, 1, 0, 5}, routerMAC, 64)
+	frame := v4Packet(t, [4]byte{10, 1, 0, 5}, testbed.RouterMAC, 64)
 	target := int(pkt.RSSHash(frame) % 2)
 	release, err := sw.blockShard(target)
 	if err != nil {
@@ -69,7 +62,7 @@ func TestShardStallDegradesHealth(t *testing.T) {
 
 	// One frame wakes the worker into the gate; the rest pile up behind
 	// it so the lane has work queued while its heartbeat is frozen.
-	in, err := sw.Ports().Port(inPort)
+	in, err := sw.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +155,7 @@ func TestShardStallDegradesHealth(t *testing.T) {
 func TestHealthQueryRates(t *testing.T) {
 	sw := newManualHealthSwitch(t)
 	h := sw.Health()
-	frame := v4Packet(t, [4]byte{10, 1, 0, 5}, routerMAC, 64)
+	frame := v4Packet(t, [4]byte{10, 1, 0, 5}, testbed.RouterMAC, 64)
 
 	now := time.Now().UnixNano()
 	h.Check(now)
@@ -172,7 +165,7 @@ func TestHealthQueryRates(t *testing.T) {
 			// ProcessPacket rewrites the frame in place (TTL, MACs), so
 			// feed it a fresh copy each round.
 			copy(buf, frame)
-			if _, err := sw.ProcessPacket(buf, inPort); err != nil {
+			if _, err := sw.ProcessPacket(buf, testbed.InPort); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // TestInsituECMP exercises use case C1: while the switch forwards, ECMP is
@@ -14,15 +15,12 @@ func TestInsituECMP(t *testing.T) {
 	sw, w := newBaseSwitch(t)
 
 	// Baseline traffic works.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("baseline broken: %v, drop=%v", err, p.Drop)
 	}
 
-	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "ecmp.script")
 	st, err := sw.ApplyConfig(rep.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +39,12 @@ func TestInsituECMP(t *testing.T) {
 	// Populate the two ECMP selector tables: nexthop group 7 has two
 	// members with distinct egress MACs/bridges.
 	nhMAC2 := pkt.MAC{0x02, 0, 0, 0, 0, 0x33}
-	insert(t, sw, ecmpMember(nhMAC.Uint64()))
-	insert(t, sw, ecmpMember(nhMAC2.Uint64()))
+	insert(t, sw, testbed.ECMPMember(testbed.NhMAC.Uint64()))
+	insert(t, sw, testbed.ECMPMember(nhMAC2.Uint64()))
 	// Second dmac entry so member B's MAC resolves.
 	insert(t, sw, ctrlplane.EntryReq{
 		Table: "dmac_tbl",
-		Keys:  []ctrlplane.FieldValue{{Value: bridgeOut}, {Value: nhMAC2.Uint64()}},
+		Keys:  []ctrlplane.FieldValue{{Value: testbed.BridgeOut}, {Value: nhMAC2.Uint64()}},
 		Tag:   1, Params: []uint64{4},
 	})
 
@@ -54,7 +52,7 @@ func TestInsituECMP(t *testing.T) {
 	seen := map[pkt.MAC]int{}
 	for i := 0; i < 64; i++ {
 		dst := [4]byte{10, 1, byte(i), byte(i * 7)}
-		p, err := sw.ProcessPacket(v4Packet(t, dst, routerMAC, 64), inPort)
+		p, err := sw.ProcessPacket(v4Packet(t, dst, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +63,13 @@ func TestInsituECMP(t *testing.T) {
 		_ = eth.Decode(p.Data)
 		seen[eth.Dst]++
 	}
-	if len(seen) != 2 || seen[nhMAC] == 0 || seen[nhMAC2] == 0 {
+	if len(seen) != 2 || seen[testbed.NhMAC] == 0 || seen[nhMAC2] == 0 {
 		t.Errorf("ECMP spread: %v", seen)
 	}
 	// Determinism: the same flow always picks the same member.
 	var first pkt.MAC
 	for i := 0; i < 5; i++ {
-		p, _ := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 1, 1}, routerMAC, 64), inPort)
+		p, _ := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 1, 1}, testbed.RouterMAC, 64), testbed.InPort)
 		var eth pkt.Ethernet
 		_ = eth.Decode(p.Data)
 		if i == 0 {
@@ -103,10 +101,7 @@ func TestInsituECMP(t *testing.T) {
 // packets and punts to the CPU once the threshold is exceeded.
 func TestInsituFlowProbe(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "flowprobe.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "flowprobe.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +112,7 @@ func TestInsituFlowProbe(t *testing.T) {
 		Tag:   1, Params: []uint64{42, 3},
 	})
 	for i := 1; i <= 5; i++ {
-		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +139,7 @@ func TestInsituFlowProbe(t *testing.T) {
 		t.Errorf("punt queue = %d, want 2", got)
 	}
 	// Other flows are not probed.
-	p, _ := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 1, 1}, routerMAC, 64), inPort)
+	p, _ := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 1, 1}, testbed.RouterMAC, 64), testbed.InPort)
 	if p.ToCPU {
 		t.Error("unprobed flow punted")
 	}
@@ -155,10 +150,7 @@ func TestInsituFlowProbe(t *testing.T) {
 // updated destination is routed.
 func TestInsituSRv6(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "srv6.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "srv6.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +175,13 @@ func TestInsituSRv6(t *testing.T) {
 	ip.Src[15] = 1
 	srh := pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{seg0, seg1}}
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 		&ip, &srh, &pkt.TCP{SrcPort: 7, DstPort: 8},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sw.ProcessPacket(raw, inPort)
+	p, err := sw.ProcessPacket(raw, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +202,8 @@ func TestInsituSRv6(t *testing.T) {
 	if outSRH.SegmentsLeft != 0 {
 		t.Errorf("segments_left = %d, want 0", outSRH.SegmentsLeft)
 	}
-	if p.OutPort != outPort {
-		t.Errorf("out port = %d, want %d (routed via 2001::/32)", p.OutPort, outPort)
+	if p.OutPort != testbed.OutPort {
+		t.Errorf("out port = %d, want %d (routed via 2001::/32)", p.OutPort, testbed.OutPort)
 	}
 	// Non-SID SRv6 traffic transits without endpoint processing.
 	other := make([]byte, 16)
@@ -219,10 +211,10 @@ func TestInsituSRv6(t *testing.T) {
 	copy(ip.Dst[:], other)
 	srh2 := pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{seg0, seg1}}
 	raw2, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 		&ip, &srh2, &pkt.TCP{SrcPort: 7, DstPort: 8},
 	)
-	p2, err := sw.ProcessPacket(raw2, inPort)
+	p2, err := sw.ProcessPacket(raw2, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +234,7 @@ func TestInsituSRv6(t *testing.T) {
 // segment the SRH is removed.
 func TestInsituSRv6EndPop(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "srv6.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "srv6.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -262,14 +251,14 @@ func TestInsituSRv6EndPop(t *testing.T) {
 	copy(ip.Dst[:], sid)
 	srh := pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{seg0}}
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 		&ip, &srh, &pkt.TCP{SrcPort: 7, DstPort: 8},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	origLen := len(raw)
-	p, err := sw.ProcessPacket(raw, inPort)
+	p, err := sw.ProcessPacket(raw, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +304,7 @@ func TestInsituUpdateUnderTraffic(t *testing.T) {
 				return
 			default:
 			}
-			p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+			p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 			if err != nil {
 				errs <- err
 				return
@@ -326,14 +315,11 @@ func TestInsituUpdateUnderTraffic(t *testing.T) {
 			}
 		}
 	}()
-	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "ecmp.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
+	if _, err := sw.InsertEntry(testbed.ECMPMember(testbed.NhMAC.Uint64())); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -341,7 +327,7 @@ func TestInsituUpdateUnderTraffic(t *testing.T) {
 		t.Fatalf("traffic failed during update: %v", err)
 	}
 	// After the update and member installation, traffic flows again.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("post-update traffic: err=%v drop=%v", err, p.Drop)
 	}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"ipsa/internal/intmd"
-	"ipsa/internal/tsp"
+	"ipsa/internal/testbed"
 )
 
 // counterClock is a deterministic monotonic clock for differential INT
@@ -29,7 +29,7 @@ func TestIntEndToEnd(t *testing.T) {
 	sw.intDepth = func(port int) int { return 3 }
 
 	// Before enabling: no stamping, no reports.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestIntEndToEnd(t *testing.T) {
 		t.Fatal("SetInt(true) did not stick")
 	}
 	plainLen := len(p.Data)
-	p, err = sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err = sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestIntEndToEnd(t *testing.T) {
 	if len(rep.Hops) < 3 {
 		t.Fatalf("hop records = %d, want >= 3 (path %s)", len(rep.Hops), rep.Path())
 	}
-	if rep.InPort != inPort || rep.OutPort != outPort {
+	if rep.InPort != testbed.InPort || rep.OutPort != testbed.OutPort {
 		t.Errorf("report ports in=%d out=%d", rep.InPort, rep.OutPort)
 	}
 	for i, h := range rep.Hops {
@@ -106,7 +106,7 @@ func TestIntEndToEnd(t *testing.T) {
 	if err := sw.SetInt(false); err != nil {
 		t.Fatal(err)
 	}
-	p, err = sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err = sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,7 @@ func TestIntEndToEnd(t *testing.T) {
 // interpreted tier must produce byte-identical packets and hop-identical
 // sink reports.
 func TestIntDifferentialFusedVsInterp(t *testing.T) {
-	interpOpts := DefaultOptions()
-	interpOpts.Exec = tsp.ExecInterp
-	a := switchFromOpts(t, compilerOpts(), DefaultOptions())
-	b := switchFromOpts(t, compilerOpts(), interpOpts)
+	a, b := switchOn(t, testbed.Config(t, ""), nil), switchOn(t, testbed.Config(t, ""), interpreted)
 	for _, sw := range []*Switch{a, b} {
 		sw.intNow = counterClock()
 		sw.intDepth = func(port int) int { return port }
@@ -145,7 +142,9 @@ func TestIntDifferentialFusedVsInterp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runDiff(t, a, b, diffTraffic(t, 48), "INT fused vs interp")
+	if err := diffAll(a, b, testbed.Frames(t, 48, 0, testbed.Mix...)); err != nil {
+		t.Fatalf("INT fused vs interp: %v", err)
+	}
 
 	ra, rb := a.intReports(0), b.intReports(0)
 	if len(ra) == 0 || len(ra) != len(rb) {
@@ -174,11 +173,11 @@ func TestIntSoakShardedConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
-	in, err := sw.Ports().Port(inPort)
+	in, err := sw.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sw.Ports().Port(outPort)
+	out, err := sw.Ports().Port(testbed.OutPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestIntSoakShardedConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for !in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64)) {
+		for !in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64)) {
 			time.Sleep(time.Millisecond)
 		}
 		injected++
@@ -282,11 +281,11 @@ func TestIntDisabledZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
 	sw, _ := newBaseSwitch(t)
-	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
+	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
 	data := make([]byte, len(raw))
 	fwd := func() {
 		copy(data, raw) // Forward rewrites headers in place; reset each run
-		if _, err := sw.Forward(data, inPort); err != nil {
+		if _, err := sw.Forward(data, testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,11 +320,11 @@ func TestIntUpstreamTrailerExtended(t *testing.T) {
 	if err := sw.SetInt(true); err != nil {
 		t.Fatal(err)
 	}
-	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
+	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
 	raw = intmd.AppendHop(raw, intmd.HopRecord{
 		SwitchID: 99, StageID: 0xF000, InNanos: 10, OutNanos: 20, LatencyNanos: 10,
 	})
-	p, err := sw.ProcessPacket(raw, inPort)
+	p, err := sw.ProcessPacket(raw, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}

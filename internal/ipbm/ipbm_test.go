@@ -1,75 +1,16 @@
 package ipbm
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ipsa/internal/compiler/backend"
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
-	"ipsa/internal/rp4/parser"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
+	"ipsa/internal/tsp"
 	"ipsa/internal/verdict"
 )
-
-// Test topology constants for the base L2/L3 design.
-const (
-	inPort    = 1
-	outPort   = 3
-	iifIndex  = 10
-	bridgeIn  = 100
-	bridgeOut = 200
-	vrfID     = 1
-	nexthopID = 7
-)
-
-var (
-	routerMAC = pkt.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
-	hostMAC   = pkt.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
-	nhMAC     = pkt.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x03}
-	smacMAC   = pkt.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x04}
-)
-
-func compilerOpts() backend.Options {
-	opts := backend.DefaultOptions()
-	opts.NumTSPs = 16 // match the software switch
-	return opts
-}
-
-func newBaseWorkspace(t testing.TB) *backend.Workspace {
-	t.Helper()
-	src, err := os.ReadFile("../../testdata/base_l2l3.rp4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := parser.Parse("base_l2l3.rp4", string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := backend.NewWorkspace(prog, compilerOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-func loader(t testing.TB) backend.Loader {
-	t.Helper()
-	return func(name string) (string, error) {
-		b, err := os.ReadFile(filepath.Join("../../testdata", name))
-		return string(b), err
-	}
-}
-
-func script(t testing.TB, name string) string {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("../../testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
 
 // newBaseSwitch compiles, installs and populates the base design.
 func newBaseSwitch(t testing.TB) (*Switch, *backend.Workspace) {
@@ -81,7 +22,7 @@ func newBaseSwitch(t testing.TB) (*Switch, *backend.Workspace) {
 // flow accounting off).
 func newBaseSwitchOpts(t testing.TB, tweak func(*Options)) (*Switch, *backend.Workspace) {
 	t.Helper()
-	w := newBaseWorkspace(t)
+	w := testbed.Workspace(t)
 	opts := DefaultOptions()
 	if tweak != nil {
 		tweak(&opts)
@@ -97,8 +38,31 @@ func newBaseSwitchOpts(t testing.TB, tweak func(*Options)) (*Switch, *backend.Wo
 	if !st.Full || st.TablesCreated != 10 {
 		t.Fatalf("initial apply: %+v", st)
 	}
-	populateBase(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	return sw, w
+}
+
+// interpreted is the options hook that selects the interpreter tier, the
+// oracle the fused tier is held to.
+func interpreted(o *Options) { o.Exec = tsp.ExecInterp }
+
+// switchOn brings up a switch running cfg under an options hook (nil for
+// the defaults), populated with the base entries of every table cfg has.
+func switchOn(t testing.TB, cfg *template.Config, tweak func(*Options)) *Switch {
+	t.Helper()
+	opts := DefaultOptions()
+	if tweak != nil {
+		tweak(&opts)
+	}
+	sw, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.ApplyConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	testbed.Populate(t, sw, cfg, testbed.Base())
+	return sw
 }
 
 func insert(t testing.TB, sw *Switch, req ctrlplane.EntryReq) int {
@@ -110,99 +74,10 @@ func insert(t testing.TB, sw *Switch, req ctrlplane.EntryReq) int {
 	return h
 }
 
-// baseEntries is the canonical table population for the base L2/L3
-// design, shared by the testing.T path (populateBase) and the fuzz-worker
-// path (populateBaseErr) which has no T to fail on.
-func baseEntries() []ctrlplane.EntryReq {
-	v6dst := make([]byte, 16)
-	v6dst[0], v6dst[15] = 0x20, 0x02
-	v6pfx := make([]byte, 16)
-	v6pfx[0], v6pfx[1] = 0x20, 0x01
-	return []ctrlplane.EntryReq{
-		{
-			Table: "port_map_tbl", Keys: []ctrlplane.FieldValue{{Value: inPort}},
-			Tag: 1, Params: []uint64{iifIndex},
-		},
-		{
-			Table: "bd_vrf_tbl", Keys: []ctrlplane.FieldValue{{Value: iifIndex}},
-			Tag: 1, Params: []uint64{bridgeIn, vrfID},
-		},
-		{
-			Table: "l2_l3_tbl",
-			Keys:  []ctrlplane.FieldValue{{Value: bridgeIn}, {Value: routerMAC.Uint64()}},
-			Tag:   1,
-		},
-		{
-			Table: "ipv4_host",
-			Keys:  []ctrlplane.FieldValue{{Value: vrfID}, {Value: 0x0A000002}}, // 10.0.0.2
-			Tag:   1, Params: []uint64{nexthopID},
-		},
-		{
-			Table:     "ipv4_lpm",
-			Keys:      []ctrlplane.FieldValue{{Value: 0x0A010000}}, // 10.1.0.0/16
-			PrefixLen: 16,
-			Tag:       1, Params: []uint64{nexthopID},
-		},
-		{
-			Table: "ipv6_host",
-			Keys:  []ctrlplane.FieldValue{{Value: vrfID}, {Bytes: v6dst}},
-			Tag:   1, Params: []uint64{nexthopID},
-		},
-		{
-			Table:     "ipv6_lpm",
-			Keys:      []ctrlplane.FieldValue{{Bytes: v6pfx}},
-			PrefixLen: 32,
-			Tag:       1, Params: []uint64{nexthopID},
-		},
-		{
-			Table: "nexthop_tbl", Keys: []ctrlplane.FieldValue{{Value: nexthopID}},
-			Tag: 1, Params: []uint64{bridgeOut, nhMAC.Uint64()},
-		},
-		{
-			Table: "smac_tbl", Keys: []ctrlplane.FieldValue{{Value: bridgeOut}},
-			Tag: 1, Params: []uint64{smacMAC.Uint64()},
-		},
-		{
-			Table: "dmac_tbl",
-			Keys:  []ctrlplane.FieldValue{{Value: bridgeOut}, {Value: nhMAC.Uint64()}},
-			Tag:   1, Params: []uint64{outPort},
-		},
-		// L2 path: same bridge as ingress, direct MAC.
-		{
-			Table: "dmac_tbl",
-			Keys:  []ctrlplane.FieldValue{{Value: bridgeIn}, {Value: hostMAC.Uint64()}},
-			Tag:   1, Params: []uint64{5},
-		},
-	}
-}
-
-func populateBase(t testing.TB, sw *Switch) {
-	t.Helper()
-	for _, req := range baseEntries() {
-		insert(t, sw, req)
-	}
-}
-
-// ecmpMember is a member of next-hop group nexthopID in the ECMP design's
-// ecmp_ipv4 selector that rewrites to bridgeOut and dmac.
-func ecmpMember(dmac uint64) ctrlplane.EntryReq {
-	return ctrlplane.EntryReq{Table: "ecmp_ipv4", Keys: []ctrlplane.FieldValue{{Value: nexthopID}},
-		Tag: 1, Params: []uint64{bridgeOut, dmac}}
-}
-
-func populateBaseErr(sw *Switch) error {
-	for _, req := range baseEntries() {
-		if _, err := sw.InsertEntry(req); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func v4Packet(t testing.TB, dst [4]byte, dmac pkt.MAC, ttl uint8) []byte {
 	t.Helper()
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: dmac, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: dmac, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: ttl, Protocol: pkt.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: dst},
 		&pkt.TCP{SrcPort: 1234, DstPort: 80},
 	)
@@ -214,25 +89,25 @@ func v4Packet(t testing.TB, dst [4]byte, dmac pkt.MAC, ttl uint8) []byte {
 
 func TestRoutedIPv4HostPath(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Drop {
 		t.Fatal("packet dropped")
 	}
-	if p.OutPort != outPort {
-		t.Errorf("out port = %d, want %d", p.OutPort, outPort)
+	if p.OutPort != testbed.OutPort {
+		t.Errorf("out port = %d, want %d", p.OutPort, testbed.OutPort)
 	}
 	var eth pkt.Ethernet
 	if err := eth.Decode(p.Data); err != nil {
 		t.Fatal(err)
 	}
-	if eth.Dst != nhMAC {
-		t.Errorf("dmac = %v, want %v", eth.Dst, nhMAC)
+	if eth.Dst != testbed.NhMAC {
+		t.Errorf("dmac = %v, want %v", eth.Dst, testbed.NhMAC)
 	}
-	if eth.Src != smacMAC {
-		t.Errorf("smac = %v, want %v", eth.Src, smacMAC)
+	if eth.Src != testbed.SmacMAC {
+		t.Errorf("smac = %v, want %v", eth.Src, testbed.SmacMAC)
 	}
 	var ip pkt.IPv4
 	if err := ip.Decode(p.Data[pkt.EthernetLen:]); err != nil {
@@ -248,11 +123,11 @@ func TestRoutedIPv4HostPath(t *testing.T) {
 
 func TestRoutedIPv4LPMPath(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 2, 3}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 2, 3}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Drop || p.OutPort != outPort {
+	if p.Drop || p.OutPort != testbed.OutPort {
 		t.Fatalf("drop=%v out=%d", p.Drop, p.OutPort)
 	}
 	// Host table must have missed, LPM hit.
@@ -272,17 +147,17 @@ func TestRoutedIPv6Path(t *testing.T) {
 	ip.Dst[0], ip.Dst[15] = 0x20, 0x02
 	ip.Src[15] = 1
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 		&ip, &pkt.TCP{SrcPort: 9, DstPort: 10},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sw.ProcessPacket(raw, inPort)
+	p, err := sw.ProcessPacket(raw, testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Drop || p.OutPort != outPort {
+	if p.Drop || p.OutPort != testbed.OutPort {
 		t.Fatalf("drop=%v out=%d", p.Drop, p.OutPort)
 	}
 	var out pkt.IPv6
@@ -298,7 +173,7 @@ func TestL2BridgedPath(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	// Destination is a host MAC, not the router: pure L2 forwarding, no
 	// TTL change.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 9, 9, 9}, hostMAC, 33), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 9, 9, 9}, testbed.HostMAC, 33), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,14 +189,14 @@ func TestL2BridgedPath(t *testing.T) {
 	}
 	var eth pkt.Ethernet
 	_ = eth.Decode(p.Data)
-	if eth.Src != hostMAC {
+	if eth.Src != testbed.HostMAC {
 		t.Errorf("smac rewritten on L2 path: %v", eth.Src)
 	}
 }
 
 func TestUnknownPortDropped(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), 6)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +211,7 @@ func TestUnknownPortDropped(t *testing.T) {
 
 func TestUnknownDMACDropped(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 9, 9, 9}, pkt.MAC{9, 9, 9, 9, 9, 9}, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 9, 9, 9}, pkt.MAC{9, 9, 9, 9, 9, 9}, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +223,8 @@ func TestUnknownDMACDropped(t *testing.T) {
 func TestUnroutableDropsAtDMAC(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	// Routed lookup misses both FIBs: fib_hit stays 0, nexthop skipped,
-	// dmac lookup (bridgeIn, routerMAC) misses -> drop.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{192, 168, 0, 1}, routerMAC, 64), inPort)
+	// dmac lookup (testbed.BridgeIn, testbed.RouterMAC) misses -> drop.
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{192, 168, 0, 1}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +237,8 @@ func TestDeleteEntryAndNewPacket(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	h := insert(t, sw, ctrlplane.EntryReq{
 		Table: "ipv4_host",
-		Keys:  []ctrlplane.FieldValue{{Value: vrfID}, {Value: 0x0A00FFFF}},
-		Tag:   1, Params: []uint64{nexthopID},
+		Keys:  []ctrlplane.FieldValue{{Value: testbed.VrfID}, {Value: 0x0A00FFFF}},
+		Tag:   1, Params: []uint64{testbed.NexthopID},
 	})
 	if err := sw.DeleteEntry("ipv4_host", h); err != nil {
 		t.Fatal(err)

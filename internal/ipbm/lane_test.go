@@ -7,6 +7,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 	"ipsa/internal/tsp"
 	"ipsa/internal/verdict"
 )
@@ -24,23 +25,12 @@ import (
 // tx_fail), INT stamping and sinking on.
 func paritySwitch(t *testing.T, exec tsp.ExecMode) *Switch {
 	t.Helper()
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.QueueDepth = 4
-	opts.Exec = exec
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	sw, w := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.QueueDepth = 4
+		opts.Exec = exec
+	})
 	for _, name := range []string{"flowprobe.script", "acl.script"} {
-		rep, err := w.ApplyScript(script(t, name), loader(t))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := testbed.Update(t, w, name)
 		if _, err := sw.ApplyConfig(rep.Config); err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +44,11 @@ func paritySwitch(t *testing.T, exec tsp.ExecMode) *Switch {
 		{Table: "acl_tbl", Keys: []ctrlplane.FieldValue{{Value: 0x0A000001}, {Value: 0x0A010707},
 			{Value: 0, Mask: &ctrlplane.FieldMask{Value: 0}}}, Priority: 10, Tag: 1},
 		// 10.2.0.9 resolves through nexthop 9 to port 99 of 8.
-		{Table: "ipv4_host", Keys: []ctrlplane.FieldValue{{Value: vrfID}, {Value: 0x0A020009}},
+		{Table: "ipv4_host", Keys: []ctrlplane.FieldValue{{Value: testbed.VrfID}, {Value: 0x0A020009}},
 			Tag: 1, Params: []uint64{9}},
 		{Table: "nexthop_tbl", Keys: []ctrlplane.FieldValue{{Value: 9}},
-			Tag: 1, Params: []uint64{bridgeOut, poisonMAC.Uint64()}},
-		{Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: bridgeOut}, {Value: poisonMAC.Uint64()}},
+			Tag: 1, Params: []uint64{testbed.BridgeOut, poisonMAC.Uint64()}},
+		{Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: testbed.BridgeOut}, {Value: poisonMAC.Uint64()}},
 			Tag: 1, Params: []uint64{99}},
 	} {
 		insert(t, sw, req)
@@ -86,14 +76,14 @@ func parityTrace(t *testing.T) []parityGroup {
 	routable := func(n int, last byte) [][]byte {
 		var out [][]byte
 		for i := 0; i < n; i++ {
-			out = append(out, v4Packet(t, [4]byte{10, 1, byte(i), last}, routerMAC, 64))
+			out = append(out, v4Packet(t, [4]byte{10, 1, byte(i), last}, testbed.RouterMAC, 64))
 		}
 		return out
 	}
 	repeat := func(n int, dst [4]byte) [][]byte {
 		var out [][]byte
 		for i := 0; i < n; i++ {
-			out = append(out, v4Packet(t, dst, routerMAC, 64))
+			out = append(out, v4Packet(t, dst, testbed.RouterMAC, 64))
 		}
 		return out
 	}
@@ -221,7 +211,7 @@ type parityDriver struct {
 	name string
 	// start launches the forwarding goroutines, if the driver has any.
 	start func(t *testing.T, sw *Switch)
-	// send pushes frames in at inPort. Admission errors come back.
+	// send pushes frames in at testbed.InPort. Admission errors come back.
 	send func(sw *Switch, frames [][]byte) error
 	// congest, for a driver whose lanes park packets in a TM, sends the
 	// ten frames of the congested group so that the TM takes four and
@@ -230,7 +220,7 @@ type parityDriver struct {
 }
 
 func injectAll(sw *Switch, frames [][]byte) error {
-	in, _ := sw.Ports().Port(inPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
 	for _, f := range frames {
 		if !in.Inject(f) {
 			return fmt.Errorf("ingress ring refused a frame")
@@ -274,7 +264,7 @@ func parityDrivers() []parityDriver {
 			send: func(sw *Switch, frames [][]byte) error {
 				var first error
 				for _, f := range frames {
-					if _, err := sw.Forward(f, inPort); err != nil && first == nil {
+					if _, err := sw.Forward(f, testbed.InPort); err != nil && first == nil {
 						first = err
 					}
 				}
@@ -284,7 +274,7 @@ func parityDrivers() []parityDriver {
 		{
 			name: "ForwardBatch",
 			send: func(sw *Switch, frames [][]byte) error {
-				_, err := sw.ForwardBatch(frames, inPort)
+				_, err := sw.ForwardBatch(frames, testbed.InPort)
 				return err
 			},
 		},
@@ -317,7 +307,7 @@ func TestLifecycleParity(t *testing.T) {
 	var eg ledger // egress side only; the rest is read after Shutdown
 	for _, g := range trace {
 		for _, f := range cloneFrames(g.frames) {
-			p, err := oracle.ProcessPacket(f, inPort)
+			p, err := oracle.ProcessPacket(f, testbed.InPort)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +384,7 @@ func TestLifecycleParity(t *testing.T) {
 	t.Run("admission_error", func(t *testing.T) {
 		for _, d := range parityDrivers() {
 			t.Run(d.name, func(t *testing.T) {
-				cfg, err := newBaseWorkspace(t).Current().Config.Clone()
+				cfg, err := testbed.Workspace(t).Current().Config.Clone()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -412,7 +402,7 @@ func TestLifecycleParity(t *testing.T) {
 				const n = 5
 				var frames [][]byte
 				for i := 0; i < n; i++ {
-					frames = append(frames, v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64))
+					frames = append(frames, v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64))
 				}
 				if err := d.send(sw, frames); d.start == nil && err == nil {
 					t.Error("no admission error reported")
@@ -442,19 +432,16 @@ func TestShutdownConservation(t *testing.T) {
 		}
 		t.Run(d.name, func(t *testing.T) {
 			sw, w := newBaseSwitch(t)
-			rep, err := w.ApplyScript(script(t, "acl.script"), loader(t))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := testbed.Update(t, w, "acl.script")
 			d.start(t, sw)
-			in, _ := sw.Ports().Port(inPort)
+			in, _ := sw.Ports().Port(testbed.InPort)
 			var accepted uint64
 			for i := 0; i < 1000; i++ {
 				dst := [4]byte{10, 1, byte(i >> 4), byte(i)}
 				if i%5 == 4 {
 					dst = [4]byte{192, 168, 0, byte(i)} // no route installed
 				}
-				if in.Inject(v4Packet(t, dst, routerMAC, 64)) {
+				if in.Inject(v4Packet(t, dst, testbed.RouterMAC, 64)) {
 					accepted++
 				}
 			}

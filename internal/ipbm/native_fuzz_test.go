@@ -1,14 +1,11 @@
 package ipbm
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
-	"ipsa/internal/compiler/backend"
 	"ipsa/internal/pkt"
-	"ipsa/internal/rp4/parser"
+	"ipsa/internal/testbed"
 )
 
 var (
@@ -16,32 +13,10 @@ var (
 	fuzzSw   *Switch
 )
 
-// fuzzBringUp builds a populated switch with the SRv6 design, without any
+// fuzzBringUp builds a switch running the SRv6 design, without any
 // testing.T plumbing so it can run inside the fuzz engine's worker.
 func fuzzBringUp() *Switch {
-	read := func(name string) (string, error) {
-		b, err := os.ReadFile(filepath.Join("../../testdata", name))
-		return string(b), err
-	}
-	src, err := read("base_l2l3.rp4")
-	if err != nil {
-		return nil
-	}
-	prog, err := parser.Parse("base_l2l3.rp4", src)
-	if err != nil {
-		return nil
-	}
-	opts := backend.DefaultOptions()
-	opts.NumTSPs = 16
-	w, err := backend.NewWorkspace(prog, opts)
-	if err != nil {
-		return nil
-	}
-	scriptSrc, err := read("srv6.script")
-	if err != nil {
-		return nil
-	}
-	rep, err := w.ApplyScript(scriptSrc, read)
+	cfg, err := testbed.Repo().Incremental(testbed.Compiler(), "srv6.script")
 	if err != nil {
 		return nil
 	}
@@ -49,7 +24,7 @@ func fuzzBringUp() *Switch {
 	if err != nil {
 		return nil
 	}
-	if _, err := sw.ApplyConfig(rep.Config); err != nil {
+	if _, err := sw.ApplyConfig(cfg); err != nil {
 		return nil
 	}
 	return sw
@@ -62,7 +37,7 @@ func FuzzDataPath(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0, 0, 0, 0, 1}, uint8(1))
 	valid, _ := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 		&pkt.IPv6{NextHeader: pkt.IPProtoRouting, HopLimit: 64},
 		&pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{{1}, {2}}},
 		&pkt.TCP{SrcPort: 1, DstPort: 2},

@@ -8,6 +8,7 @@ import (
 	"ipsa/internal/mem"
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 	"ipsa/internal/tsp"
 	"ipsa/internal/verdict"
 )
@@ -33,7 +34,7 @@ func TestPinnedVersionKeepsItsIntState(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := sw.newLane(1, nil, 1)
-	f := laneFrame{data: v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), port: inPort}
+	f := laneFrame{data: v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), port: testbed.InPort}
 	if err := l.admit(v, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRedefinedTableIsRecreated(t *testing.T) {
 			t.Fatal(err)
 		}
 		route := func() *pkt.Packet {
-			p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+			p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,9 +128,9 @@ func TestRedefinedTableIsRecreated(t *testing.T) {
 			t.Fatalf("10.0.0.2 routed to %d through an empty host table", p.OutPort)
 		}
 		insert(t, sw, ctrlplane.EntryReq{Table: "ipv4_host", Keys: []ctrlplane.FieldValue{{Value: 0x0A000002}},
-			Tag: 1, Params: []uint64{nexthopID}})
-		if p := route(); p.Drop || p.OutPort != outPort {
-			t.Fatalf("10.0.0.2: drop=%v out=%d, want out %d through the new 32-bit host table", p.Drop, p.OutPort, outPort)
+			Tag: 1, Params: []uint64{testbed.NexthopID}})
+		if p := route(); p.Drop || p.OutPort != testbed.OutPort {
+			t.Fatalf("10.0.0.2: drop=%v out=%d, want out %d through the new 32-bit host table", p.Drop, p.OutPort, testbed.OutPort)
 		}
 	})
 }
@@ -141,7 +142,7 @@ func TestRedefinedTableIsRecreated(t *testing.T) {
 // on both executor tiers; the whole frame is forwarded.
 func TestTruncatedFramesAreParseErrors(t *testing.T) {
 	frame, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2}},
 		&pkt.UDP{SrcPort: 1234, DstPort: 53},
 	)
@@ -160,7 +161,7 @@ func TestTruncatedFramesAreParseErrors(t *testing.T) {
 					want = verdict.Forwarded
 				}
 				before := sw.tel.VerdictSnapshot()
-				if _, err := sw.Forward(append([]byte(nil), frame[:n]...), inPort); err != nil {
+				if _, err := sw.Forward(append([]byte(nil), frame[:n]...), testbed.InPort); err != nil {
 					t.Fatal(err)
 				}
 				after := sw.tel.VerdictSnapshot()

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ipsa/internal/ctrlplane"
+	"ipsa/internal/testbed"
 	"ipsa/internal/verdict"
 )
 
@@ -130,7 +131,7 @@ func TestReconfigStormHitless(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
-	inP, err := sw.Ports().Port(inPort)
+	inP, err := sw.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}

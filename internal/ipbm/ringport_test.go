@@ -6,6 +6,7 @@ import (
 
 	"ipsa/internal/netio"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // flowsPerShard returns one flowPacket source port hashing to each of
@@ -45,18 +46,10 @@ func tcpIdentity(t *testing.T, d []byte) (uint16, uint32) {
 // the first full shard queue). Health flags exactly the frozen lane, and
 // after release every injected frame is accounted for.
 func TestBlockedShardDoesNotStallOthers(t *testing.T) {
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.HealthInterval = -1
-	opts.QueueDepth = 8
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	sw, _ := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.HealthInterval = -1
+		opts.QueueDepth = 8
+	})
 	defer sw.Shutdown()
 	if err := sw.RunSharded(2, 4); err != nil {
 		t.Fatal(err)
@@ -74,8 +67,8 @@ func TestBlockedShardDoesNotStallOthers(t *testing.T) {
 		}
 	}
 	defer release() // a failure above the release must not leave Shutdown waiting on the gate
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 
 	const frames = 40
 	var accepted [2]uint64
@@ -161,8 +154,8 @@ func TestBlockedShardDoesNotStallOthers(t *testing.T) {
 // processed to a verdict before the workers exit.
 func TestRunShardedKeepsQueuedFrames(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	const flows, perFlow = 6, 20
 	inject := func(from, to uint32) {
 		for seq := from; seq <= to; seq++ {

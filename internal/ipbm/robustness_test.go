@@ -9,6 +9,7 @@ import (
 
 	"ipsa/internal/pkt"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 )
 
 // TestRandomBytesNeverPanic throws garbage at the fully populated data
@@ -27,7 +28,7 @@ func TestRandomBytesNeverPanic(t *testing.T) {
 		}
 	}
 	// Mutations of a valid packet, including truncations mid-header.
-	valid := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
+	valid := v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
 	for i := 0; i < 3000; i++ {
 		data := append([]byte(nil), valid...)
 		switch rng.Intn(3) {
@@ -41,7 +42,7 @@ func TestRandomBytesNeverPanic(t *testing.T) {
 				data[rng.Intn(len(data))] ^= 0xFF
 			}
 		}
-		if _, err := sw.ProcessPacket(data, inPort); err != nil {
+		if _, err := sw.ProcessPacket(data, testbed.InPort); err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
 	}
@@ -53,17 +54,14 @@ func TestRandomBytesNeverPanic(t *testing.T) {
 func TestRandomBytesThroughUseCases(t *testing.T) {
 	for _, uc := range []string{"ecmp.script", "srv6.script", "flowprobe.script", "acl.script"} {
 		sw, w := newBaseSwitch(t)
-		rep, err := w.ApplyScript(script(t, uc), loader(t))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := testbed.Update(t, w, uc)
 		if _, err := sw.ApplyConfig(rep.Config); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(11))
 		// Random SRv6-shaped packets with corrupted SRH length fields.
 		base, _ := pkt.Serialize(
-			&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv6},
+			&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv6},
 			&pkt.IPv6{NextHeader: pkt.IPProtoRouting, HopLimit: 64},
 			&pkt.SRH{NextHeader: pkt.IPProtoTCP, SegmentsLeft: 1, Segments: [][16]byte{{1}, {2}}},
 			&pkt.TCP{},
@@ -76,7 +74,7 @@ func TestRandomBytesThroughUseCases(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				data = data[:rng.Intn(len(data))]
 			}
-			if _, err := sw.ProcessPacket(data, inPort); err != nil {
+			if _, err := sw.ProcessPacket(data, testbed.InPort); err != nil {
 				t.Fatalf("%s packet %d: %v", uc, i, err)
 			}
 		}
@@ -97,7 +95,7 @@ func TestApplyFailureLeavesDeviceUsable(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 	// Traffic still forwards on the old design.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("device broken after rejected config: err=%v drop=%v", err, p.Drop)
 	}
@@ -131,7 +129,7 @@ func TestApplyRejectsWideLPMTable(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("tables %v after the refused apply, want %v", after, before)
 	}
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("device broken after rejected config: err=%v drop=%v", err, p.Drop)
 	}
@@ -144,10 +142,7 @@ func TestApplyRejectsWideLPMTable(t *testing.T) {
 // TSPsWritten from its own diff, the TSPs the true manifest names.
 func TestPatchManifestValidation(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "flowprobe.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "flowprobe.script")
 	epoch, tables := sw.currentEpoch(), len(sw.ListTables())
 	for _, c := range []struct {
 		name  string
@@ -171,7 +166,7 @@ func TestPatchManifestValidation(t *testing.T) {
 				c.name, epoch, sw.currentEpoch(), tables, len(sw.ListTables()))
 		}
 	}
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("device broken after rejected patch: err=%v drop=%v", err, p.Drop)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ipsa/internal/pipeline"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 	"ipsa/internal/verdict"
 )
 
@@ -17,7 +18,7 @@ import (
 func flowPacket(t testing.TB, flow uint16, seq uint32) []byte {
 	t.Helper()
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 1, 0, 1}},
 		&pkt.TCP{SrcPort: flow, DstPort: 80, Seq: seq},
 	)
@@ -39,18 +40,18 @@ func TestShardedModeForwards(t *testing.T) {
 	if nsh, nb := sw.Sharded(); nsh != 2 || nb != 4 {
 		t.Fatalf("Sharded() = %d,%d", nsh, nb)
 	}
-	in, err := sw.Ports().Port(inPort)
+	in, err := sw.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sw.Ports().Port(outPort)
+	out, err := sw.Ports().Port(testbed.OutPort)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 200
 	go func() {
 		for i := 0; i < n; i++ {
-			for !in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64)) {
+			for !in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64)) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -113,12 +114,12 @@ func TestShardedStartsUnconfigured(t *testing.T) {
 		t.Fatalf("unconfigured start refused: %v", err)
 	}
 	defer sw.Shutdown()
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	var accepted uint64
 	inject := func(n int) {
 		for i := 0; i < n; i++ {
-			if in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64)) {
+			if in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64)) {
 				accepted++
 			}
 		}
@@ -137,10 +138,10 @@ func TestShardedStartsUnconfigured(t *testing.T) {
 		t.Fatalf("%d frames before ApplyConfig, %d parser drops", early, got)
 	}
 
-	if _, err := sw.ApplyConfig(newBaseWorkspace(t).Current().Config); err != nil {
+	if _, err := sw.ApplyConfig(testbed.Workspace(t).Current().Config); err != nil {
 		t.Fatal(err)
 	}
-	populateBase(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	inject(20)
 	settle(t, sw, int(accepted))
 	late := accepted - early
@@ -175,8 +176,8 @@ func TestShardedFlowOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 
 	const flows, perFlow = 8, 40
 	go func() {
@@ -234,24 +235,16 @@ func TestShardedFlowOrdering(t *testing.T) {
 // agree with it, with nothing lost across the reconfigurations.
 // `make race` runs this under the race detector.
 func TestShardedReconfigConservation(t *testing.T) {
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.QueueDepth = 16
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	sw, w := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.QueueDepth = 16
+	})
 	if err := sw.RunSharded(3, 4); err != nil {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
 
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	// Keep the egress rx ring from filling (its tail drops are still
 	// accounted, this just keeps the common case flowing).
 	done := make(chan struct{})
@@ -286,14 +279,14 @@ func TestShardedReconfigConservation(t *testing.T) {
 					return err
 				}
 			}
-			rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
+			rep, err := testbed.Repo().Update(w, "ecmp.script")
 			if err != nil {
 				return err
 			}
 			if _, err := sw.ApplyConfig(rep.Config); err != nil {
 				return err
 			}
-			_, err = sw.InsertEntry(ecmpMember(nhMAC.Uint64()))
+			_, err = sw.InsertEntry(testbed.ECMPMember(testbed.NhMAC.Uint64()))
 			return err
 		}()
 	}()
@@ -304,7 +297,7 @@ func TestShardedReconfigConservation(t *testing.T) {
 		if i%5 == 4 {
 			dst = [4]byte{192, 168, 0, byte(i)} // no route installed
 		}
-		if in.Inject(v4Packet(t, dst, routerMAC, 64)) {
+		if in.Inject(v4Packet(t, dst, testbed.RouterMAC, 64)) {
 			accepted++
 		}
 		injected.Add(1)
@@ -331,12 +324,12 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}
 	sw, _ := newBaseSwitch(t)
 	sh := sw.newLane(1, pipeline.NewTrafficManager(sw.Ports().Len(), 64), 32)
-	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
+	raw := v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
 	data := make([]byte, len(raw))
-	out, _ := sw.Ports().Port(outPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	fwd := func() {
 		copy(data, raw) // egress rewrites headers in place; reset each run
-		sh.frames = append(sh.frames, laneFrame{data: data, port: inPort})
+		sh.frames = append(sh.frames, laneFrame{data: data, port: testbed.InPort})
 		if sent, err := sh.turn(); sent != 1 || err != nil {
 			t.Fatalf("turn: sent=%d err=%v", sent, err)
 		}
@@ -358,9 +351,9 @@ func TestShardedShutdownDrains(t *testing.T) {
 	if err := sw.RunSharded(2, 8); err != nil {
 		t.Fatal(err)
 	}
-	in, _ := sw.Ports().Port(inPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
 	for i := 0; i < 50; i++ {
-		in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64))
+		in.Inject(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64))
 	}
 	finished := make(chan struct{})
 	go func() {
@@ -386,8 +379,8 @@ func TestShardedEgressPause(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
-	in, _ := sw.Ports().Port(inPort)
-	out, _ := sw.Ports().Port(outPort)
+	in, _ := sw.Ports().Port(testbed.InPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	const n = 4 * depth // all sent while the peer is paused
 	for i := 0; i < n; i++ {
 		f := flowPacket(t, uint16(i), uint32(i))

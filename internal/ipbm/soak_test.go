@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // TestSoakUpdatesUnderTraffic alternates the probe function in and out of
@@ -28,7 +29,7 @@ func TestSoakUpdatesUnderTraffic(t *testing.T) {
 		go func(seed byte) {
 			defer wg.Done()
 			for !stop.Load() {
-				p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, seed, 1}, routerMAC, 64), inPort)
+				p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, seed, 1}, testbed.RouterMAC, 64), testbed.InPort)
 				if err != nil {
 					t.Error(err)
 					return
@@ -41,14 +42,14 @@ func TestSoakUpdatesUnderTraffic(t *testing.T) {
 			}
 		}(byte(g))
 	}
-	loadProbe := script(t, "flowprobe.script")
+	loadProbe := testbed.Script(t, "flowprobe.script")
 	unloadProbe := "unload probe\nadd_link ipv4_lpm_fib ipv6_host_fib\n"
 	for i := 0; i < rounds; i++ {
 		s := loadProbe
 		if i%2 == 1 {
 			s = unloadProbe
 		}
-		rep, err := w.ApplyScript(s, loader(t))
+		rep, err := w.ApplyScript(s, testbed.Repo().Read)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -73,8 +74,8 @@ func TestSoakUpdatesUnderTraffic(t *testing.T) {
 			f.BadTemplate.Load(), f.InvalidHeaderAccess.Load())
 	}
 	// Forwarding still correct after the final generation.
-	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
-	if err != nil || p.Drop || p.OutPort != outPort {
+	p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
+	if err != nil || p.Drop || p.OutPort != testbed.OutPort {
 		t.Fatalf("post-soak: err=%v drop=%v out=%d", err, p.Drop, p.OutPort)
 	}
 	var ip pkt.IPv4

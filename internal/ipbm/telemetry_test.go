@@ -10,6 +10,7 @@ import (
 
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/telemetry"
+	"ipsa/internal/testbed"
 	"ipsa/internal/verdict"
 )
 
@@ -18,22 +19,14 @@ import (
 // dumps over the control channel. Every packet is traced and
 // latency-sampled so the small run observes deterministic telemetry.
 func TestTelemetryEndToEnd(t *testing.T) {
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.TraceEvery = 1
-	opts.LatencyEvery = 1
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	sw, w := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.TraceEvery = 1
+		opts.LatencyEvery = 1
+	})
 
 	// Baseline traffic through the egress port so tx counters move.
 	for i := 0; i < 8; i++ {
-		sent, err := sw.Forward(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+		sent, err := sw.Forward(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil || !sent {
 			t.Fatalf("baseline forward %d: err=%v sent=%v", i, err, sent)
 		}
@@ -49,7 +42,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if sent, err := sw.Forward(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort); err != nil || !sent {
+	if sent, err := sw.Forward(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort); err != nil || !sent {
 		t.Fatalf("forward after the move: err=%v sent=%v", err, sent)
 	}
 	moved := false
@@ -82,10 +75,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// In-situ patch: insert ECMP at runtime, then keep forwarding.
-	rep, err := w.ApplyScript(script(t, "ecmp.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "ecmp.script")
 	st, err := sw.ApplyConfig(rep.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +83,11 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if st.Full {
 		t.Fatal("patch treated as full install")
 	}
-	if _, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64())); err != nil {
+	if _, err := sw.InsertEntry(testbed.ECMPMember(testbed.NhMAC.Uint64())); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, routerMAC, 64), inPort)
+		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 1, 0, byte(i)}, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil || p.Drop {
 			t.Fatalf("post-patch forward %d: err=%v drop=%v", i, err, p.Drop)
 		}
@@ -162,7 +152,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("trace dump ignored max: %d records", len(traces))
 	}
 	newest := traces[0]
-	if newest.Verdict != "forwarded" || newest.InPort != inPort {
+	if newest.Verdict != "forwarded" || newest.InPort != testbed.InPort {
 		t.Errorf("newest trace: %+v", newest)
 	}
 	if len(newest.Stages) == 0 || len(newest.Headers) == 0 {
@@ -186,8 +176,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if len(dst.Ports) != DefaultOptions().NumPorts {
 		t.Fatalf("device stats carry %d ports", len(dst.Ports))
 	}
-	if dst.Ports[outPort].Sent == 0 {
-		t.Errorf("egress port sent nothing: %+v", dst.Ports[outPort])
+	if dst.Ports[testbed.OutPort].Sent == 0 {
+		t.Errorf("egress port sent nothing: %+v", dst.Ports[testbed.OutPort])
 	}
 
 	// HTTP scrape: the Prometheus endpoint serves the same registry.
@@ -209,7 +199,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		fmt.Sprintf(`ipsa_port_tx_packets_total{port="%d"}`, outPort),
+		fmt.Sprintf(`ipsa_port_tx_packets_total{port="%d"}`, testbed.OutPort),
 		`ipsa_table_hits_total{table="ipv4_lpm"}`,
 		`ipsa_tsp_latency_seconds_bucket{tsp="0",le="+Inf"}`,
 		`ipsa_config_applies_total{mode="full"} 1`,
@@ -235,7 +225,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 func TestTelemetryDisabledByDefault(t *testing.T) {
 	sw, _ := newBaseSwitch(t)
 	for i := 0; i < 32; i++ {
-		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+		p, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 		if err != nil || p.Drop {
 			t.Fatalf("forward: err=%v drop=%v", err, p.Drop)
 		}
@@ -253,27 +243,19 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 // exactly one verdict in the ledger, the ports and TMs agree with it, and
 // the unroutable packets were dropped by a stage.
 func TestCounterConservationSharded(t *testing.T) {
-	w := newBaseWorkspace(t)
-	opts := DefaultOptions()
-	opts.QueueDepth = 8
-	sw, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
-		t.Fatal(err)
-	}
-	populateBase(t, sw)
+	sw, _ := newBaseSwitchOpts(t, func(opts *Options) {
+		opts.QueueDepth = 8
+	})
 	if err := sw.RunSharded(2, DefaultBatch); err != nil {
 		t.Fatal(err)
 	}
 	defer sw.Shutdown()
 
-	in, err := sw.Ports().Port(inPort)
+	in, err := sw.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sw.Ports().Port(outPort)
+	out, err := sw.Ports().Port(testbed.OutPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +285,7 @@ func TestCounterConservationSharded(t *testing.T) {
 		if i%5 == 4 {
 			dst = [4]byte{192, 168, 0, byte(i)} // no route installed
 		}
-		if in.Inject(v4Packet(t, dst, routerMAC, 64)) {
+		if in.Inject(v4Packet(t, dst, testbed.RouterMAC, 64)) {
 			accepted++
 		}
 	}

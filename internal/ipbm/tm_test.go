@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ipsa/internal/pipeline"
+	"ipsa/internal/testbed"
 )
 
 // TestTMTailDropUnderBurst: a lane that owns its TM parks the whole
@@ -17,15 +18,15 @@ func TestTMTailDropUnderBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newBaseWorkspace(t)
+	w := testbed.Workspace(t)
 	if _, err := sw.ApplyConfig(w.Current().Config); err != nil {
 		t.Fatal(err)
 	}
-	populateBase(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	tm := pipeline.NewTrafficManager(sw.Ports().Len(), opts.QueueDepth)
 	l := sw.newLane(1, tm, 16)
 	for i := 0; i < 10; i++ {
-		l.frames = append(l.frames, laneFrame{data: v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), port: inPort})
+		l.frames = append(l.frames, laneFrame{data: v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), port: testbed.InPort})
 	}
 	if sent, err := l.turn(); err != nil || sent != 4 {
 		t.Fatalf("turn: sent=%d err=%v, want 4 sent", sent, err)
@@ -36,7 +37,7 @@ func TestTMTailDropUnderBurst(t *testing.T) {
 	if _, retired, _ := sw.EpochStats(); retired != 0 || sw.epochs.current().inFlight.Load() != 0 {
 		t.Fatalf("pins left after the turn: retired=%d in_flight=%d", retired, sw.epochs.current().inFlight.Load())
 	}
-	out, _ := sw.Ports().Port(outPort)
+	out, _ := sw.Ports().Port(testbed.OutPort)
 	gotten := 0
 	for {
 		if _, ok := out.Drain(); !ok {

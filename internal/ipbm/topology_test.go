@@ -7,6 +7,7 @@ import (
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/netio"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // TestTwoSwitchTopology wires two ipbm instances back to back and routes a
@@ -25,12 +26,12 @@ func TestTwoSwitchTopology(t *testing.T) {
 		// population with this router's own MAC and nexthop.
 		insert(t, sw, ctrlplane.EntryReq{
 			Table: "l2_l3_tbl",
-			Keys:  []ctrlplane.FieldValue{{Value: bridgeIn}, {Value: router.Uint64()}},
+			Keys:  []ctrlplane.FieldValue{{Value: testbed.BridgeIn}, {Value: router.Uint64()}},
 			Tag:   1,
 		})
 		insert(t, sw, ctrlplane.EntryReq{
 			Table: "nexthop_tbl", Keys: []ctrlplane.FieldValue{{Value: 42}},
-			Tag: 1, Params: []uint64{bridgeOut, nexthopMAC.Uint64()},
+			Tag: 1, Params: []uint64{testbed.BridgeOut, nexthopMAC.Uint64()},
 		})
 		insert(t, sw, ctrlplane.EntryReq{
 			Table:     "ipv4_lpm",
@@ -39,8 +40,8 @@ func TestTwoSwitchTopology(t *testing.T) {
 		})
 		insert(t, sw, ctrlplane.EntryReq{
 			Table: "dmac_tbl",
-			Keys:  []ctrlplane.FieldValue{{Value: bridgeOut}, {Value: nexthopMAC.Uint64()}},
-			Tag:   1, Params: []uint64{outPort},
+			Keys:  []ctrlplane.FieldValue{{Value: testbed.BridgeOut}, {Value: nexthopMAC.Uint64()}},
+			Tag:   1, Params: []uint64{testbed.OutPort},
 		})
 		return sw
 	}
@@ -48,11 +49,11 @@ func TestTwoSwitchTopology(t *testing.T) {
 	swB := build(macB, macHost2)
 
 	// Wire A's port 3 to B's port 1.
-	pa, err := swA.Ports().Port(outPort)
+	pa, err := swA.Ports().Port(testbed.OutPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := swB.Ports().Port(inPort)
+	pb, err := swB.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +67,14 @@ func TestTwoSwitchTopology(t *testing.T) {
 
 	// Inject at A's port 1 a packet for 20.1.2.3 addressed to A's MAC.
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: macA, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: macA, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{20, 1, 2, 3}},
 		&pkt.TCP{SrcPort: 5, DstPort: 6},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingress, err := swA.Ports().Port(inPort)
+	ingress, err := swA.Ports().Port(testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestTwoSwitchTopology(t *testing.T) {
 	}
 
 	// The frame must emerge at B's port 3 with TTL 62 and dmac = host2.
-	egress, err := swB.Ports().Port(outPort)
+	egress, err := swB.Ports().Port(testbed.OutPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestUDPPortCarriesFrames(t *testing.T) {
 	}
 	defer a.Close()
 	defer b.Close()
-	frame := v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64)
+	frame := v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64)
 	if !a.Send(frame) {
 		t.Fatal("send failed")
 	}
@@ -141,7 +142,7 @@ func TestUDPPortCarriesFrames(t *testing.T) {
 	}
 	// And the frame is still a valid packet for a switch.
 	sw, _ := newBaseSwitch(t)
-	p, err := sw.ProcessPacket(got, inPort)
+	p, err := sw.ProcessPacket(got, testbed.InPort)
 	if err != nil || p.Drop {
 		t.Fatalf("frame unusable after UDP transit: err=%v drop=%v", err, p.Drop)
 	}

@@ -3,8 +3,8 @@ package ipbm
 import (
 	"testing"
 
-	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
+	"ipsa/internal/testbed"
 )
 
 // TestInsituVLAN adds 802.1Q support to a running switch: the VLAN header
@@ -14,10 +14,7 @@ import (
 // unaffected.
 func TestInsituVLAN(t *testing.T) {
 	sw, w := newBaseSwitch(t)
-	rep, err := w.ApplyScript(script(t, "vlan.script"), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := testbed.Update(t, w, "vlan.script")
 	if _, err := sw.ApplyConfig(rep.Config); err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +37,12 @@ func TestInsituVLAN(t *testing.T) {
 		t.Fatalf("ethernet transitions: %+v", eth.Transitions)
 	}
 
-	// VLAN 300 maps to the routed bridge/VRF.
-	insert(t, sw, ctrlplane.EntryReq{
-		Table: "vlan_bind", Keys: []ctrlplane.FieldValue{{Value: 300}},
-		Tag: 1, Params: []uint64{bridgeIn, vrfID},
-	})
+	// The VLAN maps to the routed bridge/VRF.
+	insert(t, sw, testbed.VLANBind())
 
 	tagged := func(vid uint16, dst [4]byte) []byte {
 		raw, err := pkt.Serialize(
-			&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeVLAN},
+			&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeVLAN},
 			&pkt.VLAN{VID: vid, EtherType: pkt.EtherTypeIPv4},
 			&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: dst},
 			&pkt.TCP{SrcPort: 1, DstPort: 2},
@@ -61,12 +55,12 @@ func TestInsituVLAN(t *testing.T) {
 
 	// Tagged frame in a known VLAN routes normally (TTL decremented,
 	// egress port resolved).
-	p, err := sw.ProcessPacket(tagged(300, [4]byte{10, 0, 0, 2}), inPort)
+	p, err := sw.ProcessPacket(tagged(testbed.VID, [4]byte{10, 0, 0, 2}), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Drop || p.OutPort != outPort {
-		t.Fatalf("vlan 300: drop=%v out=%d", p.Drop, p.OutPort)
+	if p.Drop || p.OutPort != testbed.OutPort {
+		t.Fatalf("vlan %d: drop=%v out=%d", testbed.VID, p.Drop, p.OutPort)
 	}
 	// The IPv4 header sits after the tag; TTL was still rewritten.
 	var ip pkt.IPv4
@@ -77,7 +71,7 @@ func TestInsituVLAN(t *testing.T) {
 		t.Errorf("ttl = %d", ip.TTL)
 	}
 	// Unknown VLAN drops.
-	p2, err := sw.ProcessPacket(tagged(999, [4]byte{10, 0, 0, 2}), inPort)
+	p2, err := sw.ProcessPacket(tagged(999, [4]byte{10, 0, 0, 2}), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +79,11 @@ func TestInsituVLAN(t *testing.T) {
 		t.Error("unknown vlan forwarded")
 	}
 	// Untagged traffic is untouched by the update.
-	p3, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, routerMAC, 64), inPort)
+	p3, err := sw.ProcessPacket(v4Packet(t, [4]byte{10, 0, 0, 2}, testbed.RouterMAC, 64), testbed.InPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p3.Drop || p3.OutPort != outPort {
+	if p3.Drop || p3.OutPort != testbed.OutPort {
 		t.Fatalf("untagged: drop=%v out=%d", p3.Drop, p3.OutPort)
 	}
 	if sw.Faults().BadTemplate.Load() != 0 {

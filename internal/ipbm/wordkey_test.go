@@ -1,45 +1,13 @@
 package ipbm
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
+	"ipsa/internal/ctrlplane"
 	"ipsa/internal/match"
-	"ipsa/internal/template"
-	"ipsa/internal/tsp"
+	"ipsa/internal/testbed"
 )
-
-// shippedDesigns are the base design and the base design under each of
-// the five update scripts.
-var shippedDesigns = []string{"", "ecmp.script", "acl.script", "vlan.script", "srv6.script", "flowprobe.script"}
-
-func shippedConfig(t testing.TB, name string) *template.Config {
-	t.Helper()
-	w := newBaseWorkspace(t)
-	if name == "" {
-		return w.Current().Config
-	}
-	rep, err := w.ApplyScript(script(t, name), loader(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.Config
-}
-
-func switchOn(t testing.TB, cfg *template.Config, mode tsp.ExecMode) *Switch {
-	t.Helper()
-	o := DefaultOptions()
-	o.Exec = mode
-	sw, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.ApplyConfig(cfg); err != nil {
-		t.Fatal(err)
-	}
-	return sw
-}
 
 // TestShippedDesignsBindWordProbes makes a table dropping off the fast
 // path a test failure rather than a performance mystery: on the fused tier
@@ -54,9 +22,9 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 		"ipv6_host": false, "ipv6_lpm": false, "acl_tbl": false,
 	}
 	seen := map[string]bool{}
-	for _, sc := range shippedDesigns {
-		cfg := shippedConfig(t, sc)
-		sw := switchOn(t, cfg, tsp.ExecFused)
+	for _, sc := range testbed.Scripts {
+		cfg := testbed.Config(t, sc)
+		sw := switchOn(t, cfg, nil)
 		for sn, sr := range sw.epochs.current().built {
 			for _, tn := range cfg.Stages[sn].Tables {
 				tbl := cfg.Tables[tn]
@@ -81,7 +49,7 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 			}
 		}
 		// The interpreter keeps byte keys end to end: it is the oracle.
-		interp := switchOn(t, cfg, tsp.ExecInterp)
+		interp := switchOn(t, cfg, interpreted)
 		for sn, sr := range interp.epochs.current().built {
 			for _, tn := range cfg.Stages[sn].Tables {
 				if sr.WordKeyed(tn) {
@@ -105,16 +73,13 @@ func TestShippedDesignsBindWordProbes(t *testing.T) {
 func TestTableStatsExactAcrossTiers(t *testing.T) {
 	const frames = 10000
 	for _, sc := range []string{"", "ecmp.script", "flowprobe.script"} {
-		cfg := shippedConfig(t, sc)
-		traffic := diffTraffic(t, 48)
-		run := func(mode tsp.ExecMode) map[string][2]uint64 {
-			sw := switchOn(t, cfg, mode)
-			for _, req := range baseEntries() {
-				_, _ = sw.InsertEntry(req) // a script may have swapped a table out
-			}
+		cfg := testbed.Config(t, sc)
+		traffic := testbed.Frames(t, 48, 0, testbed.Mix...)
+		run := func(tier func(*Options)) map[string][2]uint64 {
+			sw := switchOn(t, cfg, tier)
 			if _, ok := cfg.Tables["ecmp_ipv4"]; ok {
 				for m := uint64(0); m < 2; m++ {
-					insert(t, sw, ecmpMember(nhMAC.Uint64()+m))
+					insert(t, sw, testbed.ECMPMember(testbed.NhMAC.Uint64()+m))
 				}
 			}
 			// Batches of DefaultBatch, every other one led by a lone Forward:
@@ -126,10 +91,10 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 					batch = append(batch, append([]byte(nil), traffic[i%len(traffic)]...))
 				}
 				if n%2 == 1 {
-					_, _ = sw.Forward(batch[0], inPort)
+					_, _ = sw.Forward(batch[0], testbed.InPort)
 					batch = batch[1:]
 				}
-				_, _ = sw.ForwardBatch(batch, inPort)
+				_, _ = sw.ForwardBatch(batch, testbed.InPort)
 			}
 			out := map[string][2]uint64{}
 			for tn := range cfg.Tables {
@@ -141,7 +106,7 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 			}
 			return out
 		}
-		oracle := run(tsp.ExecInterp)
+		oracle := run(interpreted)
 		var lookups uint64
 		for _, hm := range oracle {
 			lookups += hm[0] + hm[1]
@@ -149,7 +114,7 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 		if lookups < frames {
 			t.Fatalf("%q: only %d lookups over %d frames", sc, lookups, frames)
 		}
-		got := run(tsp.ExecFused)
+		got := run(nil)
 		for tn, want := range oracle {
 			if got[tn] != want {
 				t.Errorf("%q fused %s: {hits misses} = %v, interpreter %v", sc, tn, got[tn], want)
@@ -163,20 +128,21 @@ func TestTableStatsExactAcrossTiers(t *testing.T) {
 // resolves to, and then holds the fused tier to the interpreter, given the
 // same member ops, on the same traffic.
 func TestSelectorWordApplyBesideMemberOps(t *testing.T) {
-	cfg := shippedConfig(t, "ecmp.script")
-	mk := func(mode tsp.ExecMode) *Switch {
-		sw := switchOn(t, cfg, mode)
-		for _, req := range baseEntries() {
-			_, _ = sw.InsertEntry(req) // ecmp.script swaps nexthop_tbl out
-		}
-		return sw
-	}
-	fused, interp := mk(tsp.ExecFused), mk(tsp.ExecInterp)
-	// Sixteen members; every third insert deletes the member before it.
+	cfg := testbed.Config(t, "ecmp.script")
+	fused, interp := switchOn(t, cfg, nil), switchOn(t, cfg, interpreted)
+	// Sixteen members, each with an egress MAC; every third insert deletes
+	// the member before it.
 	members := func(sw *Switch) {
 		var prev int
 		for m := 0; m < 16; m++ {
-			h, err := sw.InsertEntry(ecmpMember(nhMAC.Uint64() + uint64(m)))
+			mac := testbed.NhMAC.Uint64() + uint64(m)
+			egress := ctrlplane.EntryReq{Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: testbed.BridgeOut}, {Value: mac}},
+				Tag: 1, Params: []uint64{testbed.OutPort}}
+			if _, err := sw.InsertEntry(egress); err != nil && m > 0 { // the base entries hold the first
+				t.Error(err)
+				return
+			}
+			h, err := sw.InsertEntry(testbed.ECMPMember(mac))
 			if err != nil {
 				t.Error(err)
 				return
@@ -189,7 +155,7 @@ func TestSelectorWordApplyBesideMemberOps(t *testing.T) {
 			prev = h
 		}
 	}
-	traffic := diffTraffic(t, 32)
+	traffic := testbed.Frames(t, 32, 0, testbed.Mix...)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -201,23 +167,15 @@ func TestSelectorWordApplyBesideMemberOps(t *testing.T) {
 		for i, raw := range traffic {
 			batch[i] = append([]byte(nil), raw...)
 		}
-		if _, err := fused.ForwardBatch(batch, inPort); err != nil {
+		if _, err := fused.ForwardBatch(batch, testbed.InPort); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wg.Wait()
 	members(interp)
-	for i, raw := range traffic {
-		pf, err := fused.ProcessPacket(append([]byte(nil), raw...), inPort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pi, err := interp.ProcessPacket(append([]byte(nil), raw...), inPort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pf.Drop != pi.Drop || pf.OutPort != pi.OutPort || !bytes.Equal(pf.Data, pi.Data) {
-			t.Fatalf("frame %d: fused {drop:%v out:%d} interp {drop:%v out:%d}", i, pf.Drop, pf.OutPort, pi.Drop, pi.OutPort)
-		}
+	// The members are IPv4's: of the 128 frames, the 32 IPv6 flows and 3
+	// of the mixed ones drop.
+	if err := testbed.Diff(fused, interp, traffic, 93); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,72 +2,25 @@ package pisa
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
-	"ipsa/internal/compiler/backend"
 	"ipsa/internal/ctrlplane"
 	"ipsa/internal/pkt"
-	"ipsa/internal/rp4/parser"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 	"ipsa/internal/tsp"
 	"ipsa/internal/verdict"
 )
 
-var (
-	routerMAC = pkt.MAC{0x02, 0, 0, 0, 0, 0x01}
-	hostMAC   = pkt.MAC{0x02, 0, 0, 0, 0, 0x02}
-	nhMAC     = pkt.MAC{0x02, 0, 0, 0, 0, 0x03}
-	smacMAC   = pkt.MAC{0x02, 0, 0, 0, 0, 0x04}
-)
-
-func baseConfig(t *testing.T) *template.Config {
-	t.Helper()
-	src, err := os.ReadFile("../../testdata/base_l2l3.rp4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := parser.Parse("base_l2l3.rp4", string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := backend.DefaultOptions()
-	opts.NumTSPs = 16
-	// PISA's own compiler does not do IPSA's TSP merging; one logical
-	// stage maps to one physical stage.
-	opts.EnableMerge = false
-	c, err := backend.Compile(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Config
-}
-
-// populatedTables are the tables populate fills, each of which the routed
-// frame of v4pkt hits.
+// populatedTables are the base entries' tables the routed frame of v4pkt
+// hits.
 var populatedTables = []string{"port_map_tbl", "bd_vrf_tbl", "l2_l3_tbl", "ipv4_host", "nexthop_tbl", "smac_tbl", "dmac_tbl"}
-
-func populate(t *testing.T, sw *Switch) {
-	t.Helper()
-	ins := func(req ctrlplane.EntryReq) {
-		if _, err := sw.InsertEntry(req); err != nil {
-			t.Fatalf("insert %s: %v", req.Table, err)
-		}
-	}
-	ins(ctrlplane.EntryReq{Table: "port_map_tbl", Keys: []ctrlplane.FieldValue{{Value: 1}}, Tag: 1, Params: []uint64{10}})
-	ins(ctrlplane.EntryReq{Table: "bd_vrf_tbl", Keys: []ctrlplane.FieldValue{{Value: 10}}, Tag: 1, Params: []uint64{100, 1}})
-	ins(ctrlplane.EntryReq{Table: "l2_l3_tbl", Keys: []ctrlplane.FieldValue{{Value: 100}, {Value: routerMAC.Uint64()}}, Tag: 1})
-	ins(ctrlplane.EntryReq{Table: "ipv4_host", Keys: []ctrlplane.FieldValue{{Value: 1}, {Value: 0x0A000002}}, Tag: 1, Params: []uint64{7}})
-	ins(ctrlplane.EntryReq{Table: "nexthop_tbl", Keys: []ctrlplane.FieldValue{{Value: 7}}, Tag: 1, Params: []uint64{200, nhMAC.Uint64()}})
-	ins(ctrlplane.EntryReq{Table: "smac_tbl", Keys: []ctrlplane.FieldValue{{Value: 200}}, Tag: 1, Params: []uint64{smacMAC.Uint64()}})
-	ins(ctrlplane.EntryReq{Table: "dmac_tbl", Keys: []ctrlplane.FieldValue{{Value: 200}, {Value: nhMAC.Uint64()}}, Tag: 1, Params: []uint64{3}})
-}
 
 func v4pkt(t *testing.T) []byte {
 	t.Helper()
 	raw, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2}},
 		&pkt.TCP{SrcPort: 1, DstPort: 2},
 	)
@@ -81,7 +34,7 @@ func v4pkt(t *testing.T) []byte {
 // each executor tier. Both tiers forward it, and both report the same
 // per-table hits and misses, with a hit on every table the frame applies.
 func TestPISAForwardsBaseDesign(t *testing.T) {
-	cfg := baseConfig(t)
+	cfg := testbed.P4Full(t, "")
 	stats := map[tsp.ExecMode]map[string]ctrlplane.TableStats{}
 	for _, mode := range []tsp.ExecMode{tsp.ExecFused, tsp.ExecInterp} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -98,7 +51,7 @@ func TestPISAForwardsBaseDesign(t *testing.T) {
 			if !st.Full || st.TSPsWritten != 16 {
 				t.Errorf("apply: %+v", st)
 			}
-			populate(t, sw)
+			testbed.Populate(t, sw, nil, testbed.Base())
 			p, err := sw.ProcessPacket(v4pkt(t), 1)
 			if err != nil {
 				t.Fatal(err)
@@ -144,11 +97,11 @@ func TestPISAForwardsBaseDesign(t *testing.T) {
 
 func TestPISAFullReloadLosesEntries(t *testing.T) {
 	sw, _ := New(DefaultOptions())
-	cfg := baseConfig(t)
+	cfg := testbed.P4Full(t, "")
 	if _, err := sw.ApplyConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
-	populate(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	// A PISA "update" (even a no-op redeploy) rebuilds the pipeline and
 	// discards every table entry — the architectural cost the paper
 	// contrasts with IPSA's incremental patch.
@@ -166,7 +119,7 @@ func TestPISAFullReloadLosesEntries(t *testing.T) {
 		t.Errorf("reloads = %d", sw.Reloads())
 	}
 	// Repopulating restores forwarding.
-	populate(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	p, _ = sw.ProcessPacket(v4pkt(t), 1)
 	if p.Drop {
 		t.Error("repopulated pipeline still dropping")
@@ -175,7 +128,7 @@ func TestPISAFullReloadLosesEntries(t *testing.T) {
 
 func TestPISAEffectiveStageConsumption(t *testing.T) {
 	sw, _ := New(Options{IngressStages: 20, EgressStages: 18, StageBlocks: 2, BlockWidth: 128, BlockDepth: 4096})
-	cfg := baseConfig(t)
+	cfg := testbed.P4Full(t, "")
 	if _, err := sw.ApplyConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +144,7 @@ func TestPISAEffectiveStageConsumption(t *testing.T) {
 
 func TestPISATooSmallPipeline(t *testing.T) {
 	sw, _ := New(Options{IngressStages: 3, EgressStages: 1, StageBlocks: 8, BlockWidth: 128, BlockDepth: 4096})
-	if _, err := sw.ApplyConfig(baseConfig(t)); err == nil {
+	if _, err := sw.ApplyConfig(testbed.P4Full(t, "")); err == nil {
 		t.Error("base design accepted on 3 ingress stages")
 	}
 }
@@ -199,32 +152,12 @@ func TestPISATooSmallPipeline(t *testing.T) {
 func TestPISARegistersResetOnReload(t *testing.T) {
 	// Load the flow-probe design into PISA and verify register state does
 	// not survive a reload (unlike ipbm).
-	src, _ := os.ReadFile("../../testdata/base_l2l3.rp4")
-	prog, err := parser.Parse("base.rp4", string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := backend.DefaultOptions()
-	opts.NumTSPs = 16
-	opts.EnableMerge = false
-	w, err := backend.NewWorkspace(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := func(name string) (string, error) {
-		b, err := os.ReadFile("../../testdata/" + name)
-		return string(b), err
-	}
-	scriptSrc, _ := os.ReadFile("../../testdata/flowprobe.script")
-	rep, err := w.ApplyScript(string(scriptSrc), loader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testbed.P4Full(t, "flowprobe.script")
 	sw, _ := New(DefaultOptions())
-	if _, err := sw.ApplyConfig(rep.Config); err != nil {
+	if _, err := sw.ApplyConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
-	populate(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	if _, err := sw.InsertEntry(ctrlplane.EntryReq{
 		Table: "flow_probe",
 		Keys:  []ctrlplane.FieldValue{{Value: 0x0A000001}, {Value: 0x0A000002}},
@@ -244,7 +177,7 @@ func TestPISARegistersResetOnReload(t *testing.T) {
 	if v != 3 {
 		t.Errorf("flow_cnt = %d, want 3", v)
 	}
-	if _, err := sw.ApplyConfig(rep.Config); err != nil {
+	if _, err := sw.ApplyConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
 	v, err = sw.ReadRegister("flow_cnt", 5)
@@ -265,10 +198,10 @@ func TestPISAConcurrentStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.ApplyConfig(baseConfig(t)); err != nil {
+	if _, err := sw.ApplyConfig(testbed.P4Full(t, "")); err != nil {
 		t.Fatal(err)
 	}
-	populate(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	const workers, each = 4, 200
 	frame := v4pkt(t)
 	truncated := frame[:6]
@@ -328,7 +261,7 @@ func TestPISAConcurrentStats(t *testing.T) {
 // it. The whole frame is forwarded.
 func TestPISATruncatedFramesAreParseErrors(t *testing.T) {
 	frame, err := pkt.Serialize(
-		&pkt.Ethernet{Dst: routerMAC, Src: hostMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.Ethernet{Dst: testbed.RouterMAC, Src: testbed.HostMAC, EtherType: pkt.EtherTypeIPv4},
 		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2}},
 		&pkt.UDP{SrcPort: 1234, DstPort: 53},
 	)
@@ -342,10 +275,10 @@ func TestPISATruncatedFramesAreParseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.ApplyConfig(baseConfig(t)); err != nil {
+	if _, err := sw.ApplyConfig(testbed.P4Full(t, "")); err != nil {
 		t.Fatal(err)
 	}
-	populate(t, sw)
+	testbed.Populate(t, sw, nil, testbed.Base())
 	for _, n := range []int{6, 10, 14, 20, 33, 42} {
 		want := verdict.ParseError
 		if n == len(frame) {

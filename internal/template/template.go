@@ -163,8 +163,6 @@ type Table struct {
 	KeyWidth   int      `json:"key_width"`
 	Size       int      `json:"size"`
 	IsSelector bool     `json:"is_selector,omitempty"`
-	// DefaultTag selects the executor arm on miss; 0 means default arm.
-	DefaultTag uint64 `json:"default_tag,omitempty"`
 }
 
 // MatchWidth is the width in bits of the key the table's engine matches:

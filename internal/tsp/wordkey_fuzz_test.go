@@ -2,16 +2,13 @@ package tsp
 
 import (
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
-	"ipsa/internal/compiler/backend"
 	"ipsa/internal/match"
 	"ipsa/internal/pkt"
-	"ipsa/internal/rp4/parser"
 	"ipsa/internal/template"
+	"ipsa/internal/testbed"
 )
 
 // The fuzz input's plan is a run of 13-byte field records — kind, header
@@ -76,39 +73,10 @@ func encodeWordKeyTable(t *template.Table) []byte {
 // shippedWordKeyPlans encodes every word-keyed table of the base design
 // and of the base design under each update script.
 func shippedWordKeyPlans(f *testing.F) [][]byte {
-	read := func(name string) (string, error) {
-		b, err := os.ReadFile(filepath.Join("../../testdata", name))
-		return string(b), err
-	}
-	src, err := read("base_l2l3.rp4")
-	if err != nil {
-		f.Fatal(err)
-	}
 	seen := map[string]bool{}
 	var plans [][]byte
-	for _, script := range []string{"", "ecmp.script", "acl.script", "vlan.script", "srv6.script", "flowprobe.script"} {
-		prog, err := parser.Parse("base_l2l3.rp4", src)
-		if err != nil {
-			f.Fatal(err)
-		}
-		copts := backend.DefaultOptions()
-		copts.NumTSPs = 16
-		w, err := backend.NewWorkspace(prog, copts)
-		if err != nil {
-			f.Fatal(err)
-		}
-		cfg := w.Current().Config
-		if script != "" {
-			s, err := read(script)
-			if err != nil {
-				f.Fatal(err)
-			}
-			rep, err := w.ApplyScript(s, read)
-			if err != nil {
-				f.Fatal(err)
-			}
-			cfg = rep.Config
-		}
+	for _, script := range testbed.Scripts {
+		cfg := testbed.Config(f, script)
 		names := make([]string, 0, len(cfg.Tables))
 		for n := range cfg.Tables {
 			names = append(names, n)
